@@ -32,13 +32,9 @@ from .bench import (
 )
 from .estimator import (
     Estimate,
-    FilterBank,
-    build_filter_bank,
     component_lmmse,
     estimate,
-    estimate_with_bank,
     gmm_cme_oracle,
-    noisy_responsibilities,
 )
 from .gaussians import (
     ConditioningError,
@@ -54,11 +50,9 @@ from .mfa import (
     FitTrace,
     MfaComponent,
     MfaModel,
-    e_step,
     fit_em,
     load_model,
     log_likelihood,
-    m_step,
     parameter_count,
     sample,
     save_model,

@@ -18,9 +18,8 @@ from scipy.linalg import solve_triangular
 
 from . import mfa as _mfa
 from ._binio import ByteReader, ByteWriter, FileFormatError
-from .gaussians import LOG_PI, log_sum_exp
-from .mfa import FitConfig, FitTrace, MfaModel, WEIGHT_FLOOR
-from .scenario import ChannelDataset
+from .gaussians import LOG_PI, _check_sigma2, log_sum_exp
+from .mfa import FitConfig, FitTrace, MfaModel, WEIGHT_FLOOR, _as_samples
 
 GMM_MAGIC = b"GMM1"
 GMM_VERSION = 1
@@ -266,15 +265,13 @@ class SampleCovariance:
 
 def fit_sample_lmmse(dataset) -> SampleCovariance:
     samples = _as_samples(dataset)
-    if samples.shape[0] < 1:
-        raise ValueError("need at least one training sample")
     cov = samples.T @ samples.conj() / samples.shape[0]
     return SampleCovariance(cov)
 
 
 def sample_lmmse_estimate(cov: SampleCovariance, sigma2: float, y: np.ndarray) -> np.ndarray:
     """Global LMMSE with the sample covariance and zero mean: C (C + sigma2 I)^{-1} y."""
-    sigma2 = float(sigma2)
+    sigma2 = _check_sigma2(sigma2)
     if sigma2 <= 0.0:
         raise ValueError("sample-covariance LMMSE requires sigma2 > 0")
     y = np.asarray(y, dtype=np.complex128)
@@ -286,15 +283,6 @@ def sample_lmmse_estimate(cov: SampleCovariance, sigma2: float, y: np.ndarray) -
     solved = np.linalg.solve(shifted, batch.T).T
     out = batch - sigma2 * solved
     return out[0] if single else out
-
-
-def _as_samples(dataset) -> np.ndarray:
-    if isinstance(dataset, ChannelDataset):
-        return dataset.samples
-    samples = np.asarray(dataset, dtype=np.complex128)
-    if samples.ndim != 2:
-        raise ValueError("dataset must be a ChannelDataset or a (T, N) array")
-    return samples
 
 
 # ---------------------------------------------------------------------------
@@ -591,7 +579,7 @@ def gmm_estimate(model: GmmModel, sigma2: float, y: np.ndarray) -> np.ndarray:
     Circulant covariances invert in the DFT domain; full and Toeplitz ones use
     dense Hermitian solves of C + sigma2 I.
     """
-    sigma2 = float(sigma2)
+    sigma2 = _check_sigma2(sigma2)
     y = np.asarray(y, dtype=np.complex128)
     single = y.ndim == 1
     batch = np.atleast_2d(y)

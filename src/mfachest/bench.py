@@ -159,9 +159,8 @@ class _MfaFitted(_Fitted):
         self.l = l
 
     def estimate(self, sigma2, observations, truths):
-        # Per-SNR artifacts are rebuilt on every call by design.
-        bank = est_mod.build_filter_bank(self.model, sigma2)
-        return est_mod.estimate_with_bank(bank, observations).value
+        # estimate() factors the model at this noise level on every call.
+        return est_mod.estimate(self.model, sigma2, observations).value
 
 
 class _GmmFitted(_Fitted):

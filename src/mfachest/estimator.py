@@ -1,24 +1,21 @@
 """Mixture-based MMSE channel estimation from noisy pilot observations.
 
 The estimate is a convex combination of per-component LMMSE filters, weighted
-by noise-aware responsibilities. The direct path rebuilds each component's
-inverse from the low-rank factorization on every call; for repeated estimation
-at a fixed noise level, a precomputed filter bank reduces the work to one
-matrix-vector product per component.
+by noise-aware responsibilities. Every component is factored once per call at
+the observation noise level (``gaussians.stack_mixture``), and one stacked
+low-rank kernel yields both the responsibilities and the latent posterior
+means the filters need, so no N x N matrix is formed and the per-observation
+cost is O(KNL).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussians import LOG_PI, _quad_form, factorize, woodbury_inverse
+from .gaussians import _check_sigma2, mixture_logdens, stack_mixture
 from .mfa import MfaComponent, MfaModel
-
-# Cap on K * chunk * N complex temporaries when batching estimates.
-_CHUNK_BUDGET = 8_000_000
 
 
 @dataclass(frozen=True)
@@ -31,32 +28,6 @@ class Estimate:
 
     value: np.ndarray
     responsibilities: np.ndarray
-
-
-@dataclass(frozen=True)
-class FilterBank:
-    """Per-component LMMSE gains and log-density constants for one noise level.
-
-    gains[k] = C_k (C_k + sigma2 I)^{-1}, biases[k] = mean_k - gains[k] mean_k,
-    precisions[k] = (C_k + sigma2 I)^{-1}; applying the bank needs only
-    matrix-vector products.
-    """
-
-    sigma2: float
-    means: np.ndarray       # (K, N)
-    gains: np.ndarray       # (K, N, N)
-    biases: np.ndarray      # (K, N)
-    precisions: np.ndarray  # (K, N, N)
-    logdets: np.ndarray     # (K,)
-    log_weights: np.ndarray  # (K,)
-
-    @property
-    def dim(self) -> int:
-        return self.means.shape[1]
-
-    @property
-    def n_components(self) -> int:
-        return self.means.shape[0]
 
 
 def _check_observation(y: np.ndarray, dim: int) -> tuple[np.ndarray, bool]:
@@ -73,29 +44,15 @@ def _check_observation(y: np.ndarray, dim: int) -> tuple[np.ndarray, bool]:
 def component_lmmse(component: MfaComponent, sigma2: float, y: np.ndarray) -> np.ndarray:
     """Per-component LMMSE estimate ``mean + C (C + sigma2 I)^{-1} (y - mean)``.
 
-    Uses C (C + sigma2 I)^{-1} = I - sigma2 (C + sigma2 I)^{-1}, so sigma2 = 0
-    returns y exactly.
+    A dense reference: it solves with the materialized N x N matrix
+    ``C + sigma2 I`` and uses C (C + sigma2 I)^{-1} = I - sigma2 (C + sigma2 I)^{-1},
+    so sigma2 = 0 returns y exactly.
     """
     batch, single = _check_observation(y, component.cov.dim)
-    prec = woodbury_inverse(component.cov, sigma2)
-    out = batch - sigma2 * ((batch - component.mean) @ prec.T)
+    sigma2 = _check_sigma2(sigma2)
+    shifted = component.cov.dense(sigma2)
+    out = batch - sigma2 * np.linalg.solve(shifted, (batch - component.mean).T).T
     return out[0] if single else out
-
-
-def noisy_responsibilities(model: MfaModel, sigma2: float, y: np.ndarray) -> np.ndarray:
-    """Posterior component probabilities given y under noise level sigma2.
-
-    Softmax of log weight plus the component log-density with covariance
-    C_k + sigma2 I; rows sum to one exactly.
-    """
-    batch, single = _check_observation(y, model.dim)
-    logdens = np.empty((batch.shape[0], model.n_components))
-    for k, comp in enumerate(model.components):
-        f = factorize(comp.cov, sigma2, label=f"component {k}")
-        xc = batch - comp.mean
-        logdens[:, k] = math.log(comp.weight) - model.dim * LOG_PI - f.logdet - _quad_form(xc, f)
-    resp = _softmax_rows(logdens)
-    return resp[0] if single else resp
 
 
 def _softmax_rows(logdens: np.ndarray) -> np.ndarray:
@@ -108,94 +65,34 @@ def _softmax_rows(logdens: np.ndarray) -> np.ndarray:
 def estimate(model: MfaModel, sigma2: float, y: np.ndarray) -> Estimate:
     """Convex combination of the per-component LMMSE filters.
 
-    The per-component inverse is built once per call and shared between the
-    filter and the responsibility density.
+    With ``(C_k + sigma2 I)^{-1} = D_k - D_k W_k A_k W_k^H D_k`` the filter of
+    component k is ``y - sigma2 (D_k (y - mu_k) - D_k W_k m_k)`` with the latent
+    posterior mean ``m_k = A_k W_k^H D_k (y - mu_k)``, so the responsibility-
+    weighted sum over k is three products with the stacked factors.
     """
     batch, single = _check_observation(y, model.dim)
-    sigma2 = float(sigma2)
-    k_total, dim = model.n_components, model.dim
+    sigma2 = _check_sigma2(sigma2)
+    stack = stack_mixture(model.components, sigma2)
+    k_total, latent = model.n_components, model.latent_dim
+    dw = stack.wd_conj.conj()  # (N, K*L) column blocks D_k W_k
+    d_mu = stack.d_mean.conj()  # (N, K) columns D_k mu_k
 
-    precs = np.empty((k_total, dim, dim), dtype=np.complex128)
-    logconst = np.empty(k_total)
-    for k, comp in enumerate(model.components):
-        precs[k] = woodbury_inverse(comp.cov, sigma2)
-        # log det via the same factorization family as the inverse
-        f = factorize(comp.cov, sigma2, label=f"component {k}")
-        logconst[k] = math.log(comp.weight) - dim * LOG_PI - f.logdet
-
-    means = model.means
     value = np.empty_like(batch)
     resp_out = np.empty((batch.shape[0], k_total))
-    chunk = max(64, _CHUNK_BUDGET // (k_total * dim))
+    chunk = stack.chunk_rows()
+    lat_big = np.empty((chunk, k_total, latent), dtype=np.complex128)
     for start in range(0, batch.shape[0], chunk):
         stop = min(start + chunk, batch.shape[0])
         yb = batch[start:stop]
-        pys = np.empty((k_total, yb.shape[0], dim), dtype=np.complex128)
-        logdens = np.empty((yb.shape[0], k_total))
-        for k in range(k_total):
-            yc = yb - means[k]
-            py = yc @ precs[k].T
-            pys[k] = py
-            quad = np.einsum("bn,bn->b", yc.conj(), py).real
-            logdens[:, k] = logconst[k] - quad
-        resp = _softmax_rows(logdens)
+        lat = lat_big[:stop - start]
+        resp = _softmax_rows(mixture_logdens(stack, yb, np.abs(yb) ** 2, lat))
         resp_out[start:stop] = resp
-        value[start:stop] = yb - sigma2 * np.einsum("kbn,bk->bn", pys, resp)
+        lat *= resp[:, :, None]
+        prec_y = (resp @ stack.d.T) * yb
+        prec_y -= resp @ d_mu.T
+        prec_y -= lat.reshape(stop - start, k_total * latent) @ dw.T
+        value[start:stop] = yb - sigma2 * prec_y
 
-    if single:
-        return Estimate(value[0], resp_out[0])
-    return Estimate(value, resp_out)
-
-
-def build_filter_bank(model: MfaModel, sigma2: float) -> FilterBank:
-    """Precompute gains, biases, and density constants for one noise level (> 0)."""
-    sigma2 = float(sigma2)
-    if sigma2 <= 0.0:
-        raise ValueError("filter banks require sigma2 > 0")
-    k_total, dim = model.n_components, model.dim
-    gains = np.empty((k_total, dim, dim), dtype=np.complex128)
-    biases = np.empty((k_total, dim), dtype=np.complex128)
-    precs = np.empty((k_total, dim, dim), dtype=np.complex128)
-    logdets = np.empty(k_total)
-    eye = np.eye(dim, dtype=np.complex128)
-    for k, comp in enumerate(model.components):
-        prec = woodbury_inverse(comp.cov, sigma2)
-        precs[k] = prec
-        gains[k] = eye - sigma2 * prec
-        biases[k] = comp.mean - gains[k] @ comp.mean
-        logdets[k] = factorize(comp.cov, sigma2, label=f"component {k}").logdet
-    return FilterBank(
-        sigma2=sigma2,
-        means=model.means,
-        gains=gains,
-        biases=biases,
-        precisions=precs,
-        logdets=logdets,
-        log_weights=np.log(model.weights),
-    )
-
-
-def estimate_with_bank(bank: FilterBank, y: np.ndarray) -> Estimate:
-    """Same contract as estimate() at the bank's noise level, matrix-vector only."""
-    batch, single = _check_observation(y, bank.dim)
-    k_total, dim = bank.n_components, bank.dim
-    value = np.empty_like(batch)
-    resp_out = np.empty((batch.shape[0], k_total))
-    logconst = bank.log_weights - dim * LOG_PI - bank.logdets
-    chunk = max(64, _CHUNK_BUDGET // (k_total * dim))
-    for start in range(0, batch.shape[0], chunk):
-        stop = min(start + chunk, batch.shape[0])
-        yb = batch[start:stop]
-        filtered = np.empty((k_total, yb.shape[0], dim), dtype=np.complex128)
-        logdens = np.empty((yb.shape[0], k_total))
-        for k in range(k_total):
-            yc = yb - bank.means[k]
-            quad = np.einsum("bn,bn->b", yc.conj(), yc @ bank.precisions[k].T).real
-            logdens[:, k] = logconst[k] - quad
-            filtered[k] = yb @ bank.gains[k].T + bank.biases[k]
-        resp = _softmax_rows(logdens)
-        resp_out[start:stop] = resp
-        value[start:stop] = np.einsum("kbn,bk->bn", filtered, resp)
     if single:
         return Estimate(value[0], resp_out[0])
     return Estimate(value, resp_out)

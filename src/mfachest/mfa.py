@@ -10,15 +10,13 @@ no real-case 1/2 factors in the variance accounting.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
 
 from . import gaussians
 from ._binio import ByteReader, ByteWriter, FileFormatError
-from .gaussians import LOG_PI, LowRankCovariance, factorize, log_sum_exp
+from .gaussians import LowRankCovariance, log_sum_exp
 from .scenario import ChannelDataset
 
 MODEL_MAGIC = b"MFA1"
@@ -124,20 +122,18 @@ class FitTrace:
         object.__setattr__(self, "loglik", np.asarray(self.loglik, dtype=np.float64))
 
 
-@dataclass(frozen=True)
-class LatentStats:
-    """Posterior statistics of the latent factors: means (T, K, L), covs (K, L, L)."""
-
-    means: np.ndarray
-    covs: np.ndarray
-
-
 def _as_samples(dataset) -> np.ndarray:
+    """The (T, N) samples of a ChannelDataset or array; rejects empty or non-finite data."""
     if isinstance(dataset, ChannelDataset):
-        return dataset.samples
-    samples = np.asarray(dataset, dtype=np.complex128)
+        samples = dataset.samples
+    else:
+        samples = np.asarray(dataset, dtype=np.complex128)
     if samples.ndim != 2:
         raise ValueError("dataset must be a ChannelDataset or a (T, N) array")
+    if samples.shape[0] < 1:
+        raise ValueError("dataset must hold at least one sample")
+    if not np.all(np.isfinite(samples)):
+        raise ValueError("dataset contains non-finite samples")
     return samples
 
 
@@ -146,105 +142,27 @@ def _psi_floor(samples: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# E-step / likelihood
+# Likelihood
 # ---------------------------------------------------------------------------
-
-
-def _weighted_logdens(
-    samples: np.ndarray, model: MfaModel, scratch: np.ndarray | None = None
-) -> np.ndarray:
-    """log weight + component log-density for every sample/component pair, (T, K)."""
-    out = np.empty((samples.shape[0], model.n_components))
-    for k, comp in enumerate(model.components):
-        f = factorize(comp.cov, 0.0, label=f"component {k}")
-        xc = np.subtract(samples, comp.mean, out=scratch)
-        quad = gaussians._quad_form(xc, f)
-        out[:, k] = math.log(comp.weight) - model.dim * LOG_PI - f.logdet - quad
-    return out
 
 
 def log_likelihood(model: MfaModel, dataset) -> float:
     """Average per-sample log of the mixture density, via log-sum-exp."""
     samples = _as_samples(dataset)
-    return float(np.mean(log_sum_exp(_weighted_logdens(samples, model), axis=1)))
-
-
-def e_step(model: MfaModel, dataset) -> tuple[np.ndarray, LatentStats]:
-    """Responsibilities (T, K simplex rows) and latent posterior statistics.
-
-    The latent posterior for a sample under component k has mean
-    ``A W^H Psi^{-1} (h - mean)`` and covariance ``A = (I + W^H Psi^{-1} W)^{-1}``,
-    shared across samples.
-    """
-    samples = _as_samples(dataset)
-    count = samples.shape[0]
-    k_total, latent = model.n_components, model.latent_dim
-    logdens = np.empty((count, k_total))
-    lat_means = np.empty((count, k_total, latent), dtype=np.complex128)
-    lat_covs = np.empty((k_total, latent, latent), dtype=np.complex128)
-    for k, comp in enumerate(model.components):
-        f = factorize(comp.cov, 0.0, label=f"component {k}")
-        xc = samples - comp.mean
-        logdens[:, k] = math.log(comp.weight) - model.dim * LOG_PI - f.logdet - gaussians._quad_form(xc, f)
-        lat_means[:, k, :], lat_covs[k] = gaussians._latent_posterior(xc, f)
-    resp = _normalize_rows(logdens)
-    return resp, LatentStats(means=lat_means, covs=lat_covs)
-
-
-def _normalize_rows(logdens: np.ndarray) -> np.ndarray:
-    lse = log_sum_exp(logdens, axis=1)
-    resp = np.exp(logdens - lse[:, None])
-    resp /= resp.sum(axis=1, keepdims=True)
-    return resp
+    stack = gaussians.stack_mixture(model.components, 0.0)
+    chunk = stack.chunk_rows()
+    latent = np.empty((chunk, model.n_components, model.latent_dim), dtype=np.complex128)
+    total = 0.0
+    for start in range(0, samples.shape[0], chunk):
+        block = samples[start:start + chunk]
+        logdens = gaussians.mixture_logdens(stack, block, np.abs(block) ** 2, latent[:len(block)])
+        total += float(log_sum_exp(logdens, axis=1).sum())
+    return total / samples.shape[0]
 
 
 # ---------------------------------------------------------------------------
 # M-step
 # ---------------------------------------------------------------------------
-
-
-def _m_step_component(
-    samples: np.ndarray,
-    resp_k: np.ndarray,
-    lat_mean: np.ndarray,
-    lat_cov: np.ndarray,
-    scratch: np.ndarray | None = None,
-    scratch2: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """Joint loading/mean regression and per-entry residual energy for one component.
-
-    Returns (loading, mean, per-entry weighted residual power, responsibility mass).
-    The regression solves the responsibility-weighted least-squares fit of the
-    samples onto the augmented latent vector [m; 1], using the full posterior
-    second moment (cov + m m^H).
-    """
-    count, latent = lat_mean.shape
-    mass = float(resp_k.sum())
-    aug = np.empty((count, latent + 1), dtype=np.complex128)
-    aug[:, :latent] = lat_mean
-    aug[:, latent] = 1.0
-    weighted = aug.conj()
-    weighted *= resp_k[:, None]
-    s_xz = samples.T @ weighted  # (N, L+1): sum_t r_t h_t [m;1]^H
-    s_zz = aug.T @ weighted  # (L+1, L+1): sum_t r_t [m;1][m;1]^H
-    s_zz[:latent, :latent] += mass * lat_cov
-    s_zz = 0.5 * (s_zz + s_zz.conj().T)
-    # Ridge only on the latent block: rank deficiency lives there, and the
-    # intercept row must stay exact so the mean update is the weighted mean.
-    trace_scale = max(float(np.trace(s_zz).real) / (latent + 1), np.finfo(float).tiny)
-    s_zz[:latent, :latent] += (RIDGE_REL * trace_scale) * np.eye(latent)
-    joint = np.linalg.solve(s_zz, s_xz.conj().T).conj().T  # (N, L+1)
-    loading = np.ascontiguousarray(joint[:, :latent])
-    mean = np.ascontiguousarray(joint[:, latent])
-
-    resid = np.subtract(samples, mean, out=scratch)
-    if latent:
-        resid -= np.matmul(lat_mean, loading.T, out=scratch2)
-    per_entry = np.einsum("t,tn,tn->n", resp_k, resid.real, resid.real)
-    per_entry += np.einsum("t,tn,tn->n", resp_k, resid.imag, resid.imag)
-    if latent:
-        per_entry += mass * np.einsum("nl,lm,nm->n", loading, lat_cov, loading.conj()).real
-    return loading, mean, per_entry, mass
 
 
 def _resolve_psi(
@@ -268,42 +186,6 @@ def _resolve_psi(
         else:  # per-component diagonal
             out.append(np.maximum(entry / denom, floor))
     return out
-
-
-def m_step(
-    dataset,
-    responsibilities: np.ndarray,
-    latent_stats: LatentStats,
-    psi_mode: str = "scaled-identity",
-) -> list[MfaComponent]:
-    """One maximization step; returns updated components (weights floored/renormalized)."""
-    if psi_mode not in PSI_MODES:
-        raise ValueError(f"psi_mode must be one of {PSI_MODES}")
-    samples = _as_samples(dataset)
-    count, dim = samples.shape
-    resp = np.asarray(responsibilities, dtype=np.float64)
-    if resp.shape[0] != count:
-        raise ValueError("responsibilities do not match the dataset")
-    k_total = resp.shape[1]
-    floor = _psi_floor(samples)
-
-    loadings, means, per_entry, masses = [], [], [], []
-    for k in range(k_total):
-        loading, mean, entry, mass = _m_step_component(
-            samples, resp[:, k], latent_stats.means[:, k, :], latent_stats.covs[k]
-        )
-        loadings.append(loading)
-        means.append(mean)
-        per_entry.append(entry)
-        masses.append(mass)
-
-    psis = _resolve_psi(per_entry, masses, psi_mode, floor, count, dim)
-    weights = np.maximum(np.array(masses) / count, WEIGHT_FLOOR)
-    weights /= weights.sum()
-    return [
-        MfaComponent(weights[k], means[k], LowRankCovariance(loadings[k], psis[k]))
-        for k in range(k_total)
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -416,11 +298,10 @@ def _em_iteration(
 ) -> tuple[float, int, np.ndarray, list, list, list]:
     """One fused E+M sweep over the data, chunked and stacked across components.
 
-    The per-sample work is batched into a few large matrix products: the
-    diagonal part of every component's Mahalanobis term comes from the
-    expansion |x-mu|^2 = |x|^2 - 2 Re(x conj(mu)) + |mu|^2, latent posterior
-    means are small dense products with the precomputed posterior covariance,
-    and the residual energies use the collapsed identity
+    The E-step is the stacked mixture kernel (``gaussians.mixture_logdens``),
+    which writes the latent posterior means straight into the regression
+    buffer; the M-step statistics are a few large matrix products, and the
+    residual energies use the collapsed identity
     ``sum_t r E||x - W~ z~||^2 = sum_t r |x|^2 - Re diag(W~ S_xz^H)``,
     which equals the explicit residual form at the regression optimum.
 
@@ -432,26 +313,7 @@ def _em_iteration(
     k_total = len(comps)
     latent = comps[0].cov.latent_dim
     width = latent + 1
-
-    d_mat = np.empty((dim, k_total))
-    u_mat = np.empty((dim, k_total), dtype=np.complex128)
-    wd_conj = np.empty((dim, k_total * latent), dtype=np.complex128)
-    mu_proj = np.empty((k_total, latent), dtype=np.complex128)
-    logconst = np.empty(k_total)
-    covs_a = []
-    for k, comp in enumerate(comps):
-        f = factorize(comp.cov, 0.0, label=f"component {k}")
-        d_mat[:, k] = f.d
-        u_mat[:, k] = f.d * comp.mean.conj()
-        wd_conj[:, k * latent:(k + 1) * latent] = f.wd.conj()
-        mu_proj[k] = comp.mean @ f.wd.conj()
-        logconst[k] = (
-            math.log(comp.weight)
-            - dim * LOG_PI
-            - f.logdet
-            - float((f.d * np.abs(comp.mean) ** 2).sum())
-        )
-        covs_a.append(cho_solve((f.chol, True), np.eye(latent, dtype=np.complex128)))
+    stack = gaussians.stack_mixture(comps, 0.0)
 
     s_xz_flat = np.zeros((dim, k_total * width), dtype=np.complex128)
     s_zz = np.zeros((k_total, width, width), dtype=np.complex128)
@@ -461,24 +323,18 @@ def _em_iteration(
     worst_val, worst_idx = np.inf, 0
 
     chunk = max(256, min(_EM_CHUNK, 4_000_000 // (k_total * width)))
+    # Rows of aug are the augmented latent vectors [m_k; 1] of every component;
+    # the kernel fills the m_k blocks, the intercept column is set once.
     aug_big = np.empty((chunk, k_total * width), dtype=np.complex128)
+    aug_big.reshape(chunk, k_total, width)[:, :, latent] = 1.0
     conj_big = np.empty_like(aug_big)
     for start in range(0, count, chunk):
         stop = min(start + chunk, count)
         block = samples[start:stop]
         size = stop - start
         aug = aug_big[:size]
-        logdens = logconst - abs2[start:stop] @ d_mat
-        logdens += 2.0 * (block @ u_mat).real
-        proj = block @ wd_conj
-        for k in range(k_total):
-            p_k = proj[:, k * latent:(k + 1) * latent] - mu_proj[k]
-            m_k = p_k @ covs_a[k].T  # posterior latent means
-            # p^H A p = Re(conj(p) . m) completes the low-rank quadratic term
-            logdens[:, k] += np.einsum("cl,cl->c", p_k.real, m_k.real)
-            logdens[:, k] += np.einsum("cl,cl->c", p_k.imag, m_k.imag)
-            aug[:, k * width:k * width + latent] = m_k
-            aug[:, k * width + latent] = 1.0
+        lat_means = aug.reshape(size, k_total, width)[:, :, :latent]
+        logdens = gaussians.mixture_logdens(stack, block, abs2[start:stop], lat_means)
 
         lse = log_sum_exp(logdens, axis=1)
         ll_sum += float(lse.sum())
@@ -501,11 +357,18 @@ def _em_iteration(
     loadings, means, per_entry = [], [], []
     for k in range(k_total):
         s_xz = s_xz_flat[:, k * width:(k + 1) * width]
-        s_zz[k, :latent, :latent] += masses[k] * covs_a[k]
+        s_zz[k, :latent, :latent] += masses[k] * stack.latent_cov[k]
         s_zz[k] = 0.5 * (s_zz[k] + s_zz[k].conj().T)
+        # Ridge only on the latent block: rank deficiency lives there, and the
+        # intercept row must stay exact so the mean update is the weighted mean.
         trace_scale = max(float(np.trace(s_zz[k]).real) / width, np.finfo(float).tiny)
         s_zz[k, :latent, :latent] += (RIDGE_REL * trace_scale) * np.eye(latent)
-        joint = np.linalg.solve(s_zz[k], s_xz.conj().T).conj().T
+        if masses[k] == 0.0:
+            # A mass that underflows to zero leaves the regression system
+            # singular; the caller re-seeds the collapsed component.
+            joint = np.zeros((dim, width), dtype=np.complex128)
+        else:
+            joint = np.linalg.solve(s_zz[k], s_xz.conj().T).conj().T
         loadings.append(np.ascontiguousarray(joint[:, :latent]))
         means.append(np.ascontiguousarray(joint[:, latent]))
         per_entry.append(r_abs2[:, k] - np.einsum("nj,nj->n", joint, s_xz.conj()).real)
@@ -534,70 +397,56 @@ def fit_em(
 
     rng = np.random.default_rng(config.seed)
     comps = _init_components(samples, n_components, latent_dim, config, rng)
-    floor = _psi_floor(samples)
-    scale = float(np.mean(np.abs(samples) ** 2))
     abs2 = np.abs(samples) ** 2
 
     trace: list[float] = []
     prev = None
     for _ in range(config.max_iter):
-        avg, worst, masses, loadings, means, per_entry = _em_iteration(samples, abs2, comps)
+        avg, updated = _em_update(samples, abs2, comps, config.psi_mode, rng)
         trace.append(avg)
         if prev is not None and abs(avg - prev) <= config.rel_tol * max(abs(prev), 1e-12):
             break
         prev = avg
-
-        psis = _resolve_psi(per_entry, list(masses), config.psi_mode, floor, count, dim)
-        weights = masses / count
-        collapsed = np.flatnonzero(weights < WEIGHT_FLOOR)
-        for k in collapsed:
-            means[k] = samples[worst].copy()
-            loadings[k] = 0.3 * np.sqrt(scale) * gaussians._std_cnormal(rng, (dim, latent_dim))
-            psis[k] = np.full(dim, max(scale, floor))
-            weights[k] = 1.0 / n_components
-        weights = np.maximum(weights, WEIGHT_FLOOR)
-        weights /= weights.sum()
-        comps = [
-            MfaComponent(weights[k], means[k], LowRankCovariance(loadings[k], psis[k]))
-            for k in range(n_components)
-        ]
+        comps = updated
 
     return MfaModel(tuple(comps)), FitTrace(np.array(trace))
 
 
-def reseed_collapsed(
-    model: MfaModel, dataset, rng: np.random.Generator
-) -> MfaModel:
-    """Re-seed every collapsed component at the sample the model fits worst.
+def _em_update(
+    samples: np.ndarray,
+    abs2: np.ndarray,
+    comps: list[MfaComponent],
+    psi_mode: str,
+    rng: np.random.Generator,
+) -> tuple[float, list[MfaComponent]]:
+    """One EM iteration of fit_em: the fused sweep, the diagonal update and the reseed.
 
-    Collapsed means weight below the floor; re-seeded components get that
-    sample as mean, a fresh small random loading, a data-scale diagonal, and
-    weight 1/K before renormalization. K never changes.
+    Components whose responsibility mass falls below the weight floor are
+    re-seeded at the sample the incoming parameters fit worst, with a fresh
+    small random loading, a data-scale diagonal and weight 1/K before
+    renormalization; K never changes. Returns the average log-likelihood of
+    the incoming components and the updated components.
     """
-    samples = _as_samples(dataset)
-    weights = model.weights
-    collapsed = np.flatnonzero(weights < WEIGHT_FLOOR)
-    if collapsed.size == 0:
-        return model
-    per_sample = log_sum_exp(_weighted_logdens(samples, model), axis=1)
-    worst = int(np.argmin(per_sample))
-    scale = float(np.mean(np.abs(samples) ** 2))
-    floor = _psi_floor(samples)
-    dim, latent = model.dim, model.latent_dim
+    count, dim = samples.shape
+    k_total, latent = len(comps), comps[0].cov.latent_dim
+    scale = float(np.mean(abs2))
+    floor = PSI_FLOOR_REL * scale
+    avg, worst, masses, loadings, means, per_entry = _em_iteration(samples, abs2, comps)
 
-    comps = list(model.components)
-    for k in collapsed:
-        loading = 0.3 * np.sqrt(scale) * gaussians._std_cnormal(rng, (dim, latent))
-        comps[k] = MfaComponent(
-            1.0 / model.n_components,
-            samples[worst].copy(),
-            LowRankCovariance(loading, np.full(dim, max(scale, floor))),
-        )
-        weights[k] = 1.0 / model.n_components
+    psis = _resolve_psi(per_entry, list(masses), psi_mode, floor, count, dim)
+    weights = masses / count
+    for k in np.flatnonzero(weights < WEIGHT_FLOOR):
+        means[k] = samples[worst].copy()
+        loadings[k] = 0.3 * np.sqrt(scale) * gaussians._std_cnormal(rng, (dim, latent))
+        psis[k] = np.full(dim, max(scale, floor))
+        weights[k] = 1.0 / k_total
     weights = np.maximum(weights, WEIGHT_FLOOR)
     weights /= weights.sum()
-    comps = [replace(c, weight=weights[k]) for k, c in enumerate(comps)]
-    return MfaModel(tuple(comps))
+    updated = [
+        MfaComponent(weights[k], means[k], LowRankCovariance(loadings[k], psis[k]))
+        for k in range(k_total)
+    ]
+    return avg, updated
 
 
 # ---------------------------------------------------------------------------

@@ -172,8 +172,12 @@ def corrupt(
 
     Under the dataset normalization the SNR is 1/sigma^2, so
     ``sigma2 = 10**(-snr_db/10)``. Noise real/imag parts are independent with
-    variance sigma2/2 each. Works on a single vector or a (T, N) batch.
+    variance sigma2/2 each. Works on a single vector or a (T, N) batch. An SNR
+    of +inf means no noise; NaN, and SNRs so low that sigma2 would overflow,
+    are rejected.
     """
+    if not snr_db >= -3000.0:
+        raise ValueError(f"snr_db must be >= -3000 dB (finite noise power), got {snr_db!r}")
     h = np.asarray(h, dtype=np.complex128)
     sigma2 = float(10.0 ** (-snr_db / 10.0))
     noise = (rng.standard_normal(h.shape) + 1j * rng.standard_normal(h.shape))

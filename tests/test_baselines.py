@@ -223,6 +223,34 @@ class TestSampleLmmse:
         want = np.trace(cov_true - cov_true @ np.linalg.solve(shifted, cov_true)).real / dim
         assert nmse == pytest.approx(want, rel=0.03)
 
+    @pytest.mark.parametrize("sigma2", [np.nan, np.inf, -1.0, 0.0])
+    def test_rejects_bad_sigma2(self, sigma2):
+        rng = np.random.default_rng(113)
+        cov = fit_sample_lmmse(ChannelDataset(crandn(rng, 50, 4)))
+        with pytest.raises(ValueError):
+            sample_lmmse_estimate(cov, sigma2, crandn(rng, 4))
+
+
+class TestSampleValidation:
+    @pytest.mark.parametrize(
+        "fit",
+        [
+            fit_sample_lmmse,
+            lambda data: fit_gmm(data, 2, "full", FitConfig(max_iter=2)),
+            lambda data: gmm_log_likelihood(
+                GmmModel("circulant", np.array([1.0]), np.zeros((1, 4)), spectra=np.ones((1, 4))),
+                data,
+            ),
+        ],
+        ids=["fit_sample_lmmse", "fit_gmm", "gmm_log_likelihood"],
+    )
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_nonfinite_samples(self, fit, bad):
+        data = crandn(np.random.default_rng(114), 20, 4)
+        data[3, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            fit(ChannelDataset(data))
+
 
 class TestFitGmm:
     def test_full_single_component_is_sample_covariance(self):
@@ -353,6 +381,23 @@ class TestGmmEstimate:
         assert gmm_log_likelihood(model, data) == pytest.approx(
             gmm_log_likelihood(dense_model, data), abs=1e-9
         )
+
+
+    @pytest.mark.parametrize("structure", ["full", "toeplitz", "circulant"])
+    @pytest.mark.parametrize("sigma2", [np.nan, np.inf, -1.0])
+    def test_rejects_bad_sigma2(self, structure, sigma2):
+        rng = np.random.default_rng(115)
+        dim = 4
+        if structure == "full":
+            model = gmm_from_mfa(make_mfa(rng, 2, dim, 1))
+        else:
+            bins = 2 * dim if structure == "toeplitz" else dim
+            model = GmmModel(
+                structure, np.array([0.5, 0.5]), crandn(rng, 2, dim),
+                spectra=rng.uniform(0.5, 2.0, (2, bins)),
+            )
+        with pytest.raises(ValueError):
+            gmm_estimate(model, sigma2, crandn(rng, 3, dim))
 
 
 class TestGmmSerialization:

@@ -191,7 +191,7 @@ class TestGridSweep:
         k1 = [r for r in rows if r.k == 1][0]
 
         from mfachest.bench import _load_data
-        from mfachest.estimator import build_filter_bank, estimate_with_bank
+        from mfachest.estimator import estimate
 
         train, eval_ds = _load_data(spec)
         model, _ = fit_em(
@@ -199,8 +199,7 @@ class TestGridSweep:
         )
         rng = np.random.default_rng([spec.seed, 0xE7A1, 0])
         observations, sigma2 = corrupt(eval_ds.samples, 10.0, rng)
-        bank = build_filter_bank(model, sigma2)
-        got = estimate_with_bank(bank, observations).value
+        got = estimate(model, sigma2, observations).value
         want_nmse = float(np.mean(np.abs(got - eval_ds.samples) ** 2))
         assert k1.nmse == pytest.approx(want_nmse, abs=1e-12)
 

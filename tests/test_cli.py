@@ -87,6 +87,14 @@ class TestPipeline:
             ["estimate", "--model", str(model_path), "--data", str(data_path), "--snr-db", "5"]
         )
         assert code == 0
+        capsys.readouterr()
+        code = cli_main(
+            ["estimate", "--model", str(model_path), "--data", str(data_path), "--snr-db", "nan"]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "nmse" not in captured.out
+        assert "snr_db" in captured.err
 
     def test_missing_data_file(self, capsys):
         code = cli_main(

@@ -2,16 +2,8 @@ import numpy as np
 import pytest
 from scipy.optimize import nnls
 
-from mfachest.estimator import (
-    Estimate,
-    build_filter_bank,
-    component_lmmse,
-    estimate,
-    estimate_with_bank,
-    gmm_cme_oracle,
-    noisy_responsibilities,
-)
-from mfachest.gaussians import LowRankCovariance, sample_component
+from mfachest.estimator import component_lmmse, estimate, gmm_cme_oracle
+from mfachest.gaussians import LowRankCovariance, cgauss_logpdf, woodbury_inverse
 from mfachest.mfa import MfaComponent, MfaModel, sample
 
 
@@ -94,10 +86,12 @@ class TestComponentLmmse:
 
 
 class TestNoisyResponsibilities:
+    """Posterior component probabilities that estimate() reports with the value."""
+
     def test_single_component(self):
         rng = np.random.default_rng(73)
         model = make_model(rng, 1, 5, 2)
-        resp = noisy_responsibilities(model, 0.5, crandn(rng, 5))
+        resp = estimate(model, 0.5, crandn(rng, 5)).responsibilities
         assert np.array_equal(resp, np.array([1.0]))
 
     def test_mirror_symmetry(self):
@@ -110,19 +104,19 @@ class TestNoisyResponsibilities:
         model = MfaModel(
             (MfaComponent(0.5, mean, cov), MfaComponent(0.5, -mean, cov_neg))
         )
-        resp = noisy_responsibilities(model, 1.0, np.zeros(dim, complex))
+        resp = estimate(model, 1.0, np.zeros(dim, complex)).responsibilities
         assert resp == pytest.approx([0.5, 0.5], abs=1e-12)
 
     def test_huge_noise_returns_priors(self):
         rng = np.random.default_rng(75)
         model = make_model(rng, 3, 6, 2)
-        resp = noisy_responsibilities(model, 1e12, crandn(rng, 6))
+        resp = estimate(model, 1e12, crandn(rng, 6)).responsibilities
         assert np.abs(resp - model.weights).max() < 1e-6
 
     def test_simplex(self):
         rng = np.random.default_rng(76)
         model = make_model(rng, 4, 6, 2, sep=1.0)
-        resp = noisy_responsibilities(model, 0.3, crandn(rng, 100, 6))
+        resp = estimate(model, 0.3, crandn(rng, 100, 6)).responsibilities
         assert np.all(resp >= 0)
         assert np.abs(resp.sum(axis=1) - 1.0).max() < 1e-12
 
@@ -185,62 +179,73 @@ class TestEstimate:
             assert resid < 1e-8
 
 
+def dense_estimate(model, sigma2, y):
+    """Responsibility-weighted per-component LMMSE with dense inverses, as an oracle."""
+    logdens = np.stack(
+        [np.log(c.weight) + cgauss_logpdf(y, c.mean, c.cov, sigma2) for c in model.components],
+        axis=1,
+    )
+    resp = np.exp(logdens - logdens.max(axis=1, keepdims=True))
+    resp /= resp.sum(axis=1, keepdims=True)
+    filtered = np.stack(
+        [y - sigma2 * (y - c.mean) @ woodbury_inverse(c.cov, sigma2).T for c in model.components]
+    )
+    return np.einsum("kbn,bk->bn", filtered, resp), resp
+
+
 class TestFilterBank:
+    """estimate() applies every component filter through the stacked factorization
+    at one noise level; these pin it to dense per-component filters."""
+
     def test_bank_matches_direct(self):
         rng = np.random.default_rng(81)
         model = make_model(rng, 3, 6, 2)
         sigma2 = 0.4
-        bank = build_filter_bank(model, sigma2)
         y = crandn(rng, 1000, 6)
-        direct = estimate(model, sigma2, y)
-        banked = estimate_with_bank(bank, y)
-        assert np.abs(direct.value - banked.value).max() < 1e-12
-        assert np.abs(direct.responsibilities - banked.responsibilities).max() < 1e-12
+        got = estimate(model, sigma2, y)
+        value, resp = dense_estimate(model, sigma2, y)
+        assert np.abs(got.value - value).max() < 1e-12 * np.abs(value).max()
+        assert np.abs(got.responsibilities - resp).max() < 1e-12
 
     def test_single_component_identity_cov(self):
         comp = MfaComponent(
             1.0, np.zeros(4, complex), LowRankCovariance(np.zeros((4, 1), complex), np.ones(4))
         )
-        bank = build_filter_bank(MfaModel((comp,)), 1.0)
-        assert np.allclose(bank.gains[0], 0.5 * np.eye(4), atol=1e-14)
+        y = crandn(np.random.default_rng(87), 10, 4)
+        got = estimate(MfaModel((comp,)), 1.0, y)
+        assert np.abs(got.value - 0.5 * y).max() < 1e-14
 
     def test_rebuild_bit_identical(self):
         rng = np.random.default_rng(82)
         model = make_model(rng, 2, 5, 2)
-        a = build_filter_bank(model, 0.3)
-        b = build_filter_bank(model, 0.3)
-        assert np.array_equal(a.gains, b.gains)
-        assert np.array_equal(a.biases, b.biases)
-        assert np.array_equal(a.precisions, b.precisions)
-        assert np.array_equal(a.logdets, b.logdets)
-
-    def test_bank_rejects_zero_noise(self):
-        rng = np.random.default_rng(83)
-        model = make_model(rng, 2, 4, 1)
-        with pytest.raises(ValueError):
-            build_filter_bank(model, 0.0)
+        y = crandn(rng, 300, 5)
+        a = estimate(model, 0.3, y)
+        b = estimate(model, 0.3, y)
+        assert np.array_equal(a.value, b.value)
+        assert np.array_equal(a.responsibilities, b.responsibilities)
 
     def test_single_component_affine_form(self):
         rng = np.random.default_rng(84)
         model = make_model(rng, 1, 5, 2)
-        bank = build_filter_bank(model, 0.8)
+        comp = model.components[0]
+        gain = np.eye(5) - 0.8 * woodbury_inverse(comp.cov, 0.8)
+        bias = comp.mean - gain @ comp.mean
         y = crandn(rng, 5)
-        got = estimate_with_bank(bank, y)
-        assert np.abs(got.value - (bank.gains[0] @ y + bank.biases[0])).max() < 1e-14
+        got = estimate(model, 0.8, y)
+        assert np.abs(got.value - (gain @ y + bias)).max() < 1e-12
+        assert np.abs(got.value - component_lmmse(comp, 0.8, y)).max() < 1e-12
 
     def test_zero_input_zero_mean(self):
         rng = np.random.default_rng(85)
         model = make_model(rng, 1, 5, 2, zero_mean=True)
-        bank = build_filter_bank(model, 0.5)
-        got = estimate_with_bank(bank, np.zeros(5, complex))
+        got = estimate(model, 0.5, np.zeros(5, complex))
         assert np.abs(got.value).max() == 0.0
 
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(86)
         model = make_model(rng, 1, 5, 2)
-        bank = build_filter_bank(model, 0.5)
         with pytest.raises(ValueError):
-            estimate_with_bank(bank, np.zeros(4, complex))
+            estimate(model, 0.5, np.zeros(4, complex))
 
 
 class TestCmeOracle:

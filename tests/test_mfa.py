@@ -3,19 +3,22 @@ import pytest
 from scipy.linalg import subspace_angles
 from scipy.optimize import linear_sum_assignment
 
-from mfachest.gaussians import LowRankCovariance, sample_component
+from mfachest.estimator import estimate
+from mfachest.gaussians import (
+    LowRankCovariance,
+    mixture_logdens,
+    sample_component,
+    stack_mixture,
+)
 from mfachest.mfa import (
     FitConfig,
-    LatentStats,
     MfaComponent,
     MfaModel,
-    e_step,
+    _em_update,
     fit_em,
     load_model,
     log_likelihood,
-    m_step,
     parameter_count,
-    reseed_collapsed,
     sample,
     save_model,
 )
@@ -52,6 +55,11 @@ def dense_logdens(samples, mean, cov):
         - 2 * np.log(chol.diagonal().real).sum()
         - (np.abs(half) ** 2).sum(axis=0)
     )
+
+
+def em_update(comps, data, mode="scaled-identity", seed=0):
+    """One iteration of fit_em's loop from the given components."""
+    return _em_update(data, np.abs(data) ** 2, list(comps), mode, np.random.default_rng(seed))
 
 
 def dense_mixture_ll(model, samples):
@@ -125,6 +133,16 @@ class TestFitSingleGaussian:
         with pytest.raises(ValueError):
             fit_em(ChannelDataset(data), 4, 1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_samples_rejected(self, bad):
+        rng = np.random.default_rng(29)
+        data = crandn(rng, 20, 4)
+        data[5, 2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            fit_em(ChannelDataset(data), 2, 1)
+        with pytest.raises(ValueError, match="non-finite"):
+            log_likelihood(make_model(rng, 2, 4, 1), data)
+
     def test_bad_latent_dim_rejected(self):
         rng = np.random.default_rng(28)
         data = crandn(rng, 10, 4)
@@ -133,18 +151,21 @@ class TestFitSingleGaussian:
 
 
 class TestEStep:
+    """Responsibilities and latent posteriors from the stacked kernel at sigma2 = 0,
+    the E-step that fit_em runs."""
+
     def test_single_component_unit_responsibility(self):
         rng = np.random.default_rng(31)
         model = make_model(rng, 1, 6, 2)
         data = crandn(rng, 40, 6)
-        resp, _ = e_step(model, data)
+        resp = estimate(model, 0.0, data).responsibilities
         assert np.array_equal(resp, np.ones((40, 1)))
 
     def test_well_separated_means(self):
         rng = np.random.default_rng(32)
         model = make_model(rng, 3, 8, 2, sep=30.0, psi=0.1)
         data = model.means
-        resp, _ = e_step(model, data)
+        resp = estimate(model, 0.0, data).responsibilities
         assert np.all(resp.diagonal() > 0.99)
         # direct density-ratio oracle agrees on the winning component
         for t in range(3):
@@ -159,23 +180,26 @@ class TestEStep:
         comp = MfaComponent(
             1.0, np.zeros(dim, complex), LowRankCovariance(np.zeros((dim, 2), complex), np.ones(dim))
         )
-        model = MfaModel((comp,))
+        stack = stack_mixture((comp,), 0.0)
         rng = np.random.default_rng(33)
         data = crandn(rng, 10, dim)
-        _, stats = e_step(model, data)
-        assert np.abs(stats.means).max() == 0.0
-        assert np.allclose(stats.covs[0], np.eye(2))
+        latent = np.full((10, 1, 2), np.nan, dtype=complex)
+        mixture_logdens(stack, data, np.abs(data) ** 2, latent)
+        assert np.abs(latent).max() == 0.0
+        assert np.allclose(stack.latent_cov[0], np.eye(2))
 
     def test_rows_on_simplex(self):
         rng = np.random.default_rng(34)
         model = make_model(rng, 4, 6, 2, sep=1.0)
         data = crandn(rng, 200, 6)
-        resp, _ = e_step(model, data)
+        resp = estimate(model, 0.0, data).responsibilities
         assert np.all(resp >= 0)
         assert np.abs(resp.sum(axis=1) - 1.0).max() < 1e-12
 
 
 class TestMStep:
+    """The parameter update of one fit_em iteration from a given start model."""
+
     def test_mean_update_is_sample_mean_for_zero_loading(self):
         rng = np.random.default_rng(35)
         dim = 4
@@ -183,17 +207,18 @@ class TestMStep:
         comp = MfaComponent(
             1.0, np.zeros(dim, complex), LowRankCovariance(np.zeros((dim, 2), complex), np.ones(dim))
         )
-        _, stats = e_step(MfaModel((comp,)), data)
-        comps = m_step(data, np.ones((100, 1)), stats)
+        _, comps = em_update((comp,), data)
         assert np.abs(comps[0].mean - data.mean(axis=0)).max() < 1e-10
 
     def test_single_sample_psi_hits_floor(self):
+        # Each component sits on one of two samples, so it owns that sample alone.
         rng = np.random.default_rng(36)
         data = crandn(rng, 2, 4)
-        model = make_model(rng, 2, 4, 1, sep=0.0)
-        _, stats = e_step(model, data)
-        resp = np.eye(2)
-        comps = m_step(data, resp, stats)
+        start = [
+            MfaComponent(0.5, data[k], LowRankCovariance(0.01 * crandn(rng, 4, 1), np.full(4, 0.01)))
+            for k in range(2)
+        ]
+        _, comps = em_update(start, data)
         floor = 1e-8 * float(np.mean(np.abs(data) ** 2))
         assert comps[0].cov.diag_term[0] == pytest.approx(floor)
         assert comps[1].cov.diag_term[0] == pytest.approx(floor)
@@ -204,9 +229,9 @@ class TestMStep:
         data = sample(model, 500, np.random.default_rng(38)).samples
         start = make_model(np.random.default_rng(39), 3, 6, 2, sep=2.0)
         before = log_likelihood(start, data)
-        resp, stats = e_step(start, data)
         for mode in ("scaled-identity", "shared-diagonal", "diagonal"):
-            comps = m_step(data, resp, stats, psi_mode=mode)
+            avg, comps = em_update(start.components, data, mode)
+            assert avg == pytest.approx(before, rel=1e-12)
             after = log_likelihood(MfaModel(tuple(comps)), data)
             assert after >= before - 1e-10 * abs(before)
 
@@ -330,26 +355,30 @@ class TestEmProperties:
         assert abs(ll_a - ll_b) < 0.05
 
     def test_reseed_collapsed(self):
+        # The third start component sits far from the data with a vanishing
+        # weight, so its responsibility mass collapses in the first iteration.
         rng = np.random.default_rng(56)
         base = make_model(rng, 3, 5, 2, sep=2.0)
-        comps = list(base.components)
-        weights = np.array([0.5, 0.5 - 1e-9, 1e-9])
-        comps = [
-            MfaComponent(weights[k], c.mean, c.cov) for k, c in enumerate(comps)
-        ]
-        broken = MfaModel(tuple(comps))
-        data = sample(base, 200, np.random.default_rng(57))
-        fixed = reseed_collapsed(broken, data, np.random.default_rng(58))
+        weights = np.array([0.5, 0.5 - 1e-12, 1e-12])
+        means = [base.components[0].mean, base.components[1].mean, np.full(5, 50.0 + 0j)]
+        broken = MfaModel(
+            tuple(MfaComponent(weights[k], means[k], c.cov) for k, c in enumerate(base.components))
+        )
+        data = sample(base, 200, np.random.default_rng(57)).samples
+        _, comps = em_update(broken.components, data, seed=58)
+        fixed = MfaModel(tuple(comps))
         assert fixed.n_components == 3
         assert np.all(fixed.weights > 1e-3)
         assert abs(fixed.weights.sum() - 1.0) < 1e-12
-        # the re-seeded mean sits on the worst-fit sample
+        # the re-seeded mean sits on the sample the start model fits worst
         dens = np.stack(
-            [dense_logdens(data.samples, c.mean, dense_cov(c)) for c in broken.components]
+            [dense_logdens(data, c.mean, dense_cov(c)) for c in broken.components]
         )
         mix = np.log(np.exp(dens - dens.max(0)).T @ broken.weights) + dens.max(0)
-        worst = data.samples[np.argmin(mix)]
+        worst = data[np.argmin(mix)]
         assert np.abs(fixed.components[2].mean - worst).max() < 1e-12
+        # the other components keep their (updated) places
+        assert np.abs(fixed.components[0].mean - base.components[0].mean).max() < 2.0
 
 
 class TestSerialization:

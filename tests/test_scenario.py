@@ -139,6 +139,17 @@ class TestCorrupt:
         assert abs(var_re - sigma2 / 2) < se
         assert abs(var_im - sigma2 / 2) < se
 
+    @pytest.mark.parametrize("snr_db", [np.nan, -np.inf, -1e4])
+    def test_rejects_snr_without_finite_noise_power(self, snr_db):
+        with pytest.raises(ValueError):
+            corrupt(np.zeros(4, complex), snr_db, np.random.default_rng(0))
+
+    def test_infinite_snr_is_noiseless(self):
+        h = np.arange(4) + 1j
+        y, sigma2 = corrupt(h, np.inf, np.random.default_rng(0))
+        assert sigma2 == 0.0
+        assert np.array_equal(y, h)
+
 
 class TestDatasetIo:
     def test_round_trip_bit_exact(self, tmp_path):
