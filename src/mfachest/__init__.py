@@ -8,14 +8,12 @@ from .baselines import (
     build_dft_dictionary,
     fit_gmm,
     fit_sample_lmmse,
-    genie_omp,
     genie_omp_batch,
     gmm_estimate,
     gmm_from_mfa,
     gmm_log_likelihood,
     load_gmm,
     ls_estimate,
-    omp,
     sample_lmmse_estimate,
     save_gmm,
 )

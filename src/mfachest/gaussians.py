@@ -34,7 +34,8 @@ _STACK_CHUNK_BUDGET = 1 << 19
 
 
 class ConditioningError(ArithmeticError):
-    """The latent L x L system is numerically singular beyond the condition limit."""
+    """A covariance system is numerically singular: the latent L x L system of a
+    low-rank component beyond the condition limit, or a circulant spectrum bin."""
 
 
 @dataclass(frozen=True)

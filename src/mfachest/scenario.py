@@ -18,7 +18,9 @@ from ._binio import ByteReader, ByteWriter, FileFormatError
 DATASET_MAGIC = b"CHD1"
 DATASET_VERSION = 1
 
-_GEN_CHUNK = 8192
+# Complex entries of one block of (samples, paths, N) steering vectors (4 MB);
+# the block, not the sample count, bounds generation's transient memory.
+_GEN_CHUNK_BUDGET = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -141,8 +143,9 @@ def generate_channels(
     el = el_c[idx][:, None] + off_el
 
     samples = np.empty((count, config.dim), dtype=np.complex128)
-    for start in range(0, count, _GEN_CHUNK):
-        stop = min(start + _GEN_CHUNK, count)
+    chunk = max(1, _GEN_CHUNK_BUDGET // (paths * config.dim))
+    for start in range(0, count, chunk):
+        stop = min(start + chunk, count)
         block = stop - start
         atoms = _steering_batch(az[start:stop].ravel(), el[start:stop].ravel(), config)
         atoms = atoms.reshape(block, paths, config.dim)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mfachest.baselines import (
     Dictionary,
@@ -7,20 +8,18 @@ from mfachest.baselines import (
     build_dft_dictionary,
     fit_gmm,
     fit_sample_lmmse,
-    genie_omp,
     genie_omp_batch,
     gmm_estimate,
     gmm_from_mfa,
     gmm_log_likelihood,
     load_gmm,
     ls_estimate,
-    omp,
     sample_lmmse_estimate,
     save_gmm,
     toeplitz_transform,
 )
 from mfachest.estimator import estimate
-from mfachest.gaussians import LowRankCovariance
+from mfachest.gaussians import ConditioningError, LowRankCovariance
 from mfachest.mfa import FitConfig, MfaComponent, MfaModel, sample
 from mfachest.scenario import ChannelDataset
 
@@ -89,14 +88,67 @@ class TestDictionary:
             Dictionary(np.ones((2, 2), complex), "bad")
 
 
+def reference_omp_prefixes(y, dictionary, sparsity):
+    """Scalar OMP with a dense least-squares refit on the support at every step.
+
+    The reference for ``genie_omp_batch``: the same atom choice and stopping
+    rule, computed without an orthonormal basis. Returns the coefficients of
+    the last step and the estimates of every prefix, the zero one first.
+    """
+    atoms = dictionary.atoms
+    if not 1 <= sparsity <= dictionary.dim:
+        raise ValueError("sparsity must satisfy 1 <= s <= N")
+    y = np.asarray(y, dtype=np.complex128).reshape(-1)
+    support = []
+    solution = np.zeros(0, dtype=np.complex128)
+    residual = y.copy()
+    prefixes = [np.zeros_like(y)]
+    tol = 1e-12 * max(float(np.linalg.norm(y)), 1.0)
+    for _ in range(sparsity):
+        corr = np.abs(atoms.conj().T @ residual)
+        if support:
+            corr[support] = -1.0
+        pick = int(corr.argmax())
+        if corr[pick] <= tol:
+            break
+        if support:
+            basis = atoms[:, support]
+            coef, *_ = np.linalg.lstsq(basis, atoms[:, pick], rcond=None)
+            if np.linalg.norm(atoms[:, pick] - basis @ coef) <= 1e-10:
+                break
+        support.append(pick)
+        basis = atoms[:, support]
+        solution, *_ = np.linalg.lstsq(basis, y, rcond=None)
+        prefixes.append(basis @ solution)
+        residual = y - prefixes[-1]
+    coeffs = np.zeros(dictionary.n_atoms, dtype=np.complex128)
+    coeffs[support] = solution
+    return coeffs, prefixes
+
+
+def reference_omp(y, dictionary, sparsity):
+    """(coefficients, estimate) of the dense reference OMP at one sparsity."""
+    coeffs, prefixes = reference_omp_prefixes(y, dictionary, sparsity)
+    return coeffs, prefixes[-1]
+
+
+def reference_genie_omp(y, dictionary, h_true, s_max):
+    """The prefix of the dense reference OMP closest to ``h_true``, first on ties."""
+    depth = min(s_max, dictionary.dim, dictionary.n_atoms)
+    _, prefixes = reference_omp_prefixes(y, dictionary, depth)
+    errs = [np.linalg.norm(est - h_true) for est in prefixes]
+    return prefixes[int(np.argmin(errs))]
+
+
 class TestOmp:
     def test_single_atom_recovery(self):
         d = build_dft_dictionary(2, 4, 2, 2)
         y = 3.0 * d.atoms[:, 5]
-        coeffs, est = omp(y, d, 1)
+        coeffs, est = reference_omp(y, d, 1)
         assert np.flatnonzero(np.abs(coeffs) > 1e-10).tolist() == [5]
         assert coeffs[5] == pytest.approx(3.0 + 0j, abs=1e-12)
         assert np.linalg.norm(y - est) < 1e-12
+        assert np.linalg.norm(y - genie_omp_batch(y, d, y, 1)) < 1e-12
 
     def test_three_sparse_recovery(self):
         d = build_dft_dictionary(2, 8, 2, 2)
@@ -104,15 +156,17 @@ class TestOmp:
         idx = [0, 4, 40]
         coeff = np.array([2.0, -1.5 + 1j, 0.8j])
         y = d.atoms[:, idx] @ coeff
-        _, est = omp(y, d, 3)
+        _, est = reference_omp(y, d, 3)
         assert np.linalg.norm(y - est) < 1e-8
+        assert np.linalg.norm(y - genie_omp_batch(y, d, y, 3)) < 1e-8
 
     def test_full_sparsity_zero_residual(self):
         rng = np.random.default_rng(92)
         d = build_dft_dictionary(2, 4, 2, 2)
         y = crandn(rng, 8)
-        _, est = omp(y, d, 8)
+        _, est = reference_omp(y, d, 8)
         assert np.linalg.norm(y - est) < 1e-8
+        assert np.linalg.norm(y - genie_omp_batch(y, d, y, 8)) < 1e-8
 
     def test_residual_monotone(self):
         rng = np.random.default_rng(93)
@@ -120,23 +174,36 @@ class TestOmp:
         y = crandn(rng, 16)
         norms = []
         for s in range(1, 10):
-            _, est = omp(y, d, s)
+            _, est = reference_omp(y, d, s)
             norms.append(np.linalg.norm(y - est))
+            # With the observation as the genie's truth, the deepest prefix wins.
+            assert np.abs(genie_omp_batch(y, d, y, s) - est).max() < 1e-10
         assert all(b <= a + 1e-10 for a, b in zip(norms, norms[1:]))
 
     def test_sparsity_bounds(self):
         d = build_dft_dictionary(2, 4, 2, 2)
         with pytest.raises(ValueError):
-            omp(np.zeros(8, complex), d, 0)
+            reference_omp(np.zeros(8, complex), d, 0)
         with pytest.raises(ValueError):
-            omp(np.zeros(8, complex), d, 9)
+            reference_omp(np.zeros(8, complex), d, 9)
+        with pytest.raises(ValueError):
+            genie_omp_batch(np.zeros(8, complex), d, np.zeros(8, complex), 0)
+        y = crandn(np.random.default_rng(116), 8)
+        assert np.array_equal(genie_omp_batch(y, d, y, 9), genie_omp_batch(y, d, y, 8))
+
+    def test_rejects_mismatched_shapes(self):
+        d = build_dft_dictionary(2, 4, 2, 2)
+        with pytest.raises(ValueError):
+            genie_omp_batch(np.zeros((2, 7), complex), d, np.zeros((2, 7), complex), 2)
+        with pytest.raises(ValueError):
+            genie_omp_batch(np.zeros((2, 8), complex), d, np.zeros((3, 8), complex), 2)
 
 
 class TestGenieOmp:
     def test_single_atom(self):
         d = build_dft_dictionary(2, 4, 2, 2)
         y = 2.0 * d.atoms[:, 3]
-        got = genie_omp(y, d, y, 4)
+        got = genie_omp_batch(y, d, y, 4)
         assert np.linalg.norm(got - y) < 1e-12
 
     def test_prefix_equals_per_depth_reruns(self):
@@ -145,10 +212,10 @@ class TestGenieOmp:
         for _ in range(25):
             h = crandn(rng, 16)
             y = h + 0.3 * crandn(rng, 16)
-            got = genie_omp(y, d, h, 8)
+            got = genie_omp_batch(y, d, h, 8)
             best = None
             for s in range(1, 9):
-                _, est = omp(y, d, s)
+                _, est = reference_omp(y, d, s)
                 err = np.linalg.norm(est - h)
                 if best is None or err < best[0]:
                     best = (err, est)
@@ -158,8 +225,8 @@ class TestGenieOmp:
         rng = np.random.default_rng(95)
         d = build_dft_dictionary(2, 4, 2, 2)
         y = crandn(rng, 8)
-        got = genie_omp(y, d, y, 1)
-        _, ref = omp(y, d, 1)
+        got = genie_omp_batch(y, d, y, 1)
+        _, ref = reference_omp(y, d, 1)
         err_ref = np.linalg.norm(ref - y)
         # depth-1 genie returns the depth-1 estimate unless the zero estimate is closer
         if err_ref <= np.linalg.norm(y):
@@ -171,10 +238,10 @@ class TestGenieOmp:
         for _ in range(10):
             h = crandn(rng, 16)
             y = h + 0.5 * crandn(rng, 16)
-            got = genie_omp(y, d, h, 8)
+            got = genie_omp_batch(y, d, h, 8)
             err_genie = np.linalg.norm(got - h)
             for s in range(1, 9):
-                _, est = omp(y, d, s)
+                _, est = reference_omp(y, d, s)
                 assert err_genie <= np.linalg.norm(est - h) + 1e-10
 
     def test_batch_matches_scalar(self):
@@ -184,8 +251,66 @@ class TestGenieOmp:
         y = h + 0.4 * crandn(rng, 40, 16)
         got = genie_omp_batch(y, d, h, 8)
         for t in range(40):
-            ref = genie_omp(y[t], d, h[t], 8)
-            assert np.abs(got[t] - ref).max() < 1e-8
+            ref = reference_genie_omp(y[t], d, h[t], 8)
+            assert np.abs(got[t] - ref).max() < 1e-9
+
+    @pytest.mark.parametrize(
+        "atoms, y, want",
+        [
+            # residual correlation 1e-7 <= 1e-12 * ||y||: stops after one atom
+            (np.eye(2), [1e6, 1e-7], [1e6, 0.0]),
+            # ||y|| < 1: the threshold is 1e-12, so no atom is picked
+            (np.eye(2), [1e-13, 0.0], [0.0, 0.0]),
+            # e1 lies within 1e-11 of the span of the first pick, a2: stops there
+            (
+                np.array([[1.0, 1.0], [1e-11, 0.0]]) / np.array([np.hypot(1.0, 1e-11), 1.0]),
+                [1.0, 1.0],
+                [1.0 + 1e-11, 1e-11],
+            ),
+        ],
+        ids=["small-residual", "small-observation", "dependent-atom"],
+    )
+    def test_stopping_rule(self, atoms, y, want):
+        d = Dictionary(atoms.astype(complex), "test")
+        y = np.array(y, dtype=complex)
+        # With the observation as truth, the genie returns the deepest prefix.
+        got = genie_omp_batch(y, d, y, 2)
+        assert np.abs(got - want).max() < 1e-13
+        assert np.abs(reference_genie_omp(y, d, y, 2) - want).max() < 1e-13
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_batch_matches_dense_reference(self, data):
+        d = build_dft_dictionary(
+            data.draw(st.integers(1, 3), label="nv"),
+            data.draw(st.integers(1, 4), label="nh"),
+            data.draw(st.integers(1, 3), label="oversampling_v"),
+            data.draw(st.integers(1, 3), label="oversampling_h"),
+        )
+        dim = d.dim
+        s_max = data.draw(st.integers(1, dim + 3), label="s_max")
+        kinds = data.draw(
+            st.lists(st.sampled_from(["noisy", "zero", "sparse"]), min_size=1, max_size=6),
+            label="rows",
+        )
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        h = crandn(rng, len(kinds), dim)
+        y = h + 0.3 * crandn(rng, len(kinds), dim)
+        for t, kind in enumerate(kinds):
+            if kind == "zero":
+                y[t] = 0.0
+            elif kind == "sparse":
+                # In the span of a few atoms: the residual vanishes before s_max.
+                count = int(rng.integers(1, min(3, dim) + 1))
+                idx = rng.choice(d.n_atoms, size=count, replace=False)
+                y[t] = d.atoms[:, idx] @ crandn(rng, count)
+        got = genie_omp_batch(y, d, h, s_max)
+        for t in range(len(kinds)):
+            assert np.abs(got[t] - reference_genie_omp(y[t], d, h[t], s_max)).max() < 1e-9
+        t = data.draw(st.integers(0, len(kinds) - 1), label="single row")
+        single = genie_omp_batch(y[t], d, h[t], s_max)
+        assert single.shape == (dim,)
+        assert np.array_equal(single, genie_omp_batch(y[t : t + 1], d, h[t : t + 1], s_max)[0])
 
 
 class TestSampleLmmse:
@@ -229,6 +354,15 @@ class TestSampleLmmse:
         cov = fit_sample_lmmse(ChannelDataset(crandn(rng, 50, 4)))
         with pytest.raises(ValueError):
             sample_lmmse_estimate(cov, sigma2, crandn(rng, 4))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_nonfinite_observation(self, bad):
+        rng = np.random.default_rng(117)
+        cov = fit_sample_lmmse(ChannelDataset(crandn(rng, 50, 4)))
+        y = crandn(rng, 4)
+        y[1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            sample_lmmse_estimate(cov, 1.0, y)
 
 
 class TestSampleValidation:
@@ -398,6 +532,21 @@ class TestGmmEstimate:
             )
         with pytest.raises(ValueError):
             gmm_estimate(model, sigma2, crandn(rng, 3, dim))
+
+    @pytest.mark.parametrize(
+        "structure, singular",
+        [
+            ("circulant", {"spectra": np.array([[1.0, 0.0, 1.0, 1.0]])}),
+            ("toeplitz", {"spectra": np.array([[1.0, 0, 0, 0, 0, 0, 0, 0]])}),
+            ("full", {"covariances": np.diag([1.0, 0.0, 1.0, 1.0]).astype(complex)[None]}),
+        ],
+    )
+    def test_singular_covariance_at_zero_noise(self, structure, singular):
+        model = GmmModel(structure, np.array([1.0]), np.zeros((1, 4), complex), **singular)
+        y = np.ones((2, 4), complex)
+        with pytest.raises(ConditioningError, match="component 0"):
+            gmm_estimate(model, 0.0, y)
+        assert np.all(np.isfinite(gmm_estimate(model, 0.1, y)))
 
 
 class TestGmmSerialization:

@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from mfachest.baselines import GmmModel, save_gmm
 from mfachest.cli import cli_main
 from mfachest.mfa import load_model
-from mfachest.scenario import read_dataset
+from mfachest.scenario import ChannelDataset, read_dataset, write_dataset
 
 
 def write_scenario_config(tmp_path, **overrides):
@@ -95,6 +96,25 @@ class TestPipeline:
         captured = capsys.readouterr()
         assert "nmse" not in captured.out
         assert "snr_db" in captured.err
+
+    def test_singular_circulant_model_at_infinite_snr(self, tmp_path, capsys):
+        model_path = tmp_path / "singular.gmm"
+        save_gmm(
+            GmmModel(
+                "circulant", np.array([1.0]), np.zeros((1, 4), complex),
+                spectra=np.array([[1.0, 0.0, 1.0, 1.0]]),
+            ),
+            model_path,
+        )
+        data_path = tmp_path / "ones.chd"
+        write_dataset(data_path, ChannelDataset(np.ones((3, 4), complex)))
+        code = cli_main(
+            ["estimate", "--model", str(model_path), "--data", str(data_path), "--snr-db", "inf"]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "nmse" not in captured.out
+        assert "zero bin" in captured.err
 
     def test_missing_data_file(self, capsys):
         code = cli_main(
