@@ -261,7 +261,7 @@ class TestGenieOmp:
             (np.eye(2), [1e6, 1e-7], [1e6, 0.0]),
             # ||y|| < 1: the threshold is 1e-12, so no atom is picked
             (np.eye(2), [1e-13, 0.0], [0.0, 0.0]),
-            # e1 lies within 1e-11 of the span of the first pick, a2: stops there
+            # a2 = e1 lies within 1e-11 of the span of the first pick, a1: stops there
             (
                 np.array([[1.0, 1.0], [1e-11, 0.0]]) / np.array([np.hypot(1.0, 1e-11), 1.0]),
                 [1.0, 1.0],
