@@ -9,22 +9,26 @@ or the orthogonalised atom has norm <= 1e-10, and its estimate stays frozen.
 
 The structured mixtures parameterize covariances as ``Q^H diag(c) Q`` with a
 fixed DFT-based transform: the unitary N-point DFT for circulant covariances
-and the 2N-point DFT truncated to N columns for Toeplitz ones.
+and the 2N-point DFT truncated to N columns for Toeplitz ones. Each structure
+enters through one M-step (``_fit_params``, which also starts every k-means
+cluster), one restart (``_isotropic``) and one density kernel (``_gmm_factor``
+and ``_gmm_logdens``: FFT for circulant, dense Cholesky otherwise) shared by the
+E-step, the likelihood and the estimator. EM runs in fit_em's loop and collapse
+policy, ``mfa._run_em`` and ``mfa._mixture_weights``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 from scipy.linalg import solve_triangular
 
 from . import mfa as _mfa
 from ._binio import ByteReader, ByteWriter, FileFormatError
-from .gaussians import LOG_PI, ConditioningError, _check_sigma2, log_sum_exp
-from .mfa import FitConfig, FitTrace, MfaModel, WEIGHT_FLOOR, _as_samples
+from .gaussians import COND_LIMIT, LOG_PI, ConditioningError, _check_sigma2, log_sum_exp
+from .mfa import FitConfig, FitTrace, MfaModel, _as_samples
 
 GMM_MAGIC = b"GMM1"
 GMM_VERSION = 1
@@ -298,10 +302,9 @@ class GmmModel:
             scale = max(float(np.abs(covs).max()), 1.0)
             if np.max(np.abs(covs - covs.conj().transpose(0, 2, 1))) > 1e-10 * scale:
                 raise ValueError("covariances must be Hermitian")
-            for k in range(k_total):
-                min_eig = float(np.linalg.eigvalsh(covs[k])[0])
-                if min_eig < -1e-10 * scale:
-                    raise ValueError(f"covariance {k} is not PSD (min eig {min_eig:.3e})")
+            min_eigs = np.linalg.eigvalsh(covs)[:, 0]
+            for k in np.flatnonzero(min_eigs < -1e-10 * scale):
+                raise ValueError(f"covariance {k} is not PSD (min eig {min_eigs[k]:.3e})")
             object.__setattr__(self, "covariances", covs)
             object.__setattr__(self, "spectra", None)
         else:
@@ -324,54 +327,31 @@ class GmmModel:
     def n_components(self) -> int:
         return self.means.shape[0]
 
+    @property
+    def params(self) -> np.ndarray:
+        """The covariance parameters of every component: covariances or spectra."""
+        return self.spectra if self.covariances is None else self.covariances
+
     def dense_covariances(self) -> np.ndarray:
         """Materialize (K, N, N) covariance matrices for any structure."""
         if self.structure == "full":
             return self.covariances.copy()
-        k_total, dim = self.means.shape
-        out = np.empty((k_total, dim, dim), dtype=np.complex128)
         if self.structure == "circulant":
-            dft = np.fft.fft(np.eye(dim), norm="ortho")
-            for k in range(k_total):
-                out[k] = dft.conj().T @ (self.spectra[k][:, None] * dft)
+            q = np.fft.fft(np.eye(self.dim), norm="ortho")
         else:
-            q = toeplitz_transform(dim)
-            for k in range(k_total):
-                out[k] = q.conj().T @ (self.spectra[k][:, None] * q)
-        return out
+            q = toeplitz_transform(self.dim)
+        return np.stack([q.conj().T @ (spectrum[:, None] * q) for spectrum in self.spectra])
+
+
+def _with_params(structure: str, weights, means, params) -> GmmModel:
+    key = "covariances" if structure == "full" else "spectra"
+    return GmmModel(structure, weights, means, **{key: params})
 
 
 def gmm_from_mfa(model: MfaModel) -> GmmModel:
     """Full-covariance mixture with C_k = loading loading^H + diag(diag_term)."""
     covs = np.stack([comp.cov.dense() for comp in model.components])
     return GmmModel("full", model.weights, model.means, covariances=covs)
-
-
-def _dense_chol_logdens(
-    samples: np.ndarray, mean: np.ndarray, cov: np.ndarray
-) -> np.ndarray:
-    """Complex Gaussian log-density with a dense covariance, via Cholesky."""
-    dim = cov.shape[0]
-    chol = np.linalg.cholesky(cov)
-    xc = samples - mean
-    half = solve_triangular(chol, xc.T, lower=True, check_finite=False)
-    quad = (np.abs(half) ** 2).sum(axis=0)
-    logdet = 2.0 * float(np.log(chol.diagonal().real).sum())
-    return -dim * LOG_PI - logdet - quad
-
-
-def _circulant_logdens(samples: np.ndarray, mean: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
-    dim = spectrum.shape[0]
-    xf = np.fft.fft(samples - mean, norm="ortho")
-    quad = (np.abs(xf) ** 2 / spectrum).sum(axis=1)
-    return -dim * LOG_PI - float(np.log(spectrum).sum()) - quad
-
-
-def _toeplitz_dense(spectrum: np.ndarray) -> np.ndarray:
-    dim = spectrum.shape[0] // 2
-    q = toeplitz_transform(dim)
-    cov = q.conj().T @ (spectrum[:, None] * q)
-    return 0.5 * (cov + cov.conj().T)
 
 
 def _project_toeplitz(scatter_diag: np.ndarray, floor: float, dim: int) -> np.ndarray:
@@ -386,14 +366,98 @@ def _project_toeplitz(scatter_diag: np.ndarray, floor: float, dim: int) -> np.nd
     return np.maximum(sol, floor)
 
 
+def _fit_params(structure: str, xc: np.ndarray, resp: np.ndarray, mass: float) -> np.ndarray:
+    """One component's M-step from centred rows ``xc`` (T, N), weights ``resp`` (T,)
+    and their sum ``mass``: the weighted scatter (full), its DFT-domain diagonal
+    (circulant) or its projection onto the Toeplitz cone, each floored at
+    EIG_FLOOR_REL times the weighted mean energy per entry."""
+    dim = xc.shape[1]
+    energy = float(resp @ (np.abs(xc) ** 2).sum(axis=1)) / (mass * dim)
+    floor = EIG_FLOOR_REL * max(energy, np.finfo(float).tiny)
+    if structure == "full":
+        scatter = (xc.T * resp) @ xc.conj() / mass
+        vals, vecs = np.linalg.eigh(0.5 * (scatter + scatter.conj().T))
+        return (vecs * np.maximum(vals, floor)) @ vecs.conj().T
+    if structure == "circulant":
+        return np.maximum(resp @ np.abs(np.fft.fft(xc, norm="ortho")) ** 2 / mass, floor)
+    diag = resp @ np.abs(xc @ toeplitz_transform(dim).T) ** 2 / mass
+    return _project_toeplitz(diag, floor, dim)
+
+
+def _isotropic(structure: str, dim: int, scale: float) -> np.ndarray:
+    """Parameters of a restarted component: scale * I for full and circulant.
+
+    The Toeplitz spectrum of 2 * scale on every bin is 2 * scale * I, since
+    Q^H Q = I; fitted models depend on that scale, so it stays.
+    """
+    if structure == "full":
+        return scale * np.eye(dim)
+    if structure == "circulant":
+        return np.full(dim, scale)
+    return np.full(2 * dim, 2.0 * scale)
+
+
+def _gmm_factor(model: GmmModel, sigma2: float) -> tuple[np.ndarray, np.ndarray]:
+    """Factor every C_k + sigma2 I once: (factor, log-constants).
+
+    The factor is the shifted spectra (K, N) of a circulant model and the
+    lower Cholesky factors (K, N, N) of the others; the log-constants are
+    log w_k - N log pi - log det(C_k + sigma2 I). Raises ConditioningError
+    when a Cholesky factorization fails.
+    """
+    if model.structure == "circulant":
+        factor = model.spectra + sigma2
+        logdets = np.log(factor).sum(axis=1)
+    else:
+        shifted = model.dense_covariances() + sigma2 * np.eye(model.dim)
+        factor = np.empty_like(shifted)
+        for k in range(model.n_components):
+            try:
+                factor[k] = np.linalg.cholesky(shifted[k])
+            except np.linalg.LinAlgError as exc:
+                raise ConditioningError(
+                    f"component {k}: covariance + sigma2 I is not positive definite "
+                    "(use sigma2 > 0)"
+                ) from exc
+        logdets = 2.0 * np.log(np.diagonal(factor, axis1=1, axis2=2).real).sum(axis=1)
+    return factor, np.log(model.weights) - model.dim * LOG_PI - logdets
+
+
+def _gmm_logdens(model: GmmModel, factored, rows, sigma2: float, filtered=None) -> np.ndarray:
+    """(B, K) log w_k + log N_C(rows; mu_k, C_k + sigma2 I) from _gmm_factor(model, sigma2).
+
+    Given ``filtered`` (K, B, N), also writes each component's LMMSE estimate
+    rows - sigma2 (C_k + sigma2 I)^{-1} (rows - mu_k) into it.
+    """
+    factor, logconst = factored
+    logdens = np.empty((rows.shape[0], model.n_components))
+    for k in range(model.n_components):
+        xc = rows - model.means[k]
+        if model.structure == "circulant":
+            xf = np.fft.fft(xc, norm="ortho")
+            # Real division: a subnormal bin of a fitted spectrum then gives inf, not NaN.
+            logdens[:, k] = logconst[k] - (np.abs(xf) ** 2 / factor[k]).sum(axis=1)
+            if filtered is not None:
+                filtered[k] = rows - sigma2 * np.fft.ifft(xf / factor[k], norm="ortho")
+        else:
+            half = solve_triangular(factor[k], xc.T, lower=True, check_finite=False)
+            logdens[:, k] = logconst[k] - (np.abs(half) ** 2).sum(axis=0)
+            if filtered is not None:
+                solved = solve_triangular(factor[k].conj().T, half, lower=False, check_finite=False)
+                filtered[k] = rows - sigma2 * solved.T
+    return logdens
+
+
 def fit_gmm(
     dataset, n_components: int, structure: str, config: FitConfig | None = None
 ) -> tuple[GmmModel, FitTrace]:
     """EM fit of a Gaussian mixture with the requested covariance structure.
 
-    The full-covariance M-step is the exact maximizer; the Toeplitz and
-    circulant M-steps project the weighted scatter onto the structure class,
-    so their likelihood traces are recorded but not guaranteed monotone.
+    k-means clusters start the components; a cluster of fewer than two samples
+    starts isotropic. The full-covariance M-step is the exact maximizer; the
+    Toeplitz and circulant M-steps project the weighted scatter onto the
+    structure class, so their likelihood traces are recorded but not
+    guaranteed monotone. The loop and the collapse policy are fit_em's.
     """
     config = config or FitConfig()
     if structure not in GMM_STRUCTURES:
@@ -404,132 +468,50 @@ def fit_gmm(
         raise ValueError(f"need at least K={n_components} samples, got {count}")
 
     rng = np.random.default_rng(config.seed)
-    weights, means, covs, spectra = _init_gmm(samples, n_components, structure, rng)
-
-    trace: list[float] = []
-    prev = None
-    for _ in range(config.max_iter):
-        logdens = _gmm_logdens(samples, structure, weights, means, covs, spectra)
-        per_sample = log_sum_exp(logdens, axis=1)
-        avg = float(per_sample.mean())
-        trace.append(avg)
-        if prev is not None and abs(avg - prev) <= config.rel_tol * max(abs(prev), 1e-12):
-            break
-        prev = avg
-
-        resp = np.exp(logdens - per_sample[:, None])
-        resp /= resp.sum(axis=1, keepdims=True)
-        masses = resp.sum(axis=0)
-        raw_weights = masses / count
-
-        for k in range(n_components):
-            mass = max(float(masses[k]), np.finfo(float).tiny)
-            mean_k = (resp[:, k] @ samples) / mass
-            means[k] = mean_k
-            xc = samples - mean_k
-            floor_k = EIG_FLOOR_REL * max(
-                float((resp[:, k] @ (np.abs(xc) ** 2).sum(axis=1)) / (mass * dim)),
-                np.finfo(float).tiny,
-            )
-            if structure == "full":
-                scatter = (xc.T * resp[:, k]) @ xc.conj() / mass
-                scatter = 0.5 * (scatter + scatter.conj().T)
-                vals, vecs = np.linalg.eigh(scatter)
-                vals = np.maximum(vals, floor_k)
-                covs[k] = (vecs * vals) @ vecs.conj().T
-            elif structure == "circulant":
-                xf = np.fft.fft(xc, norm="ortho")
-                spectra[k] = np.maximum((resp[:, k] @ (np.abs(xf) ** 2)) / mass, floor_k)
-            else:
-                q = toeplitz_transform(dim)
-                proj = xc @ q.T  # rows are (Q xc)^T
-                diag = (resp[:, k] @ (np.abs(proj) ** 2)) / mass
-                spectra[k] = _project_toeplitz(diag, floor_k, dim)
-
-        collapsed = np.flatnonzero(raw_weights < WEIGHT_FLOOR)
-        if collapsed.size:
-            worst = int(np.argmin(per_sample))
-            scale = float(np.mean(np.abs(samples) ** 2))
-            for k in collapsed:
-                means[k] = samples[worst]
-                if structure == "full":
-                    covs[k] = scale * np.eye(dim)
-                elif structure == "circulant":
-                    spectra[k] = np.full(dim, scale)
-                else:
-                    spectra[k] = np.full(2 * dim, 2.0 * scale)
-                raw_weights[k] = 1.0 / n_components
-        weights = np.maximum(raw_weights, WEIGHT_FLOOR)
-        weights /= weights.sum()
-
-    model = GmmModel(
-        structure,
-        weights,
-        means,
-        covariances=covs if structure == "full" else None,
-        spectra=spectra if structure != "full" else None,
-    )
-    return model, FitTrace(np.array(trace))
-
-
-def _init_gmm(samples, n_components, structure, rng):
-    count, dim = samples.shape
     labels = _mfa._kmeans(samples, n_components, rng)
-    weights = np.full(n_components, 1.0 / n_components)
-    means = np.empty((n_components, dim), dtype=np.complex128)
-    covs = np.empty((n_components, dim, dim), dtype=np.complex128) if structure == "full" else None
-    bins = 2 * dim if structure == "toeplitz" else dim
-    spectra = np.empty((n_components, bins)) if structure != "full" else None
-    global_scale = float(np.mean(np.abs(samples) ** 2))
+    scale = float(np.mean(np.abs(samples) ** 2))
+    means, params = [], []
     for k in range(n_components):
         cluster = samples[labels == k]
         if cluster.shape[0] < 2:
-            means[k] = cluster[0] if cluster.shape[0] else samples[rng.integers(count)]
-            if structure == "full":
-                covs[k] = global_scale * np.eye(dim)
-            elif structure == "circulant":
-                spectra[k] = np.full(dim, global_scale)
-            else:
-                spectra[k] = np.full(2 * dim, 2.0 * global_scale)
+            means.append(cluster[0] if cluster.shape[0] else samples[rng.integers(count)])
+            params.append(_isotropic(structure, dim, scale))
             continue
-        means[k] = cluster.mean(axis=0)
-        xc = cluster - means[k]
-        floor_k = EIG_FLOOR_REL * max(float(np.mean(np.abs(xc) ** 2)), np.finfo(float).tiny)
-        if structure == "full":
-            scatter = xc.T @ xc.conj() / cluster.shape[0]
-            scatter = 0.5 * (scatter + scatter.conj().T)
-            vals, vecs = np.linalg.eigh(scatter)
-            covs[k] = (vecs * np.maximum(vals, floor_k)) @ vecs.conj().T
-        elif structure == "circulant":
-            xf = np.fft.fft(xc, norm="ortho")
-            spectra[k] = np.maximum((np.abs(xf) ** 2).mean(axis=0), floor_k)
-        else:
-            q = toeplitz_transform(dim)
-            diag = (np.abs(xc @ q.T) ** 2).mean(axis=0)
-            spectra[k] = _project_toeplitz(diag, floor_k, dim)
-    return weights, means, covs, spectra
+        means.append(cluster.mean(axis=0))
+        unit = np.ones(cluster.shape[0])
+        params.append(_fit_params(structure, cluster - means[k], unit, unit.size))
+    weights = np.full(n_components, 1.0 / n_components)
+    start = _with_params(structure, weights, np.stack(means), np.stack(params))
+    return _mfa._run_em(partial(_gmm_update, samples), start, config)
 
 
-def _gmm_logdens(samples, structure, weights, means, covs, spectra) -> np.ndarray:
-    count = samples.shape[0]
-    k_total = weights.shape[0]
-    logdens = np.empty((count, k_total))
-    for k in range(k_total):
-        if structure == "full":
-            logdens[:, k] = _dense_chol_logdens(samples, means[k], covs[k])
-        elif structure == "circulant":
-            logdens[:, k] = _circulant_logdens(samples, means[k], spectra[k])
+def _gmm_update(samples: np.ndarray, model: GmmModel) -> tuple[float, GmmModel]:
+    """One EM iteration of fit_gmm; returns the incoming model's average
+    log-likelihood and the updated model. Components that collapse under
+    ``mfa._mixture_weights`` restart at the sample the incoming model fits worst,
+    with ``_isotropic`` parameters at the data's mean energy per entry."""
+    count, dim = samples.shape
+    logdens = _gmm_logdens(model, _gmm_factor(model, 0.0), samples, 0.0)
+    per_sample = log_sum_exp(logdens, axis=1)
+    resp = np.exp(logdens - per_sample[:, None])
+    resp /= resp.sum(axis=1, keepdims=True)
+    masses = resp.sum(axis=0)
+    weights, collapsed = _mfa._mixture_weights(masses, count)
+    means, params = model.means.copy(), model.params.copy()
+    for k in range(model.n_components):
+        if k in collapsed:
+            means[k] = samples[np.argmin(per_sample)]
+            params[k] = _isotropic(model.structure, dim, float(np.mean(np.abs(samples) ** 2)))
         else:
-            logdens[:, k] = _dense_chol_logdens(samples, means[k], _toeplitz_dense(spectra[k]))
-        logdens[:, k] += math.log(weights[k])
-    return logdens
+            means[k] = resp[:, k] @ samples / masses[k]
+            params[k] = _fit_params(model.structure, samples - means[k], resp[:, k], masses[k])
+    return float(per_sample.mean()), _with_params(model.structure, weights, means, params)
 
 
 def gmm_log_likelihood(model: GmmModel, dataset) -> float:
+    """Average per-sample log of the mixture density, via log-sum-exp."""
     samples = _as_samples(dataset)
-    logdens = _gmm_logdens(
-        samples, model.structure, model.weights, model.means, model.covariances, model.spectra
-    )
+    logdens = _gmm_logdens(model, _gmm_factor(model, 0.0), samples, 0.0)
     return float(np.mean(log_sum_exp(logdens, axis=1)))
 
 
@@ -537,8 +519,9 @@ def gmm_estimate(model: GmmModel, sigma2: float, y: np.ndarray) -> np.ndarray:
     """Responsibility-weighted per-component LMMSE under the mixture model.
 
     Circulant covariances invert in the DFT domain; full and Toeplitz ones use
-    dense Hermitian solves of C + sigma2 I. Raises ConditioningError when some
-    C_k + sigma2 I is singular: a zero circulant bin or a failed Cholesky.
+    dense Cholesky solves of C + sigma2 I. Raises ConditioningError when some
+    C_k + sigma2 I is numerically singular: a circulant bin at or below its
+    component's largest bin / COND_LIMIT, or a failed Cholesky.
     """
     sigma2 = _check_sigma2(sigma2)
     y = np.asarray(y, dtype=np.complex128)
@@ -548,57 +531,25 @@ def gmm_estimate(model: GmmModel, sigma2: float, y: np.ndarray) -> np.ndarray:
         raise ValueError("observation dimension does not match the model")
     if not np.all(np.isfinite(batch)):
         raise ValueError("observation contains non-finite entries")
-    k_total, dim = model.n_components, model.dim
-
-    chols = None
-    logdets = np.empty(k_total)
     if model.structure == "circulant":
         shifted = model.spectra + sigma2
-        singular = np.flatnonzero((shifted <= 0.0).any(axis=1))
-        if singular.size:
+        singular = (shifted <= shifted.max(axis=1, keepdims=True) / COND_LIMIT).any(axis=1)
+        if singular.any():
             raise ConditioningError(
-                f"component {singular[0]}: circulant spectrum + sigma2 has a zero bin; "
-                "the covariance is singular (use sigma2 > 0)"
+                f"component {singular.argmax()}: circulant spectrum + sigma2 has a zero bin "
+                f"(at or below its largest / {COND_LIMIT:.0e}); use sigma2 > 0"
             )
-        logdets[:] = np.log(shifted).sum(axis=1)
-    else:
-        dense = model.dense_covariances()
-        chols = np.empty_like(dense)
-        for k in range(k_total):
-            try:
-                chols[k] = np.linalg.cholesky(dense[k] + sigma2 * np.eye(dim))
-            except np.linalg.LinAlgError as exc:
-                raise ConditioningError(
-                    f"component {k}: covariance + sigma2 I is not positive definite "
-                    "(use sigma2 > 0)"
-                ) from exc
-            logdets[k] = 2.0 * float(np.log(chols[k].diagonal().real).sum())
-
+    factored = _gmm_factor(model, sigma2)
+    k_total, dim = model.n_components, model.dim
     out = np.empty_like(batch)
     chunk = max(64, _EST_CHUNK_BUDGET // (k_total * dim))
-    logconst = np.log(model.weights) - dim * LOG_PI - logdets
     for start in range(0, batch.shape[0], chunk):
-        stop = min(start + chunk, batch.shape[0])
-        yb = batch[start:stop]
-        filtered = np.empty((k_total, yb.shape[0], dim), dtype=np.complex128)
-        logdens = np.empty((yb.shape[0], k_total))
-        for k in range(k_total):
-            yc = yb - model.means[k]
-            if model.structure == "circulant":
-                yf = np.fft.fft(yc, norm="ortho")
-                scaled = yf / (model.spectra[k] + sigma2)
-                quad = np.einsum("bn,bn->b", yf.conj(), scaled).real
-                filtered[k] = yb - sigma2 * np.fft.ifft(scaled, norm="ortho")
-            else:
-                half = solve_triangular(chols[k], yc.T, lower=True, check_finite=False)
-                quad = (np.abs(half) ** 2).sum(axis=0)
-                solved = solve_triangular(chols[k].conj().T, half, lower=False, check_finite=False).T
-                filtered[k] = yb - sigma2 * solved
-            logdens[:, k] = logconst[k] - quad
-        shift = logdens.max(axis=1, keepdims=True)
-        resp = np.exp(logdens - shift)
+        rows = batch[start:start + chunk]
+        filtered = np.empty((k_total, rows.shape[0], dim), dtype=np.complex128)
+        logdens = _gmm_logdens(model, factored, rows, sigma2, filtered)
+        resp = np.exp(logdens - logdens.max(axis=1, keepdims=True))
         resp /= resp.sum(axis=1, keepdims=True)
-        out[start:stop] = np.einsum("kbn,bk->bn", filtered, resp)
+        out[start:start + chunk] = np.einsum("kbn,bk->bn", filtered, resp)
     return out[0] if single else out
 
 
@@ -641,17 +592,16 @@ def load_gmm(path) -> GmmModel:
     k_total = reader.u32("component count K")
     if dim == 0 or k_total == 0:
         raise FileFormatError("model header declares an empty model", reader.offset)
+    bins = 2 * dim if structure == "toeplitz" else dim
     weights = np.empty(k_total)
     means = np.empty((k_total, dim), dtype=np.complex128)
-    covs = np.empty((k_total, dim, dim), dtype=np.complex128) if structure == "full" else None
-    bins = 2 * dim if structure == "toeplitz" else dim
-    spectra = np.empty((k_total, bins)) if structure != "full" else None
+    params = []
     for k in range(k_total):
         weights[k] = reader.f64("weight")
         means[k] = reader.complex_array(dim, "mean")
         if structure == "full":
-            covs[k] = reader.complex_array(dim * dim, "covariance").reshape((dim, dim), order="F")
+            params.append(reader.complex_array(dim * dim, "covariance").reshape((dim, dim), order="F"))
         else:
-            spectra[k] = reader.f64_array(bins, "spectrum")
+            params.append(reader.f64_array(bins, "spectrum"))
     reader.expect_eof()
-    return GmmModel(structure, weights, means, covariances=covs, spectra=spectra)
+    return _with_params(structure, weights, means, np.stack(params))

@@ -121,10 +121,7 @@ def _cmd_fit_mfa(args) -> int:
     )
     model, trace = mfa.fit_em(dataset, args.k, args.l, config)
     mfa.save_model(model, args.out)
-    print(
-        f"fit K={args.k} L={args.l} in {trace.loglik.size} iterations, "
-        f"avg log-likelihood {trace.loglik[-1]:.6f}; wrote {args.out}"
-    )
+    print(f"fit K={args.k} L={args.l} {_fit_summary(trace)}; wrote {args.out}")
     return 0
 
 
@@ -133,11 +130,19 @@ def _cmd_fit_gmm(args) -> int:
     config = mfa.FitConfig(max_iter=args.max_iter, rel_tol=args.tol, seed=args.seed)
     model, trace = baselines.fit_gmm(dataset, args.k, args.structure, config)
     baselines.save_gmm(model, args.out)
-    print(
-        f"fit {args.structure} GMM K={args.k} in {trace.loglik.size} iterations, "
-        f"avg log-likelihood {trace.loglik[-1]:.6f}; wrote {args.out}"
-    )
+    print(f"fit {args.structure} GMM K={args.k} {_fit_summary(trace)}; wrote {args.out}")
     return 0
+
+
+def _fit_summary(trace: mfa.FitTrace) -> str:
+    if trace.converged:
+        return f"in {trace.loglik.size} iterations, avg log-likelihood {trace.loglik[-1]:.6f}"
+    # The returned model is one update past the last traced value; computing
+    # its own log-likelihood would cost another pass over the data.
+    return (
+        f"stopped at --max-iter {trace.loglik.size} without converging; "
+        f"avg log-likelihood before the last update {trace.loglik[-1]:.6f}"
+    )
 
 
 def _cmd_estimate(args) -> int:

@@ -35,8 +35,9 @@ _STACK_CHUNK_BUDGET = 1 << 19
 
 class ConditioningError(ArithmeticError):
     """A covariance system is numerically singular: the latent L x L system of a
-    low-rank component beyond the condition limit, a zero bin of a circulant
-    spectrum plus sigma2, or a full/Toeplitz C + sigma2 I that is not positive
+    low-rank component beyond the condition limit, a circulant spectrum plus
+    sigma2 with a bin at or below its largest bin / COND_LIMIT (a zero or a
+    subnormal bin, say), or a full/Toeplitz C + sigma2 I that is not positive
     definite."""
 
 

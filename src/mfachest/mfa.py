@@ -114,9 +114,16 @@ class FitConfig:
 
 @dataclass(frozen=True)
 class FitTrace:
-    """Average log-likelihood at the start of each EM iteration."""
+    """Average log-likelihood at the start of each EM iteration.
+
+    ``converged`` is True when the relative change fell below ``rel_tol``; the
+    returned parameters are then the ones ``loglik[-1]`` describes. When EM
+    stopped at ``max_iter`` instead, the returned parameters are one update
+    past ``loglik[-1]``.
+    """
 
     loglik: np.ndarray
+    converged: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "loglik", np.asarray(self.loglik, dtype=np.float64))
@@ -398,18 +405,45 @@ def fit_em(
     rng = np.random.default_rng(config.seed)
     comps = _init_components(samples, n_components, latent_dim, config, rng)
     abs2 = np.abs(samples) ** 2
+    comps, trace = _run_em(
+        lambda state: _em_update(samples, abs2, state, config.psi_mode, rng), comps, config
+    )
+    return MfaModel(tuple(comps)), trace
 
+
+def _run_em(update, state, config: FitConfig):
+    """The EM loop of fit_em and baselines.fit_gmm.
+
+    ``update(state)`` returns the average log-likelihood of ``state`` and the
+    next state. The loop stops when that value changes by at most
+    ``config.rel_tol`` relative to the previous one, keeping the state it
+    describes, or after ``config.max_iter`` updates, keeping the last update.
+    Returns the final state and its ``FitTrace``.
+    """
     trace: list[float] = []
     prev = None
     for _ in range(config.max_iter):
-        avg, updated = _em_update(samples, abs2, comps, config.psi_mode, rng)
+        avg, updated = update(state)
         trace.append(avg)
         if prev is not None and abs(avg - prev) <= config.rel_tol * max(abs(prev), 1e-12):
-            break
+            return state, FitTrace(np.array(trace), converged=True)
         prev = avg
-        comps = updated
+        state = updated
+    return state, FitTrace(np.array(trace))
 
-    return MfaModel(tuple(comps)), FitTrace(np.array(trace))
+
+def _mixture_weights(masses: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The collapse policy shared by every EM update: (weights, collapsed indices).
+
+    A component whose responsibility mass is below ``WEIGHT_FLOOR`` of the
+    data has collapsed; the caller re-seeds it and it restarts at weight 1/K
+    before renormalization. Every weight is floored at ``WEIGHT_FLOOR``.
+    """
+    weights = masses / count
+    collapsed = np.flatnonzero(weights < WEIGHT_FLOOR)
+    weights[collapsed] = 1.0 / weights.size
+    weights = np.maximum(weights, WEIGHT_FLOOR)
+    return weights / weights.sum(), collapsed
 
 
 def _em_update(
@@ -434,14 +468,11 @@ def _em_update(
     avg, worst, masses, loadings, means, per_entry = _em_iteration(samples, abs2, comps)
 
     psis = _resolve_psi(per_entry, list(masses), psi_mode, floor, count, dim)
-    weights = masses / count
-    for k in np.flatnonzero(weights < WEIGHT_FLOOR):
+    weights, collapsed = _mixture_weights(masses, count)
+    for k in collapsed:
         means[k] = samples[worst].copy()
         loadings[k] = 0.3 * np.sqrt(scale) * gaussians._std_cnormal(rng, (dim, latent))
         psis[k] = np.full(dim, max(scale, floor))
-        weights[k] = 1.0 / k_total
-    weights = np.maximum(weights, WEIGHT_FLOOR)
-    weights /= weights.sum()
     updated = [
         MfaComponent(weights[k], means[k], LowRankCovariance(loadings[k], psis[k]))
         for k in range(k_total)

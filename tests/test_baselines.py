@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from mfachest.baselines import (
     Dictionary,
     GmmModel,
+    _gmm_update,
     build_dft_dictionary,
     fit_gmm,
     fit_sample_lmmse,
@@ -26,6 +27,14 @@ from mfachest.scenario import ChannelDataset
 
 def crandn(rng, *shape):
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+
+
+def dense_logdens(samples, mean, cov):
+    """log N_C(samples; mean, cov) by dense solve and slogdet."""
+    xc = (samples - mean).T
+    _, logdet = np.linalg.slogdet(cov)
+    quad = np.einsum("nb,nb->b", xc.conj(), np.linalg.solve(cov, xc)).real
+    return -cov.shape[0] * np.log(np.pi) - logdet - quad
 
 
 def make_mfa(rng, k_total, dim, latent, sep=4.0, psi=0.3):
@@ -278,7 +287,6 @@ class TestGenieOmp:
         assert np.abs(got - want).max() < 1e-13
         assert np.abs(reference_genie_omp(y, d, y, 2) - want).max() < 1e-13
 
-    @settings(max_examples=80, deadline=None, derandomize=True)
     @given(data=st.data())
     def test_batch_matches_dense_reference(self, data):
         d = build_dft_dictionary(
@@ -441,6 +449,45 @@ class TestFitGmm:
         with pytest.raises(ValueError):
             fit_gmm(ChannelDataset(crandn(rng, 2, 4)), 3, "full")
 
+    @pytest.mark.parametrize("structure", ["full", "toeplitz", "circulant"])
+    def test_reseed_collapsed(self, structure):
+        # The third start component sits far from the data with a vanishing
+        # weight, so its responsibility mass is exactly zero.
+        rng = np.random.default_rng(118)
+        dim = 4
+        data = crandn(rng, 200, dim) + np.where(rng.random(200) < 0.5, 3.0, -3.0)[:, None]
+        means = np.array([[3.0] * dim, [-3.0] * dim, [1e3] * dim], dtype=complex)
+        weights = np.array([0.5, 0.5 - 1e-12, 1e-12])
+        if structure == "full":
+            start = GmmModel(structure, weights, means, covariances=np.stack([np.eye(dim)] * 3))
+        else:
+            bins = 2 * dim if structure == "toeplitz" else dim
+            start = GmmModel(structure, weights, means, spectra=np.ones((3, bins)))
+        _, fixed = _gmm_update(data, start)
+        assert fixed.n_components == 3
+        assert np.all(fixed.weights > 1e-3)
+        assert abs(fixed.weights.sum() - 1.0) < 1e-12
+        # the re-seeded mean sits on the sample the start model fits worst
+        covs = start.dense_covariances()
+        dens = np.stack([dense_logdens(data, means[k], covs[k]) for k in range(3)])
+        mix = np.log(np.exp(dens - dens.max(0)).T @ weights) + dens.max(0)
+        assert np.array_equal(fixed.means[2], data[np.argmin(mix)])
+        # and restarts isotropic: its covariance is a positive multiple of I
+        restart = fixed.dense_covariances()[2]
+        scale = restart[0, 0].real
+        assert scale > 0
+        assert np.abs(restart - scale * np.eye(dim)).max() <= 1e-12 * scale
+        # the other components keep their (updated) places
+        assert np.abs(fixed.means[0] - 3.0).max() < 1.0
+
+    @pytest.mark.parametrize("structure", ["full", "toeplitz", "circulant"])
+    def test_converged_trace_describes_returned_model(self, structure):
+        rng = np.random.default_rng(119)
+        data = sample(make_mfa(rng, 2, 5, 2, sep=3.0), 300, np.random.default_rng(120)).samples
+        model, trace = fit_gmm(data, 2, structure, FitConfig(max_iter=5, rel_tol=1.0, seed=0))
+        assert trace.converged and trace.loglik.shape == (2,)
+        assert gmm_log_likelihood(model, data) == pytest.approx(trace.loglik[-1], abs=1e-10)
+
     def test_full_em_monotone(self):
         rng = np.random.default_rng(106)
         true = make_mfa(rng, 2, 5, 2, sep=3.0)
@@ -448,6 +495,34 @@ class TestFitGmm:
         _, trace = fit_gmm(data, 2, "full", FitConfig(max_iter=30, rel_tol=1e-12, seed=1))
         diffs = np.diff(trace.loglik)
         assert np.all(diffs >= -1e-8 * np.abs(trace.loglik[:-1]))
+
+
+@st.composite
+def structured_models(draw):
+    """A circulant or Toeplitz GmmModel with K in [1, 3] and N in [1, 8], plus a generator."""
+    structure = draw(st.sampled_from(["circulant", "toeplitz"]))
+    k_total = draw(st.integers(1, 3))
+    dim = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    weights = rng.uniform(0.2, 1.0, k_total)
+    bins = 2 * dim if structure == "toeplitz" else dim
+    model = GmmModel(
+        structure, weights / weights.sum(), rng.uniform(0.0, 3.0) * crandn(rng, k_total, dim),
+        spectra=rng.uniform(0.05, 2.0, (k_total, bins)),
+    )
+    return model, rng
+
+
+def dense_gmm_oracle(model, sigma2, y):
+    """Per-component log w_k + log N_C(y; mu_k, C_k + sigma2 I) (B, K) and conditional
+    means mu_k + C_k (C_k + sigma2 I)^{-1} (y - mu_k) (K, B, N), by dense solves."""
+    parts = zip(model.weights, model.means, model.dense_covariances())
+    shift = sigma2 * np.eye(model.dim)
+    logdens, estimates = [], []
+    for weight, mean, cov in parts:
+        logdens.append(np.log(weight) + dense_logdens(y, mean, cov + shift))
+        estimates.append(mean + (cov @ np.linalg.solve(cov + shift, (y - mean).T)).T)
+    return np.stack(logdens, axis=1), np.stack(estimates)
 
 
 class TestGmmEstimate:
@@ -488,34 +563,22 @@ class TestGmmEstimate:
         want = estimate(mfa_model, sigma2, y).value
         assert np.abs(got - want).max() < 1e-10
 
-    def test_structured_matches_dense_operations(self):
-        rng = np.random.default_rng(111)
-        dim = 8
-        for structure, bins in (("circulant", dim), ("toeplitz", 2 * dim)):
-            spectra = rng.uniform(0.5, 2.0, (2, bins))
-            means = crandn(rng, 2, dim)
-            model = GmmModel(structure, np.array([0.5, 0.5]), means, spectra=spectra)
-            dense = model.dense_covariances()
-            dense_model = GmmModel("full", np.array([0.5, 0.5]), means, covariances=dense)
-            y = crandn(rng, 50, dim)
-            got = gmm_estimate(model, 0.7, y)
-            want = gmm_estimate(dense_model, 0.7, y)
-            assert np.abs(got - want).max() < 1e-9
+    @given(structured_models(), st.one_of(st.just(0.0), st.floats(0.0, 10.0, exclude_min=True)))
+    def test_structured_kernel_matches_dense_oracle(self, drawn, sigma2):
+        model, rng = drawn
+        y = model.means[rng.integers(model.n_components, size=20)]
+        y = y + rng.uniform(0.1, 3.0) * crandn(rng, 20, model.dim)
+        logdens, estimates = dense_gmm_oracle(model, sigma2, y)
+        resp = np.exp(logdens - logdens.max(axis=1, keepdims=True))
+        resp /= resp.sum(axis=1, keepdims=True)
+        want = np.einsum("kbn,bk->bn", estimates, resp)
+        got = gmm_estimate(model, sigma2, y)
+        assert np.abs(got - want).max() <= 1e-9 * max(1.0, np.abs(want).max())
 
-    def test_log_likelihood_matches_dense(self):
-        rng = np.random.default_rng(112)
-        dim = 6
-        spectra = rng.uniform(0.5, 2.0, (2, dim))
-        means = crandn(rng, 2, dim)
-        model = GmmModel("circulant", np.array([0.3, 0.7]), means, spectra=spectra)
-        dense_model = GmmModel(
-            "full", np.array([0.3, 0.7]), means, covariances=model.dense_covariances()
-        )
-        data = crandn(rng, 100, dim)
-        assert gmm_log_likelihood(model, data) == pytest.approx(
-            gmm_log_likelihood(dense_model, data), abs=1e-9
-        )
-
+        logdens, _ = dense_gmm_oracle(model, 0.0, y)
+        shift = logdens.max(axis=1)
+        want_ll = float(np.mean(np.log(np.exp(logdens - shift[:, None]).sum(axis=1)) + shift))
+        assert abs(gmm_log_likelihood(model, y) - want_ll) <= 1e-9 * max(1.0, abs(want_ll))
 
     @pytest.mark.parametrize("structure", ["full", "toeplitz", "circulant"])
     @pytest.mark.parametrize("sigma2", [np.nan, np.inf, -1.0])
@@ -539,6 +602,8 @@ class TestGmmEstimate:
             ("circulant", {"spectra": np.array([[1.0, 0.0, 1.0, 1.0]])}),
             ("toeplitz", {"spectra": np.array([[1.0, 0, 0, 0, 0, 0, 0, 0]])}),
             ("full", {"covariances": np.diag([1.0, 0.0, 1.0, 1.0]).astype(complex)[None]}),
+            # A positive but subnormal bin: dividing by it overflows to inf.
+            ("circulant", {"spectra": np.array([[1.0, 1e-315, 1.0, 1.0]])}),
         ],
     )
     def test_singular_covariance_at_zero_noise(self, structure, singular):

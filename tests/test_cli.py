@@ -116,6 +116,26 @@ class TestPipeline:
         assert "nmse" not in captured.out
         assert "zero bin" in captured.err
 
+    @pytest.mark.parametrize(
+        "command", [["fit-mfa", "--l", "1"], ["fit-gmm", "--structure", "toeplitz"]],
+        ids=["fit-mfa", "fit-gmm"],
+    )
+    def test_fit_reports_iteration_cap(self, tmp_path, capsys, command):
+        rng = np.random.default_rng(5)
+        data_path = tmp_path / "train.chd"
+        write_dataset(data_path, ChannelDataset(rng.standard_normal((60, 4)) + 0j))
+        argv = [command[0], "--data", str(data_path), "--k", "2", *command[1:]]
+        argv += ["--out", str(tmp_path / "model")]
+        assert cli_main(argv + ["--max-iter", "1"]) == 0
+        out = capsys.readouterr().out
+        assert "stopped at --max-iter 1 without converging" in out
+        assert "avg log-likelihood before the last update" in out
+        # A tolerance this loose converges at the second iteration.
+        assert cli_main(argv + ["--max-iter", "5", "--tol", "1"]) == 0
+        out = capsys.readouterr().out
+        assert "in 2 iterations, avg log-likelihood" in out
+        assert "stopped" not in out
+
     def test_missing_data_file(self, capsys):
         code = cli_main(
             ["fit-mfa", "--data", "/nope.chd", "--k", "2", "--l", "1", "--out", "/tmp/x.mfa"]

@@ -124,8 +124,16 @@ class TestFitSingleGaussian:
         data = crandn(rng, 50, 4)
         model, trace = fit_em(ChannelDataset(data), 2, 1, FitConfig(max_iter=1, seed=0))
         assert trace.loglik.shape == (1,)
+        assert not trace.converged
         assert model.n_components == 2
         assert abs(model.weights.sum() - 1.0) < 1e-12
+
+    def test_converged_trace_describes_returned_model(self):
+        rng = np.random.default_rng(28)
+        data = sample(make_model(rng, 2, 5, 2), 300, np.random.default_rng(29)).samples
+        model, trace = fit_em(data, 2, 2, FitConfig(max_iter=5, rel_tol=1.0, seed=0))
+        assert trace.converged and trace.loglik.shape == (2,)
+        assert log_likelihood(model, data) == pytest.approx(trace.loglik[-1], abs=1e-10)
 
     def test_too_few_samples_rejected(self):
         rng = np.random.default_rng(27)

@@ -1,14 +1,12 @@
 """Property tests of the stacked mixture kernel against dense Cholesky oracles."""
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from mfachest.baselines import gmm_estimate, gmm_from_mfa
 from mfachest.estimator import estimate
 from mfachest.gaussians import LowRankCovariance
 from mfachest.mfa import MfaComponent, MfaModel, log_likelihood
-
-PROPERTY = settings(max_examples=80, deadline=None, derandomize=True)
 
 
 def crandn(rng, *shape):
@@ -60,7 +58,6 @@ def dense_logdens(model, sigma2, y):
     return out
 
 
-@PROPERTY
 @given(models(), noise_levels)
 def test_estimate_matches_dense_mixture_estimator(drawn, sigma2):
     model, rng = drawn
@@ -76,7 +73,6 @@ def test_estimate_matches_dense_mixture_estimator(drawn, sigma2):
     assert np.abs(got.responsibilities - resp).max() <= 1e-9
 
 
-@PROPERTY
 @given(models())
 def test_log_likelihood_matches_dense_mixture_density(drawn):
     model, rng = drawn
