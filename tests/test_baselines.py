@@ -563,6 +563,34 @@ class TestGmmEstimate:
         want = estimate(mfa_model, sigma2, y).value
         assert np.abs(got - want).max() < 1e-10
 
+    def test_structured_matches_dense_operations(self):
+        rng = np.random.default_rng(111)
+        dim = 8
+        for structure, bins in (("circulant", dim), ("toeplitz", 2 * dim)):
+            spectra = rng.uniform(0.5, 2.0, (2, bins))
+            means = crandn(rng, 2, dim)
+            model = GmmModel(structure, np.array([0.5, 0.5]), means, spectra=spectra)
+            dense = model.dense_covariances()
+            dense_model = GmmModel("full", np.array([0.5, 0.5]), means, covariances=dense)
+            y = crandn(rng, 50, dim)
+            got = gmm_estimate(model, 0.7, y)
+            want = gmm_estimate(dense_model, 0.7, y)
+            assert np.abs(got - want).max() < 1e-9
+
+    def test_log_likelihood_matches_dense(self):
+        rng = np.random.default_rng(112)
+        dim = 6
+        spectra = rng.uniform(0.5, 2.0, (2, dim))
+        means = crandn(rng, 2, dim)
+        model = GmmModel("circulant", np.array([0.3, 0.7]), means, spectra=spectra)
+        dense_model = GmmModel(
+            "full", np.array([0.3, 0.7]), means, covariances=model.dense_covariances()
+        )
+        data = crandn(rng, 100, dim)
+        assert gmm_log_likelihood(model, data) == pytest.approx(
+            gmm_log_likelihood(dense_model, data), abs=1e-9
+        )
+
     @given(structured_models(), st.one_of(st.just(0.0), st.floats(0.0, 10.0, exclude_min=True)))
     def test_structured_kernel_matches_dense_oracle(self, drawn, sigma2):
         model, rng = drawn
