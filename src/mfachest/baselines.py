@@ -10,11 +10,20 @@ or the orthogonalised atom has norm <= 1e-10, and its estimate stays frozen.
 The structured mixtures parameterize covariances as ``Q^H diag(c) Q`` with a
 fixed DFT-based transform: the unitary N-point DFT for circulant covariances
 and the 2N-point DFT truncated to N columns for Toeplitz ones. Each structure
-enters through one M-step (``_fit_params``, which also starts every k-means
-cluster), one restart (``_isotropic``) and one density kernel (``_gmm_factor``
-and ``_gmm_logdens``: FFT for circulant, dense Cholesky otherwise) shared by the
-E-step, the likelihood and the estimator. EM runs in fit_em's loop and collapse
-policy, ``mfa._run_em`` and ``mfa._mixture_weights``.
+enters through one M-step, one restart (``_isotropic``) and one density kernel
+shared by the E-step, the likelihood and the estimator. EM runs in fit_em's
+loop and collapse policy, ``mfa._run_em`` and ``mfa._mixture_weights``, and an
+iteration touches the data a fixed number of times, whatever K is:
+
+- ``_m_step`` updates all K components (and starts every k-means cluster) from
+  moment-form sufficient statistics, weighted second moments minus the means'
+  outer products, over samples transformed once per iteration. For exactly
+  one-hot weights the difference is exactly zero; on the benchmark's channels
+  |mean|^2 / variance was at most 1.4e-3, so the cancellation loses little.
+- ``_gmm_factor`` and ``_gmm_logdens``: full and Toeplitz models factor each
+  C_k + sigma2 I once and whiten a row chunk against all K components with one
+  product by the stacked inverse Cholesky factors; circulant models subtract
+  the means' DFTs from the transformed rows and divide by the spectrum.
 """
 
 from __future__ import annotations
@@ -23,10 +32,10 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from . import mfa as _mfa
 from ._binio import ByteReader, ByteWriter, FileFormatError
+from .estimator import _softmax_rows
 from .gaussians import COND_LIMIT, LOG_PI, ConditioningError, _check_sigma2, log_sum_exp
 from .mfa import FitConfig, FitTrace, MfaModel, _as_samples
 
@@ -42,7 +51,11 @@ EIG_FLOOR_REL = 1e-8
 
 # Complex entries of one chunk's (B, s, N) OMP basis.
 _OMP_CHUNK_BUDGET = 4_000_000
-_EST_CHUNK_BUDGET = 8_000_000
+# Complex entries of one (B, K*N) temporary of the GMM kernel and M-step: 2 MB,
+# a quarter of gaussians._STACK_CHUNK_BUDGET. At K=16, N=64 (128 rows) the
+# circulant E-step over 10k rows ran in 77-85 ms against 110-126 ms at 512 rows
+# (2 cores, 2 BLAS threads).
+_GMM_CHUNK_BUDGET = 1 << 17
 
 
 # ---------------------------------------------------------------------------
@@ -354,34 +367,74 @@ def gmm_from_mfa(model: MfaModel) -> GmmModel:
     return GmmModel("full", model.weights, model.means, covariances=covs)
 
 
-def _project_toeplitz(scatter_diag: np.ndarray, floor: float, dim: int) -> np.ndarray:
-    """Spectrum of the Frobenius projection onto the Toeplitz cone, clipped at floor.
+def _project_toeplitz(scatter_diag: np.ndarray, floor: float | np.ndarray, dim: int) -> np.ndarray:
+    """Spectra of the Frobenius projection onto the Toeplitz cone, clipped at floor.
 
-    Solves the normal equations G c = b of the projection; G is rank deficient
-    (the Toeplitz cone has real dimension 2N - 1), so the minimum-norm
-    least-squares solution is used before clipping.
+    ``scatter_diag`` is one (2N,) transform-domain diagonal or a (K, 2N) stack,
+    and ``floor`` broadcasts against the result. Solves the normal equations
+    G c = b of the projection; G is rank deficient (the Toeplitz cone has real
+    dimension 2N - 1), so c is the minimum-norm least-squares solution, through
+    the cached pseudo-inverse of G, before clipping.
     """
-    gram = _toeplitz_gram(dim)
-    sol, *_ = np.linalg.lstsq(gram, scatter_diag, rcond=None)
-    return np.maximum(sol, floor)
+    return np.maximum(scatter_diag @ _toeplitz_pinv(dim).T, floor)
 
 
-def _fit_params(structure: str, xc: np.ndarray, resp: np.ndarray, mass: float) -> np.ndarray:
-    """One component's M-step from centred rows ``xc`` (T, N), weights ``resp`` (T,)
-    and their sum ``mass``: the weighted scatter (full), its DFT-domain diagonal
-    (circulant) or its projection onto the Toeplitz cone, each floored at
-    EIG_FLOOR_REL times the weighted mean energy per entry."""
-    dim = xc.shape[1]
-    energy = float(resp @ (np.abs(xc) ** 2).sum(axis=1)) / (mass * dim)
-    floor = EIG_FLOOR_REL * max(energy, np.finfo(float).tiny)
+@lru_cache(maxsize=8)
+def _toeplitz_pinv(dim: int) -> np.ndarray:
+    pinv = np.linalg.pinv(_toeplitz_gram(dim), hermitian=True)
+    pinv.flags.writeable = False
+    return pinv
+
+
+def _kernel_rows(structure: str, rows: np.ndarray) -> np.ndarray:
+    """Observations as ``_gmm_logdens`` and ``_m_step`` take them: their unitary
+    DFT for a circulant model, the observations themselves otherwise."""
+    return np.fft.fft(rows, norm="ortho") if structure == "circulant" else rows
+
+
+def _row_chunks(count: int, width: int):
+    """Row slices that keep a (B, width) temporary within _GMM_CHUNK_BUDGET entries."""
+    step = max(1, _GMM_CHUNK_BUDGET // max(width, 1))
+    return (slice(start, start + step) for start in range(0, count, step))
+
+
+def _m_step(
+    structure: str, samples: np.ndarray, rows: np.ndarray, resp: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Means (K, N) and parameters of every component from weights ``resp`` (T, K)
+    over ``samples`` (T, N), with ``rows = _kernel_rows(structure, samples)``.
+
+    Full: the scatter (X^T diag(r_k) conj(X)) / m_k - mu_k^T conj(mu_k), with all
+    K second moments accumulated as one (K N, N) product per row chunk, and one
+    batched ``eigh`` to floor the eigenvalues. Circulant and Toeplitz: the
+    transform-domain diagonal r_k^T |X_t|^2 / m_k - |r_k^T X_t / m_k|^2 from one
+    real product, projected onto the cone for Toeplitz. The floor is
+    EIG_FLOOR_REL times the weighted mean energy per entry of the centred rows:
+    trace / N, which is sum(diag) / N (Parseval; Q^H Q = I for Toeplitz).
+    """
+    k_total, dim = resp.shape[1], samples.shape[1]
+    masses = resp.sum(axis=0)
+    means = resp.T @ samples / masses[:, None]
     if structure == "full":
-        scatter = (xc.T * resp) @ xc.conj() / mass
-        vals, vecs = np.linalg.eigh(0.5 * (scatter + scatter.conj().T))
-        return (vecs * np.maximum(vals, floor)) @ vecs.conj().T
+        second = np.zeros((k_total * dim, dim), dtype=np.complex128)
+        for part in _row_chunks(samples.shape[0], k_total * dim):
+            x = samples[part]
+            second += (resp[part, :, None] * x[:, None, :]).reshape(len(x), -1).T @ x.conj()
+        stats = second.reshape(k_total, dim, dim) / masses[:, None, None]
+        stats -= means[:, :, None] * means[:, None, :].conj()
+        energy = np.trace(stats, axis1=1, axis2=2).real
+    else:
+        xt = rows @ toeplitz_transform(dim).T if structure == "toeplitz" else rows
+        stats = resp.T @ np.abs(xt) ** 2 / masses[:, None]
+        stats -= np.abs(resp.T @ xt / masses[:, None]) ** 2
+        energy = stats.sum(axis=1)
+    floor = EIG_FLOOR_REL * np.maximum(energy / dim, np.finfo(float).tiny)[:, None]
     if structure == "circulant":
-        return np.maximum(resp @ np.abs(np.fft.fft(xc, norm="ortho")) ** 2 / mass, floor)
-    diag = resp @ np.abs(xc @ toeplitz_transform(dim).T) ** 2 / mass
-    return _project_toeplitz(diag, floor, dim)
+        return means, np.maximum(stats, floor)
+    if structure == "toeplitz":
+        return means, _project_toeplitz(stats, floor, dim)
+    vals, vecs = np.linalg.eigh(0.5 * (stats + stats.conj().transpose(0, 2, 1)))
+    return means, (vecs * np.maximum(vals, floor)[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
 
 
 def _isotropic(structure: str, dim: int, scale: float) -> np.ndarray:
@@ -391,60 +444,98 @@ def _isotropic(structure: str, dim: int, scale: float) -> np.ndarray:
     Q^H Q = I; fitted models depend on that scale, so it stays.
     """
     if structure == "full":
-        return scale * np.eye(dim)
+        return scale * np.eye(dim, dtype=np.complex128)
     if structure == "circulant":
         return np.full(dim, scale)
     return np.full(2 * dim, 2.0 * scale)
 
 
-def _gmm_factor(model: GmmModel, sigma2: float) -> tuple[np.ndarray, np.ndarray]:
-    """Factor every C_k + sigma2 I once: (factor, log-constants).
+def _check_spectra(model: GmmModel, sigma2: float) -> None:
+    """Raise ConditioningError when a circulant C_k + sigma2 I is numerically
+    singular: a bin at or below its component's largest bin / COND_LIMIT."""
+    if model.structure != "circulant":
+        return
+    shifted = model.spectra + sigma2
+    singular = (shifted <= shifted.max(axis=1, keepdims=True) / COND_LIMIT).any(axis=1)
+    if singular.any():
+        raise ConditioningError(
+            f"component {singular.argmax()}: circulant spectrum + sigma2 has a zero bin "
+            f"(at or below its largest / {COND_LIMIT:.0e}); use sigma2 > 0"
+        )
 
-    The factor is the shifted spectra (K, N) of a circulant model and the
-    lower Cholesky factors (K, N, N) of the others; the log-constants are
-    log w_k - N log pi - log det(C_k + sigma2 I). Raises ConditioningError
-    when a Cholesky factorization fails.
+
+def _gmm_factor(model: GmmModel, sigma2: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Factor every C_k + sigma2 I once: (whitener, centres, log-constants).
+
+    Circulant: the shifted spectra (K, N) and the means' unitary DFTs (K, N).
+    Full and Toeplitz: with the lower Cholesky factors C_k + sigma2 I = L_k L_k^H,
+    the stacked whitener [L_1^{-T} ... L_K^{-T}] (N, K N) and the whitened means
+    [mu_1 L_1^{-T} ... mu_K L_K^{-T}] (K N,). The log-constants are
+    log w_k - N log pi - log det(C_k + sigma2 I). Raises ConditioningError when
+    a Cholesky factorization fails.
     """
     if model.structure == "circulant":
-        factor = model.spectra + sigma2
-        logdets = np.log(factor).sum(axis=1)
+        shifted = model.spectra + sigma2
+        logdets = np.log(shifted).sum(axis=1)
+        whitener, centres = shifted, np.fft.fft(model.means, norm="ortho")
     else:
-        shifted = model.dense_covariances() + sigma2 * np.eye(model.dim)
-        factor = np.empty_like(shifted)
+        dim = model.dim
+        shifted = model.dense_covariances() + sigma2 * np.eye(dim)
+        chol = np.empty_like(shifted)
         for k in range(model.n_components):
             try:
-                factor[k] = np.linalg.cholesky(shifted[k])
+                chol[k] = np.linalg.cholesky(shifted[k])
             except np.linalg.LinAlgError as exc:
                 raise ConditioningError(
                     f"component {k}: covariance + sigma2 I is not positive definite "
                     "(use sigma2 > 0)"
                 ) from exc
-        logdets = 2.0 * np.log(np.diagonal(factor, axis1=1, axis2=2).real).sum(axis=1)
-    return factor, np.log(model.weights) - model.dim * LOG_PI - logdets
+        logdets = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2).real).sum(axis=1)
+        # numpy's inverse, not scipy's triangular solve: scipy's LAPACK runs its
+        # own BLAS thread pool, and switching pools measured slower.
+        inverse = np.linalg.inv(chol)
+        whitener = inverse.transpose(2, 0, 1).reshape(dim, -1)
+        centres = (inverse @ model.means[:, :, None]).reshape(-1)
+    return whitener, centres, np.log(model.weights) - model.dim * LOG_PI - logdets
 
 
-def _gmm_logdens(model: GmmModel, factored, rows, sigma2: float, filtered=None) -> np.ndarray:
-    """(B, K) log w_k + log N_C(rows; mu_k, C_k + sigma2 I) from _gmm_factor(model, sigma2).
+def _gmm_logdens(model: GmmModel, factored, rows, sigma2: float, out=None) -> np.ndarray:
+    """(B, K) log w_k + log N_C(y; mu_k, C_k + sigma2 I) from _gmm_factor(model, sigma2),
+    with ``rows = _kernel_rows(model.structure, y)``, in row chunks that keep
+    every (B, K N) temporary within _GMM_CHUNK_BUDGET entries.
 
-    Given ``filtered`` (K, B, N), also writes each component's LMMSE estimate
-    rows - sigma2 (C_k + sigma2 I)^{-1} (rows - mu_k) into it.
+    Full and Toeplitz whiten a chunk against all K components with one product,
+    z = y [L_1^{-T} ... L_K^{-T}] - [mu_1 L_1^{-T} ...]; the quadratic forms are
+    block sums of |z|^2. Circulant: |DFT(y) - DFT(mu_k)|^2 over the spectrum.
+    Given ``out`` (B, N), also writes the responsibility-weighted LMMSE estimate
+    y - sigma2 sum_k r_k (C_k + sigma2 I)^{-1} (y - mu_k) into it, the sum over
+    k being one matmul of r_k z_k with [conj(L_1^{-1}); ...] (in the DFT domain
+    with z_k / spectrum_k for circulant).
     """
-    factor, logconst = factored
-    logdens = np.empty((rows.shape[0], model.n_components))
-    for k in range(model.n_components):
-        xc = rows - model.means[k]
-        if model.structure == "circulant":
-            xf = np.fft.fft(xc, norm="ortho")
+    whitener, centres, logconst = factored
+    k_total, dim = model.n_components, model.dim
+    circulant = model.structure == "circulant"
+    logdens = np.empty((rows.shape[0], k_total))
+    back = None if circulant or out is None else whitener.T.conj()
+    for part in _row_chunks(rows.shape[0], k_total * dim):
+        y = rows[part]
+        if circulant:
+            z = y[:, None, :] - centres
             # Real division: a subnormal bin of a fitted spectrum then gives inf, not NaN.
-            logdens[:, k] = logconst[k] - (np.abs(xf) ** 2 / factor[k]).sum(axis=1)
-            if filtered is not None:
-                filtered[k] = rows - sigma2 * np.fft.ifft(xf / factor[k], norm="ortho")
+            logdens[part] = logconst - (np.abs(z) ** 2 / whitener).sum(axis=2)
         else:
-            half = solve_triangular(factor[k], xc.T, lower=True, check_finite=False)
-            logdens[:, k] = logconst[k] - (np.abs(half) ** 2).sum(axis=0)
-            if filtered is not None:
-                solved = solve_triangular(factor[k].conj().T, half, lower=False, check_finite=False)
-                filtered[k] = rows - sigma2 * solved.T
+            z = y @ whitener
+            z -= centres
+            logdens[part] = logconst - (np.abs(z) ** 2).reshape(len(y), k_total, dim).sum(axis=2)
+        if out is None:
+            continue
+        resp = _softmax_rows(logdens[part])
+        if circulant:
+            solved = (resp[:, None, :] @ (z / whitener))[:, 0]
+            out[part] = np.fft.ifft(y - sigma2 * solved, norm="ortho")
+        else:
+            z = (z.reshape(len(y), k_total, dim) * resp[:, :, None]).reshape(len(y), -1)
+            out[part] = y - sigma2 * (z @ back)
     return logdens
 
 
@@ -453,11 +544,12 @@ def fit_gmm(
 ) -> tuple[GmmModel, FitTrace]:
     """EM fit of a Gaussian mixture with the requested covariance structure.
 
-    k-means clusters start the components; a cluster of fewer than two samples
-    starts isotropic. The full-covariance M-step is the exact maximizer; the
-    Toeplitz and circulant M-steps project the weighted scatter onto the
-    structure class, so their likelihood traces are recorded but not
-    guaranteed monotone. The loop and the collapse policy are fit_em's.
+    k-means clusters start the components through ``_m_step`` with one-hot
+    weights; a cluster of fewer than two samples starts isotropic. The
+    full-covariance M-step is the exact maximizer; the Toeplitz and circulant
+    M-steps project the weighted scatter onto the structure class, so their
+    likelihood traces are recorded but not guaranteed monotone. The loop and
+    the collapse policy are fit_em's.
     """
     config = config or FitConfig()
     if structure not in GMM_STRUCTURES:
@@ -469,59 +561,66 @@ def fit_gmm(
 
     rng = np.random.default_rng(config.seed)
     labels = _mfa._kmeans(samples, n_components, rng)
+    sizes = np.bincount(labels, minlength=n_components)
+    fitted = sizes >= 2
     scale = float(np.mean(np.abs(samples) ** 2))
-    means, params = [], []
-    for k in range(n_components):
-        cluster = samples[labels == k]
-        if cluster.shape[0] < 2:
-            means.append(cluster[0] if cluster.shape[0] else samples[rng.integers(count)])
-            params.append(_isotropic(structure, dim, scale))
-            continue
-        means.append(cluster.mean(axis=0))
-        unit = np.ones(cluster.shape[0])
-        params.append(_fit_params(structure, cluster - means[k], unit, unit.size))
+    means = np.empty((n_components, dim), dtype=np.complex128)
+    params = np.stack([_isotropic(structure, dim, scale)] * n_components)
+    onehot = (labels[:, None] == np.flatnonzero(fitted)).astype(np.float64)
+    means[fitted], params[fitted] = _m_step(
+        structure, samples, _kernel_rows(structure, samples), onehot
+    )
+    for k in np.flatnonzero(~fitted):
+        means[k] = samples[labels == k][0] if sizes[k] else samples[rng.integers(count)]
     weights = np.full(n_components, 1.0 / n_components)
-    start = _with_params(structure, weights, np.stack(means), np.stack(params))
+    start = _with_params(structure, weights, means, params)
     return _mfa._run_em(partial(_gmm_update, samples), start, config)
 
 
 def _gmm_update(samples: np.ndarray, model: GmmModel) -> tuple[float, GmmModel]:
     """One EM iteration of fit_gmm; returns the incoming model's average
-    log-likelihood and the updated model. Components that collapse under
+    log-likelihood and the updated model. The samples are transformed once and
+    serve both the E-step and the M-step. Components that collapse under
     ``mfa._mixture_weights`` restart at the sample the incoming model fits worst,
     with ``_isotropic`` parameters at the data's mean energy per entry."""
     count, dim = samples.shape
-    logdens = _gmm_logdens(model, _gmm_factor(model, 0.0), samples, 0.0)
+    rows = _kernel_rows(model.structure, samples)
+    logdens = _gmm_logdens(model, _gmm_factor(model, 0.0), rows, 0.0)
     per_sample = log_sum_exp(logdens, axis=1)
     resp = np.exp(logdens - per_sample[:, None])
     resp /= resp.sum(axis=1, keepdims=True)
-    masses = resp.sum(axis=0)
-    weights, collapsed = _mfa._mixture_weights(masses, count)
+    weights, collapsed = _mfa._mixture_weights(resp.sum(axis=0), count)
     means, params = model.means.copy(), model.params.copy()
-    for k in range(model.n_components):
-        if k in collapsed:
-            means[k] = samples[np.argmin(per_sample)]
-            params[k] = _isotropic(model.structure, dim, float(np.mean(np.abs(samples) ** 2)))
-        else:
-            means[k] = resp[:, k] @ samples / masses[k]
-            params[k] = _fit_params(model.structure, samples - means[k], resp[:, k], masses[k])
+    live = np.setdiff1d(np.arange(model.n_components), collapsed)
+    means[live], params[live] = _m_step(model.structure, samples, rows, resp[:, live])
+    if collapsed.size:
+        means[collapsed] = samples[np.argmin(per_sample)]
+        scale = float(np.mean(np.abs(samples) ** 2))
+        params[collapsed] = _isotropic(model.structure, dim, scale)
     return float(per_sample.mean()), _with_params(model.structure, weights, means, params)
 
 
 def gmm_log_likelihood(model: GmmModel, dataset) -> float:
-    """Average per-sample log of the mixture density, via log-sum-exp."""
+    """Average per-sample log of the mixture density, via log-sum-exp.
+
+    Raises ConditioningError when some C_k is numerically singular, as
+    gmm_estimate does at sigma2 = 0.
+    """
     samples = _as_samples(dataset)
-    logdens = _gmm_logdens(model, _gmm_factor(model, 0.0), samples, 0.0)
+    _check_spectra(model, 0.0)
+    rows = _kernel_rows(model.structure, samples)
+    logdens = _gmm_logdens(model, _gmm_factor(model, 0.0), rows, 0.0)
     return float(np.mean(log_sum_exp(logdens, axis=1)))
 
 
 def gmm_estimate(model: GmmModel, sigma2: float, y: np.ndarray) -> np.ndarray:
     """Responsibility-weighted per-component LMMSE under the mixture model.
 
-    Circulant covariances invert in the DFT domain; full and Toeplitz ones use
-    dense Cholesky solves of C + sigma2 I. Raises ConditioningError when some
-    C_k + sigma2 I is numerically singular: a circulant bin at or below its
-    component's largest bin / COND_LIMIT, or a failed Cholesky.
+    Circulant covariances invert in the DFT domain; full and Toeplitz ones
+    through the whitener of their dense Cholesky factors (``_gmm_factor``).
+    Raises ConditioningError when some C_k + sigma2 I is numerically singular:
+    a circulant bin at or below its component's largest bin / COND_LIMIT, or a
+    failed Cholesky.
     """
     sigma2 = _check_sigma2(sigma2)
     y = np.asarray(y, dtype=np.complex128)
@@ -531,25 +630,10 @@ def gmm_estimate(model: GmmModel, sigma2: float, y: np.ndarray) -> np.ndarray:
         raise ValueError("observation dimension does not match the model")
     if not np.all(np.isfinite(batch)):
         raise ValueError("observation contains non-finite entries")
-    if model.structure == "circulant":
-        shifted = model.spectra + sigma2
-        singular = (shifted <= shifted.max(axis=1, keepdims=True) / COND_LIMIT).any(axis=1)
-        if singular.any():
-            raise ConditioningError(
-                f"component {singular.argmax()}: circulant spectrum + sigma2 has a zero bin "
-                f"(at or below its largest / {COND_LIMIT:.0e}); use sigma2 > 0"
-            )
-    factored = _gmm_factor(model, sigma2)
-    k_total, dim = model.n_components, model.dim
+    _check_spectra(model, sigma2)
     out = np.empty_like(batch)
-    chunk = max(64, _EST_CHUNK_BUDGET // (k_total * dim))
-    for start in range(0, batch.shape[0], chunk):
-        rows = batch[start:start + chunk]
-        filtered = np.empty((k_total, rows.shape[0], dim), dtype=np.complex128)
-        logdens = _gmm_logdens(model, factored, rows, sigma2, filtered)
-        resp = np.exp(logdens - logdens.max(axis=1, keepdims=True))
-        resp /= resp.sum(axis=1, keepdims=True)
-        out[start:start + chunk] = np.einsum("kbn,bk->bn", filtered, resp)
+    rows = _kernel_rows(model.structure, batch)
+    _gmm_logdens(model, _gmm_factor(model, sigma2), rows, sigma2, out)
     return out[0] if single else out
 
 

@@ -136,13 +136,15 @@ def _cmd_fit_gmm(args) -> int:
 
 def _fit_summary(trace: mfa.FitTrace) -> str:
     if trace.converged:
-        return f"in {trace.loglik.size} iterations, avg log-likelihood {trace.loglik[-1]:.6f}"
-    # The returned model is one update past the last traced value; computing
-    # its own log-likelihood would cost another pass over the data.
-    return (
-        f"stopped at --max-iter {trace.loglik.size} without converging; "
-        f"avg log-likelihood before the last update {trace.loglik[-1]:.6f}"
-    )
+        summary = f"in {trace.loglik.size} iterations, avg log-likelihood {trace.loglik[-1]:.6f}"
+    else:
+        # The returned model is one update past the last traced value; computing
+        # its own log-likelihood would cost another pass over the data.
+        summary = (
+            f"stopped at --max-iter {trace.loglik.size} without converging; "
+            f"avg log-likelihood before the last update {trace.loglik[-1]:.6f}"
+        )
+    return f"{summary}, {trace.seconds.mean():.3f} s per iteration"
 
 
 def _cmd_estimate(args) -> int:

@@ -10,6 +10,7 @@ no real-case 1/2 factors in the variance accounting.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,7 +115,8 @@ class FitConfig:
 
 @dataclass(frozen=True)
 class FitTrace:
-    """Average log-likelihood at the start of each EM iteration.
+    """Average log-likelihood at the start of each EM iteration, and the wall
+    time in seconds of the update that computed it (one entry per ``loglik``).
 
     ``converged`` is True when the relative change fell below ``rel_tol``; the
     returned parameters are then the ones ``loglik[-1]`` describes. When EM
@@ -123,10 +125,12 @@ class FitTrace:
     """
 
     loglik: np.ndarray
+    seconds: np.ndarray
     converged: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "loglik", np.asarray(self.loglik, dtype=np.float64))
+        object.__setattr__(self, "seconds", np.asarray(self.seconds, dtype=np.float64))
 
 
 def _as_samples(dataset) -> np.ndarray:
@@ -418,18 +422,22 @@ def _run_em(update, state, config: FitConfig):
     next state. The loop stops when that value changes by at most
     ``config.rel_tol`` relative to the previous one, keeping the state it
     describes, or after ``config.max_iter`` updates, keeping the last update.
-    Returns the final state and its ``FitTrace``.
+    Returns the final state and its ``FitTrace``, which times each update
+    with ``time.perf_counter``.
     """
     trace: list[float] = []
+    seconds: list[float] = []
     prev = None
     for _ in range(config.max_iter):
+        start = time.perf_counter()
         avg, updated = update(state)
+        seconds.append(time.perf_counter() - start)
         trace.append(avg)
         if prev is not None and abs(avg - prev) <= config.rel_tol * max(abs(prev), 1e-12):
-            return state, FitTrace(np.array(trace), converged=True)
+            return state, FitTrace(trace, seconds, converged=True)
         prev = avg
         state = updated
-    return state, FitTrace(np.array(trace))
+    return state, FitTrace(trace, seconds)
 
 
 def _mixture_weights(masses: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:

@@ -2,10 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from mfachest import baselines
 from mfachest.baselines import (
+    EIG_FLOOR_REL,
     Dictionary,
     GmmModel,
     _gmm_update,
+    _kernel_rows,
+    _m_step,
+    _toeplitz_gram,
     build_dft_dictionary,
     fit_gmm,
     fit_sample_lmmse,
@@ -486,6 +491,7 @@ class TestFitGmm:
         data = sample(make_mfa(rng, 2, 5, 2, sep=3.0), 300, np.random.default_rng(120)).samples
         model, trace = fit_gmm(data, 2, structure, FitConfig(max_iter=5, rel_tol=1.0, seed=0))
         assert trace.converged and trace.loglik.shape == (2,)
+        assert trace.seconds.shape == (2,) and np.all(trace.seconds > 0)
         assert gmm_log_likelihood(model, data) == pytest.approx(trace.loglik[-1], abs=1e-10)
 
     def test_full_em_monotone(self):
@@ -498,19 +504,31 @@ class TestFitGmm:
 
 
 @st.composite
-def structured_models(draw):
-    """A circulant or Toeplitz GmmModel with K in [1, 3] and N in [1, 8], plus a generator."""
-    structure = draw(st.sampled_from(["circulant", "toeplitz"]))
+def gmm_models(draw):
+    """A full, Toeplitz or circulant GmmModel with K in [1, 3] and N in [1, 8], a
+    generator, and a noise variance sigma2 in {0} or (0, 10]. Full models may hold
+    one rank-deficient covariance; sigma2 is then at least 0.01."""
+    structure = draw(st.sampled_from(["full", "circulant", "toeplitz"]))
     k_total = draw(st.integers(1, 3))
     dim = draw(st.integers(1, 8))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     weights = rng.uniform(0.2, 1.0, k_total)
-    bins = 2 * dim if structure == "toeplitz" else dim
-    model = GmmModel(
-        structure, weights / weights.sum(), rng.uniform(0.0, 3.0) * crandn(rng, k_total, dim),
-        spectra=rng.uniform(0.05, 2.0, (k_total, bins)),
-    )
-    return model, rng
+    means = rng.uniform(0.0, 3.0) * crandn(rng, k_total, dim)
+    singular = structure == "full" and draw(st.booleans())
+    if structure == "full":
+        roots = crandn(rng, k_total, dim, dim)
+        if singular:
+            roots[0, :, draw(st.integers(0, dim - 1)):] = 0.0
+        covs = roots @ roots.conj().transpose(0, 2, 1) / dim
+        covs[int(singular):] += 0.05 * np.eye(dim)
+        model = GmmModel(structure, weights / weights.sum(), means, covariances=covs)
+    else:
+        bins = 2 * dim if structure == "toeplitz" else dim
+        spectra = rng.uniform(0.05, 2.0, (k_total, bins))
+        model = GmmModel(structure, weights / weights.sum(), means, spectra=spectra)
+    positive = st.floats(0.01 if singular else 0.0, 10.0, exclude_min=True)
+    sigma2 = draw(positive if singular else st.one_of(st.just(0.0), positive))
+    return model, rng, sigma2, singular
 
 
 def dense_gmm_oracle(model, sigma2, y):
@@ -591,9 +609,9 @@ class TestGmmEstimate:
             gmm_log_likelihood(dense_model, data), abs=1e-9
         )
 
-    @given(structured_models(), st.one_of(st.just(0.0), st.floats(0.0, 10.0, exclude_min=True)))
-    def test_structured_kernel_matches_dense_oracle(self, drawn, sigma2):
-        model, rng = drawn
+    @given(gmm_models())
+    def test_structured_kernel_matches_dense_oracle(self, drawn):
+        model, rng, sigma2, singular = drawn
         y = model.means[rng.integers(model.n_components, size=20)]
         y = y + rng.uniform(0.1, 3.0) * crandn(rng, 20, model.dim)
         logdens, estimates = dense_gmm_oracle(model, sigma2, y)
@@ -602,11 +620,36 @@ class TestGmmEstimate:
         want = np.einsum("kbn,bk->bn", estimates, resp)
         got = gmm_estimate(model, sigma2, y)
         assert np.abs(got - want).max() <= 1e-9 * max(1.0, np.abs(want).max())
+        if singular:
+            return  # the likelihood has no noise to regularize a singular C_k
 
         logdens, _ = dense_gmm_oracle(model, 0.0, y)
         shift = logdens.max(axis=1)
         want_ll = float(np.mean(np.log(np.exp(logdens - shift[:, None]).sum(axis=1)) + shift))
         assert abs(gmm_log_likelihood(model, y) - want_ll) <= 1e-9 * max(1.0, abs(want_ll))
+
+    @pytest.mark.parametrize("structure", ["full", "toeplitz", "circulant"])
+    def test_row_chunks_match_one_chunk(self, structure, monkeypatch):
+        rng = np.random.default_rng(116)
+        dim, k_total = 5, 3
+        data = sample(make_mfa(rng, k_total, dim, 2, sep=2.0), 40, rng).samples
+        start, _ = fit_gmm(data, k_total, structure, FitConfig(max_iter=2, seed=0))
+        y = crandn(rng, 23, dim) + data[:23]
+        resp = rng.dirichlet(np.ones(k_total), size=40)
+        whole = (
+            gmm_estimate(start, 0.3, y),
+            gmm_log_likelihood(start, data),
+            *_m_step(structure, data, _kernel_rows(structure, data), resp),
+        )
+        # Chunks of 3 rows, so neither row count is a multiple of the chunk.
+        monkeypatch.setattr(baselines, "_GMM_CHUNK_BUDGET", 3 * k_total * dim)
+        chunked = (
+            gmm_estimate(start, 0.3, y),
+            gmm_log_likelihood(start, data),
+            *_m_step(structure, data, _kernel_rows(structure, data), resp),
+        )
+        for got, want in zip(chunked, whole):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     @pytest.mark.parametrize("structure", ["full", "toeplitz", "circulant"])
     @pytest.mark.parametrize("sigma2", [np.nan, np.inf, -1.0])
@@ -639,7 +682,85 @@ class TestGmmEstimate:
         y = np.ones((2, 4), complex)
         with pytest.raises(ConditioningError, match="component 0"):
             gmm_estimate(model, 0.0, y)
+        with pytest.raises(ConditioningError, match="component 0"):
+            gmm_log_likelihood(model, y)
         assert np.all(np.isfinite(gmm_estimate(model, 0.1, y)))
+
+
+def reference_m_step(structure, samples, resp):
+    """Means and parameters of each component (column of ``resp``) by the
+    per-component centred formula: the weighted scatter of samples - mean with
+    floored eigenvalues (full), its floored DFT-domain diagonal (circulant) or
+    the floored min-norm lstsq projection of its diagonal onto the Toeplitz cone."""
+    dim = samples.shape[1]
+    means, params = [], []
+    for weights in resp.T:
+        mass = weights.sum()
+        means.append(weights @ samples / mass)
+        xc = samples - means[-1]
+        energy = float(weights @ (np.abs(xc) ** 2).sum(axis=1)) / (mass * dim)
+        floor = EIG_FLOOR_REL * max(energy, np.finfo(float).tiny)
+        if structure == "full":
+            scatter = (xc.T * weights) @ xc.conj() / mass
+            vals, vecs = np.linalg.eigh(0.5 * (scatter + scatter.conj().T))
+            params.append((vecs * np.maximum(vals, floor)) @ vecs.conj().T)
+        elif structure == "circulant":
+            diag = weights @ np.abs(np.fft.fft(xc, norm="ortho")) ** 2 / mass
+            params.append(np.maximum(diag, floor))
+        else:
+            diag = weights @ np.abs(xc @ toeplitz_transform(dim).T) ** 2 / mass
+            sol, *_ = np.linalg.lstsq(_toeplitz_gram(dim), diag, rcond=None)
+            params.append(np.maximum(sol, floor))
+    return np.stack(means), np.stack(params)
+
+
+class TestMStep:
+    @given(
+        st.sampled_from(["full", "toeplitz", "circulant"]),
+        st.integers(1, 3),
+        st.integers(1, 8),
+        st.integers(2, 12),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_per_component_reference(self, structure, k_total, dim, count, seed):
+        rng = np.random.default_rng(seed)
+        samples = rng.uniform(0.0, 3.0) * crandn(rng, dim) + crandn(rng, count, dim)
+        resp = rng.uniform(0.0, 1.0, (count, k_total))
+        # One component's weights are exactly one-hot on one sample.
+        hot = rng.integers(k_total)
+        resp[:, hot] = 0.0
+        resp[rng.integers(count), hot] = 1.0
+        means, params = _m_step(structure, samples, _kernel_rows(structure, samples), resp)
+        want_means, want_params = reference_m_step(structure, samples, resp)
+        scale = np.abs(samples).max()
+        assert np.abs(means - want_means).max() <= 1e-9 * scale
+        # The moment form cancels |mean|^2 against the second moment, so its
+        # rounding is relative to the second moment's scale.
+        tol = 1e-9 * max(np.abs(want_params).max(), scale**2)
+        assert np.abs(params - want_params).max() <= tol
+
+    @pytest.mark.parametrize("structure", ["full", "toeplitz", "circulant"])
+    def test_floors_match_reference_on_singular_scatter(self, structure):
+        # Two empty DFT bins make every scatter singular, so the floors bind.
+        rng = np.random.default_rng(121)
+        spectrum = np.fft.fft(crandn(rng, 40, 6) + 1.5, norm="ortho")
+        spectrum[:, [1, 4]] = 0.0
+        samples = np.fft.ifft(spectrum, norm="ortho")
+        resp = rng.dirichlet(np.ones(2), size=40)
+        _, params = _m_step(structure, samples, _kernel_rows(structure, samples), resp)
+        _, want = reference_m_step(structure, samples, resp)
+        if structure == "full":
+            params, want = np.linalg.eigvalsh(params), np.linalg.eigvalsh(want)
+        assert np.allclose(params, want, rtol=1e-6, atol=0.0)
+
+    def test_one_hot_circulant_component_sits_on_the_floor(self):
+        rng = np.random.default_rng(117)
+        samples = crandn(rng, 6, 4) + 2.0
+        resp = np.column_stack([rng.uniform(0.2, 1.0, 6), np.eye(6)[2]])
+        means, spectra = _m_step("circulant", samples, _kernel_rows("circulant", samples), resp)
+        assert np.array_equal(means[1], samples[2])
+        assert np.all(spectra[1] == EIG_FLOOR_REL * np.finfo(float).tiny)
+        assert np.all(spectra[0] > 1e-3)
 
 
 class TestGmmSerialization:

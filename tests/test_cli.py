@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -135,6 +136,7 @@ class TestPipeline:
         out = capsys.readouterr().out
         assert "in 2 iterations, avg log-likelihood" in out
         assert "stopped" not in out
+        assert re.search(r"avg log-likelihood \S+, \d+\.\d{3} s per iteration", out)
 
     def test_missing_data_file(self, capsys):
         code = cli_main(

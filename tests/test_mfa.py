@@ -135,6 +135,14 @@ class TestFitSingleGaussian:
         assert trace.converged and trace.loglik.shape == (2,)
         assert log_likelihood(model, data) == pytest.approx(trace.loglik[-1], abs=1e-10)
 
+    def test_trace_times_every_iteration(self):
+        rng = np.random.default_rng(30)
+        data = sample(make_model(rng, 2, 5, 2), 300, np.random.default_rng(31)).samples
+        for config in (FitConfig(max_iter=3, seed=0), FitConfig(max_iter=5, rel_tol=1.0, seed=0)):
+            _, trace = fit_em(data, 2, 2, config)
+            assert trace.seconds.shape == trace.loglik.shape
+            assert np.all(trace.seconds > 0)
+
     def test_too_few_samples_rejected(self):
         rng = np.random.default_rng(27)
         data = crandn(rng, 3, 4)
