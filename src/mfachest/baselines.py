@@ -35,9 +35,8 @@ import numpy as np
 
 from . import mfa as _mfa
 from ._binio import ByteReader, ByteWriter, FileFormatError
-from .estimator import _softmax_rows
-from .gaussians import COND_LIMIT, LOG_PI, ConditioningError, _check_sigma2, log_sum_exp
-from .mfa import FitConfig, FitTrace, MfaModel, _as_samples
+from .gaussians import COND_LIMIT, LOG_PI, ConditioningError, _check_sigma2, log_sum_exp, responsibilities
+from .mfa import FitConfig, FitTrace, MfaModel, _as_samples, _check_components
 
 GMM_MAGIC = b"GMM1"
 GMM_VERSION = 1
@@ -529,7 +528,7 @@ def _gmm_logdens(model: GmmModel, factored, rows, sigma2: float, out=None) -> np
             logdens[part] = logconst - (np.abs(z) ** 2).reshape(len(y), k_total, dim).sum(axis=2)
         if out is None:
             continue
-        resp = _softmax_rows(logdens[part])
+        resp = responsibilities(logdens[part])[0]
         if circulant:
             solved = (resp[:, None, :] @ (z / whitener))[:, 0]
             out[part] = np.fft.ifft(y - sigma2 * solved, norm="ortho")
@@ -556,8 +555,7 @@ def fit_gmm(
         raise ValueError(f"structure must be one of {GMM_STRUCTURES}")
     samples = _as_samples(dataset)
     count, dim = samples.shape
-    if count < n_components:
-        raise ValueError(f"need at least K={n_components} samples, got {count}")
+    _check_components(n_components, count)
 
     rng = np.random.default_rng(config.seed)
     labels = _mfa._kmeans(samples, n_components, rng)
@@ -586,9 +584,7 @@ def _gmm_update(samples: np.ndarray, model: GmmModel) -> tuple[float, GmmModel]:
     count, dim = samples.shape
     rows = _kernel_rows(model.structure, samples)
     logdens = _gmm_logdens(model, _gmm_factor(model, 0.0), rows, 0.0)
-    per_sample = log_sum_exp(logdens, axis=1)
-    resp = np.exp(logdens - per_sample[:, None])
-    resp /= resp.sum(axis=1, keepdims=True)
+    resp, per_sample = responsibilities(logdens)
     weights, collapsed = _mfa._mixture_weights(resp.sum(axis=0), count)
     means, params = model.means.copy(), model.params.copy()
     live = np.setdiff1d(np.arange(model.n_components), collapsed)

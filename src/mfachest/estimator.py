@@ -3,9 +3,9 @@
 The estimate is a convex combination of per-component LMMSE filters, weighted
 by noise-aware responsibilities. Every component is factored once per call at
 the observation noise level (``gaussians.stack_mixture``), and one stacked
-low-rank kernel yields both the responsibilities and the latent posterior
-means the filters need, so no N x N matrix is formed and the per-observation
-cost is O(KNL).
+low-rank kernel yields both the responsibilities and the whitened latent
+coordinates the filters need, so no N x N matrix is formed and the
+per-observation cost is O(KNL).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussians import _check_sigma2, mixture_logdens, stack_mixture
+from .gaussians import _check_sigma2, mixture_logdens, responsibilities, stack_mixture
 from .mfa import MfaComponent, MfaModel
 
 
@@ -55,26 +55,20 @@ def component_lmmse(component: MfaComponent, sigma2: float, y: np.ndarray) -> np
     return out[0] if single else out
 
 
-def _softmax_rows(logdens: np.ndarray) -> np.ndarray:
-    shift = logdens.max(axis=1, keepdims=True)
-    resp = np.exp(logdens - shift)
-    resp /= resp.sum(axis=1, keepdims=True)
-    return resp
-
-
 def estimate(model: MfaModel, sigma2: float, y: np.ndarray) -> Estimate:
     """Convex combination of the per-component LMMSE filters.
 
     With ``(C_k + sigma2 I)^{-1} = D_k - D_k W_k A_k W_k^H D_k`` the filter of
     component k is ``y - sigma2 (D_k (y - mu_k) - D_k W_k m_k)`` with the latent
-    posterior mean ``m_k = A_k W_k^H D_k (y - mu_k)``, so the responsibility-
-    weighted sum over k is three products with the stacked factors.
+    posterior mean ``m_k = A_k W_k^H D_k (y - mu_k) = R_k q_k``, so
+    ``D_k W_k m_k = (D_k W_k R_k) q_k`` and the responsibility-weighted sum over
+    k is three products with the stacked factors.
     """
     batch, single = _check_observation(y, model.dim)
     sigma2 = _check_sigma2(sigma2)
     stack = stack_mixture(model.components, sigma2)
     k_total, latent = model.n_components, model.latent_dim
-    dw = stack.wd_conj.conj()  # (N, K*L) column blocks D_k W_k
+    dwr = stack.dwr_conj.conj()  # (N, K*L) column blocks D_k W_k R_k
     d_mu = stack.d_mean.conj()  # (N, K) columns D_k mu_k
 
     value = np.empty_like(batch)
@@ -85,12 +79,12 @@ def estimate(model: MfaModel, sigma2: float, y: np.ndarray) -> Estimate:
         stop = min(start + chunk, batch.shape[0])
         yb = batch[start:stop]
         lat = lat_big[:stop - start]
-        resp = _softmax_rows(mixture_logdens(stack, yb, np.abs(yb) ** 2, lat))
+        resp = responsibilities(mixture_logdens(stack, yb, np.abs(yb) ** 2, lat))[0]
         resp_out[start:stop] = resp
         lat *= resp[:, :, None]
         prec_y = (resp @ stack.d.T) * yb
         prec_y -= resp @ d_mu.T
-        prec_y -= lat.reshape(stop - start, k_total * latent) @ dw.T
+        prec_y -= lat.reshape(stop - start, k_total * latent) @ dwr.T
         value[start:stop] = yb - sigma2 * prec_y
 
     if single:

@@ -7,7 +7,10 @@ log-determinant the matrix determinant lemma, and densities never leave the
 log domain. A whole mixture is factored once per noise level into a
 ``MixtureStack``, and ``mixture_logdens`` evaluates every component on a batch
 of rows with a few stacked matrix products; EM, the likelihood and the MMSE
-estimator all run through that one kernel.
+estimator all run through that one kernel. The kernel works in whitened latent
+coordinates q_k = R_k^H W_k^H D_k (y - mu_k), with R_k R_k^H the latent
+posterior covariance, so the low-rank correction is the squared norm |q_k|^2
+and the posterior mean is R_k q_k.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import solve_triangular
 
 LOG_PI = float(np.log(np.pi))
 
@@ -31,6 +34,14 @@ COND_LIMIT = 1e12
 # 800 rows) it timed fastest of 2^17..2^21 for estimate() on 10k rows, with a
 # 35 MB transient peak; the peak grows with the budget.
 _STACK_CHUNK_BUDGET = 1 << 19
+
+# Responsibilities below this floor are set to exactly 0. A dropped entry moves
+# an EM statistic by at most RESP_FLOOR * T * max|x|, hundreds of orders of
+# magnitude below the mass WEIGHT_FLOOR * T of any component that survives, and
+# each row keeps its largest entry (>= 1/K). The floor sits far above the
+# subnormal range, so a kept weight times any entry >= 1e-8 stays a normal
+# number inside the BLAS products, whose subnormal operands take a slow path.
+RESP_FLOOR = 1e-300
 
 
 class ConditioningError(ArithmeticError):
@@ -206,24 +217,25 @@ class MixtureStack(NamedTuple):
     """Every component of a mixture factored at one noise level, stacked by component.
 
     With D_k the inverse of ``diag_term_k + sigma2``, W_k the loading and mu_k
-    the mean of component k, ``d`` holds D_k as columns (N, K), ``d_mean``
-    D_k conj(mu_k) as columns (N, K), ``wd_conj`` conj(D_k W_k) as column
-    blocks (N, K*L), ``mean_proj`` the rows (W_k^H D_k mu_k)^T (K, L),
-    ``latent_cov`` the latent posterior covariances
-    ``A_k = (I + W_k^H D_k W_k)^{-1}`` (K, L, L) and ``logconst``
+    the mean of component k, and R_k = L_k^{-H} for the lower Cholesky factor
+    L_k of ``I + W_k^H D_k W_k`` (so that the latent posterior covariance is
+    ``A_k = R_k R_k^H``), ``d`` holds D_k as columns (N, K), ``d_mean``
+    D_k conj(mu_k) as columns (N, K), ``dwr_conj`` conj(D_k W_k R_k) as
+    column blocks (N, K*L), ``mean_proj`` the rows mu_k^T conj(D_k W_k R_k)
+    (K, L), ``latent_root`` R_k (K, L, L) and ``logconst``
     ``log w_k - N log pi - log det(C_k + sigma2 I) - mu_k^H D_k mu_k`` (K,).
     """
 
     d: np.ndarray
     d_mean: np.ndarray
-    wd_conj: np.ndarray
+    dwr_conj: np.ndarray
     mean_proj: np.ndarray
-    latent_cov: np.ndarray
+    latent_root: np.ndarray
     logconst: np.ndarray
 
     def chunk_rows(self) -> int:
         """Rows per batch that keep the (B, K*(L+1)) and (B, N) temporaries near a fixed budget."""
-        k_total, latent = self.latent_cov.shape[:2]
+        k_total, latent = self.latent_root.shape[:2]
         return max(64, _STACK_CHUNK_BUDGET // (k_total * (latent + 1) + self.d.shape[0]))
 
 
@@ -231,31 +243,32 @@ def stack_mixture(components, sigma2: float) -> MixtureStack:
     """Factor every ``(weight, mean, cov)`` component of a mixture at noise level sigma2.
 
     Each component goes through ``factorize``, so the same sigma2 validation
-    and ConditioningError (naming the component) apply.
+    and ConditioningError (naming the component) apply; the triangular
+    factors are then inverted in one batch.
     """
     k_total = len(components)
     dim, latent = components[0].cov.dim, components[0].cov.latent_dim
     d = np.empty((dim, k_total))
-    d_mean = np.empty((dim, k_total), dtype=np.complex128)
-    wd_conj = np.empty((dim, k_total * latent), dtype=np.complex128)
-    mean_proj = np.empty((k_total, latent), dtype=np.complex128)
-    latent_cov = np.empty((k_total, latent, latent), dtype=np.complex128)
+    wd = np.empty((k_total, dim, latent), dtype=np.complex128)
+    chol = np.empty((k_total, latent, latent), dtype=np.complex128)
     logconst = np.empty(k_total)
-    eye = np.eye(latent, dtype=np.complex128)
     for k, comp in enumerate(components):
         f = factorize(comp.cov, sigma2, label=f"component {k}")
         d[:, k] = f.d
-        d_mean[:, k] = f.d * comp.mean.conj()
-        wd_conj[:, k * latent:(k + 1) * latent] = f.wd.conj()
-        mean_proj[k] = comp.mean @ f.wd.conj()
-        latent_cov[k] = cho_solve((f.chol, True), eye)
+        wd[k] = f.wd
+        chol[k] = f.chol
         logconst[k] = (
             math.log(comp.weight)
             - dim * LOG_PI
             - f.logdet
             - float((f.d * np.abs(comp.mean) ** 2).sum())
         )
-    return MixtureStack(d, d_mean, wd_conj, mean_proj, latent_cov, logconst)
+    means = np.stack([comp.mean for comp in components])
+    latent_root = np.linalg.inv(chol).conj().transpose(0, 2, 1)
+    dwr_conj = (wd @ latent_root).conj()
+    mean_proj = (means[:, None, :] @ dwr_conj)[:, 0]
+    dwr_conj = dwr_conj.transpose(1, 0, 2).reshape(dim, k_total * latent)
+    return MixtureStack(d, d * means.T.conj(), dwr_conj, mean_proj, latent_root, logconst)
 
 
 def mixture_logdens(
@@ -264,25 +277,23 @@ def mixture_logdens(
     """Weighted component log-densities ``log w_k + log N_C(y; mu_k, C_k + sigma2 I)``, (B, K).
 
     ``block`` holds B observations as rows and ``abs2`` their entrywise
-    squared magnitudes. The latent posterior means ``A_k W_k^H D_k (y - mu_k)``
-    are written to ``latent_out[:, k]``, which must have shape (B, K, L).
+    squared magnitudes. The whitened latent coordinates
+    ``q_k = R_k^H W_k^H D_k (y - mu_k)`` are written to ``latent_out[:, k]``,
+    which must have shape (B, K, L) with unit stride along L; the latent
+    posterior mean is R_k q_k.
 
     Every term is a batched product with the stacked factors: the diagonal part
     of the Mahalanobis term comes from the expansion
     |y-mu|^2 = |y|^2 - 2 Re(y conj(mu)) + |mu|^2, and the low-rank correction
-    p^H A p from the projected residual p = W^H D (y - mu) and its posterior mean.
+    p^H A_k p with p = W_k^H D_k (y - mu_k) is |q_k|^2, since A_k = R_k R_k^H.
     """
-    latent = stack.latent_cov.shape[1]
+    rows, (k_total, latent) = block.shape[0], stack.mean_proj.shape
     logdens = stack.logconst - abs2 @ stack.d
     logdens += 2.0 * (block @ stack.d_mean).real
-    proj = block @ stack.wd_conj
-    for k in range(stack.logconst.shape[0]):
-        p_k = proj[:, k * latent:(k + 1) * latent] - stack.mean_proj[k]
-        m_k = p_k @ stack.latent_cov[k].T
-        # p^H A p = Re(conj(p) . m) completes the low-rank quadratic term
-        logdens[:, k] += np.einsum("cl,cl->c", p_k.real, m_k.real)
-        logdens[:, k] += np.einsum("cl,cl->c", p_k.imag, m_k.imag)
-        latent_out[:, k] = m_k
+    proj = (block @ stack.dwr_conj).reshape(rows, k_total, latent)
+    np.subtract(proj, stack.mean_proj, out=latent_out)
+    flat = latent_out.view(np.float64)
+    logdens += np.einsum("bkl,bkl->bk", flat, flat)
     return logdens
 
 
@@ -326,3 +337,13 @@ def log_sum_exp(values: np.ndarray, axis: int | None = None) -> np.ndarray | flo
     if axis is None:
         return float(out.reshape(()))
     return np.squeeze(out, axis=axis)
+
+
+def responsibilities(logdens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior component probabilities of (B, K) log-densities, and the per-row
+    log-sum-exp; entries below RESP_FLOOR are set to exactly 0."""
+    lse = log_sum_exp(logdens, axis=1)
+    resp = np.exp(logdens - lse[:, None])
+    resp /= resp.sum(axis=1, keepdims=True)
+    resp[resp < RESP_FLOOR] = 0.0
+    return resp, lse

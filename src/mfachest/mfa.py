@@ -148,6 +148,14 @@ def _as_samples(dataset) -> np.ndarray:
     return samples
 
 
+def _check_components(n_components: int, count: int) -> None:
+    """Reject a component count K below 1 or above the sample count."""
+    if n_components < 1:
+        raise ValueError(f"n_components must be >= 1, got {n_components}")
+    if count < n_components:
+        raise ValueError(f"need at least K={n_components} samples, got {count}")
+
+
 def _psi_floor(samples: np.ndarray) -> float:
     return PSI_FLOOR_REL * float(np.mean(np.abs(samples) ** 2))
 
@@ -208,32 +216,39 @@ def _kmeans(samples: np.ndarray, k_total: int, rng: np.random.Generator) -> np.n
     """k-means++ seeding plus Lloyd iterations on complex vectors; returns labels.
 
     Lloyd runs on a subsample when the dataset is large; the final assignment
-    always covers all samples.
+    always covers all samples. Squared distances use the expansion
+    |x|^2 - 2 Re(x c^H) + |c|^2 with the cross term as one real product over
+    the interleaved real/imaginary parts: a GEMV per centre while seeding, a
+    GEMM per Lloyd step.
     """
     count = samples.shape[0]
     budget = max(_KMEANS_SUBSAMPLE, 10 * k_total)
-    if count > budget:
+    subsampled = count > budget
+    if subsampled:
         work = samples[rng.choice(count, size=budget, replace=False)]
     else:
-        work = samples
+        work = np.ascontiguousarray(samples)
     n_work = work.shape[0]
     energy = (np.abs(work) ** 2).sum(axis=1)
+    flat = work.view(np.float64)
+
+    def seed_dist(k: int) -> np.ndarray:
+        return np.maximum(_center_dist(flat, energy, centers[k:k + 1])[:, 0], 0.0)
 
     centers = np.empty((k_total, samples.shape[1]), dtype=np.complex128)
     centers[0] = work[rng.integers(n_work)]
-    d2 = (np.abs(work - centers[0]) ** 2).sum(axis=1)
+    d2 = seed_dist(0)
     for k in range(1, k_total):
         total = d2.sum()
         if total <= 0:
             centers[k] = work[rng.integers(n_work)]
             continue
         centers[k] = work[rng.choice(n_work, p=d2 / total)]
-        d2 = np.minimum(d2, (np.abs(work - centers[k]) ** 2).sum(axis=1))
+        d2 = np.minimum(d2, seed_dist(k))
 
     labels = np.zeros(n_work, dtype=np.intp)
     for _ in range(_KMEANS_ITER):
-        cross = work @ centers.conj().T
-        dist = energy[:, None] - 2.0 * cross.real + (np.abs(centers) ** 2).sum(axis=1)
+        dist = _center_dist(flat, energy, centers)
         new_labels = dist.argmin(axis=1)
         for k in range(k_total):
             mask = new_labels == k
@@ -248,12 +263,18 @@ def _kmeans(samples: np.ndarray, k_total: int, rng: np.random.Generator) -> np.n
             break
         labels = new_labels
 
-    if work is samples:
+    if not subsampled:
         return labels
-    cross = samples @ centers.conj().T
+    samples = np.ascontiguousarray(samples)
     full_energy = (np.abs(samples) ** 2).sum(axis=1)
-    dist = full_energy[:, None] - 2.0 * cross.real + (np.abs(centers) ** 2).sum(axis=1)
-    return dist.argmin(axis=1)
+    return _center_dist(samples.view(np.float64), full_energy, centers).argmin(axis=1)
+
+
+def _center_dist(flat: np.ndarray, energy: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """(T, K) squared distances |x|^2 - 2 Re(x c^H) + |c|^2 from rows x, given as
+    their interleaved real view ``flat`` and energies, to the complex centres."""
+    cross = flat @ centers.view(np.float64).T
+    return energy[:, None] - 2.0 * cross + (np.abs(centers) ** 2).sum(axis=1)
 
 
 def _init_components(
@@ -301,8 +322,6 @@ def _init_components(
 # EM driver
 # ---------------------------------------------------------------------------
 
-_EM_CHUNK = 8192
-
 
 def _em_iteration(
     samples: np.ndarray, abs2: np.ndarray, comps: list[MfaComponent]
@@ -310,8 +329,13 @@ def _em_iteration(
     """One fused E+M sweep over the data, chunked and stacked across components.
 
     The E-step is the stacked mixture kernel (``gaussians.mixture_logdens``),
-    which writes the latent posterior means straight into the regression
-    buffer; the M-step statistics are a few large matrix products, and the
+    which writes the whitened latent coordinates q_k straight into the
+    regression buffer. The sweep accumulates S_xq = sum_t r x [q; 1]^H and
+    S_qq = sum_t r [q; 1][q; 1]^H with a few large matrix products, and maps
+    them back once per component: the latent regressors are
+    z = [m; 1] = T_k [q; 1] with T_k = blockdiag(R_k, 1), so
+    S_xz = S_xq T_k^H and S_zz = T_k (S_qq + mass_k diag(I, 0)) T_k^H, the
+    identity block carrying the posterior covariance A_k = R_k R_k^H. The
     residual energies use the collapsed identity
     ``sum_t r E||x - W~ z~||^2 = sum_t r |x|^2 - Re diag(W~ S_xz^H)``,
     which equals the explicit residual form at the regression optimum.
@@ -326,16 +350,16 @@ def _em_iteration(
     width = latent + 1
     stack = gaussians.stack_mixture(comps, 0.0)
 
-    s_xz_flat = np.zeros((dim, k_total * width), dtype=np.complex128)
-    s_zz = np.zeros((k_total, width, width), dtype=np.complex128)
+    s_xq_flat = np.zeros((dim, k_total * width), dtype=np.complex128)
+    s_qq = np.zeros((k_total, width, width), dtype=np.complex128)
     r_abs2 = np.zeros((dim, k_total))
     masses = np.zeros(k_total)
     ll_sum = 0.0
     worst_val, worst_idx = np.inf, 0
 
-    chunk = max(256, min(_EM_CHUNK, 4_000_000 // (k_total * width)))
-    # Rows of aug are the augmented latent vectors [m_k; 1] of every component;
-    # the kernel fills the m_k blocks, the intercept column is set once.
+    chunk = stack.chunk_rows()
+    # Rows of aug are the augmented latent vectors [q_k; 1] of every component;
+    # the kernel fills the q_k blocks, the intercept column is set once.
     aug_big = np.empty((chunk, k_total * width), dtype=np.complex128)
     aug_big.reshape(chunk, k_total, width)[:, :, latent] = 1.0
     conj_big = np.empty_like(aug_big)
@@ -343,43 +367,41 @@ def _em_iteration(
         stop = min(start + chunk, count)
         block = samples[start:stop]
         size = stop - start
-        aug = aug_big[:size]
-        lat_means = aug.reshape(size, k_total, width)[:, :, :latent]
-        logdens = gaussians.mixture_logdens(stack, block, abs2[start:stop], lat_means)
+        aug = aug_big[:size].reshape(size, k_total, width)
+        logdens = gaussians.mixture_logdens(stack, block, abs2[start:stop], aug[:, :, :latent])
 
-        lse = log_sum_exp(logdens, axis=1)
+        resp, lse = gaussians.responsibilities(logdens)
         ll_sum += float(lse.sum())
         block_min = int(np.argmin(lse))
         if lse[block_min] < worst_val:
             worst_val = float(lse[block_min])
             worst_idx = start + block_min
-        resp = np.exp(logdens - lse[:, None])
-        resp /= resp.sum(axis=1, keepdims=True)
 
-        weighted = np.conjugate(aug, out=conj_big[:size])
-        weighted.reshape(size, k_total, width)[:] *= resp[:, :, None]
-        s_xz_flat += block.T @ weighted
-        for k in range(k_total):
-            cols = slice(k * width, (k + 1) * width)
-            s_zz[k] += aug[:, cols].T @ weighted[:, cols]
+        weighted = np.conjugate(aug, out=conj_big[:size].reshape(size, k_total, width))
+        weighted *= resp[:, :, None]
+        s_xq_flat += block.T @ weighted.reshape(size, k_total * width)
+        s_qq += np.matmul(aug.transpose(1, 2, 0), weighted.transpose(1, 0, 2))
         r_abs2 += abs2[start:stop].T @ resp
         masses += resp.sum(axis=0)
 
     loadings, means, per_entry = [], [], []
+    root = np.eye(width, dtype=np.complex128)
     for k in range(k_total):
-        s_xz = s_xz_flat[:, k * width:(k + 1) * width]
-        s_zz[k, :latent, :latent] += masses[k] * stack.latent_cov[k]
-        s_zz[k] = 0.5 * (s_zz[k] + s_zz[k].conj().T)
+        root[:latent, :latent] = stack.latent_root[k]
+        s_xz = s_xq_flat[:, k * width:(k + 1) * width] @ root.conj().T
+        s_qq[k, :latent, :latent] += masses[k] * np.eye(latent)
+        s_zz = root @ s_qq[k] @ root.conj().T
+        s_zz = 0.5 * (s_zz + s_zz.conj().T)
         # Ridge only on the latent block: rank deficiency lives there, and the
         # intercept row must stay exact so the mean update is the weighted mean.
-        trace_scale = max(float(np.trace(s_zz[k]).real) / width, np.finfo(float).tiny)
-        s_zz[k, :latent, :latent] += (RIDGE_REL * trace_scale) * np.eye(latent)
+        trace_scale = max(float(np.trace(s_zz).real) / width, np.finfo(float).tiny)
+        s_zz[:latent, :latent] += (RIDGE_REL * trace_scale) * np.eye(latent)
         if masses[k] == 0.0:
             # A mass that underflows to zero leaves the regression system
             # singular; the caller re-seeds the collapsed component.
             joint = np.zeros((dim, width), dtype=np.complex128)
         else:
-            joint = np.linalg.solve(s_zz[k], s_xz.conj().T).conj().T
+            joint = np.linalg.solve(s_zz, s_xz.conj().T).conj().T
         loadings.append(np.ascontiguousarray(joint[:, :latent]))
         means.append(np.ascontiguousarray(joint[:, latent]))
         per_entry.append(r_abs2[:, k] - np.einsum("nj,nj->n", joint, s_xz.conj()).real)
@@ -401,8 +423,7 @@ def fit_em(
     config = config or FitConfig()
     samples = _as_samples(dataset)
     count, dim = samples.shape
-    if count < n_components:
-        raise ValueError(f"need at least K={n_components} samples, got {count}")
+    _check_components(n_components, count)
     if not (1 <= latent_dim <= dim):
         raise ValueError("latent dimension must satisfy 1 <= L <= N")
 

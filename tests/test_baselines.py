@@ -454,6 +454,12 @@ class TestFitGmm:
         with pytest.raises(ValueError):
             fit_gmm(ChannelDataset(crandn(rng, 2, 4)), 3, "full")
 
+    @pytest.mark.parametrize("k_total", [0, -1])
+    def test_component_count_below_one_rejected(self, k_total):
+        rng = np.random.default_rng(106)
+        with pytest.raises(ValueError, match="n_components"):
+            fit_gmm(ChannelDataset(crandn(rng, 10, 4)), k_total, "full")
+
     @pytest.mark.parametrize("structure", ["full", "toeplitz", "circulant"])
     def test_reseed_collapsed(self, structure):
         # The third start component sits far from the data with a vanishing

@@ -98,6 +98,21 @@ class TestPipeline:
         assert "nmse" not in captured.out
         assert "snr_db" in captured.err
 
+    @pytest.mark.parametrize(
+        "command", [["fit-mfa", "--l", "1"], ["fit-gmm", "--structure", "full"]]
+    )
+    def test_zero_components_exit_2(self, tmp_path, capsys, command):
+        config_path = write_scenario_config(tmp_path)
+        data_path = tmp_path / "train.chd"
+        assert cli_main(["generate", "--config", str(config_path), "--t", "50", "--out", str(data_path)]) == 0
+        model_path = tmp_path / "model.bin"
+        code = cli_main(
+            [*command, "--data", str(data_path), "--k", "0", "--out", str(model_path)]
+        )
+        assert code == 2
+        assert "n_components" in capsys.readouterr().err
+        assert not model_path.exists()
+
     def test_singular_circulant_model_at_infinite_snr(self, tmp_path, capsys):
         model_path = tmp_path / "singular.gmm"
         save_gmm(

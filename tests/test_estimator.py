@@ -121,6 +121,19 @@ class TestNoisyResponsibilities:
         assert np.abs(resp.sum(axis=1) - 1.0).max() < 1e-12
 
 
+    def test_subnormal_responsibility_is_zero(self):
+        # Unit-variance scalar components at 0 and sqrt(720): at y = 0 the far
+        # one has posterior weight e^-720 = 2.03e-313, a subnormal number,
+        # which falls below the responsibility floor.
+        cov = LowRankCovariance(np.zeros((1, 1), complex), np.ones(1))
+        model = MfaModel(
+            (MfaComponent(0.5, np.zeros(1), cov), MfaComponent(0.5, np.full(1, np.sqrt(720.0)), cov))
+        )
+        resp = estimate(model, 0.0, np.zeros((1, 1), complex)).responsibilities
+        assert resp[0, 1] == 0.0
+        assert resp.sum(axis=1) == pytest.approx([1.0], abs=1e-15)
+
+
 class TestEstimate:
     def test_single_component_equals_lmmse(self):
         rng = np.random.default_rng(77)

@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from mfachest.gaussians import (
+    RESP_FLOOR,
     ConditioningError,
     LowRankCovariance,
     cgauss_logpdf,
     log_sum_exp,
     lowrank_logdet,
+    responsibilities,
     sample_component,
     woodbury_inverse,
 )
@@ -201,3 +205,26 @@ class TestLogSumExp:
         vals = np.log(np.array([[1.0, 3.0], [2.0, 2.0]]))
         got = log_sum_exp(vals, axis=1)
         assert np.allclose(got, np.log([4.0, 4.0]))
+
+
+@st.composite
+def log_densities(draw):
+    """(B, K) log-densities spread over 1500 nats, so that many rows hold
+    entries whose exponentials are subnormal or underflow to zero."""
+    shape = (draw(st.integers(1, 6)), draw(st.integers(1, 6)))
+    return draw(arrays(np.float64, shape, elements=st.floats(-1500.0, 50.0)))
+
+
+class TestResponsibilities:
+    @given(log_densities())
+    def test_floor_and_simplex(self, logdens):
+        resp, lse = responsibilities(logdens)
+        assert not np.any((resp > 0.0) & (resp < RESP_FLOOR))
+        assert np.abs(resp.sum(axis=1) - 1.0).max() <= 1e-12
+        assert np.all(resp.max(axis=1) >= (1.0 - 1e-12) / logdens.shape[1])
+        assert np.array_equal(lse, log_sum_exp(logdens, axis=1))
+        unfloored = np.exp(logdens - lse[:, None])
+        unfloored /= unfloored.sum(axis=1, keepdims=True)
+        kept = resp > 0.0
+        assert np.array_equal(kept, unfloored >= RESP_FLOOR)
+        assert np.allclose(resp[kept], unfloored[kept], rtol=1e-12, atol=0.0)

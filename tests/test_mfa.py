@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy.linalg import subspace_angles
 from scipy.optimize import linear_sum_assignment
 
@@ -10,6 +11,7 @@ from mfachest.gaussians import (
     sample_component,
     stack_mixture,
 )
+from mfachest import mfa
 from mfachest.mfa import (
     FitConfig,
     MfaComponent,
@@ -149,6 +151,12 @@ class TestFitSingleGaussian:
         with pytest.raises(ValueError):
             fit_em(ChannelDataset(data), 4, 1)
 
+    @pytest.mark.parametrize("k_total", [0, -1])
+    def test_component_count_below_one_rejected(self, k_total):
+        rng = np.random.default_rng(28)
+        with pytest.raises(ValueError, match="n_components"):
+            fit_em(ChannelDataset(crandn(rng, 10, 4)), k_total, 1)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_nonfinite_samples_rejected(self, bad):
         rng = np.random.default_rng(29)
@@ -202,7 +210,8 @@ class TestEStep:
         latent = np.full((10, 1, 2), np.nan, dtype=complex)
         mixture_logdens(stack, data, np.abs(data) ** 2, latent)
         assert np.abs(latent).max() == 0.0
-        assert np.allclose(stack.latent_cov[0], np.eye(2))
+        root = stack.latent_root[0]
+        assert np.allclose(root @ root.conj().T, np.eye(2))
 
     def test_rows_on_simplex(self):
         rng = np.random.default_rng(34)
@@ -330,6 +339,75 @@ class TestParameterCount:
     def test_bad_kind(self):
         with pytest.raises(ValueError):
             parameter_count("vae", 1, 4)
+
+
+def reference_kmeans(samples, k_total, rng, subsample):
+    """k-means++ seeding with elementwise distances |x - c|^2, then Lloyd with a
+    complex cross product: the formulas _kmeans replaces, same draw order."""
+    count = samples.shape[0]
+    budget = max(subsample, 10 * k_total)
+    if count > budget:
+        work = samples[rng.choice(count, size=budget, replace=False)]
+    else:
+        work = samples
+    n_work = work.shape[0]
+    energy = (np.abs(work) ** 2).sum(axis=1)
+    centers = np.empty((k_total, samples.shape[1]), dtype=np.complex128)
+    centers[0] = work[rng.integers(n_work)]
+    d2 = (np.abs(work - centers[0]) ** 2).sum(axis=1)
+    for k in range(1, k_total):
+        total = d2.sum()
+        if total <= 0:
+            centers[k] = work[rng.integers(n_work)]
+            continue
+        centers[k] = work[rng.choice(n_work, p=d2 / total)]
+        d2 = np.minimum(d2, (np.abs(work - centers[k]) ** 2).sum(axis=1))
+
+    labels = np.zeros(n_work, dtype=np.intp)
+    for _ in range(mfa._KMEANS_ITER):
+        cross = work @ centers.conj().T
+        dist = energy[:, None] - 2.0 * cross.real + (np.abs(centers) ** 2).sum(axis=1)
+        new_labels = dist.argmin(axis=1)
+        for k in range(k_total):
+            mask = new_labels == k
+            if mask.any():
+                centers[k] = work[mask].mean(axis=0)
+            else:
+                far = dist[np.arange(n_work), new_labels].argmax()
+                centers[k] = work[far]
+                new_labels[far] = k
+        if np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+    if work is samples:
+        return labels
+    cross = samples @ centers.conj().T
+    full_energy = (np.abs(samples) ** 2).sum(axis=1)
+    dist = full_energy[:, None] - 2.0 * cross.real + (np.abs(centers) ** 2).sum(axis=1)
+    return dist.argmin(axis=1)
+
+
+class TestKmeans:
+    @given(
+        st.integers(1, 8),
+        st.integers(1, 8),
+        st.integers(0, 200),
+        st.integers(1, 400),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_labels_match_elementwise_reference(self, k_total, dim, extra, subsample, seed):
+        # Rows are a strided view, as _as_samples may return; a subsample
+        # budget below T exercises the subsampled Lloyd and final assignment.
+        count = min(k_total + extra, 200)
+        data = crandn(np.random.default_rng(seed), count, 2 * dim)[:, ::2]
+        saved = mfa._KMEANS_SUBSAMPLE
+        mfa._KMEANS_SUBSAMPLE = subsample
+        try:
+            got = mfa._kmeans(data, k_total, np.random.default_rng(seed))
+        finally:
+            mfa._KMEANS_SUBSAMPLE = saved
+        want = reference_kmeans(data, k_total, np.random.default_rng(seed), subsample)
+        assert np.array_equal(got, want)
 
 
 class TestEmProperties:

@@ -1,12 +1,19 @@
-"""Property tests of the stacked mixture kernel against dense Cholesky oracles."""
+"""Property tests of the stacked mixture kernel and the EM sweep against dense oracles."""
 
 import numpy as np
 from hypothesis import given, strategies as st
 
 from mfachest.baselines import gmm_estimate, gmm_from_mfa
 from mfachest.estimator import estimate
-from mfachest.gaussians import LowRankCovariance
-from mfachest.mfa import MfaComponent, MfaModel, log_likelihood
+from mfachest.gaussians import LowRankCovariance, mixture_logdens, stack_mixture
+from mfachest.mfa import (
+    RIDGE_REL,
+    WEIGHT_FLOOR,
+    MfaComponent,
+    MfaModel,
+    _em_iteration,
+    log_likelihood,
+)
 
 
 def crandn(rng, *shape):
@@ -81,3 +88,138 @@ def test_log_likelihood_matches_dense_mixture_density(drawn):
     shift = logdens.max(axis=1)
     want = float(np.mean(np.log(np.exp(logdens - shift[:, None]).sum(axis=1)) + shift))
     assert abs(log_likelihood(model, y) - want) <= 1e-9 * max(1.0, abs(want))
+
+
+def reference_sweep(model, samples):
+    """The EM sweep with one dense pass per component and no responsibility floor.
+
+    Latent posterior means are A_k p_k with A_k = (I + W_k^H D_k W_k)^{-1} and
+    p_k = W_k^H D_k (y - mu_k); S_zz is summed per component and the posterior
+    covariance enters as masses_k A_k. Returns what ``_em_iteration`` returns,
+    then the latent means (T, K, L), the responsibilities and the weighted
+    energies sum_t r |x|^2 (N, K).
+    """
+    count, dim = samples.shape
+    k_total, latent = model.n_components, model.latent_dim
+    width = latent + 1
+    logdens = dense_logdens(model, 0.0, samples)
+    aug = np.ones((count, k_total, width), dtype=np.complex128)
+    latent_covs = []
+    for k, comp in enumerate(model.components):
+        wd = comp.cov.loading / comp.cov.diag_term[:, None]
+        a_k = np.linalg.inv(np.eye(latent) + comp.cov.loading.conj().T @ wd)
+        aug[:, k, :latent] = (samples - comp.mean) @ wd.conj() @ a_k.T
+        latent_covs.append(a_k)
+    shift = logdens.max(axis=1)
+    lse = np.log(np.exp(logdens - shift[:, None]).sum(axis=1)) + shift
+    resp = np.exp(logdens - lse[:, None])
+    resp /= resp.sum(axis=1, keepdims=True)
+    weighted = aug.conj() * resp[:, :, None]
+    masses = resp.sum(axis=0)
+    r_abs2 = (np.abs(samples) ** 2).T @ resp
+
+    loadings, means, per_entry = [], [], []
+    for k in range(k_total):
+        s_xz = samples.T @ weighted[:, k]
+        s_zz = aug[:, k].T @ weighted[:, k]
+        s_zz[:latent, :latent] += masses[k] * latent_covs[k]
+        s_zz = 0.5 * (s_zz + s_zz.conj().T)
+        trace_scale = max(float(np.trace(s_zz).real) / width, np.finfo(float).tiny)
+        s_zz[:latent, :latent] += (RIDGE_REL * trace_scale) * np.eye(latent)
+        if masses[k] == 0.0:
+            joint = np.zeros((dim, width), dtype=np.complex128)
+        else:
+            joint = np.linalg.solve(s_zz, s_xz.conj().T).conj().T
+        loadings.append(joint[:, :latent])
+        means.append(joint[:, latent])
+        per_entry.append(r_abs2[:, k] - np.einsum("nj,nj->n", joint, s_xz.conj()).real)
+    sweep = (float(lse.mean()), int(np.argmin(lse)), masses, loadings, means, per_entry)
+    return sweep, aug[:, :, :latent], resp, r_abs2
+
+
+def far_component_samples(model, rng, count):
+    """Samples from components 0..K-2 plus three from component K-1, whose mean is
+    moved along a random direction until its largest responsibility at the other
+    samples is about 1e-310 (log -713.8), so some responsibilities fall between
+    1e-320 and 1e-300. Returns the moved model and the samples."""
+    dim, latent = model.dim, model.latent_dim
+    weights = model.weights
+    main = model.means[rng.integers(model.n_components - 1, size=count - 3)]
+    main = main + rng.uniform(0.1, 1.0) * crandn(rng, count - 3, dim)
+    direction = crandn(rng, dim)
+    direction /= np.linalg.norm(direction)
+    # A broad component: at offset 0 it sits on a sample with a density that
+    # no other component beats by hundreds of nats.
+    cov = LowRankCovariance(0.5 * crandn(rng, dim, latent), np.ones(dim))
+    own = 0.3 * crandn(rng, 3, dim)
+
+    def moved(offset):
+        far = MfaComponent(weights[-1], main[0] + offset * direction, cov)
+        return MfaModel(model.components[:-1] + (far,))
+
+    def peak_log_resp(offset):
+        logdens = dense_logdens(moved(offset), 0.0, main)
+        shift = logdens.max(axis=1)
+        lse = np.log(np.exp(logdens - shift[:, None]).sum(axis=1)) + shift
+        return float((logdens[:, -1] - lse).max())
+
+    target = np.log(1e-310)
+    lo, hi = 0.0, 1.0
+    while peak_log_resp(hi) > target - 30.0:
+        hi *= 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if peak_log_resp(mid) > target:
+            lo = mid
+        else:
+            hi = mid
+        if abs(peak_log_resp(hi) - target) < 5.0:
+            break
+    far_model = moved(hi)
+    return far_model, np.concatenate([main, far_model.means[-1] + own])
+
+
+@st.composite
+def em_cases(draw):
+    """A random MFA and samples near it, T in [K, 40]. When K >= 2 one family
+    moves the last component far from the rest of the data (far_component_samples)."""
+    model, rng = draw(models())
+    count = draw(st.integers(model.n_components, 40))
+    if model.n_components >= 2 and count >= 4 and draw(st.booleans()):
+        model, samples = far_component_samples(model, rng, count)
+        return model, samples, True
+    picks = rng.integers(model.n_components, size=count)
+    samples = model.means[picks] + rng.uniform(0.1, 3.0) * crandn(rng, count, model.dim)
+    return model, samples, False
+
+
+@given(em_cases())
+def test_em_sweep_matches_per_component_reference(case):
+    model, samples, far = case
+    (ll, worst, masses, loadings, means, per_entry), latent_means, resp, r_abs2 = (
+        reference_sweep(model, samples)
+    )
+    if far:
+        assert np.any((resp > 1e-320) & (resp < 1e-300))
+
+    got = _em_iteration(samples, np.abs(samples) ** 2, list(model.components))
+    assert abs(got[0] - ll) <= 1e-9 * max(1.0, abs(ll))
+    assert got[1] == worst
+    assert np.abs(got[2] - masses).max() <= 1e-9 * masses.max()
+    # Components below the weight floor are re-seeded by the caller, so only
+    # the survivors' regressions are compared; the residual energies are
+    # measured against the weighted energy they are computed from.
+    for k in np.flatnonzero(masses >= WEIGHT_FLOOR * samples.shape[0]):
+        scale = max(np.abs(loadings[k]).max(), np.abs(means[k]).max())
+        assert np.abs(got[3][k] - loadings[k]).max() <= 1e-9 * scale
+        assert np.abs(got[4][k] - means[k]).max() <= 1e-9 * scale
+    energy = r_abs2.max()
+    for k in range(model.n_components):
+        assert np.abs(got[5][k] - per_entry[k]).max() <= 1e-9 * energy
+
+    # The kernel's whitened coordinates map back to the posterior means: R_k q_k = A_k p_k.
+    stack = stack_mixture(model.components, 0.0)
+    whitened = np.empty_like(latent_means)
+    mixture_logdens(stack, samples, np.abs(samples) ** 2, whitened)
+    mapped = np.einsum("kij,tkj->tki", stack.latent_root, whitened)
+    assert np.abs(mapped - latent_means).max() <= 1e-9 * max(1.0, np.abs(latent_means).max())
