@@ -28,20 +28,12 @@ from .bench import (
     run_latent_sweep,
     run_snr_sweep,
 )
-from .estimator import (
-    Estimate,
-    component_lmmse,
-    estimate,
-    gmm_cme_oracle,
-)
+from .estimator import Estimate, estimate
 from .gaussians import (
     ConditioningError,
     LowRankCovariance,
-    cgauss_logpdf,
     log_sum_exp,
-    lowrank_logdet,
     sample_component,
-    woodbury_inverse,
 )
 from .mfa import (
     FitConfig,

@@ -490,8 +490,6 @@ def _gmm_factor(model: GmmModel, sigma2: float) -> tuple[np.ndarray, np.ndarray,
                     "(use sigma2 > 0)"
                 ) from exc
         logdets = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2).real).sum(axis=1)
-        # numpy's inverse, not scipy's triangular solve: scipy's LAPACK runs its
-        # own BLAS thread pool, and switching pools measured slower.
         inverse = np.linalg.inv(chol)
         whitener = inverse.transpose(2, 0, 1).reshape(dim, -1)
         centres = (inverse @ model.means[:, :, None]).reshape(-1)

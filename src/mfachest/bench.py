@@ -76,6 +76,8 @@ class BenchSpec:
         object.__setattr__(self, "snr_grid_db", tuple(float(s) for s in self.snr_grid_db))
         if not self.snr_grid_db:
             raise ValueError("snr_grid_db must be nonempty")
+        if self.eval_count < 1 or self.train_count < 1:
+            raise ValueError("eval_count and train_count must be >= 1")
         names = [e.name for e in self.estimators]
         if len(set(names)) != len(names):
             raise ValueError("estimator names must be unique")
@@ -263,6 +265,20 @@ def run_snr_sweep(spec: BenchSpec) -> list[ReportRow]:
     return _sorted(rows)
 
 
+def _fixed_snr_sweep(spec: BenchSpec, shapes) -> list[ReportRow]:
+    """Refit every mfa entry at each (K, L) of ``shapes``, where None keeps the
+    entry's own value; other estimators get one row. The SNR is fixed to the
+    first entry of the spec grid."""
+    train, eval_ds = _load_data(spec)
+    snr = spec.snr_grid_db[0]
+    rows = []
+    for entry in spec.estimators:
+        for k, latent in (shapes if entry.kind == "mfa" else [(None, None)]):
+            f = _fit_entry(entry, train, spec, spec.scenario, k=k, l=latent)
+            rows.append(_eval_rows(f, entry.name, spec, train.num_samples, eval_ds, snr, 0))
+    return _sorted(rows)
+
+
 def run_latent_sweep(spec: BenchSpec, l_grid) -> list[ReportRow]:
     """Refit every mfa entry for each latent dimension; other estimators get one row.
 
@@ -271,18 +287,7 @@ def run_latent_sweep(spec: BenchSpec, l_grid) -> list[ReportRow]:
     l_grid = [int(x) for x in l_grid]
     if not l_grid:
         raise ValueError("l_grid must be nonempty")
-    train, eval_ds = _load_data(spec)
-    snr = spec.snr_grid_db[0]
-    rows = []
-    for entry in spec.estimators:
-        if entry.kind == "mfa":
-            for latent in l_grid:
-                f = _fit_entry(entry, train, spec, spec.scenario, l=latent)
-                rows.append(_eval_rows(f, entry.name, spec, train.num_samples, eval_ds, snr, 0))
-        else:
-            f = _fit_entry(entry, train, spec, spec.scenario)
-            rows.append(_eval_rows(f, entry.name, spec, train.num_samples, eval_ds, snr, 0))
-    return _sorted(rows)
+    return _fixed_snr_sweep(spec, [(None, latent) for latent in l_grid])
 
 
 def run_grid_sweep(spec: BenchSpec, k_grid, l_grid) -> list[ReportRow]:
@@ -291,19 +296,7 @@ def run_grid_sweep(spec: BenchSpec, k_grid, l_grid) -> list[ReportRow]:
     l_grid = [int(x) for x in l_grid]
     if not k_grid or not l_grid:
         raise ValueError("k_grid and l_grid must be nonempty")
-    train, eval_ds = _load_data(spec)
-    snr = spec.snr_grid_db[0]
-    rows = []
-    for entry in spec.estimators:
-        if entry.kind == "mfa":
-            for k in k_grid:
-                for latent in l_grid:
-                    f = _fit_entry(entry, train, spec, spec.scenario, k=k, l=latent)
-                    rows.append(_eval_rows(f, entry.name, spec, train.num_samples, eval_ds, snr, 0))
-        else:
-            f = _fit_entry(entry, train, spec, spec.scenario)
-            rows.append(_eval_rows(f, entry.name, spec, train.num_samples, eval_ds, snr, 0))
-    return _sorted(rows)
+    return _fixed_snr_sweep(spec, [(k, latent) for k in k_grid for latent in l_grid])
 
 
 # ---------------------------------------------------------------------------

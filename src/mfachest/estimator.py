@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gaussians import _check_sigma2, mixture_logdens, responsibilities, stack_mixture
-from .mfa import MfaComponent, MfaModel
+from .mfa import MfaModel
 
 
 @dataclass(frozen=True)
@@ -39,20 +39,6 @@ def _check_observation(y: np.ndarray, dim: int) -> tuple[np.ndarray, bool]:
     if not np.all(np.isfinite(batch)):
         raise ValueError("observation contains non-finite entries")
     return batch, single
-
-
-def component_lmmse(component: MfaComponent, sigma2: float, y: np.ndarray) -> np.ndarray:
-    """Per-component LMMSE estimate ``mean + C (C + sigma2 I)^{-1} (y - mean)``.
-
-    A dense reference: it solves with the materialized N x N matrix
-    ``C + sigma2 I`` and uses C (C + sigma2 I)^{-1} = I - sigma2 (C + sigma2 I)^{-1},
-    so sigma2 = 0 returns y exactly.
-    """
-    batch, single = _check_observation(y, component.cov.dim)
-    sigma2 = _check_sigma2(sigma2)
-    shifted = component.cov.dense(sigma2)
-    out = batch - sigma2 * np.linalg.solve(shifted, (batch - component.mean).T).T
-    return out[0] if single else out
 
 
 def estimate(model: MfaModel, sigma2: float, y: np.ndarray) -> Estimate:
@@ -90,20 +76,3 @@ def estimate(model: MfaModel, sigma2: float, y: np.ndarray) -> Estimate:
     if single:
         return Estimate(value[0], resp_out[0])
     return Estimate(value, resp_out)
-
-
-def gmm_cme_oracle(true_model, sigma2: float, y: np.ndarray) -> np.ndarray:
-    """Exact conditional-mean estimate when ``true_model`` is the generating prior.
-
-    For a mixture prior the conditional mean is exactly the responsibility-
-    weighted combination of per-component LMMSE filters, so this evaluates
-    that closed form with the true parameters. Accepts an MfaModel or a
-    baselines.GmmModel.
-    """
-    if isinstance(true_model, MfaModel):
-        return estimate(true_model, sigma2, y).value
-    from .baselines import GmmModel, gmm_estimate
-
-    if isinstance(true_model, GmmModel):
-        return gmm_estimate(true_model, sigma2, y)
-    raise TypeError("true_model must be an MfaModel or GmmModel")

@@ -2,10 +2,11 @@
 
 Covariances are kept in factored form ``C = loading @ loading^H + diag(diag_term)``,
 and every routine works through the small latent-dimension system instead of a
-dense N x N factorization: inversion uses the Woodbury identity, the
+dense N x N factorization: the inverse follows the Woodbury identity, the
 log-determinant the matrix determinant lemma, and densities never leave the
 log domain. A whole mixture is factored once per noise level into a
-``MixtureStack``, and ``mixture_logdens`` evaluates every component on a batch
+``MixtureStack``, with one batched Cholesky and inverse of its K latent L x L
+systems (``factorize``), and ``mixture_logdens`` evaluates every component on a batch
 of rows with a few stacked matrix products; EM, the likelihood and the MMSE
 estimator all run through that one kernel. The kernel works in whitened latent
 coordinates q_k = R_k^H W_k^H D_k (y - mu_k), with R_k R_k^H the latent
@@ -20,7 +21,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 LOG_PI = float(np.log(np.pi))
 
@@ -98,20 +98,6 @@ class LowRankCovariance:
         return 0.5 * (out + out.conj().T)
 
 
-class _CovFactors(NamedTuple):
-    """Shared Woodbury factorization of ``C + sigma2*I``.
-
-    d is the inverse of the diagonal part, wd = diag(d) @ loading, chol the lower
-    Cholesky factor of the latent system ``I + loading^H diag(d) loading``, and
-    logdet the log-determinant of the full covariance.
-    """
-
-    d: np.ndarray
-    wd: np.ndarray
-    chol: np.ndarray
-    logdet: float
-
-
 def _check_sigma2(sigma2: float) -> float:
     sigma2 = float(sigma2)
     if not np.isfinite(sigma2) or sigma2 < 0.0:
@@ -119,98 +105,50 @@ def _check_sigma2(sigma2: float) -> float:
     return sigma2
 
 
-def factorize(cov: LowRankCovariance, sigma2: float, label: str = "covariance") -> _CovFactors:
-    """Factor ``C + sigma2*I`` through the latent L x L system.
+def factorize(
+    loadings: np.ndarray, diag_terms: np.ndarray, sigma2: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Factor every ``C_k + sigma2 I`` through its latent L x L system, in one batch.
 
-    Raises ConditioningError (naming `label`) when that system is not positive
-    definite or its condition estimate exceeds COND_LIMIT.
+    ``loadings`` (K, N, L) holds W_k and ``diag_terms`` (K, N) the diagonal of
+    C_k. Returns D_k = 1 / (diag_k + sigma2) (K, N), R_k = L_k^{-H} for the
+    lower Cholesky factor L_k of ``I + W_k^H D_k W_k`` (K, L, L), and
+    log det(C_k + sigma2 I) (K,). Raises ConditioningError naming the first
+    component whose latent system is not positive definite (found one by one
+    once the batched Cholesky fails) or whose condition estimate exceeds
+    COND_LIMIT.
     """
     sigma2 = _check_sigma2(sigma2)
-    diag = cov.diag_term + sigma2
+    diag = diag_terms + sigma2
     if np.any(diag <= 0.0):
         raise ValueError("diag_term + sigma2 must be entrywise positive")
     d = 1.0 / diag
-    wd = cov.loading * d[:, None]
-    latent = cov.latent_dim
-    a_inv = np.eye(latent, dtype=np.complex128) + cov.loading.conj().T @ wd
-    a_inv = 0.5 * (a_inv + a_inv.conj().T)
+    latent = loadings.shape[2]
+    a_inv = np.eye(latent) + loadings.conj().transpose(0, 2, 1) @ (loadings * d[:, :, None])
+    a_inv = 0.5 * (a_inv + a_inv.conj().transpose(0, 2, 1))
+    try:
+        chol = np.linalg.cholesky(a_inv)
+    except np.linalg.LinAlgError:
+        for k, system in enumerate(a_inv):
+            try:
+                np.linalg.cholesky(system)
+            except np.linalg.LinAlgError as exc:
+                raise ConditioningError(
+                    f"latent system of component {k} is not positive definite"
+                ) from exc
+        raise
+    pivots = np.diagonal(chol, axis1=1, axis2=2).real
+    logdet = np.log(diag).sum(axis=1)
     if latent:
-        try:
-            chol = np.linalg.cholesky(a_inv)
-        except np.linalg.LinAlgError as exc:
+        cond_est = (pivots.max(axis=1) / pivots.min(axis=1)) ** 2
+        bad = np.flatnonzero(~np.isfinite(cond_est) | (cond_est > COND_LIMIT))
+        if bad.size:
             raise ConditioningError(
-                f"latent system of {label} is not positive definite"
-            ) from exc
-        pivots = chol.diagonal().real
-        cond_est = (pivots.max() / pivots.min()) ** 2
-        if not np.isfinite(cond_est) or cond_est > COND_LIMIT:
-            raise ConditioningError(
-                f"latent system of {label} is ill-conditioned "
-                f"(estimate {cond_est:.2e} > {COND_LIMIT:.0e})"
+                f"latent system of component {bad[0]} is ill-conditioned "
+                f"(estimate {cond_est[bad[0]]:.2e} > {COND_LIMIT:.0e})"
             )
-        logdet_latent = 2.0 * float(np.log(pivots).sum())
-    else:
-        chol = np.zeros((0, 0), dtype=np.complex128)
-        logdet_latent = 0.0
-    logdet = float(np.log(diag).sum()) + logdet_latent
-    return _CovFactors(d=d, wd=wd, chol=chol, logdet=logdet)
-
-
-def woodbury_inverse(cov: LowRankCovariance, sigma2: float) -> np.ndarray:
-    """Dense inverse of ``loading @ loading^H + diag(diag_term) + sigma2*I``.
-
-    Computed as ``D - D W A W^H D`` with diagonal ``D`` and the L x L capacitance
-    ``A = (I + W^H D W)^{-1}``; the result is exactly Hermitian.
-    """
-    f = factorize(cov, sigma2)
-    inv = np.diag(f.d).astype(np.complex128)
-    if cov.latent_dim:
-        # D W A W^H D == half^H half with half = chol^{-1} (W^H D).
-        half = solve_triangular(f.chol, f.wd.conj().T, lower=True, check_finite=False)
-        inv -= half.conj().T @ half
-    return 0.5 * (inv + inv.conj().T)
-
-
-def lowrank_logdet(cov: LowRankCovariance, sigma2: float) -> float:
-    """log det of ``loading @ loading^H + diag(diag_term) + sigma2*I``."""
-    return factorize(cov, sigma2).logdet
-
-
-def cgauss_logpdf(
-    x: np.ndarray,
-    mean: np.ndarray,
-    cov: LowRankCovariance,
-    sigma2: float = 0.0,
-) -> np.ndarray | float:
-    """Circularly-symmetric complex Gaussian log-density with covariance C + sigma2*I.
-
-    Accepts a single vector ``x`` of shape (N,) or a batch of shape (T, N);
-    returns a float or a length-T vector accordingly. The density convention is
-    ``pi^-N det(C)^-1 exp(-(x-mean)^H C^-1 (x-mean))`` and the evaluation stays
-    in the log domain throughout.
-    """
-    f = factorize(cov, sigma2)
-    x = np.asarray(x, dtype=np.complex128)
-    single = x.ndim == 1
-    xc = np.atleast_2d(x) - np.asarray(mean, dtype=np.complex128)
-    if xc.shape[1] != cov.dim:
-        raise ValueError("x/mean dimension does not match the covariance")
-    quad = _quad_form(xc, f)
-    out = -cov.dim * LOG_PI - f.logdet - quad
-    return float(out[0]) if single else out
-
-
-def _quad_form(xc: np.ndarray, f: _CovFactors) -> np.ndarray:
-    """Mahalanobis terms ``xc^H (C + sigma2 I)^{-1} xc`` for rows of xc."""
-    # einsum over the real/imag views: no (T, N)-sized temporaries or conj copies
-    quad = np.einsum("tn,tn,n->t", xc.real, xc.real, f.d)
-    quad += np.einsum("tn,tn,n->t", xc.imag, xc.imag, f.d)
-    if f.wd.shape[1]:
-        proj = xc @ f.wd.conj()  # rows are (W^H D xc)^T
-        half = solve_triangular(f.chol, proj.T, lower=True, check_finite=False)
-        quad -= np.einsum("lt,lt->t", half.real, half.real)
-        quad -= np.einsum("lt,lt->t", half.imag, half.imag)
-    return quad
+        logdet += 2.0 * np.log(pivots).sum(axis=1)
+    return d, np.linalg.inv(chol).conj().transpose(0, 2, 1), logdet
 
 
 class MixtureStack(NamedTuple):
@@ -242,32 +180,29 @@ class MixtureStack(NamedTuple):
 def stack_mixture(components, sigma2: float) -> MixtureStack:
     """Factor every ``(weight, mean, cov)`` component of a mixture at noise level sigma2.
 
-    Each component goes through ``factorize``, so the same sigma2 validation
-    and ConditioningError (naming the component) apply; the triangular
-    factors are then inverted in one batch.
+    The loadings and diagonals are stacked and go through one ``factorize``
+    call, a batched Cholesky and inverse of the K latent systems, so its sigma2
+    validation and ConditioningError (naming the component) apply; the
+    remaining factors are a few batched products.
     """
-    k_total = len(components)
-    dim, latent = components[0].cov.dim, components[0].cov.latent_dim
-    d = np.empty((dim, k_total))
-    wd = np.empty((k_total, dim, latent), dtype=np.complex128)
-    chol = np.empty((k_total, latent, latent), dtype=np.complex128)
-    logconst = np.empty(k_total)
-    for k, comp in enumerate(components):
-        f = factorize(comp.cov, sigma2, label=f"component {k}")
-        d[:, k] = f.d
-        wd[k] = f.wd
-        chol[k] = f.chol
-        logconst[k] = (
-            math.log(comp.weight)
-            - dim * LOG_PI
-            - f.logdet
-            - float((f.d * np.abs(comp.mean) ** 2).sum())
-        )
     means = np.stack([comp.mean for comp in components])
-    latent_root = np.linalg.inv(chol).conj().transpose(0, 2, 1)
-    dwr_conj = (wd @ latent_root).conj()
+    loadings = np.stack([comp.cov.loading for comp in components])
+    k_total, dim, latent = loadings.shape
+    d, latent_root, logdet = factorize(
+        loadings, np.stack([comp.cov.diag_term for comp in components]), sigma2
+    )
+    # math.log, not np.log: numpy's vectorized log differs from libm's in the
+    # last bit for a fraction of inputs, and the weights' logs set every density.
+    logconst = (
+        np.array([math.log(comp.weight) for comp in components])
+        - dim * LOG_PI
+        - logdet
+        - (d * np.abs(means) ** 2).sum(axis=1)
+    )
+    dwr_conj = ((loadings * d[:, :, None]) @ latent_root).conj()
     mean_proj = (means[:, None, :] @ dwr_conj)[:, 0]
     dwr_conj = dwr_conj.transpose(1, 0, 2).reshape(dim, k_total * latent)
+    d = np.ascontiguousarray(d.T)
     return MixtureStack(d, d * means.T.conj(), dwr_conj, mean_proj, latent_root, logconst)
 
 

@@ -105,7 +105,7 @@ class FitConfig:
     def __post_init__(self):
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if self.rel_tol <= 0:
+        if not self.rel_tol > 0:  # also rejects NaN
             raise ValueError("rel_tol must be > 0")
         if self.psi_mode not in PSI_MODES:
             raise ValueError(f"psi_mode must be one of {PSI_MODES}")
@@ -277,6 +277,17 @@ def _center_dist(flat: np.ndarray, energy: np.ndarray, centers: np.ndarray) -> n
     return energy[:, None] - 2.0 * cross + (np.abs(centers) ** 2).sum(axis=1)
 
 
+def _restart_factors(
+    rng: np.random.Generator, dim: int, latent: int, scale: float, floor: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Loading and diagonal of a component started from scratch: a small random
+    loading at 0.3 sqrt(scale) per entry and the diagonal max(scale, floor), for
+    the random init, a k-means cluster of fewer than two samples, and a
+    collapsed component's reseed."""
+    loading = 0.3 * np.sqrt(scale) * gaussians._std_cnormal(rng, (dim, latent))
+    return loading, np.full(dim, max(scale, floor))
+
+
 def _init_components(
     samples: np.ndarray, k_total: int, latent: int, config: FitConfig, rng: np.random.Generator
 ) -> list[MfaComponent]:
@@ -288,11 +299,8 @@ def _init_components(
         picks = rng.choice(count, size=k_total, replace=False)
         comps = []
         for k in range(k_total):
-            loading = 0.3 * np.sqrt(scale) * gaussians._std_cnormal(rng, (dim, latent))
-            psi = np.full(dim, max(scale, floor))
-            comps.append(
-                MfaComponent(1.0 / k_total, samples[picks[k]], LowRankCovariance(loading, psi))
-            )
+            cov = LowRankCovariance(*_restart_factors(rng, dim, latent, scale, floor))
+            comps.append(MfaComponent(1.0 / k_total, samples[picks[k]], cov))
         return comps
 
     labels = _kmeans(samples, k_total, rng)
@@ -301,9 +309,8 @@ def _init_components(
         cluster = samples[labels == k]
         if cluster.shape[0] < 2:
             mean = cluster[0] if cluster.shape[0] else samples[rng.integers(count)]
-            loading = 0.3 * np.sqrt(scale) * gaussians._std_cnormal(rng, (dim, latent))
-            psi = np.full(dim, max(scale, floor))
-            comps.append(MfaComponent(1.0 / k_total, mean, LowRankCovariance(loading, psi)))
+            cov = LowRankCovariance(*_restart_factors(rng, dim, latent, scale, floor))
+            comps.append(MfaComponent(1.0 / k_total, mean, cov))
             continue
         mean = cluster.mean(axis=0)
         centered = cluster - mean
@@ -500,8 +507,7 @@ def _em_update(
     weights, collapsed = _mixture_weights(masses, count)
     for k in collapsed:
         means[k] = samples[worst].copy()
-        loadings[k] = 0.3 * np.sqrt(scale) * gaussians._std_cnormal(rng, (dim, latent))
-        psis[k] = np.full(dim, max(scale, floor))
+        loadings[k], psis[k] = _restart_factors(rng, dim, latent, scale, floor)
     updated = [
         MfaComponent(weights[k], means[k], LowRankCovariance(loadings[k], psis[k]))
         for k in range(k_total)

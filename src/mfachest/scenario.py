@@ -9,7 +9,7 @@ urban-micro channels, not a calibrated reproduction of any campaign.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -219,8 +219,3 @@ def read_dataset(path) -> ChannelDataset:
     samples = reader.complex_array(count * dim, "samples").reshape(count, dim)
     reader.expect_eof()
     return ChannelDataset(samples, normalization=normalization, seed=None)
-
-
-def with_samples(dataset: ChannelDataset, samples: np.ndarray) -> ChannelDataset:
-    """Copy of the dataset with replaced sample matrix (metadata preserved)."""
-    return replace(dataset, samples=samples)

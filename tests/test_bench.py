@@ -50,6 +50,11 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             small_spec([EstimatorSpec("ls")], snr_grid_db=())
 
+    @pytest.mark.parametrize("field", ["eval_count", "train_count"])
+    def test_counts_at_least_one(self, field):
+        with pytest.raises(ValueError, match=field):
+            small_spec([EstimatorSpec("ls")], **{field: 0})
+
     def test_from_dict(self):
         spec = bench_spec_from_dict(
             {

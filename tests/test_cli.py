@@ -153,6 +153,19 @@ class TestPipeline:
         assert "stopped" not in out
         assert re.search(r"avg log-likelihood \S+, \d+\.\d{3} s per iteration", out)
 
+    def test_nan_tolerance_exit_2(self, tmp_path, capsys):
+        rng = np.random.default_rng(6)
+        data_path = tmp_path / "train.chd"
+        write_dataset(data_path, ChannelDataset(rng.standard_normal((40, 4)) + 0j))
+        model_path = tmp_path / "model.mfa"
+        code = cli_main(
+            ["fit-mfa", "--data", str(data_path), "--k", "2", "--l", "1", "--tol", "nan",
+             "--out", str(model_path)]
+        )
+        assert code == 2
+        assert "rel_tol" in capsys.readouterr().err
+        assert not model_path.exists()
+
     def test_missing_data_file(self, capsys):
         code = cli_main(
             ["fit-mfa", "--data", "/nope.chd", "--k", "2", "--l", "1", "--out", "/tmp/x.mfa"]
@@ -209,6 +222,16 @@ class TestBenchCommands:
         assert code == 0
         lines = capsys.readouterr().out.strip().split("\n")
         assert len(lines) == 3
+
+    def test_bench_snr_empty_eval_set_exit_2(self, tmp_path, capsys):
+        spec_path = self.make_spec(tmp_path, [{"kind": "ls"}])
+        spec = json.loads(spec_path.read_text())
+        spec_path.write_text(json.dumps({**spec, "eval_count": 0}))
+        code = cli_main(["bench-snr", "--spec", str(spec_path)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "nmse" not in captured.out
+        assert "eval_count" in captured.err
 
     def test_bad_grid_argument(self, tmp_path, capsys):
         spec_path = self.make_spec(tmp_path, [])

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from scipy.optimize import nnls
 
-from mfachest.estimator import component_lmmse, estimate, gmm_cme_oracle
-from mfachest.gaussians import LowRankCovariance, cgauss_logpdf, woodbury_inverse
-from mfachest.mfa import MfaComponent, MfaModel, sample
+from mfachest.estimator import estimate
+from mfachest.gaussians import LowRankCovariance
+from mfachest.mfa import MfaComponent, MfaModel, log_likelihood, sample
+from test_mixture_kernel import dense_logdens
 
 
 def crandn(rng, *shape):
@@ -51,12 +52,21 @@ def quadrature_cme(weights, means, variances, sigma2, y, order=80):
     return numerator / denominator
 
 
+def dense_lmmse(component, sigma2, y):
+    """Per-component LMMSE estimate ``mean + C (C + sigma2 I)^{-1} (y - mean)`` by a
+    dense solve, written as y - sigma2 (C + sigma2 I)^{-1} (y - mean)."""
+    shifted = component.cov.dense(sigma2)
+    return y - sigma2 * np.linalg.solve(shifted, (y - component.mean).T).T
+
+
 class TestComponentLmmse:
+    """estimate() on a one-component model is that component's LMMSE filter."""
+
     def test_zero_noise_is_identity(self):
         rng = np.random.default_rng(70)
         model = make_model(rng, 1, 6, 2)
         y = crandn(rng, 6)
-        out = component_lmmse(model.components[0], 0.0, y)
+        out = estimate(model, 0.0, y).value
         assert np.array_equal(out, y)
 
     def test_huge_noise_returns_mean(self):
@@ -64,7 +74,7 @@ class TestComponentLmmse:
         model = make_model(rng, 1, 6, 2)
         comp = model.components[0]
         y = crandn(rng, 6)
-        out = component_lmmse(comp, 1e12, y)
+        out = estimate(model, 1e12, y).value
         assert np.abs(out - comp.mean).max() < 1e-6 * np.abs(comp.mean).max()
 
     def test_scalar_half_gain(self):
@@ -73,7 +83,7 @@ class TestComponentLmmse:
             np.zeros(1, complex),
             LowRankCovariance(np.zeros((1, 1), complex), np.ones(1)),
         )
-        out = component_lmmse(comp, 1.0, np.array([2.0 + 0j]))
+        out = estimate(MfaModel((comp,)), 1.0, np.array([2.0 + 0j])).value
         assert out[0] == pytest.approx(1.0 + 0j, abs=1e-14)
 
     def test_rejects_nonfinite(self):
@@ -82,7 +92,7 @@ class TestComponentLmmse:
         y = np.zeros(4, complex)
         y[2] = np.inf
         with pytest.raises(ValueError):
-            component_lmmse(model.components[0], 1.0, y)
+            estimate(model, 1.0, y)
 
 
 class TestNoisyResponsibilities:
@@ -140,7 +150,7 @@ class TestEstimate:
         model = make_model(rng, 1, 6, 2)
         y = crandn(rng, 6)
         got = estimate(model, 0.7, y)
-        ref = component_lmmse(model.components[0], 0.7, y)
+        ref = dense_lmmse(model.components[0], 0.7, y)
         assert np.abs(got.value - ref).max() < 1e-12
         assert got.responsibilities == pytest.approx([1.0])
 
@@ -181,7 +191,7 @@ class TestEstimate:
             y = crandn(rng, 5)
             got = estimate(model, sigma2, y)
             points = np.stack(
-                [component_lmmse(c, sigma2, y) for c in model.components]
+                [dense_lmmse(c, sigma2, y) for c in model.components]
             )  # (K, N)
             # membership: nonnegative weights summing to 1 reproducing the estimate
             stacked = np.concatenate(
@@ -193,16 +203,11 @@ class TestEstimate:
 
 
 def dense_estimate(model, sigma2, y):
-    """Responsibility-weighted per-component LMMSE with dense inverses, as an oracle."""
-    logdens = np.stack(
-        [np.log(c.weight) + cgauss_logpdf(y, c.mean, c.cov, sigma2) for c in model.components],
-        axis=1,
-    )
+    """Responsibility-weighted per-component LMMSE with dense solves, as an oracle."""
+    logdens = dense_logdens(model, sigma2, y)
     resp = np.exp(logdens - logdens.max(axis=1, keepdims=True))
     resp /= resp.sum(axis=1, keepdims=True)
-    filtered = np.stack(
-        [y - sigma2 * (y - c.mean) @ woodbury_inverse(c.cov, sigma2).T for c in model.components]
-    )
+    filtered = np.stack([dense_lmmse(c, sigma2, y) for c in model.components])
     return np.einsum("kbn,bk->bn", filtered, resp), resp
 
 
@@ -219,6 +224,32 @@ class TestFilterBank:
         value, resp = dense_estimate(model, sigma2, y)
         assert np.abs(got.value - value).max() < 1e-12 * np.abs(value).max()
         assert np.abs(got.responsibilities - resp).max() < 1e-12
+
+    def test_paper_size_matches_direct(self):
+        # N=64, L=32: the dense solves themselves carry errors near 2e-13 here.
+        rng = np.random.default_rng(88)
+        model = make_model(rng, 3, 64, 32, sep=0.3)
+        y = model.means[rng.integers(3, size=200)] + 3.0 * crandn(rng, 200, 64)
+        got = estimate(model, 0.5, y)
+        value, resp = dense_estimate(model, 0.5, y)
+        assert np.abs(got.value - value).max() < 1e-11 * np.abs(value).max()
+        assert np.abs(got.responsibilities - resp).max() < 1e-11
+
+    def test_zero_latent_dimension(self):
+        # L=0 is a mixture of diagonal Gaussians; MFA1 files may hold one.
+        rng = np.random.default_rng(83)
+        covs = [LowRankCovariance(np.zeros((6, 0)), rng.uniform(0.3, 2.0, 6)) for _ in range(2)]
+        model = MfaModel((MfaComponent(0.3, crandn(rng, 6), covs[0]),
+                          MfaComponent(0.7, crandn(rng, 6), covs[1])))
+        y = 2.0 * crandn(rng, 50, 6)
+        got = estimate(model, 0.4, y)
+        value, resp = dense_estimate(model, 0.4, y)
+        assert np.abs(got.value - value).max() < 1e-12 * np.abs(value).max()
+        assert np.abs(got.responsibilities - resp).max() < 1e-12
+        logdens = dense_logdens(model, 0.0, y)
+        shift = logdens.max(axis=1)
+        want = float(np.mean(np.log(np.exp(logdens - shift[:, None]).sum(axis=1)) + shift))
+        assert log_likelihood(model, y) == pytest.approx(want, rel=1e-12)
 
     def test_single_component_identity_cov(self):
         comp = MfaComponent(
@@ -241,12 +272,12 @@ class TestFilterBank:
         rng = np.random.default_rng(84)
         model = make_model(rng, 1, 5, 2)
         comp = model.components[0]
-        gain = np.eye(5) - 0.8 * woodbury_inverse(comp.cov, 0.8)
+        gain = np.eye(5) - 0.8 * np.linalg.inv(comp.cov.dense(0.8))
         bias = comp.mean - gain @ comp.mean
         y = crandn(rng, 5)
         got = estimate(model, 0.8, y)
         assert np.abs(got.value - (gain @ y + bias)).max() < 1e-12
-        assert np.abs(got.value - component_lmmse(comp, 0.8, y)).max() < 1e-12
+        assert np.abs(got.value - dense_lmmse(comp, 0.8, y)).max() < 1e-12
 
     def test_zero_input_zero_mean(self):
         rng = np.random.default_rng(85)
@@ -262,6 +293,8 @@ class TestFilterBank:
 
 
 class TestCmeOracle:
+    """estimate() under the generating prior is the exact conditional mean."""
+
     def test_gaussian_prior_trace_formula(self):
         # Monte-Carlo MSE of the K=1 oracle matches (1/N) tr(C - C (C + s I)^-1 C).
         rng = np.random.default_rng(87)
@@ -275,7 +308,7 @@ class TestCmeOracle:
 
         draws = sample(model, 40_000, np.random.default_rng(88)).samples
         noise = crandn(np.random.default_rng(89), 40_000, 6) * np.sqrt(sigma2)
-        got_est = gmm_cme_oracle(model, sigma2, draws + noise)
+        got_est = estimate(model, sigma2, draws + noise).value
         mse = float(np.mean(np.abs(got_est - draws) ** 2) * 6 / 6)
         assert mse == pytest.approx(want, rel=0.02)
 
@@ -289,7 +322,7 @@ class TestCmeOracle:
         sigma2 = 0.4
         variances = [0.25 + 0.3, 0.49 + 0.2]
         for y in [0.2 + 0.3j, -0.9 - 0.4j, 1.4 + 0j]:
-            got = gmm_cme_oracle(model, sigma2, np.array([y]))[0]
+            got = estimate(model, sigma2, np.array([y])).value[0]
             want = quadrature_cme([0.5, 0.5], [1.5, -1.5], variances, sigma2, y)
             assert abs(got - want) < 1e-6
 
@@ -297,8 +330,4 @@ class TestCmeOracle:
         rng = np.random.default_rng(90)
         model = make_model(rng, 2, 4, 1)
         y = crandn(rng, 4)
-        assert np.abs(gmm_cme_oracle(model, 0.0, y) - y).max() < 1e-12
-
-    def test_rejects_unknown_model(self):
-        with pytest.raises(TypeError):
-            gmm_cme_oracle(object(), 0.1, np.zeros(2, complex))
+        assert np.abs(estimate(model, 0.0, y).value - y).max() < 1e-12

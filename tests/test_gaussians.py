@@ -4,16 +4,18 @@ from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from mfachest.gaussians import (
+    LOG_PI,
     RESP_FLOOR,
     ConditioningError,
     LowRankCovariance,
-    cgauss_logpdf,
     log_sum_exp,
-    lowrank_logdet,
+    mixture_logdens,
     responsibilities,
     sample_component,
-    woodbury_inverse,
+    stack_mixture,
 )
+from mfachest.mfa import MfaComponent, MfaModel
+from test_mixture_kernel import dense_logdens
 
 
 def crandn(rng, *shape):
@@ -25,9 +27,32 @@ def random_cov(rng, dim, latent, psi_lo=0.3, psi_hi=2.0):
     return LowRankCovariance(loading, rng.uniform(psi_lo, psi_hi, dim))
 
 
-def dense_cov(cov, sigma2=0.0):
-    w = cov.loading
-    return w @ w.conj().T + np.diag(cov.diag_term + sigma2)
+def single(cov, mean=None):
+    """A one-component mixture with weight 1 and, by default, zero mean."""
+    mean = np.zeros(cov.dim, complex) if mean is None else mean
+    return [MfaComponent(1.0, mean, cov)]
+
+
+def stack_inverse(cov, sigma2):
+    """(C + sigma2 I)^{-1} read off the stacked factors: D - (D W R)(D W R)^H."""
+    stack = stack_mixture(single(cov), sigma2)
+    dwr = stack.dwr_conj.conj()
+    return np.diag(stack.d[:, 0]) - dwr @ dwr.conj().T
+
+
+def stack_logdet(cov, sigma2):
+    """log det(C + sigma2 I) from the logconst of a weight-1, zero-mean stack."""
+    return -cov.dim * LOG_PI - stack_mixture(single(cov), sigma2).logconst[0]
+
+
+def logpdf(x, mean, cov, sigma2=0.0):
+    """Complex Gaussian log-density from the mixture kernel with K=1 and weight 1."""
+    x = np.asarray(x, dtype=np.complex128)
+    rows = np.atleast_2d(x)
+    latent = np.empty((rows.shape[0], 1, cov.latent_dim), dtype=np.complex128)
+    stack = stack_mixture(single(cov, mean), sigma2)
+    out = mixture_logdens(stack, rows, np.abs(rows) ** 2, latent)
+    return float(out[0, 0]) if x.ndim == 1 else out[:, 0]
 
 
 class TestLowRankCovariance:
@@ -47,22 +72,24 @@ class TestLowRankCovariance:
 
 
 class TestWoodburyInverse:
+    """The inverse (C + sigma2 I)^{-1} = D - D W A W^H D held by the stacked factors."""
+
     def test_zero_loading_is_diagonal(self):
         cov = LowRankCovariance(np.zeros((4, 2), complex), np.full(4, 0.5))
-        inv = woodbury_inverse(cov, 1.5)
+        inv = stack_inverse(cov, 1.5)
         assert np.allclose(inv, np.eye(4) / 2.0, atol=1e-14)
 
     def test_two_by_two_hand_case(self):
         # W = [1; 0], Psi = I, sigma2 = 1 -> C = diag(3, 2)
         cov = LowRankCovariance(np.array([[1.0], [0.0]], complex), np.ones(2))
-        inv = woodbury_inverse(cov, 1.0)
+        inv = stack_inverse(cov, 1.0)
         assert np.allclose(inv, np.diag([1 / 3, 1 / 2]), atol=1e-14)
 
     def test_matches_dense_inverse(self):
         rng = np.random.default_rng(11)
         cov = random_cov(rng, 8, 3)
-        inv = woodbury_inverse(cov, 0.4)
-        oracle = np.linalg.inv(dense_cov(cov, 0.4))
+        inv = stack_inverse(cov, 0.4)
+        oracle = np.linalg.inv(cov.dense(0.4))
         assert np.abs(inv - oracle).max() < 1e-10
 
     def test_hermitian_and_identity_product(self):
@@ -70,53 +97,70 @@ class TestWoodburyInverse:
         for dim, latent in [(5, 1), (16, 8), (64, 32)]:
             cov = random_cov(rng, dim, latent)
             sigma2 = rng.uniform(0.01, 2.0)
-            inv = woodbury_inverse(cov, sigma2)
+            inv = stack_inverse(cov, sigma2)
             assert np.abs(inv - inv.conj().T).max() <= 1e-12 * np.abs(inv).max()
-            resid = inv @ dense_cov(cov, sigma2) - np.eye(dim)
+            resid = inv @ cov.dense(sigma2) - np.eye(dim)
             assert np.linalg.norm(resid, 2) < 1e-9
 
     def test_conditioning_error(self):
-        # Huge loading over a tiny diagonal drives the latent system singular.
-        loading = 1e12 * np.ones((4, 2), complex)
-        cov = LowRankCovariance(loading, np.full(4, 1e-12))
-        with pytest.raises(ConditioningError):
-            woodbury_inverse(cov, 0.0)
+        # Huge loading over a tiny diagonal drives the latent system of
+        # component 1 singular; the error names that component.
+        good = LowRankCovariance(np.ones((4, 2), complex), np.ones(4))
+        bad = LowRankCovariance(1e12 * np.ones((4, 2), complex), np.full(4, 1e-12))
+        comps = [MfaComponent(0.5, np.zeros(4), good), MfaComponent(0.5, np.zeros(4), bad)]
+        with pytest.raises(ConditioningError, match="component 1 is not positive definite"):
+            stack_mixture(comps, 0.0)
+
+    def test_ill_conditioned_component_named(self):
+        # Latent system diag(1 + 1e14, 1): positive definite, condition estimate 1e14.
+        loading = np.zeros((3, 2), complex)
+        loading[0, 0] = 1e7
+        good = LowRankCovariance(np.ones((3, 2), complex), np.ones(3))
+        bad = LowRankCovariance(loading, np.ones(3))
+        comps = [MfaComponent(0.5, np.zeros(3), good), MfaComponent(0.5, np.zeros(3), bad)]
+        message = r"component 1 is ill-conditioned \(estimate 1\.00e\+14"
+        with pytest.raises(ConditioningError, match=message):
+            stack_mixture(comps, 0.0)
 
     def test_requires_positive_shifted_diag(self):
         cov = LowRankCovariance(np.zeros((2, 1), complex), np.ones(2))
         with pytest.raises(ValueError):
-            woodbury_inverse(cov, -2.0)
+            stack_mixture(single(cov), -2.0)
 
 
 class TestLowrankLogdet:
+    """log det(C + sigma2 I) by the determinant lemma, read off the stack's logconst."""
+
     def test_identity(self):
         cov = LowRankCovariance(np.zeros((5, 2), complex), np.ones(5))
-        assert lowrank_logdet(cov, 0.0) == pytest.approx(0.0, abs=1e-14)
+        assert stack_logdet(cov, 0.0) == pytest.approx(0.0, abs=1e-14)
 
     def test_two_by_two_hand_case(self):
         cov = LowRankCovariance(np.array([[1.0], [0.0]], complex), np.ones(2))
-        assert lowrank_logdet(cov, 1.0) == pytest.approx(np.log(6.0), abs=1e-14)
+        assert stack_logdet(cov, 1.0) == pytest.approx(np.log(6.0), abs=1e-14)
 
     def test_matches_dense(self):
         rng = np.random.default_rng(13)
         for _ in range(10):
             cov = random_cov(rng, 8, 3)
             sigma2 = rng.uniform(0.0, 1.0)
-            oracle = np.linalg.slogdet(dense_cov(cov, sigma2))[1]
-            assert lowrank_logdet(cov, sigma2) == pytest.approx(oracle, abs=1e-10)
+            oracle = np.linalg.slogdet(cov.dense(sigma2))[1]
+            assert stack_logdet(cov, sigma2) == pytest.approx(oracle, abs=1e-10)
 
 
 class TestCgaussLogpdf:
+    """The mixture kernel's log-density at K=1 and weight 1."""
+
     def test_at_mean_identity_cov(self):
         dim = 6
         cov = LowRankCovariance(np.zeros((dim, 1), complex), np.ones(dim))
         mean = np.arange(dim) + 1j * np.ones(dim)
-        val = cgauss_logpdf(mean, mean, cov, 0.0)
+        val = logpdf(mean, mean, cov, 0.0)
         assert val == pytest.approx(-dim * np.log(np.pi), abs=1e-12)
 
     def test_scalar_case(self):
         cov = LowRankCovariance(np.zeros((1, 1), complex), np.ones(1))
-        val = cgauss_logpdf(np.array([1.0 + 0j]), np.array([0.0 + 0j]), cov, 0.0)
+        val = logpdf(np.array([1.0 + 0j]), np.array([0.0 + 0j]), cov, 0.0)
         assert val == pytest.approx(-np.log(np.pi) - 1.0, abs=1e-12)
 
     def test_matches_dense_oracle(self):
@@ -124,16 +168,8 @@ class TestCgaussLogpdf:
         cov = random_cov(rng, 8, 3)
         mean = crandn(rng, 8)
         x = crandn(rng, 20, 8) + mean
-        dense = dense_cov(cov, 0.3)
-        # independent dense evaluation
-        chol = np.linalg.cholesky(dense)
-        half = np.linalg.solve(chol, (x - mean).T)
-        oracle = (
-            -8 * np.log(np.pi)
-            - 2 * np.log(chol.diagonal().real).sum()
-            - (np.abs(half) ** 2).sum(axis=0)
-        )
-        got = cgauss_logpdf(x, mean, cov, 0.3)
+        oracle = dense_logdens(MfaModel(tuple(single(cov, mean))), 0.3, x)[:, 0]
+        got = logpdf(x, mean, cov, 0.3)
         assert np.abs(got - oracle).max() < 1e-9
 
     def test_integrates_to_one_importance(self):
@@ -144,14 +180,9 @@ class TestCgaussLogpdf:
         prop_var = 6.0
         draws = crandn(rng, 200_000, 2) * np.sqrt(prop_var) + mean
         log_q = -2 * np.log(np.pi * prop_var) - (np.abs(draws - mean) ** 2).sum(1) / prop_var
-        log_p = cgauss_logpdf(draws, mean, cov, 0.0)
+        log_p = logpdf(draws, mean, cov, 0.0)
         mass = np.mean(np.exp(log_p - log_q))
         assert mass == pytest.approx(1.0, rel=0.02)
-
-    def test_dimension_mismatch(self):
-        cov = LowRankCovariance(np.zeros((3, 1), complex), np.ones(3))
-        with pytest.raises(ValueError):
-            cgauss_logpdf(np.zeros(4, complex), np.zeros(3, complex), cov, 0.0)
 
 
 class TestSampleComponent:
@@ -169,7 +200,7 @@ class TestSampleComponent:
         draws = sample_component(mean, cov, np.random.default_rng(17), size=n)
         centered = draws - draws.mean(axis=0)
         emp = centered.T @ centered.conj() / n
-        target = dense_cov(cov)
+        target = cov.dense()
         # entrywise standard error of a complex covariance estimate
         scale = np.sqrt(np.outer(target.diagonal().real, target.diagonal().real) / n)
         assert np.all(np.abs(emp - target) < 3.5 * scale + 1e-12)

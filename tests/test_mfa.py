@@ -167,6 +167,11 @@ class TestFitSingleGaussian:
         with pytest.raises(ValueError, match="non-finite"):
             log_likelihood(make_model(rng, 2, 4, 1), data)
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-6, float("nan")])
+    def test_nonpositive_or_nan_tolerance_rejected(self, tol):
+        with pytest.raises(ValueError, match="rel_tol"):
+            FitConfig(rel_tol=tol)
+
     def test_bad_latent_dim_rejected(self):
         rng = np.random.default_rng(28)
         data = crandn(rng, 10, 4)
