@@ -31,14 +31,12 @@ from .bench import (
 from .estimator import Estimate, estimate
 from .gaussians import (
     ConditioningError,
-    LowRankCovariance,
     log_sum_exp,
     sample_component,
 )
 from .mfa import (
     FitConfig,
     FitTrace,
-    MfaComponent,
     MfaModel,
     fit_em,
     load_model,

@@ -1,7 +1,14 @@
-"""Little-endian binary container helpers shared by the dataset and model file formats."""
+"""Little-endian binary container helpers shared by the dataset and model file formats.
+
+The model formats store their K components as K fixed-size records, which
+``ByteReader.records`` and ``ByteWriter.records`` move as one numpy
+structured array. A record layout is a list of ``(name, dtype, shape)``
+fields, e.g. ``[("weight", "<f8", ()), ("mean", "<c16", (N,))]``.
+"""
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -57,13 +64,20 @@ class ByteReader:
     def f64(self, what: str = "f64") -> float:
         return struct.unpack("<d", self._take(8, what))[0]
 
-    def f64_array(self, count: int, what: str = "f64 array") -> np.ndarray:
-        chunk = self._take(8 * count, what)
-        return np.frombuffer(chunk, dtype="<f8").astype(np.float64)
-
     def complex_array(self, count: int, what: str = "complex array") -> np.ndarray:
         chunk = self._take(16 * count, what)
         return np.frombuffer(chunk, dtype="<c16").astype(np.complex128)
+
+    def records(self, fields: list, count: int, what: str = "records") -> np.ndarray:
+        """``count`` records of the layout ``fields`` as a structured array.
+
+        The byte count is checked against the rest of the file before the
+        dtype or the array is built, so a header that declares more records
+        than the file holds raises FileFormatError instead of allocating.
+        """
+        size = sum(np.dtype(base).itemsize * math.prod(shape) for _, base, shape in fields)
+        chunk = self._take(size * count, what)
+        return np.frombuffer(chunk, dtype=np.dtype(fields), count=count).copy()
 
     def expect_eof(self) -> None:
         if self._pos != len(self._data):
@@ -94,12 +108,16 @@ class ByteWriter:
     def f64(self, value: float) -> None:
         self._parts.append(struct.pack("<d", value))
 
-    def f64_array(self, values: np.ndarray) -> None:
-        self._parts.append(np.ascontiguousarray(values, dtype="<f8").tobytes())
+    def complex_array(self, values: np.ndarray) -> None:
+        self._parts.append(np.asarray(values, dtype="<c16").tobytes())
 
-    def complex_array(self, values: np.ndarray, order: str = "C") -> None:
-        arr = np.asarray(values, dtype="<c16")
-        self._parts.append(arr.tobytes(order=order))
+    def records(self, fields: list, *columns: np.ndarray) -> None:
+        """One record of the layout ``fields`` per leading index of the columns,
+        which follow the order of the fields."""
+        out = np.empty(len(columns[0]), dtype=np.dtype(fields))
+        for (name, _, _), column in zip(fields, columns):
+            out[name] = column
+        self._parts.append(out.tobytes())
 
     def getvalue(self) -> bytes:
         return b"".join(self._parts)

@@ -35,7 +35,15 @@ import numpy as np
 
 from . import mfa as _mfa
 from ._binio import ByteReader, ByteWriter, FileFormatError
-from .gaussians import COND_LIMIT, LOG_PI, ConditioningError, _check_sigma2, log_sum_exp, responsibilities
+from .gaussians import (
+    COND_LIMIT,
+    LOG_PI,
+    ConditioningError,
+    _check_observation,
+    _check_sigma2,
+    log_sum_exp,
+    responsibilities,
+)
 from .mfa import FitConfig, FitTrace, MfaModel, _as_samples, _check_components
 
 GMM_MAGIC = b"GMM1"
@@ -248,13 +256,7 @@ def sample_lmmse_estimate(cov: SampleCovariance, sigma2: float, y: np.ndarray) -
     sigma2 = _check_sigma2(sigma2)
     if sigma2 <= 0.0:
         raise ValueError("sample-covariance LMMSE requires sigma2 > 0")
-    y = np.asarray(y, dtype=np.complex128)
-    single = y.ndim == 1
-    batch = np.atleast_2d(y)
-    if batch.shape[1] != cov.dim:
-        raise ValueError("observation dimension does not match the covariance")
-    if not np.all(np.isfinite(batch)):
-        raise ValueError("observation contains non-finite entries")
+    batch, single = _check_observation(y, cov.dim)
     shifted = cov.matrix + sigma2 * np.eye(cov.dim)
     solved = np.linalg.solve(shifted, batch.T).T
     out = batch - sigma2 * solved
@@ -362,8 +364,7 @@ def _with_params(structure: str, weights, means, params) -> GmmModel:
 
 def gmm_from_mfa(model: MfaModel) -> GmmModel:
     """Full-covariance mixture with C_k = loading loading^H + diag(diag_term)."""
-    covs = np.stack([comp.cov.dense() for comp in model.components])
-    return GmmModel("full", model.weights, model.means, covariances=covs)
+    return GmmModel("full", model.weights, model.means, covariances=model.dense_covariances())
 
 
 def _project_toeplitz(scatter_diag: np.ndarray, floor: float | np.ndarray, dim: int) -> np.ndarray:
@@ -600,7 +601,7 @@ def gmm_log_likelihood(model: GmmModel, dataset) -> float:
     Raises ConditioningError when some C_k is numerically singular, as
     gmm_estimate does at sigma2 = 0.
     """
-    samples = _as_samples(dataset)
+    samples = _check_observation(_as_samples(dataset), model.dim)[0]
     _check_spectra(model, 0.0)
     rows = _kernel_rows(model.structure, samples)
     logdens = _gmm_logdens(model, _gmm_factor(model, 0.0), rows, 0.0)
@@ -617,13 +618,7 @@ def gmm_estimate(model: GmmModel, sigma2: float, y: np.ndarray) -> np.ndarray:
     failed Cholesky.
     """
     sigma2 = _check_sigma2(sigma2)
-    y = np.asarray(y, dtype=np.complex128)
-    single = y.ndim == 1
-    batch = np.atleast_2d(y)
-    if batch.shape[1] != model.dim:
-        raise ValueError("observation dimension does not match the model")
-    if not np.all(np.isfinite(batch)):
-        raise ValueError("observation contains non-finite entries")
+    batch, single = _check_observation(y, model.dim)
     _check_spectra(model, sigma2)
     out = np.empty_like(batch)
     rows = _kernel_rows(model.structure, batch)
@@ -636,6 +631,15 @@ def gmm_estimate(model: GmmModel, sigma2: float, y: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _gmm_records(structure: str, dim: int) -> list:
+    """One GMM1 component record: a column-major covariance or a spectrum."""
+    if structure == "full":
+        params = ("covariance", "<c16", (dim, dim))
+    else:
+        params = ("spectrum", "<f8", (2 * dim if structure == "toeplitz" else dim,))
+    return [("weight", "<f8", ()), ("mean", "<c16", (dim,)), params]
+
+
 def save_gmm(model: GmmModel, path) -> None:
     """Write the GMM1 container (structure tag byte after the version)."""
     w = ByteWriter()
@@ -644,13 +648,8 @@ def save_gmm(model: GmmModel, path) -> None:
     w.u8(_STRUCTURE_TAGS[model.structure])
     w.u32(model.dim)
     w.u32(model.n_components)
-    for k in range(model.n_components):
-        w.f64(float(model.weights[k]))
-        w.complex_array(model.means[k])
-        if model.structure == "full":
-            w.complex_array(model.covariances[k], order="F")
-        else:
-            w.f64_array(model.spectra[k])
+    params = model.spectra if model.structure != "full" else model.covariances.transpose(0, 2, 1)
+    w.records(_gmm_records(model.structure, model.dim), model.weights, model.means, params)
     with open(path, "wb") as fh:
         fh.write(w.getvalue())
 
@@ -670,16 +669,7 @@ def load_gmm(path) -> GmmModel:
     k_total = reader.u32("component count K")
     if dim == 0 or k_total == 0:
         raise FileFormatError("model header declares an empty model", reader.offset)
-    bins = 2 * dim if structure == "toeplitz" else dim
-    weights = np.empty(k_total)
-    means = np.empty((k_total, dim), dtype=np.complex128)
-    params = []
-    for k in range(k_total):
-        weights[k] = reader.f64("weight")
-        means[k] = reader.complex_array(dim, "mean")
-        if structure == "full":
-            params.append(reader.complex_array(dim * dim, "covariance").reshape((dim, dim), order="F"))
-        else:
-            params.append(reader.f64_array(bins, "spectrum"))
+    rec = reader.records(_gmm_records(structure, dim), k_total, "components")
     reader.expect_eof()
-    return _with_params(structure, weights, means, np.stack(params))
+    params = rec["spectrum"] if structure != "full" else rec["covariance"].transpose(0, 2, 1)
+    return _with_params(structure, rec["weight"], rec["mean"], params)

@@ -14,7 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussians import _check_sigma2, mixture_logdens, responsibilities, stack_mixture
+from .gaussians import (
+    _check_observation,
+    _check_sigma2,
+    mixture_logdens,
+    responsibilities,
+    stack_mixture,
+)
 from .mfa import MfaModel
 
 
@@ -30,17 +36,6 @@ class Estimate:
     responsibilities: np.ndarray
 
 
-def _check_observation(y: np.ndarray, dim: int) -> tuple[np.ndarray, bool]:
-    y = np.asarray(y, dtype=np.complex128)
-    single = y.ndim == 1
-    batch = np.atleast_2d(y)
-    if batch.shape[1] != dim:
-        raise ValueError(f"observation dimension {batch.shape[1]} != model dimension {dim}")
-    if not np.all(np.isfinite(batch)):
-        raise ValueError("observation contains non-finite entries")
-    return batch, single
-
-
 def estimate(model: MfaModel, sigma2: float, y: np.ndarray) -> Estimate:
     """Convex combination of the per-component LMMSE filters.
 
@@ -52,7 +47,7 @@ def estimate(model: MfaModel, sigma2: float, y: np.ndarray) -> Estimate:
     """
     batch, single = _check_observation(y, model.dim)
     sigma2 = _check_sigma2(sigma2)
-    stack = stack_mixture(model.components, sigma2)
+    stack = stack_mixture(model, sigma2)
     k_total, latent = model.n_components, model.latent_dim
     dwr = stack.dwr_conj.conj()  # (N, K*L) column blocks D_k W_k R_k
     d_mu = stack.d_mean.conj()  # (N, K) columns D_k mu_k

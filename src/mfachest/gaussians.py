@@ -1,12 +1,13 @@
 """Complex-Gaussian numerics over low-rank-plus-diagonal covariances.
 
-Covariances are kept in factored form ``C = loading @ loading^H + diag(diag_term)``,
-and every routine works through the small latent-dimension system instead of a
-dense N x N factorization: the inverse follows the Woodbury identity, the
-log-determinant the matrix determinant lemma, and densities never leave the
-log domain. A whole mixture is factored once per noise level into a
-``MixtureStack``, with one batched Cholesky and inverse of its K latent L x L
-systems (``factorize``), and ``mixture_logdens`` evaluates every component on a batch
+A mixture (``mfa.MfaModel``) holds its K covariances stacked in factored form,
+``C_k = loadings[k] @ loadings[k]^H + diag(diag_terms[k])``, and every routine
+works through the small latent-dimension systems instead of a dense N x N
+factorization: the inverse follows the Woodbury identity, the log-determinant
+the matrix determinant lemma, and densities never leave the log domain. The
+stacked arrays are factored once per noise level into a ``MixtureStack``, with
+one batched Cholesky and inverse of the K latent L x L systems
+(``factorize``), and ``mixture_logdens`` evaluates every component on a batch
 of rows with a few stacked matrix products; EM, the likelihood and the MMSE
 estimator all run through that one kernel. The kernel works in whitened latent
 coordinates q_k = R_k^H W_k^H D_k (y - mu_k), with R_k R_k^H the latent
@@ -17,7 +18,6 @@ and the posterior mean is R_k q_k.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -52,57 +52,23 @@ class ConditioningError(ArithmeticError):
     definite."""
 
 
-@dataclass(frozen=True)
-class LowRankCovariance:
-    """Covariance ``loading @ loading^H + diag(diag_term)``.
-
-    Parameters
-    ----------
-    loading : ndarray, shape (N, L)
-        Complex factor loading matrix; L <= N.
-    diag_term : ndarray, shape (N,)
-        Strictly positive diagonal term.
-    """
-
-    loading: np.ndarray
-    diag_term: np.ndarray
-
-    def __post_init__(self):
-        loading = np.asarray(self.loading, dtype=np.complex128)
-        diag_term = np.asarray(self.diag_term, dtype=np.float64)
-        if loading.ndim != 2:
-            raise ValueError("loading must be a 2-D (N, L) array")
-        if diag_term.ndim != 1 or diag_term.shape[0] != loading.shape[0]:
-            raise ValueError("diag_term must be a length-N vector")
-        if loading.shape[1] > loading.shape[0]:
-            raise ValueError("latent dimension L must not exceed N")
-        if not np.all(np.isfinite(loading)):
-            raise ValueError("loading entries must be finite")
-        if not np.all(np.isfinite(diag_term)) or np.any(diag_term <= 0.0):
-            raise ValueError("diag_term entries must be finite and > 0")
-        object.__setattr__(self, "loading", loading)
-        object.__setattr__(self, "diag_term", diag_term)
-
-    @property
-    def dim(self) -> int:
-        return self.loading.shape[0]
-
-    @property
-    def latent_dim(self) -> int:
-        return self.loading.shape[1]
-
-    def dense(self, sigma2: float = 0.0) -> np.ndarray:
-        """Materialize the (N, N) covariance, optionally with sigma2 added to the diagonal."""
-        w = self.loading
-        out = w @ w.conj().T + np.diag(self.diag_term + sigma2)
-        return 0.5 * (out + out.conj().T)
-
-
 def _check_sigma2(sigma2: float) -> float:
     sigma2 = float(sigma2)
     if not np.isfinite(sigma2) or sigma2 < 0.0:
         raise ValueError("sigma2 must be finite and >= 0")
     return sigma2
+
+
+def _check_observation(y: np.ndarray, dim: int) -> tuple[np.ndarray, bool]:
+    """Observations (N,) or (B, N) as a finite complex (B, N) batch, and whether
+    a single vector was given."""
+    y = np.asarray(y, dtype=np.complex128)
+    batch = np.atleast_2d(y)
+    if batch.shape[1] != dim:
+        raise ValueError(f"observation dimension {batch.shape[1]} != model dimension {dim}")
+    if not np.all(np.isfinite(batch)):
+        raise ValueError("observation contains non-finite entries")
+    return batch, y.ndim == 1
 
 
 def factorize(
@@ -177,24 +143,21 @@ class MixtureStack(NamedTuple):
         return max(64, _STACK_CHUNK_BUDGET // (k_total * (latent + 1) + self.d.shape[0]))
 
 
-def stack_mixture(components, sigma2: float) -> MixtureStack:
-    """Factor every ``(weight, mean, cov)`` component of a mixture at noise level sigma2.
+def stack_mixture(model, sigma2: float) -> MixtureStack:
+    """Factor every component of an ``mfa.MfaModel`` at noise level sigma2.
 
-    The loadings and diagonals are stacked and go through one ``factorize``
+    The model's stacked loadings and diagonals go through one ``factorize``
     call, a batched Cholesky and inverse of the K latent systems, so its sigma2
     validation and ConditioningError (naming the component) apply; the
     remaining factors are a few batched products.
     """
-    means = np.stack([comp.mean for comp in components])
-    loadings = np.stack([comp.cov.loading for comp in components])
+    means, loadings = model.means, model.loadings
     k_total, dim, latent = loadings.shape
-    d, latent_root, logdet = factorize(
-        loadings, np.stack([comp.cov.diag_term for comp in components]), sigma2
-    )
+    d, latent_root, logdet = factorize(loadings, model.diag_terms, sigma2)
     # math.log, not np.log: numpy's vectorized log differs from libm's in the
     # last bit for a fraction of inputs, and the weights' logs set every density.
     logconst = (
-        np.array([math.log(comp.weight) for comp in components])
+        np.array([math.log(weight) for weight in model.weights])
         - dim * LOG_PI
         - logdet
         - (d * np.abs(means) ** 2).sum(axis=1)
@@ -233,23 +196,19 @@ def mixture_logdens(
 
 
 def sample_component(
-    mean: np.ndarray,
-    cov: LowRankCovariance,
-    rng: np.random.Generator,
-    size: int | None = None,
+    model, k: int, rng: np.random.Generator, size: int | None = None
 ) -> np.ndarray:
-    """Draw ``mean + loading @ z + u`` with z standard complex normal and u ~ N_C(0, diag).
+    """Draw ``mean + loading @ z + u`` from component k of an ``mfa.MfaModel``,
+    with z standard complex normal and u ~ N_C(0, diag).
 
     With ``size=None`` a single (N,) vector is returned, otherwise a (size, N)
     array. Draw order (z first, then u) is fixed, so outputs are reproducible
     for a seeded generator.
     """
-    mean = np.asarray(mean, dtype=np.complex128)
     n_draws = 1 if size is None else int(size)
-    latent = cov.latent_dim
-    z = _std_cnormal(rng, (n_draws, latent))
-    u = _std_cnormal(rng, (n_draws, cov.dim)) * np.sqrt(cov.diag_term)
-    out = mean + z @ cov.loading.T + u
+    z = _std_cnormal(rng, (n_draws, model.latent_dim))
+    u = _std_cnormal(rng, (n_draws, model.dim)) * np.sqrt(model.diag_terms[k])
+    out = model.means[k] + z @ model.loadings[k].T + u
     return out[0] if size is None else out
 
 

@@ -6,6 +6,11 @@ Gaussian mixture whose covariances are low-rank plus diagonal. Fitting uses
 the classical EM recursion for factor-analyzer mixtures, adapted to
 circularly-symmetric complex Gaussians: conjugate transposes throughout and
 no real-case 1/2 factors in the variance accounting.
+
+``MfaModel`` holds the K components as stacked arrays (weights, means,
+loadings, diagonals). The EM state is the model itself: each iteration's
+regression solve and diagonal update run batched over K, and the likelihood,
+the estimator, sampling and the MFA1 codec read the arrays directly.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import numpy as np
 
 from . import gaussians
 from ._binio import ByteReader, ByteWriter, FileFormatError
-from .gaussians import LowRankCovariance, log_sum_exp
+from .gaussians import log_sum_exp
 from .scenario import ChannelDataset
 
 MODEL_MAGIC = b"MFA1"
@@ -39,59 +44,70 @@ _KMEANS_SUBSAMPLE = 20_000
 
 
 @dataclass(frozen=True)
-class MfaComponent:
-    weight: float
-    mean: np.ndarray
-    cov: LowRankCovariance
-
-    def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=np.complex128)
-        if mean.ndim != 1 or mean.shape[0] != self.cov.dim:
-            raise ValueError("component mean must be a length-N vector")
-        if not np.all(np.isfinite(mean)):
-            raise ValueError("component mean must be finite")
-        if not (0.0 < self.weight <= 1.0):
-            raise ValueError("component weight must lie in (0, 1]")
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "weight", float(self.weight))
-
-
-@dataclass(frozen=True)
 class MfaModel:
-    components: tuple[MfaComponent, ...]
+    """A mixture of K factor analyzers, stacked by component.
+
+    ``weights`` (K,) are the mixture weights, ``means`` (K, N) the means,
+    ``loadings`` (K, N, L) the factor loadings W_k with L <= N, and
+    ``diag_terms`` (K, N) the strictly positive diagonals Psi_k; component k
+    has covariance ``W_k W_k^H + diag(Psi_k)``.
+    """
+
+    weights: np.ndarray
+    means: np.ndarray
+    loadings: np.ndarray
+    diag_terms: np.ndarray
 
     def __post_init__(self):
-        comps = tuple(self.components)
-        if not comps:
+        weights = np.ascontiguousarray(self.weights, dtype=np.float64)
+        means = np.ascontiguousarray(self.means, dtype=np.complex128)
+        loadings = np.ascontiguousarray(self.loadings, dtype=np.complex128)
+        diag_terms = np.ascontiguousarray(self.diag_terms, dtype=np.float64)
+        if loadings.ndim != 3:
+            raise ValueError("loadings must be a (K, N, L) array")
+        k_total, dim, latent = loadings.shape
+        if k_total == 0:
             raise ValueError("model needs at least one component")
-        dims = {c.cov.dim for c in comps}
-        lats = {c.cov.latent_dim for c in comps}
-        if len(dims) != 1 or len(lats) != 1:
-            raise ValueError("all components must share N and L")
-        total = sum(c.weight for c in comps)
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"component weights must sum to 1 (got {total!r})")
-        object.__setattr__(self, "components", comps)
+        shapes = (weights.shape, means.shape, diag_terms.shape)
+        if shapes != ((k_total,), (k_total, dim), (k_total, dim)):
+            raise ValueError(
+                "weights (K,), means (K, N), loadings (K, N, L) and diag_terms (K, N) disagree"
+            )
+        if latent > dim:
+            raise ValueError("latent dimension L must not exceed N")
+        if not np.all(np.isfinite(loadings)):
+            raise ValueError("loading entries must be finite")
+        if not np.all(np.isfinite(diag_terms)) or np.any(diag_terms <= 0.0):
+            raise ValueError("diag_term entries must be finite and > 0")
+        if not np.all(np.isfinite(means)):
+            raise ValueError("component means must be finite")
+        if not np.all((weights > 0.0) & (weights <= 1.0)):
+            raise ValueError("component weights must lie in (0, 1]")
+        if abs(weights.sum() - 1.0) > 1e-12:
+            raise ValueError(f"component weights must sum to 1 (got {weights.sum()!r})")
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "means", means)
+        object.__setattr__(self, "loadings", loadings)
+        object.__setattr__(self, "diag_terms", diag_terms)
 
     @property
     def dim(self) -> int:
-        return self.components[0].cov.dim
+        return self.loadings.shape[1]
 
     @property
     def latent_dim(self) -> int:
-        return self.components[0].cov.latent_dim
+        return self.loadings.shape[2]
 
     @property
     def n_components(self) -> int:
-        return len(self.components)
+        return self.loadings.shape[0]
 
-    @property
-    def weights(self) -> np.ndarray:
-        return np.array([c.weight for c in self.components])
-
-    @property
-    def means(self) -> np.ndarray:
-        return np.stack([c.mean for c in self.components])
+    def dense_covariances(self, sigma2: float = 0.0) -> np.ndarray:
+        """Materialize the (K, N, N) covariances, optionally with sigma2 added to the diagonals."""
+        out = self.loadings @ self.loadings.conj().transpose(0, 2, 1)
+        diag = np.arange(self.dim)
+        out[:, diag, diag] += self.diag_terms + sigma2
+        return 0.5 * (out + out.conj().transpose(0, 2, 1))
 
 
 @dataclass(frozen=True)
@@ -167,8 +183,8 @@ def _psi_floor(samples: np.ndarray) -> float:
 
 def log_likelihood(model: MfaModel, dataset) -> float:
     """Average per-sample log of the mixture density, via log-sum-exp."""
-    samples = _as_samples(dataset)
-    stack = gaussians.stack_mixture(model.components, 0.0)
+    samples = gaussians._check_observation(_as_samples(dataset), model.dim)[0]
+    stack = gaussians.stack_mixture(model, 0.0)
     chunk = stack.chunk_rows()
     latent = np.empty((chunk, model.n_components, model.latent_dim), dtype=np.complex128)
     total = 0.0
@@ -185,26 +201,20 @@ def log_likelihood(model: MfaModel, dataset) -> float:
 
 
 def _resolve_psi(
-    per_entry: list[np.ndarray],
-    masses: list[float],
-    psi_mode: str,
-    floor: float,
-    total: int,
-    dim: int,
-) -> list[np.ndarray]:
+    per_entry: np.ndarray, masses: np.ndarray, psi_mode: str, floor: float, total: int
+) -> np.ndarray:
+    """The (K, N) diagonal terms from the residual energies ``per_entry`` (K, N)
+    and responsibility masses (K,), floored at ``floor``: their mean over the
+    entries of each component, the pooled diagonal shared by all components, or
+    each component's own diagonal."""
     if psi_mode == "shared-diagonal":
-        pooled = np.sum(per_entry, axis=0) / total
-        shared = np.maximum(pooled, floor)
-        return [shared.copy() for _ in per_entry]
-    out = []
-    for entry, mass in zip(per_entry, masses):
-        denom = max(mass, np.finfo(float).tiny)
-        if psi_mode == "scaled-identity":
-            value = max(float(entry.sum()) / (dim * denom), floor)
-            out.append(np.full(dim, value))
-        else:  # per-component diagonal
-            out.append(np.maximum(entry / denom, floor))
-    return out
+        pooled = per_entry.sum(axis=0) / total
+        return np.tile(np.maximum(pooled, floor), (per_entry.shape[0], 1))
+    denom = np.maximum(masses, np.finfo(float).tiny)[:, None]
+    if psi_mode == "scaled-identity":
+        scale = per_entry.sum(axis=1, keepdims=True) / (per_entry.shape[1] * denom)
+        return np.repeat(np.maximum(scale, floor), per_entry.shape[1], axis=1)
+    return np.maximum(per_entry / denom, floor)
 
 
 # ---------------------------------------------------------------------------
@@ -290,39 +300,36 @@ def _restart_factors(
 
 def _init_components(
     samples: np.ndarray, k_total: int, latent: int, config: FitConfig, rng: np.random.Generator
-) -> list[MfaComponent]:
+) -> MfaModel:
     count, dim = samples.shape
     floor = _psi_floor(samples)
     scale = float(np.mean(np.abs(samples) ** 2))
+    means = np.empty((k_total, dim), dtype=np.complex128)
+    loadings = np.empty((k_total, dim, latent), dtype=np.complex128)
+    psis = np.empty((k_total, dim))
 
     if config.init == "random":
-        picks = rng.choice(count, size=k_total, replace=False)
-        comps = []
+        means[:] = samples[rng.choice(count, size=k_total, replace=False)]
         for k in range(k_total):
-            cov = LowRankCovariance(*_restart_factors(rng, dim, latent, scale, floor))
-            comps.append(MfaComponent(1.0 / k_total, samples[picks[k]], cov))
-        return comps
-
-    labels = _kmeans(samples, k_total, rng)
-    comps = []
-    for k in range(k_total):
-        cluster = samples[labels == k]
-        if cluster.shape[0] < 2:
-            mean = cluster[0] if cluster.shape[0] else samples[rng.integers(count)]
-            cov = LowRankCovariance(*_restart_factors(rng, dim, latent, scale, floor))
-            comps.append(MfaComponent(1.0 / k_total, mean, cov))
-            continue
-        mean = cluster.mean(axis=0)
-        centered = cluster - mean
-        cov = centered.T @ centered.conj() / cluster.shape[0]
-        vals, vecs = np.linalg.eigh(0.5 * (cov + cov.conj().T))
-        vals = np.maximum(vals[::-1], 0.0)
-        vecs = vecs[:, ::-1]
-        loading = vecs[:, :latent] * np.sqrt(vals[:latent])
-        resid = float(vals[latent:].mean()) if latent < dim else floor
-        psi = np.full(dim, max(resid, floor))
-        comps.append(MfaComponent(1.0 / k_total, mean, LowRankCovariance(loading, psi)))
-    return comps
+            loadings[k], psis[k] = _restart_factors(rng, dim, latent, scale, floor)
+    else:
+        labels = _kmeans(samples, k_total, rng)
+        for k in range(k_total):
+            cluster = samples[labels == k]
+            if cluster.shape[0] < 2:
+                means[k] = cluster[0] if cluster.shape[0] else samples[rng.integers(count)]
+                loadings[k], psis[k] = _restart_factors(rng, dim, latent, scale, floor)
+                continue
+            means[k] = cluster.mean(axis=0)
+            centered = cluster - means[k]
+            cov = centered.T @ centered.conj() / cluster.shape[0]
+            vals, vecs = np.linalg.eigh(0.5 * (cov + cov.conj().T))
+            vals = np.maximum(vals[::-1], 0.0)
+            vecs = vecs[:, ::-1]
+            loadings[k] = vecs[:, :latent] * np.sqrt(vals[:latent])
+            resid = float(vals[latent:].mean()) if latent < dim else floor
+            psis[k] = max(resid, floor)
+    return MfaModel(np.full(k_total, 1.0 / k_total), means, loadings, psis)
 
 
 # ---------------------------------------------------------------------------
@@ -331,15 +338,15 @@ def _init_components(
 
 
 def _em_iteration(
-    samples: np.ndarray, abs2: np.ndarray, comps: list[MfaComponent]
-) -> tuple[float, int, np.ndarray, list, list, list]:
+    samples: np.ndarray, abs2: np.ndarray, model: MfaModel
+) -> tuple[float, int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """One fused E+M sweep over the data, chunked and stacked across components.
 
     The E-step is the stacked mixture kernel (``gaussians.mixture_logdens``),
     which writes the whitened latent coordinates q_k straight into the
     regression buffer. The sweep accumulates S_xq = sum_t r x [q; 1]^H and
     S_qq = sum_t r [q; 1][q; 1]^H with a few large matrix products, and maps
-    them back once per component: the latent regressors are
+    them back in one batch over the components: the latent regressors are
     z = [m; 1] = T_k [q; 1] with T_k = blockdiag(R_k, 1), so
     S_xz = S_xq T_k^H and S_zz = T_k (S_qq + mass_k diag(I, 0)) T_k^H, the
     identity block carrying the posterior covariance A_k = R_k R_k^H. The
@@ -348,14 +355,13 @@ def _em_iteration(
     which equals the explicit residual form at the regression optimum.
 
     Returns (average log-likelihood of the incoming parameters, worst-fit
-    sample index, responsibility masses, loadings, means, per-entry residual
-    energies).
+    sample index, responsibility masses (K,), loadings (K, N, L), means (K, N),
+    per-entry residual energies (K, N)).
     """
     count, dim = samples.shape
-    k_total = len(comps)
-    latent = comps[0].cov.latent_dim
+    k_total, latent = model.n_components, model.latent_dim
     width = latent + 1
-    stack = gaussians.stack_mixture(comps, 0.0)
+    stack = gaussians.stack_mixture(model, 0.0)
 
     s_xq_flat = np.zeros((dim, k_total * width), dtype=np.complex128)
     s_qq = np.zeros((k_total, width, width), dtype=np.complex128)
@@ -391,28 +397,27 @@ def _em_iteration(
         r_abs2 += abs2[start:stop].T @ resp
         masses += resp.sum(axis=0)
 
-    loadings, means, per_entry = [], [], []
-    root = np.eye(width, dtype=np.complex128)
-    for k in range(k_total):
-        root[:latent, :latent] = stack.latent_root[k]
-        s_xz = s_xq_flat[:, k * width:(k + 1) * width] @ root.conj().T
-        s_qq[k, :latent, :latent] += masses[k] * np.eye(latent)
-        s_zz = root @ s_qq[k] @ root.conj().T
-        s_zz = 0.5 * (s_zz + s_zz.conj().T)
-        # Ridge only on the latent block: rank deficiency lives there, and the
-        # intercept row must stay exact so the mean update is the weighted mean.
-        trace_scale = max(float(np.trace(s_zz).real) / width, np.finfo(float).tiny)
-        s_zz[:latent, :latent] += (RIDGE_REL * trace_scale) * np.eye(latent)
-        if masses[k] == 0.0:
-            # A mass that underflows to zero leaves the regression system
-            # singular; the caller re-seeds the collapsed component.
-            joint = np.zeros((dim, width), dtype=np.complex128)
-        else:
-            joint = np.linalg.solve(s_zz, s_xz.conj().T).conj().T
-        loadings.append(np.ascontiguousarray(joint[:, :latent]))
-        means.append(np.ascontiguousarray(joint[:, latent]))
-        per_entry.append(r_abs2[:, k] - np.einsum("nj,nj->n", joint, s_xz.conj()).real)
-
+    roots = np.zeros((k_total, width, width), dtype=np.complex128)
+    roots[:, :latent, :latent] = stack.latent_root
+    roots[:, latent, latent] = 1.0
+    roots_h = roots.conj().transpose(0, 2, 1)
+    s_xz = s_xq_flat.reshape(dim, k_total, width).transpose(1, 0, 2) @ roots_h
+    s_qq[:, :latent, :latent] += masses[:, None, None] * np.eye(latent)
+    s_zz = roots @ s_qq @ roots_h
+    s_zz = 0.5 * (s_zz + s_zz.conj().transpose(0, 2, 1))
+    # Ridge only on the latent block: rank deficiency lives there, and the
+    # intercept row must stay exact so the mean update is the weighted mean.
+    trace_scale = np.maximum(np.trace(s_zz, axis1=1, axis2=2).real / width, np.finfo(float).tiny)
+    s_zz[:, :latent, :latent] += (RIDGE_REL * trace_scale)[:, None, None] * np.eye(latent)
+    # A mass that underflows to zero leaves the regression system singular;
+    # its regression is zeroed and the caller re-seeds the collapsed component.
+    empty = masses == 0.0
+    s_zz[empty] = np.eye(width)
+    joint = np.linalg.solve(s_zz, s_xz.conj().transpose(0, 2, 1)).conj().transpose(0, 2, 1)
+    joint[empty] = 0.0
+    per_entry = r_abs2.T.copy()
+    per_entry -= np.einsum("knj,knj->kn", joint, s_xz.conj()).real
+    loadings, means = joint[:, :, :latent], joint[:, :, latent]
     return ll_sum / count, worst_idx, masses, loadings, means, per_entry
 
 
@@ -435,12 +440,11 @@ def fit_em(
         raise ValueError("latent dimension must satisfy 1 <= L <= N")
 
     rng = np.random.default_rng(config.seed)
-    comps = _init_components(samples, n_components, latent_dim, config, rng)
+    start = _init_components(samples, n_components, latent_dim, config, rng)
     abs2 = np.abs(samples) ** 2
-    comps, trace = _run_em(
-        lambda state: _em_update(samples, abs2, state, config.psi_mode, rng), comps, config
+    return _run_em(
+        lambda model: _em_update(samples, abs2, model, config.psi_mode, rng), start, config
     )
-    return MfaModel(tuple(comps)), trace
 
 
 def _run_em(update, state, config: FitConfig):
@@ -485,34 +489,29 @@ def _mixture_weights(masses: np.ndarray, count: int) -> tuple[np.ndarray, np.nda
 def _em_update(
     samples: np.ndarray,
     abs2: np.ndarray,
-    comps: list[MfaComponent],
+    model: MfaModel,
     psi_mode: str,
     rng: np.random.Generator,
-) -> tuple[float, list[MfaComponent]]:
+) -> tuple[float, MfaModel]:
     """One EM iteration of fit_em: the fused sweep, the diagonal update and the reseed.
 
     Components whose responsibility mass falls below the weight floor are
     re-seeded at the sample the incoming parameters fit worst, with a fresh
     small random loading, a data-scale diagonal and weight 1/K before
     renormalization; K never changes. Returns the average log-likelihood of
-    the incoming components and the updated components.
+    the incoming model and the updated model.
     """
     count, dim = samples.shape
-    k_total, latent = len(comps), comps[0].cov.latent_dim
     scale = float(np.mean(abs2))
     floor = PSI_FLOOR_REL * scale
-    avg, worst, masses, loadings, means, per_entry = _em_iteration(samples, abs2, comps)
+    avg, worst, masses, loadings, means, per_entry = _em_iteration(samples, abs2, model)
 
-    psis = _resolve_psi(per_entry, list(masses), psi_mode, floor, count, dim)
+    psis = _resolve_psi(per_entry, masses, psi_mode, floor, count)
     weights, collapsed = _mixture_weights(masses, count)
     for k in collapsed:
-        means[k] = samples[worst].copy()
-        loadings[k], psis[k] = _restart_factors(rng, dim, latent, scale, floor)
-    updated = [
-        MfaComponent(weights[k], means[k], LowRankCovariance(loadings[k], psis[k]))
-        for k in range(k_total)
-    ]
-    return avg, updated
+        means[k] = samples[worst]
+        loadings[k], psis[k] = _restart_factors(rng, dim, model.latent_dim, scale, floor)
+    return avg, MfaModel(weights, means, loadings, psis)
 
 
 # ---------------------------------------------------------------------------
@@ -526,11 +525,11 @@ def sample(model: MfaModel, count: int, rng: np.random.Generator) -> ChannelData
         raise ValueError("count must be >= 1")
     picks = rng.choice(model.n_components, size=count, p=model.weights)
     out = np.empty((count, model.dim), dtype=np.complex128)
-    for k, comp in enumerate(model.components):
+    for k in range(model.n_components):
         mask = picks == k
         n_k = int(mask.sum())
         if n_k:
-            out[mask] = gaussians.sample_component(comp.mean, comp.cov, rng, size=n_k)
+            out[mask] = gaussians.sample_component(model, k, rng, size=n_k)
     return ChannelDataset(out, normalization=1.0, seed=None)
 
 
@@ -565,6 +564,16 @@ def parameter_count(kind: str, n_components: int, dim: int, latent_dim: int = 0)
 # ---------------------------------------------------------------------------
 
 
+def _model_records(dim: int, latent: int) -> list:
+    """One MFA1 component record; the loading is stored column-major."""
+    return [
+        ("weight", "<f8", ()),
+        ("mean", "<c16", (dim,)),
+        ("loading", "<c16", (latent, dim)),
+        ("diag_term", "<f8", (dim,)),
+    ]
+
+
 def save_model(model: MfaModel, path) -> None:
     """Write the MFA1 container (little-endian; loadings stored column-major)."""
     w = ByteWriter()
@@ -573,11 +582,13 @@ def save_model(model: MfaModel, path) -> None:
     w.u32(model.dim)
     w.u32(model.latent_dim)
     w.u32(model.n_components)
-    for comp in model.components:
-        w.f64(comp.weight)
-        w.complex_array(comp.mean)
-        w.complex_array(comp.cov.loading, order="F")
-        w.f64_array(comp.cov.diag_term)
+    w.records(
+        _model_records(model.dim, model.latent_dim),
+        model.weights,
+        model.means,
+        model.loadings.transpose(0, 2, 1),
+        model.diag_terms,
+    )
     with open(path, "wb") as fh:
         fh.write(w.getvalue())
 
@@ -594,12 +605,6 @@ def load_model(path) -> MfaModel:
     k_total = reader.u32("component count K")
     if dim == 0 or k_total == 0:
         raise FileFormatError("model header declares an empty model", reader.offset)
-    comps = []
-    for _ in range(k_total):
-        weight = reader.f64("weight")
-        mean = reader.complex_array(dim, "mean")
-        loading = reader.complex_array(dim * latent, "loading").reshape((dim, latent), order="F")
-        psi = reader.f64_array(dim, "diagonal term")
-        comps.append(MfaComponent(weight, mean, LowRankCovariance(loading, psi)))
+    rec = reader.records(_model_records(dim, latent), k_total, "components")
     reader.expect_eof()
-    return MfaModel(tuple(comps))
+    return MfaModel(rec["weight"], rec["mean"], rec["loading"].transpose(0, 2, 1), rec["diag_term"])

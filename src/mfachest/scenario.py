@@ -198,7 +198,7 @@ def write_dataset(path, dataset: ChannelDataset) -> None:
     w.u32(dataset.dim)
     w.u64(dataset.num_samples)
     w.f64(dataset.normalization)
-    w.complex_array(dataset.samples, order="C")
+    w.complex_array(dataset.samples)
     with open(path, "wb") as fh:
         fh.write(w.getvalue())
 

@@ -25,8 +25,8 @@ from mfachest.baselines import (
     toeplitz_transform,
 )
 from mfachest.estimator import estimate
-from mfachest.gaussians import ConditioningError, LowRankCovariance
-from mfachest.mfa import FitConfig, MfaComponent, MfaModel, sample
+from mfachest.gaussians import ConditioningError
+from mfachest.mfa import FitConfig, MfaModel, sample
 from mfachest.scenario import ChannelDataset
 
 
@@ -45,16 +45,12 @@ def dense_logdens(samples, mean, cov):
 def make_mfa(rng, k_total, dim, latent, sep=4.0, psi=0.3):
     weights = rng.uniform(0.5, 1.5, k_total)
     weights /= weights.sum()
-    comps = []
+    means = np.empty((k_total, dim), complex)
+    loadings = np.empty((k_total, dim, latent), complex)
     for k in range(k_total):
-        comps.append(
-            MfaComponent(
-                weights[k],
-                sep * crandn(rng, dim),
-                LowRankCovariance(crandn(rng, dim, latent), np.full(dim, psi)),
-            )
-        )
-    return MfaModel(tuple(comps))
+        means[k] = sep * crandn(rng, dim)
+        loadings[k] = crandn(rng, dim, latent)
+    return MfaModel(weights, means, loadings, np.full((k_total, dim), psi))
 
 
 class TestLsEstimate:
@@ -614,6 +610,18 @@ class TestGmmEstimate:
         assert gmm_log_likelihood(model, data) == pytest.approx(
             gmm_log_likelihood(dense_model, data), abs=1e-9
         )
+
+    @pytest.mark.parametrize("structure", ["full", "toeplitz", "circulant"])
+    def test_log_likelihood_dimension_mismatch(self, structure):
+        rng = np.random.default_rng(115)
+        weights, means = np.array([0.5, 0.5]), crandn(rng, 2, 3)
+        if structure == "full":
+            model = GmmModel(structure, weights, means, covariances=np.stack([np.eye(3)] * 2))
+        else:
+            bins = 6 if structure == "toeplitz" else 3
+            model = GmmModel(structure, weights, means, spectra=np.ones((2, bins)))
+        with pytest.raises(ValueError, match="observation dimension 4 != model dimension 3"):
+            gmm_log_likelihood(model, crandn(rng, 5, 4))
 
     @given(gmm_models())
     def test_structured_kernel_matches_dense_oracle(self, drawn):

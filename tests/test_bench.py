@@ -13,8 +13,7 @@ from mfachest.bench import (
     run_latent_sweep,
     run_snr_sweep,
 )
-from mfachest.gaussians import LowRankCovariance
-from mfachest.mfa import FitConfig, MfaComponent, MfaModel, fit_em, save_model, sample
+from mfachest.mfa import FitConfig, MfaModel, fit_em, save_model, sample
 from mfachest.scenario import ScenarioConfig, corrupt, write_dataset
 
 
@@ -81,12 +80,14 @@ class TestSnrSweep:
         # Data generated from a planted mixture: the estimator that owns the
         # true parameters is the conditional mean and wins.
         rng = np.random.default_rng(140)
-        comps = []
+        means = np.empty((2, 8), complex)
+        loadings = np.empty((2, 8, 2), complex)
         for k in range(2):
-            mean = 3.0 * ((rng.standard_normal(8) + 1j * rng.standard_normal(8)) / np.sqrt(2))
-            loading = (rng.standard_normal((8, 2)) + 1j * rng.standard_normal((8, 2))) / np.sqrt(2)
-            comps.append(MfaComponent(0.5, mean, LowRankCovariance(loading, np.full(8, 0.2))))
-        true = MfaModel(tuple(comps))
+            means[k] = 3.0 * ((rng.standard_normal(8) + 1j * rng.standard_normal(8)) / np.sqrt(2))
+            loadings[k] = (
+                rng.standard_normal((8, 2)) + 1j * rng.standard_normal((8, 2))
+            ) / np.sqrt(2)
+        true = MfaModel(np.full(2, 0.5), means, loadings, np.full((2, 8), 0.2))
         train = sample(true, 2000, np.random.default_rng(141))
         eval_ds = sample(true, 1500, np.random.default_rng(142))
         train_path = tmp_path / "train.chd"

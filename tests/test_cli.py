@@ -1,5 +1,6 @@
 import json
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -165,6 +166,22 @@ class TestPipeline:
         assert code == 2
         assert "rel_tol" in capsys.readouterr().err
         assert not model_path.exists()
+
+    @pytest.mark.parametrize("magic, header", [
+        (b"MFA1", struct.pack("<4I", 1, 8, 1, 2**31)),
+        (b"GMM1", struct.pack("<IB2I", 1, 0, 8, 2**31)),
+    ], ids=["mfa", "gmm"])
+    def test_oversized_model_header_exit_2(self, tmp_path, capsys, magic, header):
+        # A header that declares 2^31 components in a file of a few bytes.
+        model_path = tmp_path / "huge.model"
+        model_path.write_bytes(magic + header)
+        data_path = tmp_path / "ones.chd"
+        write_dataset(data_path, ChannelDataset(np.ones((3, 8), complex)))
+        code = cli_main(
+            ["estimate", "--model", str(model_path), "--data", str(data_path), "--snr-db", "10"]
+        )
+        assert code == 2
+        assert "truncated file" in capsys.readouterr().err
 
     def test_missing_data_file(self, capsys):
         code = cli_main(

@@ -3,8 +3,7 @@ import pytest
 from scipy.optimize import nnls
 
 from mfachest.estimator import estimate
-from mfachest.gaussians import LowRankCovariance
-from mfachest.mfa import MfaComponent, MfaModel, log_likelihood, sample
+from mfachest.mfa import MfaModel, log_likelihood, sample
 from test_mixture_kernel import dense_logdens
 
 
@@ -15,27 +14,30 @@ def crandn(rng, *shape):
 def make_model(rng, k_total, dim, latent, sep=4.0, psi=0.3, zero_mean=False):
     weights = rng.uniform(0.5, 1.5, k_total)
     weights /= weights.sum()
-    comps = []
+    means = np.zeros((k_total, dim), complex)
+    loadings = np.empty((k_total, dim, latent), complex)
     for k in range(k_total):
-        mean = np.zeros(dim, complex) if zero_mean else sep * crandn(rng, dim)
-        loading = crandn(rng, dim, latent)
-        comps.append(
-            MfaComponent(weights[k], mean, LowRankCovariance(loading, np.full(dim, psi)))
-        )
-    return MfaModel(tuple(comps))
+        if not zero_mean:
+            means[k] = sep * crandn(rng, dim)
+        loadings[k] = crandn(rng, dim, latent)
+    return MfaModel(weights, means, loadings, np.full((k_total, dim), psi))
+
+
+def single(mean, loading, diag_term):
+    """A one-component model with weight 1."""
+    return MfaModel(np.ones(1), np.asarray(mean)[None], np.asarray(loading)[None],
+                    np.asarray(diag_term, float)[None])
 
 
 def scalar_model(weights, means, loadings, psis):
-    comps = []
-    for w, mu, ld, psi in zip(weights, means, loadings, psis):
-        comps.append(
-            MfaComponent(
-                w,
-                np.array([mu], complex),
-                LowRankCovariance(np.array([[ld]], complex), np.array([psi])),
-            )
-        )
-    return MfaModel(tuple(comps))
+    """A mixture of scalar (N = L = 1) components."""
+    k_total = len(weights)
+    return MfaModel(
+        np.array(weights),
+        np.array(means, complex).reshape(k_total, 1),
+        np.array(loadings, complex).reshape(k_total, 1, 1),
+        np.array(psis, float).reshape(k_total, 1),
+    )
 
 
 def quadrature_cme(weights, means, variances, sigma2, y, order=80):
@@ -52,11 +54,17 @@ def quadrature_cme(weights, means, variances, sigma2, y, order=80):
     return numerator / denominator
 
 
-def dense_lmmse(component, sigma2, y):
-    """Per-component LMMSE estimate ``mean + C (C + sigma2 I)^{-1} (y - mean)`` by a
+def dense_cov(model, k, sigma2=0.0):
+    """C_k + sigma2 I of component k, formed densely."""
+    w = model.loadings[k]
+    return w @ w.conj().T + np.diag(model.diag_terms[k] + sigma2)
+
+
+def dense_lmmse(model, k, sigma2, y):
+    """LMMSE estimate of component k, ``mean + C (C + sigma2 I)^{-1} (y - mean)``, by a
     dense solve, written as y - sigma2 (C + sigma2 I)^{-1} (y - mean)."""
-    shifted = component.cov.dense(sigma2)
-    return y - sigma2 * np.linalg.solve(shifted, (y - component.mean).T).T
+    shifted = dense_cov(model, k, sigma2)
+    return y - sigma2 * np.linalg.solve(shifted, (y - model.means[k]).T).T
 
 
 class TestComponentLmmse:
@@ -72,18 +80,14 @@ class TestComponentLmmse:
     def test_huge_noise_returns_mean(self):
         rng = np.random.default_rng(71)
         model = make_model(rng, 1, 6, 2)
-        comp = model.components[0]
+        mean = model.means[0]
         y = crandn(rng, 6)
         out = estimate(model, 1e12, y).value
-        assert np.abs(out - comp.mean).max() < 1e-6 * np.abs(comp.mean).max()
+        assert np.abs(out - mean).max() < 1e-6 * np.abs(mean).max()
 
     def test_scalar_half_gain(self):
-        comp = MfaComponent(
-            1.0,
-            np.zeros(1, complex),
-            LowRankCovariance(np.zeros((1, 1), complex), np.ones(1)),
-        )
-        out = estimate(MfaModel((comp,)), 1.0, np.array([2.0 + 0j])).value
+        comp = single(np.zeros(1, complex), np.zeros((1, 1), complex), np.ones(1))
+        out = estimate(comp, 1.0, np.array([2.0 + 0j])).value
         assert out[0] == pytest.approx(1.0 + 0j, abs=1e-14)
 
     def test_rejects_nonfinite(self):
@@ -109,10 +113,9 @@ class TestNoisyResponsibilities:
         dim = 4
         mean = crandn(rng, dim)
         loading = crandn(rng, dim, 2)
-        cov = LowRankCovariance(loading, np.full(dim, 0.4))
-        cov_neg = LowRankCovariance(loading, np.full(dim, 0.4))
         model = MfaModel(
-            (MfaComponent(0.5, mean, cov), MfaComponent(0.5, -mean, cov_neg))
+            np.full(2, 0.5), np.stack([mean, -mean]), np.stack([loading, loading]),
+            np.full((2, dim), 0.4),
         )
         resp = estimate(model, 1.0, np.zeros(dim, complex)).responsibilities
         assert resp == pytest.approx([0.5, 0.5], abs=1e-12)
@@ -135,10 +138,7 @@ class TestNoisyResponsibilities:
         # Unit-variance scalar components at 0 and sqrt(720): at y = 0 the far
         # one has posterior weight e^-720 = 2.03e-313, a subnormal number,
         # which falls below the responsibility floor.
-        cov = LowRankCovariance(np.zeros((1, 1), complex), np.ones(1))
-        model = MfaModel(
-            (MfaComponent(0.5, np.zeros(1), cov), MfaComponent(0.5, np.full(1, np.sqrt(720.0)), cov))
-        )
+        model = scalar_model([0.5, 0.5], [0.0, np.sqrt(720.0)], [0.0, 0.0], [1.0, 1.0])
         resp = estimate(model, 0.0, np.zeros((1, 1), complex)).responsibilities
         assert resp[0, 1] == 0.0
         assert resp.sum(axis=1) == pytest.approx([1.0], abs=1e-15)
@@ -150,7 +150,7 @@ class TestEstimate:
         model = make_model(rng, 1, 6, 2)
         y = crandn(rng, 6)
         got = estimate(model, 0.7, y)
-        ref = dense_lmmse(model.components[0], 0.7, y)
+        ref = dense_lmmse(model, 0, 0.7, y)
         assert np.abs(got.value - ref).max() < 1e-12
         assert got.responsibilities == pytest.approx([1.0])
 
@@ -191,7 +191,7 @@ class TestEstimate:
             y = crandn(rng, 5)
             got = estimate(model, sigma2, y)
             points = np.stack(
-                [dense_lmmse(c, sigma2, y) for c in model.components]
+                [dense_lmmse(model, k, sigma2, y) for k in range(4)]
             )  # (K, N)
             # membership: nonnegative weights summing to 1 reproducing the estimate
             stacked = np.concatenate(
@@ -207,7 +207,7 @@ def dense_estimate(model, sigma2, y):
     logdens = dense_logdens(model, sigma2, y)
     resp = np.exp(logdens - logdens.max(axis=1, keepdims=True))
     resp /= resp.sum(axis=1, keepdims=True)
-    filtered = np.stack([dense_lmmse(c, sigma2, y) for c in model.components])
+    filtered = np.stack([dense_lmmse(model, k, sigma2, y) for k in range(model.n_components)])
     return np.einsum("kbn,bk->bn", filtered, resp), resp
 
 
@@ -238,9 +238,9 @@ class TestFilterBank:
     def test_zero_latent_dimension(self):
         # L=0 is a mixture of diagonal Gaussians; MFA1 files may hold one.
         rng = np.random.default_rng(83)
-        covs = [LowRankCovariance(np.zeros((6, 0)), rng.uniform(0.3, 2.0, 6)) for _ in range(2)]
-        model = MfaModel((MfaComponent(0.3, crandn(rng, 6), covs[0]),
-                          MfaComponent(0.7, crandn(rng, 6), covs[1])))
+        diag_terms = np.stack([rng.uniform(0.3, 2.0, 6) for _ in range(2)])
+        means = np.stack([crandn(rng, 6) for _ in range(2)])
+        model = MfaModel(np.array([0.3, 0.7]), means, np.zeros((2, 6, 0)), diag_terms)
         y = 2.0 * crandn(rng, 50, 6)
         got = estimate(model, 0.4, y)
         value, resp = dense_estimate(model, 0.4, y)
@@ -252,11 +252,9 @@ class TestFilterBank:
         assert log_likelihood(model, y) == pytest.approx(want, rel=1e-12)
 
     def test_single_component_identity_cov(self):
-        comp = MfaComponent(
-            1.0, np.zeros(4, complex), LowRankCovariance(np.zeros((4, 1), complex), np.ones(4))
-        )
+        comp = single(np.zeros(4, complex), np.zeros((4, 1), complex), np.ones(4))
         y = crandn(np.random.default_rng(87), 10, 4)
-        got = estimate(MfaModel((comp,)), 1.0, y)
+        got = estimate(comp, 1.0, y)
         assert np.abs(got.value - 0.5 * y).max() < 1e-14
 
     def test_rebuild_bit_identical(self):
@@ -271,13 +269,13 @@ class TestFilterBank:
     def test_single_component_affine_form(self):
         rng = np.random.default_rng(84)
         model = make_model(rng, 1, 5, 2)
-        comp = model.components[0]
-        gain = np.eye(5) - 0.8 * np.linalg.inv(comp.cov.dense(0.8))
-        bias = comp.mean - gain @ comp.mean
+        mean = model.means[0]
+        gain = np.eye(5) - 0.8 * np.linalg.inv(model.dense_covariances(0.8)[0])
+        bias = mean - gain @ mean
         y = crandn(rng, 5)
         got = estimate(model, 0.8, y)
         assert np.abs(got.value - (gain @ y + bias)).max() < 1e-12
-        assert np.abs(got.value - dense_lmmse(comp, 0.8, y)).max() < 1e-12
+        assert np.abs(got.value - dense_lmmse(model, 0, 0.8, y)).max() < 1e-12
 
     def test_zero_input_zero_mean(self):
         rng = np.random.default_rng(85)
@@ -299,9 +297,7 @@ class TestCmeOracle:
         # Monte-Carlo MSE of the K=1 oracle matches (1/N) tr(C - C (C + s I)^-1 C).
         rng = np.random.default_rng(87)
         model = make_model(rng, 1, 6, 2, sep=0.0)
-        comp = model.components[0]
-        w = comp.cov.loading
-        cov = w @ w.conj().T + np.diag(comp.cov.diag_term)
+        cov = dense_cov(model, 0)
         sigma2 = 0.5
         shifted = cov + sigma2 * np.eye(6)
         want = np.trace(cov - cov @ np.linalg.solve(shifted, cov)).real / 6

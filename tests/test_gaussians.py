@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -7,14 +9,13 @@ from mfachest.gaussians import (
     LOG_PI,
     RESP_FLOOR,
     ConditioningError,
-    LowRankCovariance,
     log_sum_exp,
     mixture_logdens,
     responsibilities,
     sample_component,
     stack_mixture,
 )
-from mfachest.mfa import MfaComponent, MfaModel
+from mfachest.mfa import MfaModel
 from test_mixture_kernel import dense_logdens
 
 
@@ -22,66 +23,57 @@ def crandn(rng, *shape):
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
 
 
-def random_cov(rng, dim, latent, psi_lo=0.3, psi_hi=2.0):
-    loading = crandn(rng, dim, latent)
-    return LowRankCovariance(loading, rng.uniform(psi_lo, psi_hi, dim))
-
-
-def single(cov, mean=None):
+def single(loading, diag_term, mean=None):
     """A one-component mixture with weight 1 and, by default, zero mean."""
-    mean = np.zeros(cov.dim, complex) if mean is None else mean
-    return [MfaComponent(1.0, mean, cov)]
+    loading = np.asarray(loading, dtype=complex)
+    mean = np.zeros(loading.shape[0], complex) if mean is None else np.asarray(mean)
+    return MfaModel(np.ones(1), mean[None], loading[None], np.asarray(diag_term, float)[None])
 
 
-def stack_inverse(cov, sigma2):
+def random_cov(rng, dim, latent, psi_lo=0.3, psi_hi=2.0):
+    """A random zero-mean one-component mixture."""
+    loading = crandn(rng, dim, latent)
+    return single(loading, rng.uniform(psi_lo, psi_hi, dim))
+
+
+def dense(comp, sigma2=0.0):
+    """The (N, N) covariance of a one-component mixture, plus sigma2 I."""
+    return comp.dense_covariances(sigma2)[0]
+
+
+def stack_inverse(comp, sigma2):
     """(C + sigma2 I)^{-1} read off the stacked factors: D - (D W R)(D W R)^H."""
-    stack = stack_mixture(single(cov), sigma2)
+    stack = stack_mixture(comp, sigma2)
     dwr = stack.dwr_conj.conj()
     return np.diag(stack.d[:, 0]) - dwr @ dwr.conj().T
 
 
-def stack_logdet(cov, sigma2):
+def stack_logdet(comp, sigma2):
     """log det(C + sigma2 I) from the logconst of a weight-1, zero-mean stack."""
-    return -cov.dim * LOG_PI - stack_mixture(single(cov), sigma2).logconst[0]
+    return -comp.dim * LOG_PI - stack_mixture(comp, sigma2).logconst[0]
 
 
-def logpdf(x, mean, cov, sigma2=0.0):
+def logpdf(x, mean, comp, sigma2=0.0):
     """Complex Gaussian log-density from the mixture kernel with K=1 and weight 1."""
     x = np.asarray(x, dtype=np.complex128)
     rows = np.atleast_2d(x)
-    latent = np.empty((rows.shape[0], 1, cov.latent_dim), dtype=np.complex128)
-    stack = stack_mixture(single(cov, mean), sigma2)
+    latent = np.empty((rows.shape[0], 1, comp.latent_dim), dtype=np.complex128)
+    stack = stack_mixture(replace(comp, means=mean[None]), sigma2)
     out = mixture_logdens(stack, rows, np.abs(rows) ** 2, latent)
     return float(out[0, 0]) if x.ndim == 1 else out[:, 0]
-
-
-class TestLowRankCovariance:
-    def test_rejects_nonpositive_diag(self):
-        with pytest.raises(ValueError):
-            LowRankCovariance(np.zeros((3, 1), complex), np.array([1.0, 0.0, 1.0]))
-
-    def test_rejects_wide_loading(self):
-        with pytest.raises(ValueError):
-            LowRankCovariance(np.zeros((2, 3), complex), np.ones(2))
-
-    def test_rejects_nonfinite(self):
-        loading = np.zeros((2, 1), complex)
-        loading[0, 0] = np.nan
-        with pytest.raises(ValueError):
-            LowRankCovariance(loading, np.ones(2))
 
 
 class TestWoodburyInverse:
     """The inverse (C + sigma2 I)^{-1} = D - D W A W^H D held by the stacked factors."""
 
     def test_zero_loading_is_diagonal(self):
-        cov = LowRankCovariance(np.zeros((4, 2), complex), np.full(4, 0.5))
+        cov = single(np.zeros((4, 2), complex), np.full(4, 0.5))
         inv = stack_inverse(cov, 1.5)
         assert np.allclose(inv, np.eye(4) / 2.0, atol=1e-14)
 
     def test_two_by_two_hand_case(self):
         # W = [1; 0], Psi = I, sigma2 = 1 -> C = diag(3, 2)
-        cov = LowRankCovariance(np.array([[1.0], [0.0]], complex), np.ones(2))
+        cov = single(np.array([[1.0], [0.0]], complex), np.ones(2))
         inv = stack_inverse(cov, 1.0)
         assert np.allclose(inv, np.diag([1 / 3, 1 / 2]), atol=1e-14)
 
@@ -89,7 +81,7 @@ class TestWoodburyInverse:
         rng = np.random.default_rng(11)
         cov = random_cov(rng, 8, 3)
         inv = stack_inverse(cov, 0.4)
-        oracle = np.linalg.inv(cov.dense(0.4))
+        oracle = np.linalg.inv(dense(cov, 0.4))
         assert np.abs(inv - oracle).max() < 1e-10
 
     def test_hermitian_and_identity_product(self):
@@ -99,44 +91,43 @@ class TestWoodburyInverse:
             sigma2 = rng.uniform(0.01, 2.0)
             inv = stack_inverse(cov, sigma2)
             assert np.abs(inv - inv.conj().T).max() <= 1e-12 * np.abs(inv).max()
-            resid = inv @ cov.dense(sigma2) - np.eye(dim)
+            resid = inv @ dense(cov, sigma2) - np.eye(dim)
             assert np.linalg.norm(resid, 2) < 1e-9
 
     def test_conditioning_error(self):
         # Huge loading over a tiny diagonal drives the latent system of
         # component 1 singular; the error names that component.
-        good = LowRankCovariance(np.ones((4, 2), complex), np.ones(4))
-        bad = LowRankCovariance(1e12 * np.ones((4, 2), complex), np.full(4, 1e-12))
-        comps = [MfaComponent(0.5, np.zeros(4), good), MfaComponent(0.5, np.zeros(4), bad)]
+        loadings = np.stack([np.ones((4, 2)), 1e12 * np.ones((4, 2))])
+        diag_terms = np.stack([np.ones(4), np.full(4, 1e-12)])
+        model = MfaModel(np.full(2, 0.5), np.zeros((2, 4)), loadings, diag_terms)
         with pytest.raises(ConditioningError, match="component 1 is not positive definite"):
-            stack_mixture(comps, 0.0)
+            stack_mixture(model, 0.0)
 
     def test_ill_conditioned_component_named(self):
         # Latent system diag(1 + 1e14, 1): positive definite, condition estimate 1e14.
         loading = np.zeros((3, 2), complex)
         loading[0, 0] = 1e7
-        good = LowRankCovariance(np.ones((3, 2), complex), np.ones(3))
-        bad = LowRankCovariance(loading, np.ones(3))
-        comps = [MfaComponent(0.5, np.zeros(3), good), MfaComponent(0.5, np.zeros(3), bad)]
+        loadings = np.stack([np.ones((3, 2), complex), loading])
+        model = MfaModel(np.full(2, 0.5), np.zeros((2, 3)), loadings, np.ones((2, 3)))
         message = r"component 1 is ill-conditioned \(estimate 1\.00e\+14"
         with pytest.raises(ConditioningError, match=message):
-            stack_mixture(comps, 0.0)
+            stack_mixture(model, 0.0)
 
     def test_requires_positive_shifted_diag(self):
-        cov = LowRankCovariance(np.zeros((2, 1), complex), np.ones(2))
+        cov = single(np.zeros((2, 1), complex), np.ones(2))
         with pytest.raises(ValueError):
-            stack_mixture(single(cov), -2.0)
+            stack_mixture(cov, -2.0)
 
 
 class TestLowrankLogdet:
     """log det(C + sigma2 I) by the determinant lemma, read off the stack's logconst."""
 
     def test_identity(self):
-        cov = LowRankCovariance(np.zeros((5, 2), complex), np.ones(5))
+        cov = single(np.zeros((5, 2), complex), np.ones(5))
         assert stack_logdet(cov, 0.0) == pytest.approx(0.0, abs=1e-14)
 
     def test_two_by_two_hand_case(self):
-        cov = LowRankCovariance(np.array([[1.0], [0.0]], complex), np.ones(2))
+        cov = single(np.array([[1.0], [0.0]], complex), np.ones(2))
         assert stack_logdet(cov, 1.0) == pytest.approx(np.log(6.0), abs=1e-14)
 
     def test_matches_dense(self):
@@ -144,7 +135,7 @@ class TestLowrankLogdet:
         for _ in range(10):
             cov = random_cov(rng, 8, 3)
             sigma2 = rng.uniform(0.0, 1.0)
-            oracle = np.linalg.slogdet(cov.dense(sigma2))[1]
+            oracle = np.linalg.slogdet(dense(cov, sigma2))[1]
             assert stack_logdet(cov, sigma2) == pytest.approx(oracle, abs=1e-10)
 
 
@@ -153,13 +144,13 @@ class TestCgaussLogpdf:
 
     def test_at_mean_identity_cov(self):
         dim = 6
-        cov = LowRankCovariance(np.zeros((dim, 1), complex), np.ones(dim))
+        cov = single(np.zeros((dim, 1), complex), np.ones(dim))
         mean = np.arange(dim) + 1j * np.ones(dim)
         val = logpdf(mean, mean, cov, 0.0)
         assert val == pytest.approx(-dim * np.log(np.pi), abs=1e-12)
 
     def test_scalar_case(self):
-        cov = LowRankCovariance(np.zeros((1, 1), complex), np.ones(1))
+        cov = single(np.zeros((1, 1), complex), np.ones(1))
         val = logpdf(np.array([1.0 + 0j]), np.array([0.0 + 0j]), cov, 0.0)
         assert val == pytest.approx(-np.log(np.pi) - 1.0, abs=1e-12)
 
@@ -168,7 +159,7 @@ class TestCgaussLogpdf:
         cov = random_cov(rng, 8, 3)
         mean = crandn(rng, 8)
         x = crandn(rng, 20, 8) + mean
-        oracle = dense_logdens(MfaModel(tuple(single(cov, mean))), 0.3, x)[:, 0]
+        oracle = dense_logdens(replace(cov, means=mean[None]), 0.3, x)[:, 0]
         got = logpdf(x, mean, cov, 0.3)
         assert np.abs(got - oracle).max() < 1e-9
 
@@ -188,8 +179,8 @@ class TestCgaussLogpdf:
 class TestSampleComponent:
     def test_degenerate_covariance_returns_mean(self):
         mean = np.array([1.0 + 2.0j, -3.0j, 0.5])
-        cov = LowRankCovariance(np.zeros((3, 1), complex), np.full(3, 1e-12))
-        draw = sample_component(mean, cov, np.random.default_rng(0))
+        comp = single(np.zeros((3, 1), complex), np.full(3, 1e-12), mean)
+        draw = sample_component(comp, 0, np.random.default_rng(0))
         assert np.abs(draw - mean).max() < 1e-5
 
     def test_moment_match(self):
@@ -197,10 +188,11 @@ class TestSampleComponent:
         cov = random_cov(rng, 4, 2)
         mean = crandn(rng, 4)
         n = 100_000
-        draws = sample_component(mean, cov, np.random.default_rng(17), size=n)
+        comp = replace(cov, means=mean[None])
+        draws = sample_component(comp, 0, np.random.default_rng(17), size=n)
         centered = draws - draws.mean(axis=0)
         emp = centered.T @ centered.conj() / n
-        target = cov.dense()
+        target = dense(cov)
         # entrywise standard error of a complex covariance estimate
         scale = np.sqrt(np.outer(target.diagonal().real, target.diagonal().real) / n)
         assert np.all(np.abs(emp - target) < 3.5 * scale + 1e-12)
@@ -210,9 +202,9 @@ class TestSampleComponent:
     def test_seed_determinism(self):
         rng = np.random.default_rng(18)
         cov = random_cov(rng, 5, 2)
-        mean = crandn(rng, 5)
-        a = sample_component(mean, cov, np.random.default_rng(99))
-        b = sample_component(mean, cov, np.random.default_rng(99))
+        comp = replace(cov, means=crandn(rng, 5)[None])
+        a = sample_component(comp, 0, np.random.default_rng(99))
+        b = sample_component(comp, 0, np.random.default_rng(99))
         assert np.array_equal(a, b)
 
 

@@ -5,11 +5,10 @@ from hypothesis import given, strategies as st
 
 from mfachest.baselines import gmm_estimate, gmm_from_mfa
 from mfachest.estimator import estimate
-from mfachest.gaussians import LowRankCovariance, mixture_logdens, stack_mixture
+from mfachest.gaussians import mixture_logdens, stack_mixture
 from mfachest.mfa import (
     RIDGE_REL,
     WEIGHT_FLOOR,
-    MfaComponent,
     MfaModel,
     _em_iteration,
     log_likelihood,
@@ -29,15 +28,14 @@ def models(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     weights = rng.uniform(0.2, 1.0, k_total)
     weights /= weights.sum()
-    comps = tuple(
-        MfaComponent(
-            weights[k],
-            rng.uniform(0.0, 3.0) * crandn(rng, dim),
-            LowRankCovariance(crandn(rng, dim, latent), rng.uniform(0.05, 2.0, dim)),
-        )
-        for k in range(k_total)
-    )
-    return MfaModel(comps), rng
+    means = np.empty((k_total, dim), complex)
+    loadings = np.empty((k_total, dim, latent), complex)
+    diag_terms = np.empty((k_total, dim))
+    for k in range(k_total):
+        means[k] = rng.uniform(0.0, 3.0) * crandn(rng, dim)
+        loadings[k] = crandn(rng, dim, latent)
+        diag_terms[k] = rng.uniform(0.05, 2.0, dim)
+    return MfaModel(weights, means, loadings, diag_terms), rng
 
 
 noise_levels = st.one_of(
@@ -53,11 +51,11 @@ def observations(model, rng, count=25):
 def dense_logdens(model, sigma2, y):
     """log w_k + log N_C(y; mu_k, C_k + sigma2 I) by dense Cholesky, (B, K)."""
     out = np.empty((y.shape[0], model.n_components))
-    for k, comp in enumerate(model.components):
-        chol = np.linalg.cholesky(comp.cov.dense(sigma2))
-        half = np.linalg.solve(chol, (y - comp.mean).T)
+    for k, cov in enumerate(model.dense_covariances(sigma2)):
+        chol = np.linalg.cholesky(cov)
+        half = np.linalg.solve(chol, (y - model.means[k]).T)
         out[:, k] = (
-            np.log(comp.weight)
+            np.log(model.weights[k])
             - model.dim * np.log(np.pi)
             - 2.0 * np.log(chol.diagonal().real).sum()
             - (np.abs(half) ** 2).sum(axis=0)
@@ -105,10 +103,10 @@ def reference_sweep(model, samples):
     logdens = dense_logdens(model, 0.0, samples)
     aug = np.ones((count, k_total, width), dtype=np.complex128)
     latent_covs = []
-    for k, comp in enumerate(model.components):
-        wd = comp.cov.loading / comp.cov.diag_term[:, None]
-        a_k = np.linalg.inv(np.eye(latent) + comp.cov.loading.conj().T @ wd)
-        aug[:, k, :latent] = (samples - comp.mean) @ wd.conj() @ a_k.T
+    for k in range(k_total):
+        wd = model.loadings[k] / model.diag_terms[k][:, None]
+        a_k = np.linalg.inv(np.eye(latent) + model.loadings[k].conj().T @ wd)
+        aug[:, k, :latent] = (samples - model.means[k]) @ wd.conj() @ a_k.T
         latent_covs.append(a_k)
     shift = logdens.max(axis=1)
     lse = np.log(np.exp(logdens - shift[:, None]).sum(axis=1)) + shift
@@ -150,12 +148,16 @@ def far_component_samples(model, rng, count):
     direction /= np.linalg.norm(direction)
     # A broad component: at offset 0 it sits on a sample with a density that
     # no other component beats by hundreds of nats.
-    cov = LowRankCovariance(0.5 * crandn(rng, dim, latent), np.ones(dim))
+    loadings = model.loadings.copy()
+    loadings[-1] = 0.5 * crandn(rng, dim, latent)
+    diag_terms = model.diag_terms.copy()
+    diag_terms[-1] = 1.0
     own = 0.3 * crandn(rng, 3, dim)
 
     def moved(offset):
-        far = MfaComponent(weights[-1], main[0] + offset * direction, cov)
-        return MfaModel(model.components[:-1] + (far,))
+        means = model.means.copy()
+        means[-1] = main[0] + offset * direction
+        return MfaModel(weights, means, loadings, diag_terms)
 
     def peak_log_resp(offset):
         logdens = dense_logdens(moved(offset), 0.0, main)
@@ -202,7 +204,7 @@ def test_em_sweep_matches_per_component_reference(case):
     if far:
         assert np.any((resp > 1e-320) & (resp < 1e-300))
 
-    got = _em_iteration(samples, np.abs(samples) ** 2, list(model.components))
+    got = _em_iteration(samples, np.abs(samples) ** 2, model)
     assert abs(got[0] - ll) <= 1e-9 * max(1.0, abs(ll))
     assert got[1] == worst
     assert np.abs(got[2] - masses).max() <= 1e-9 * masses.max()
@@ -218,7 +220,7 @@ def test_em_sweep_matches_per_component_reference(case):
         assert np.abs(got[5][k] - per_entry[k]).max() <= 1e-9 * energy
 
     # The kernel's whitened coordinates map back to the posterior means: R_k q_k = A_k p_k.
-    stack = stack_mixture(model.components, 0.0)
+    stack = stack_mixture(model, 0.0)
     whitened = np.empty_like(latent_means)
     mixture_logdens(stack, samples, np.abs(samples) ** 2, whitened)
     mapped = np.einsum("kij,tkj->tki", stack.latent_root, whitened)
