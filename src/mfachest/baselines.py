@@ -41,6 +41,7 @@ from .gaussians import (
     ConditioningError,
     _check_observation,
     _check_sigma2,
+    component_rows,
     log_sum_exp,
     responsibilities,
 )
@@ -58,7 +59,8 @@ EIG_FLOOR_REL = 1e-8
 
 # Complex entries of one chunk's (B, s, N) OMP basis.
 _OMP_CHUNK_BUDGET = 4_000_000
-# Complex entries of one (B, K*N) temporary of the GMM kernel and M-step: 2 MB,
+# Complex entries of one (B, K*N) temporary of the GMM kernel, and of the rows
+# of a (B, N) chunk the full M-step gathers per component: 2 MB,
 # a quarter of gaussians._STACK_CHUNK_BUDGET. At K=16, N=64 (128 rows) the
 # circulant E-step over 10k rows ran in 77-85 ms against 110-126 ms at 512 rows
 # (2 cores, 2 BLAS threads).
@@ -252,13 +254,21 @@ def fit_sample_lmmse(dataset) -> SampleCovariance:
 
 
 def sample_lmmse_estimate(cov: SampleCovariance, sigma2: float, y: np.ndarray) -> np.ndarray:
-    """Global LMMSE with the sample covariance and zero mean: C (C + sigma2 I)^{-1} y."""
+    """Global LMMSE with the sample covariance and zero mean: C (C + sigma2 I)^{-1} y,
+    computed as y - sigma2 (C + sigma2 I)^{-1} y, so y itself at sigma2 = 0.
+
+    Raises ConditioningError when C + sigma2 I is singular: the solve fails or
+    its result is not finite.
+    """
     sigma2 = _check_sigma2(sigma2)
-    if sigma2 <= 0.0:
-        raise ValueError("sample-covariance LMMSE requires sigma2 > 0")
     batch, single = _check_observation(y, cov.dim)
     shifted = cov.matrix + sigma2 * np.eye(cov.dim)
-    solved = np.linalg.solve(shifted, batch.T).T
+    try:
+        solved = np.linalg.solve(shifted, batch.T).T
+    except np.linalg.LinAlgError as exc:
+        raise ConditioningError("sample covariance + sigma2 I is singular (use sigma2 > 0)") from exc
+    if not np.all(np.isfinite(solved)):
+        raise ConditioningError("sample covariance + sigma2 I is numerically singular")
     out = batch - sigma2 * solved
     return out[0] if single else out
 
@@ -404,9 +414,12 @@ def _m_step(
     """Means (K, N) and parameters of every component from weights ``resp`` (T, K)
     over ``samples`` (T, N), with ``rows = _kernel_rows(structure, samples)``.
 
-    Full: the scatter (X^T diag(r_k) conj(X)) / m_k - mu_k^T conj(mu_k), with all
-    K second moments accumulated as one (K N, N) product per row chunk, and one
-    batched ``eigh`` to floor the eigenvalues. Circulant and Toeplitz: the
+    Full: the scatter (X^T diag(r_k) conj(X)) / m_k - mu_k^T conj(mu_k), and one
+    batched ``eigh`` to floor the eigenvalues. The second moments are sparse:
+    per row chunk, ``gaussians.component_rows`` gathers the rows with a nonzero
+    weight for each component (its cluster under one-hot k-means weights, a few
+    components per row under ``responsibilities``' relative floor) for one
+    (N, n_k) x (n_k, N) product. Circulant and Toeplitz: the
     transform-domain diagonal r_k^T |X_t|^2 / m_k - |r_k^T X_t / m_k|^2 from one
     real product, projected onto the cone for Toeplitz. The floor is
     EIG_FLOOR_REL times the weighted mean energy per entry of the centred rows:
@@ -416,11 +429,13 @@ def _m_step(
     masses = resp.sum(axis=0)
     means = resp.T @ samples / masses[:, None]
     if structure == "full":
-        second = np.zeros((k_total * dim, dim), dtype=np.complex128)
-        for part in _row_chunks(samples.shape[0], k_total * dim):
-            x = samples[part]
-            second += (resp[part, :, None] * x[:, None, :]).reshape(len(x), -1).T @ x.conj()
-        stats = second.reshape(k_total, dim, dim) / masses[:, None, None]
+        stats = np.zeros((k_total, dim, dim), dtype=np.complex128)
+        for part in _row_chunks(samples.shape[0], dim):
+            x, weights = samples[part], resp[part]
+            for k, rows in component_rows(weights):
+                x_k = x[rows]
+                stats[k] += (x_k * weights[rows, k][:, None]).T @ x_k.conj()
+        stats /= masses[:, None, None]
         stats -= means[:, :, None] * means[:, None, :].conj()
         energy = np.trace(stats, axis1=1, axis2=2).real
     else:

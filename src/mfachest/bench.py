@@ -40,7 +40,9 @@ class EstimatorSpec:
     ``k``/``l`` are fit hyperparameters for the mixture kinds; ``model_path``
     points at a serialized model for the *-model kinds (used to benchmark a
     known or externally fitted model); ``s_max`` caps the genie-OMP depth
-    (0 means the observation dimension).
+    (0 means the observation dimension); ``nv``/``nh`` give the array geometry
+    of the genie-OMP dictionary (0 means the scenario's; required with dataset
+    paths).
     """
 
     kind: str
@@ -50,6 +52,8 @@ class EstimatorSpec:
     psi_mode: str = "scaled-identity"
     s_max: int = 0
     model_path: str = ""
+    nv: int = 0
+    nh: int = 0
 
     def __post_init__(self):
         if self.kind not in ESTIMATOR_KINDS:
@@ -86,6 +90,12 @@ class BenchSpec:
             raise ValueError("train_path and eval_path must be given together")
         if has_paths == (self.scenario is not None):
             raise ValueError("give either dataset paths or a scenario config")
+        for entry in self.estimators:
+            if has_paths and entry.kind == "genie-omp" and min(entry.nv, entry.nh) < 1:
+                raise ValueError(
+                    f"estimator {entry.name!r} needs the array geometry nv and nh "
+                    "with dataset paths"
+                )
 
 
 def bench_spec_from_dict(data: dict) -> BenchSpec:
@@ -183,12 +193,14 @@ def _fit_entry(entry: EstimatorSpec, train: ChannelDataset, spec: BenchSpec,
     if entry.kind == "sample-lmmse":
         return _SampleLmmseFitted(baselines.fit_sample_lmmse(train))
     if entry.kind == "genie-omp":
-        if scenario is not None:
-            dictionary = baselines.build_dft_dictionary(scenario.nv, scenario.nh)
-        else:
-            dictionary = baselines.build_dft_dictionary(1, train.dim)
+        nv, nh = (entry.nv, entry.nh) if entry.nv or entry.nh else (scenario.nv, scenario.nh)
+        if nv * nh != train.dim:
+            raise ValueError(
+                f"estimator {entry.name!r}: array geometry {nv} x {nh} does not match "
+                f"the data dimension {train.dim}"
+            )
         s_max = entry.s_max or train.dim
-        return _GenieOmpFitted(dictionary, s_max)
+        return _GenieOmpFitted(baselines.build_dft_dictionary(nv, nh), s_max)
     if entry.kind == "mfa":
         if k < 1 or l < 1:
             raise ValueError(f"estimator {entry.name!r} needs k >= 1 and l >= 1")

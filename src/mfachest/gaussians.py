@@ -35,13 +35,13 @@ COND_LIMIT = 1e12
 # 35 MB transient peak; the peak grows with the budget.
 _STACK_CHUNK_BUDGET = 1 << 19
 
-# Responsibilities below this floor are set to exactly 0. A dropped entry moves
-# an EM statistic by at most RESP_FLOOR * T * max|x|, hundreds of orders of
-# magnitude below the mass WEIGHT_FLOOR * T of any component that survives, and
-# each row keeps its largest entry (>= 1/K). The floor sits far above the
-# subnormal range, so a kept weight times any entry >= 1e-8 stays a normal
-# number inside the BLAS products, whose subnormal operands take a slow path.
-RESP_FLOOR = 1e-300
+# Responsibilities below RESP_REL times their row's largest are set to exactly
+# 0. The largest is at least 1/K, so every kept weight is at least RESP_REL / K,
+# far above the subnormal range whose operands take BLAS's slow path, and every
+# dropped term is below the rounding of its row's largest term. Most rows keep a
+# handful of components, so the EM accumulations run over the nonzero entries
+# only (``component_rows``).
+RESP_REL = 1e-16
 
 
 class ConditioningError(ArithmeticError):
@@ -235,9 +235,34 @@ def log_sum_exp(values: np.ndarray, axis: int | None = None) -> np.ndarray | flo
 
 def responsibilities(logdens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Posterior component probabilities of (B, K) log-densities, and the per-row
-    log-sum-exp; entries below RESP_FLOOR are set to exactly 0."""
-    lse = log_sum_exp(logdens, axis=1)
-    resp = np.exp(logdens - lse[:, None])
-    resp /= resp.sum(axis=1, keepdims=True)
-    resp[resp < RESP_FLOOR] = 0.0
-    return resp, lse
+    log-sum-exp.
+
+    One exp per entry: with the row max as shift, e = exp(logdens - shift) and
+    its row sums give both the log-sum-exp, bit-equal to
+    ``log_sum_exp(logdens, axis=1)``, and the probabilities e / sum(e). Entries
+    of e below RESP_REL (relative to the row's largest, exp(0) = 1) are set to
+    exactly 0 before the division.
+    """
+    shift = np.max(logdens, axis=1, keepdims=True)
+    # An all--inf row would propagate nan through the subtraction.
+    shift = np.where(np.isfinite(shift), shift, 0.0)
+    resp = np.exp(logdens - shift)
+    total = resp.sum(axis=1, keepdims=True)
+    resp[resp < RESP_REL] = 0.0
+    resp /= total
+    return resp, (np.log(total) + shift)[:, 0]
+
+
+def component_rows(resp: np.ndarray):
+    """Yield (k, rows) for every component k of a (B, K) responsibility chunk that
+    has nonzero weights, with ``rows`` the ascending indices of those rows.
+
+    The nonzero (row, component) pairs come out of one ``nonzero`` over the
+    transpose, sorted by component, and one ``searchsorted`` finds each
+    component's segment; EM accumulates its statistics component by component
+    over the gathered rows.
+    """
+    comps, rows = np.nonzero(resp.T)
+    bounds = np.searchsorted(comps, np.arange(resp.shape[1] + 1))
+    for k in np.flatnonzero(np.diff(bounds)):
+        yield int(k), rows[bounds[k]:bounds[k + 1]]

@@ -329,6 +329,11 @@ def _init_components(
             loadings[k] = vecs[:, :latent] * np.sqrt(vals[:latent])
             resid = float(vals[latent:].mean()) if latent < dim else floor
             psis[k] = max(resid, floor)
+        if config.psi_mode == "shared-diagonal":
+            # Start inside the shared family: the clusters' residuals pooled
+            # as the M-step pools them, weighted by cluster size.
+            sizes = np.bincount(labels, minlength=k_total)
+            psis[:] = max(float(sizes @ psis[:, 0]) / count, floor)
     return MfaModel(np.full(k_total, 1.0 / k_total), means, loadings, psis)
 
 
@@ -344,11 +349,16 @@ def _em_iteration(
 
     The E-step is the stacked mixture kernel (``gaussians.mixture_logdens``),
     which writes the whitened latent coordinates q_k straight into the
-    regression buffer. The sweep accumulates S_xq = sum_t r x [q; 1]^H and
-    S_qq = sum_t r [q; 1][q; 1]^H with a few large matrix products, and maps
-    them back in one batch over the components: the latent regressors are
-    z = [m; 1] = T_k [q; 1] with T_k = blockdiag(R_k, 1), so
-    S_xz = S_xq T_k^H and S_zz = T_k (S_qq + mass_k diag(I, 0)) T_k^H, the
+    regression buffer, and stays dense: every row needs every component's
+    density. The accumulation is sparse. ``gaussians.responsibilities`` zeroes
+    the weights below RESP_REL of their row's largest, so a row keeps a few of
+    its K components; per chunk, ``gaussians.component_rows`` groups the
+    nonzero weights by component, and S_xq = sum_t r x [q; 1]^H and
+    S_qq = sum_t r [q; 1][q; 1]^H of each component are two small products
+    over its gathered rows. The masses and sum_t r |x|^2 are dense products.
+    The statistics are mapped back in one batch over the components: the
+    latent regressors are z = [m; 1] = T_k [q; 1] with T_k = blockdiag(R_k, 1),
+    so S_xz = S_xq T_k^H and S_zz = T_k (S_qq + mass_k diag(I, 0)) T_k^H, the
     identity block carrying the posterior covariance A_k = R_k R_k^H. The
     residual energies use the collapsed identity
     ``sum_t r E||x - W~ z~||^2 = sum_t r |x|^2 - Re diag(W~ S_xz^H)``,
@@ -363,7 +373,7 @@ def _em_iteration(
     width = latent + 1
     stack = gaussians.stack_mixture(model, 0.0)
 
-    s_xq_flat = np.zeros((dim, k_total * width), dtype=np.complex128)
+    s_xq = np.zeros((k_total, dim, width), dtype=np.complex128)
     s_qq = np.zeros((k_total, width, width), dtype=np.complex128)
     r_abs2 = np.zeros((dim, k_total))
     masses = np.zeros(k_total)
@@ -371,16 +381,14 @@ def _em_iteration(
     worst_val, worst_idx = np.inf, 0
 
     chunk = stack.chunk_rows()
-    # Rows of aug are the augmented latent vectors [q_k; 1] of every component;
-    # the kernel fills the q_k blocks, the intercept column is set once.
-    aug_big = np.empty((chunk, k_total * width), dtype=np.complex128)
-    aug_big.reshape(chunk, k_total, width)[:, :, latent] = 1.0
-    conj_big = np.empty_like(aug_big)
+    # Row t, component k holds the augmented latent vector [q_k; 1]; the kernel
+    # fills the q_k blocks, the intercept column is set once.
+    aug_big = np.empty((chunk, k_total, width), dtype=np.complex128)
+    aug_big[:, :, latent] = 1.0
     for start in range(0, count, chunk):
         stop = min(start + chunk, count)
         block = samples[start:stop]
-        size = stop - start
-        aug = aug_big[:size].reshape(size, k_total, width)
+        aug = aug_big[:stop - start]
         logdens = gaussians.mixture_logdens(stack, block, abs2[start:stop], aug[:, :, :latent])
 
         resp, lse = gaussians.responsibilities(logdens)
@@ -390,10 +398,12 @@ def _em_iteration(
             worst_val = float(lse[block_min])
             worst_idx = start + block_min
 
-        weighted = np.conjugate(aug, out=conj_big[:size].reshape(size, k_total, width))
-        weighted *= resp[:, :, None]
-        s_xq_flat += block.T @ weighted.reshape(size, k_total * width)
-        s_qq += np.matmul(aug.transpose(1, 2, 0), weighted.transpose(1, 0, 2))
+        for k, rows in gaussians.component_rows(resp):
+            regressors = aug[rows, k]
+            weighted = regressors.conj()
+            weighted *= resp[rows, k][:, None]
+            s_xq[k] += block[rows].T @ weighted
+            s_qq[k] += regressors.T @ weighted
         r_abs2 += abs2[start:stop].T @ resp
         masses += resp.sum(axis=0)
 
@@ -401,7 +411,7 @@ def _em_iteration(
     roots[:, :latent, :latent] = stack.latent_root
     roots[:, latent, latent] = 1.0
     roots_h = roots.conj().transpose(0, 2, 1)
-    s_xz = s_xq_flat.reshape(dim, k_total, width).transpose(1, 0, 2) @ roots_h
+    s_xz = s_xq @ roots_h
     s_qq[:, :latent, :latent] += masses[:, None, None] * np.eye(latent)
     s_zz = roots @ s_qq @ roots_h
     s_zz = 0.5 * (s_zz + s_zz.conj().transpose(0, 2, 1))

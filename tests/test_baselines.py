@@ -357,11 +357,30 @@ class TestSampleLmmse:
         want = np.trace(cov_true - cov_true @ np.linalg.solve(shifted, cov_true)).real / dim
         assert nmse == pytest.approx(want, rel=0.03)
 
-    @pytest.mark.parametrize("sigma2", [np.nan, np.inf, -1.0, 0.0])
+    @pytest.mark.parametrize("sigma2", [np.nan, np.inf, -1.0])
     def test_rejects_bad_sigma2(self, sigma2):
         rng = np.random.default_rng(113)
         cov = fit_sample_lmmse(ChannelDataset(crandn(rng, 50, 4)))
         with pytest.raises(ValueError):
+            sample_lmmse_estimate(cov, sigma2, crandn(rng, 4))
+
+    def test_zero_sigma2_returns_observation(self):
+        # The sigma2 contract of estimate and gmm_estimate: no noise, no change.
+        rng = np.random.default_rng(113)
+        cov = fit_sample_lmmse(ChannelDataset(crandn(rng, 50, 4)))
+        y = crandn(rng, 7, 4)
+        assert np.array_equal(sample_lmmse_estimate(cov, 0.0, y), y)
+        assert np.array_equal(sample_lmmse_estimate(cov, 0.0, y[2]), y[2])
+
+    @pytest.mark.parametrize("sigma2", [0.0, 1e-320])
+    def test_singular_covariance_raises(self, sigma2):
+        # An entry that is zero in every sample leaves C singular; a subnormal
+        # sigma2 on its diagonal overflows the solve instead of failing it.
+        rng = np.random.default_rng(118)
+        data = crandn(rng, 50, 4)
+        data[:, 3] = 0.0
+        cov = fit_sample_lmmse(ChannelDataset(data))
+        with pytest.raises(ConditioningError):
             sample_lmmse_estimate(cov, sigma2, crandn(rng, 4))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])

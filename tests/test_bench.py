@@ -6,6 +6,7 @@ import pytest
 from mfachest.bench import (
     BenchSpec,
     EstimatorSpec,
+    _load_data,
     bench_spec_from_dict,
     report_csv,
     report_jsonl,
@@ -139,6 +140,40 @@ class TestSnrSweep:
             eval_path="/nonexistent/eval.chd",
         )
         with pytest.raises(OSError):
+            run_snr_sweep(spec)
+
+
+class TestGenieOmpGeometry:
+    """genie-OMP builds its dictionary from the array geometry nv x nh: the
+    scenario's, or the entry's own, which dataset paths require."""
+
+    def write_scenario_data(self, tmp_path):
+        spec = small_spec([EstimatorSpec("genie-omp")], eval_count=60, train_count=40)
+        train, eval_ds = _load_data(spec)
+        paths = {"train_path": str(tmp_path / "train.chd"), "eval_path": str(tmp_path / "eval.chd")}
+        write_dataset(paths["train_path"], train)
+        write_dataset(paths["eval_path"], eval_ds)
+        return spec, paths
+
+    def test_dataset_paths_match_scenario_form(self, tmp_path):
+        spec, paths = self.write_scenario_data(tmp_path)
+        entry = EstimatorSpec("genie-omp", nv=2, nh=4)
+        from_paths = small_spec([entry], scenario=None, **paths)
+        nmse = lambda rows: [r.nmse for r in rows]
+        assert nmse(run_snr_sweep(from_paths)) == nmse(run_snr_sweep(spec))
+
+    @pytest.mark.parametrize("geometry", [{}, {"nv": 2}, {"nh": 4}])
+    def test_dataset_paths_need_geometry(self, tmp_path, geometry):
+        _, paths = self.write_scenario_data(tmp_path)
+        with pytest.raises(ValueError, match="nv and nh"):
+            small_spec([EstimatorSpec("genie-omp", **geometry)], scenario=None, **paths)
+
+    @pytest.mark.parametrize("scenario_form", [True, False])
+    def test_geometry_must_match_dimension(self, tmp_path, scenario_form):
+        _, paths = self.write_scenario_data(tmp_path)
+        entry = EstimatorSpec("genie-omp", nv=2, nh=3)
+        spec = small_spec([entry]) if scenario_form else small_spec([entry], scenario=None, **paths)
+        with pytest.raises(ValueError, match="2 x 3 does not match the data dimension 8"):
             run_snr_sweep(spec)
 
 

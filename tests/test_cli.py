@@ -250,6 +250,40 @@ class TestBenchCommands:
         assert "nmse" not in captured.out
         assert "eval_count" in captured.err
 
+    def test_bench_snr_infinite_snr(self, tmp_path, capsys):
+        # Every estimator takes sigma2 = 0 (SNR +inf) and returns y exactly.
+        spec_path = self.make_spec(tmp_path, [{"kind": "ls"}, {"kind": "sample-lmmse"}])
+        spec = json.loads(spec_path.read_text())
+        spec_path.write_text(json.dumps({**spec, "snr_grid_db": [float("inf")]}))
+        code = cli_main(["bench-snr", "--spec", str(spec_path), "--format", "jsonl"])
+        assert code == 0
+        rows = [json.loads(line) for line in capsys.readouterr().out.strip().split("\n")]
+        assert [(r["estimator"], r["nmse"]) for r in rows] == [("ls", 0.0), ("sample-lmmse", 0.0)]
+
+    def test_bench_genie_omp_on_dataset_paths_needs_geometry(self, tmp_path, capsys):
+        rng = np.random.default_rng(12)
+        data = (rng.standard_normal((30, 8)) + 1j * rng.standard_normal((30, 8))) / np.sqrt(2)
+        write_dataset(tmp_path / "train.chd", ChannelDataset(data[:20]))
+        write_dataset(tmp_path / "eval.chd", ChannelDataset(data[20:]))
+        spec = {
+            "estimators": [{"kind": "genie-omp"}],
+            "snr_grid_db": [10.0],
+            "train_path": str(tmp_path / "train.chd"),
+            "eval_path": str(tmp_path / "eval.chd"),
+        }
+        spec_path = tmp_path / "spec.json"
+        for geometry, message in [({}, "nv and nh"), ({"nv": 3, "nh": 2}, "3 x 2 does not match")]:
+            spec["estimators"][0].update(geometry)
+            spec_path.write_text(json.dumps(spec))
+            code = cli_main(["bench-snr", "--spec", str(spec_path)])
+            assert code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert message in captured.err
+        spec["estimators"][0].update({"nv": 2, "nh": 4})
+        spec_path.write_text(json.dumps(spec))
+        assert cli_main(["bench-snr", "--spec", str(spec_path)]) == 0
+
     def test_bad_grid_argument(self, tmp_path, capsys):
         spec_path = self.make_spec(tmp_path, [])
         code = cli_main(["bench-latent", "--spec", str(spec_path), "--l-grid", "1,x"])

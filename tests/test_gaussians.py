@@ -7,8 +7,9 @@ from hypothesis.extra.numpy import arrays
 
 from mfachest.gaussians import (
     LOG_PI,
-    RESP_FLOOR,
+    RESP_REL,
     ConditioningError,
+    component_rows,
     log_sum_exp,
     mixture_logdens,
     responsibilities,
@@ -241,13 +242,24 @@ def log_densities(draw):
 class TestResponsibilities:
     @given(log_densities())
     def test_floor_and_simplex(self, logdens):
+        # The floor is relative: an entry is kept when its exponential, shifted
+        # by the row max, is at least RESP_REL, i.e. RESP_REL of the row's largest.
         resp, lse = responsibilities(logdens)
-        assert not np.any((resp > 0.0) & (resp < RESP_FLOOR))
         assert np.abs(resp.sum(axis=1) - 1.0).max() <= 1e-12
         assert np.all(resp.max(axis=1) >= (1.0 - 1e-12) / logdens.shape[1])
         assert np.array_equal(lse, log_sum_exp(logdens, axis=1))
-        unfloored = np.exp(logdens - lse[:, None])
-        unfloored /= unfloored.sum(axis=1, keepdims=True)
+        relative = np.exp(logdens - logdens.max(axis=1, keepdims=True))
         kept = resp > 0.0
-        assert np.array_equal(kept, unfloored >= RESP_FLOOR)
+        assert np.array_equal(kept, relative >= RESP_REL)
+        assert np.all(resp[kept] >= RESP_REL / logdens.shape[1])
+        unfloored = relative / relative.sum(axis=1, keepdims=True)
         assert np.allclose(resp[kept], unfloored[kept], rtol=1e-12, atol=0.0)
+
+
+class TestComponentRows:
+    @given(arrays(np.float64, st.tuples(st.integers(1, 8), st.integers(1, 6)),
+                  elements=st.sampled_from([0.0, 1e-300, 0.25, 1.0])))
+    def test_groups_nonzero_entries(self, resp):
+        got = {k: rows.tolist() for k, rows in component_rows(resp)}
+        want = {k: np.flatnonzero(resp[:, k]).tolist() for k in range(resp.shape[1])}
+        assert got == {k: rows for k, rows in want.items() if rows}

@@ -1,3 +1,5 @@
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -5,8 +7,8 @@ from scipy.linalg import subspace_angles
 from scipy.optimize import linear_sum_assignment
 
 from mfachest.estimator import estimate
-from mfachest.gaussians import mixture_logdens, sample_component, stack_mixture
-from mfachest import mfa
+from mfachest.gaussians import log_sum_exp, mixture_logdens, sample_component, stack_mixture
+from mfachest import baselines, gaussians, mfa
 from mfachest.mfa import (
     FitConfig,
     MfaModel,
@@ -515,12 +517,22 @@ class TestEmProperties:
         _, trace = fit_em(data, k_total, latent, config)
         slack = 1e-8 * np.abs(trace.loglik[:-1])
         diffs = np.diff(trace.loglik)
-        if config.psi_mode == "shared-diagonal" and config.init == "kmeans-pca":
-            # The k-means start gives each component its own residual, so the
-            # first update leaves a model outside the shared-diagonal family
-            # and may lower the likelihood; later updates stay inside it.
-            diffs, slack = diffs[1:], slack[1:]
         assert np.all(diffs >= -slack)
+
+    @pytest.mark.parametrize("k_total", [1, 3, 6])
+    def test_shared_diagonal_start_pools_cluster_residuals(self, k_total):
+        # The k-means start under shared-diagonal gives every component the
+        # residual the per-component start gives each, pooled by cluster size.
+        rng = np.random.default_rng(59)
+        data = sample(make_model(rng, 3, 5, 2, sep=2.0), 60, rng).samples
+        start = lambda mode: mfa._init_components(
+            data, k_total, 2, FitConfig(psi_mode=mode), np.random.default_rng(60)
+        )
+        shared, own = start("shared-diagonal"), start("diagonal")
+        sizes = np.bincount(mfa._kmeans(data, k_total, np.random.default_rng(60)), minlength=k_total)
+        pooled = max(float(sizes @ own.diag_terms[:, 0]) / 60, mfa._psi_floor(data))
+        assert np.all(shared.diag_terms == pooled)
+        assert np.array_equal(shared.loadings, own.loadings)
 
     @pytest.mark.parametrize("mode", ["scaled-identity", "shared-diagonal", "diagonal"])
     def test_monotone_traces(self, mode):
@@ -580,6 +592,133 @@ class TestEmProperties:
         assert np.abs(fixed.means[2] - worst).max() < 1e-12
         # the other components keep their (updated) places
         assert np.abs(fixed.means[0] - base.means[0]).max() < 2.0
+
+
+@st.composite
+def sparse_responsibilities(draw, count, k_total, chunk):
+    """(count, K) weights as the EM accumulations see them: exact zeros
+    throughout, rows normalized or exactly one-hot, one component with no rows
+    in a chunk of ``chunk`` rows and one component with a single row."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        resp = np.eye(k_total)[rng.integers(k_total, size=count)]
+    else:
+        kept = rng.random((count, k_total)) < draw(st.floats(0.05, 1.0))
+        resp = rng.uniform(1e-3, 1.0, (count, k_total)) * kept
+        totals = resp.sum(axis=1, keepdims=True)
+        np.divide(resp, totals, out=resp, where=totals > 0)
+    start = chunk * draw(st.integers(0, (count - 1) // chunk))
+    resp[start:start + chunk, draw(st.integers(0, k_total - 1))] = 0.0
+    single = draw(st.integers(0, k_total - 1))
+    resp[:, single] = 0.0
+    resp[draw(st.integers(0, count - 1)), single] = draw(st.sampled_from([1.0, 0.3, 1e-3]))
+    return resp
+
+
+def dense_em_iteration(samples, abs2, model, resp_all):
+    """_em_iteration with the given weights, accumulated densely over every
+    (row, component) pair with a few large products, as before the sparse
+    accumulator."""
+    count, dim = samples.shape
+    k_total, latent = model.n_components, model.latent_dim
+    width = latent + 1
+    stack = stack_mixture(model, 0.0)
+    s_xq_flat = np.zeros((dim, k_total * width), dtype=complex)
+    s_qq = np.zeros((k_total, width, width), dtype=complex)
+    r_abs2 = np.zeros((dim, k_total))
+    masses = np.zeros(k_total)
+    ll_sum, worst_val, worst_idx = 0.0, np.inf, 0
+    chunk = stack.chunk_rows()
+    for start in range(0, count, chunk):
+        block = samples[start:start + chunk]
+        size = len(block)
+        aug = np.ones((size, k_total, width), dtype=complex)
+        latent_out = np.empty((size, k_total, latent), dtype=complex)
+        logdens = mixture_logdens(stack, block, abs2[start:start + size], latent_out)
+        aug[:, :, :latent] = latent_out
+        resp, lse = resp_all[start:start + size], log_sum_exp(logdens, axis=1)
+        ll_sum += float(lse.sum())
+        if lse.min() < worst_val:
+            worst_val, worst_idx = float(lse.min()), start + int(np.argmin(lse))
+        weighted = aug.conj() * resp[:, :, None]
+        s_xq_flat += block.T @ weighted.reshape(size, k_total * width)
+        s_qq += np.matmul(aug.transpose(1, 2, 0), weighted.transpose(1, 0, 2))
+        r_abs2 += abs2[start:start + size].T @ resp
+        masses += resp.sum(axis=0)
+    roots = np.zeros((k_total, width, width), dtype=complex)
+    roots[:, :latent, :latent] = stack.latent_root
+    roots[:, latent, latent] = 1.0
+    roots_h = roots.conj().transpose(0, 2, 1)
+    s_xz = s_xq_flat.reshape(dim, k_total, width).transpose(1, 0, 2) @ roots_h
+    s_qq[:, :latent, :latent] += masses[:, None, None] * np.eye(latent)
+    s_zz = roots @ s_qq @ roots_h
+    s_zz = 0.5 * (s_zz + s_zz.conj().transpose(0, 2, 1))
+    trace_scale = np.maximum(np.trace(s_zz, axis1=1, axis2=2).real / width, np.finfo(float).tiny)
+    s_zz[:, :latent, :latent] += (mfa.RIDGE_REL * trace_scale)[:, None, None] * np.eye(latent)
+    empty = masses == 0.0
+    s_zz[empty] = np.eye(width)
+    joint = np.linalg.solve(s_zz, s_xz.conj().transpose(0, 2, 1)).conj().transpose(0, 2, 1)
+    joint[empty] = 0.0
+    per_entry = r_abs2.T - np.einsum("knj,knj->kn", joint, s_xz.conj()).real
+    return ll_sum / count, worst_idx, masses, joint[:, :, :latent], joint[:, :, latent], per_entry
+
+
+class TestSparseAccumulator:
+    """The EM accumulations run over the nonzero weights only
+    (``gaussians.component_rows``); they match dense accumulations over every
+    (row, component) pair to 1e-12 relative."""
+
+    @given(st.data(), st.integers(1, 4), st.integers(1, 6), st.integers(1, 150))
+    def test_em_iteration_matches_dense(self, data, k_total, dim, count):
+        latent = data.draw(st.integers(1, dim))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        model = make_model(rng, k_total, dim, latent, sep=2.0)
+        samples = sample(model, count, rng).samples
+        abs2 = np.abs(samples) ** 2
+        # The smallest budget gives 64-row chunks, so the sweep spans up to three.
+        resp = data.draw(sparse_responsibilities(count, k_total, 64))
+        feed = iter(range(0, count, 64))
+
+        def injected(logdens):
+            start = next(feed)
+            return resp[start:start + len(logdens)].copy(), log_sum_exp(logdens, axis=1)
+
+        with patch.object(gaussians, "_STACK_CHUNK_BUDGET", 1), \
+                patch.object(gaussians, "responsibilities", injected):
+            got = mfa._em_iteration(samples, abs2, model)
+            want = dense_em_iteration(samples, abs2, model, resp)
+        assert got[:2] == want[:2]
+        # Each statistic relative to its own scale: the masses, the data for
+        # the regression (a single-row loading is rounding noise) and the
+        # weighted energies for the residuals.
+        data_scale = np.abs(samples).max()
+        scales = (want[2].max(), data_scale, data_scale, (resp.T @ abs2).max())
+        for a, b, scale in zip(got[2:], want[2:], scales):
+            assert np.abs(a - b).max() <= 1e-12 * max(scale, 1e-300)
+
+    @given(st.data(), st.integers(1, 4), st.integers(1, 6), st.integers(1, 150),
+           st.sampled_from([1, 97, 1 << 17]))
+    def test_full_m_step_matches_dense(self, data, k_total, dim, count, budget):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        samples = rng.uniform(0.0, 3.0) * crandn(rng, dim) + crandn(rng, count, dim)
+        chunk = max(1, budget // dim)
+        resp = data.draw(sparse_responsibilities(count, k_total, chunk))
+        resp = resp[:, resp.sum(axis=0) > 0]  # fits pass live components only
+        with patch.object(baselines, "_GMM_CHUNK_BUDGET", budget):
+            means, params = baselines._m_step("full", samples, samples, resp)
+        masses = resp.sum(axis=0)
+        want_means = resp.T @ samples / masses[:, None]
+        second = (resp[:, :, None] * samples[:, None, :]).reshape(count, -1).T @ samples.conj()
+        stats = second.reshape(-1, dim, dim) / masses[:, None, None]
+        stats -= want_means[:, :, None] * want_means[:, None, :].conj()
+        energy = np.trace(stats, axis1=1, axis2=2).real
+        floor = baselines.EIG_FLOOR_REL * np.maximum(energy / dim, np.finfo(float).tiny)
+        vals, vecs = np.linalg.eigh(0.5 * (stats + stats.conj().transpose(0, 2, 1)))
+        want = (vecs * np.maximum(vals, floor[:, None])[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
+        assert np.array_equal(means, want_means)
+        # Relative to the second moments, which the moment form starts from.
+        scale = np.abs(samples).max() ** 2
+        assert np.abs(params - want).max() <= 1e-12 * scale
 
 
 class TestSerialization:
