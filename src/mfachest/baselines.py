@@ -87,7 +87,6 @@ class Dictionary:
     """Unit-norm atoms (N, M) over a 2-D oversampled spatial-frequency grid."""
 
     atoms: np.ndarray
-    geometry: str
 
     def __post_init__(self):
         atoms = np.asarray(self.atoms, dtype=np.complex128)
@@ -130,7 +129,7 @@ def build_dft_dictionary(
     if min(nv, nh, oversampling_v, oversampling_h) < 1:
         raise ValueError("grid parameters must be positive")
     atoms = np.kron(_axis_grid(nv, oversampling_v), _axis_grid(nh, oversampling_h))
-    return Dictionary(atoms, geometry=f"dft:{nv}x{nh}:ov{oversampling_v}x{oversampling_h}")
+    return Dictionary(atoms)
 
 
 def genie_omp_batch(

@@ -1,8 +1,11 @@
 """Benchmark sweeps: normalized MSE of registered estimators over SNR,
 latent-dimension, and component-count grids, reported as CSV or JSON lines.
 
-Rows are ordered by (estimator, K, L, snr) and all randomness derives from the
-spec seed, so a sweep is reproducible apart from the wall-time column.
+Every sweep fits each estimator once (each mfa entry once per (K, L) of the
+grid), then corrupts the eval set once per SNR. That one draw is read-only and
+shared by every estimator, so all of them see the same noise. Rows are ordered
+by (estimator, K, L, snr) and all randomness derives from the spec seed, so a
+sweep is reproducible apart from the wall-time column.
 """
 
 from __future__ import annotations
@@ -10,8 +13,9 @@ from __future__ import annotations
 import csv
 import io
 import json
+import numbers
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -20,17 +24,28 @@ from .scenario import ChannelDataset, ScenarioConfig, corrupt, generate_channels
 
 CSV_COLUMNS = ("estimator", "K", "L", "T", "snr_db", "nmse", "wall_time_ms")
 
-ESTIMATOR_KINDS = (
-    "ls",
-    "genie-omp",
-    "sample-lmmse",
-    "mfa",
-    "gmm-full",
-    "gmm-toep",
-    "gmm-circ",
-    "mfa-model",
-    "gmm-model",
-)
+_GMM_STRUCTURES = {"gmm-full": "full", "gmm-toep": "toeplitz", "gmm-circ": "circulant"}
+
+ESTIMATOR_KINDS = ("ls", "genie-omp", "sample-lmmse", "mfa", *_GMM_STRUCTURES, "mfa-model", "gmm-model")
+
+# Annotation of a scalar spec field -> (accepted type, stored type, description).
+_FIELD_TYPES = {
+    "int": (numbers.Integral, int, "an integer"),
+    "float": (numbers.Real, float, "a number"),
+    "str": (str, str, "a string"),
+}
+
+
+def _check_field_types(spec) -> None:
+    """Store each scalar field as a plain int, float or str; any other value,
+    a bool included, is rejected with an error that names the field."""
+    for f in fields(spec):
+        if f.type in _FIELD_TYPES:
+            kind, cast, what = _FIELD_TYPES[f.type]
+            value = getattr(spec, f.name)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValueError(f"{f.name} must be {what}, got {value!r}")
+            object.__setattr__(spec, f.name, cast(value))
 
 
 @dataclass(frozen=True)
@@ -56,6 +71,7 @@ class EstimatorSpec:
     nh: int = 0
 
     def __post_init__(self):
+        _check_field_types(self)
         if self.kind not in ESTIMATOR_KINDS:
             raise ValueError(f"unknown estimator kind {self.kind!r}")
         if not self.name:
@@ -76,6 +92,11 @@ class BenchSpec:
     rel_tol: float = 1e-5
 
     def __post_init__(self):
+        _check_field_types(self)
+        if not isinstance(self.snr_grid_db, (list, tuple, np.ndarray)) or any(
+            isinstance(s, bool) or not isinstance(s, numbers.Real) for s in self.snr_grid_db
+        ):
+            raise ValueError(f"snr_grid_db must be a list of numbers, got {self.snr_grid_db!r}")
         object.__setattr__(self, "estimators", tuple(self.estimators))
         object.__setattr__(self, "snr_grid_db", tuple(float(s) for s in self.snr_grid_db))
         if not self.snr_grid_db:
@@ -98,13 +119,29 @@ class BenchSpec:
                 )
 
 
+def _json_object(data, what: str, cls) -> dict:
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a JSON object, got {data!r}")
+    unknown = set(data) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
+    return dict(data)
+
+
 def bench_spec_from_dict(data: dict) -> BenchSpec:
-    data = dict(data)
-    estimators = tuple(EstimatorSpec(**e) for e in data.pop("estimators", []))
+    data = _json_object(data, "bench spec", BenchSpec)
+    entries = data.pop("estimators", [])
+    if not isinstance(entries, list):
+        raise ValueError(f"estimators must be a list, got {entries!r}")
+    # A missing kind is rejected like any other non-string one.
+    estimators = [
+        EstimatorSpec(**{"kind": None, **_json_object(e, f"estimators[{i}]", EstimatorSpec)})
+        for i, e in enumerate(entries)
+    ]
     scenario = data.pop("scenario", None)
     if scenario is not None:
         scenario = scenario_from_dict(scenario)
-    snr_grid = tuple(data.pop("snr_grid_db", ()))
+    snr_grid = data.pop("snr_grid_db", ())
     return BenchSpec(estimators=estimators, snr_grid_db=snr_grid, scenario=scenario, **data)
 
 
@@ -123,107 +160,53 @@ class ReportRow:
     nmse: float
     wall_time_ms: float
 
-    def as_tuple(self):
-        return (self.estimator, self.k, self.l, self.t, self.snr_db, self.nmse, self.wall_time_ms)
+
+def model_estimator(model):
+    """``estimate(sigma2, y)`` of a fitted or loaded MFA or GMM: the MMSE
+    channel estimates of the observations y at noise variance sigma2."""
+    if isinstance(model, mfa.MfaModel):
+        return lambda sigma2, y: est_mod.estimate(model, sigma2, y).value
+    return lambda sigma2, y: baselines.gmm_estimate(model, sigma2, y)
 
 
-# ---------------------------------------------------------------------------
-# Fitted estimator adapters
-# ---------------------------------------------------------------------------
-
-
-class _Fitted:
-    """A trained estimator: estimate(sigma2, observations, truths) -> estimates."""
-
-    k = 0
-    l = 0
-
-    def estimate(self, sigma2, observations, truths):  # pragma: no cover - interface
-        raise NotImplementedError
-
-
-class _LsFitted(_Fitted):
-    def estimate(self, sigma2, observations, truths):
-        return baselines.ls_estimate(observations)
-
-
-class _SampleLmmseFitted(_Fitted):
-    def __init__(self, cov):
-        self.cov = cov
-
-    def estimate(self, sigma2, observations, truths):
-        return baselines.sample_lmmse_estimate(self.cov, sigma2, observations)
-
-
-class _GenieOmpFitted(_Fitted):
-    def __init__(self, dictionary, s_max):
-        self.dictionary = dictionary
-        self.s_max = s_max
-
-    def estimate(self, sigma2, observations, truths):
-        return baselines.genie_omp_batch(observations, self.dictionary, truths, self.s_max)
-
-
-class _MfaFitted(_Fitted):
-    def __init__(self, model, k, l):
-        self.model = model
-        self.k = k
-        self.l = l
-
-    def estimate(self, sigma2, observations, truths):
-        # estimate() factors the model at this noise level on every call.
-        return est_mod.estimate(self.model, sigma2, observations).value
-
-
-class _GmmFitted(_Fitted):
-    def __init__(self, model, k):
-        self.model = model
-        self.k = k
-
-    def estimate(self, sigma2, observations, truths):
-        return baselines.gmm_estimate(self.model, sigma2, observations)
-
-
-def _fit_entry(entry: EstimatorSpec, train: ChannelDataset, spec: BenchSpec,
-               scenario: ScenarioConfig | None, k=None, l=None) -> _Fitted:
-    k = k if k is not None else entry.k
-    l = l if l is not None else entry.l
+def _fit_entry(entry: EstimatorSpec, train: ChannelDataset, spec: BenchSpec, k, l):
+    """Fit or load one estimator: ``(K, L, estimate)`` with
+    ``estimate(sigma2, observations, truths) -> estimates``. ``k``/``l``
+    override the entry's own values unless None."""
+    k = entry.k if k is None else k
+    l = entry.l if l is None else l
+    fit = dict(max_iter=spec.max_iter, rel_tol=spec.rel_tol, seed=spec.seed)
     if entry.kind == "ls":
-        return _LsFitted()
+        return 0, 0, lambda sigma2, y, truths: baselines.ls_estimate(y)
     if entry.kind == "sample-lmmse":
-        return _SampleLmmseFitted(baselines.fit_sample_lmmse(train))
+        cov = baselines.fit_sample_lmmse(train)
+        return 0, 0, lambda sigma2, y, truths: baselines.sample_lmmse_estimate(cov, sigma2, y)
     if entry.kind == "genie-omp":
-        nv, nh = (entry.nv, entry.nh) if entry.nv or entry.nh else (scenario.nv, scenario.nh)
+        nv, nh = (entry.nv, entry.nh) if entry.nv or entry.nh else (spec.scenario.nv, spec.scenario.nh)
         if nv * nh != train.dim:
             raise ValueError(
                 f"estimator {entry.name!r}: array geometry {nv} x {nh} does not match "
                 f"the data dimension {train.dim}"
             )
-        s_max = entry.s_max or train.dim
-        return _GenieOmpFitted(baselines.build_dft_dictionary(nv, nh), s_max)
+        dictionary, s_max = baselines.build_dft_dictionary(nv, nh), entry.s_max or train.dim
+        return 0, 0, lambda sigma2, y, truths: baselines.genie_omp_batch(y, dictionary, truths, s_max)
     if entry.kind == "mfa":
         if k < 1 or l < 1:
             raise ValueError(f"estimator {entry.name!r} needs k >= 1 and l >= 1")
-        config = mfa.FitConfig(
-            max_iter=spec.max_iter, rel_tol=spec.rel_tol, seed=spec.seed,
-            psi_mode=entry.psi_mode,
-        )
-        model, _ = mfa.fit_em(train, k, l, config)
-        return _MfaFitted(model, k, l)
-    if entry.kind in ("gmm-full", "gmm-toep", "gmm-circ"):
+        model, _ = mfa.fit_em(train, k, l, mfa.FitConfig(**fit, psi_mode=entry.psi_mode))
+    elif entry.kind in _GMM_STRUCTURES:
         if k < 1:
             raise ValueError(f"estimator {entry.name!r} needs k >= 1")
-        structure = {"gmm-full": "full", "gmm-toep": "toeplitz", "gmm-circ": "circulant"}[entry.kind]
-        config = mfa.FitConfig(max_iter=spec.max_iter, rel_tol=spec.rel_tol, seed=spec.seed)
-        model, _ = baselines.fit_gmm(train, k, structure, config)
-        return _GmmFitted(model, k)
-    if entry.kind == "mfa-model":
+        model, _ = baselines.fit_gmm(train, k, _GMM_STRUCTURES[entry.kind], mfa.FitConfig(**fit))
+        l = 0
+    elif entry.kind == "mfa-model":
         model = mfa.load_model(entry.model_path)
-        return _MfaFitted(model, model.n_components, model.latent_dim)
-    if entry.kind == "gmm-model":
+        k, l = model.n_components, model.latent_dim
+    else:
         model = baselines.load_gmm(entry.model_path)
-        return _GmmFitted(model, model.n_components)
-    raise ValueError(f"unknown estimator kind {entry.kind!r}")
+        k, l = model.n_components, 0
+    estimate = model_estimator(model)
+    return k, l, lambda sigma2, y, truths: estimate(sigma2, y)
 
 
 # ---------------------------------------------------------------------------
@@ -241,54 +224,34 @@ def _load_data(spec: BenchSpec) -> tuple[ChannelDataset, ChannelDataset]:
     return train, eval_ds
 
 
-def _nmse(estimates: np.ndarray, truths: np.ndarray) -> float:
-    return float(np.sum(np.abs(estimates - truths) ** 2) / truths.size)
-
-
-def _eval_rows(fitted, name, spec, train_count, eval_ds, snr_db, snr_index):
-    rng = np.random.default_rng([spec.seed, 0xE7A1, snr_index])
-    observations, sigma2 = corrupt(eval_ds.samples, snr_db, rng)
-    start = time.perf_counter()
-    estimates = fitted.estimate(sigma2, observations, eval_ds.samples)
-    wall_ms = (time.perf_counter() - start) * 1e3
-    return ReportRow(
-        estimator=name,
-        k=fitted.k,
-        l=fitted.l,
-        t=train_count,
-        snr_db=float(snr_db),
-        nmse=_nmse(estimates, eval_ds.samples),
-        wall_time_ms=wall_ms,
-    )
-
-
-def _sorted(rows: list[ReportRow]) -> list[ReportRow]:
+def _sweep(spec: BenchSpec, shapes, snr_indices) -> list[ReportRow]:
+    """Fit every entry, each mfa entry once per (K, L) of ``shapes`` (None keeps
+    the entry's own value), and score every fit at each SNR of ``snr_indices``
+    (indices into the spec grid) on one shared, read-only draw of the noise."""
+    train, eval_ds = _load_data(spec)
+    truths = eval_ds.samples
+    fitted = [
+        (entry.name, *_fit_entry(entry, train, spec, k, l))
+        for entry in spec.estimators
+        for k, l in (shapes if entry.kind == "mfa" else [(None, None)])
+    ]
+    rows = []
+    for si in snr_indices:
+        snr = spec.snr_grid_db[si]
+        observations, sigma2 = corrupt(truths, snr, np.random.default_rng([spec.seed, 0xE7A1, si]))
+        observations.flags.writeable = False
+        for name, k, l, estimate in fitted:
+            start = time.perf_counter()
+            estimates = estimate(sigma2, observations, truths)
+            wall_ms = (time.perf_counter() - start) * 1e3
+            nmse = float(np.sum(np.abs(estimates - truths) ** 2) / truths.size)
+            rows.append(ReportRow(name, k, l, train.num_samples, snr, nmse, wall_ms))
     return sorted(rows, key=lambda r: (r.estimator, r.k, r.l, r.snr_db))
 
 
 def run_snr_sweep(spec: BenchSpec) -> list[ReportRow]:
     """Corrupt the eval set at every SNR of the grid and score every estimator."""
-    train, eval_ds = _load_data(spec)
-    fitted = [(e.name, _fit_entry(e, train, spec, spec.scenario)) for e in spec.estimators]
-    rows = []
-    for si, snr in enumerate(spec.snr_grid_db):
-        for name, f in fitted:
-            rows.append(_eval_rows(f, name, spec, train.num_samples, eval_ds, snr, si))
-    return _sorted(rows)
-
-
-def _fixed_snr_sweep(spec: BenchSpec, shapes) -> list[ReportRow]:
-    """Refit every mfa entry at each (K, L) of ``shapes``, where None keeps the
-    entry's own value; other estimators get one row. The SNR is fixed to the
-    first entry of the spec grid."""
-    train, eval_ds = _load_data(spec)
-    snr = spec.snr_grid_db[0]
-    rows = []
-    for entry in spec.estimators:
-        for k, latent in (shapes if entry.kind == "mfa" else [(None, None)]):
-            f = _fit_entry(entry, train, spec, spec.scenario, k=k, l=latent)
-            rows.append(_eval_rows(f, entry.name, spec, train.num_samples, eval_ds, snr, 0))
-    return _sorted(rows)
+    return _sweep(spec, [(None, None)], range(len(spec.snr_grid_db)))
 
 
 def run_latent_sweep(spec: BenchSpec, l_grid) -> list[ReportRow]:
@@ -299,7 +262,7 @@ def run_latent_sweep(spec: BenchSpec, l_grid) -> list[ReportRow]:
     l_grid = [int(x) for x in l_grid]
     if not l_grid:
         raise ValueError("l_grid must be nonempty")
-    return _fixed_snr_sweep(spec, [(None, latent) for latent in l_grid])
+    return _sweep(spec, [(None, latent) for latent in l_grid], [0])
 
 
 def run_grid_sweep(spec: BenchSpec, k_grid, l_grid) -> list[ReportRow]:
@@ -308,7 +271,7 @@ def run_grid_sweep(spec: BenchSpec, k_grid, l_grid) -> list[ReportRow]:
     l_grid = [int(x) for x in l_grid]
     if not k_grid or not l_grid:
         raise ValueError("k_grid and l_grid must be nonempty")
-    return _fixed_snr_sweep(spec, [(k, latent) for k in k_grid for latent in l_grid])
+    return _sweep(spec, [(k, latent) for k in k_grid for latent in l_grid], [0])
 
 
 # ---------------------------------------------------------------------------
@@ -316,25 +279,13 @@ def run_grid_sweep(spec: BenchSpec, k_grid, l_grid) -> list[ReportRow]:
 # ---------------------------------------------------------------------------
 
 
-def write_report_csv(rows: list[ReportRow], stream) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for row in rows:
-        writer.writerow(row.as_tuple())
-
-
 def report_csv(rows: list[ReportRow]) -> str:
     buf = io.StringIO()
-    write_report_csv(rows, buf)
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    writer.writerows(map(astuple, rows))
     return buf.getvalue()
-
-
-def write_report_jsonl(rows: list[ReportRow], stream) -> None:
-    for row in rows:
-        stream.write(json.dumps(dict(zip(CSV_COLUMNS, row.as_tuple()))) + "\n")
 
 
 def report_jsonl(rows: list[ReportRow]) -> str:
-    buf = io.StringIO()
-    write_report_jsonl(rows, buf)
-    return buf.getvalue()
+    return "".join(json.dumps(dict(zip(CSV_COLUMNS, astuple(row)))) + "\n" for row in rows)

@@ -11,7 +11,7 @@ import sys
 
 import numpy as np
 
-from . import baselines, bench, estimator as est_mod, mfa, scenario
+from . import baselines, bench, mfa, scenario
 from ._binio import FileFormatError
 from .gaussians import ConditioningError
 
@@ -152,10 +152,7 @@ def _cmd_estimate(args) -> int:
     dataset = scenario.read_dataset(args.data)
     rng = np.random.default_rng(args.seed)
     observations, sigma2 = scenario.corrupt(dataset.samples, args.snr_db, rng)
-    if isinstance(model, mfa.MfaModel):
-        estimates = est_mod.estimate(model, sigma2, observations).value
-    else:
-        estimates = baselines.gmm_estimate(model, sigma2, observations)
+    estimates = bench.model_estimator(model)(sigma2, observations)
     nmse = float(np.sum(np.abs(estimates - dataset.samples) ** 2) / dataset.samples.size)
     print(f"snr_db={args.snr_db} sigma2={sigma2:.6g} nmse={nmse:.8f}")
     if args.out:

@@ -56,6 +56,8 @@ class ScenarioConfig:
 
 
 def scenario_from_dict(data: dict) -> ScenarioConfig:
+    if not isinstance(data, dict):
+        raise ValueError(f"scenario must be a JSON object, got {data!r}")
     known = {f for f in ScenarioConfig.__dataclass_fields__}
     unknown = set(data) - known
     if unknown:

@@ -95,7 +95,7 @@ class TestDictionary:
 
     def test_unit_norm_enforced(self):
         with pytest.raises(ValueError):
-            Dictionary(np.ones((2, 2), complex), "bad")
+            Dictionary(np.ones((2, 2), complex))
 
 
 def reference_omp_prefixes(y, dictionary, sparsity):
@@ -281,7 +281,7 @@ class TestGenieOmp:
         ids=["small-residual", "small-observation", "dependent-atom"],
     )
     def test_stopping_rule(self, atoms, y, want):
-        d = Dictionary(atoms.astype(complex), "test")
+        d = Dictionary(atoms.astype(complex))
         y = np.array(y, dtype=complex)
         # With the observation as truth, the genie returns the deepest prefix.
         got = genie_omp_batch(y, d, y, 2)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from mfachest import bench
 from mfachest.bench import (
     BenchSpec,
     EstimatorSpec,
@@ -141,6 +142,44 @@ class TestSnrSweep:
         )
         with pytest.raises(OSError):
             run_snr_sweep(spec)
+
+
+class TestSharedDraw:
+    """Every estimator is scored on one read-only draw of the noise per SNR."""
+
+    ENTRIES = [
+        EstimatorSpec("ls"),
+        EstimatorSpec("sample-lmmse"),
+        EstimatorSpec("genie-omp"),
+        EstimatorSpec("gmm-circ", k=2),
+        EstimatorSpec("mfa", k=2, l=1),
+    ]
+
+    def test_rows_equal_single_estimator_sweeps(self):
+        # Each one-estimator sweep draws its own noise, so an estimator that
+        # wrote into the shared observations would change the others' rows.
+        strip = lambda rows: [(r.estimator, r.k, r.l, r.t, r.snr_db, r.nmse) for r in rows]
+        kwargs = dict(snr_grid_db=(0.0, 10.0, 20.0), max_iter=5)
+        shared = run_snr_sweep(small_spec(self.ENTRIES, **kwargs))
+        single = [row for e in self.ENTRIES for row in run_snr_sweep(small_spec([e], **kwargs))]
+        assert strip(shared) == sorted(strip(single))
+
+    @pytest.mark.parametrize("sweep, draws", [
+        (run_snr_sweep, 3),
+        (lambda spec: run_latent_sweep(spec, [1, 2]), 1),
+        (lambda spec: run_grid_sweep(spec, [1, 2], [1, 2]), 1),
+    ], ids=["snr", "latent", "grid"])
+    def test_one_corrupt_call_per_snr(self, monkeypatch, sweep, draws):
+        calls = []
+
+        def counting_corrupt(samples, snr_db, rng):
+            calls.append(snr_db)
+            return corrupt(samples, snr_db, rng)
+
+        monkeypatch.setattr(bench, "corrupt", counting_corrupt)
+        rows = sweep(small_spec(self.ENTRIES, snr_grid_db=(0.0, 10.0, 20.0), max_iter=2))
+        assert calls == [0.0, 10.0, 20.0][:draws]
+        assert len({(r.estimator, r.k, r.l) for r in rows}) * draws == len(rows)
 
 
 class TestGenieOmpGeometry:

@@ -5,10 +5,11 @@ import struct
 import numpy as np
 import pytest
 
-from mfachest.baselines import GmmModel, save_gmm
+from mfachest import baselines, estimator, mfa
+from mfachest.baselines import GmmModel, fit_gmm, gmm_estimate, load_gmm, save_gmm
 from mfachest.cli import cli_main
-from mfachest.mfa import load_model
-from mfachest.scenario import ChannelDataset, read_dataset, write_dataset
+from mfachest.mfa import FitConfig, fit_em, load_model, save_model
+from mfachest.scenario import ChannelDataset, corrupt, read_dataset, write_dataset
 
 
 def write_scenario_config(tmp_path, **overrides):
@@ -284,7 +285,115 @@ class TestBenchCommands:
         spec_path.write_text(json.dumps(spec))
         assert cli_main(["bench-snr", "--spec", str(spec_path)]) == 0
 
+    @pytest.mark.parametrize("override, field", [
+        ({"estimators": [{"kind": "ls", "foo": 1}]}, "foo"),
+        ({"bar": 1}, "bar"),
+        ({"estimators": ["ls"]}, "estimators[0]"),
+        ({"estimators": {"kind": "ls"}}, "estimators"),
+        ({"estimators": [{"name": "x"}]}, "kind"),
+        ([1, 2], "bench spec"),
+        ({"scenario": 5}, "scenario"),
+        ({"eval_count": 100.5}, "eval_count"),
+        ({"train_count": True}, "train_count"),
+        ({"seed": 1.5}, "seed"),
+        ({"max_iter": "20"}, "max_iter"),
+        ({"rel_tol": "1e-5"}, "rel_tol"),
+        ({"snr_grid_db": "10"}, "snr_grid_db"),
+        ({"snr_grid_db": [0.0, True]}, "snr_grid_db"),
+        ({"estimators": [{"kind": "mfa", "k": 2.0, "l": 1}]}, "k must be an integer"),
+        ({"estimators": [{"kind": "mfa", "k": 2, "l": True}]}, "l must be an integer"),
+        ({"estimators": [{"kind": "genie-omp", "s_max": 1.5}]}, "s_max"),
+        ({"estimators": [{"kind": "genie-omp", "nv": "2", "nh": 4}]}, "nv"),
+        ({"estimators": [{"kind": "genie-omp", "nv": 2, "nh": 4.0}]}, "nh"),
+        ({"estimators": [{"kind": "mfa-model", "model_path": 3}]}, "model_path"),
+    ], ids=[
+        "unknown-entry-key", "unknown-key", "entry-not-object", "estimators-not-list", "no-kind",
+        "spec-not-object", "scenario-not-object", "float-count", "bool-count", "float-seed",
+        "string-max-iter", "string-rel-tol", "string-grid", "bool-in-grid", "float-k", "bool-l",
+        "float-s-max", "string-nv", "float-nh", "int-model-path",
+    ])
+    def test_malformed_spec_exit_2(self, tmp_path, capsys, override, field):
+        spec_path = self.make_spec(tmp_path, [{"kind": "ls"}])
+        spec = json.loads(spec_path.read_text())
+        spec_path.write_text(json.dumps({**spec, **override} if isinstance(override, dict) else override))
+        code = cli_main(["bench-snr", "--spec", str(spec_path)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert field in captured.err
+
+    def write_eval_data(self, tmp_path):
+        rng = np.random.default_rng(13)
+        data = (rng.standard_normal((300, 8)) + 1j * rng.standard_normal((300, 8))) / np.sqrt(2)
+        write_dataset(tmp_path / "train.chd", ChannelDataset(data[:200]))
+        write_dataset(tmp_path / "eval.chd", ChannelDataset(data[200:]))
+        model, _ = fit_gmm(ChannelDataset(data[:200]), 2, "toeplitz", FitConfig(max_iter=5))
+        save_gmm(model, tmp_path / "model.gmm")
+        return {"snr_grid_db": [0.0, 10.0], "seed": 4,
+                "train_path": str(tmp_path / "train.chd"), "eval_path": str(tmp_path / "eval.chd")}
+
+    def test_gmm_model_rows_match_gmm_estimate(self, tmp_path, capsys):
+        spec = self.write_eval_data(tmp_path)
+        path = tmp_path / "model.gmm"
+        spec["estimators"] = [{"kind": "gmm-model", "model_path": str(path)}]
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        assert cli_main(["bench-snr", "--spec", str(tmp_path / "spec.json"), "--format", "jsonl"]) == 0
+        rows = [json.loads(line) for line in capsys.readouterr().out.strip().split("\n")]
+        truths = read_dataset(tmp_path / "eval.chd").samples
+        assert [(r["estimator"], r["K"], r["L"], r["T"], r["snr_db"]) for r in rows] == [
+            ("gmm-model", 2, 0, 200, 0.0), ("gmm-model", 2, 0, 200, 10.0)]
+        for si, row in enumerate(rows):
+            rng = np.random.default_rng([spec["seed"], 0xE7A1, si])
+            observations, sigma2 = corrupt(truths, row["snr_db"], rng)
+            estimates = gmm_estimate(load_gmm(path), sigma2, observations)
+            want = float(np.sum(np.abs(estimates - truths) ** 2) / truths.size)
+            assert row["nmse"] == pytest.approx(want, abs=1e-12)
+
+    def test_mfa_model_given_gmm_file_exit_2(self, tmp_path, capsys):
+        spec = self.write_eval_data(tmp_path)
+        spec["estimators"] = [{"kind": "mfa-model", "model_path": str(tmp_path / "model.gmm")}]
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        assert cli_main(["bench-snr", "--spec", str(tmp_path / "spec.json")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "bad magic b'GMM1'" in captured.err
+
     def test_bad_grid_argument(self, tmp_path, capsys):
         spec_path = self.make_spec(tmp_path, [])
         code = cli_main(["bench-latent", "--spec", str(spec_path), "--l-grid", "1,x"])
         assert code == 1
+
+
+class TestTracedLayers:
+    """The benchmark's tracer wraps library functions at their module
+    attributes; bench and the CLI must look them up there at call time."""
+
+    def test_calls_reach_module_attributes(self, tmp_path, monkeypatch, capsys):
+        rng = np.random.default_rng(14)
+        data = (rng.standard_normal((200, 8)) + 1j * rng.standard_normal((200, 8))) / np.sqrt(2)
+        data_path, mfa_path, gmm_path = tmp_path / "data.chd", tmp_path / "m.mfa", tmp_path / "m.gmm"
+        write_dataset(data_path, ChannelDataset(data))
+        save_model(fit_em(ChannelDataset(data), 2, 1, FitConfig(max_iter=3))[0], mfa_path)
+        save_gmm(fit_gmm(ChannelDataset(data), 2, "circulant", FitConfig(max_iter=3))[0], gmm_path)
+
+        calls = {}
+        for module, name in [(mfa, "fit_em"), (baselines, "fit_gmm"), (estimator, "estimate"),
+                             (mfa, "load_model"), (baselines, "gmm_estimate")]:
+            def counted(*args, _func=getattr(module, name), _name=name, **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _func(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+
+        spec = {
+            "estimators": [{"kind": "ls"}, {"kind": "mfa", "k": 2, "l": 1}, {"kind": "gmm-circ", "k": 2},
+                           {"kind": "mfa-model", "model_path": str(mfa_path)}],
+            "snr_grid_db": [0.0, 10.0], "eval_count": 50, "train_count": 100, "max_iter": 2,
+            "scenario": {"nv": 2, "nh": 4, "num_clusters": 2, "seed": 5},
+        }
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        assert cli_main(["bench-snr", "--spec", str(tmp_path / "spec.json")]) == 0
+        assert calls == {"fit_em": 1, "fit_gmm": 1, "load_model": 1, "estimate": 4, "gmm_estimate": 2}
+        for model_path in (mfa_path, gmm_path):
+            argv = ["estimate", "--model", str(model_path), "--data", str(data_path), "--snr-db", "5"]
+            assert cli_main(argv) == 0
+        assert calls == {"fit_em": 1, "fit_gmm": 1, "load_model": 2, "estimate": 5, "gmm_estimate": 3}
