@@ -1,15 +1,21 @@
-"""Little-endian binary container helpers shared by the dataset and model file formats.
+"""The little-endian container shared by the dataset (CHD1) and model (MFA1,
+GMM1) file formats.
 
-The model formats store their K components as K fixed-size records, which
-``ByteReader.records`` and ``ByteWriter.records`` move as one numpy
-structured array. A record layout is a list of ``(name, dtype, shape)``
-fields, e.g. ``[("weight", "<f8", ()), ("mean", "<c16", (N,))]``.
+A container is a 4-byte magic, one header record and a body of records, and
+nothing after them. A record layout is a list of fields packed without
+padding: ``(name, dtype)`` pairs for a header, e.g.
+``[("version", "<u4"), ("dim", "<u4")]``, and ``(name, dtype, shape)``
+triples for a body record, e.g.
+``[("weight", "<f8", ()), ("mean", "<c16", (N,))]``. The header gives the
+body's layout and record count; the body's byte count is
+checked against the rest of the file before its dtype or array is built, so a
+header that declares more records than the file holds raises FileFormatError
+instead of allocating.
 """
 
 from __future__ import annotations
 
 import math
-import struct
 
 import numpy as np
 
@@ -24,100 +30,58 @@ class FileFormatError(ValueError):
         self.offset = offset
 
 
-class ByteReader:
-    """Sequential reader over an in-memory buffer with offset-aware errors."""
+class Container:
+    """A container file read whole: ``header`` holds its header record as a tuple
+    of Python scalars in field order, and ``body`` reads the records that follow."""
 
-    def __init__(self, data: bytes):
-        self._data = data
-        self._pos = 0
+    def __init__(self, path, magic: bytes, header: list):
+        with open(path, "rb") as fh:
+            self._data = fh.read()
+        self._magic = magic
+        self.offset = 0
+        got = bytes(self._take(len(magic), "magic"))
+        if got != magic:
+            raise FileFormatError(f"bad magic {got!r}, expected {magic!r}", 0)
+        self._header = np.dtype(header)
+        record = np.frombuffer(self._take(self._header.itemsize, "header"), self._header)[0]
+        self.header = record.item()
 
-    @property
-    def offset(self) -> int:
-        return self._pos
+    def offset_of(self, name: str) -> int:
+        """File offset of the header field ``name``."""
+        return len(self._magic) + self._header.fields[name][1]
 
-    def _take(self, count: int, what: str) -> bytes:
-        end = self._pos + count
+    def _take(self, count: int, what: str) -> memoryview:
+        end = self.offset + count
         if end > len(self._data):
             raise FileFormatError(
                 f"truncated file: need {count} bytes for {what}, "
-                f"have {len(self._data) - self._pos}",
-                self._pos,
+                f"have {len(self._data) - self.offset}",
+                self.offset,
             )
-        chunk = self._data[self._pos:end]
-        self._pos = end
+        chunk = memoryview(self._data)[self.offset:end]
+        self.offset = end
         return chunk
 
-    def magic(self, expected: bytes) -> None:
-        got = self._take(len(expected), "magic")
-        if got != expected:
-            raise FileFormatError(f"bad magic {got!r}, expected {expected!r}", 0)
-
-    def u8(self, what: str = "u8") -> int:
-        return self._take(1, what)[0]
-
-    def u32(self, what: str = "u32") -> int:
-        return struct.unpack("<I", self._take(4, what))[0]
-
-    def u64(self, what: str = "u64") -> int:
-        return struct.unpack("<Q", self._take(8, what))[0]
-
-    def f64(self, what: str = "f64") -> float:
-        return struct.unpack("<d", self._take(8, what))[0]
-
-    def complex_array(self, count: int, what: str = "complex array") -> np.ndarray:
-        chunk = self._take(16 * count, what)
-        return np.frombuffer(chunk, dtype="<c16").astype(np.complex128)
-
-    def records(self, fields: list, count: int, what: str = "records") -> np.ndarray:
-        """``count`` records of the layout ``fields`` as a structured array.
-
-        The byte count is checked against the rest of the file before the
-        dtype or the array is built, so a header that declares more records
-        than the file holds raises FileFormatError instead of allocating.
-        """
+    def body(self, fields: list, count: int, what: str) -> np.ndarray:
+        """The ``count`` records of the layout ``fields`` that end the file, as a
+        structured array."""
         size = sum(np.dtype(base).itemsize * math.prod(shape) for _, base, shape in fields)
         chunk = self._take(size * count, what)
+        if self.offset != len(self._data):
+            raise FileFormatError(
+                f"trailing data: {len(self._data) - self.offset} unexpected bytes", self.offset
+            )
         return np.frombuffer(chunk, dtype=np.dtype(fields), count=count).copy()
 
-    def expect_eof(self) -> None:
-        if self._pos != len(self._data):
-            raise FileFormatError(
-                f"trailing data: {len(self._data) - self._pos} unexpected bytes",
-                self._pos,
-            )
 
-
-class ByteWriter:
-    """Builds the little-endian byte stream mirrored by ByteReader."""
-
-    def __init__(self):
-        self._parts: list[bytes] = []
-
-    def magic(self, value: bytes) -> None:
-        self._parts.append(value)
-
-    def u8(self, value: int) -> None:
-        self._parts.append(bytes([value]))
-
-    def u32(self, value: int) -> None:
-        self._parts.append(struct.pack("<I", value))
-
-    def u64(self, value: int) -> None:
-        self._parts.append(struct.pack("<Q", value))
-
-    def f64(self, value: float) -> None:
-        self._parts.append(struct.pack("<d", value))
-
-    def complex_array(self, values: np.ndarray) -> None:
-        self._parts.append(np.asarray(values, dtype="<c16").tobytes())
-
-    def records(self, fields: list, *columns: np.ndarray) -> None:
-        """One record of the layout ``fields`` per leading index of the columns,
-        which follow the order of the fields."""
-        out = np.empty(len(columns[0]), dtype=np.dtype(fields))
-        for (name, _, _), column in zip(fields, columns):
-            out[name] = column
-        self._parts.append(out.tobytes())
-
-    def getvalue(self) -> bytes:
-        return b"".join(self._parts)
+def write_container(path, magic: bytes, header: list, values: tuple, body: list, *columns) -> None:
+    """Write ``magic``, the header record ``values`` of the layout ``header`` and
+    one body record of the layout ``body`` per leading index of the columns,
+    which follow the order of the body's fields."""
+    records = np.empty(len(columns[0]), dtype=np.dtype(body))
+    for (name, _, _), column in zip(body, columns):
+        records[name] = column
+    with open(path, "wb") as fh:
+        fh.write(magic)
+        fh.write(np.array(values, dtype=np.dtype(header)).tobytes())
+        records.tofile(fh)

@@ -34,13 +34,14 @@ from functools import lru_cache, partial
 import numpy as np
 
 from . import mfa as _mfa
-from ._binio import ByteReader, ByteWriter, FileFormatError
+from ._binio import Container, FileFormatError, write_container
 from .gaussians import (
     COND_LIMIT,
     LOG_PI,
     ConditioningError,
     _check_observation,
     _check_sigma2,
+    cholesky,
     component_rows,
     log_sum_exp,
     responsibilities,
@@ -51,8 +52,6 @@ GMM_MAGIC = b"GMM1"
 GMM_VERSION = 1
 
 GMM_STRUCTURES = ("full", "toeplitz", "circulant")
-_STRUCTURE_TAGS = {"full": 0, "toeplitz": 1, "circulant": 2}
-_TAG_STRUCTURES = {v: k for k, v in _STRUCTURE_TAGS.items()}
 
 # Relative eigenvalue / spectrum floor, scaled by trace/N of the scatter.
 EIG_FLOOR_REL = 1e-8
@@ -495,15 +494,8 @@ def _gmm_factor(model: GmmModel, sigma2: float) -> tuple[np.ndarray, np.ndarray,
     else:
         dim = model.dim
         shifted = model.dense_covariances() + sigma2 * np.eye(dim)
-        chol = np.empty_like(shifted)
-        for k in range(model.n_components):
-            try:
-                chol[k] = np.linalg.cholesky(shifted[k])
-            except np.linalg.LinAlgError as exc:
-                raise ConditioningError(
-                    f"component {k}: covariance + sigma2 I is not positive definite "
-                    "(use sigma2 > 0)"
-                ) from exc
+        chol = cholesky(shifted, "component {k}: covariance + sigma2 I is not positive "
+                        "definite (use sigma2 > 0)")
         logdets = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2).real).sum(axis=1)
         inverse = np.linalg.inv(chol)
         whitener = inverse.transpose(2, 0, 1).reshape(dim, -1)
@@ -645,6 +637,9 @@ def gmm_estimate(model: GmmModel, sigma2: float, y: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+_GMM_HEADER = [("version", "<u4"), ("tag", "u1"), ("dim", "<u4"), ("count", "<u4")]
+
+
 def _gmm_records(structure: str, dim: int) -> list:
     """One GMM1 component record: a column-major covariance or a spectrum."""
     if structure == "full":
@@ -655,35 +650,25 @@ def _gmm_records(structure: str, dim: int) -> list:
 
 
 def save_gmm(model: GmmModel, path) -> None:
-    """Write the GMM1 container (structure tag byte after the version)."""
-    w = ByteWriter()
-    w.magic(GMM_MAGIC)
-    w.u32(GMM_VERSION)
-    w.u8(_STRUCTURE_TAGS[model.structure])
-    w.u32(model.dim)
-    w.u32(model.n_components)
+    """Write the GMM1 container; the structure tag is its index in GMM_STRUCTURES."""
     params = model.spectra if model.structure != "full" else model.covariances.transpose(0, 2, 1)
-    w.records(_gmm_records(model.structure, model.dim), model.weights, model.means, params)
-    with open(path, "wb") as fh:
-        fh.write(w.getvalue())
+    write_container(
+        path, GMM_MAGIC, _GMM_HEADER,
+        (GMM_VERSION, GMM_STRUCTURES.index(model.structure), model.dim, model.n_components),
+        _gmm_records(model.structure, model.dim), model.weights, model.means, params,
+    )
 
 
 def load_gmm(path) -> GmmModel:
-    with open(path, "rb") as fh:
-        reader = ByteReader(fh.read())
-    reader.magic(GMM_MAGIC)
-    version = reader.u32("version")
+    reader = Container(path, GMM_MAGIC, _GMM_HEADER)
+    version, tag, dim, k_total = reader.header
     if version != GMM_VERSION:
-        raise FileFormatError(f"unsupported model version {version}", reader.offset - 4)
-    tag = reader.u8("structure tag")
-    if tag not in _TAG_STRUCTURES:
-        raise FileFormatError(f"unknown structure tag {tag}", reader.offset - 1)
-    structure = _TAG_STRUCTURES[tag]
-    dim = reader.u32("dimension N")
-    k_total = reader.u32("component count K")
+        raise FileFormatError(f"unsupported model version {version}", reader.offset_of("version"))
+    if tag >= len(GMM_STRUCTURES):
+        raise FileFormatError(f"unknown structure tag {tag}", reader.offset_of("tag"))
+    structure = GMM_STRUCTURES[tag]
     if dim == 0 or k_total == 0:
         raise FileFormatError("model header declares an empty model", reader.offset)
-    rec = reader.records(_gmm_records(structure, dim), k_total, "components")
-    reader.expect_eof()
+    rec = reader.body(_gmm_records(structure, dim), k_total, "components")
     params = rec["spectrum"] if structure != "full" else rec["covariance"].transpose(0, 2, 1)
     return _with_params(structure, rec["weight"], rec["mean"], params)

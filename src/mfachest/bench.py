@@ -15,37 +15,19 @@ import io
 import json
 import numbers
 import time
-from dataclasses import astuple, dataclass, fields
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from . import baselines, estimator as est_mod, mfa
-from .scenario import ChannelDataset, ScenarioConfig, corrupt, generate_channels, read_dataset, scenario_from_dict
+from .scenario import ChannelDataset, ScenarioConfig, corrupt, generate_channels, read_dataset
+from .scenario import _check_field_types, _json_object, scenario_from_dict
 
 CSV_COLUMNS = ("estimator", "K", "L", "T", "snr_db", "nmse", "wall_time_ms")
 
 _GMM_STRUCTURES = {"gmm-full": "full", "gmm-toep": "toeplitz", "gmm-circ": "circulant"}
 
 ESTIMATOR_KINDS = ("ls", "genie-omp", "sample-lmmse", "mfa", *_GMM_STRUCTURES, "mfa-model", "gmm-model")
-
-# Annotation of a scalar spec field -> (accepted type, stored type, description).
-_FIELD_TYPES = {
-    "int": (numbers.Integral, int, "an integer"),
-    "float": (numbers.Real, float, "a number"),
-    "str": (str, str, "a string"),
-}
-
-
-def _check_field_types(spec) -> None:
-    """Store each scalar field as a plain int, float or str; any other value,
-    a bool included, is rejected with an error that names the field."""
-    for f in fields(spec):
-        if f.type in _FIELD_TYPES:
-            kind, cast, what = _FIELD_TYPES[f.type]
-            value = getattr(spec, f.name)
-            if isinstance(value, bool) or not isinstance(value, kind):
-                raise ValueError(f"{f.name} must be {what}, got {value!r}")
-            object.__setattr__(spec, f.name, cast(value))
 
 
 @dataclass(frozen=True)
@@ -117,15 +99,6 @@ class BenchSpec:
                     f"estimator {entry.name!r} needs the array geometry nv and nh "
                     "with dataset paths"
                 )
-
-
-def _json_object(data, what: str, cls) -> dict:
-    if not isinstance(data, dict):
-        raise ValueError(f"{what} must be a JSON object, got {data!r}")
-    unknown = set(data) - {f.name for f in fields(cls)}
-    if unknown:
-        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
-    return dict(data)
 
 
 def bench_spec_from_dict(data: dict) -> BenchSpec:

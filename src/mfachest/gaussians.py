@@ -71,6 +71,21 @@ def _check_observation(y: np.ndarray, dim: int) -> tuple[np.ndarray, bool]:
     return batch, y.ndim == 1
 
 
+def cholesky(stack: np.ndarray, message: str) -> np.ndarray:
+    """Lower Cholesky factors of a (K, M, M) stack, in one batched call. When that
+    fails, the components are factored one by one to raise ConditioningError with
+    ``message.format(k=k)`` for the first k that is not positive definite."""
+    try:
+        return np.linalg.cholesky(stack)
+    except np.linalg.LinAlgError:
+        for k, matrix in enumerate(stack):
+            try:
+                np.linalg.cholesky(matrix)
+            except np.linalg.LinAlgError as exc:
+                raise ConditioningError(message.format(k=k)) from exc
+        raise
+
+
 def factorize(
     loadings: np.ndarray, diag_terms: np.ndarray, sigma2: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -92,17 +107,7 @@ def factorize(
     latent = loadings.shape[2]
     a_inv = np.eye(latent) + loadings.conj().transpose(0, 2, 1) @ (loadings * d[:, :, None])
     a_inv = 0.5 * (a_inv + a_inv.conj().transpose(0, 2, 1))
-    try:
-        chol = np.linalg.cholesky(a_inv)
-    except np.linalg.LinAlgError:
-        for k, system in enumerate(a_inv):
-            try:
-                np.linalg.cholesky(system)
-            except np.linalg.LinAlgError as exc:
-                raise ConditioningError(
-                    f"latent system of component {k} is not positive definite"
-                ) from exc
-        raise
+    chol = cholesky(a_inv, "latent system of component {k} is not positive definite")
     pivots = np.diagonal(chol, axis1=1, axis2=2).real
     logdet = np.log(diag).sum(axis=1)
     if latent:

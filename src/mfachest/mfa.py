@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gaussians
-from ._binio import ByteReader, ByteWriter, FileFormatError
+from ._binio import Container, FileFormatError, write_container
 from .gaussians import log_sum_exp
 from .scenario import ChannelDataset
 
@@ -574,6 +574,9 @@ def parameter_count(kind: str, n_components: int, dim: int, latent_dim: int = 0)
 # ---------------------------------------------------------------------------
 
 
+_MODEL_HEADER = [("version", "<u4"), ("dim", "<u4"), ("latent", "<u4"), ("count", "<u4")]
+
+
 def _model_records(dim: int, latent: int) -> list:
     """One MFA1 component record; the loading is stored column-major."""
     return [
@@ -586,35 +589,20 @@ def _model_records(dim: int, latent: int) -> list:
 
 def save_model(model: MfaModel, path) -> None:
     """Write the MFA1 container (little-endian; loadings stored column-major)."""
-    w = ByteWriter()
-    w.magic(MODEL_MAGIC)
-    w.u32(MODEL_VERSION)
-    w.u32(model.dim)
-    w.u32(model.latent_dim)
-    w.u32(model.n_components)
-    w.records(
+    write_container(
+        path, MODEL_MAGIC, _MODEL_HEADER,
+        (MODEL_VERSION, model.dim, model.latent_dim, model.n_components),
         _model_records(model.dim, model.latent_dim),
-        model.weights,
-        model.means,
-        model.loadings.transpose(0, 2, 1),
-        model.diag_terms,
+        model.weights, model.means, model.loadings.transpose(0, 2, 1), model.diag_terms,
     )
-    with open(path, "wb") as fh:
-        fh.write(w.getvalue())
 
 
 def load_model(path) -> MfaModel:
-    with open(path, "rb") as fh:
-        reader = ByteReader(fh.read())
-    reader.magic(MODEL_MAGIC)
-    version = reader.u32("version")
+    reader = Container(path, MODEL_MAGIC, _MODEL_HEADER)
+    version, dim, latent, k_total = reader.header
     if version != MODEL_VERSION:
-        raise FileFormatError(f"unsupported model version {version}", reader.offset - 4)
-    dim = reader.u32("dimension N")
-    latent = reader.u32("latent dimension L")
-    k_total = reader.u32("component count K")
+        raise FileFormatError(f"unsupported model version {version}", reader.offset_of("version"))
     if dim == 0 or k_total == 0:
         raise FileFormatError("model header declares an empty model", reader.offset)
-    rec = reader.records(_model_records(dim, latent), k_total, "components")
-    reader.expect_eof()
+    rec = reader.body(_model_records(dim, latent), k_total, "components")
     return MfaModel(rec["weight"], rec["mean"], rec["loading"].transpose(0, 2, 1), rec["diag_term"])

@@ -9,11 +9,12 @@ urban-micro channels, not a calibrated reproduction of any campaign.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from ._binio import ByteReader, ByteWriter, FileFormatError
+from ._binio import Container, FileFormatError, write_container
 
 DATASET_MAGIC = b"CHD1"
 DATASET_VERSION = 1
@@ -21,6 +22,34 @@ DATASET_VERSION = 1
 # Complex entries of one block of (samples, paths, N) steering vectors (4 MB);
 # the block, not the sample count, bounds generation's transient memory.
 _GEN_CHUNK_BUDGET = 1 << 18
+
+# Annotation of a scalar dataclass field -> (accepted type, stored type, description).
+_FIELD_TYPES = {
+    "int": (numbers.Integral, int, "an integer"),
+    "float": (numbers.Real, float, "a number"),
+    "str": (str, str, "a string"),
+}
+
+
+def _check_field_types(config) -> None:
+    """Store each scalar field as a plain int, float or str; any other value,
+    a bool included, is rejected with an error that names the field."""
+    for f in fields(config):
+        if f.type in _FIELD_TYPES:
+            kind, cast, what = _FIELD_TYPES[f.type]
+            value = getattr(config, f.name)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValueError(f"{f.name} must be {what}, got {value!r}")
+            object.__setattr__(config, f.name, cast(value))
+
+
+def _json_object(data, what: str, cls) -> dict:
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a JSON object, got {data!r}")
+    unknown = set(data) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
+    return dict(data)
 
 
 @dataclass(frozen=True)
@@ -41,6 +70,7 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _check_field_types(self)
         if self.nv < 1 or self.nh < 1:
             raise ValueError("nv and nh must be positive")
         if self.spacing_v <= 0 or self.spacing_h <= 0:
@@ -56,13 +86,7 @@ class ScenarioConfig:
 
 
 def scenario_from_dict(data: dict) -> ScenarioConfig:
-    if not isinstance(data, dict):
-        raise ValueError(f"scenario must be a JSON object, got {data!r}")
-    known = {f for f in ScenarioConfig.__dataclass_fields__}
-    unknown = set(data) - known
-    if unknown:
-        raise ValueError(f"unknown scenario keys: {sorted(unknown)}")
-    return ScenarioConfig(**data)
+    return ScenarioConfig(**_json_object(data, "scenario", ScenarioConfig))
 
 
 @dataclass(frozen=True)
@@ -190,34 +214,34 @@ def corrupt(
     return h + noise, sigma2
 
 
+_DATASET_HEADER = [("version", "<u4"), ("dim", "<u4"), ("count", "<u8"), ("normalization", "<f8")]
+
+
+def _dataset_records(dim: int) -> list:
+    """One CHD1 record: a channel sample."""
+    return [("sample", "<c16", (dim,))]
+
+
 def write_dataset(path, dataset: ChannelDataset) -> None:
     """Write the CHD1 container; empty datasets are rejected."""
     if dataset.num_samples == 0:
         raise ValueError("refusing to write an empty dataset")
-    w = ByteWriter()
-    w.magic(DATASET_MAGIC)
-    w.u32(DATASET_VERSION)
-    w.u32(dataset.dim)
-    w.u64(dataset.num_samples)
-    w.f64(dataset.normalization)
-    w.complex_array(dataset.samples)
-    with open(path, "wb") as fh:
-        fh.write(w.getvalue())
+    write_container(
+        path, DATASET_MAGIC, _DATASET_HEADER,
+        (DATASET_VERSION, dataset.dim, dataset.num_samples, dataset.normalization),
+        _dataset_records(dataset.dim), dataset.samples,
+    )
 
 
 def read_dataset(path) -> ChannelDataset:
     """Read a CHD1 container; raises FileFormatError on any structural defect."""
-    with open(path, "rb") as fh:
-        reader = ByteReader(fh.read())
-    reader.magic(DATASET_MAGIC)
-    version = reader.u32("version")
+    reader = Container(path, DATASET_MAGIC, _DATASET_HEADER)
+    version, dim, count, normalization = reader.header
     if version != DATASET_VERSION:
-        raise FileFormatError(f"unsupported dataset version {version}", reader.offset - 4)
-    dim = reader.u32("dimension N")
-    count = reader.u64("sample count T")
+        raise FileFormatError(f"unsupported dataset version {version}", reader.offset_of("version"))
     if dim == 0 or count == 0:
-        raise FileFormatError("dataset header declares an empty dataset", reader.offset)
-    normalization = reader.f64("normalization")
-    samples = reader.complex_array(count * dim, "samples").reshape(count, dim)
-    reader.expect_eof()
-    return ChannelDataset(samples, normalization=normalization, seed=None)
+        # Reported where the counts end, just before the normalization.
+        offset = reader.offset_of("normalization")
+        raise FileFormatError("dataset header declares an empty dataset", offset)
+    rec = reader.body(_dataset_records(dim), count, "samples")
+    return ChannelDataset(rec["sample"], normalization=normalization, seed=None)

@@ -115,6 +115,21 @@ class TestPipeline:
         assert "n_components" in capsys.readouterr().err
         assert not model_path.exists()
 
+    @pytest.mark.parametrize("override, field", [
+        ({"nv": 2.5}, "nv must be an integer"),
+        ({"num_clusters": True}, "num_clusters must be an integer"),
+        ({"seed": "1"}, "seed must be an integer"),
+    ], ids=["float-nv", "bool-clusters", "string-seed"])
+    def test_generate_mistyped_config_exit_2(self, tmp_path, capsys, override, field):
+        config_path = write_scenario_config(tmp_path, **override)
+        data_path = tmp_path / "train.chd"
+        code = cli_main(["generate", "--config", str(config_path), "--t", "50", "--out", str(data_path)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert field in captured.err
+        assert not data_path.exists()
+
     def test_singular_circulant_model_at_infinite_snr(self, tmp_path, capsys):
         model_path = tmp_path / "singular.gmm"
         save_gmm(
@@ -306,11 +321,12 @@ class TestBenchCommands:
         ({"estimators": [{"kind": "genie-omp", "nv": "2", "nh": 4}]}, "nv"),
         ({"estimators": [{"kind": "genie-omp", "nv": 2, "nh": 4.0}]}, "nh"),
         ({"estimators": [{"kind": "mfa-model", "model_path": 3}]}, "model_path"),
+        ({"scenario": {"nv": 2.5, "nh": 4}}, "nv must be an integer"),
     ], ids=[
         "unknown-entry-key", "unknown-key", "entry-not-object", "estimators-not-list", "no-kind",
         "spec-not-object", "scenario-not-object", "float-count", "bool-count", "float-seed",
         "string-max-iter", "string-rel-tol", "string-grid", "bool-in-grid", "float-k", "bool-l",
-        "float-s-max", "string-nv", "float-nh", "int-model-path",
+        "float-s-max", "string-nv", "float-nh", "int-model-path", "float-scenario-nv",
     ])
     def test_malformed_spec_exit_2(self, tmp_path, capsys, override, field):
         spec_path = self.make_spec(tmp_path, [{"kind": "ls"}])

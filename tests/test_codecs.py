@@ -185,3 +185,60 @@ def test_gmm1_oversized_header(tmp_path, dim, k_total, structure):
     path.write_bytes(b"GMM1" + header)
     with pytest.raises(FileFormatError, match="truncated"):
         load_gmm(path)
+
+
+def test_chd1_oversized_header(tmp_path):
+    path = tmp_path / "huge.chd"
+    path.write_bytes(b"CHD1" + struct.pack("<IIQd", 1, 2**20, 2**62, 1.0))
+    with pytest.raises(FileFormatError, match="truncated"):
+        read_dataset(path)
+
+
+def mfa1_header(version=1, dim=2, latent=1, k_total=1):
+    return b"MFA1" + struct.pack("<4I", version, dim, latent, k_total)
+
+
+def gmm1_header(version=1, tag=0, dim=2, k_total=1):
+    return b"GMM1" + struct.pack("<IB2I", version, tag, dim, k_total)
+
+
+def chd1_header(version=1, dim=2, count=1):
+    return b"CHD1" + struct.pack("<2IQd", version, dim, count, 1.0)
+
+
+EMPTY_MODEL = "model header declares an empty model"
+EMPTY_DATASET = "dataset header declares an empty dataset"
+
+# (loader, file, message, offset) for every semantic header error. Each file
+# carries a full header, so the error, not a truncation, is what is reported.
+HEADER_ERRORS = [
+    pytest.param(load_model, b"XXXX" + mfa1_header()[4:], "bad magic b'XXXX', expected b'MFA1'", 0,
+                 id="mfa1-magic"),
+    pytest.param(load_model, mfa1_header(version=7), "unsupported model version 7", 4,
+                 id="mfa1-version"),
+    pytest.param(load_model, mfa1_header(dim=0), EMPTY_MODEL, 20, id="mfa1-no-dim"),
+    pytest.param(load_model, mfa1_header(k_total=0), EMPTY_MODEL, 20, id="mfa1-no-components"),
+    pytest.param(load_gmm, b"XXXX" + gmm1_header()[4:], "bad magic b'XXXX', expected b'GMM1'", 0,
+                 id="gmm1-magic"),
+    pytest.param(load_gmm, gmm1_header(version=7), "unsupported model version 7", 4,
+                 id="gmm1-version"),
+    pytest.param(load_gmm, gmm1_header(tag=3), "unknown structure tag 3", 8, id="gmm1-tag"),
+    pytest.param(load_gmm, gmm1_header(dim=0), EMPTY_MODEL, 17, id="gmm1-no-dim"),
+    pytest.param(load_gmm, gmm1_header(k_total=0), EMPTY_MODEL, 17, id="gmm1-no-components"),
+    pytest.param(read_dataset, b"XXXX" + chd1_header()[4:], "bad magic b'XXXX', expected b'CHD1'", 0,
+                 id="chd1-magic"),
+    pytest.param(read_dataset, chd1_header(version=7), "unsupported dataset version 7", 4,
+                 id="chd1-version"),
+    pytest.param(read_dataset, chd1_header(dim=0), EMPTY_DATASET, 20, id="chd1-no-dim"),
+    pytest.param(read_dataset, chd1_header(count=0), EMPTY_DATASET, 20, id="chd1-no-samples"),
+]
+
+
+@pytest.mark.parametrize("load, data, message, offset", HEADER_ERRORS)
+def test_header_errors(tmp_path, load, data, message, offset):
+    path = tmp_path / "file"
+    path.write_bytes(data + bytes(64))
+    with pytest.raises(FileFormatError) as err:
+        load(path)
+    assert str(err.value) == f"{message} (at byte offset {offset})"
+    assert err.value.offset == offset

@@ -200,6 +200,10 @@ class TestConfig:
         with pytest.raises(ValueError):
             scenario_from_dict({"nv": 2, "bogus": 1})
 
+    def test_int_float_fields_stored_as_float(self):
+        config = scenario_from_dict({"spacing_v": 1, "angle_spread_deg": np.int64(5)})
+        assert type(config.spacing_v) is float and type(config.angle_spread_deg) is float
+
     def test_validation(self):
         with pytest.raises(ValueError):
             ScenarioConfig(nv=0)
