@@ -7,13 +7,17 @@ OMP grows an orthonormal basis of each observation's support one atom per step
 first step where the largest residual correlation is <= 1e-12 * max(||y||, 1)
 or the orthogonalised atom has norm <= 1e-10, and its estimate stays frozen.
 
-The structured mixtures parameterize covariances as ``Q^H diag(c) Q`` with a
-fixed DFT-based transform: the unitary N-point DFT for circulant covariances
-and the 2N-point DFT truncated to N columns for Toeplitz ones. Each structure
-enters through one M-step, one restart (``_isotropic``) and one density kernel
-shared by the E-step, the likelihood and the estimator. EM runs in fit_em's
-loop and collapse policy, ``mfa._run_em`` and ``mfa._mixture_weights``, and an
-iteration touches the data a fixed number of times, whatever K is:
+A ``GmmModel`` holds its components' covariance parameters in one ``params``
+array: the covariances themselves for the full structure, and the spectra c
+for the structured ones, which parameterize covariances as ``Q^H diag(c) Q``
+with a fixed DFT-based transform: the unitary N-point DFT for circulant
+covariances and the 2N-point DFT truncated to N columns for Toeplitz ones.
+Weights and means pass the checks ``mfa.MfaModel`` applies
+(``gaussians.check_mixture``). Each structure enters through one M-step, one
+restart (``_isotropic``) and one density kernel shared by the E-step, the
+likelihood and the estimator. EM runs in fit_em's loop and collapse policy,
+``mfa._run_em`` and ``mfa._mixture_weights``, and an iteration touches the
+data a fixed number of times, whatever K is:
 
 - ``_m_step`` updates all K components (and starts every k-means cluster) from
   moment-form sufficient statistics, weighted second moments minus the means'
@@ -41,6 +45,7 @@ from .gaussians import (
     ConditioningError,
     _check_observation,
     _check_sigma2,
+    check_mixture,
     cholesky,
     component_rows,
     log_sum_exp,
@@ -292,54 +297,51 @@ def _toeplitz_gram(dim: int) -> np.ndarray:
     return np.abs(inner) ** 2
 
 
+def _param_shape(structure: str, dim: int) -> tuple[int, ...]:
+    """One component's parameters: an (N, N) covariance, a (2N,) Toeplitz or an
+    (N,) circulant spectrum."""
+    return {"full": (dim, dim), "toeplitz": (2 * dim,), "circulant": (dim,)}[structure]
+
+
 @dataclass(frozen=True)
 class GmmModel:
     """Gaussian mixture with full, Toeplitz, or circulant covariances.
 
-    ``covariances`` holds (K, N, N) Hermitian PSD matrices for the full
-    structure; ``spectra`` holds the nonnegative transform-domain diagonals
-    for the structured ones: (K, 2N) for Toeplitz, (K, N) for circulant.
+    ``params`` holds the covariance parameters of every component: (K, N, N)
+    Hermitian PSD matrices for the full structure, and the nonnegative
+    transform-domain diagonals (spectra) for the structured ones, (K, 2N) for
+    Toeplitz and (K, N) for circulant. Weights, means and parameters must be
+    finite.
     """
 
     structure: str
     weights: np.ndarray
     means: np.ndarray
-    covariances: np.ndarray | None = None
-    spectra: np.ndarray | None = None
+    params: np.ndarray
 
     def __post_init__(self):
         if self.structure not in GMM_STRUCTURES:
             raise ValueError(f"structure must be one of {GMM_STRUCTURES}")
-        weights = np.asarray(self.weights, dtype=np.float64)
-        means = np.asarray(self.means, dtype=np.complex128)
-        if weights.ndim != 1 or means.ndim != 2 or means.shape[0] != weights.shape[0]:
-            raise ValueError("weights (K,) and means (K, N) are inconsistent")
-        if np.any(weights <= 0) or abs(weights.sum() - 1.0) > 1e-12:
-            raise ValueError("weights must be positive and sum to 1")
-        k_total, dim = means.shape
-        if self.structure == "full":
-            covs = np.asarray(self.covariances, dtype=np.complex128)
-            if covs.shape != (k_total, dim, dim):
-                raise ValueError("full structure needs (K, N, N) covariances")
-            scale = max(float(np.abs(covs).max()), 1.0)
-            if np.max(np.abs(covs - covs.conj().transpose(0, 2, 1))) > 1e-10 * scale:
+        weights, means = check_mixture(self.weights, self.means, np.size(self.weights))
+        full = self.structure == "full"
+        params = np.asarray(self.params, dtype=np.complex128 if full else np.float64)
+        shape = (len(weights), *_param_shape(self.structure, means.shape[1]))
+        if params.shape != shape:
+            raise ValueError(f"{self.structure} structure needs params of shape {shape}")
+        if not np.all(np.isfinite(params)):
+            raise ValueError("covariance parameters must be finite")
+        if full:
+            scale = max(float(np.abs(params).max()), 1.0)
+            if np.max(np.abs(params - params.conj().transpose(0, 2, 1))) > 1e-10 * scale:
                 raise ValueError("covariances must be Hermitian")
-            min_eigs = np.linalg.eigvalsh(covs)[:, 0]
+            min_eigs = np.linalg.eigvalsh(params)[:, 0]
             for k in np.flatnonzero(min_eigs < -1e-10 * scale):
                 raise ValueError(f"covariance {k} is not PSD (min eig {min_eigs[k]:.3e})")
-            object.__setattr__(self, "covariances", covs)
-            object.__setattr__(self, "spectra", None)
-        else:
-            expected = 2 * dim if self.structure == "toeplitz" else dim
-            spectra = np.asarray(self.spectra, dtype=np.float64)
-            if spectra.shape != (k_total, expected):
-                raise ValueError(f"{self.structure} structure needs (K, {expected}) spectra")
-            if np.any(spectra < 0):
-                raise ValueError("spectra must be nonnegative")
-            object.__setattr__(self, "spectra", spectra)
-            object.__setattr__(self, "covariances", None)
+        elif np.any(params < 0):
+            raise ValueError("spectra must be nonnegative")
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "means", means)
+        object.__setattr__(self, "params", params)
 
     @property
     def dim(self) -> int:
@@ -349,30 +351,20 @@ class GmmModel:
     def n_components(self) -> int:
         return self.means.shape[0]
 
-    @property
-    def params(self) -> np.ndarray:
-        """The covariance parameters of every component: covariances or spectra."""
-        return self.spectra if self.covariances is None else self.covariances
-
     def dense_covariances(self) -> np.ndarray:
         """Materialize (K, N, N) covariance matrices for any structure."""
         if self.structure == "full":
-            return self.covariances.copy()
+            return self.params.copy()
         if self.structure == "circulant":
             q = np.fft.fft(np.eye(self.dim), norm="ortho")
         else:
             q = toeplitz_transform(self.dim)
-        return np.stack([q.conj().T @ (spectrum[:, None] * q) for spectrum in self.spectra])
-
-
-def _with_params(structure: str, weights, means, params) -> GmmModel:
-    key = "covariances" if structure == "full" else "spectra"
-    return GmmModel(structure, weights, means, **{key: params})
+        return np.stack([q.conj().T @ (spectrum[:, None] * q) for spectrum in self.params])
 
 
 def gmm_from_mfa(model: MfaModel) -> GmmModel:
     """Full-covariance mixture with C_k = loading loading^H + diag(diag_term)."""
-    return GmmModel("full", model.weights, model.means, covariances=model.dense_covariances())
+    return GmmModel("full", model.weights, model.means, model.dense_covariances())
 
 
 def _project_toeplitz(scatter_diag: np.ndarray, floor: float | np.ndarray, dim: int) -> np.ndarray:
@@ -468,7 +460,7 @@ def _check_spectra(model: GmmModel, sigma2: float) -> None:
     singular: a bin at or below its component's largest bin / COND_LIMIT."""
     if model.structure != "circulant":
         return
-    shifted = model.spectra + sigma2
+    shifted = model.params + sigma2
     singular = (shifted <= shifted.max(axis=1, keepdims=True) / COND_LIMIT).any(axis=1)
     if singular.any():
         raise ConditioningError(
@@ -488,7 +480,7 @@ def _gmm_factor(model: GmmModel, sigma2: float) -> tuple[np.ndarray, np.ndarray,
     a Cholesky factorization fails.
     """
     if model.structure == "circulant":
-        shifted = model.spectra + sigma2
+        shifted = model.params + sigma2
         logdets = np.log(shifted).sum(axis=1)
         whitener, centres = shifted, np.fft.fft(model.means, norm="ortho")
     else:
@@ -576,7 +568,7 @@ def fit_gmm(
     for k in np.flatnonzero(~fitted):
         means[k] = samples[labels == k][0] if sizes[k] else samples[rng.integers(count)]
     weights = np.full(n_components, 1.0 / n_components)
-    start = _with_params(structure, weights, means, params)
+    start = GmmModel(structure, weights, means, params)
     return _mfa._run_em(partial(_gmm_update, samples), start, config)
 
 
@@ -598,7 +590,7 @@ def _gmm_update(samples: np.ndarray, model: GmmModel) -> tuple[float, GmmModel]:
         means[collapsed] = samples[np.argmin(per_sample)]
         scale = float(np.mean(np.abs(samples) ** 2))
         params[collapsed] = _isotropic(model.structure, dim, scale)
-    return float(per_sample.mean()), _with_params(model.structure, weights, means, params)
+    return float(per_sample.mean()), GmmModel(model.structure, weights, means, params)
 
 
 def gmm_log_likelihood(model: GmmModel, dataset) -> float:
@@ -641,17 +633,14 @@ _GMM_HEADER = [("version", "<u4"), ("tag", "u1"), ("dim", "<u4"), ("count", "<u4
 
 
 def _gmm_records(structure: str, dim: int) -> list:
-    """One GMM1 component record: a column-major covariance or a spectrum."""
-    if structure == "full":
-        params = ("covariance", "<c16", (dim, dim))
-    else:
-        params = ("spectrum", "<f8", (2 * dim if structure == "toeplitz" else dim,))
+    """One GMM1 component record; a full covariance is stored column-major."""
+    params = ("params", "<c16" if structure == "full" else "<f8", _param_shape(structure, dim))
     return [("weight", "<f8", ()), ("mean", "<c16", (dim,)), params]
 
 
 def save_gmm(model: GmmModel, path) -> None:
     """Write the GMM1 container; the structure tag is its index in GMM_STRUCTURES."""
-    params = model.spectra if model.structure != "full" else model.covariances.transpose(0, 2, 1)
+    params = model.params.transpose(0, 2, 1) if model.structure == "full" else model.params
     write_container(
         path, GMM_MAGIC, _GMM_HEADER,
         (GMM_VERSION, GMM_STRUCTURES.index(model.structure), model.dim, model.n_components),
@@ -670,5 +659,5 @@ def load_gmm(path) -> GmmModel:
     if dim == 0 or k_total == 0:
         raise FileFormatError("model header declares an empty model", reader.offset)
     rec = reader.body(_gmm_records(structure, dim), k_total, "components")
-    params = rec["spectrum"] if structure != "full" else rec["covariance"].transpose(0, 2, 1)
-    return _with_params(structure, rec["weight"], rec["mean"], params)
+    params = rec["params"].transpose(0, 2, 1) if structure == "full" else rec["params"]
+    return GmmModel(structure, rec["weight"], rec["mean"], params)

@@ -42,25 +42,20 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="output dataset path (.chd)")
     p.add_argument("--seed", type=int, default=None, help="sample-draw seed (default: scenario seed)")
 
-    p = sub.add_parser("fit-mfa", help="fit a mixture of factor analyzers")
-    p.add_argument("--data", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--l", type=int, required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--max-iter", type=int, default=300)
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--psi-mode", choices=mfa.PSI_MODES, default="scaled-identity")
-    p.add_argument("--init", choices=mfa.INIT_MODES, default="kmeans-pca")
-
-    p = sub.add_parser("fit-gmm", help="fit a Gaussian mixture baseline")
-    p.add_argument("--data", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--structure", choices=baselines.GMM_STRUCTURES, required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--max-iter", type=int, default=300)
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--seed", type=int, default=0)
+    fits = (("fit-mfa", "mixture of factor analyzers"), ("fit-gmm", "Gaussian mixture baseline"))
+    for name, kind in fits:
+        p = sub.add_parser(name, help=f"fit a {kind}")
+        p.add_argument("--data", required=True)
+        p.add_argument("--k", type=int, required=True)
+        p.add_argument("--out", required=True)
+        p.add_argument("--max-iter", type=int, default=300)
+        p.add_argument("--tol", type=float, default=1e-6)
+        p.add_argument("--seed", type=int, default=0)
+        if name == "fit-mfa":
+            p.add_argument("--l", type=int, required=True)
+            p.add_argument("--psi-mode", choices=mfa.PSI_MODES, default="scaled-identity")
+        else:
+            p.add_argument("--structure", choices=baselines.GMM_STRUCTURES, required=True)
 
     p = sub.add_parser(
         "estimate",
@@ -116,8 +111,7 @@ def _cmd_generate(args) -> int:
 def _cmd_fit_mfa(args) -> int:
     dataset = scenario.read_dataset(args.data)
     config = mfa.FitConfig(
-        max_iter=args.max_iter, rel_tol=args.tol, seed=args.seed,
-        psi_mode=args.psi_mode, init=args.init,
+        max_iter=args.max_iter, rel_tol=args.tol, seed=args.seed, psi_mode=args.psi_mode
     )
     model, trace = mfa.fit_em(dataset, args.k, args.l, config)
     mfa.save_model(model, args.out)
@@ -201,7 +195,7 @@ _HANDLERS = {
 }
 
 
-def cli_main(argv=None) -> int:
+def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -217,10 +211,6 @@ def cli_main(argv=None) -> int:
     except (ValueError, FileFormatError, ConditioningError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-def main(argv=None) -> int:
-    return cli_main(argv)
 
 
 if __name__ == "__main__":

@@ -71,6 +71,27 @@ def _check_observation(y: np.ndarray, dim: int) -> tuple[np.ndarray, bool]:
     return batch, y.ndim == 1
 
 
+def check_mixture(weights, means, k_total: int) -> tuple[np.ndarray, np.ndarray]:
+    """The weights (K,) and means (K, N) of a mixture of ``k_total`` components, as
+    contiguous float and complex arrays. ``k_total`` is the component count of
+    the model's stacked covariance parameters. Raises ValueError unless K >= 1,
+    the shapes agree with K, the means are finite and the weights are finite,
+    lie in (0, 1] and sum to 1."""
+    weights = np.ascontiguousarray(weights, dtype=np.float64)
+    means = np.ascontiguousarray(means, dtype=np.complex128)
+    if k_total == 0:
+        raise ValueError("model needs at least one component")
+    if weights.shape != (k_total,) or means.ndim != 2 or means.shape[0] != k_total:
+        raise ValueError(f"weights (K,) and means (K, N) disagree with K={k_total} components")
+    if not np.all(np.isfinite(means)):
+        raise ValueError("component means must be finite")
+    if not np.all((weights > 0.0) & (weights <= 1.0)):
+        raise ValueError("component weights must be finite and lie in (0, 1]")
+    if abs(weights.sum() - 1.0) > 1e-12:
+        raise ValueError(f"component weights must sum to 1 (got {weights.sum()!r})")
+    return weights, means
+
+
 def cholesky(stack: np.ndarray, message: str) -> np.ndarray:
     """Lower Cholesky factors of a (K, M, M) stack, in one batched call. When that
     fails, the components are factored one by one to raise ConditioningError with

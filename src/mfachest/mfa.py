@@ -29,7 +29,6 @@ MODEL_MAGIC = b"MFA1"
 MODEL_VERSION = 1
 
 PSI_MODES = ("scaled-identity", "shared-diagonal", "diagonal")
-INIT_MODES = ("kmeans-pca", "random")
 
 # Mixture weights below this floor count as collapsed components.
 WEIGHT_FLOOR = 1e-8
@@ -59,32 +58,20 @@ class MfaModel:
     diag_terms: np.ndarray
 
     def __post_init__(self):
-        weights = np.ascontiguousarray(self.weights, dtype=np.float64)
-        means = np.ascontiguousarray(self.means, dtype=np.complex128)
         loadings = np.ascontiguousarray(self.loadings, dtype=np.complex128)
         diag_terms = np.ascontiguousarray(self.diag_terms, dtype=np.float64)
         if loadings.ndim != 3:
             raise ValueError("loadings must be a (K, N, L) array")
         k_total, dim, latent = loadings.shape
-        if k_total == 0:
-            raise ValueError("model needs at least one component")
-        shapes = (weights.shape, means.shape, diag_terms.shape)
-        if shapes != ((k_total,), (k_total, dim), (k_total, dim)):
-            raise ValueError(
-                "weights (K,), means (K, N), loadings (K, N, L) and diag_terms (K, N) disagree"
-            )
+        weights, means = gaussians.check_mixture(self.weights, self.means, k_total)
+        if means.shape[1] != dim or diag_terms.shape != (k_total, dim):
+            raise ValueError("means (K, N), loadings (K, N, L) and diag_terms (K, N) disagree")
         if latent > dim:
             raise ValueError("latent dimension L must not exceed N")
         if not np.all(np.isfinite(loadings)):
             raise ValueError("loading entries must be finite")
         if not np.all(np.isfinite(diag_terms)) or np.any(diag_terms <= 0.0):
             raise ValueError("diag_term entries must be finite and > 0")
-        if not np.all(np.isfinite(means)):
-            raise ValueError("component means must be finite")
-        if not np.all((weights > 0.0) & (weights <= 1.0)):
-            raise ValueError("component weights must lie in (0, 1]")
-        if abs(weights.sum() - 1.0) > 1e-12:
-            raise ValueError(f"component weights must sum to 1 (got {weights.sum()!r})")
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "loadings", loadings)
@@ -116,7 +103,6 @@ class FitConfig:
     rel_tol: float = 1e-6
     seed: int = 0
     psi_mode: str = "scaled-identity"
-    init: str = "kmeans-pca"
 
     def __post_init__(self):
         if self.max_iter < 1:
@@ -125,8 +111,6 @@ class FitConfig:
             raise ValueError("rel_tol must be > 0")
         if self.psi_mode not in PSI_MODES:
             raise ValueError(f"psi_mode must be one of {PSI_MODES}")
-        if self.init not in INIT_MODES:
-            raise ValueError(f"init must be one of {INIT_MODES}")
 
 
 @dataclass(frozen=True)
@@ -292,14 +276,14 @@ def _restart_factors(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Loading and diagonal of a component started from scratch: a small random
     loading at 0.3 sqrt(scale) per entry and the diagonal max(scale, floor), for
-    the random init, a k-means cluster of fewer than two samples, and a
-    collapsed component's reseed."""
+    a k-means cluster of fewer than two samples and a collapsed component's
+    reseed."""
     loading = 0.3 * np.sqrt(scale) * gaussians._std_cnormal(rng, (dim, latent))
     return loading, np.full(dim, max(scale, floor))
 
 
 def _init_components(
-    samples: np.ndarray, k_total: int, latent: int, config: FitConfig, rng: np.random.Generator
+    samples: np.ndarray, k_total: int, latent: int, psi_mode: str, rng: np.random.Generator
 ) -> MfaModel:
     count, dim = samples.shape
     floor = _psi_floor(samples)
@@ -308,32 +292,27 @@ def _init_components(
     loadings = np.empty((k_total, dim, latent), dtype=np.complex128)
     psis = np.empty((k_total, dim))
 
-    if config.init == "random":
-        means[:] = samples[rng.choice(count, size=k_total, replace=False)]
-        for k in range(k_total):
+    labels = _kmeans(samples, k_total, rng)
+    for k in range(k_total):
+        cluster = samples[labels == k]
+        if cluster.shape[0] < 2:
+            means[k] = cluster[0] if cluster.shape[0] else samples[rng.integers(count)]
             loadings[k], psis[k] = _restart_factors(rng, dim, latent, scale, floor)
-    else:
-        labels = _kmeans(samples, k_total, rng)
-        for k in range(k_total):
-            cluster = samples[labels == k]
-            if cluster.shape[0] < 2:
-                means[k] = cluster[0] if cluster.shape[0] else samples[rng.integers(count)]
-                loadings[k], psis[k] = _restart_factors(rng, dim, latent, scale, floor)
-                continue
-            means[k] = cluster.mean(axis=0)
-            centered = cluster - means[k]
-            cov = centered.T @ centered.conj() / cluster.shape[0]
-            vals, vecs = np.linalg.eigh(0.5 * (cov + cov.conj().T))
-            vals = np.maximum(vals[::-1], 0.0)
-            vecs = vecs[:, ::-1]
-            loadings[k] = vecs[:, :latent] * np.sqrt(vals[:latent])
-            resid = float(vals[latent:].mean()) if latent < dim else floor
-            psis[k] = max(resid, floor)
-        if config.psi_mode == "shared-diagonal":
-            # Start inside the shared family: the clusters' residuals pooled
-            # as the M-step pools them, weighted by cluster size.
-            sizes = np.bincount(labels, minlength=k_total)
-            psis[:] = max(float(sizes @ psis[:, 0]) / count, floor)
+            continue
+        means[k] = cluster.mean(axis=0)
+        centered = cluster - means[k]
+        cov = centered.T @ centered.conj() / cluster.shape[0]
+        vals, vecs = np.linalg.eigh(0.5 * (cov + cov.conj().T))
+        vals = np.maximum(vals[::-1], 0.0)
+        vecs = vecs[:, ::-1]
+        loadings[k] = vecs[:, :latent] * np.sqrt(vals[:latent])
+        resid = float(vals[latent:].mean()) if latent < dim else floor
+        psis[k] = max(resid, floor)
+    if psi_mode == "shared-diagonal":
+        # Start inside the shared family: the clusters' residuals pooled
+        # as the M-step pools them, weighted by cluster size.
+        sizes = np.bincount(labels, minlength=k_total)
+        psis[:] = max(float(sizes @ psis[:, 0]) / count, floor)
     return MfaModel(np.full(k_total, 1.0 / k_total), means, loadings, psis)
 
 
@@ -450,7 +429,7 @@ def fit_em(
         raise ValueError("latent dimension must satisfy 1 <= L <= N")
 
     rng = np.random.default_rng(config.seed)
-    start = _init_components(samples, n_components, latent_dim, config, rng)
+    start = _init_components(samples, n_components, latent_dim, config.psi_mode, rng)
     abs2 = np.abs(samples) ** 2
     return _run_em(
         lambda model: _em_update(samples, abs2, model, config.psi_mode, rng), start, config

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 from mfachest import baselines
 from mfachest.baselines import (
     EIG_FLOOR_REL,
+    GMM_STRUCTURES,
     Dictionary,
     GmmModel,
     _gmm_update,
@@ -400,7 +401,7 @@ class TestSampleValidation:
             fit_sample_lmmse,
             lambda data: fit_gmm(data, 2, "full", FitConfig(max_iter=2)),
             lambda data: gmm_log_likelihood(
-                GmmModel("circulant", np.array([1.0]), np.zeros((1, 4)), spectra=np.ones((1, 4))),
+                GmmModel("circulant", np.array([1.0]), np.zeros((1, 4)), np.ones((1, 4))),
                 data,
             ),
         ],
@@ -414,6 +415,58 @@ class TestSampleValidation:
             fit(ChannelDataset(data))
 
 
+_STRUCTURED = ("toeplitz", "circulant")
+# (case, structures, field, index, value, message): one entry of a valid model set to value.
+_GMM_MODEL_REJECTIONS = [
+    ("nan-weight", GMM_STRUCTURES, "weights", 0, np.nan, "finite"),
+    ("inf-weight", GMM_STRUCTURES, "weights", 0, np.inf, "finite"),
+    ("nan-mean", GMM_STRUCTURES, "means", (0, 1), np.nan, "means must be finite"),
+    ("inf-mean", GMM_STRUCTURES, "means", (1, 0), np.inf, "means must be finite"),
+    ("nan-param", GMM_STRUCTURES, "params", (1, 0), np.nan, "must be finite"),
+    ("inf-param", GMM_STRUCTURES, "params", (0, 2), np.inf, "must be finite"),
+    ("weight-sum", GMM_STRUCTURES, "weights", 1, 0.6, "sum to 1"),
+    ("negative-spectrum", _STRUCTURED, "params", (1, 1), -0.1, "nonnegative"),
+    ("non-hermitian", ("full",), "params", (0, 0, 1), 0.5, "Hermitian"),
+    ("non-psd", ("full",), "params", (1, 2, 2), -1.0, "not PSD"),
+]
+
+
+class TestGmmModel:
+    @staticmethod
+    def valid_arrays(structure, dim=3):
+        if structure == "full":
+            params = np.stack([np.eye(dim, dtype=complex)] * 2)
+        else:
+            params = np.ones((2, 2 * dim if structure == "toeplitz" else dim))
+        return {"weights": np.full(2, 0.5), "means": np.zeros((2, dim), complex), "params": params}
+
+    @pytest.mark.parametrize(
+        "structure, field, index, value, message",
+        [pytest.param(structure, *edit, id=f"{structure}-{case}")
+         for case, structures, *edit in _GMM_MODEL_REJECTIONS for structure in structures],
+    )
+    def test_rejects_invalid_arrays(self, structure, field, index, value, message):
+        arrays = self.valid_arrays(structure)
+        GmmModel(structure, **arrays)
+        arrays[field][index] = value
+        with pytest.raises(ValueError, match=message):
+            GmmModel(structure, **arrays)
+
+    @pytest.mark.parametrize("structure", GMM_STRUCTURES)
+    @pytest.mark.parametrize("which", ["params-width", "params-count", "weights-count"])
+    def test_rejects_wrong_shapes(self, structure, which):
+        arrays = self.valid_arrays(structure)
+        if which == "params-width":
+            arrays["params"] = arrays["params"][:, 1:]
+        elif which == "params-count":
+            arrays["params"] = arrays["params"][:1]
+        else:
+            arrays["weights"] = np.ones(1)
+        message = "disagree" if which == "weights-count" else "needs params of shape"
+        with pytest.raises(ValueError, match=message):
+            GmmModel(structure, **arrays)
+
+
 class TestFitGmm:
     def test_full_single_component_is_sample_covariance(self):
         rng = np.random.default_rng(101)
@@ -423,7 +476,7 @@ class TestFitGmm:
         xc = data - mean
         want = xc.T @ xc.conj() / 500
         assert np.abs(model.means[0] - mean).max() < 1e-10
-        assert np.abs(model.covariances[0] - want).max() < 1e-10
+        assert np.abs(model.params[0] - want).max() < 1e-10
 
     def test_circulant_spectrum_recovery(self):
         rng = np.random.default_rng(102)
@@ -433,7 +486,7 @@ class TestFitGmm:
         chol_spec = dft.conj().T * np.sqrt(spectrum)
         draws = crandn(rng, 50_000, dim) @ chol_spec.T
         model, _ = fit_gmm(ChannelDataset(draws), 1, "circulant", FitConfig(max_iter=3, seed=0))
-        rel = np.abs(model.spectra[0] - spectrum) / spectrum
+        rel = np.abs(model.params[0] - spectrum) / spectrum
         assert rel.max() < 0.05
 
     def test_toeplitz_projection_idempotent(self):
@@ -445,7 +498,7 @@ class TestFitGmm:
         chol = np.linalg.cholesky(target)
         draws = crandn(rng, 120_000, dim) @ chol.T
         model, _ = fit_gmm(ChannelDataset(draws), 1, "toeplitz", FitConfig(max_iter=2, seed=0))
-        rebuilt = q.conj().T @ (model.spectra[0][:, None] * q)
+        rebuilt = q.conj().T @ (model.params[0][:, None] * q)
         xc = draws - draws.mean(axis=0)
         scatter = xc.T @ xc.conj() / draws.shape[0]
         # the projection of an (empirically near-)Toeplitz scatter stays close to it
@@ -485,10 +538,10 @@ class TestFitGmm:
         means = np.array([[3.0] * dim, [-3.0] * dim, [1e3] * dim], dtype=complex)
         weights = np.array([0.5, 0.5 - 1e-12, 1e-12])
         if structure == "full":
-            start = GmmModel(structure, weights, means, covariances=np.stack([np.eye(dim)] * 3))
+            start = GmmModel(structure, weights, means, np.stack([np.eye(dim)] * 3))
         else:
             bins = 2 * dim if structure == "toeplitz" else dim
-            start = GmmModel(structure, weights, means, spectra=np.ones((3, bins)))
+            start = GmmModel(structure, weights, means, np.ones((3, bins)))
         _, fixed = _gmm_update(data, start)
         assert fixed.n_components == 3
         assert np.all(fixed.weights > 1e-3)
@@ -542,11 +595,11 @@ def gmm_models(draw):
             roots[0, :, draw(st.integers(0, dim - 1)):] = 0.0
         covs = roots @ roots.conj().transpose(0, 2, 1) / dim
         covs[int(singular):] += 0.05 * np.eye(dim)
-        model = GmmModel(structure, weights / weights.sum(), means, covariances=covs)
+        model = GmmModel(structure, weights / weights.sum(), means, covs)
     else:
         bins = 2 * dim if structure == "toeplitz" else dim
         spectra = rng.uniform(0.05, 2.0, (k_total, bins))
-        model = GmmModel(structure, weights / weights.sum(), means, spectra=spectra)
+        model = GmmModel(structure, weights / weights.sum(), means, spectra)
     positive = st.floats(0.01 if singular else 0.0, 10.0, exclude_min=True)
     sigma2 = draw(positive if singular else st.one_of(st.just(0.0), positive))
     return model, rng, sigma2, singular
@@ -571,7 +624,7 @@ class TestGmmEstimate:
         root = crandn(rng, dim, dim)
         cov = root @ root.conj().T / dim
         model = GmmModel(
-            "full", np.array([1.0]), np.zeros((1, dim), complex), covariances=cov[None]
+            "full", np.array([1.0]), np.zeros((1, dim), complex), cov[None]
         )
         sigma2 = 0.6
         y = crandn(rng, dim)
@@ -585,7 +638,7 @@ class TestGmmEstimate:
             "circulant",
             np.array([1.0]),
             np.zeros((1, dim), complex),
-            spectra=np.ones((1, dim)),
+            np.ones((1, dim)),
         )
         rng = np.random.default_rng(109)
         y = crandn(rng, dim)
@@ -608,9 +661,9 @@ class TestGmmEstimate:
         for structure, bins in (("circulant", dim), ("toeplitz", 2 * dim)):
             spectra = rng.uniform(0.5, 2.0, (2, bins))
             means = crandn(rng, 2, dim)
-            model = GmmModel(structure, np.array([0.5, 0.5]), means, spectra=spectra)
+            model = GmmModel(structure, np.array([0.5, 0.5]), means, spectra)
             dense = model.dense_covariances()
-            dense_model = GmmModel("full", np.array([0.5, 0.5]), means, covariances=dense)
+            dense_model = GmmModel("full", np.array([0.5, 0.5]), means, dense)
             y = crandn(rng, 50, dim)
             got = gmm_estimate(model, 0.7, y)
             want = gmm_estimate(dense_model, 0.7, y)
@@ -621,9 +674,9 @@ class TestGmmEstimate:
         dim = 6
         spectra = rng.uniform(0.5, 2.0, (2, dim))
         means = crandn(rng, 2, dim)
-        model = GmmModel("circulant", np.array([0.3, 0.7]), means, spectra=spectra)
+        model = GmmModel("circulant", np.array([0.3, 0.7]), means, spectra)
         dense_model = GmmModel(
-            "full", np.array([0.3, 0.7]), means, covariances=model.dense_covariances()
+            "full", np.array([0.3, 0.7]), means, model.dense_covariances()
         )
         data = crandn(rng, 100, dim)
         assert gmm_log_likelihood(model, data) == pytest.approx(
@@ -635,10 +688,10 @@ class TestGmmEstimate:
         rng = np.random.default_rng(115)
         weights, means = np.array([0.5, 0.5]), crandn(rng, 2, 3)
         if structure == "full":
-            model = GmmModel(structure, weights, means, covariances=np.stack([np.eye(3)] * 2))
+            model = GmmModel(structure, weights, means, np.stack([np.eye(3)] * 2))
         else:
             bins = 6 if structure == "toeplitz" else 3
-            model = GmmModel(structure, weights, means, spectra=np.ones((2, bins)))
+            model = GmmModel(structure, weights, means, np.ones((2, bins)))
         with pytest.raises(ValueError, match="observation dimension 4 != model dimension 3"):
             gmm_log_likelihood(model, crandn(rng, 5, 4))
 
@@ -695,7 +748,7 @@ class TestGmmEstimate:
             bins = 2 * dim if structure == "toeplitz" else dim
             model = GmmModel(
                 structure, np.array([0.5, 0.5]), crandn(rng, 2, dim),
-                spectra=rng.uniform(0.5, 2.0, (2, bins)),
+                rng.uniform(0.5, 2.0, (2, bins)),
             )
         with pytest.raises(ValueError):
             gmm_estimate(model, sigma2, crandn(rng, 3, dim))
@@ -703,11 +756,11 @@ class TestGmmEstimate:
     @pytest.mark.parametrize(
         "structure, singular",
         [
-            ("circulant", {"spectra": np.array([[1.0, 0.0, 1.0, 1.0]])}),
-            ("toeplitz", {"spectra": np.array([[1.0, 0, 0, 0, 0, 0, 0, 0]])}),
-            ("full", {"covariances": np.diag([1.0, 0.0, 1.0, 1.0]).astype(complex)[None]}),
+            ("circulant", {"params": np.array([[1.0, 0.0, 1.0, 1.0]])}),
+            ("toeplitz", {"params": np.array([[1.0, 0, 0, 0, 0, 0, 0, 0]])}),
+            ("full", {"params": np.diag([1.0, 0.0, 1.0, 1.0]).astype(complex)[None]}),
             # A positive but subnormal bin: dividing by it overflows to inf.
-            ("circulant", {"spectra": np.array([[1.0, 1e-315, 1.0, 1.0]])}),
+            ("circulant", {"params": np.array([[1.0, 1e-315, 1.0, 1.0]])}),
         ],
     )
     def test_singular_covariance_at_zero_noise(self, structure, singular):
@@ -806,10 +859,10 @@ class TestGmmSerialization:
         if structure == "full":
             root = crandn(rng, dim, dim)
             cov = root @ root.conj().T / dim + 0.2 * np.eye(dim)
-            model = GmmModel(structure, weights, means, covariances=np.stack([cov, 2 * cov]))
+            model = GmmModel(structure, weights, means, np.stack([cov, 2 * cov]))
         else:
             bins = 2 * dim if structure == "toeplitz" else dim
-            model = GmmModel(structure, weights, means, spectra=rng.uniform(0.3, 2.0, (2, bins)))
+            model = GmmModel(structure, weights, means, rng.uniform(0.3, 2.0, (2, bins)))
         path = tmp_path / "model.gmm"
         save_gmm(model, path)
         loaded = load_gmm(path)
@@ -817,9 +870,9 @@ class TestGmmSerialization:
         assert np.array_equal(loaded.weights, model.weights)
         assert np.array_equal(loaded.means, model.means)
         if structure == "full":
-            assert np.array_equal(loaded.covariances, model.covariances)
+            assert np.array_equal(loaded.params, model.params)
         else:
-            assert np.array_equal(loaded.spectra, model.spectra)
+            assert np.array_equal(loaded.params, model.params)
 
     def test_corrupted_rejected(self, tmp_path):
         from mfachest._binio import FileFormatError
@@ -829,7 +882,7 @@ class TestGmmSerialization:
             "circulant",
             np.array([1.0]),
             crandn(rng, 1, 4),
-            spectra=rng.uniform(0.5, 1.0, (1, 4)),
+            rng.uniform(0.5, 1.0, (1, 4)),
         )
         path = tmp_path / "model.gmm"
         save_gmm(model, path)

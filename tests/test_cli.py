@@ -7,7 +7,7 @@ import pytest
 
 from mfachest import baselines, estimator, mfa
 from mfachest.baselines import GmmModel, fit_gmm, gmm_estimate, load_gmm, save_gmm
-from mfachest.cli import cli_main
+from mfachest.cli import main
 from mfachest.mfa import FitConfig, fit_em, load_model, save_model
 from mfachest.scenario import ChannelDataset, corrupt, read_dataset, write_dataset
 
@@ -22,33 +22,33 @@ def write_scenario_config(tmp_path, **overrides):
 
 class TestParamCount:
     def test_prints_table_value(self, capsys):
-        code = cli_main(["param-count", "--kind", "mfa", "--k", "64", "--n", "64", "--l", "2"])
+        code = main(["param-count", "--kind", "mfa", "--k", "64", "--n", "64", "--l", "2"])
         assert code == 0
         assert capsys.readouterr().out.strip() == "12416"
 
     def test_runtime_error_exit_code(self, capsys):
-        code = cli_main(["param-count", "--kind", "mfa", "--k", "64", "--n", "64"])
+        code = main(["param-count", "--kind", "mfa", "--k", "64", "--n", "64"])
         assert code == 2  # mfa kind requires --l >= 1
 
 
 class TestUsageErrors:
     def test_unknown_flag(self, capsys):
-        code = cli_main(["param-count", "--kind", "mfa", "--k", "1", "--n", "1", "--wat", "3"])
+        code = main(["param-count", "--kind", "mfa", "--k", "1", "--n", "1", "--wat", "3"])
         assert code == 1
         assert "usage" in capsys.readouterr().err.lower()
 
     def test_no_command(self, capsys):
-        assert cli_main([]) == 1
+        assert main([]) == 1
 
     def test_unknown_command(self, capsys):
-        assert cli_main(["transmogrify"]) == 1
+        assert main(["transmogrify"]) == 1
 
 
 class TestPipeline:
     def test_generate_fit_estimate(self, tmp_path, capsys):
         config_path = write_scenario_config(tmp_path)
         data_path = tmp_path / "train.chd"
-        code = cli_main(
+        code = main(
             ["generate", "--config", str(config_path), "--t", "800", "--out", str(data_path)]
         )
         assert code == 0
@@ -56,7 +56,7 @@ class TestPipeline:
         assert dataset.samples.shape == (800, 8)
 
         model_path = tmp_path / "model.mfa"
-        code = cli_main(
+        code = main(
             [
                 "fit-mfa", "--data", str(data_path), "--k", "3", "--l", "1",
                 "--out", str(model_path), "--max-iter", "40", "--seed", "1",
@@ -66,7 +66,7 @@ class TestPipeline:
         model = load_model(model_path)
         assert model.n_components == 3
 
-        code = cli_main(
+        code = main(
             ["estimate", "--model", str(model_path), "--data", str(data_path), "--snr-db", "10"]
         )
         assert code == 0
@@ -78,21 +78,21 @@ class TestPipeline:
     def test_fit_gmm_and_estimate(self, tmp_path, capsys):
         config_path = write_scenario_config(tmp_path)
         data_path = tmp_path / "train.chd"
-        assert cli_main(["generate", "--config", str(config_path), "--t", "500", "--out", str(data_path)]) == 0
+        assert main(["generate", "--config", str(config_path), "--t", "500", "--out", str(data_path)]) == 0
         model_path = tmp_path / "model.gmm"
-        code = cli_main(
+        code = main(
             [
                 "fit-gmm", "--data", str(data_path), "--k", "2", "--structure", "circulant",
                 "--out", str(model_path), "--max-iter", "20",
             ]
         )
         assert code == 0
-        code = cli_main(
+        code = main(
             ["estimate", "--model", str(model_path), "--data", str(data_path), "--snr-db", "5"]
         )
         assert code == 0
         capsys.readouterr()
-        code = cli_main(
+        code = main(
             ["estimate", "--model", str(model_path), "--data", str(data_path), "--snr-db", "nan"]
         )
         assert code == 2
@@ -106,9 +106,9 @@ class TestPipeline:
     def test_zero_components_exit_2(self, tmp_path, capsys, command):
         config_path = write_scenario_config(tmp_path)
         data_path = tmp_path / "train.chd"
-        assert cli_main(["generate", "--config", str(config_path), "--t", "50", "--out", str(data_path)]) == 0
+        assert main(["generate", "--config", str(config_path), "--t", "50", "--out", str(data_path)]) == 0
         model_path = tmp_path / "model.bin"
-        code = cli_main(
+        code = main(
             [*command, "--data", str(data_path), "--k", "0", "--out", str(model_path)]
         )
         assert code == 2
@@ -123,7 +123,7 @@ class TestPipeline:
     def test_generate_mistyped_config_exit_2(self, tmp_path, capsys, override, field):
         config_path = write_scenario_config(tmp_path, **override)
         data_path = tmp_path / "train.chd"
-        code = cli_main(["generate", "--config", str(config_path), "--t", "50", "--out", str(data_path)])
+        code = main(["generate", "--config", str(config_path), "--t", "50", "--out", str(data_path)])
         assert code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -135,13 +135,13 @@ class TestPipeline:
         save_gmm(
             GmmModel(
                 "circulant", np.array([1.0]), np.zeros((1, 4), complex),
-                spectra=np.array([[1.0, 0.0, 1.0, 1.0]]),
+                np.array([[1.0, 0.0, 1.0, 1.0]]),
             ),
             model_path,
         )
         data_path = tmp_path / "ones.chd"
         write_dataset(data_path, ChannelDataset(np.ones((3, 4), complex)))
-        code = cli_main(
+        code = main(
             ["estimate", "--model", str(model_path), "--data", str(data_path), "--snr-db", "inf"]
         )
         assert code == 2
@@ -159,12 +159,12 @@ class TestPipeline:
         write_dataset(data_path, ChannelDataset(rng.standard_normal((60, 4)) + 0j))
         argv = [command[0], "--data", str(data_path), "--k", "2", *command[1:]]
         argv += ["--out", str(tmp_path / "model")]
-        assert cli_main(argv + ["--max-iter", "1"]) == 0
+        assert main(argv + ["--max-iter", "1"]) == 0
         out = capsys.readouterr().out
         assert "stopped at --max-iter 1 without converging" in out
         assert "avg log-likelihood before the last update" in out
         # A tolerance this loose converges at the second iteration.
-        assert cli_main(argv + ["--max-iter", "5", "--tol", "1"]) == 0
+        assert main(argv + ["--max-iter", "5", "--tol", "1"]) == 0
         out = capsys.readouterr().out
         assert "in 2 iterations, avg log-likelihood" in out
         assert "stopped" not in out
@@ -175,7 +175,7 @@ class TestPipeline:
         data_path = tmp_path / "train.chd"
         write_dataset(data_path, ChannelDataset(rng.standard_normal((40, 4)) + 0j))
         model_path = tmp_path / "model.mfa"
-        code = cli_main(
+        code = main(
             ["fit-mfa", "--data", str(data_path), "--k", "2", "--l", "1", "--tol", "nan",
              "--out", str(model_path)]
         )
@@ -193,14 +193,14 @@ class TestPipeline:
         model_path.write_bytes(magic + header)
         data_path = tmp_path / "ones.chd"
         write_dataset(data_path, ChannelDataset(np.ones((3, 8), complex)))
-        code = cli_main(
+        code = main(
             ["estimate", "--model", str(model_path), "--data", str(data_path), "--snr-db", "10"]
         )
         assert code == 2
         assert "truncated file" in capsys.readouterr().err
 
     def test_missing_data_file(self, capsys):
-        code = cli_main(
+        code = main(
             ["fit-mfa", "--data", "/nope.chd", "--k", "2", "--l", "1", "--out", "/tmp/x.mfa"]
         )
         assert code == 2
@@ -224,7 +224,7 @@ class TestBenchCommands:
     def test_bench_snr_csv(self, tmp_path, capsys):
         spec_path = self.make_spec(tmp_path, [{"kind": "ls"}, {"kind": "mfa", "k": 2, "l": 1}])
         out_path = tmp_path / "report.csv"
-        code = cli_main(["bench-snr", "--spec", str(spec_path), "--out", str(out_path)])
+        code = main(["bench-snr", "--spec", str(spec_path), "--out", str(out_path)])
         assert code == 0
         lines = out_path.read_text().strip().split("\n")
         assert lines[0] == "estimator,K,L,T,snr_db,nmse,wall_time_ms"
@@ -232,14 +232,14 @@ class TestBenchCommands:
 
     def test_bench_snr_empty_estimators_header_only(self, tmp_path, capsys):
         spec_path = self.make_spec(tmp_path, [])
-        code = cli_main(["bench-snr", "--spec", str(spec_path)])
+        code = main(["bench-snr", "--spec", str(spec_path)])
         assert code == 0
         out = capsys.readouterr().out
         assert out == "estimator,K,L,T,snr_db,nmse,wall_time_ms\n"
 
     def test_bench_latent_jsonl(self, tmp_path, capsys):
         spec_path = self.make_spec(tmp_path, [{"kind": "mfa", "k": 2, "l": 1}])
-        code = cli_main(
+        code = main(
             ["bench-latent", "--spec", str(spec_path), "--l-grid", "1,2", "--format", "jsonl"]
         )
         assert code == 0
@@ -249,7 +249,7 @@ class TestBenchCommands:
 
     def test_bench_grid(self, tmp_path, capsys):
         spec_path = self.make_spec(tmp_path, [{"kind": "mfa", "k": 1, "l": 1}])
-        code = cli_main(
+        code = main(
             ["bench-grid", "--spec", str(spec_path), "--k-grid", "1,2", "--l-grid", "1"]
         )
         assert code == 0
@@ -260,7 +260,7 @@ class TestBenchCommands:
         spec_path = self.make_spec(tmp_path, [{"kind": "ls"}])
         spec = json.loads(spec_path.read_text())
         spec_path.write_text(json.dumps({**spec, "eval_count": 0}))
-        code = cli_main(["bench-snr", "--spec", str(spec_path)])
+        code = main(["bench-snr", "--spec", str(spec_path)])
         assert code == 2
         captured = capsys.readouterr()
         assert "nmse" not in captured.out
@@ -271,7 +271,7 @@ class TestBenchCommands:
         spec_path = self.make_spec(tmp_path, [{"kind": "ls"}, {"kind": "sample-lmmse"}])
         spec = json.loads(spec_path.read_text())
         spec_path.write_text(json.dumps({**spec, "snr_grid_db": [float("inf")]}))
-        code = cli_main(["bench-snr", "--spec", str(spec_path), "--format", "jsonl"])
+        code = main(["bench-snr", "--spec", str(spec_path), "--format", "jsonl"])
         assert code == 0
         rows = [json.loads(line) for line in capsys.readouterr().out.strip().split("\n")]
         assert [(r["estimator"], r["nmse"]) for r in rows] == [("ls", 0.0), ("sample-lmmse", 0.0)]
@@ -291,14 +291,14 @@ class TestBenchCommands:
         for geometry, message in [({}, "nv and nh"), ({"nv": 3, "nh": 2}, "3 x 2 does not match")]:
             spec["estimators"][0].update(geometry)
             spec_path.write_text(json.dumps(spec))
-            code = cli_main(["bench-snr", "--spec", str(spec_path)])
+            code = main(["bench-snr", "--spec", str(spec_path)])
             assert code == 2
             captured = capsys.readouterr()
             assert captured.out == ""
             assert message in captured.err
         spec["estimators"][0].update({"nv": 2, "nh": 4})
         spec_path.write_text(json.dumps(spec))
-        assert cli_main(["bench-snr", "--spec", str(spec_path)]) == 0
+        assert main(["bench-snr", "--spec", str(spec_path)]) == 0
 
     @pytest.mark.parametrize("override, field", [
         ({"estimators": [{"kind": "ls", "foo": 1}]}, "foo"),
@@ -332,7 +332,7 @@ class TestBenchCommands:
         spec_path = self.make_spec(tmp_path, [{"kind": "ls"}])
         spec = json.loads(spec_path.read_text())
         spec_path.write_text(json.dumps({**spec, **override} if isinstance(override, dict) else override))
-        code = cli_main(["bench-snr", "--spec", str(spec_path)])
+        code = main(["bench-snr", "--spec", str(spec_path)])
         assert code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -353,7 +353,7 @@ class TestBenchCommands:
         path = tmp_path / "model.gmm"
         spec["estimators"] = [{"kind": "gmm-model", "model_path": str(path)}]
         (tmp_path / "spec.json").write_text(json.dumps(spec))
-        assert cli_main(["bench-snr", "--spec", str(tmp_path / "spec.json"), "--format", "jsonl"]) == 0
+        assert main(["bench-snr", "--spec", str(tmp_path / "spec.json"), "--format", "jsonl"]) == 0
         rows = [json.loads(line) for line in capsys.readouterr().out.strip().split("\n")]
         truths = read_dataset(tmp_path / "eval.chd").samples
         assert [(r["estimator"], r["K"], r["L"], r["T"], r["snr_db"]) for r in rows] == [
@@ -365,18 +365,50 @@ class TestBenchCommands:
             want = float(np.sum(np.abs(estimates - truths) ** 2) / truths.size)
             assert row["nmse"] == pytest.approx(want, abs=1e-12)
 
+    @pytest.mark.parametrize("kind", ["mfa", "full", "toeplitz", "circulant"])
+    def test_nan_weight_model_file_exit_2(self, tmp_path, capsys, kind):
+        # The first record's weight follows the magic and the header: offset
+        # 20 in MFA1 (four u4 fields), 17 in GMM1 (u4, u1, u4, u4).
+        spec = self.write_eval_data(tmp_path)
+        dim, weights, means = 8, np.full(2, 0.5), np.zeros((2, 8))
+        if kind == "mfa":
+            path, offset, load, entry = tmp_path / "nan.mfa", 20, load_model, "mfa-model"
+            loadings = np.full((2, dim, 1), 0.1)
+            save_model(mfa.MfaModel(weights, means, loadings, np.ones((2, dim))), path)
+        else:
+            path, offset, load, entry = tmp_path / "nan.gmm", 17, load_gmm, "gmm-model"
+            if kind == "full":
+                params = np.stack([np.eye(dim)] * 2)
+            else:
+                params = np.ones((2, 2 * dim if kind == "toeplitz" else dim))
+            save_gmm(GmmModel(kind, weights, means, params), path)
+        data = bytearray(path.read_bytes())
+        assert struct.unpack_from("<d", data, offset) == (0.5,)
+        struct.pack_into("<d", data, offset, np.nan)
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match="finite"):
+            load(path)
+        spec["estimators"] = [{"kind": entry, "model_path": str(path)}]
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        estimate = ["estimate", "--model", str(path), "--data", spec["eval_path"], "--snr-db", "10"]
+        for argv in (estimate, ["bench-snr", "--spec", str(tmp_path / "spec.json")]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "finite" in captured.err
+
     def test_mfa_model_given_gmm_file_exit_2(self, tmp_path, capsys):
         spec = self.write_eval_data(tmp_path)
         spec["estimators"] = [{"kind": "mfa-model", "model_path": str(tmp_path / "model.gmm")}]
         (tmp_path / "spec.json").write_text(json.dumps(spec))
-        assert cli_main(["bench-snr", "--spec", str(tmp_path / "spec.json")]) == 2
+        assert main(["bench-snr", "--spec", str(tmp_path / "spec.json")]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "bad magic b'GMM1'" in captured.err
 
     def test_bad_grid_argument(self, tmp_path, capsys):
         spec_path = self.make_spec(tmp_path, [])
-        code = cli_main(["bench-latent", "--spec", str(spec_path), "--l-grid", "1,x"])
+        code = main(["bench-latent", "--spec", str(spec_path), "--l-grid", "1,x"])
         assert code == 1
 
 
@@ -407,9 +439,9 @@ class TestTracedLayers:
             "scenario": {"nv": 2, "nh": 4, "num_clusters": 2, "seed": 5},
         }
         (tmp_path / "spec.json").write_text(json.dumps(spec))
-        assert cli_main(["bench-snr", "--spec", str(tmp_path / "spec.json")]) == 0
+        assert main(["bench-snr", "--spec", str(tmp_path / "spec.json")]) == 0
         assert calls == {"fit_em": 1, "fit_gmm": 1, "load_model": 1, "estimate": 4, "gmm_estimate": 2}
         for model_path in (mfa_path, gmm_path):
             argv = ["estimate", "--model", str(model_path), "--data", str(data_path), "--snr-db", "5"]
-            assert cli_main(argv) == 0
+            assert main(argv) == 0
         assert calls == {"fit_em": 1, "fit_gmm": 1, "load_model": 2, "estimate": 5, "gmm_estimate": 3}

@@ -58,10 +58,10 @@ def gmm_models(draw):
     if structure == "full":
         roots = wide_complex(rng, (k_total, dim, dim)) * 1e-150
         covariances = roots @ roots.conj().transpose(0, 2, 1)
-        return GmmModel(structure, weights, means, covariances=covariances)
+        return GmmModel(structure, weights, means, covariances)
     bins = 2 * dim if structure == "toeplitz" else dim
     spectra = np.abs(wide(rng, (k_total, bins)))
-    return GmmModel(structure, weights, means, spectra=spectra)
+    return GmmModel(structure, weights, means, spectra)
 
 
 @st.composite
@@ -93,9 +93,9 @@ def reference_gmm1(model):
         parts.append(struct.pack("<d", model.weights[k]))
         parts.append(model.means[k].astype("<c16").tobytes())
         if model.structure == "full":
-            parts.append(model.covariances[k].astype("<c16").tobytes(order="F"))
+            parts.append(model.params[k].astype("<c16").tobytes(order="F"))
         else:
-            parts.append(model.spectra[k].astype("<f8").tobytes())
+            parts.append(model.params[k].astype("<f8").tobytes())
     return b"".join(parts)
 
 

@@ -201,6 +201,13 @@ class TestEstimate:
             _, resid = nnls(stacked, target)
             assert resid < 1e-8
 
+    @pytest.mark.parametrize("sigma2", [np.nan, np.inf, -1.0])
+    def test_rejects_bad_sigma2(self, sigma2):
+        rng = np.random.default_rng(81)
+        model = make_model(rng, 2, 4, 1)
+        with pytest.raises(ValueError, match="sigma2 must be finite and >= 0"):
+            estimate(model, sigma2, crandn(rng, 3, 4))
+
 
 class TestMmseConvergence:
     """The paper's central claim: fitted by EM on more and more samples, the

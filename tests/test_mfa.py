@@ -505,7 +505,6 @@ def em_problems(draw):
         rel_tol=1e-12,
         seed=draw(st.integers(0, 2**16)),
         psi_mode=draw(st.sampled_from(mfa.PSI_MODES)),
-        init=draw(st.sampled_from(mfa.INIT_MODES)),
     )
     return sample(true, count, rng).samples, k_total, latent, config
 
@@ -526,7 +525,7 @@ class TestEmProperties:
         rng = np.random.default_rng(59)
         data = sample(make_model(rng, 3, 5, 2, sep=2.0), 60, rng).samples
         start = lambda mode: mfa._init_components(
-            data, k_total, 2, FitConfig(psi_mode=mode), np.random.default_rng(60)
+            data, k_total, 2, mode, np.random.default_rng(60)
         )
         shared, own = start("shared-diagonal"), start("diagonal")
         sizes = np.bincount(mfa._kmeans(data, k_total, np.random.default_rng(60)), minlength=k_total)
