@@ -15,8 +15,8 @@ covariances and the 2N-point DFT truncated to N columns for Toeplitz ones.
 Weights and means pass the checks ``mfa.MfaModel`` applies
 (``gaussians.check_mixture``). Each structure enters through one M-step, one
 restart (``_isotropic``) and one density kernel shared by the E-step, the
-likelihood and the estimator. EM runs in fit_em's loop and collapse policy,
-``mfa._run_em`` and ``mfa._mixture_weights``, and an iteration touches the
+likelihood and the estimator. EM runs in ``mfa.fit_mixture``, fit_em's
+driver, with ``_GmmFamily`` supplying this math, and an iteration touches the
 data a fixed number of times, whatever K is:
 
 - ``_m_step`` updates all K components (and starts every k-means cluster) from
@@ -37,7 +37,6 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from . import mfa as _mfa
 from ._binio import Container, FileFormatError, write_container
 from .gaussians import (
     COND_LIMIT,
@@ -51,7 +50,7 @@ from .gaussians import (
     log_sum_exp,
     responsibilities,
 )
-from .mfa import FitConfig, FitTrace, MfaModel, _as_samples, _check_components
+from .mfa import FitConfig, FitTrace, MfaModel, _as_samples, fit_mixture
 
 GMM_MAGIC = b"GMM1"
 GMM_VERSION = 1
@@ -544,53 +543,53 @@ def fit_gmm(
     weights; a cluster of fewer than two samples starts isotropic. The
     full-covariance M-step is the exact maximizer; the Toeplitz and circulant
     M-steps project the weighted scatter onto the structure class, so their
-    likelihood traces are recorded but not guaranteed monotone. The loop and
-    the collapse policy are fit_em's.
+    likelihood traces are recorded but not guaranteed monotone. The start, the
+    loop and the collapse policy are fit_em's, in ``mfa.fit_mixture``.
     """
     config = config or FitConfig()
     if structure not in GMM_STRUCTURES:
         raise ValueError(f"structure must be one of {GMM_STRUCTURES}")
-    samples = _as_samples(dataset)
-    count, dim = samples.shape
-    _check_components(n_components, count)
-
-    rng = np.random.default_rng(config.seed)
-    labels = _mfa._kmeans(samples, n_components, rng)
-    sizes = np.bincount(labels, minlength=n_components)
-    fitted = sizes >= 2
-    scale = float(np.mean(np.abs(samples) ** 2))
-    means = np.empty((n_components, dim), dtype=np.complex128)
-    params = np.stack([_isotropic(structure, dim, scale)] * n_components)
-    onehot = (labels[:, None] == np.flatnonzero(fitted)).astype(np.float64)
-    means[fitted], params[fitted] = _m_step(
-        structure, samples, _kernel_rows(structure, samples), onehot
-    )
-    for k in np.flatnonzero(~fitted):
-        means[k] = samples[labels == k][0] if sizes[k] else samples[rng.integers(count)]
-    weights = np.full(n_components, 1.0 / n_components)
-    start = GmmModel(structure, weights, means, params)
-    return _mfa._run_em(partial(_gmm_update, samples), start, config)
+    return fit_mixture(dataset, n_components, config, partial(_GmmFamily, structure))
 
 
-def _gmm_update(samples: np.ndarray, model: GmmModel) -> tuple[float, GmmModel]:
-    """One EM iteration of fit_gmm; returns the incoming model's average
-    log-likelihood and the updated model. The samples are transformed once and
-    serve both the E-step and the M-step. Components that collapse under
-    ``mfa._mixture_weights`` restart at the sample the incoming model fits worst,
-    with ``_isotropic`` parameters at the data's mean energy per entry."""
-    count, dim = samples.shape
-    rows = _kernel_rows(model.structure, samples)
-    logdens = _gmm_logdens(model, _gmm_factor(model, 0.0), rows, 0.0)
-    resp, per_sample = responsibilities(logdens)
-    weights, collapsed = _mfa._mixture_weights(resp.sum(axis=0), count)
-    means, params = model.means.copy(), model.params.copy()
-    live = np.setdiff1d(np.arange(model.n_components), collapsed)
-    means[live], params[live] = _m_step(model.structure, samples, rows, resp[:, live])
-    if collapsed.size:
-        means[collapsed] = samples[np.argmin(per_sample)]
-        scale = float(np.mean(np.abs(samples) ** 2))
-        params[collapsed] = _isotropic(model.structure, dim, scale)
-    return float(per_sample.mean()), GmmModel(model.structure, weights, means, params)
+class _GmmFamily:
+    """fit_gmm's math in ``mfa.fit_mixture``: params (params,). An iteration
+    transforms the samples once for the E-step and the M-step."""
+
+    def __init__(self, structure: str, samples: np.ndarray):
+        self.structure = structure
+        self.model = partial(GmmModel, structure)
+        self.dim = samples.shape[1]
+        self.scale = float(np.mean(np.abs(samples) ** 2))
+
+    def start(self, samples: np.ndarray, labels: np.ndarray, fitted: np.ndarray):
+        """The clusters in ``fitted`` through ``_m_step`` with one-hot weights."""
+        means = np.empty((fitted.size, self.dim), dtype=np.complex128)
+        params = np.stack([_isotropic(self.structure, self.dim, self.scale)] * fitted.size)
+        onehot = (labels[:, None] == np.flatnonzero(fitted)).astype(np.float64)
+        means[fitted], params[fitted] = _m_step(
+            self.structure, samples, _kernel_rows(self.structure, samples), onehot
+        )
+        return means, (params,)
+
+    def restart(self, rng: np.random.Generator):
+        """``_isotropic`` parameters at the data's mean energy per entry."""
+        return (_isotropic(self.structure, self.dim, self.scale),)
+
+    def pool(self, params, sizes: np.ndarray):
+        return params
+
+    def e_step(self, samples: np.ndarray, model: GmmModel):
+        rows = _kernel_rows(self.structure, samples)
+        logdens = _gmm_logdens(model, _gmm_factor(model, 0.0), rows, 0.0)
+        resp, per_sample = responsibilities(logdens)
+        return float(per_sample.mean()), int(np.argmin(per_sample)), resp.sum(axis=0), (rows, resp)
+
+    def m_step(self, samples: np.ndarray, model: GmmModel, stats, live: np.ndarray):
+        rows, resp = stats
+        means, params = model.means.copy(), model.params.copy()
+        means[live], params[live] = _m_step(self.structure, samples, rows, resp[:, live])
+        return means, (params,)
 
 
 def gmm_log_likelihood(model: GmmModel, dataset) -> float:

@@ -20,8 +20,8 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from . import baselines, estimator as est_mod, mfa
-from .scenario import ChannelDataset, ScenarioConfig, corrupt, generate_channels, read_dataset
-from .scenario import _check_field_types, _json_object, scenario_from_dict
+from .scenario import ChannelDataset, ScenarioConfig, check_snr_db, corrupt, generate_channels
+from .scenario import _check_field_types, _json_object, read_dataset, scenario_from_dict
 
 CSV_COLUMNS = ("estimator", "K", "L", "T", "snr_db", "nmse", "wall_time_ms")
 
@@ -83,6 +83,8 @@ class BenchSpec:
         object.__setattr__(self, "snr_grid_db", tuple(float(s) for s in self.snr_grid_db))
         if not self.snr_grid_db:
             raise ValueError("snr_grid_db must be nonempty")
+        for snr in self.snr_grid_db:
+            check_snr_db(snr)
         if self.eval_count < 1 or self.train_count < 1:
             raise ValueError("eval_count and train_count must be >= 1")
         names = [e.name for e in self.estimators]
@@ -192,8 +194,8 @@ def _load_data(spec: BenchSpec) -> tuple[ChannelDataset, ChannelDataset]:
         return read_dataset(spec.train_path), read_dataset(spec.eval_path)
     rng = np.random.default_rng([spec.seed, 0xDA7A])
     combined = generate_channels(spec.scenario, spec.train_count + spec.eval_count, rng)
-    train = ChannelDataset(combined.samples[: spec.train_count], combined.normalization, spec.seed)
-    eval_ds = ChannelDataset(combined.samples[spec.train_count:], combined.normalization, spec.seed)
+    train = ChannelDataset(combined.samples[: spec.train_count], combined.normalization)
+    eval_ds = ChannelDataset(combined.samples[spec.train_count:], combined.normalization)
     return train, eval_ds
 
 

@@ -150,9 +150,7 @@ def _cmd_estimate(args) -> int:
     nmse = float(np.sum(np.abs(estimates - dataset.samples) ** 2) / dataset.samples.size)
     print(f"snr_db={args.snr_db} sigma2={sigma2:.6g} nmse={nmse:.8f}")
     if args.out:
-        scenario.write_dataset(
-            args.out, scenario.ChannelDataset(estimates, dataset.normalization, None)
-        )
+        scenario.write_dataset(args.out, scenario.ChannelDataset(estimates, dataset.normalization))
         print(f"wrote estimates to {args.out}")
     return 0
 

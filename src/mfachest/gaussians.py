@@ -63,6 +63,8 @@ def _check_observation(y: np.ndarray, dim: int) -> tuple[np.ndarray, bool]:
     """Observations (N,) or (B, N) as a finite complex (B, N) batch, and whether
     a single vector was given."""
     y = np.asarray(y, dtype=np.complex128)
+    if y.ndim > 2:
+        raise ValueError(f"observations must be (N,) or (B, N), got shape {y.shape}")
     batch = np.atleast_2d(y)
     if batch.shape[1] != dim:
         raise ValueError(f"observation dimension {batch.shape[1]} != model dimension {dim}")

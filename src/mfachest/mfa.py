@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -148,18 +149,6 @@ def _as_samples(dataset) -> np.ndarray:
     return samples
 
 
-def _check_components(n_components: int, count: int) -> None:
-    """Reject a component count K below 1 or above the sample count."""
-    if n_components < 1:
-        raise ValueError(f"n_components must be >= 1, got {n_components}")
-    if count < n_components:
-        raise ValueError(f"need at least K={n_components} samples, got {count}")
-
-
-def _psi_floor(samples: np.ndarray) -> float:
-    return PSI_FLOOR_REL * float(np.mean(np.abs(samples) ** 2))
-
-
 # ---------------------------------------------------------------------------
 # Likelihood
 # ---------------------------------------------------------------------------
@@ -271,51 +260,6 @@ def _center_dist(flat: np.ndarray, energy: np.ndarray, centers: np.ndarray) -> n
     return energy[:, None] - 2.0 * cross + (np.abs(centers) ** 2).sum(axis=1)
 
 
-def _restart_factors(
-    rng: np.random.Generator, dim: int, latent: int, scale: float, floor: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Loading and diagonal of a component started from scratch: a small random
-    loading at 0.3 sqrt(scale) per entry and the diagonal max(scale, floor), for
-    a k-means cluster of fewer than two samples and a collapsed component's
-    reseed."""
-    loading = 0.3 * np.sqrt(scale) * gaussians._std_cnormal(rng, (dim, latent))
-    return loading, np.full(dim, max(scale, floor))
-
-
-def _init_components(
-    samples: np.ndarray, k_total: int, latent: int, psi_mode: str, rng: np.random.Generator
-) -> MfaModel:
-    count, dim = samples.shape
-    floor = _psi_floor(samples)
-    scale = float(np.mean(np.abs(samples) ** 2))
-    means = np.empty((k_total, dim), dtype=np.complex128)
-    loadings = np.empty((k_total, dim, latent), dtype=np.complex128)
-    psis = np.empty((k_total, dim))
-
-    labels = _kmeans(samples, k_total, rng)
-    for k in range(k_total):
-        cluster = samples[labels == k]
-        if cluster.shape[0] < 2:
-            means[k] = cluster[0] if cluster.shape[0] else samples[rng.integers(count)]
-            loadings[k], psis[k] = _restart_factors(rng, dim, latent, scale, floor)
-            continue
-        means[k] = cluster.mean(axis=0)
-        centered = cluster - means[k]
-        cov = centered.T @ centered.conj() / cluster.shape[0]
-        vals, vecs = np.linalg.eigh(0.5 * (cov + cov.conj().T))
-        vals = np.maximum(vals[::-1], 0.0)
-        vecs = vecs[:, ::-1]
-        loadings[k] = vecs[:, :latent] * np.sqrt(vals[:latent])
-        resid = float(vals[latent:].mean()) if latent < dim else floor
-        psis[k] = max(resid, floor)
-    if psi_mode == "shared-diagonal":
-        # Start inside the shared family: the clusters' residuals pooled
-        # as the M-step pools them, weighted by cluster size.
-        sizes = np.bincount(labels, minlength=k_total)
-        psis[:] = max(float(sizes @ psis[:, 0]) / count, floor)
-    return MfaModel(np.full(k_total, 1.0 / k_total), means, loadings, psis)
-
-
 # ---------------------------------------------------------------------------
 # EM driver
 # ---------------------------------------------------------------------------
@@ -410,97 +354,152 @@ def _em_iteration(
     return ll_sum / count, worst_idx, masses, loadings, means, per_entry
 
 
+class _MfaFamily:
+    """fit_em's math in ``fit_mixture``: params (loadings, diag_terms)."""
+
+    model = MfaModel
+
+    def __init__(self, latent: int, psi_mode: str, samples: np.ndarray):
+        if not (1 <= latent <= samples.shape[1]):
+            raise ValueError("latent dimension must satisfy 1 <= L <= N")
+        self.latent, self.psi_mode, self.dim = latent, psi_mode, samples.shape[1]
+        self.scale = float(np.mean(np.abs(samples) ** 2))
+        self.floor = PSI_FLOOR_REL * self.scale
+        self.abs2 = None
+
+    def start(self, samples: np.ndarray, labels: np.ndarray, fitted: np.ndarray):
+        """Each cluster in ``fitted`` starts at its mean, its L principal axes
+        and the mean of its other eigenvalues (the floor when L = N)."""
+        k_total, dim, latent = fitted.size, self.dim, self.latent
+        means = np.empty((k_total, dim), dtype=np.complex128)
+        loadings = np.empty((k_total, dim, latent), dtype=np.complex128)
+        psis = np.empty((k_total, dim))
+        for k in np.flatnonzero(fitted):
+            cluster = samples[labels == k]
+            means[k] = cluster.mean(axis=0)
+            centered = cluster - means[k]
+            cov = centered.T @ centered.conj() / cluster.shape[0]
+            vals, vecs = np.linalg.eigh(0.5 * (cov + cov.conj().T))
+            vals = np.maximum(vals[::-1], 0.0)
+            vecs = vecs[:, ::-1]
+            loadings[k] = vecs[:, :latent] * np.sqrt(vals[:latent])
+            resid = float(vals[latent:].mean()) if latent < dim else self.floor
+            psis[k] = max(resid, self.floor)
+        return means, (loadings, psis)
+
+    def restart(self, rng: np.random.Generator):
+        """A random loading at 0.3 sqrt(scale) per entry, diagonal max(scale, floor)."""
+        loading = 0.3 * np.sqrt(self.scale) * gaussians._std_cnormal(rng, (self.dim, self.latent))
+        return loading, np.full(self.dim, max(self.scale, self.floor))
+
+    def pool(self, params, sizes: np.ndarray):
+        """Under shared-diagonal, the start's diagonals pooled by cluster size."""
+        if self.psi_mode == "shared-diagonal":
+            psis = params[1]
+            psis[:] = max(float(sizes @ psis[:, 0]) / sizes.sum(), self.floor)
+        return params
+
+    def e_step(self, samples: np.ndarray, model: MfaModel):
+        if self.abs2 is None:  # made after the start, so k-means peaks without it
+            self.abs2 = np.abs(samples) ** 2
+        avg, worst, masses, loadings, means, per_entry = _em_iteration(samples, self.abs2, model)
+        return avg, worst, masses, (masses, loadings, means, per_entry)
+
+    def m_step(self, samples: np.ndarray, model: MfaModel, stats, live: np.ndarray):
+        masses, loadings, means, per_entry = stats
+        psis = _resolve_psi(per_entry, masses, self.psi_mode, self.floor, samples.shape[0])
+        return means, (loadings, psis)
+
+
 def fit_em(
     dataset, n_components: int, latent_dim: int, config: FitConfig | None = None
 ) -> tuple[MfaModel, FitTrace]:
-    """Fit the mixture by EM; deterministic given config.seed.
+    """Fit the mixture by EM (``fit_mixture``); deterministic given config.seed.
 
     The returned trace holds the average log-likelihood at the start of each
-    iteration and is non-decreasing up to floating-point slack. Iteration stops
-    when the relative change drops below ``config.rel_tol`` or after
-    ``config.max_iter`` steps. Components whose weight collapses below the
-    floor are re-seeded at the worst-fit sample rather than dropped.
+    iteration and is non-decreasing up to floating-point slack, except when
+    L = N: the diagonals then sit at the psi floor and an update can lose
+    likelihood (up to 7e-6 per iteration on a K=4, N=L=2 fit, confirmed in
+    40-digit arithmetic). Iteration stops when the relative change drops below
+    ``config.rel_tol`` or after ``config.max_iter`` steps. Components whose
+    weight collapses below the floor are re-seeded at the worst-fit sample
+    rather than dropped.
     """
     config = config or FitConfig()
-    samples = _as_samples(dataset)
-    count, dim = samples.shape
-    _check_components(n_components, count)
-    if not (1 <= latent_dim <= dim):
-        raise ValueError("latent dimension must satisfy 1 <= L <= N")
-
-    rng = np.random.default_rng(config.seed)
-    start = _init_components(samples, n_components, latent_dim, config.psi_mode, rng)
-    abs2 = np.abs(samples) ** 2
-    return _run_em(
-        lambda model: _em_update(samples, abs2, model, config.psi_mode, rng), start, config
-    )
+    family = partial(_MfaFamily, latent_dim, config.psi_mode)
+    return fit_mixture(dataset, n_components, config, family)
 
 
-def _run_em(update, state, config: FitConfig):
-    """The EM loop of fit_em and baselines.fit_gmm.
+def fit_mixture(dataset, n_components: int, config: FitConfig, family):
+    """The EM fit of fit_em and baselines.fit_gmm; deterministic given config.seed.
 
-    ``update(state)`` returns the average log-likelihood of ``state`` and the
-    next state. The loop stops when that value changes by at most
-    ``config.rel_tol`` relative to the previous one, keeping the state it
-    describes, or after ``config.max_iter`` updates, keeping the last update.
-    Returns the final state and its ``FitTrace``, which times each update
-    with ``time.perf_counter``.
+    EM runs ``_em_step`` from ``_em_start`` until the average log-likelihood
+    changes by at most ``config.rel_tol`` relative to the previous one (keeping
+    the model it describes) or for ``config.max_iter`` steps (keeping the last).
+    ``family(samples)`` checks its own arguments and returns the family's math,
+    with ``params`` the tuple of a model's stacked covariance parameters:
+    ``model(weights, means, *params)``; ``start(samples, labels, fitted)`` ->
+    (means, params), set for the k-means clusters ``fitted``; ``restart(rng)``
+    -> one component's params; ``pool(params, sizes)`` -> the start's params;
+    ``e_step(samples, model)`` -> (average log-likelihood, worst-fit sample,
+    masses, stats); ``m_step(samples, model, stats, live)`` -> (means, params),
+    set for the ``live`` components. Returns the model and its ``FitTrace``.
     """
-    trace: list[float] = []
-    seconds: list[float] = []
-    prev = None
+    samples = _as_samples(dataset)
+    count = samples.shape[0]
+    if n_components < 1:
+        raise ValueError(f"n_components must be >= 1, got {n_components}")
+    if count < n_components:
+        raise ValueError(f"need at least K={n_components} samples, got {count}")
+    family = family(samples)
+    rng = np.random.default_rng(config.seed)
+    model = _em_start(samples, n_components, family, rng)
+    trace, seconds, prev = [], [], None
     for _ in range(config.max_iter):
         start = time.perf_counter()
-        avg, updated = update(state)
+        avg, updated = _em_step(samples, family, rng, model)
         seconds.append(time.perf_counter() - start)
         trace.append(avg)
         if prev is not None and abs(avg - prev) <= config.rel_tol * max(abs(prev), 1e-12):
-            return state, FitTrace(trace, seconds, converged=True)
-        prev = avg
-        state = updated
-    return state, FitTrace(trace, seconds)
+            return model, FitTrace(trace, seconds, converged=True)
+        prev, model = avg, updated
+    return model, FitTrace(trace, seconds)
 
 
-def _mixture_weights(masses: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """The collapse policy shared by every EM update: (weights, collapsed indices).
+def _em_start(samples: np.ndarray, k_total: int, family, rng: np.random.Generator):
+    """The start of ``fit_mixture`` at weights 1/K: ``family.start`` on the
+    k-means clusters of at least two samples, a restart at its sample (a
+    random one when empty) for each smaller cluster, then ``family.pool``."""
+    labels = _kmeans(samples, k_total, rng)
+    sizes = np.bincount(labels, minlength=k_total)
+    means, params = family.start(samples, labels, sizes >= 2)
+    for k in np.flatnonzero(sizes < 2):
+        mean = samples[labels == k][0] if sizes[k] else samples[rng.integers(len(samples))]
+        _restart(family, rng, means, params, k, mean)
+    return family.model(np.full(k_total, 1.0 / k_total), means, *family.pool(params, sizes))
 
-    A component whose responsibility mass is below ``WEIGHT_FLOOR`` of the
-    data has collapsed; the caller re-seeds it and it restarts at weight 1/K
-    before renormalization. Every weight is floored at ``WEIGHT_FLOOR``.
-    """
-    weights = masses / count
-    collapsed = np.flatnonzero(weights < WEIGHT_FLOOR)
+
+def _em_step(samples: np.ndarray, family, rng: np.random.Generator, model):
+    """One EM iteration: the incoming model's average log-likelihood and the
+    updated model. A component with less than ``WEIGHT_FLOOR`` of the mass has
+    collapsed and restarts at the worst-fit sample, at weight 1/K before
+    renormalization; ``family.m_step`` updates the others. Weights are floored."""
+    avg, worst, masses, stats = family.e_step(samples, model)
+    weights = masses / samples.shape[0]
+    collapsed = weights < WEIGHT_FLOOR
     weights[collapsed] = 1.0 / weights.size
     weights = np.maximum(weights, WEIGHT_FLOOR)
-    return weights / weights.sum(), collapsed
+    means, params = family.m_step(samples, model, stats, ~collapsed)
+    for k in np.flatnonzero(collapsed):
+        _restart(family, rng, means, params, k, samples[worst])
+    return avg, family.model(weights / weights.sum(), means, *params)
 
 
-def _em_update(
-    samples: np.ndarray,
-    abs2: np.ndarray,
-    model: MfaModel,
-    psi_mode: str,
-    rng: np.random.Generator,
-) -> tuple[float, MfaModel]:
-    """One EM iteration of fit_em: the fused sweep, the diagonal update and the reseed.
-
-    Components whose responsibility mass falls below the weight floor are
-    re-seeded at the sample the incoming parameters fit worst, with a fresh
-    small random loading, a data-scale diagonal and weight 1/K before
-    renormalization; K never changes. Returns the average log-likelihood of
-    the incoming model and the updated model.
-    """
-    count, dim = samples.shape
-    scale = float(np.mean(abs2))
-    floor = PSI_FLOOR_REL * scale
-    avg, worst, masses, loadings, means, per_entry = _em_iteration(samples, abs2, model)
-
-    psis = _resolve_psi(per_entry, masses, psi_mode, floor, count)
-    weights, collapsed = _mixture_weights(masses, count)
-    for k in collapsed:
-        means[k] = samples[worst]
-        loadings[k], psis[k] = _restart_factors(rng, dim, model.latent_dim, scale, floor)
-    return avg, MfaModel(weights, means, loadings, psis)
+def _restart(family, rng: np.random.Generator, means, params, k: int, mean) -> None:
+    """Start component k afresh at ``mean`` with ``family.restart`` parameters."""
+    means[k] = mean
+    for array, value in zip(params, family.restart(rng)):
+        array[k] = value
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +518,7 @@ def sample(model: MfaModel, count: int, rng: np.random.Generator) -> ChannelData
         n_k = int(mask.sum())
         if n_k:
             out[mask] = gaussians.sample_component(model, k, rng, size=n_k)
-    return ChannelDataset(out, normalization=1.0, seed=None)
+    return ChannelDataset(out)
 
 
 PARAM_KINDS = ("mfa", "gmm-full", "gmm-toep", "gmm-circ")

@@ -94,12 +94,11 @@ class ChannelDataset:
     """T complex channel vectors of dimension N plus normalization metadata.
 
     ``normalization`` is the cumulative scale factor that has been applied to
-    the raw samples; ``seed`` records generation provenance when known.
+    the raw samples.
     """
 
     samples: np.ndarray
     normalization: float = 1.0
-    seed: int | None = None
 
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=np.complex128)
@@ -177,8 +176,7 @@ def generate_channels(
         atoms = atoms.reshape(block, paths, config.dim)
         samples[start:stop] = np.einsum("bp,bpn->bn", gains[start:stop], atoms)
 
-    dataset = ChannelDataset(samples, normalization=1.0, seed=config.seed)
-    return normalize_dataset(dataset)
+    return normalize_dataset(ChannelDataset(samples))
 
 
 def normalize_dataset(dataset: ChannelDataset) -> ChannelDataset:
@@ -187,11 +185,13 @@ def normalize_dataset(dataset: ChannelDataset) -> ChannelDataset:
     if energy <= 0.0:
         raise ValueError("cannot normalize an all-zero dataset")
     factor = np.sqrt(1.0 / energy)  # target mean energy per entry is exactly 1
-    return ChannelDataset(
-        dataset.samples * factor,
-        normalization=dataset.normalization * factor,
-        seed=dataset.seed,
-    )
+    return ChannelDataset(dataset.samples * factor, normalization=dataset.normalization * factor)
+
+
+def check_snr_db(snr_db: float) -> None:
+    """Reject an SNR that is NaN or below -3000 dB, where sigma2 would overflow."""
+    if not snr_db >= -3000.0:
+        raise ValueError(f"snr_db must be >= -3000 dB (finite noise power), got {snr_db!r}")
 
 
 def corrupt(
@@ -205,8 +205,7 @@ def corrupt(
     of +inf means no noise; NaN, and SNRs so low that sigma2 would overflow,
     are rejected.
     """
-    if not snr_db >= -3000.0:
-        raise ValueError(f"snr_db must be >= -3000 dB (finite noise power), got {snr_db!r}")
+    check_snr_db(snr_db)
     h = np.asarray(h, dtype=np.complex128)
     sigma2 = float(10.0 ** (-snr_db / 10.0))
     noise = (rng.standard_normal(h.shape) + 1j * rng.standard_normal(h.shape))
@@ -244,4 +243,4 @@ def read_dataset(path) -> ChannelDataset:
         offset = reader.offset_of("normalization")
         raise FileFormatError("dataset header declares an empty dataset", offset)
     rec = reader.body(_dataset_records(dim), count, "samples")
-    return ChannelDataset(rec["sample"], normalization=normalization, seed=None)
+    return ChannelDataset(rec["sample"], normalization=normalization)

@@ -8,7 +8,7 @@ from mfachest.baselines import (
     GMM_STRUCTURES,
     Dictionary,
     GmmModel,
-    _gmm_update,
+    _GmmFamily,
     _kernel_rows,
     _m_step,
     _toeplitz_gram,
@@ -27,7 +27,7 @@ from mfachest.baselines import (
 )
 from mfachest.estimator import estimate
 from mfachest.gaussians import ConditioningError
-from mfachest.mfa import FitConfig, MfaModel, sample
+from mfachest.mfa import FitConfig, MfaModel, _em_step, sample
 from mfachest.scenario import ChannelDataset
 
 
@@ -414,6 +414,23 @@ class TestSampleValidation:
         with pytest.raises(ValueError, match="non-finite"):
             fit(ChannelDataset(data))
 
+    @pytest.mark.parametrize(
+        "apply",
+        [
+            lambda y: estimate(make_mfa(np.random.default_rng(116), 2, 4, 1), 0.1, y),
+            lambda y: gmm_estimate(
+                GmmModel("circulant", np.array([1.0]), np.zeros((1, 4)), np.ones((1, 4))), 0.1, y
+            ),
+            lambda y: sample_lmmse_estimate(baselines.SampleCovariance(np.eye(4)), 0.1, y),
+        ],
+        ids=["estimate", "gmm_estimate", "sample_lmmse_estimate"],
+    )
+    def test_rejects_observations_above_two_dimensions(self, apply):
+        # The middle axis equals N, so the (B, N) dimension check alone passes them.
+        y = crandn(np.random.default_rng(117), 2, 4, 4)
+        with pytest.raises(ValueError, match=r"must be \(N,\) or \(B, N\), got shape \(2, 4, 4\)"):
+            apply(y)
+
 
 _STRUCTURED = ("toeplitz", "circulant")
 # (case, structures, field, index, value, message): one entry of a valid model set to value.
@@ -542,7 +559,7 @@ class TestFitGmm:
         else:
             bins = 2 * dim if structure == "toeplitz" else dim
             start = GmmModel(structure, weights, means, np.ones((3, bins)))
-        _, fixed = _gmm_update(data, start)
+        _, fixed = _em_step(data, _GmmFamily(structure, data), np.random.default_rng(0), start)
         assert fixed.n_components == 3
         assert np.all(fixed.weights > 1e-3)
         assert abs(fixed.weights.sum() - 1.0) < 1e-12

@@ -276,6 +276,21 @@ class TestBenchCommands:
         rows = [json.loads(line) for line in capsys.readouterr().out.strip().split("\n")]
         assert [(r["estimator"], r["nmse"]) for r in rows] == [("ls", 0.0), ("sample-lmmse", 0.0)]
 
+    @pytest.mark.parametrize("grid", [[10.0, float("nan")], [10.0, -3001.0], [float("-inf")]],
+                             ids=["nan", "below-3000-db", "minus-inf"])
+    def test_bad_snr_grid_exit_2_before_fitting(self, tmp_path, monkeypatch, capsys, grid):
+        fits = []
+        monkeypatch.setattr(mfa, "fit_em", lambda *args, **kwargs: fits.append(args))
+        spec_path = self.make_spec(tmp_path, [{"kind": "mfa", "k": 2, "l": 1}])
+        spec = json.loads(spec_path.read_text())
+        spec_path.write_text(json.dumps({**spec, "snr_grid_db": grid}))
+        code = main(["bench-snr", "--spec", str(spec_path)])
+        assert code == 2
+        assert fits == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "snr_db must be >= -3000 dB" in captured.err
+
     def test_bench_genie_omp_on_dataset_paths_needs_geometry(self, tmp_path, capsys):
         rng = np.random.default_rng(12)
         data = (rng.standard_normal((30, 8)) + 1j * rng.standard_normal((30, 8))) / np.sqrt(2)

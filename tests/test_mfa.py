@@ -12,7 +12,6 @@ from mfachest import baselines, gaussians, mfa
 from mfachest.mfa import (
     FitConfig,
     MfaModel,
-    _em_update,
     fit_em,
     load_model,
     log_likelihood,
@@ -61,7 +60,8 @@ def dense_logdens(samples, mean, cov):
 
 def em_update(model, data, mode="scaled-identity", seed=0):
     """One iteration of fit_em's loop from the given model."""
-    return _em_update(data, np.abs(data) ** 2, model, mode, np.random.default_rng(seed))
+    family = mfa._MfaFamily(model.latent_dim, mode, data)
+    return mfa._em_step(data, family, np.random.default_rng(seed), model)
 
 
 def dense_mixture_ll(model, samples):
@@ -524,14 +524,45 @@ class TestEmProperties:
         # residual the per-component start gives each, pooled by cluster size.
         rng = np.random.default_rng(59)
         data = sample(make_model(rng, 3, 5, 2, sep=2.0), 60, rng).samples
-        start = lambda mode: mfa._init_components(
-            data, k_total, 2, mode, np.random.default_rng(60)
+        start = lambda mode: mfa._em_start(
+            data, k_total, mfa._MfaFamily(2, mode, data), np.random.default_rng(60)
         )
         shared, own = start("shared-diagonal"), start("diagonal")
         sizes = np.bincount(mfa._kmeans(data, k_total, np.random.default_rng(60)), minlength=k_total)
-        pooled = max(float(sizes @ own.diag_terms[:, 0]) / 60, mfa._psi_floor(data))
+        floor = mfa.PSI_FLOOR_REL * float(np.mean(np.abs(data) ** 2))
+        pooled = max(float(sizes @ own.diag_terms[:, 0]) / 60, floor)
         assert np.all(shared.diag_terms == pooled)
         assert np.array_equal(shared.loadings, own.loadings)
+
+    @pytest.mark.parametrize("family", ["scaled-identity", "diagonal", *baselines.GMM_STRUCTURES])
+    def test_small_cluster_start(self, family):
+        # k-means leaves cluster 1 with one sample and cluster 2 empty. Both
+        # restart: cluster 1 at its sample, cluster 2 at a random one, with the
+        # family's restart parameters, drawn in component order.
+        data = crandn(np.random.default_rng(61), 12, 4)
+        labels = np.array([0] * 10 + [1, 0])
+        if family in mfa.PSI_MODES:
+            math = mfa._MfaFamily(2, family, data)
+        else:
+            math = baselines._GmmFamily(family, data)
+        with patch.object(mfa, "_kmeans", return_value=labels):
+            start = mfa._em_start(data, 3, math, np.random.default_rng(62))
+        scale = float(np.mean(np.abs(data) ** 2))
+        draws = np.random.default_rng(62)
+        if family in mfa.PSI_MODES:
+            loading = lambda: 0.3 * np.sqrt(scale) * gaussians._std_cnormal(draws, (4, 2))
+            single_loading = loading()
+            empty_at = draws.integers(12)
+            assert np.array_equal(start.loadings[1], single_loading)
+            assert np.array_equal(start.loadings[2], loading())
+            assert np.all(start.diag_terms[1:] == max(scale, mfa.PSI_FLOOR_REL * scale))
+        else:
+            empty_at = draws.integers(12)
+            restart = baselines._isotropic(family, 4, scale)
+            assert np.array_equal(start.params[1:], np.stack([restart, restart]))
+        assert np.array_equal(start.means[1], data[10])
+        assert np.array_equal(start.means[2], data[empty_at])
+        assert np.array_equal(start.weights, np.full(3, 1.0 / 3.0))
 
     @pytest.mark.parametrize("mode", ["scaled-identity", "shared-diagonal", "diagonal"])
     def test_monotone_traces(self, mode):
