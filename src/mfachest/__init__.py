@@ -4,7 +4,6 @@ from ._binio import FileFormatError
 from .baselines import (
     Dictionary,
     GmmModel,
-    SampleCovariance,
     build_dft_dictionary,
     fit_gmm,
     fit_sample_lmmse,
@@ -14,7 +13,6 @@ from .baselines import (
     gmm_log_likelihood,
     load_gmm,
     ls_estimate,
-    sample_lmmse_estimate,
     save_gmm,
 )
 from .bench import (

@@ -1,6 +1,8 @@
 """Baseline channel estimators: least squares, genie-aided OMP over an
 oversampled DFT dictionary, sample-covariance LMMSE, and Gaussian mixtures
-with full, Toeplitz, or circulant covariances.
+with full, Toeplitz, or circulant covariances. The sample-covariance LMMSE is
+the one-component, zero-mean full GMM (``fit_sample_lmmse``), estimated by
+``gmm_estimate`` like every other mixture.
 
 OMP grows an orthonormal basis of each observation's support one atom per step
 (classical Gram-Schmidt, applied twice). Its stopping rule: a row stops at the
@@ -226,56 +228,6 @@ def _row_norm2(rows: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Sample-covariance LMMSE
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SampleCovariance:
-    """Zero-mean sample covariance ``(1/T) sum h h^H`` of a training set."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=np.complex128)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError("covariance must be square")
-        if np.max(np.abs(mat - mat.conj().T)) > 1e-12 * max(1.0, np.abs(mat).max()):
-            raise ValueError("covariance must be Hermitian")
-        object.__setattr__(self, "matrix", 0.5 * (mat + mat.conj().T))
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-
-def fit_sample_lmmse(dataset) -> SampleCovariance:
-    samples = _as_samples(dataset)
-    cov = samples.T @ samples.conj() / samples.shape[0]
-    return SampleCovariance(cov)
-
-
-def sample_lmmse_estimate(cov: SampleCovariance, sigma2: float, y: np.ndarray) -> np.ndarray:
-    """Global LMMSE with the sample covariance and zero mean: C (C + sigma2 I)^{-1} y,
-    computed as y - sigma2 (C + sigma2 I)^{-1} y, so y itself at sigma2 = 0.
-
-    Raises ConditioningError when C + sigma2 I is singular: the solve fails or
-    its result is not finite.
-    """
-    sigma2 = _check_sigma2(sigma2)
-    batch, single = _check_observation(y, cov.dim)
-    shifted = cov.matrix + sigma2 * np.eye(cov.dim)
-    try:
-        solved = np.linalg.solve(shifted, batch.T).T
-    except np.linalg.LinAlgError as exc:
-        raise ConditioningError("sample covariance + sigma2 I is singular (use sigma2 > 0)") from exc
-    if not np.all(np.isfinite(solved)):
-        raise ConditioningError("sample covariance + sigma2 I is numerically singular")
-    out = batch - sigma2 * solved
-    return out[0] if single else out
-
-
-# ---------------------------------------------------------------------------
 # Structured Gaussian mixtures
 # ---------------------------------------------------------------------------
 
@@ -364,6 +316,16 @@ class GmmModel:
 def gmm_from_mfa(model: MfaModel) -> GmmModel:
     """Full-covariance mixture with C_k = loading loading^H + diag(diag_term)."""
     return GmmModel("full", model.weights, model.means, model.dense_covariances())
+
+
+def fit_sample_lmmse(dataset) -> GmmModel:
+    """The sample-covariance LMMSE prior: one zero-mean full component with the
+    Hermitian part of C = (1/T) X^T conj(X). Under it ``gmm_estimate`` returns
+    C (C + sigma2 I)^{-1} y."""
+    samples = _as_samples(dataset)
+    cov = samples.T @ samples.conj() / samples.shape[0]
+    cov = 0.5 * (cov + cov.conj().T)
+    return GmmModel("full", [1.0], np.zeros((1, samples.shape[1])), cov[None])
 
 
 def _project_toeplitz(scatter_diag: np.ndarray, floor: float | np.ndarray, dim: int) -> np.ndarray:
@@ -611,15 +573,20 @@ def gmm_estimate(model: GmmModel, sigma2: float, y: np.ndarray) -> np.ndarray:
     Circulant covariances invert in the DFT domain; full and Toeplitz ones
     through the whitener of their dense Cholesky factors (``_gmm_factor``).
     Raises ConditioningError when some C_k + sigma2 I is numerically singular:
-    a circulant bin at or below its component's largest bin / COND_LIMIT, or a
-    failed Cholesky.
+    a circulant bin at or below its component's largest bin / COND_LIMIT, a
+    failed Cholesky, or an estimate that is not finite (a subnormal pivot whose
+    whitened rows overflow, say).
     """
     sigma2 = _check_sigma2(sigma2)
     batch, single = _check_observation(y, model.dim)
     _check_spectra(model, sigma2)
     out = np.empty_like(batch)
     rows = _kernel_rows(model.structure, batch)
-    _gmm_logdens(model, _gmm_factor(model, sigma2), rows, sigma2, out)
+    with np.errstate(all="ignore"):
+        _gmm_logdens(model, _gmm_factor(model, sigma2), rows, sigma2, out)
+    if not np.all(np.isfinite(out)):
+        raise ConditioningError("covariance + sigma2 I is numerically singular: the estimate "
+                                "is not finite (use a larger sigma2)")
     return out[0] if single else out
 
 

@@ -144,18 +144,13 @@ def model_estimator(model):
     return lambda sigma2, y: baselines.gmm_estimate(model, sigma2, y)
 
 
-def _fit_entry(entry: EstimatorSpec, train: ChannelDataset, spec: BenchSpec, k, l):
+def _fit_entry(entry: EstimatorSpec, train: ChannelDataset, spec: BenchSpec, k: int, l: int):
     """Fit or load one estimator: ``(K, L, estimate)`` with
-    ``estimate(sigma2, observations, truths) -> estimates``. ``k``/``l``
-    override the entry's own values unless None."""
-    k = entry.k if k is None else k
-    l = entry.l if l is None else l
+    ``estimate(sigma2, observations, truths) -> estimates``. The mfa and gmm
+    kinds fit at K = ``k`` (and L = ``l``)."""
     fit = dict(max_iter=spec.max_iter, rel_tol=spec.rel_tol, seed=spec.seed)
     if entry.kind == "ls":
         return 0, 0, lambda sigma2, y, truths: baselines.ls_estimate(y)
-    if entry.kind == "sample-lmmse":
-        cov = baselines.fit_sample_lmmse(train)
-        return 0, 0, lambda sigma2, y, truths: baselines.sample_lmmse_estimate(cov, sigma2, y)
     if entry.kind == "genie-omp":
         nv, nh = (entry.nv, entry.nh) if entry.nv or entry.nh else (spec.scenario.nv, spec.scenario.nh)
         if nv * nh != train.dim:
@@ -165,13 +160,11 @@ def _fit_entry(entry: EstimatorSpec, train: ChannelDataset, spec: BenchSpec, k, 
             )
         dictionary, s_max = baselines.build_dft_dictionary(nv, nh), entry.s_max or train.dim
         return 0, 0, lambda sigma2, y, truths: baselines.genie_omp_batch(y, dictionary, truths, s_max)
-    if entry.kind == "mfa":
-        if k < 1 or l < 1:
-            raise ValueError(f"estimator {entry.name!r} needs k >= 1 and l >= 1")
+    if entry.kind == "sample-lmmse":
+        model, k, l = baselines.fit_sample_lmmse(train), 0, 0
+    elif entry.kind == "mfa":
         model, _ = mfa.fit_em(train, k, l, mfa.FitConfig(**fit, psi_mode=entry.psi_mode))
     elif entry.kind in _GMM_STRUCTURES:
-        if k < 1:
-            raise ValueError(f"estimator {entry.name!r} needs k >= 1")
         model, _ = baselines.fit_gmm(train, k, _GMM_STRUCTURES[entry.kind], mfa.FitConfig(**fit))
         l = 0
     elif entry.kind == "mfa-model":
@@ -199,17 +192,31 @@ def _load_data(spec: BenchSpec) -> tuple[ChannelDataset, ChannelDataset]:
     return train, eval_ds
 
 
+def _check_shape(entry: EstimatorSpec, k: int, l: int, dim: int) -> None:
+    """An mfa fit needs K >= 1 and 1 <= L <= N, a gmm fit K >= 1."""
+    if entry.kind == "mfa" and (k < 1 or not 1 <= l <= dim):
+        raise ValueError(
+            f"estimator {entry.name!r} needs k >= 1 and 1 <= l <= N = {dim}, got k={k}, l={l}"
+        )
+    if entry.kind in _GMM_STRUCTURES and k < 1:
+        raise ValueError(f"estimator {entry.name!r} needs k >= 1")
+
+
 def _sweep(spec: BenchSpec, shapes, snr_indices) -> list[ReportRow]:
     """Fit every entry, each mfa entry once per (K, L) of ``shapes`` (None keeps
     the entry's own value), and score every fit at each SNR of ``snr_indices``
-    (indices into the spec grid) on one shared, read-only draw of the noise."""
+    (indices into the spec grid) on one shared, read-only draw of the noise.
+    Every (K, L) is checked before the first fit."""
     train, eval_ds = _load_data(spec)
-    truths = eval_ds.samples
-    fitted = [
-        (entry.name, *_fit_entry(entry, train, spec, k, l))
+    jobs = [
+        (entry, entry.k if k is None else k, entry.l if l is None else l)
         for entry in spec.estimators
         for k, l in (shapes if entry.kind == "mfa" else [(None, None)])
     ]
+    for entry, k, l in jobs:
+        _check_shape(entry, k, l, train.dim)
+    truths = eval_ds.samples
+    fitted = [(entry.name, *_fit_entry(entry, train, spec, k, l)) for entry, k, l in jobs]
     rows = []
     for si in snr_indices:
         snr = spec.snr_grid_db[si]

@@ -48,8 +48,8 @@ class ConditioningError(ArithmeticError):
     """A covariance system is numerically singular: the latent L x L system of a
     low-rank component beyond the condition limit, a circulant spectrum plus
     sigma2 with a bin at or below its largest bin / COND_LIMIT (a zero or a
-    subnormal bin, say), or a full/Toeplitz C + sigma2 I that is not positive
-    definite."""
+    subnormal bin, say), a full/Toeplitz C + sigma2 I that is not positive
+    definite, or a full/Toeplitz estimate that is not finite."""
 
 
 def _check_sigma2(sigma2: float) -> float:

@@ -21,7 +21,6 @@ from mfachest.baselines import (
     gmm_log_likelihood,
     load_gmm,
     ls_estimate,
-    sample_lmmse_estimate,
     save_gmm,
     toeplitz_transform,
 )
@@ -329,17 +328,17 @@ class TestSampleLmmse:
         e1[0] = 1.0
         data = np.tile(e1, (10, 1))
         cov = fit_sample_lmmse(ChannelDataset(data))
-        assert np.allclose(cov.matrix, np.outer(e1, e1.conj()), atol=1e-14)
+        assert np.allclose(cov.params[0], np.outer(e1, e1.conj()), atol=1e-14)
         rng = np.random.default_rng(98)
         y = crandn(rng, 4)
-        got = sample_lmmse_estimate(cov, 1.0, y)
+        got = gmm_estimate(cov, 1.0, y)
         assert np.abs(got - 0.5 * y[0] * e1).max() < 1e-12
 
     def test_huge_noise_shrinks_to_zero(self):
         rng = np.random.default_rng(99)
         data = crandn(rng, 100, 5)
         cov = fit_sample_lmmse(ChannelDataset(data))
-        got = sample_lmmse_estimate(cov, 1e12, crandn(rng, 5))
+        got = gmm_estimate(cov, 1e12, crandn(rng, 5))
         assert np.abs(got).max() < 1e-10
 
     def test_large_sample_matches_analytic_mse(self):
@@ -352,7 +351,7 @@ class TestSampleLmmse:
         cov = fit_sample_lmmse(ChannelDataset(draws))
         sigma2 = 0.5
         noise = crandn(rng, 60_000, dim) * np.sqrt(sigma2)
-        got = sample_lmmse_estimate(cov, sigma2, draws + noise)
+        got = gmm_estimate(cov, sigma2, draws + noise)
         nmse = float(np.mean(np.abs(got - draws) ** 2))
         shifted = cov_true + sigma2 * np.eye(dim)
         want = np.trace(cov_true - cov_true @ np.linalg.solve(shifted, cov_true)).real / dim
@@ -363,15 +362,15 @@ class TestSampleLmmse:
         rng = np.random.default_rng(113)
         cov = fit_sample_lmmse(ChannelDataset(crandn(rng, 50, 4)))
         with pytest.raises(ValueError):
-            sample_lmmse_estimate(cov, sigma2, crandn(rng, 4))
+            gmm_estimate(cov, sigma2, crandn(rng, 4))
 
     def test_zero_sigma2_returns_observation(self):
         # The sigma2 contract of estimate and gmm_estimate: no noise, no change.
         rng = np.random.default_rng(113)
         cov = fit_sample_lmmse(ChannelDataset(crandn(rng, 50, 4)))
         y = crandn(rng, 7, 4)
-        assert np.array_equal(sample_lmmse_estimate(cov, 0.0, y), y)
-        assert np.array_equal(sample_lmmse_estimate(cov, 0.0, y[2]), y[2])
+        assert np.array_equal(gmm_estimate(cov, 0.0, y), y)
+        assert np.array_equal(gmm_estimate(cov, 0.0, y[2]), y[2])
 
     @pytest.mark.parametrize("sigma2", [0.0, 1e-320])
     def test_singular_covariance_raises(self, sigma2):
@@ -382,7 +381,7 @@ class TestSampleLmmse:
         data[:, 3] = 0.0
         cov = fit_sample_lmmse(ChannelDataset(data))
         with pytest.raises(ConditioningError):
-            sample_lmmse_estimate(cov, sigma2, crandn(rng, 4))
+            gmm_estimate(cov, sigma2, crandn(rng, 4))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_nonfinite_observation(self, bad):
@@ -391,7 +390,36 @@ class TestSampleLmmse:
         y = crandn(rng, 4)
         y[1] = bad
         with pytest.raises(ValueError, match="non-finite"):
-            sample_lmmse_estimate(cov, 1.0, y)
+            gmm_estimate(cov, 1.0, y)
+
+    def test_overflowing_estimate_raises(self):
+        # Three Cholesky pivots near 1e-160 pass, and the whitened rows then
+        # overflow |z|^2: no warning and no non-finite estimate may escape.
+        cov = np.zeros((4, 4), complex)
+        cov[0, 0] = 1.0
+        model = GmmModel("full", [1.0], np.zeros((1, 4)), cov[None])
+        y = crandn(np.random.default_rng(119), 3, 4)
+        with pytest.raises(ConditioningError, match="not finite"):
+            gmm_estimate(model, 1e-320, y)
+
+    @given(
+        st.integers(1, 8),
+        st.data(),
+        st.floats(1e-3, 10.0),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_dense_solve(self, dim, data, sigma2, seed):
+        # Oracle: the dense solve C (C + sigma2 I)^{-1} y = y - sigma2 (C + sigma2 I)^{-1} y.
+        count = data.draw(st.integers(1, 3 * dim), label="T")
+        rank = data.draw(st.integers(0, dim), label="rank")
+        rng = np.random.default_rng(seed)
+        samples = crandn(rng, count, rank) @ crandn(rng, rank, dim)
+        y = crandn(rng, 5, dim)
+        cov = samples.T @ samples.conj() / count
+        cov = 0.5 * (cov + cov.conj().T)
+        want = y - sigma2 * np.linalg.solve(cov + sigma2 * np.eye(dim), y.T).T
+        got = gmm_estimate(fit_sample_lmmse(ChannelDataset(samples)), sigma2, y)
+        assert np.abs(got - want).max() <= 1e-9 * np.abs(y).max()
 
 
 class TestSampleValidation:
@@ -421,7 +449,7 @@ class TestSampleValidation:
             lambda y: gmm_estimate(
                 GmmModel("circulant", np.array([1.0]), np.zeros((1, 4)), np.ones((1, 4))), 0.1, y
             ),
-            lambda y: sample_lmmse_estimate(baselines.SampleCovariance(np.eye(4)), 0.1, y),
+            lambda y: gmm_estimate(GmmModel("full", [1.0], np.zeros((1, 4)), np.eye(4)[None]), 0.1, y),
         ],
         ids=["estimate", "gmm_estimate", "sample_lmmse_estimate"],
     )

@@ -291,6 +291,29 @@ class TestBenchCommands:
         assert captured.out == ""
         assert "snr_db must be >= -3000 dB" in captured.err
 
+    @pytest.mark.parametrize("grids, message", [
+        (["bench-grid", "--k-grid", "0", "--l-grid", "1"], "got k=0, l=1"),
+        (["bench-grid", "--k-grid", "1", "--l-grid", "0"], "got k=1, l=0"),
+        (["bench-grid", "--k-grid", "1", "--l-grid", "1,9"], "got k=1, l=9"),
+        (["bench-latent", "--l-grid", "0"], "got k=2, l=0"),
+        (["bench-latent", "--l-grid", "9"], "got k=2, l=9"),
+    ], ids=["k0", "l0", "l-above-n", "latent-l0", "latent-l-above-n"])
+    def test_bad_shape_grid_exit_2_before_fitting(self, tmp_path, monkeypatch, capsys, grids,
+                                                  message):
+        fits = []
+        monkeypatch.setattr(baselines, "fit_gmm", lambda *args, **kwargs: fits.append(args))
+        monkeypatch.setattr(mfa, "fit_em", lambda *args, **kwargs: fits.append(args))
+        spec_path = self.make_spec(
+            tmp_path, [{"kind": "gmm-full", "k": 2}, {"kind": "mfa", "name": "m", "k": 2, "l": 1}]
+        )
+        code = main([grids[0], "--spec", str(spec_path), *grids[1:]])
+        assert code == 2
+        assert fits == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "estimator 'm' needs k >= 1 and 1 <= l <= N = 8" in captured.err
+        assert message in captured.err
+
     def test_bench_genie_omp_on_dataset_paths_needs_geometry(self, tmp_path, capsys):
         rng = np.random.default_rng(12)
         data = (rng.standard_normal((30, 8)) + 1j * rng.standard_normal((30, 8))) / np.sqrt(2)
