@@ -456,8 +456,8 @@ def _gmm_factor(model: GmmModel, sigma2: float) -> tuple[np.ndarray, np.ndarray,
     return whitener, centres, np.log(model.weights) - model.dim * LOG_PI - logdets
 
 
-def _gmm_logdens(model: GmmModel, factored, rows, sigma2: float, out=None) -> np.ndarray:
-    """(B, K) log w_k + log N_C(y; mu_k, C_k + sigma2 I) from _gmm_factor(model, sigma2),
+def _gmm_logdens(model: GmmModel, rows, sigma2: float, out=None) -> np.ndarray:
+    """(B, K) log w_k + log N_C(y; mu_k, C_k + sigma2 I), factored once (``_gmm_factor``),
     with ``rows = _kernel_rows(model.structure, y)``, in row chunks that keep
     every (B, K N) temporary within _GMM_CHUNK_BUDGET entries.
 
@@ -469,7 +469,7 @@ def _gmm_logdens(model: GmmModel, factored, rows, sigma2: float, out=None) -> np
     k being one matmul of r_k z_k with [conj(L_1^{-1}); ...] (in the DFT domain
     with z_k / spectrum_k for circulant).
     """
-    whitener, centres, logconst = factored
+    whitener, centres, logconst = _gmm_factor(model, sigma2)
     k_total, dim = model.n_components, model.dim
     circulant = model.structure == "circulant"
     logdens = np.empty((rows.shape[0], k_total))
@@ -543,8 +543,7 @@ class _GmmFamily:
 
     def e_step(self, samples: np.ndarray, model: GmmModel):
         rows = _kernel_rows(self.structure, samples)
-        logdens = _gmm_logdens(model, _gmm_factor(model, 0.0), rows, 0.0)
-        resp, per_sample = responsibilities(logdens)
+        resp, per_sample = responsibilities(_gmm_logdens(model, rows, 0.0))
         return float(per_sample.mean()), int(np.argmin(per_sample)), resp.sum(axis=0), (rows, resp)
 
     def m_step(self, samples: np.ndarray, model: GmmModel, stats, live: np.ndarray):
@@ -563,8 +562,7 @@ def gmm_log_likelihood(model: GmmModel, dataset) -> float:
     samples = _check_observation(_as_samples(dataset), model.dim)[0]
     _check_spectra(model, 0.0)
     rows = _kernel_rows(model.structure, samples)
-    logdens = _gmm_logdens(model, _gmm_factor(model, 0.0), rows, 0.0)
-    return float(np.mean(log_sum_exp(logdens, axis=1)))
+    return float(np.mean(log_sum_exp(_gmm_logdens(model, rows, 0.0), axis=1)))
 
 
 def gmm_estimate(model: GmmModel, sigma2: float, y: np.ndarray) -> np.ndarray:
@@ -583,7 +581,7 @@ def gmm_estimate(model: GmmModel, sigma2: float, y: np.ndarray) -> np.ndarray:
     out = np.empty_like(batch)
     rows = _kernel_rows(model.structure, batch)
     with np.errstate(all="ignore"):
-        _gmm_logdens(model, _gmm_factor(model, sigma2), rows, sigma2, out)
+        _gmm_logdens(model, rows, sigma2, out)
     if not np.all(np.isfinite(out)):
         raise ConditioningError("covariance + sigma2 I is numerically singular: the estimate "
                                 "is not finite (use a larger sigma2)")

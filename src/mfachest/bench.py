@@ -152,13 +152,8 @@ def _fit_entry(entry: EstimatorSpec, train: ChannelDataset, spec: BenchSpec, k: 
     if entry.kind == "ls":
         return 0, 0, lambda sigma2, y, truths: baselines.ls_estimate(y)
     if entry.kind == "genie-omp":
-        nv, nh = (entry.nv, entry.nh) if entry.nv or entry.nh else (spec.scenario.nv, spec.scenario.nh)
-        if nv * nh != train.dim:
-            raise ValueError(
-                f"estimator {entry.name!r}: array geometry {nv} x {nh} does not match "
-                f"the data dimension {train.dim}"
-            )
-        dictionary, s_max = baselines.build_dft_dictionary(nv, nh), entry.s_max or train.dim
+        dictionary = baselines.build_dft_dictionary(*_geometry(entry, spec))
+        s_max = entry.s_max or train.dim
         return 0, 0, lambda sigma2, y, truths: baselines.genie_omp_batch(y, dictionary, truths, s_max)
     if entry.kind == "sample-lmmse":
         model, k, l = baselines.fit_sample_lmmse(train), 0, 0
@@ -192,8 +187,21 @@ def _load_data(spec: BenchSpec) -> tuple[ChannelDataset, ChannelDataset]:
     return train, eval_ds
 
 
-def _check_shape(entry: EstimatorSpec, k: int, l: int, dim: int) -> None:
-    """An mfa fit needs K >= 1 and 1 <= L <= N, a gmm fit K >= 1."""
+def _geometry(entry: EstimatorSpec, spec: BenchSpec) -> tuple[int, int]:
+    """The (nv, nh) array geometry of a genie-omp entry: its own, else the scenario's."""
+    return (entry.nv, entry.nh) if entry.nv or entry.nh else (spec.scenario.nv, spec.scenario.nh)
+
+
+def _check_shape(entry: EstimatorSpec, spec: BenchSpec, k: int, l: int, dim: int) -> None:
+    """An mfa fit needs K >= 1 and 1 <= L <= N, a gmm fit K >= 1, and a
+    genie-omp entry an array geometry nv x nh = N."""
+    if entry.kind == "genie-omp":
+        nv, nh = _geometry(entry, spec)
+        if nv * nh != dim:
+            raise ValueError(
+                f"estimator {entry.name!r}: array geometry {nv} x {nh} does not match "
+                f"the data dimension {dim}"
+            )
     if entry.kind == "mfa" and (k < 1 or not 1 <= l <= dim):
         raise ValueError(
             f"estimator {entry.name!r} needs k >= 1 and 1 <= l <= N = {dim}, got k={k}, l={l}"
@@ -206,7 +214,7 @@ def _sweep(spec: BenchSpec, shapes, snr_indices) -> list[ReportRow]:
     """Fit every entry, each mfa entry once per (K, L) of ``shapes`` (None keeps
     the entry's own value), and score every fit at each SNR of ``snr_indices``
     (indices into the spec grid) on one shared, read-only draw of the noise.
-    Every (K, L) is checked before the first fit."""
+    Every (K, L) and genie-omp geometry is checked before the first fit."""
     train, eval_ds = _load_data(spec)
     jobs = [
         (entry, entry.k if k is None else k, entry.l if l is None else l)
@@ -214,7 +222,7 @@ def _sweep(spec: BenchSpec, shapes, snr_indices) -> list[ReportRow]:
         for k, l in (shapes if entry.kind == "mfa" else [(None, None)])
     ]
     for entry, k, l in jobs:
-        _check_shape(entry, k, l, train.dim)
+        _check_shape(entry, spec, k, l, train.dim)
     truths = eval_ds.samples
     fitted = [(entry.name, *_fit_entry(entry, train, spec, k, l)) for entry, k, l in jobs]
     rows = []

@@ -2,10 +2,10 @@
 
 The estimate is a convex combination of per-component LMMSE filters, weighted
 by noise-aware responsibilities. Every component is factored once per call at
-the observation noise level (``gaussians.stack_mixture``), and one stacked
-low-rank kernel yields both the responsibilities and the whitened latent
-coordinates the filters need, so no N x N matrix is formed and the
-per-observation cost is O(KNL).
+the observation noise level (``gaussians.stack_mixture``), and the stacked
+low-rank kernel's pass (``gaussians.mixture_chunks``) yields both the
+responsibilities and the whitened latent coordinates the filters need, so no
+N x N matrix is formed and the per-observation cost is O(KNL).
 """
 
 from __future__ import annotations
@@ -14,13 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussians import (
-    _check_observation,
-    _check_sigma2,
-    mixture_logdens,
-    responsibilities,
-    stack_mixture,
-)
+from .gaussians import _check_observation, _check_sigma2, mixture_chunks, stack_mixture
 from .mfa import MfaModel
 
 
@@ -54,18 +48,13 @@ def estimate(model: MfaModel, sigma2: float, y: np.ndarray) -> Estimate:
 
     value = np.empty_like(batch)
     resp_out = np.empty((batch.shape[0], k_total))
-    chunk = stack.chunk_rows()
-    lat_big = np.empty((chunk, k_total, latent), dtype=np.complex128)
-    for start in range(0, batch.shape[0], chunk):
-        stop = min(start + chunk, batch.shape[0])
-        yb = batch[start:stop]
-        lat = lat_big[:stop - start]
-        resp = responsibilities(mixture_logdens(stack, yb, np.abs(yb) ** 2, lat))[0]
+    for start, yb, _, lat, resp, _ in mixture_chunks(stack, batch):
+        stop = start + len(yb)
         resp_out[start:stop] = resp
         lat *= resp[:, :, None]
         prec_y = (resp @ stack.d.T) * yb
         prec_y -= resp @ d_mu.T
-        prec_y -= lat.reshape(stop - start, k_total * latent) @ dwr.T
+        prec_y -= lat.reshape(len(yb), k_total * latent) @ dwr.T
         value[start:stop] = yb - sigma2 * prec_y
 
     if single:

@@ -8,8 +8,9 @@ the matrix determinant lemma, and densities never leave the log domain. The
 stacked arrays are factored once per noise level into a ``MixtureStack``, with
 one batched Cholesky and inverse of the K latent L x L systems
 (``factorize``), and ``mixture_logdens`` evaluates every component on a batch
-of rows with a few stacked matrix products; EM, the likelihood and the MMSE
-estimator all run through that one kernel. The kernel works in whitened latent
+of rows with a few stacked matrix products. EM, the likelihood and the MMSE
+estimator all run through one chunked pass of that kernel (``mixture_chunks``)
+and keep only their own accumulations. The kernel works in whitened latent
 coordinates q_k = R_k^H W_k^H D_k (y - mu_k), with R_k R_k^H the latent
 posterior covariance, so the low-rank correction is the squared norm |q_k|^2
 and the posterior mean is R_k q_k.
@@ -45,11 +46,12 @@ RESP_REL = 1e-16
 
 
 class ConditioningError(ArithmeticError):
-    """A covariance system is numerically singular: the latent L x L system of a
-    low-rank component beyond the condition limit, a circulant spectrum plus
-    sigma2 with a bin at or below its largest bin / COND_LIMIT (a zero or a
-    subnormal bin, say), a full/Toeplitz C + sigma2 I that is not positive
-    definite, or a full/Toeplitz estimate that is not finite."""
+    """A covariance system is numerically singular: a low-rank component whose
+    diagonal has no finite inverse or whose latent L x L system is beyond the
+    condition limit, a circulant spectrum plus sigma2 with a bin at or below its
+    largest bin / COND_LIMIT (a zero or a subnormal bin, say), a full/Toeplitz
+    C + sigma2 I that is not positive definite, or a full/Toeplitz estimate
+    that is not finite."""
 
 
 def _check_sigma2(sigma2: float) -> float:
@@ -118,14 +120,19 @@ def factorize(
     C_k. Returns D_k = 1 / (diag_k + sigma2) (K, N), R_k = L_k^{-H} for the
     lower Cholesky factor L_k of ``I + W_k^H D_k W_k`` (K, L, L), and
     log det(C_k + sigma2 I) (K,). Raises ConditioningError naming the first
-    component whose latent system is not positive definite (found one by one
-    once the batched Cholesky fails) or whose condition estimate exceeds
-    COND_LIMIT.
+    component whose ``diag_term + sigma2`` has an entry at or below 1 / max
+    float, whose latent system is not positive definite (found one by one once
+    the batched Cholesky fails) or whose condition estimate exceeds COND_LIMIT.
     """
     sigma2 = _check_sigma2(sigma2)
     diag = diag_terms + sigma2
-    if np.any(diag <= 0.0):
-        raise ValueError("diag_term + sigma2 must be entrywise positive")
+    # 1 / max float itself rounds down, so its inverse overflows too.
+    bad = np.flatnonzero((diag <= 1.0 / np.finfo(float).max).any(axis=1))
+    if bad.size:
+        raise ConditioningError(
+            f"diagonal of component {bad[0]} is not invertible: diag_term + sigma2 has an "
+            f"entry at or below 1 / max float ({1.0 / np.finfo(float).max:.2e})"
+        )
     d = 1.0 / diag
     latent = loadings.shape[2]
     a_inv = np.eye(latent) + loadings.conj().transpose(0, 2, 1) @ (loadings * d[:, :, None])
@@ -221,6 +228,24 @@ def mixture_logdens(
     flat = latent_out.view(np.float64)
     logdens += np.einsum("bkl,bkl->bk", flat, flat)
     return logdens
+
+
+def mixture_chunks(stack: MixtureStack, samples: np.ndarray, width: int = 0):
+    """Yield ``(start, block, abs2, latent, resp, lse)`` for each chunk of
+    ``stack.chunk_rows()`` rows of ``samples``: the first row index, the rows,
+    their entrywise |y|^2, the (B, K, max(width, L)) latent buffer, shared by
+    all chunks, with q_k (``mixture_logdens``) in its first L columns and 1 in
+    the others, and the ``responsibilities`` and per-row log-sum-exp."""
+    k_total, latent_dim = stack.mean_proj.shape
+    chunk = stack.chunk_rows()
+    buffer = np.empty((chunk, k_total, max(width, latent_dim)), dtype=np.complex128)
+    buffer[:, :, latent_dim:] = 1.0
+    for start in range(0, samples.shape[0], chunk):
+        block = samples[start:start + chunk]
+        abs2 = np.abs(block) ** 2
+        latent = buffer[:len(block)]
+        resp, lse = responsibilities(mixture_logdens(stack, block, abs2, latent[:, :, :latent_dim]))
+        yield start, block, abs2, latent, resp, lse
 
 
 def sample_component(

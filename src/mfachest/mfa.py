@@ -23,7 +23,6 @@ import numpy as np
 
 from . import gaussians
 from ._binio import Container, FileFormatError, write_container
-from .gaussians import log_sum_exp
 from .scenario import ChannelDataset
 
 MODEL_MAGIC = b"MFA1"
@@ -157,14 +156,9 @@ def _as_samples(dataset) -> np.ndarray:
 def log_likelihood(model: MfaModel, dataset) -> float:
     """Average per-sample log of the mixture density, via log-sum-exp."""
     samples = gaussians._check_observation(_as_samples(dataset), model.dim)[0]
-    stack = gaussians.stack_mixture(model, 0.0)
-    chunk = stack.chunk_rows()
-    latent = np.empty((chunk, model.n_components, model.latent_dim), dtype=np.complex128)
     total = 0.0
-    for start in range(0, samples.shape[0], chunk):
-        block = samples[start:start + chunk]
-        logdens = gaussians.mixture_logdens(stack, block, np.abs(block) ** 2, latent[:len(block)])
-        total += float(log_sum_exp(logdens, axis=1).sum())
+    for *_, lse in gaussians.mixture_chunks(gaussians.stack_mixture(model, 0.0), samples):
+        total += float(lse.sum())
     return total / samples.shape[0]
 
 
@@ -266,25 +260,24 @@ def _center_dist(flat: np.ndarray, energy: np.ndarray, centers: np.ndarray) -> n
 
 
 def _em_iteration(
-    samples: np.ndarray, abs2: np.ndarray, model: MfaModel
+    samples: np.ndarray, model: MfaModel
 ) -> tuple[float, int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """One fused E+M sweep over the data, chunked and stacked across components.
+    """One fused E+M sweep over the data, stacked across components.
 
-    The E-step is the stacked mixture kernel (``gaussians.mixture_logdens``),
-    which writes the whitened latent coordinates q_k straight into the
-    regression buffer, and stays dense: every row needs every component's
-    density. The accumulation is sparse. ``gaussians.responsibilities`` zeroes
-    the weights below RESP_REL of their row's largest, so a row keeps a few of
-    its K components; per chunk, ``gaussians.component_rows`` groups the
-    nonzero weights by component, and S_xq = sum_t r x [q; 1]^H and
-    S_qq = sum_t r [q; 1][q; 1]^H of each component are two small products
-    over its gathered rows. The masses and sum_t r |x|^2 are dense products.
-    The statistics are mapped back in one batch over the components: the
-    latent regressors are z = [m; 1] = T_k [q; 1] with T_k = blockdiag(R_k, 1),
-    so S_xz = S_xq T_k^H and S_zz = T_k (S_qq + mass_k diag(I, 0)) T_k^H, the
-    identity block carrying the posterior covariance A_k = R_k R_k^H. The
-    residual energies use the collapsed identity
-    ``sum_t r E||x - W~ z~||^2 = sum_t r |x|^2 - Re diag(W~ S_xz^H)``,
+    The E-step is the stacked mixture kernel's pass (``gaussians.mixture_chunks``),
+    whose latent buffer holds the augmented regressors [q_k; 1], and stays
+    dense: every row needs every component's density. The accumulation is
+    sparse. ``gaussians.responsibilities`` zeroes the weights below RESP_REL of
+    their row's largest, so a row keeps a few of its K components; per chunk,
+    ``gaussians.component_rows`` groups the nonzero weights by component, and
+    S_xq = sum_t r x [q; 1]^H and S_qq = sum_t r [q; 1][q; 1]^H of each
+    component are two small products over its gathered rows. The masses and
+    sum_t r |x|^2 are dense products. The statistics are mapped back in one
+    batch over the components: the latent regressors are z = [m; 1] = T_k [q; 1]
+    with T_k = blockdiag(R_k, 1), so S_xz = S_xq T_k^H and
+    S_zz = T_k (S_qq + mass_k diag(I, 0)) T_k^H, the identity block carrying
+    the posterior covariance A_k = R_k R_k^H. The residual energies use the
+    collapsed identity ``sum_t r E||x - W~ z~||^2 = sum_t r |x|^2 - Re diag(W~ S_xz^H)``,
     which equals the explicit residual form at the regression optimum.
 
     Returns (average log-likelihood of the incoming parameters, worst-fit
@@ -303,18 +296,7 @@ def _em_iteration(
     ll_sum = 0.0
     worst_val, worst_idx = np.inf, 0
 
-    chunk = stack.chunk_rows()
-    # Row t, component k holds the augmented latent vector [q_k; 1]; the kernel
-    # fills the q_k blocks, the intercept column is set once.
-    aug_big = np.empty((chunk, k_total, width), dtype=np.complex128)
-    aug_big[:, :, latent] = 1.0
-    for start in range(0, count, chunk):
-        stop = min(start + chunk, count)
-        block = samples[start:stop]
-        aug = aug_big[:stop - start]
-        logdens = gaussians.mixture_logdens(stack, block, abs2[start:stop], aug[:, :, :latent])
-
-        resp, lse = gaussians.responsibilities(logdens)
+    for start, block, abs2, aug, resp, lse in gaussians.mixture_chunks(stack, samples, width):
         ll_sum += float(lse.sum())
         block_min = int(np.argmin(lse))
         if lse[block_min] < worst_val:
@@ -327,7 +309,7 @@ def _em_iteration(
             weighted *= resp[rows, k][:, None]
             s_xq[k] += block[rows].T @ weighted
             s_qq[k] += regressors.T @ weighted
-        r_abs2 += abs2[start:stop].T @ resp
+        r_abs2 += abs2.T @ resp
         masses += resp.sum(axis=0)
 
     roots = np.zeros((k_total, width, width), dtype=np.complex128)
@@ -365,7 +347,6 @@ class _MfaFamily:
         self.latent, self.psi_mode, self.dim = latent, psi_mode, samples.shape[1]
         self.scale = float(np.mean(np.abs(samples) ** 2))
         self.floor = PSI_FLOOR_REL * self.scale
-        self.abs2 = None
 
     def start(self, samples: np.ndarray, labels: np.ndarray, fitted: np.ndarray):
         """Each cluster in ``fitted`` starts at its mean, its L principal axes
@@ -400,9 +381,7 @@ class _MfaFamily:
         return params
 
     def e_step(self, samples: np.ndarray, model: MfaModel):
-        if self.abs2 is None:  # made after the start, so k-means peaks without it
-            self.abs2 = np.abs(samples) ** 2
-        avg, worst, masses, loadings, means, per_entry = _em_iteration(samples, self.abs2, model)
+        avg, worst, masses, loadings, means, per_entry = _em_iteration(samples, model)
         return avg, worst, masses, (masses, loadings, means, per_entry)
 
     def m_step(self, samples: np.ndarray, model: MfaModel, stats, live: np.ndarray):

@@ -149,6 +149,22 @@ class TestPipeline:
         assert "nmse" not in captured.out
         assert "zero bin" in captured.err
 
+    def test_uninvertible_diagonal_model_at_infinite_snr(self, tmp_path, capsys):
+        model_path = tmp_path / "tiny.mfa"
+        save_model(
+            mfa.MfaModel(np.ones(1), np.zeros((1, 4)), np.ones((1, 4, 1)), np.full((1, 4), 1e-320)),
+            model_path,
+        )
+        data_path = tmp_path / "ones.chd"
+        write_dataset(data_path, ChannelDataset(np.ones((3, 4), complex)))
+        code = main(
+            ["estimate", "--model", str(model_path), "--data", str(data_path), "--snr-db", "inf"]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "nmse" not in captured.out
+        assert "diagonal of component 0 is not invertible" in captured.err
+
     @pytest.mark.parametrize(
         "command", [["fit-mfa", "--l", "1"], ["fit-gmm", "--structure", "toeplitz"]],
         ids=["fit-mfa", "fit-gmm"],
@@ -313,6 +329,19 @@ class TestBenchCommands:
         assert captured.out == ""
         assert "estimator 'm' needs k >= 1 and 1 <= l <= N = 8" in captured.err
         assert message in captured.err
+
+    def test_bad_genie_omp_geometry_exit_2_before_fitting(self, tmp_path, monkeypatch, capsys):
+        fits = []
+        monkeypatch.setattr(baselines, "fit_gmm", lambda *args, **kwargs: fits.append(args))
+        spec_path = self.make_spec(
+            tmp_path, [{"kind": "gmm-full", "k": 2}, {"kind": "genie-omp", "nv": 3, "nh": 2}]
+        )
+        code = main(["bench-snr", "--spec", str(spec_path)])
+        assert code == 2
+        assert fits == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "array geometry 3 x 2 does not match the data dimension 8" in captured.err
 
     def test_bench_genie_omp_on_dataset_paths_needs_geometry(self, tmp_path, capsys):
         rng = np.random.default_rng(12)

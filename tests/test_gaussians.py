@@ -114,6 +114,21 @@ class TestWoodburyInverse:
         with pytest.raises(ConditioningError, match=message):
             stack_mixture(model, 0.0)
 
+    @pytest.mark.parametrize(
+        "tiny", [1e-320, 1.0 / np.finfo(float).max], ids=["subnormal", "one-over-max"]
+    )
+    def test_uninvertible_diagonal_component_named(self, tiny):
+        # 1 / max float itself rounds down, so its inverse overflows as well.
+        diag_terms = np.stack([np.ones(3), np.full(3, tiny)])
+        model = MfaModel(np.full(2, 0.5), np.zeros((2, 3)), np.ones((2, 3, 1)), diag_terms)
+        with pytest.raises(ConditioningError, match="diagonal of component 1 is not invertible"):
+            stack_mixture(model, 0.0)
+
+    def test_smallest_invertible_diagonal_factors(self):
+        smallest = np.nextafter(1.0 / np.finfo(float).max, np.inf)
+        stack = stack_mixture(single(np.zeros((3, 1), complex), np.full(3, smallest)), 0.0)
+        assert np.all(stack.d == 1.0 / smallest)
+
     def test_requires_positive_shifted_diag(self):
         cov = single(np.zeros((2, 1), complex), np.ones(2))
         with pytest.raises(ValueError):

@@ -715,7 +715,7 @@ class TestSparseAccumulator:
 
         with patch.object(gaussians, "_STACK_CHUNK_BUDGET", 1), \
                 patch.object(gaussians, "responsibilities", injected):
-            got = mfa._em_iteration(samples, abs2, model)
+            got = mfa._em_iteration(samples, model)
             want = dense_em_iteration(samples, abs2, model, resp)
         assert got[:2] == want[:2]
         # Each statistic relative to its own scale: the masses, the data for

@@ -1,8 +1,12 @@
 """Property tests of the stacked mixture kernel and the EM sweep against dense oracles."""
 
+from unittest.mock import patch
+
 import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 
+from mfachest import gaussians
 from mfachest.baselines import gmm_estimate, gmm_from_mfa
 from mfachest.estimator import estimate
 from mfachest.gaussians import mixture_logdens, stack_mixture
@@ -86,6 +90,16 @@ def test_log_likelihood_matches_dense_mixture_density(drawn):
     shift = logdens.max(axis=1)
     want = float(np.mean(np.log(np.exp(logdens - shift[:, None]).sum(axis=1)) + shift))
     assert abs(log_likelihood(model, y) - want) <= 1e-9 * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("budget", [gaussians._STACK_CHUNK_BUDGET, 1], ids=["default", "64-rows"])
+@given(models(), st.integers(1, 200))
+def test_log_likelihood_is_the_em_sweep_likelihood(budget, drawn, count):
+    # Both sum the chunks' log-sum-exp of one pass (gaussians.mixture_chunks).
+    model, rng = drawn
+    samples = observations(model, rng, count)
+    with patch.object(gaussians, "_STACK_CHUNK_BUDGET", budget):
+        assert log_likelihood(model, samples) == _em_iteration(samples, model)[0]
 
 
 def reference_sweep(model, samples):
@@ -204,7 +218,7 @@ def test_em_sweep_matches_per_component_reference(case):
     if far:
         assert np.any((resp > 1e-320) & (resp < 1e-300))
 
-    got = _em_iteration(samples, np.abs(samples) ** 2, model)
+    got = _em_iteration(samples, model)
     assert abs(got[0] - ll) <= 1e-9 * max(1.0, abs(ll))
     assert got[1] == worst
     assert np.abs(got[2] - masses).max() <= 1e-9 * masses.max()
