@@ -10,7 +10,6 @@ from .baselines import (
     genie_omp_batch,
     gmm_estimate,
     gmm_from_mfa,
-    gmm_log_likelihood,
     load_gmm,
     ls_estimate,
     save_gmm,
@@ -26,12 +25,8 @@ from .bench import (
     run_latent_sweep,
     run_snr_sweep,
 )
-from .estimator import Estimate, estimate
-from .gaussians import (
-    ConditioningError,
-    log_sum_exp,
-    sample_component,
-)
+from .estimator import estimate
+from .gaussians import ConditioningError, sample_component
 from .mfa import (
     FitConfig,
     FitTrace,
@@ -50,7 +45,6 @@ from .scenario import (
     generate_channels,
     normalize_dataset,
     read_dataset,
-    ura_steering,
     write_dataset,
 )
 

@@ -16,10 +16,10 @@ with a fixed DFT-based transform: the unitary N-point DFT for circulant
 covariances and the 2N-point DFT truncated to N columns for Toeplitz ones.
 Weights and means pass the checks ``mfa.MfaModel`` applies
 (``gaussians.check_mixture``). Each structure enters through one M-step, one
-restart (``_isotropic``) and one density kernel shared by the E-step, the
-likelihood and the estimator. EM runs in ``mfa.fit_mixture``, fit_em's
-driver, with ``_GmmFamily`` supplying this math, and an iteration touches the
-data a fixed number of times, whatever K is:
+restart (``_isotropic``) and one density kernel shared by the E-step and the
+estimator. EM runs in ``mfa.fit_mixture``, fit_em's driver, with ``_GmmFamily``
+supplying this math, and an iteration touches the data a fixed number of
+times, whatever K is:
 
 - ``_m_step`` updates all K components (and starts every k-means cluster) from
   moment-form sufficient statistics, weighted second moments minus the means'
@@ -49,7 +49,6 @@ from .gaussians import (
     check_mixture,
     cholesky,
     component_rows,
-    log_sum_exp,
     responsibilities,
 )
 from .mfa import FitConfig, FitTrace, MfaModel, _as_samples, fit_mixture
@@ -78,8 +77,10 @@ _GMM_CHUNK_BUDGET = 1 << 17
 
 
 def ls_estimate(y: np.ndarray) -> np.ndarray:
-    """The observation itself; optimal when nothing is known about the prior."""
-    return np.asarray(y, dtype=np.complex128).copy()
+    """The observation itself; optimal when nothing is known about the prior.
+    Takes finite observations (N,) or (B, N), as every estimator does."""
+    batch, single = _check_observation(y, np.atleast_1d(y).shape[-1])
+    return (batch[0] if single else batch).copy()
 
 
 # ---------------------------------------------------------------------------
@@ -156,16 +157,15 @@ def genie_omp_batch(
     Stopping rule: a row stops growing at the first step where its largest
     residual correlation is <= 1e-12 * max(||y||, 1), or where the picked atom,
     orthogonalised against the basis, has norm <= 1e-10 (numerically dependent
-    on the support). Its estimate stays frozen from then on.
+    on the support). Its estimate stays frozen from then on. Observations and
+    truths must be finite and of the dictionary's dimension.
     """
     if s_max < 1:
         raise ValueError("s_max must be >= 1")
-    obs = np.atleast_2d(np.asarray(observations, dtype=np.complex128))
-    tru = np.atleast_2d(np.asarray(truths, dtype=np.complex128))
     atoms = dictionary.atoms
     dim = dictionary.dim
-    if obs.ndim != 2 or obs.shape[1] != dim:
-        raise ValueError("observation dimension does not match the dictionary")
+    obs, single = _check_observation(observations, dim)
+    tru = _check_observation(truths, dim)[0]
     if tru.shape != obs.shape:
         raise ValueError("truths must have the shape of the observations")
     depth = min(s_max, dim, dictionary.n_atoms)
@@ -174,7 +174,7 @@ def genie_omp_batch(
     for start in range(0, obs.shape[0], chunk):
         stop = min(start + chunk, obs.shape[0])
         out[start:stop] = _genie_omp_chunk(obs[start:stop], atoms, tru[start:stop], depth)
-    return out[0] if np.asarray(observations).ndim == 1 else out
+    return out[0] if single else out
 
 
 def _genie_omp_chunk(
@@ -551,18 +551,6 @@ class _GmmFamily:
         means, params = model.means.copy(), model.params.copy()
         means[live], params[live] = _m_step(self.structure, samples, rows, resp[:, live])
         return means, (params,)
-
-
-def gmm_log_likelihood(model: GmmModel, dataset) -> float:
-    """Average per-sample log of the mixture density, via log-sum-exp.
-
-    Raises ConditioningError when some C_k is numerically singular, as
-    gmm_estimate does at sigma2 = 0.
-    """
-    samples = _check_observation(_as_samples(dataset), model.dim)[0]
-    _check_spectra(model, 0.0)
-    rows = _kernel_rows(model.structure, samples)
-    return float(np.mean(log_sum_exp(_gmm_logdens(model, rows, 0.0), axis=1)))
 
 
 def gmm_estimate(model: GmmModel, sigma2: float, y: np.ndarray) -> np.ndarray:

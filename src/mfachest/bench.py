@@ -140,7 +140,7 @@ def model_estimator(model):
     """``estimate(sigma2, y)`` of a fitted or loaded MFA or GMM: the MMSE
     channel estimates of the observations y at noise variance sigma2."""
     if isinstance(model, mfa.MfaModel):
-        return lambda sigma2, y: est_mod.estimate(model, sigma2, y).value
+        return lambda sigma2, y: est_mod.estimate(model, sigma2, y)
     return lambda sigma2, y: baselines.gmm_estimate(model, sigma2, y)
 
 

@@ -43,17 +43,18 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=None, help="sample-draw seed (default: scenario seed)")
 
     fits = (("fit-mfa", "mixture of factor analyzers"), ("fit-gmm", "Gaussian mixture baseline"))
+    defaults = mfa.FitConfig()
     for name, kind in fits:
         p = sub.add_parser(name, help=f"fit a {kind}")
         p.add_argument("--data", required=True)
         p.add_argument("--k", type=int, required=True)
         p.add_argument("--out", required=True)
-        p.add_argument("--max-iter", type=int, default=300)
-        p.add_argument("--tol", type=float, default=1e-6)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--max-iter", type=int, default=defaults.max_iter)
+        p.add_argument("--tol", type=float, default=defaults.rel_tol)
+        p.add_argument("--seed", type=int, default=defaults.seed)
         if name == "fit-mfa":
             p.add_argument("--l", type=int, required=True)
-            p.add_argument("--psi-mode", choices=mfa.PSI_MODES, default="scaled-identity")
+            p.add_argument("--psi-mode", choices=mfa.PSI_MODES, default=defaults.psi_mode)
         else:
             p.add_argument("--structure", choices=baselines.GMM_STRUCTURES, required=True)
 

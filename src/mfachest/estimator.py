@@ -10,28 +10,15 @@ N x N matrix is formed and the per-observation cost is O(KNL).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .gaussians import _check_observation, _check_sigma2, mixture_chunks, stack_mixture
 from .mfa import MfaModel
 
 
-@dataclass(frozen=True)
-class Estimate:
-    """Estimated channel(s) plus the posterior component responsibilities.
-
-    For a single observation ``value`` is (N,) and ``responsibilities`` (K,);
-    for a batch they are (B, N) and (B, K).
-    """
-
-    value: np.ndarray
-    responsibilities: np.ndarray
-
-
-def estimate(model: MfaModel, sigma2: float, y: np.ndarray) -> Estimate:
-    """Convex combination of the per-component LMMSE filters.
+def estimate(model: MfaModel, sigma2: float, y: np.ndarray) -> np.ndarray:
+    """The estimates of observations y, (N,) or (B, N) like y: the convex
+    combination of the per-component LMMSE filters.
 
     With ``(C_k + sigma2 I)^{-1} = D_k - D_k W_k A_k W_k^H D_k`` the filter of
     component k is ``y - sigma2 (D_k (y - mu_k) - D_k W_k m_k)`` with the latent
@@ -47,16 +34,10 @@ def estimate(model: MfaModel, sigma2: float, y: np.ndarray) -> Estimate:
     d_mu = stack.d_mean.conj()  # (N, K) columns D_k mu_k
 
     value = np.empty_like(batch)
-    resp_out = np.empty((batch.shape[0], k_total))
     for start, yb, _, lat, resp, _ in mixture_chunks(stack, batch):
-        stop = start + len(yb)
-        resp_out[start:stop] = resp
         lat *= resp[:, :, None]
         prec_y = (resp @ stack.d.T) * yb
         prec_y -= resp @ d_mu.T
         prec_y -= lat.reshape(len(yb), k_total * latent) @ dwr.T
-        value[start:stop] = yb - sigma2 * prec_y
-
-    if single:
-        return Estimate(value[0], resp_out[0])
-    return Estimate(value, resp_out)
+        value[start:start + len(yb)] = yb - sigma2 * prec_y
+    return value[0] if single else value

@@ -47,11 +47,12 @@ RESP_REL = 1e-16
 
 class ConditioningError(ArithmeticError):
     """A covariance system is numerically singular: a low-rank component whose
-    diagonal has no finite inverse or whose latent L x L system is beyond the
-    condition limit, a circulant spectrum plus sigma2 with a bin at or below its
-    largest bin / COND_LIMIT (a zero or a subnormal bin, say), a full/Toeplitz
-    C + sigma2 I that is not positive definite, or a full/Toeplitz estimate
-    that is not finite."""
+    diagonal has no finite inverse, whose latent L x L system is not finite or
+    is beyond the condition limit, or whose stacked factors are not finite, a
+    circulant spectrum plus sigma2 with a bin at or below its largest bin /
+    COND_LIMIT (a zero or a subnormal bin, say), a full/Toeplitz C + sigma2 I
+    that is not positive definite, or a full/Toeplitz estimate that is not
+    finite."""
 
 
 def _check_sigma2(sigma2: float) -> float:
@@ -121,8 +122,9 @@ def factorize(
     lower Cholesky factor L_k of ``I + W_k^H D_k W_k`` (K, L, L), and
     log det(C_k + sigma2 I) (K,). Raises ConditioningError naming the first
     component whose ``diag_term + sigma2`` has an entry at or below 1 / max
-    float, whose latent system is not positive definite (found one by one once
-    the batched Cholesky fails) or whose condition estimate exceeds COND_LIMIT.
+    float, whose latent system is not finite (large loadings over a tiny
+    diagonal overflow it), is not positive definite (found one by one once the
+    batched Cholesky fails) or has a condition estimate above COND_LIMIT.
     """
     sigma2 = _check_sigma2(sigma2)
     diag = diag_terms + sigma2
@@ -135,8 +137,15 @@ def factorize(
         )
     d = 1.0 / diag
     latent = loadings.shape[2]
-    a_inv = np.eye(latent) + loadings.conj().transpose(0, 2, 1) @ (loadings * d[:, :, None])
-    a_inv = 0.5 * (a_inv + a_inv.conj().transpose(0, 2, 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        a_inv = np.eye(latent) + loadings.conj().transpose(0, 2, 1) @ (loadings * d[:, :, None])
+        a_inv = 0.5 * (a_inv + a_inv.conj().transpose(0, 2, 1))
+    bad = np.flatnonzero(~np.isfinite(a_inv).all(axis=(1, 2)))
+    if bad.size:
+        raise ConditioningError(
+            f"latent system of component {bad[0]} is not finite: its loadings are too "
+            "large for its diag_term + sigma2"
+        )
     chol = cholesky(a_inv, "latent system of component {k} is not positive definite")
     pivots = np.diagonal(chol, axis1=1, axis2=2).real
     logdet = np.log(diag).sum(axis=1)
@@ -184,19 +193,30 @@ def stack_mixture(model, sigma2: float) -> MixtureStack:
     The model's stacked loadings and diagonals go through one ``factorize``
     call, a batched Cholesky and inverse of the K latent systems, so its sigma2
     validation and ConditioningError (naming the component) apply; the
-    remaining factors are a few batched products.
+    remaining factors are a few batched products. Raises ConditioningError
+    naming the first component whose factors are not finite: a mean too large
+    for its diagonal, whose sum D_k |mu_k|^2 overflows.
     """
     means, loadings = model.means, model.loadings
     k_total, dim, latent = loadings.shape
     d, latent_root, logdet = factorize(loadings, model.diag_terms, sigma2)
     # math.log, not np.log: numpy's vectorized log differs from libm's in the
     # last bit for a fraction of inputs, and the weights' logs set every density.
-    logconst = (
-        np.array([math.log(weight) for weight in model.weights])
-        - dim * LOG_PI
-        - logdet
-        - (d * np.abs(means) ** 2).sum(axis=1)
-    )
+    with np.errstate(over="ignore"):
+        logconst = (
+            np.array([math.log(weight) for weight in model.weights])
+            - dim * LOG_PI
+            - logdet
+            - (d * np.abs(means) ** 2).sum(axis=1)
+        )
+    # Entries of D_k W_k R_k are at most sqrt(D_k) (R_k^H W_k^H D_k W_k R_k <= I),
+    # so a finite sum D_k |mu_k|^2 keeps D_k mu_k and mean_proj finite as well.
+    bad = np.flatnonzero(~np.isfinite(logconst))
+    if bad.size:
+        raise ConditioningError(
+            f"factors of component {bad[0]} are not finite: its mean is too large for its "
+            "diag_term + sigma2"
+        )
     dwr_conj = ((loadings * d[:, :, None]) @ latent_root).conj()
     mean_proj = (means[:, None, :] @ dwr_conj)[:, 0]
     dwr_conj = dwr_conj.transpose(1, 0, 2).reshape(dim, k_total * latent)
@@ -272,29 +292,14 @@ def _std_cnormal(rng: np.random.Generator, shape) -> np.ndarray:
     return (re + 1j * im) / np.sqrt(2.0)
 
 
-def log_sum_exp(values: np.ndarray, axis: int | None = None) -> np.ndarray | float:
-    """``log(sum(exp(values)))`` via max shift; exact for single-element input."""
-    values = np.asarray(values, dtype=np.float64)
-    if values.size == 0:
-        raise ValueError("log_sum_exp requires a nonempty input")
-    shift = np.max(values, axis=axis, keepdims=True)
-    # An all--inf slice would propagate nan through the subtraction.
-    shift = np.where(np.isfinite(shift), shift, 0.0)
-    out = np.log(np.exp(values - shift).sum(axis=axis, keepdims=True)) + shift
-    if axis is None:
-        return float(out.reshape(()))
-    return np.squeeze(out, axis=axis)
-
-
 def responsibilities(logdens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Posterior component probabilities of (B, K) log-densities, and the per-row
     log-sum-exp.
 
     One exp per entry: with the row max as shift, e = exp(logdens - shift) and
-    its row sums give both the log-sum-exp, bit-equal to
-    ``log_sum_exp(logdens, axis=1)``, and the probabilities e / sum(e). Entries
-    of e below RESP_REL (relative to the row's largest, exp(0) = 1) are set to
-    exactly 0 before the division.
+    its row sums give both the log-sum-exp and the probabilities e / sum(e).
+    Entries of e below RESP_REL (relative to the row's largest, exp(0) = 1) are
+    set to exactly 0 before the division.
     """
     shift = np.max(logdens, axis=1, keepdims=True)
     # An all--inf row would propagate nan through the subtraction.

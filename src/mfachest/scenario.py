@@ -115,20 +115,14 @@ class ChannelDataset:
         return self.samples.shape[1]
 
 
-def ura_steering(azimuth: float, elevation: float, config: ScenarioConfig) -> np.ndarray:
-    """Steering vector of the configured array; unit-modulus entries, ||a||^2 = N.
-
-    The vector is the Kronecker product of a vertical uniform-linear response
-    (phase progression along sin(elevation)) and a horizontal one (along
-    sin(azimuth) cos(elevation)); broadside (0, 0) gives the all-ones vector.
-    """
-    return _steering_batch(
-        np.asarray([azimuth], dtype=float), np.asarray([elevation], dtype=float), config
-    )[0]
-
-
 def _steering_batch(az: np.ndarray, el: np.ndarray, config: ScenarioConfig) -> np.ndarray:
-    """Steering vectors for paired angle arrays of shape (n,); returns (n, N)."""
+    """Steering vectors for paired angle arrays of shape (n,), as (n, N) rows.
+
+    Each row is the Kronecker product of a vertical uniform-linear response
+    (phase along sin(el)) and a horizontal one (along sin(az) cos(el)), the
+    atom layout of ``baselines.build_dft_dictionary``; its entries have unit
+    modulus, and broadside (0, 0) gives all ones.
+    """
     phase_v = 2.0 * np.pi * config.spacing_v * np.sin(el)
     phase_h = 2.0 * np.pi * config.spacing_h * np.sin(az) * np.cos(el)
     vert = np.exp(1j * np.outer(phase_v, np.arange(config.nv)))

@@ -18,7 +18,6 @@ from mfachest.baselines import (
     genie_omp_batch,
     gmm_estimate,
     gmm_from_mfa,
-    gmm_log_likelihood,
     load_gmm,
     ls_estimate,
     save_gmm,
@@ -27,7 +26,7 @@ from mfachest.baselines import (
 from mfachest.estimator import estimate
 from mfachest.gaussians import ConditioningError
 from mfachest.mfa import FitConfig, MfaModel, _em_step, sample
-from mfachest.scenario import ChannelDataset
+from mfachest.scenario import ChannelDataset, ScenarioConfig, _steering_batch
 
 
 def crandn(rng, *shape):
@@ -40,6 +39,13 @@ def dense_logdens(samples, mean, cov):
     _, logdet = np.linalg.slogdet(cov)
     quad = np.einsum("nb,nb->b", xc.conj(), np.linalg.solve(cov, xc)).real
     return -cov.shape[0] * np.log(np.pi) - logdet - quad
+
+
+def e_step_log_likelihood(model, samples):
+    """Average log-likelihood of a GmmModel over samples (T, N): the value
+    fit_gmm's E-step records in its trace."""
+    samples = np.asarray(samples, dtype=complex)
+    return _GmmFamily(model.structure, samples).e_step(samples, model)[0]
 
 
 def make_mfa(rng, k_total, dim, latent, sep=4.0, psi=0.3):
@@ -61,6 +67,13 @@ class TestLsEstimate:
         rng = np.random.default_rng(90)
         y = crandn(rng, 8)
         assert np.array_equal(ls_estimate(y), y)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_nonfinite(self, bad):
+        y = np.zeros((3, 4), complex)
+        y[1, 2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            ls_estimate(y)
 
     def test_nmse_equals_noise_power(self):
         # With E||h||^2 = N and sigma2 = 10^(-snr/10), LS nMSE is sigma2.
@@ -208,6 +221,17 @@ class TestOmp:
         with pytest.raises(ValueError):
             genie_omp_batch(np.zeros((2, 8), complex), d, np.zeros((3, 8), complex), 2)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_nonfinite(self, bad):
+        d = build_dft_dictionary(2, 4, 2, 2)
+        y = crandn(np.random.default_rng(117), 3, 8)
+        broken = y.copy()
+        broken[1, 2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            genie_omp_batch(broken, d, y, 2)
+        with pytest.raises(ValueError, match="non-finite"):
+            genie_omp_batch(y, d, broken, 2)
+
 
 class TestGenieOmp:
     def test_single_atom(self):
@@ -215,6 +239,23 @@ class TestGenieOmp:
         y = 2.0 * d.atoms[:, 3]
         got = genie_omp_batch(y, d, y, 4)
         assert np.linalg.norm(got - y) < 1e-12
+
+    def test_on_grid_steering_vector_is_one_atom(self):
+        # Pins scenario's steering layout to the dictionary's atom order: on the
+        # default 4x16 URA these angles put the phase steps on the 2x oversampled
+        # grid, -1/8 of a turn per vertical and -3/32 per horizontal element, so
+        # the steering vector is sqrt(N) times atom 32 * 1 + 3.
+        config = ScenarioConfig()
+        el = np.arcsin(-1.0 / 8.0)
+        az = np.arcsin(-3.0 / (16.0 * np.cos(el)))
+        a = _steering_batch(np.array([az]), np.array([el]), config)[0]
+        d = build_dft_dictionary(config.nv, config.nh)
+        assert np.abs(a - 8.0 * d.atoms[:, 35]).max() < 1e-12
+        corr = np.sort(np.abs(d.atoms.conj().T @ a)) / 8.0
+        assert corr[-1] == pytest.approx(1.0, abs=1e-12)
+        assert corr[-2] < 0.7
+        h = (0.6 - 0.3j) * a
+        assert np.abs(genie_omp_batch(h, d, h, 1) - h).max() < 1e-13 * np.abs(h).max()
 
     def test_prefix_equals_per_depth_reruns(self):
         rng = np.random.default_rng(94)
@@ -428,12 +469,8 @@ class TestSampleValidation:
         [
             fit_sample_lmmse,
             lambda data: fit_gmm(data, 2, "full", FitConfig(max_iter=2)),
-            lambda data: gmm_log_likelihood(
-                GmmModel("circulant", np.array([1.0]), np.zeros((1, 4)), np.ones((1, 4))),
-                data,
-            ),
         ],
-        ids=["fit_sample_lmmse", "fit_gmm", "gmm_log_likelihood"],
+        ids=["fit_sample_lmmse", "fit_gmm"],
     )
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_nonfinite_samples(self, fit, bad):
@@ -611,7 +648,7 @@ class TestFitGmm:
         model, trace = fit_gmm(data, 2, structure, FitConfig(max_iter=5, rel_tol=1.0, seed=0))
         assert trace.converged and trace.loglik.shape == (2,)
         assert trace.seconds.shape == (2,) and np.all(trace.seconds > 0)
-        assert gmm_log_likelihood(model, data) == pytest.approx(trace.loglik[-1], abs=1e-10)
+        assert e_step_log_likelihood(model, data) == pytest.approx(trace.loglik[-1], abs=1e-10)
 
     def test_full_em_monotone(self):
         rng = np.random.default_rng(106)
@@ -697,7 +734,7 @@ class TestGmmEstimate:
         sigma2 = 0.4
         y = crandn(rng, 200, 6)
         got = gmm_estimate(gmm, sigma2, y)
-        want = estimate(mfa_model, sigma2, y).value
+        want = estimate(mfa_model, sigma2, y)
         assert np.abs(got - want).max() < 1e-10
 
     def test_structured_matches_dense_operations(self):
@@ -724,21 +761,9 @@ class TestGmmEstimate:
             "full", np.array([0.3, 0.7]), means, model.dense_covariances()
         )
         data = crandn(rng, 100, dim)
-        assert gmm_log_likelihood(model, data) == pytest.approx(
-            gmm_log_likelihood(dense_model, data), abs=1e-9
+        assert e_step_log_likelihood(model, data) == pytest.approx(
+            e_step_log_likelihood(dense_model, data), abs=1e-9
         )
-
-    @pytest.mark.parametrize("structure", ["full", "toeplitz", "circulant"])
-    def test_log_likelihood_dimension_mismatch(self, structure):
-        rng = np.random.default_rng(115)
-        weights, means = np.array([0.5, 0.5]), crandn(rng, 2, 3)
-        if structure == "full":
-            model = GmmModel(structure, weights, means, np.stack([np.eye(3)] * 2))
-        else:
-            bins = 6 if structure == "toeplitz" else 3
-            model = GmmModel(structure, weights, means, np.ones((2, bins)))
-        with pytest.raises(ValueError, match="observation dimension 4 != model dimension 3"):
-            gmm_log_likelihood(model, crandn(rng, 5, 4))
 
     @given(gmm_models())
     def test_structured_kernel_matches_dense_oracle(self, drawn):
@@ -757,7 +782,7 @@ class TestGmmEstimate:
         logdens, _ = dense_gmm_oracle(model, 0.0, y)
         shift = logdens.max(axis=1)
         want_ll = float(np.mean(np.log(np.exp(logdens - shift[:, None]).sum(axis=1)) + shift))
-        assert abs(gmm_log_likelihood(model, y) - want_ll) <= 1e-9 * max(1.0, abs(want_ll))
+        assert abs(e_step_log_likelihood(model, y) - want_ll) <= 1e-9 * max(1.0, abs(want_ll))
 
     @pytest.mark.parametrize("structure", ["full", "toeplitz", "circulant"])
     def test_row_chunks_match_one_chunk(self, structure, monkeypatch):
@@ -769,14 +794,14 @@ class TestGmmEstimate:
         resp = rng.dirichlet(np.ones(k_total), size=40)
         whole = (
             gmm_estimate(start, 0.3, y),
-            gmm_log_likelihood(start, data),
+            e_step_log_likelihood(start, data),
             *_m_step(structure, data, _kernel_rows(structure, data), resp),
         )
         # Chunks of 3 rows, so neither row count is a multiple of the chunk.
         monkeypatch.setattr(baselines, "_GMM_CHUNK_BUDGET", 3 * k_total * dim)
         chunked = (
             gmm_estimate(start, 0.3, y),
-            gmm_log_likelihood(start, data),
+            e_step_log_likelihood(start, data),
             *_m_step(structure, data, _kernel_rows(structure, data), resp),
         )
         for got, want in zip(chunked, whole):
@@ -813,8 +838,6 @@ class TestGmmEstimate:
         y = np.ones((2, 4), complex)
         with pytest.raises(ConditioningError, match="component 0"):
             gmm_estimate(model, 0.0, y)
-        with pytest.raises(ConditioningError, match="component 0"):
-            gmm_log_likelihood(model, y)
         assert np.all(np.isfinite(gmm_estimate(model, 0.1, y)))
 
 

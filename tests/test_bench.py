@@ -279,7 +279,7 @@ class TestGridSweep:
         )
         rng = np.random.default_rng([spec.seed, 0xE7A1, 0])
         observations, sigma2 = corrupt(eval_ds.samples, 10.0, rng)
-        got = estimate(model, sigma2, observations).value
+        got = estimate(model, sigma2, observations)
         want_nmse = float(np.mean(np.abs(got - eval_ds.samples) ** 2))
         assert k1.nmse == pytest.approx(want_nmse, abs=1e-12)
 

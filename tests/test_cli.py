@@ -165,6 +165,27 @@ class TestPipeline:
         assert "nmse" not in captured.out
         assert "diagonal of component 0 is not invertible" in captured.err
 
+    @pytest.mark.parametrize("loading, message", [
+        (1.0, "factors of component 0 are not finite"),
+        (1e10, "latent system of component 0 is not finite"),
+    ], ids=["large-mean", "large-loading"])
+    def test_nonfinite_factor_model_at_infinite_snr(self, tmp_path, capsys, loading, message):
+        model_path = tmp_path / "huge.mfa"
+        save_model(
+            mfa.MfaModel(np.ones(1), np.full((1, 4), 1e10), np.full((1, 4, 1), loading),
+                         np.full((1, 4), 1e-300)),
+            model_path,
+        )
+        data_path = tmp_path / "ones.chd"
+        write_dataset(data_path, ChannelDataset(np.ones((3, 4), complex)))
+        code = main(
+            ["estimate", "--model", str(model_path), "--data", str(data_path), "--snr-db", "inf"]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "nmse" not in captured.out
+        assert message in captured.err
+
     @pytest.mark.parametrize(
         "command", [["fit-mfa", "--l", "1"], ["fit-gmm", "--structure", "toeplitz"]],
         ids=["fit-mfa", "fit-gmm"],
@@ -366,6 +387,25 @@ class TestBenchCommands:
         spec["estimators"][0].update({"nv": 2, "nh": 4})
         spec_path.write_text(json.dumps(spec))
         assert main(["bench-snr", "--spec", str(spec_path)]) == 0
+
+    def test_bench_nonfinite_eval_set_exit_2(self, tmp_path, capsys):
+        # LS and genie-OMP take the estimators' observation contract, so a NaN
+        # channel in the eval set fails instead of reporting nmse = nan.
+        rng = np.random.default_rng(13)
+        data = (rng.standard_normal((30, 8)) + 1j * rng.standard_normal((30, 8))) / np.sqrt(2)
+        data[23, 2] = np.nan
+        write_dataset(tmp_path / "train.chd", ChannelDataset(data[:20]))
+        write_dataset(tmp_path / "eval.chd", ChannelDataset(data[20:]))
+        spec_path = tmp_path / "spec.json"
+        for kind in ({"kind": "ls"}, {"kind": "genie-omp", "nv": 2, "nh": 4}):
+            spec_path.write_text(json.dumps({
+                "estimators": [kind], "snr_grid_db": [10.0],
+                "train_path": str(tmp_path / "train.chd"), "eval_path": str(tmp_path / "eval.chd"),
+            }))
+            assert main(["bench-snr", "--spec", str(spec_path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "non-finite" in captured.err
 
     @pytest.mark.parametrize("override, field", [
         ({"estimators": [{"kind": "ls", "foo": 1}]}, "foo"),

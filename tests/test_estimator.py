@@ -4,7 +4,7 @@ from scipy.optimize import nnls
 
 from mfachest.estimator import estimate
 from mfachest.mfa import FitConfig, MfaModel, fit_em, log_likelihood, sample
-from test_mixture_kernel import dense_logdens
+from test_mixture_kernel import dense_logdens, kernel_responsibilities
 
 
 def crandn(rng, *shape):
@@ -74,7 +74,7 @@ class TestComponentLmmse:
         rng = np.random.default_rng(70)
         model = make_model(rng, 1, 6, 2)
         y = crandn(rng, 6)
-        out = estimate(model, 0.0, y).value
+        out = estimate(model, 0.0, y)
         assert np.array_equal(out, y)
 
     def test_huge_noise_returns_mean(self):
@@ -82,12 +82,12 @@ class TestComponentLmmse:
         model = make_model(rng, 1, 6, 2)
         mean = model.means[0]
         y = crandn(rng, 6)
-        out = estimate(model, 1e12, y).value
+        out = estimate(model, 1e12, y)
         assert np.abs(out - mean).max() < 1e-6 * np.abs(mean).max()
 
     def test_scalar_half_gain(self):
         comp = single(np.zeros(1, complex), np.zeros((1, 1), complex), np.ones(1))
-        out = estimate(comp, 1.0, np.array([2.0 + 0j])).value
+        out = estimate(comp, 1.0, np.array([2.0 + 0j]))
         assert out[0] == pytest.approx(1.0 + 0j, abs=1e-14)
 
     def test_rejects_nonfinite(self):
@@ -100,12 +100,13 @@ class TestComponentLmmse:
 
 
 class TestNoisyResponsibilities:
-    """Posterior component probabilities that estimate() reports with the value."""
+    """Posterior component probabilities that estimate() weights its filters
+    with, as the stacked kernel's pass yields them."""
 
     def test_single_component(self):
         rng = np.random.default_rng(73)
         model = make_model(rng, 1, 5, 2)
-        resp = estimate(model, 0.5, crandn(rng, 5)).responsibilities
+        resp = kernel_responsibilities(model, 0.5, crandn(rng, 5))
         assert np.array_equal(resp, np.array([1.0]))
 
     def test_mirror_symmetry(self):
@@ -117,19 +118,19 @@ class TestNoisyResponsibilities:
             np.full(2, 0.5), np.stack([mean, -mean]), np.stack([loading, loading]),
             np.full((2, dim), 0.4),
         )
-        resp = estimate(model, 1.0, np.zeros(dim, complex)).responsibilities
+        resp = kernel_responsibilities(model, 1.0, np.zeros(dim, complex))
         assert resp == pytest.approx([0.5, 0.5], abs=1e-12)
 
     def test_huge_noise_returns_priors(self):
         rng = np.random.default_rng(75)
         model = make_model(rng, 3, 6, 2)
-        resp = estimate(model, 1e12, crandn(rng, 6)).responsibilities
+        resp = kernel_responsibilities(model, 1e12, crandn(rng, 6))
         assert np.abs(resp - model.weights).max() < 1e-6
 
     def test_simplex(self):
         rng = np.random.default_rng(76)
         model = make_model(rng, 4, 6, 2, sep=1.0)
-        resp = estimate(model, 0.3, crandn(rng, 100, 6)).responsibilities
+        resp = kernel_responsibilities(model, 0.3, crandn(rng, 100, 6))
         assert np.all(resp >= 0)
         assert np.abs(resp.sum(axis=1) - 1.0).max() < 1e-12
 
@@ -139,7 +140,7 @@ class TestNoisyResponsibilities:
         # one has posterior weight e^-720 = 2.03e-313, a subnormal number,
         # which falls below the responsibility floor.
         model = scalar_model([0.5, 0.5], [0.0, np.sqrt(720.0)], [0.0, 0.0], [1.0, 1.0])
-        resp = estimate(model, 0.0, np.zeros((1, 1), complex)).responsibilities
+        resp = kernel_responsibilities(model, 0.0, np.zeros((1, 1), complex))
         assert resp[0, 1] == 0.0
         assert resp.sum(axis=1) == pytest.approx([1.0], abs=1e-15)
 
@@ -151,15 +152,15 @@ class TestEstimate:
         y = crandn(rng, 6)
         got = estimate(model, 0.7, y)
         ref = dense_lmmse(model, 0, 0.7, y)
-        assert np.abs(got.value - ref).max() < 1e-12
-        assert got.responsibilities == pytest.approx([1.0])
+        assert np.abs(got - ref).max() < 1e-12
+        assert kernel_responsibilities(model, 0.7, y) == pytest.approx([1.0])
 
     def test_zero_noise_identity(self):
         rng = np.random.default_rng(78)
         model = make_model(rng, 3, 6, 2)
         y = crandn(rng, 50, 6)
         got = estimate(model, 0.0, y)
-        assert np.abs(got.value - y).max() < 1e-10
+        assert np.abs(got - y).max() < 1e-10
 
     def test_matches_quadrature_cme(self):
         model = scalar_model(
@@ -171,7 +172,7 @@ class TestEstimate:
         sigma2 = 0.7
         variances = [abs(0.9) ** 2 + 0.2, abs(0.3) ** 2 + 0.5]
         for y in [0.3 + 0.1j, -1.2 + 0.9j, 2.0 - 2.0j, 0.0 + 0.0j]:
-            got = estimate(model, sigma2, np.array([y])).value[0]
+            got = estimate(model, sigma2, np.array([y]))[0]
             want = quadrature_cme([0.4, 0.6], [1.0 + 0.5j, -0.8 - 0.2j], variances, sigma2, y)
             assert abs(got - want) < 1e-6
 
@@ -179,7 +180,7 @@ class TestEstimate:
         rng = np.random.default_rng(79)
         model = make_model(rng, 3, 8, 2)
         prior_mean = model.weights @ model.means
-        got = estimate(model, 1e12, crandn(rng, 20, 8)).value
+        got = estimate(model, 1e12, crandn(rng, 20, 8))
         rel = np.abs(got - prior_mean).max() / np.linalg.norm(prior_mean)
         assert rel < 1e-5
 
@@ -197,7 +198,7 @@ class TestEstimate:
             stacked = np.concatenate(
                 [points.real, points.imag, np.ones((4, 1))], axis=1
             ).T  # (2N+1, K)
-            target = np.concatenate([got.value.real, got.value.imag, [1.0]])
+            target = np.concatenate([got.real, got.imag, [1.0]])
             _, resid = nnls(stacked, target)
             assert resid < 1e-8
 
@@ -232,7 +233,7 @@ class TestMmseConvergence:
             for snr_db in snrs_db:
                 sigma2 = 10.0 ** (-snr_db / 10.0)
                 y = truths + np.sqrt(sigma2) * noise
-                mse = [np.mean(np.abs(estimate(m, sigma2, y).value - truths) ** 2)
+                mse = [np.mean(np.abs(estimate(m, sigma2, y) - truths) ** 2)
                        for m in (model, true)]
                 excess_db[count, snr_db] = 10.0 * np.log10(mse[0] / mse[1])
         for snr_db in snrs_db:
@@ -261,8 +262,8 @@ class TestFilterBank:
         y = crandn(rng, 1000, 6)
         got = estimate(model, sigma2, y)
         value, resp = dense_estimate(model, sigma2, y)
-        assert np.abs(got.value - value).max() < 1e-12 * np.abs(value).max()
-        assert np.abs(got.responsibilities - resp).max() < 1e-12
+        assert np.abs(got - value).max() < 1e-12 * np.abs(value).max()
+        assert np.abs(kernel_responsibilities(model, sigma2, y) - resp).max() < 1e-12
 
     def test_paper_size_matches_direct(self):
         # N=64, L=32: the dense solves themselves carry errors near 2e-13 here.
@@ -271,8 +272,8 @@ class TestFilterBank:
         y = model.means[rng.integers(3, size=200)] + 3.0 * crandn(rng, 200, 64)
         got = estimate(model, 0.5, y)
         value, resp = dense_estimate(model, 0.5, y)
-        assert np.abs(got.value - value).max() < 1e-11 * np.abs(value).max()
-        assert np.abs(got.responsibilities - resp).max() < 1e-11
+        assert np.abs(got - value).max() < 1e-11 * np.abs(value).max()
+        assert np.abs(kernel_responsibilities(model, 0.5, y) - resp).max() < 1e-11
 
     def test_zero_latent_dimension(self):
         # L=0 is a mixture of diagonal Gaussians; MFA1 files may hold one.
@@ -283,8 +284,8 @@ class TestFilterBank:
         y = 2.0 * crandn(rng, 50, 6)
         got = estimate(model, 0.4, y)
         value, resp = dense_estimate(model, 0.4, y)
-        assert np.abs(got.value - value).max() < 1e-12 * np.abs(value).max()
-        assert np.abs(got.responsibilities - resp).max() < 1e-12
+        assert np.abs(got - value).max() < 1e-12 * np.abs(value).max()
+        assert np.abs(kernel_responsibilities(model, 0.4, y) - resp).max() < 1e-12
         logdens = dense_logdens(model, 0.0, y)
         shift = logdens.max(axis=1)
         want = float(np.mean(np.log(np.exp(logdens - shift[:, None]).sum(axis=1)) + shift))
@@ -294,7 +295,7 @@ class TestFilterBank:
         comp = single(np.zeros(4, complex), np.zeros((4, 1), complex), np.ones(4))
         y = crandn(np.random.default_rng(87), 10, 4)
         got = estimate(comp, 1.0, y)
-        assert np.abs(got.value - 0.5 * y).max() < 1e-14
+        assert np.abs(got - 0.5 * y).max() < 1e-14
 
     def test_rebuild_bit_identical(self):
         rng = np.random.default_rng(82)
@@ -302,8 +303,9 @@ class TestFilterBank:
         y = crandn(rng, 300, 5)
         a = estimate(model, 0.3, y)
         b = estimate(model, 0.3, y)
-        assert np.array_equal(a.value, b.value)
-        assert np.array_equal(a.responsibilities, b.responsibilities)
+        assert np.array_equal(a, b)
+        assert np.array_equal(kernel_responsibilities(model, 0.3, y),
+                              kernel_responsibilities(model, 0.3, y))
 
     def test_single_component_affine_form(self):
         rng = np.random.default_rng(84)
@@ -313,14 +315,14 @@ class TestFilterBank:
         bias = mean - gain @ mean
         y = crandn(rng, 5)
         got = estimate(model, 0.8, y)
-        assert np.abs(got.value - (gain @ y + bias)).max() < 1e-12
-        assert np.abs(got.value - dense_lmmse(model, 0, 0.8, y)).max() < 1e-12
+        assert np.abs(got - (gain @ y + bias)).max() < 1e-12
+        assert np.abs(got - dense_lmmse(model, 0, 0.8, y)).max() < 1e-12
 
     def test_zero_input_zero_mean(self):
         rng = np.random.default_rng(85)
         model = make_model(rng, 1, 5, 2, zero_mean=True)
         got = estimate(model, 0.5, np.zeros(5, complex))
-        assert np.abs(got.value).max() == 0.0
+        assert np.abs(got).max() == 0.0
 
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(86)
@@ -343,7 +345,7 @@ class TestCmeOracle:
 
         draws = sample(model, 40_000, np.random.default_rng(88)).samples
         noise = crandn(np.random.default_rng(89), 40_000, 6) * np.sqrt(sigma2)
-        got_est = estimate(model, sigma2, draws + noise).value
+        got_est = estimate(model, sigma2, draws + noise)
         mse = float(np.mean(np.abs(got_est - draws) ** 2) * 6 / 6)
         assert mse == pytest.approx(want, rel=0.02)
 
@@ -357,7 +359,7 @@ class TestCmeOracle:
         sigma2 = 0.4
         variances = [0.25 + 0.3, 0.49 + 0.2]
         for y in [0.2 + 0.3j, -0.9 - 0.4j, 1.4 + 0j]:
-            got = estimate(model, sigma2, np.array([y])).value[0]
+            got = estimate(model, sigma2, np.array([y]))[0]
             want = quadrature_cme([0.5, 0.5], [1.5, -1.5], variances, sigma2, y)
             assert abs(got - want) < 1e-6
 
@@ -365,4 +367,4 @@ class TestCmeOracle:
         rng = np.random.default_rng(90)
         model = make_model(rng, 2, 4, 1)
         y = crandn(rng, 4)
-        assert np.abs(estimate(model, 0.0, y).value - y).max() < 1e-12
+        assert np.abs(estimate(model, 0.0, y) - y).max() < 1e-12

@@ -10,7 +10,6 @@ from mfachest.gaussians import (
     RESP_REL,
     ConditioningError,
     component_rows,
-    log_sum_exp,
     mixture_logdens,
     responsibilities,
     sample_component,
@@ -124,6 +123,21 @@ class TestWoodburyInverse:
         with pytest.raises(ConditioningError, match="diagonal of component 1 is not invertible"):
             stack_mixture(model, 0.0)
 
+    @pytest.mark.parametrize("loading, message", [
+        (1.0, "factors of component 1 are not finite"),
+        (1e10, "latent system of component 1 is not finite"),
+    ], ids=["large-mean", "large-loading"])
+    def test_nonfinite_factors_component_named(self, loading, message):
+        # Over a diagonal of 1e-300, which is invertible, a mean of 1e10
+        # overflows D mu and the log-constant, and loadings of 1e10 overflow the
+        # latent system; either raises without a RuntimeWarning.
+        loadings = np.stack([np.ones((4, 1)), np.full((4, 1), loading)])
+        means = np.stack([np.zeros(4), np.full(4, 1e10)])
+        diag_terms = np.stack([np.ones(4), np.full(4, 1e-300)])
+        model = MfaModel(np.full(2, 0.5), means, loadings, diag_terms)
+        with pytest.raises(ConditioningError, match=message):
+            stack_mixture(model, 0.0)
+
     def test_smallest_invertible_diagonal_factors(self):
         smallest = np.nextafter(1.0 / np.finfo(float).max, np.inf)
         stack = stack_mixture(single(np.zeros((3, 1), complex), np.full(3, smallest)), 0.0)
@@ -225,24 +239,22 @@ class TestSampleComponent:
 
 
 class TestLogSumExp:
+    """The per-row log-sum-exp that ``responsibilities`` returns."""
+
     def test_single_element(self):
-        assert log_sum_exp(np.array([0.0])) == 0.0
+        assert responsibilities(np.array([[0.0]]))[1][0] == 0.0
 
     def test_small_exact(self):
-        got = log_sum_exp(np.log(np.array([1.0, 3.0])))
+        got = responsibilities(np.log(np.array([[1.0, 3.0]])))[1][0]
         assert got == pytest.approx(np.log(4.0), abs=1e-14)
 
     def test_underflow_shift(self):
-        got = log_sum_exp(np.array([-1000.0, -1000.0]))
+        got = responsibilities(np.array([[-1000.0, -1000.0]]))[1][0]
         assert got == pytest.approx(-1000.0 + np.log(2.0), abs=1e-12)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            log_sum_exp(np.array([]))
 
     def test_axis(self):
         vals = np.log(np.array([[1.0, 3.0], [2.0, 2.0]]))
-        got = log_sum_exp(vals, axis=1)
+        got = responsibilities(vals)[1]
         assert np.allclose(got, np.log([4.0, 4.0]))
 
 
@@ -262,7 +274,8 @@ class TestResponsibilities:
         resp, lse = responsibilities(logdens)
         assert np.abs(resp.sum(axis=1) - 1.0).max() <= 1e-12
         assert np.all(resp.max(axis=1) >= (1.0 - 1e-12) / logdens.shape[1])
-        assert np.array_equal(lse, log_sum_exp(logdens, axis=1))
+        shift = logdens.max(axis=1, keepdims=True)
+        assert np.array_equal(lse, np.log(np.exp(logdens - shift).sum(axis=1)) + shift[:, 0])
         relative = np.exp(logdens - logdens.max(axis=1, keepdims=True))
         kept = resp > 0.0
         assert np.array_equal(kept, relative >= RESP_REL)

@@ -6,25 +6,30 @@ from mfachest.mfa import FitConfig, fit_em
 from mfachest.scenario import (
     ChannelDataset,
     ScenarioConfig,
+    _steering_batch,
     corrupt,
     generate_channels,
     normalize_dataset,
     read_dataset,
     scenario_from_dict,
-    ura_steering,
     write_dataset,
 )
+
+
+def steering(azimuth, elevation, config):
+    """The steering vector (N,) of one angle pair."""
+    return _steering_batch(np.array([azimuth]), np.array([elevation]), config)[0]
 
 
 class TestSteering:
     def test_broadside_all_ones(self):
         config = ScenarioConfig(nv=4, nh=16)
-        a = ura_steering(0.0, 0.0, config)
+        a = steering(0.0, 0.0, config)
         assert np.allclose(a, np.ones(64), atol=1e-15)
 
     def test_single_element(self):
         config = ScenarioConfig(nv=1, nh=1, num_clusters=1)
-        a = ura_steering(0.7, -0.3, config)
+        a = steering(0.7, -0.3, config)
         assert a.shape == (1,)
         assert a[0] == pytest.approx(1.0 + 0j)
 
@@ -33,9 +38,21 @@ class TestSteering:
         rng = np.random.default_rng(120)
         for _ in range(20):
             az, el = rng.uniform(-1.2, 1.2, 2)
-            a = ura_steering(az, el, config)
+            a = steering(az, el, config)
             assert np.linalg.norm(a) ** 2 == pytest.approx(15.0, abs=1e-10)
             assert np.abs(np.abs(a) - 1.0).max() < 1e-12
+
+    def test_batch_matches_closed_form(self):
+        # Entry (v, h) of pair i is exp(2 pi j (d_v v sin el_i + d_h h sin az_i cos el_i)),
+        # at index v * nh + h.
+        config = ScenarioConfig(nv=3, nh=5, spacing_v=0.7, spacing_h=0.4)
+        rng = np.random.default_rng(121)
+        az, el = rng.uniform(-1.2, 1.2, (2, 7))
+        got = _steering_batch(az, el, config)
+        v, h = np.divmod(np.arange(15), 5)
+        phase = 0.7 * v * np.sin(el)[:, None] + 0.4 * h * (np.sin(az) * np.cos(el))[:, None]
+        assert got.shape == (7, 15)
+        assert np.abs(got - np.exp(2j * np.pi * phase)).max() < 1e-12
 
 
 class TestGenerate:
