@@ -16,20 +16,27 @@ with a fixed DFT-based transform: the unitary N-point DFT for circulant
 covariances and the 2N-point DFT truncated to N columns for Toeplitz ones.
 Weights and means pass the checks ``mfa.MfaModel`` applies
 (``gaussians.check_mixture``). Each structure enters through one M-step, one
-restart (``_isotropic``) and one density kernel shared by the E-step and the
-estimator. EM runs in ``mfa.fit_mixture``, fit_em's driver, with ``_GmmFamily``
-supplying this math, and an iteration touches the data a fixed number of
-times, whatever K is:
+restart (``_isotropic``) and one chunked pass of the density kernel shared by
+the E-step and the estimator. EM runs in ``mfa.fit_mixture``, fit_em's driver,
+with ``_GmmFamily`` supplying this math; it transforms the samples once per fit,
+and an iteration touches the data a fixed number of times, whatever K is:
 
 - ``_m_step`` updates all K components (and starts every k-means cluster) from
   moment-form sufficient statistics, weighted second moments minus the means'
-  outer products, over samples transformed once per iteration. For exactly
-  one-hot weights the difference is exactly zero; on the benchmark's channels
-  |mean|^2 / variance was at most 1.4e-3, so the cancellation loses little.
-- ``_gmm_factor`` and ``_gmm_logdens``: full and Toeplitz models factor each
-  C_k + sigma2 I once and whiten a row chunk against all K components with one
-  product by the stacked inverse Cholesky factors; circulant models subtract
-  the means' DFTs from the transformed rows and divide by the spectrum.
+  outer products. For exactly one-hot weights the difference is exactly zero;
+  on the benchmark's channels |mean|^2 / variance was at most 1.4e-3, so the
+  cancellation loses little. The Toeplitz spectra are the Frobenius projection
+  of the scatter onto the Toeplitz cone in closed form (``_project_toeplitz``):
+  the inverse DFT of the scatter's transform-domain diagonal gives its diagonal
+  sums by lag, the projection averages each diagonal, and a DFT of the averages
+  gives the minimum-norm spectrum.
+- ``_gmm_factor`` factors every C_k + sigma2 I once per call, and ``_gmm_chunks``
+  is the one chunked pass over the rows: full and Toeplitz models whiten a row
+  chunk against all K components with one product by the stacked inverse
+  Cholesky factors, circulant models subtract the means' DFTs from the
+  transformed rows and divide by the spectrum. It yields each chunk's centred
+  rows and responsibilities; the E-step keeps the responsibilities and
+  ``gmm_estimate`` applies only its filter.
 """
 
 from __future__ import annotations
@@ -165,7 +172,7 @@ def genie_omp_batch(
     atoms = dictionary.atoms
     dim = dictionary.dim
     obs, single = _check_observation(observations, dim)
-    tru = _check_observation(truths, dim)[0]
+    tru = _check_observation(truths, dim, "truth")[0]
     if tru.shape != obs.shape:
         raise ValueError("truths must have the shape of the observations")
     depth = min(s_max, dim, dictionary.n_atoms)
@@ -238,14 +245,6 @@ def toeplitz_transform(dim: int) -> np.ndarray:
     two_n = 2 * dim
     grid = np.exp(-2j * np.pi * np.outer(np.arange(two_n), np.arange(dim)) / two_n)
     return grid / np.sqrt(two_n)
-
-
-@lru_cache(maxsize=8)
-def _toeplitz_gram(dim: int) -> np.ndarray:
-    """G_ij = |q_i^H q_j|^2 for the rank-one basis of the Toeplitz cone."""
-    q = toeplitz_transform(dim)
-    inner = q @ q.conj().T  # (2N, 2N), entry (i, j) = q_j^H q_i up to conjugation
-    return np.abs(inner) ** 2
 
 
 def _param_shape(structure: str, dim: int) -> tuple[int, ...]:
@@ -331,24 +330,21 @@ def fit_sample_lmmse(dataset) -> GmmModel:
 def _project_toeplitz(scatter_diag: np.ndarray, floor: float | np.ndarray, dim: int) -> np.ndarray:
     """Spectra of the Frobenius projection onto the Toeplitz cone, clipped at floor.
 
-    ``scatter_diag`` is one (2N,) transform-domain diagonal or a (K, 2N) stack,
-    and ``floor`` broadcasts against the result. Solves the normal equations
-    G c = b of the projection; G is rank deficient (the Toeplitz cone has real
-    dimension 2N - 1), so c is the minimum-norm least-squares solution, through
-    the cached pseudo-inverse of G, before clipping.
+    ``scatter_diag`` is one (2N,) transform-domain diagonal b_p = q_p^H S q_p or
+    a (K, 2N) stack, and ``floor`` broadcasts against the result. The inverse
+    DFT of b is S's diagonal sums by lag over 2N; the projection averages each
+    diagonal (N - |m| entries at lag m), and the minimum-norm spectrum leaves
+    lag N, which no N x N matrix has, at zero. Its DFT is the spectrum before
+    clipping: c = 2N Re DFT(IDFT(b) w), with w_m = 1 / (N - |m|), w_N = 0.
     """
-    return np.maximum(scatter_diag @ _toeplitz_pinv(dim).T, floor)
-
-
-@lru_cache(maxsize=8)
-def _toeplitz_pinv(dim: int) -> np.ndarray:
-    pinv = np.linalg.pinv(_toeplitz_gram(dim), hermitian=True)
-    pinv.flags.writeable = False
-    return pinv
+    lags = np.abs(np.fft.fftfreq(2 * dim, 1.0 / (2 * dim)))
+    weights = np.divide(1.0, dim - lags, out=np.zeros(2 * dim), where=lags < dim)
+    spectra = 2 * dim * np.fft.fft(np.fft.ifft(scatter_diag) * weights).real
+    return np.maximum(spectra, floor)
 
 
 def _kernel_rows(structure: str, rows: np.ndarray) -> np.ndarray:
-    """Observations as ``_gmm_logdens`` and ``_m_step`` take them: their unitary
+    """Observations as ``_gmm_chunks`` and ``_m_step`` take them: their unitary
     DFT for a circulant model, the observations themselves otherwise."""
     return np.fft.fft(rows, norm="ortho") if structure == "circulant" else rows
 
@@ -456,44 +452,33 @@ def _gmm_factor(model: GmmModel, sigma2: float) -> tuple[np.ndarray, np.ndarray,
     return whitener, centres, np.log(model.weights) - model.dim * LOG_PI - logdets
 
 
-def _gmm_logdens(model: GmmModel, rows, sigma2: float, out=None) -> np.ndarray:
-    """(B, K) log w_k + log N_C(y; mu_k, C_k + sigma2 I), factored once (``_gmm_factor``),
-    with ``rows = _kernel_rows(model.structure, y)``, in row chunks that keep
-    every (B, K N) temporary within _GMM_CHUNK_BUDGET entries.
+def _gmm_chunks(model: GmmModel, factor, rows: np.ndarray):
+    """Yield ``(part, y, z, resp, lse)`` for each ``_row_chunks`` chunk of
+    ``rows = _kernel_rows(model.structure, y)``, with ``factor`` the model's
+    ``_gmm_factor``: the chunk's slice and rows, the centred rows z (B, K, N),
+    and the ``responsibilities`` and per-row log-sum-exp of the weighted
+    log-densities log w_k + log N_C(y; mu_k, C_k + sigma2 I). Every (B, K N)
+    temporary stays within _GMM_CHUNK_BUDGET entries.
 
     Full and Toeplitz whiten a chunk against all K components with one product,
     z = y [L_1^{-T} ... L_K^{-T}] - [mu_1 L_1^{-T} ...]; the quadratic forms are
-    block sums of |z|^2. Circulant: |DFT(y) - DFT(mu_k)|^2 over the spectrum.
-    Given ``out`` (B, N), also writes the responsibility-weighted LMMSE estimate
-    y - sigma2 sum_k r_k (C_k + sigma2 I)^{-1} (y - mu_k) into it, the sum over
-    k being one matmul of r_k z_k with [conj(L_1^{-1}); ...] (in the DFT domain
-    with z_k / spectrum_k for circulant).
+    the sums of |z_k|^2. Circulant: z_k = DFT(y) - DFT(mu_k), with |z_k|^2 over
+    the spectrum.
     """
-    whitener, centres, logconst = _gmm_factor(model, sigma2)
+    whitener, centres, logconst = factor
     k_total, dim = model.n_components, model.dim
-    circulant = model.structure == "circulant"
-    logdens = np.empty((rows.shape[0], k_total))
-    back = None if circulant or out is None else whitener.T.conj()
     for part in _row_chunks(rows.shape[0], k_total * dim):
         y = rows[part]
-        if circulant:
+        if model.structure == "circulant":
             z = y[:, None, :] - centres
             # Real division: a subnormal bin of a fitted spectrum then gives inf, not NaN.
-            logdens[part] = logconst - (np.abs(z) ** 2 / whitener).sum(axis=2)
+            quad = (np.abs(z) ** 2 / whitener).sum(axis=2)
         else:
             z = y @ whitener
             z -= centres
-            logdens[part] = logconst - (np.abs(z) ** 2).reshape(len(y), k_total, dim).sum(axis=2)
-        if out is None:
-            continue
-        resp = responsibilities(logdens[part])[0]
-        if circulant:
-            solved = (resp[:, None, :] @ (z / whitener))[:, 0]
-            out[part] = np.fft.ifft(y - sigma2 * solved, norm="ortho")
-        else:
-            z = (z.reshape(len(y), k_total, dim) * resp[:, :, None]).reshape(len(y), -1)
-            out[part] = y - sigma2 * (z @ back)
-    return logdens
+            z = z.reshape(len(y), k_total, dim)
+            quad = (np.abs(z) ** 2).sum(axis=2)
+        yield part, y, z, *responsibilities(logconst - quad)
 
 
 def fit_gmm(
@@ -515,23 +500,23 @@ def fit_gmm(
 
 
 class _GmmFamily:
-    """fit_gmm's math in ``mfa.fit_mixture``: params (params,). An iteration
-    transforms the samples once for the E-step and the M-step."""
+    """fit_gmm's math in ``mfa.fit_mixture``: params (params,). The samples are
+    transformed once per fit (``_kernel_rows``) for the start, the E-steps and
+    the M-steps."""
 
     def __init__(self, structure: str, samples: np.ndarray):
         self.structure = structure
         self.model = partial(GmmModel, structure)
         self.dim = samples.shape[1]
         self.scale = float(np.mean(np.abs(samples) ** 2))
+        self.rows = _kernel_rows(structure, samples)
 
     def start(self, samples: np.ndarray, labels: np.ndarray, fitted: np.ndarray):
         """The clusters in ``fitted`` through ``_m_step`` with one-hot weights."""
         means = np.empty((fitted.size, self.dim), dtype=np.complex128)
         params = np.stack([_isotropic(self.structure, self.dim, self.scale)] * fitted.size)
         onehot = (labels[:, None] == np.flatnonzero(fitted)).astype(np.float64)
-        means[fitted], params[fitted] = _m_step(
-            self.structure, samples, _kernel_rows(self.structure, samples), onehot
-        )
+        means[fitted], params[fitted] = _m_step(self.structure, samples, self.rows, onehot)
         return means, (params,)
 
     def restart(self, rng: np.random.Generator):
@@ -542,14 +527,15 @@ class _GmmFamily:
         return params
 
     def e_step(self, samples: np.ndarray, model: GmmModel):
-        rows = _kernel_rows(self.structure, samples)
-        resp, per_sample = responsibilities(_gmm_logdens(model, rows, 0.0))
-        return float(per_sample.mean()), int(np.argmin(per_sample)), resp.sum(axis=0), (rows, resp)
+        resp = np.empty((samples.shape[0], model.n_components))
+        per_sample = np.empty(samples.shape[0])
+        for part, _, _, chunk_resp, lse in _gmm_chunks(model, _gmm_factor(model, 0.0), self.rows):
+            resp[part], per_sample[part] = chunk_resp, lse
+        return float(per_sample.mean()), int(np.argmin(per_sample)), resp.sum(axis=0), resp
 
-    def m_step(self, samples: np.ndarray, model: GmmModel, stats, live: np.ndarray):
-        rows, resp = stats
+    def m_step(self, samples: np.ndarray, model: GmmModel, resp, live: np.ndarray):
         means, params = model.means.copy(), model.params.copy()
-        means[live], params[live] = _m_step(self.structure, samples, rows, resp[:, live])
+        means[live], params[live] = _m_step(self.structure, samples, self.rows, resp[:, live])
         return means, (params,)
 
 
@@ -566,10 +552,20 @@ def gmm_estimate(model: GmmModel, sigma2: float, y: np.ndarray) -> np.ndarray:
     sigma2 = _check_sigma2(sigma2)
     batch, single = _check_observation(y, model.dim)
     _check_spectra(model, sigma2)
+    circulant = model.structure == "circulant"
     out = np.empty_like(batch)
-    rows = _kernel_rows(model.structure, batch)
     with np.errstate(all="ignore"):
-        _gmm_logdens(model, rows, sigma2, out)
+        factor = _gmm_factor(model, sigma2)
+        whitener = factor[0]
+        # The stacked [conj(L_1^{-1}); ...; conj(L_K^{-1})] (K N, N), once per call.
+        back = None if circulant else whitener.T.conj()
+        chunks = _gmm_chunks(model, factor, _kernel_rows(model.structure, batch))
+        for part, rows, z, resp, _ in chunks:
+            if circulant:
+                solved = (resp[:, None, :] @ (z / whitener))[:, 0]
+                out[part] = np.fft.ifft(rows - sigma2 * solved, norm="ortho")
+            else:
+                out[part] = rows - sigma2 * ((z * resp[:, :, None]).reshape(len(rows), -1) @ back)
     if not np.all(np.isfinite(out)):
         raise ConditioningError("covariance + sigma2 I is numerically singular: the estimate "
                                 "is not finite (use a larger sigma2)")

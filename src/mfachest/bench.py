@@ -56,6 +56,10 @@ class EstimatorSpec:
         _check_field_types(self)
         if self.kind not in ESTIMATOR_KINDS:
             raise ValueError(f"unknown estimator kind {self.kind!r}")
+        if self.psi_mode not in mfa.PSI_MODES:
+            raise ValueError(f"psi_mode must be one of {mfa.PSI_MODES}, got {self.psi_mode!r}")
+        if self.s_max < 0:
+            raise ValueError(f"s_max must be >= 0, got {self.s_max}")
         if not self.name:
             object.__setattr__(self, "name", self.kind)
 

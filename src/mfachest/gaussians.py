@@ -62,17 +62,19 @@ def _check_sigma2(sigma2: float) -> float:
     return sigma2
 
 
-def _check_observation(y: np.ndarray, dim: int) -> tuple[np.ndarray, bool]:
+def _check_observation(
+    y: np.ndarray, dim: int, name: str = "observation"
+) -> tuple[np.ndarray, bool]:
     """Observations (N,) or (B, N) as a finite complex (B, N) batch, and whether
-    a single vector was given."""
+    a single vector was given. Error messages call the rows ``name``."""
     y = np.asarray(y, dtype=np.complex128)
-    if y.ndim > 2:
-        raise ValueError(f"observations must be (N,) or (B, N), got shape {y.shape}")
+    if y.ndim not in (1, 2):
+        raise ValueError(f"{name}s must be (N,) or (B, N), got shape {y.shape}")
     batch = np.atleast_2d(y)
     if batch.shape[1] != dim:
-        raise ValueError(f"observation dimension {batch.shape[1]} != model dimension {dim}")
+        raise ValueError(f"{name} dimension {batch.shape[1]} != model dimension {dim}")
     if not np.all(np.isfinite(batch)):
-        raise ValueError("observation contains non-finite entries")
+        raise ValueError(f"{name} contains non-finite entries")
     return batch, y.ndim == 1
 
 

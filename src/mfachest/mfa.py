@@ -350,11 +350,12 @@ class _MfaFamily:
 
     def start(self, samples: np.ndarray, labels: np.ndarray, fitted: np.ndarray):
         """Each cluster in ``fitted`` starts at its mean, its L principal axes
-        and the mean of its other eigenvalues (the floor when L = N)."""
+        and the mean of its other eigenvalues (the floor when L = N); the
+        others at the diagonal max(scale, floor)."""
         k_total, dim, latent = fitted.size, self.dim, self.latent
         means = np.empty((k_total, dim), dtype=np.complex128)
         loadings = np.empty((k_total, dim, latent), dtype=np.complex128)
-        psis = np.empty((k_total, dim))
+        psis = np.full((k_total, dim), max(self.scale, self.floor))
         for k in np.flatnonzero(fitted):
             cluster = samples[labels == k]
             means[k] = cluster.mean(axis=0)
@@ -369,8 +370,12 @@ class _MfaFamily:
         return means, (loadings, psis)
 
     def restart(self, rng: np.random.Generator):
-        """A random loading at 0.3 sqrt(scale) per entry, diagonal max(scale, floor)."""
+        """A random loading at 0.3 sqrt(scale) per entry, and the diagonal
+        max(scale, floor) unless it is shared: a restarted component then keeps
+        the pooled one."""
         loading = 0.3 * np.sqrt(self.scale) * gaussians._std_cnormal(rng, (self.dim, self.latent))
+        if self.psi_mode == "shared-diagonal":
+            return (loading,)
         return loading, np.full(self.dim, max(self.scale, self.floor))
 
     def pool(self, params, sizes: np.ndarray):
@@ -419,7 +424,8 @@ def fit_mixture(dataset, n_components: int, config: FitConfig, family):
     with ``params`` the tuple of a model's stacked covariance parameters:
     ``model(weights, means, *params)``; ``start(samples, labels, fitted)`` ->
     (means, params), set for the k-means clusters ``fitted``; ``restart(rng)``
-    -> one component's params; ``pool(params, sizes)`` -> the start's params;
+    -> the leading params a restarted component resets, the others keeping
+    their values; ``pool(params, sizes)`` -> the start's params;
     ``e_step(samples, model)`` -> (average log-likelihood, worst-fit sample,
     masses, stats); ``m_step(samples, model, stats, live)`` -> (means, params),
     set for the ``live`` components. Returns the model and its ``FitTrace``.

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -11,7 +13,7 @@ from mfachest.baselines import (
     _GmmFamily,
     _kernel_rows,
     _m_step,
-    _toeplitz_gram,
+    _project_toeplitz,
     build_dft_dictionary,
     fit_gmm,
     fit_sample_lmmse,
@@ -231,6 +233,13 @@ class TestOmp:
             genie_omp_batch(broken, d, y, 2)
         with pytest.raises(ValueError, match="non-finite"):
             genie_omp_batch(y, d, broken, 2)
+
+    def test_errors_name_the_truths(self):
+        d = build_dft_dictionary(2, 4)
+        with pytest.raises(ValueError, match="truth contains non-finite entries"):
+            genie_omp_batch(np.ones(8), d, np.full(8, np.nan), 2)
+        with pytest.raises(ValueError, match="truth dimension 6 != model dimension 8"):
+            genie_omp_batch(np.ones(8), d, np.ones(6), 2)
 
 
 class TestGenieOmp:
@@ -480,20 +489,30 @@ class TestSampleValidation:
             fit(ChannelDataset(data))
 
     @pytest.mark.parametrize(
-        "apply",
+        "apply, shape",
         [
-            lambda y: estimate(make_mfa(np.random.default_rng(116), 2, 4, 1), 0.1, y),
-            lambda y: gmm_estimate(
+            (lambda y: estimate(make_mfa(np.random.default_rng(116), 2, 4, 1), 0.1, y), (2, 4, 4)),
+            (lambda y: gmm_estimate(
                 GmmModel("circulant", np.array([1.0]), np.zeros((1, 4)), np.ones((1, 4))), 0.1, y
-            ),
-            lambda y: gmm_estimate(GmmModel("full", [1.0], np.zeros((1, 4)), np.eye(4)[None]), 0.1, y),
+            ), (2, 4, 4)),
+            (lambda y: gmm_estimate(
+                GmmModel("full", [1.0], np.zeros((1, 4)), np.eye(4)[None]), 0.1, y
+            ), (2, 4, 4)),
+            (lambda y: estimate(make_mfa(np.random.default_rng(116), 1, 1, 1), 0.5, y), ()),
+            (lambda y: gmm_estimate(
+                gmm_from_mfa(make_mfa(np.random.default_rng(116), 1, 1, 1)), 0.5, y
+            ), ()),
+            (ls_estimate, ()),
         ],
-        ids=["estimate", "gmm_estimate", "sample_lmmse_estimate"],
+        ids=["estimate", "gmm_estimate", "sample_lmmse_estimate",
+             "estimate-0d", "gmm_estimate-0d", "ls_estimate-0d"],
     )
-    def test_rejects_observations_above_two_dimensions(self, apply):
-        # The middle axis equals N, so the (B, N) dimension check alone passes them.
-        y = crandn(np.random.default_rng(117), 2, 4, 4)
-        with pytest.raises(ValueError, match=r"must be \(N,\) or \(B, N\), got shape \(2, 4, 4\)"):
+    def test_rejects_observations_above_two_dimensions(self, apply, shape):
+        # The middle axis equals N, so the (B, N) dimension check alone passes
+        # them; a 0-d observation would pass as a (1, 1) batch on an N=1 model.
+        y = crandn(np.random.default_rng(117), *shape)
+        got = re.escape(str(shape))
+        with pytest.raises(ValueError, match=rf"must be \(N,\) or \(B, N\), got shape {got}"):
             apply(y)
 
 
@@ -587,8 +606,6 @@ class TestFitGmm:
         assert np.linalg.norm(rebuilt - scatter) < 5e-2 * np.linalg.norm(scatter)
 
     def test_toeplitz_projection_exact_on_structured_input(self):
-        from mfachest.baselines import _project_toeplitz
-
         rng = np.random.default_rng(104)
         dim = 6
         q = toeplitz_transform(dim)
@@ -841,6 +858,13 @@ class TestGmmEstimate:
         assert np.all(np.isfinite(gmm_estimate(model, 0.1, y)))
 
 
+def toeplitz_gram(dim):
+    """G_ij = |q_i^H q_j|^2 for the rank-one basis q_p q_p^H of the Toeplitz cone:
+    the normal equations G c = b of the Frobenius projection."""
+    q = toeplitz_transform(dim)
+    return np.abs(q @ q.conj().T) ** 2
+
+
 def reference_m_step(structure, samples, resp):
     """Means and parameters of each component (column of ``resp``) by the
     per-component centred formula: the weighted scatter of samples - mean with
@@ -863,7 +887,7 @@ def reference_m_step(structure, samples, resp):
             params.append(np.maximum(diag, floor))
         else:
             diag = weights @ np.abs(xc @ toeplitz_transform(dim).T) ** 2 / mass
-            sol, *_ = np.linalg.lstsq(_toeplitz_gram(dim), diag, rcond=None)
+            sol, *_ = np.linalg.lstsq(toeplitz_gram(dim), diag, rcond=None)
             params.append(np.maximum(sol, floor))
     return np.stack(means), np.stack(params)
 
@@ -892,6 +916,18 @@ class TestMStep:
         # rounding is relative to the second moment's scale.
         tol = 1e-9 * max(np.abs(want_params).max(), scale**2)
         assert np.abs(params - want_params).max() <= tol
+
+    @given(st.integers(1, 16), st.integers(1, 4), st.integers(0, 2**32 - 1))
+    def test_toeplitz_projection_matches_min_norm_lstsq(self, dim, k_total, seed):
+        # Any real diagonals, so the Gram matrix's null direction (lag N; at
+        # N=1 lag 1) carries weight that the minimum-norm solution drops.
+        rng = np.random.default_rng(seed)
+        diag = rng.normal(size=(k_total, 2 * dim)) * rng.uniform(0.1, 10.0, (k_total, 1))
+        floor = rng.uniform(0.0, 1.0, (k_total, 1))
+        sol, *_ = np.linalg.lstsq(toeplitz_gram(dim), diag.T, rcond=None)
+        got = _project_toeplitz(diag, floor, dim)
+        assert got.shape == diag.shape
+        assert np.abs(got - np.maximum(sol.T, floor)).max() <= 1e-9 * np.abs(diag).max()
 
     @pytest.mark.parametrize("structure", ["full", "toeplitz", "circulant"])
     def test_floors_match_reference_on_singular_scatter(self, structure):

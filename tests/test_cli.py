@@ -364,6 +364,23 @@ class TestBenchCommands:
         assert captured.out == ""
         assert "array geometry 3 x 2 does not match the data dimension 8" in captured.err
 
+    @pytest.mark.parametrize("entry, message", [
+        ({"kind": "mfa", "k": 2, "l": 1, "psi_mode": "isotropic"}, "psi_mode must be one of"),
+        ({"kind": "genie-omp", "s_max": -3}, "s_max must be >= 0, got -3"),
+    ], ids=["psi-mode", "negative-s-max"])
+    def test_bad_entry_field_exit_2_before_fitting(self, tmp_path, monkeypatch, capsys, entry,
+                                                   message):
+        fits = []
+        monkeypatch.setattr(baselines, "fit_gmm", lambda *args, **kwargs: fits.append(args))
+        monkeypatch.setattr(mfa, "fit_em", lambda *args, **kwargs: fits.append(args))
+        spec_path = self.make_spec(tmp_path, [{"kind": "gmm-circ", "k": 2}, entry])
+        code = main(["bench-snr", "--spec", str(spec_path)])
+        assert code == 2
+        assert fits == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
     def test_bench_genie_omp_on_dataset_paths_needs_geometry(self, tmp_path, capsys):
         rng = np.random.default_rng(12)
         data = (rng.standard_normal((30, 8)) + 1j * rng.standard_normal((30, 8))) / np.sqrt(2)

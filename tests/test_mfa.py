@@ -623,6 +623,18 @@ class TestEmProperties:
         # the other components keep their (updated) places
         assert np.abs(fixed.means[0] - base.means[0]).max() < 2.0
 
+    def test_shared_diagonal_survives_a_collapse(self):
+        # The second start component sits far from the data, so its mass is
+        # exactly zero and it restarts on the diagonal the others share.
+        data = crandn(np.random.default_rng(63), 200, 4)
+        means = np.zeros((2, 4), complex)
+        means[1] = 1e3
+        start = MfaModel([0.5, 0.5], means, np.full((2, 4, 1), 0.1 + 0j), np.ones((2, 4)))
+        _, fixed = em_update(start, data, mode="shared-diagonal")
+        assert fixed.weights[1] == pytest.approx(1.0 / 3.0)
+        assert np.all(fixed.diag_terms == fixed.diag_terms[0])
+        assert np.ptp(fixed.diag_terms[0]) > 0.01
+
 
 @st.composite
 def sparse_responsibilities(draw, count, k_total, chunk):
