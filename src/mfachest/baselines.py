@@ -68,6 +68,13 @@ GMM_STRUCTURES = ("full", "toeplitz", "circulant")
 # Relative eigenvalue / spectrum floor, scaled by trace/N of the scatter.
 EIG_FLOOR_REL = 1e-8
 
+# A failed Cholesky of C_k + sigma2 I: an estimate needs more noise for a
+# singular covariance; a fit (sigma2 = 0) has shrunk component k onto one sample
+# or identical ones, so that its scatter and its relative floor vanish.
+_ESTIMATE_NOT_PD = "component {k}: covariance + sigma2 I is not positive definite (use sigma2 > 0)"
+_FIT_NOT_PD = ("component {k}: covariance is not positive definite: EM collapsed the "
+               "component onto one sample or identical samples (fit fewer components)")
+
 # Complex entries of one chunk's (B, s, N) OMP basis.
 _OMP_CHUNK_BUDGET = 4_000_000
 # Complex entries of one (B, K*N) temporary of the GMM kernel, and of the rows
@@ -426,15 +433,17 @@ def _check_spectra(model: GmmModel, sigma2: float) -> None:
         )
 
 
-def _gmm_factor(model: GmmModel, sigma2: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _gmm_factor(
+    model: GmmModel, sigma2: float, not_pd: str = _ESTIMATE_NOT_PD
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Factor every C_k + sigma2 I once: (whitener, centres, log-constants).
 
     Circulant: the shifted spectra (K, N) and the means' unitary DFTs (K, N).
     Full and Toeplitz: with the lower Cholesky factors C_k + sigma2 I = L_k L_k^H,
     the stacked whitener [L_1^{-T} ... L_K^{-T}] (N, K N) and the whitened means
     [mu_1 L_1^{-T} ... mu_K L_K^{-T}] (K N,). The log-constants are
-    log w_k - N log pi - log det(C_k + sigma2 I). Raises ConditioningError when
-    a Cholesky factorization fails.
+    log w_k - N log pi - log det(C_k + sigma2 I). Raises ConditioningError with
+    ``not_pd.format(k=k)`` when the Cholesky factorization of component k fails.
     """
     if model.structure == "circulant":
         shifted = model.params + sigma2
@@ -443,8 +452,7 @@ def _gmm_factor(model: GmmModel, sigma2: float) -> tuple[np.ndarray, np.ndarray,
     else:
         dim = model.dim
         shifted = model.dense_covariances() + sigma2 * np.eye(dim)
-        chol = cholesky(shifted, "component {k}: covariance + sigma2 I is not positive "
-                        "definite (use sigma2 > 0)")
+        chol = cholesky(shifted, not_pd)
         logdets = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2).real).sum(axis=1)
         inverse = np.linalg.inv(chol)
         whitener = inverse.transpose(2, 0, 1).reshape(dim, -1)
@@ -462,8 +470,8 @@ def _gmm_chunks(model: GmmModel, factor, rows: np.ndarray):
 
     Full and Toeplitz whiten a chunk against all K components with one product,
     z = y [L_1^{-T} ... L_K^{-T}] - [mu_1 L_1^{-T} ...]; the quadratic forms are
-    the sums of |z_k|^2. Circulant: z_k = DFT(y) - DFT(mu_k), with |z_k|^2 over
-    the spectrum.
+    the sums of |z_k|^2, one real product over z's interleaved real view.
+    Circulant: z_k = DFT(y) - DFT(mu_k), with |z_k|^2 over the spectrum.
     """
     whitener, centres, logconst = factor
     k_total, dim = model.n_components, model.dim
@@ -477,12 +485,13 @@ def _gmm_chunks(model: GmmModel, factor, rows: np.ndarray):
             z = y @ whitener
             z -= centres
             z = z.reshape(len(y), k_total, dim)
-            quad = (np.abs(z) ** 2).sum(axis=2)
+            flat = z.view(np.float64)
+            quad = np.einsum("bkl,bkl->bk", flat, flat)
         yield part, y, z, *responsibilities(logconst - quad)
 
 
 def fit_gmm(
-    dataset, n_components: int, structure: str, config: FitConfig | None = None
+    dataset, n_components: int, structure: str, config: FitConfig | None = None, start=None
 ) -> tuple[GmmModel, FitTrace]:
     """EM fit of a Gaussian mixture with the requested covariance structure.
 
@@ -491,12 +500,15 @@ def fit_gmm(
     full-covariance M-step is the exact maximizer; the Toeplitz and circulant
     M-steps project the weighted scatter onto the structure class, so their
     likelihood traces are recorded but not guaranteed monotone. The start, the
-    loop and the collapse policy are fit_em's, in ``mfa.fit_mixture``.
+    loop and the collapse policy are fit_em's, in ``mfa.fit_mixture``; ``start``,
+    when given, is ``mfa.kmeans_start(dataset, n_components, config.seed)`` and
+    yields the same fit as none. When EM shrinks a component onto one sample or
+    identical ones, a full fit raises ConditioningError naming it.
     """
     config = config or FitConfig()
     if structure not in GMM_STRUCTURES:
         raise ValueError(f"structure must be one of {GMM_STRUCTURES}")
-    return fit_mixture(dataset, n_components, config, partial(_GmmFamily, structure))
+    return fit_mixture(dataset, n_components, config, partial(_GmmFamily, structure), start)
 
 
 class _GmmFamily:
@@ -529,7 +541,8 @@ class _GmmFamily:
     def e_step(self, samples: np.ndarray, model: GmmModel):
         resp = np.empty((samples.shape[0], model.n_components))
         per_sample = np.empty(samples.shape[0])
-        for part, _, _, chunk_resp, lse in _gmm_chunks(model, _gmm_factor(model, 0.0), self.rows):
+        factor = _gmm_factor(model, 0.0, _FIT_NOT_PD)
+        for part, _, _, chunk_resp, lse in _gmm_chunks(model, factor, self.rows):
             resp[part], per_sample[part] = chunk_resp, lse
         return float(per_sample.mean()), int(np.argmin(per_sample)), resp.sum(axis=0), resp
 

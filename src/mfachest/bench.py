@@ -3,14 +3,17 @@ latent-dimension, and component-count grids, reported as CSV or JSON lines.
 
 Every sweep fits each estimator once (each mfa entry once per (K, L) of the
 grid), then corrupts the eval set once per SNR. That one draw is read-only and
-shared by every estimator, so all of them see the same noise. Rows are ordered
-by (estimator, K, L, snr) and all randomness derives from the spec seed, so a
-sweep is reproducible apart from the wall-time column.
+shared by every estimator, so all of them see the same noise. Each K of a sweep
+runs k-means once: the mfa and gmm fits at that K, of every L and structure,
+share one ``mfa.kmeans_start`` and fit exactly as they would alone. Rows are
+ordered by (estimator, K, L, snr) and all randomness derives from the spec
+seed, so a sweep is reproducible apart from the wall-time column.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import numbers
@@ -148,11 +151,14 @@ def model_estimator(model):
     return lambda sigma2, y: baselines.gmm_estimate(model, sigma2, y)
 
 
-def _fit_entry(entry: EstimatorSpec, train: ChannelDataset, spec: BenchSpec, k: int, l: int):
+def _fit_entry(
+    entry: EstimatorSpec, train: ChannelDataset, spec: BenchSpec, k: int, l: int, start_at
+):
     """Fit or load one estimator: ``(K, L, estimate)`` with
     ``estimate(sigma2, observations, truths) -> estimates``. The mfa and gmm
-    kinds fit at K = ``k`` (and L = ``l``)."""
-    fit = dict(max_iter=spec.max_iter, rel_tol=spec.rel_tol, seed=spec.seed)
+    kinds fit at K = ``k`` (and L = ``l``) from the k-means start ``start_at(k)``."""
+    fit = dict(max_iter=spec.max_iter, rel_tol=spec.rel_tol, seed=spec.seed,
+               psi_mode=entry.psi_mode)
     if entry.kind == "ls":
         return 0, 0, lambda sigma2, y, truths: baselines.ls_estimate(y)
     if entry.kind == "genie-omp":
@@ -162,9 +168,10 @@ def _fit_entry(entry: EstimatorSpec, train: ChannelDataset, spec: BenchSpec, k: 
     if entry.kind == "sample-lmmse":
         model, k, l = baselines.fit_sample_lmmse(train), 0, 0
     elif entry.kind == "mfa":
-        model, _ = mfa.fit_em(train, k, l, mfa.FitConfig(**fit, psi_mode=entry.psi_mode))
+        model, _ = mfa.fit_em(train, k, l, mfa.FitConfig(**fit), start_at(k))
     elif entry.kind in _GMM_STRUCTURES:
-        model, _ = baselines.fit_gmm(train, k, _GMM_STRUCTURES[entry.kind], mfa.FitConfig(**fit))
+        structure = _GMM_STRUCTURES[entry.kind]
+        model, _ = baselines.fit_gmm(train, k, structure, mfa.FitConfig(**fit), start_at(k))
         l = 0
     elif entry.kind == "mfa-model":
         model = mfa.load_model(entry.model_path)
@@ -218,7 +225,8 @@ def _sweep(spec: BenchSpec, shapes, snr_indices) -> list[ReportRow]:
     """Fit every entry, each mfa entry once per (K, L) of ``shapes`` (None keeps
     the entry's own value), and score every fit at each SNR of ``snr_indices``
     (indices into the spec grid) on one shared, read-only draw of the noise.
-    Every (K, L) and genie-omp geometry is checked before the first fit."""
+    Every (K, L) and genie-omp geometry is checked before the first fit, and
+    k-means runs once per K, at the first fit that needs it."""
     train, eval_ds = _load_data(spec)
     jobs = [
         (entry, entry.k if k is None else k, entry.l if l is None else l)
@@ -228,7 +236,8 @@ def _sweep(spec: BenchSpec, shapes, snr_indices) -> list[ReportRow]:
     for entry, k, l in jobs:
         _check_shape(entry, spec, k, l, train.dim)
     truths = eval_ds.samples
-    fitted = [(entry.name, *_fit_entry(entry, train, spec, k, l)) for entry, k, l in jobs]
+    start_at = functools.cache(lambda k: mfa.kmeans_start(train, k, spec.seed))
+    fitted = [(entry.name, *_fit_entry(entry, train, spec, k, l, start_at)) for entry, k, l in jobs]
     rows = []
     for si in snr_indices:
         snr = spec.snr_grid_db[si]

@@ -189,6 +189,41 @@ def _resolve_psi(
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class KmeansStart:
+    """The k-means start of a fit (``kmeans_start``): the read-only (T,) cluster
+    labels, the state of the seed's generator right after ``_kmeans``, and the
+    seed and component count K it was made for."""
+
+    labels: np.ndarray
+    rng_state: dict
+    seed: int
+    n_components: int
+
+    def generator(self) -> np.random.Generator:
+        """A generator at the state k-means left. The start's small-cluster
+        restarts and EM's collapse restarts draw from it, as in a fit without
+        a shared start."""
+        rng = np.random.default_rng(self.seed)
+        rng.bit_generator.state = self.rng_state
+        return rng
+
+
+def kmeans_start(dataset, n_components: int, seed: int) -> KmeansStart:
+    """Run ``_kmeans`` on the samples with the generator of ``seed``. Fits of one
+    training set at one (K, seed), fit_em's and fit_gmm's of any L or structure,
+    can share the result: each then starts exactly as it would on its own."""
+    samples = _as_samples(dataset)
+    if n_components < 1:
+        raise ValueError(f"n_components must be >= 1, got {n_components}")
+    if samples.shape[0] < n_components:
+        raise ValueError(f"need at least K={n_components} samples, got {samples.shape[0]}")
+    rng = np.random.default_rng(seed)
+    labels = _kmeans(samples, n_components, rng)
+    labels.flags.writeable = False
+    return KmeansStart(labels, rng.bit_generator.state, seed, n_components)
+
+
 def _kmeans(samples: np.ndarray, k_total: int, rng: np.random.Generator) -> np.ndarray:
     """k-means++ seeding plus Lloyd iterations on complex vectors; returns labels.
 
@@ -396,9 +431,11 @@ class _MfaFamily:
 
 
 def fit_em(
-    dataset, n_components: int, latent_dim: int, config: FitConfig | None = None
+    dataset, n_components: int, latent_dim: int, config: FitConfig | None = None, start=None
 ) -> tuple[MfaModel, FitTrace]:
     """Fit the mixture by EM (``fit_mixture``); deterministic given config.seed.
+    ``start``, when given, is ``kmeans_start(dataset, n_components, config.seed)``
+    and yields the same fit as none.
 
     The returned trace holds the average log-likelihood at the start of each
     iteration and is non-decreasing up to floating-point slack, except when
@@ -411,10 +448,10 @@ def fit_em(
     """
     config = config or FitConfig()
     family = partial(_MfaFamily, latent_dim, config.psi_mode)
-    return fit_mixture(dataset, n_components, config, family)
+    return fit_mixture(dataset, n_components, config, family, start)
 
 
-def fit_mixture(dataset, n_components: int, config: FitConfig, family):
+def fit_mixture(dataset, n_components: int, config: FitConfig, family, start=None):
     """The EM fit of fit_em and baselines.fit_gmm; deterministic given config.seed.
 
     EM runs ``_em_step`` from ``_em_start`` until the average log-likelihood
@@ -428,22 +465,28 @@ def fit_mixture(dataset, n_components: int, config: FitConfig, family):
     their values; ``pool(params, sizes)`` -> the start's params;
     ``e_step(samples, model)`` -> (average log-likelihood, worst-fit sample,
     masses, stats); ``m_step(samples, model, stats, live)`` -> (means, params),
-    set for the ``live`` components. Returns the model and its ``FitTrace``.
+    set for the ``live`` components. ``start`` is the ``kmeans_start`` of the
+    samples at (n_components, config.seed); without one, the fit makes it.
+    Returns the model and its ``FitTrace``.
     """
     samples = _as_samples(dataset)
-    count = samples.shape[0]
-    if n_components < 1:
-        raise ValueError(f"n_components must be >= 1, got {n_components}")
-    if count < n_components:
-        raise ValueError(f"need at least K={n_components} samples, got {count}")
     family = family(samples)
-    rng = np.random.default_rng(config.seed)
-    model = _em_start(samples, n_components, family, rng)
+    if start is None:
+        start = kmeans_start(samples, n_components, config.seed)
+    for what, got, want in (
+        ("sample count", start.labels.shape[0], samples.shape[0]),
+        ("K", start.n_components, n_components),
+        ("seed", start.seed, config.seed),
+    ):
+        if got != want:
+            raise ValueError(f"k-means start mismatch: its {what} is {got}, the fit's is {want}")
+    rng = start.generator()
+    model = _em_start(samples, n_components, family, start.labels, rng)
     trace, seconds, prev = [], [], None
     for _ in range(config.max_iter):
-        start = time.perf_counter()
+        tick = time.perf_counter()
         avg, updated = _em_step(samples, family, rng, model)
-        seconds.append(time.perf_counter() - start)
+        seconds.append(time.perf_counter() - tick)
         trace.append(avg)
         if prev is not None and abs(avg - prev) <= config.rel_tol * max(abs(prev), 1e-12):
             return model, FitTrace(trace, seconds, converged=True)
@@ -451,11 +494,13 @@ def fit_mixture(dataset, n_components: int, config: FitConfig, family):
     return model, FitTrace(trace, seconds)
 
 
-def _em_start(samples: np.ndarray, k_total: int, family, rng: np.random.Generator):
+def _em_start(
+    samples: np.ndarray, k_total: int, family, labels: np.ndarray, rng: np.random.Generator
+):
     """The start of ``fit_mixture`` at weights 1/K: ``family.start`` on the
-    k-means clusters of at least two samples, a restart at its sample (a
-    random one when empty) for each smaller cluster, then ``family.pool``."""
-    labels = _kmeans(samples, k_total, rng)
+    k-means clusters ``labels`` of at least two samples, a restart at its
+    sample (a random one when empty) for each smaller cluster, then
+    ``family.pool``."""
     sizes = np.bincount(labels, minlength=k_total)
     means, params = family.start(samples, labels, sizes >= 2)
     for k in np.flatnonzero(sizes < 2):

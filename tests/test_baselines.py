@@ -43,6 +43,13 @@ def dense_logdens(samples, mean, cov):
     return -cov.shape[0] * np.log(np.pi) - logdet - quad
 
 
+def collapsing_data():
+    """120 standard complex normal rows (N=6) and 3 rows at 60x scale: a full
+    GMM fit at K=5 collapses a component onto an outlier."""
+    rng = np.random.default_rng(0)
+    return np.concatenate([crandn(rng, 120, 6), 60.0 * crandn(rng, 3, 6)])
+
+
 def e_step_log_likelihood(model, samples):
     """Average log-likelihood of a GmmModel over samples (T, N): the value
     fit_gmm's E-step records in its trace."""
@@ -666,6 +673,18 @@ class TestFitGmm:
         assert trace.converged and trace.loglik.shape == (2,)
         assert trace.seconds.shape == (2,) and np.all(trace.seconds > 0)
         assert e_step_log_likelihood(model, data) == pytest.approx(trace.loglik[-1], abs=1e-10)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_full_collapse_names_component_and_advises_fewer(self, seed):
+        # Each outlier starts a one-sample cluster; EM shrinks the component
+        # onto it, and the next E-step cannot factor its floored covariance.
+        data = collapsing_data()
+        with pytest.raises(ConditioningError) as caught:
+            fit_gmm(data, 5, "full", FitConfig(seed=seed))
+        message = str(caught.value)
+        assert re.fullmatch(r"component \d: .*EM collapsed the component onto one sample.*"
+                            r"\(fit fewer components\)", message)
+        assert "sigma2" not in message
 
     def test_full_em_monotone(self):
         rng = np.random.default_rng(106)

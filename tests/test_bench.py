@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from mfachest import bench
+from mfachest import bench, mfa
 from mfachest.bench import (
     BenchSpec,
     EstimatorSpec,
@@ -152,12 +152,14 @@ class TestSharedDraw:
         EstimatorSpec("sample-lmmse"),
         EstimatorSpec("genie-omp"),
         EstimatorSpec("gmm-circ", k=2),
+        EstimatorSpec("gmm-full", k=2),
         EstimatorSpec("mfa", k=2, l=1),
     ]
 
     def test_rows_equal_single_estimator_sweeps(self):
-        # Each one-estimator sweep draws its own noise, so an estimator that
-        # wrote into the shared observations would change the others' rows.
+        # Each one-estimator sweep draws its own noise and runs its own k-means,
+        # so an estimator that wrote into the shared observations, or a fit that
+        # changed the shared k-means start, would change the others' rows.
         strip = lambda rows: [(r.estimator, r.k, r.l, r.t, r.snr_db, r.nmse) for r in rows]
         kwargs = dict(snr_grid_db=(0.0, 10.0, 20.0), max_iter=5)
         shared = run_snr_sweep(small_spec(self.ENTRIES, **kwargs))
@@ -180,6 +182,35 @@ class TestSharedDraw:
         rows = sweep(small_spec(self.ENTRIES, snr_grid_db=(0.0, 10.0, 20.0), max_iter=2))
         assert calls == [0.0, 10.0, 20.0][:draws]
         assert len({(r.estimator, r.k, r.l) for r in rows}) * draws == len(rows)
+
+
+class TestSharedStart:
+    """The mfa and gmm fits of a sweep share one k-means run per K."""
+
+    ENTRIES = [
+        EstimatorSpec("ls"),
+        EstimatorSpec("gmm-full", k=2),
+        EstimatorSpec("gmm-toep", k=2),
+        EstimatorSpec("gmm-circ", k=2),
+        EstimatorSpec("mfa", k=2, l=1),
+    ]
+
+    @pytest.mark.parametrize("sweep, runs", [
+        (run_snr_sweep, 1),
+        (lambda spec: run_latent_sweep(spec, [1, 2]), 1),
+        (lambda spec: run_grid_sweep(spec, [1, 2], [1, 2]), 2),
+    ], ids=["snr", "latent", "grid"])
+    def test_one_kmeans_per_component_count(self, monkeypatch, sweep, runs):
+        calls = []
+
+        def counting_kmeans(samples, k_total, rng):
+            calls.append(k_total)
+            return kmeans(samples, k_total, rng)
+
+        kmeans = mfa._kmeans
+        monkeypatch.setattr(mfa, "_kmeans", counting_kmeans)
+        sweep(small_spec(self.ENTRIES, max_iter=2))
+        assert sorted(calls) == [1, 2][-runs:]
 
 
 class TestGenieOmpGeometry:

@@ -10,6 +10,7 @@ from mfachest.baselines import GmmModel, fit_gmm, gmm_estimate, load_gmm, save_g
 from mfachest.cli import main
 from mfachest.mfa import FitConfig, fit_em, load_model, save_model
 from mfachest.scenario import ChannelDataset, corrupt, read_dataset, write_dataset
+from test_baselines import collapsing_data
 
 
 def write_scenario_config(tmp_path, **overrides):
@@ -206,6 +207,17 @@ class TestPipeline:
         assert "in 2 iterations, avg log-likelihood" in out
         assert "stopped" not in out
         assert re.search(r"avg log-likelihood \S+, \d+\.\d{3} s per iteration", out)
+
+    def test_collapsed_full_fit_exit_2(self, tmp_path, capsys):
+        data_path = tmp_path / "train.chd"
+        write_dataset(data_path, ChannelDataset(collapsing_data()))
+        argv = ["fit-gmm", "--data", str(data_path), "--k", "5", "--structure", "full",
+                "--out", str(tmp_path / "model.gmm")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "EM collapsed the component onto one sample" in err
+        assert "fit fewer components" in err and "sigma2" not in err
+        assert not (tmp_path / "model.gmm").exists()
 
     def test_nan_tolerance_exit_2(self, tmp_path, capsys):
         rng = np.random.default_rng(6)

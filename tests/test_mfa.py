@@ -1,3 +1,4 @@
+from dataclasses import replace
 from unittest.mock import patch
 
 import numpy as np
@@ -487,6 +488,86 @@ class TestKmeans:
 
 
 @st.composite
+def start_problems(draw):
+    """Standard complex normal samples with K in [1, 4], N in [2, 5], T in [K, 30]
+    and up to two rows scaled by 50, plus L in [1, N], a seed and an iteration
+    cap in [1, 3]. Most draws leave a k-means cluster of fewer than two samples,
+    whose restart draws from the generator k-means left."""
+    k_total, dim = draw(st.integers(1, 4)), draw(st.integers(2, 5))
+    count = draw(st.integers(k_total, 30))
+    data = crandn(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), count, dim)
+    data[: draw(st.integers(0, min(2, count)))] *= 50.0
+    latent = draw(st.integers(1, dim))
+    return data, k_total, latent, draw(st.integers(0, 2**16)), draw(st.integers(1, 3))
+
+
+def fit_outcome(family, data, k_total, latent, config, start=None):
+    """The arrays of a fit_em (``family`` a psi_mode) or fit_gmm (a structure)
+    fit and its trace's log-likelihoods and convergence flag, or the type and
+    message of the error it raised."""
+    try:
+        if family in mfa.PSI_MODES:
+            config = replace(config, psi_mode=family)
+            model, trace = fit_em(data, k_total, latent, config, start)
+        else:
+            model, trace = baselines.fit_gmm(data, k_total, family, config, start)
+    except (gaussians.ConditioningError, RuntimeWarning) as exc:
+        return [type(exc).__name__, str(exc)]
+    arrays = [value for value in vars(model).values() if isinstance(value, np.ndarray)]
+    return [*arrays, trace.loglik, trace.converged]
+
+
+def same_outcome(got, want) -> bool:
+    return len(got) == len(want) and all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+class TestKmeansStart:
+    """A fit from ``kmeans_start`` is the fit without one, bit for bit."""
+
+    @pytest.mark.parametrize("family", [*mfa.PSI_MODES, *baselines.GMM_STRUCTURES])
+    @given(start_problems())
+    def test_shared_start_fits_bit_identical(self, family, problem):
+        data, k_total, latent, seed, max_iter = problem
+        config = FitConfig(max_iter=max_iter, rel_tol=1e-12, seed=seed)
+        start = mfa.kmeans_start(data, k_total, seed)
+        # The start holds what _kmeans returns and the generator as it leaves it.
+        rng = np.random.default_rng(seed)
+        labels = mfa._kmeans(data, k_total, rng)
+        assert np.array_equal(start.labels, labels)
+        assert np.array_equal(start.generator().random(4), rng.random(4))
+        want = fit_outcome(family, data, k_total, latent, config)
+        # One start serves two fits, as in a sweep, and leaves its labels as they were.
+        for _ in range(2):
+            assert same_outcome(fit_outcome(family, data, k_total, latent, config, start), want)
+        assert np.array_equal(start.labels, labels)
+        assert not start.labels.flags.writeable
+
+    @pytest.mark.parametrize("fit", ["mfa", "gmm"])
+    @pytest.mark.parametrize("change, message", [
+        ({"count": 11}, "sample count is 12, the fit's is 11"),
+        ({"k_total": 2}, "K is 3, the fit's is 2"),
+        ({"seed": 4}, "seed is 5, the fit's is 4"),
+    ], ids=["samples", "components", "seed"])
+    def test_mismatched_start_rejected(self, fit, change, message):
+        data = crandn(np.random.default_rng(63), 12, 4)
+        start = mfa.kmeans_start(data, 3, 5)
+        args = {"count": 12, "k_total": 3, "seed": 5, **change}
+        rows, config = data[: args["count"]], FitConfig(seed=args["seed"])
+        with pytest.raises(ValueError, match=f"k-means start mismatch: its {message}"):
+            if fit == "mfa":
+                fit_em(rows, args["k_total"], 2, config, start)
+            else:
+                baselines.fit_gmm(rows, args["k_total"], "full", config, start)
+
+    def test_start_checks_component_count(self):
+        data = crandn(np.random.default_rng(64), 4, 3)
+        with pytest.raises(ValueError, match="need at least K=5 samples"):
+            mfa.kmeans_start(data, 5, 0)
+        with pytest.raises(ValueError, match="n_components must be >= 1"):
+            mfa.kmeans_start(data, 0, 0)
+
+
+@st.composite
 def em_problems(draw):
     """Samples from a random MFA with K in [1, 4], N in [2, 6] and L in [1, N - 1],
     T in [8K, 48], plus a fit configuration for the same K and L.
@@ -524,11 +605,12 @@ class TestEmProperties:
         # residual the per-component start gives each, pooled by cluster size.
         rng = np.random.default_rng(59)
         data = sample(make_model(rng, 3, 5, 2, sep=2.0), 60, rng).samples
+        begin = mfa.kmeans_start(data, k_total, 60)
         start = lambda mode: mfa._em_start(
-            data, k_total, mfa._MfaFamily(2, mode, data), np.random.default_rng(60)
+            data, k_total, mfa._MfaFamily(2, mode, data), begin.labels, begin.generator()
         )
         shared, own = start("shared-diagonal"), start("diagonal")
-        sizes = np.bincount(mfa._kmeans(data, k_total, np.random.default_rng(60)), minlength=k_total)
+        sizes = np.bincount(begin.labels, minlength=k_total)
         floor = mfa.PSI_FLOOR_REL * float(np.mean(np.abs(data) ** 2))
         pooled = max(float(sizes @ own.diag_terms[:, 0]) / 60, floor)
         assert np.all(shared.diag_terms == pooled)
@@ -545,8 +627,7 @@ class TestEmProperties:
             math = mfa._MfaFamily(2, family, data)
         else:
             math = baselines._GmmFamily(family, data)
-        with patch.object(mfa, "_kmeans", return_value=labels):
-            start = mfa._em_start(data, 3, math, np.random.default_rng(62))
+        start = mfa._em_start(data, 3, math, labels, np.random.default_rng(62))
         scale = float(np.mean(np.abs(data) ** 2))
         draws = np.random.default_rng(62)
         if family in mfa.PSI_MODES:
