@@ -31,12 +31,17 @@ and an iteration touches the data a fixed number of times, whatever K is:
   sums by lag, the projection averages each diagonal, and a DFT of the averages
   gives the minimum-norm spectrum.
 - ``_gmm_factor`` factors every C_k + sigma2 I once per call, and ``_gmm_chunks``
-  is the one chunked pass over the rows: full and Toeplitz models whiten a row
-  chunk against all K components with one product by the stacked inverse
-  Cholesky factors, circulant models subtract the means' DFTs from the
-  transformed rows and divide by the spectrum. It yields each chunk's centred
-  rows and responsibilities; the E-step keeps the responsibilities and
-  ``gmm_estimate`` applies only its filter.
+  is the one chunked pass over the rows, spent in matrix products: full and
+  Toeplitz models whiten and centre a row chunk against all K components with
+  one product by the stacked inverse Cholesky factors, the negated whitened
+  means appended as one more row. A circulant component is diagonal on the DFT
+  rows, an L = 0 factor-analyzer component, so circulant densities come from
+  the MFA kernel (``gaussians.mixture_logdens``) on an L = 0 stack of the
+  spectra. Only a component whose spectrum has no finite inverse (a fit's
+  one-sample component, floored at EIG_FLOOR_REL * tiny) is evaluated by the
+  exact quadratic form instead. The pass yields each chunk's responsibilities
+  (and the whitened rows of a full or Toeplitz model); the E-step keeps the
+  responsibilities and ``gmm_estimate`` applies only its filter.
 """
 
 from __future__ import annotations
@@ -51,11 +56,13 @@ from .gaussians import (
     COND_LIMIT,
     LOG_PI,
     ConditioningError,
+    MixtureStack,
     _check_observation,
     _check_sigma2,
     check_mixture,
     cholesky,
     component_rows,
+    mixture_logdens,
     responsibilities,
 )
 from .mfa import FitConfig, FitTrace, MfaModel, _as_samples, fit_mixture
@@ -68,6 +75,10 @@ GMM_STRUCTURES = ("full", "toeplitz", "circulant")
 # Relative eigenvalue / spectrum floor, scaled by trace/N of the scatter.
 EIG_FLOOR_REL = 1e-8
 
+# A circulant bin at or below this has no finite inverse (1 / max float itself
+# rounds down, so its inverse overflows too).
+_UNINVERTIBLE = 1.0 / np.finfo(float).max
+
 # A failed Cholesky of C_k + sigma2 I: an estimate needs more noise for a
 # singular covariance; a fit (sigma2 = 0) has shrunk component k onto one sample
 # or identical ones, so that its scatter and its relative floor vanish.
@@ -77,11 +88,14 @@ _FIT_NOT_PD = ("component {k}: covariance is not positive definite: EM collapsed
 
 # Complex entries of one chunk's (B, s, N) OMP basis.
 _OMP_CHUNK_BUDGET = 4_000_000
-# Complex entries of one (B, K*N) temporary of the GMM kernel, and of the rows
-# of a (B, N) chunk the full M-step gathers per component: 2 MB,
-# a quarter of gaussians._STACK_CHUNK_BUDGET. At K=16, N=64 (128 rows) the
-# circulant E-step over 10k rows ran in 77-85 ms against 110-126 ms at 512 rows
-# (2 cores, 2 BLAS threads).
+# Complex entries of one (B, K*N) temporary of the full and Toeplitz E-step
+# (whose row count the circulant pass shares), and of the rows of a (B, N) chunk
+# the full M-step gathers per component: 2 MB, a quarter of
+# gaussians._STACK_CHUNK_BUDGET. At K=16, N=64 and 10k rows (2 cores, 2 BLAS
+# threads), 512-row chunks made the three 3-iteration fits 0.94 s against
+# 1.00 s at 128 rows, but raised the benchmark sweep's peak RSS from 117 to
+# 124 MB, so 128 rows stay: one pass then takes 93-106 ms (full), 85-112 ms
+# (Toeplitz) and 13-19 ms (circulant).
 _GMM_CHUNK_BUDGET = 1 << 17
 
 
@@ -291,9 +305,15 @@ class GmmModel:
             scale = max(float(np.abs(params).max()), 1.0)
             if np.max(np.abs(params - params.conj().transpose(0, 2, 1))) > 1e-10 * scale:
                 raise ValueError("covariances must be Hermitian")
-            min_eigs = np.linalg.eigvalsh(params)[:, 0]
-            for k in np.flatnonzero(min_eigs < -1e-10 * scale):
-                raise ValueError(f"covariance {k} is not PSD (min eig {min_eigs[k]:.3e})")
+            # One batched Cholesky of params + tol I passes every PSD stack; only a
+            # failure pays for the eigenvalues that name the component.
+            tol = 1e-10 * scale
+            try:
+                np.linalg.cholesky(params + tol * np.eye(params.shape[1]))
+            except np.linalg.LinAlgError:
+                min_eigs = np.linalg.eigvalsh(params)[:, 0]
+                for k in np.flatnonzero(min_eigs < -tol):
+                    raise ValueError(f"covariance {k} is not PSD (min eig {min_eigs[k]:.3e})")
         elif np.any(params < 0):
             raise ValueError("spectra must be nonnegative")
         object.__setattr__(self, "weights", weights)
@@ -421,73 +441,107 @@ def _isotropic(structure: str, dim: int, scale: float) -> np.ndarray:
 
 def _check_spectra(model: GmmModel, sigma2: float) -> None:
     """Raise ConditioningError when a circulant C_k + sigma2 I is numerically
-    singular: a bin at or below its component's largest bin / COND_LIMIT."""
+    singular: a bin at or below its component's largest bin / COND_LIMIT, or at
+    or below 1 / max float, whose inverse overflows (``gaussians.factorize``'s
+    bound)."""
     if model.structure != "circulant":
         return
     shifted = model.params + sigma2
-    singular = (shifted <= shifted.max(axis=1, keepdims=True) / COND_LIMIT).any(axis=1)
+    bound = np.maximum(shifted.max(axis=1, keepdims=True) / COND_LIMIT, _UNINVERTIBLE)
+    singular = (shifted <= bound).any(axis=1)
     if singular.any():
         raise ConditioningError(
             f"component {singular.argmax()}: circulant spectrum + sigma2 has a zero bin "
-            f"(at or below its largest / {COND_LIMIT:.0e}); use sigma2 > 0"
+            f"(at or below its largest / {COND_LIMIT:.0e} or 1 / max float); use sigma2 > 0"
         )
 
 
-def _gmm_factor(
-    model: GmmModel, sigma2: float, not_pd: str = _ESTIMATE_NOT_PD
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Factor every C_k + sigma2 I once: (whitener, centres, log-constants).
+def _gmm_factor(model: GmmModel, sigma2: float, not_pd: str = _ESTIMATE_NOT_PD) -> tuple:
+    """Factor every C_k + sigma2 I once, as ``_gmm_chunks`` takes it.
 
-    Circulant: the shifted spectra (K, N) and the means' unitary DFTs (K, N).
-    Full and Toeplitz: with the lower Cholesky factors C_k + sigma2 I = L_k L_k^H,
-    the stacked whitener [L_1^{-T} ... L_K^{-T}] (N, K N) and the whitened means
-    [mu_1 L_1^{-T} ... mu_K L_K^{-T}] (K N,). The log-constants are
-    log w_k - N log pi - log det(C_k + sigma2 I). Raises ConditioningError with
-    ``not_pd.format(k=k)`` when the Cholesky factorization of component k fails.
+    Circulant: (stack, exact). On the DFT rows a circulant component is the
+    diagonal Gaussian N_C(F mu_k, diag(c_k + sigma2)), so ``stack`` is an L = 0
+    ``gaussians.MixtureStack`` with d = 1 / (c_k + sigma2) and
+    d_mean = d conj(F mu_k) as columns, empty latent factors and log-constants
+    log w_k - N log pi - sum log(c_k + sigma2) - sum d |F mu_k|^2. It is built
+    here, not by ``stack_mixture``: a fitted spectrum may sit on the
+    EIG_FLOOR_REL * tiny floor, which ``factorize`` rejects. A component with a
+    bin at or below 1 / max float, whose inverse overflows, gets zero columns
+    and no mean term, and ``exact`` lists it as (k, c_k + sigma2, F mu_k) for
+    the exact quadratic form.
+    Full and Toeplitz: (whitener, logconst). With the lower Cholesky factors
+    C_k + sigma2 I = L_k L_k^H, the whitener is the stacked
+    [L_1^{-T} ... L_K^{-T}] (N, K N) with the negated whitened means
+    -[mu_1 L_1^{-T} ... mu_K L_K^{-T}] appended as row N + 1, and the
+    log-constants are log w_k - N log pi - log det(C_k + sigma2 I). Raises
+    ConditioningError with ``not_pd.format(k=k)`` when the Cholesky
+    factorization of component k fails.
     """
+    logweights = np.log(model.weights) - model.dim * LOG_PI
     if model.structure == "circulant":
         shifted = model.params + sigma2
-        logdets = np.log(shifted).sum(axis=1)
-        whitener, centres = shifted, np.fft.fft(model.means, norm="ortho")
-    else:
-        dim = model.dim
-        shifted = model.dense_covariances() + sigma2 * np.eye(dim)
-        chol = cholesky(shifted, not_pd)
-        logdets = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2).real).sum(axis=1)
-        inverse = np.linalg.inv(chol)
-        whitener = inverse.transpose(2, 0, 1).reshape(dim, -1)
-        centres = (inverse @ model.means[:, :, None]).reshape(-1)
-    return whitener, centres, np.log(model.weights) - model.dim * LOG_PI - logdets
+        centres = np.fft.fft(model.means, norm="ortho")
+        overflow = (shifted <= _UNINVERTIBLE).any(axis=1)
+        d = np.divide(1.0, shifted, out=np.zeros_like(shifted), where=~overflow[:, None])
+        logconst = logweights - np.log(shifted).sum(axis=1) - (d * np.abs(centres) ** 2).sum(axis=1)
+        stack = MixtureStack(
+            np.ascontiguousarray(d.T), (d * centres.conj()).T, np.empty((model.dim, 0)),
+            np.empty((model.n_components, 0)), np.empty((model.n_components, 0, 0)), logconst,
+        )
+        exact = [(k, shifted[k], centres[k]) for k in np.flatnonzero(overflow)]
+        return stack, exact
+    dim = model.dim
+    chol = cholesky(model.dense_covariances() + sigma2 * np.eye(dim), not_pd)
+    logdets = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2).real).sum(axis=1)
+    inverse = np.linalg.inv(chol)
+    centres = (inverse @ model.means[:, :, None]).reshape(1, -1)
+    whitener = np.concatenate([inverse.transpose(2, 0, 1).reshape(dim, -1), -centres])
+    return whitener, logweights - logdets
 
 
-def _gmm_chunks(model: GmmModel, factor, rows: np.ndarray):
+def _gmm_chunks(model: GmmModel, factor: tuple, rows: np.ndarray):
     """Yield ``(part, y, z, resp, lse)`` for each ``_row_chunks`` chunk of
     ``rows = _kernel_rows(model.structure, y)``, with ``factor`` the model's
-    ``_gmm_factor``: the chunk's slice and rows, the centred rows z (B, K, N),
-    and the ``responsibilities`` and per-row log-sum-exp of the weighted
-    log-densities log w_k + log N_C(y; mu_k, C_k + sigma2 I). Every (B, K N)
-    temporary stays within _GMM_CHUNK_BUDGET entries.
+    ``_gmm_factor``: the chunk's slice and rows, the whitened centred rows z
+    (B, K, N) of a full or Toeplitz model (None for circulant), and the
+    ``responsibilities`` and per-row log-sum-exp of the weighted log-densities
+    log w_k + log N_C(y; mu_k, C_k + sigma2 I). Every (B, K N) temporary stays
+    within _GMM_CHUNK_BUDGET entries.
 
-    Full and Toeplitz whiten a chunk against all K components with one product,
-    z = y [L_1^{-T} ... L_K^{-T}] - [mu_1 L_1^{-T} ...]; the quadratic forms are
+    Full and Toeplitz whiten and centre a chunk against all K components with
+    one product, z = [y 1] [L_1^{-T} ... L_K^{-T}; -mu_1 L_1^{-T} ...], through
+    one reused (B, N + 1) buffer whose last column is 1; the quadratic forms are
     the sums of |z_k|^2, one real product over z's interleaved real view.
-    Circulant: z_k = DFT(y) - DFT(mu_k), with |z_k|^2 over the spectrum.
+    Circulant densities come from ``gaussians.mixture_logdens`` at L = 0, the
+    expansion |y|^2 d - 2 Re(y d conj(F mu)) + d |F mu|^2 in two (B, N) x (N, K)
+    products; a component in ``exact`` takes the exact sum of
+    |y - F mu_k|^2 / (c_k + sigma2) instead, which is inf (a zero density) for
+    every row but those equal to its mean.
     """
-    whitener, centres, logconst = factor
     k_total, dim = model.n_components, model.dim
-    for part in _row_chunks(rows.shape[0], k_total * dim):
+    chunks = _row_chunks(rows.shape[0], k_total * dim)
+    if model.structure == "circulant":
+        stack, exact = factor
+        for part in chunks:
+            y = rows[part]
+            no_latent = np.empty((len(y), k_total, 0), dtype=np.complex128)
+            logdens = mixture_logdens(stack, y, np.abs(y) ** 2, no_latent)
+            with np.errstate(over="ignore"):
+                for k, spectrum, centre in exact:
+                    logdens[:, k] -= (np.abs(y - centre) ** 2 / spectrum).sum(axis=1)
+            yield part, y, None, *responsibilities(logdens)
+        return
+    whitener, logconst = factor
+    buffer = np.ones((0, dim + 1), dtype=np.complex128)
+    for part in chunks:
         y = rows[part]
-        if model.structure == "circulant":
-            z = y[:, None, :] - centres
-            # Real division: a subnormal bin of a fitted spectrum then gives inf, not NaN.
-            quad = (np.abs(z) ** 2 / whitener).sum(axis=2)
-        else:
-            z = y @ whitener
-            z -= centres
-            z = z.reshape(len(y), k_total, dim)
-            flat = z.view(np.float64)
-            quad = np.einsum("bkl,bkl->bk", flat, flat)
-        yield part, y, z, *responsibilities(logconst - quad)
+        if len(y) > len(buffer):
+            buffer = np.ones((len(y), dim + 1), dtype=np.complex128)
+        block = buffer[:len(y)]
+        block[:, :dim] = y
+        z = (block @ whitener).reshape(len(y), k_total, dim)
+        flat = z.view(np.float64)
+        yield part, y, z, *responsibilities(logconst - np.einsum("bkl,bkl->bk", flat, flat))
 
 
 def fit_gmm(
@@ -555,29 +609,35 @@ class _GmmFamily:
 def gmm_estimate(model: GmmModel, sigma2: float, y: np.ndarray) -> np.ndarray:
     """Responsibility-weighted per-component LMMSE under the mixture model.
 
-    Circulant covariances invert in the DFT domain; full and Toeplitz ones
-    through the whitener of their dense Cholesky factors (``_gmm_factor``).
+    The filter of component k is y - sigma2 (C_k + sigma2 I)^{-1} (y - mu_k).
+    Circulant: on the DFT rows that is ``estimator.estimate``'s accumulation at
+    L = 0, (resp D) y - resp (D F mu)^T with the stacked D_k = 1 / (c_k + sigma2),
+    two (B, K) x (K, N) products and one inverse DFT per chunk. Full and
+    Toeplitz: the whitened centred rows z_k (``_gmm_chunks``), weighted by the
+    responsibilities, through the stacked [conj(L_1^{-1}); ...] in one product.
     Raises ConditioningError when some C_k + sigma2 I is numerically singular:
-    a circulant bin at or below its component's largest bin / COND_LIMIT, a
-    failed Cholesky, or an estimate that is not finite (a subnormal pivot whose
-    whitened rows overflow, say).
+    a circulant bin at or below its component's largest bin / COND_LIMIT or
+    1 / max float, a failed Cholesky, or an estimate that is not finite (a
+    subnormal pivot whose whitened rows overflow, say).
     """
     sigma2 = _check_sigma2(sigma2)
     batch, single = _check_observation(y, model.dim)
     _check_spectra(model, sigma2)
-    circulant = model.structure == "circulant"
     out = np.empty_like(batch)
     with np.errstate(all="ignore"):
         factor = _gmm_factor(model, sigma2)
-        whitener = factor[0]
-        # The stacked [conj(L_1^{-1}); ...; conj(L_K^{-1})] (K N, N), once per call.
-        back = None if circulant else whitener.T.conj()
         chunks = _gmm_chunks(model, factor, _kernel_rows(model.structure, batch))
-        for part, rows, z, resp, _ in chunks:
-            if circulant:
-                solved = (resp[:, None, :] @ (z / whitener))[:, 0]
-                out[part] = np.fft.ifft(rows - sigma2 * solved, norm="ortho")
-            else:
+        if model.structure == "circulant":
+            # (K, N) rows D_k and D_k F mu_k; no component is exact past _check_spectra.
+            d, d_mean = factor[0].d.T, factor[0].d_mean.T.conj()
+            for part, rows, _, resp, _ in chunks:
+                prec = (resp @ d) * rows
+                prec -= resp @ d_mean
+                out[part] = np.fft.ifft(rows - sigma2 * prec, norm="ortho")
+        else:
+            # The stacked [conj(L_1^{-1}); ...; conj(L_K^{-1})] (K N, N), once per call.
+            back = factor[0][:-1].T.conj()
+            for part, rows, z, resp, _ in chunks:
                 out[part] = rows - sigma2 * ((z * resp[:, :, None]).reshape(len(rows), -1) @ back)
     if not np.all(np.isfinite(out)):
         raise ConditioningError("covariance + sigma2 I is numerically singular: the estimate "

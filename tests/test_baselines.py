@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -686,6 +687,33 @@ class TestFitGmm:
                             r"\(fit fewer components\)", message)
         assert "sigma2" not in message
 
+    def test_collapsed_circulant_component_keeps_its_sample(self):
+        # The one-hot component _m_step leaves on a collapsed fit: every bin at
+        # EIG_FLOOR_REL * tiny, whose inverse overflows, and the mean on sample 2.
+        rng = np.random.default_rng(117)
+        samples = crandn(rng, 6, 4) + 2.0
+        rows = _kernel_rows("circulant", samples)
+        resp = np.column_stack([rng.uniform(0.2, 1.0, 6), np.eye(6)[2]])
+        means, spectra = _m_step("circulant", samples, rows, resp)
+        assert np.all(spectra[1] == EIG_FLOOR_REL * np.finfo(float).tiny)
+        model = GmmModel("circulant", np.array([0.7, 0.3]), means, spectra)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loglik, worst, _, got = _GmmFamily("circulant", samples).e_step(samples, model)
+        # The division form over the (B, K, N) centred DFT rows.
+        centred = rows[:, None, :] - np.fft.fft(means, norm="ortho")
+        with np.errstate(over="ignore"):
+            quad = (np.abs(centred) ** 2 / spectra).sum(axis=2)
+        logdens = np.log(model.weights) - 4 * np.log(np.pi) - np.log(spectra).sum(axis=1) - quad
+        shift = logdens.max(axis=1, keepdims=True)
+        want = np.exp(logdens - shift)
+        lse = np.log(want.sum(axis=1)) + shift[:, 0]
+        want /= want.sum(axis=1, keepdims=True)
+        assert got[2, 1] == 1.0
+        assert np.abs(got - want).max() <= 1e-12
+        assert abs(loglik - lse.mean()) <= 1e-12 * abs(lse.mean())
+        assert worst == np.argmin(lse)
+
     def test_full_em_monotone(self):
         rng = np.random.default_rng(106)
         true = make_mfa(rng, 2, 5, 2, sep=3.0)
@@ -817,8 +845,12 @@ class TestGmmEstimate:
 
         logdens, _ = dense_gmm_oracle(model, 0.0, y)
         shift = logdens.max(axis=1)
-        want_ll = float(np.mean(np.log(np.exp(logdens - shift[:, None]).sum(axis=1)) + shift))
-        assert abs(e_step_log_likelihood(model, y) - want_ll) <= 1e-9 * max(1.0, abs(want_ll))
+        want_resp = np.exp(logdens - shift[:, None])
+        want_ll = float(np.mean(np.log(want_resp.sum(axis=1)) + shift))
+        want_resp /= want_resp.sum(axis=1, keepdims=True)
+        loglik, _, _, resp = _GmmFamily(model.structure, y).e_step(y, model)
+        assert abs(loglik - want_ll) <= 1e-9 * max(1.0, abs(want_ll))
+        assert np.abs(resp - want_resp).max() <= 1e-9 * max(1.0, np.abs(logdens).max())
 
     @pytest.mark.parametrize("structure", ["full", "toeplitz", "circulant"])
     def test_row_chunks_match_one_chunk(self, structure, monkeypatch):
@@ -867,6 +899,8 @@ class TestGmmEstimate:
             ("full", {"params": np.diag([1.0, 0.0, 1.0, 1.0]).astype(complex)[None]}),
             # A positive but subnormal bin: dividing by it overflows to inf.
             ("circulant", {"params": np.array([[1.0, 1e-315, 1.0, 1.0]])}),
+            # Every bin subnormal: none is small against the largest, but no inverse is finite.
+            ("circulant", {"params": np.full((1, 4), 1e-315)}),
         ],
     )
     def test_singular_covariance_at_zero_noise(self, structure, singular):
