@@ -57,6 +57,7 @@ from .gaussians import (
     LOG_PI,
     ConditioningError,
     MixtureStack,
+    _UNINVERTIBLE,
     _check_observation,
     _check_sigma2,
     check_mixture,
@@ -74,10 +75,6 @@ GMM_STRUCTURES = ("full", "toeplitz", "circulant")
 
 # Relative eigenvalue / spectrum floor, scaled by trace/N of the scatter.
 EIG_FLOOR_REL = 1e-8
-
-# A circulant bin at or below this has no finite inverse (1 / max float itself
-# rounds down, so its inverse overflows too).
-_UNINVERTIBLE = 1.0 / np.finfo(float).max
 
 # A failed Cholesky of C_k + sigma2 I: an estimate needs more noise for a
 # singular covariance; a fit (sigma2 = 0) has shrunk component k onto one sample
@@ -550,10 +547,11 @@ def fit_gmm(
     """EM fit of a Gaussian mixture with the requested covariance structure.
 
     k-means clusters start the components through ``_m_step`` with one-hot
-    weights; a cluster of fewer than two samples starts isotropic. The
-    full-covariance M-step is the exact maximizer; the Toeplitz and circulant
-    M-steps project the weighted scatter onto the structure class, so their
-    likelihood traces are recorded but not guaranteed monotone. The start, the
+    weights; a cluster of fewer than two samples starts isotropic. The full and
+    circulant M-steps are exact maximizers: the floored eigenvalues of the
+    weighted scatter, and the floored diagonal of its DFT-domain form. The
+    Toeplitz M-step projects the weighted scatter onto the Toeplitz class, so
+    its likelihood trace is recorded but not guaranteed monotone. The start, the
     loop and the collapse policy are fit_em's, in ``mfa.fit_mixture``; ``start``,
     when given, is ``mfa.kmeans_start(dataset, n_components, config.seed)`` and
     yields the same fit as none. When EM shrinks a component onto one sample or

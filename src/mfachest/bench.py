@@ -82,6 +82,8 @@ class BenchSpec:
 
     def __post_init__(self):
         _check_field_types(self)
+        # The fit settings are checked here, before any data is generated or read.
+        mfa.FitConfig(max_iter=self.max_iter, rel_tol=self.rel_tol)
         if not isinstance(self.snr_grid_db, (list, tuple, np.ndarray)) or any(
             isinstance(s, bool) or not isinstance(s, numbers.Real) for s in self.snr_grid_db
         ):

@@ -30,6 +30,10 @@ LOG_PI = float(np.log(np.pi))
 # otherwise.
 COND_LIMIT = 1e12
 
+# A diagonal entry or spectrum bin at or below this has no finite inverse
+# (1 / max float itself rounds down, so its inverse overflows too).
+_UNINVERTIBLE = 1.0 / np.finfo(float).max
+
 # Complex entries per batch row of the mixture kernel's temporaries, which are
 # (B, K*(L+1)) in the kernel and (B, N) in estimate(). At K=64, N=64, L=8 (about
 # 800 rows) it timed fastest of 2^17..2^21 for estimate() on 10k rows, with a
@@ -130,12 +134,11 @@ def factorize(
     """
     sigma2 = _check_sigma2(sigma2)
     diag = diag_terms + sigma2
-    # 1 / max float itself rounds down, so its inverse overflows too.
-    bad = np.flatnonzero((diag <= 1.0 / np.finfo(float).max).any(axis=1))
+    bad = np.flatnonzero((diag <= _UNINVERTIBLE).any(axis=1))
     if bad.size:
         raise ConditioningError(
             f"diagonal of component {bad[0]} is not invertible: diag_term + sigma2 has an "
-            f"entry at or below 1 / max float ({1.0 / np.finfo(float).max:.2e})"
+            f"entry at or below 1 / max float ({_UNINVERTIBLE:.2e})"
         )
     d = 1.0 / diag
     latent = loadings.shape[2]

@@ -89,11 +89,11 @@ class MfaModel:
     def n_components(self) -> int:
         return self.loadings.shape[0]
 
-    def dense_covariances(self, sigma2: float = 0.0) -> np.ndarray:
-        """Materialize the (K, N, N) covariances, optionally with sigma2 added to the diagonals."""
+    def dense_covariances(self) -> np.ndarray:
+        """Materialize the (K, N, N) covariances W_k W_k^H + diag(diag_term_k)."""
         out = self.loadings @ self.loadings.conj().transpose(0, 2, 1)
         diag = np.arange(self.dim)
-        out[:, diag, diag] += self.diag_terms + sigma2
+        out[:, diag, diag] += self.diag_terms
         return 0.5 * (out + out.conj().transpose(0, 2, 1))
 
 

@@ -1,0 +1,228 @@
+"""Random models, hypothesis strategies and dense references shared by the tests.
+
+Every density is circularly-symmetric complex Gaussian. For component k of a
+mixture, w_k is its weight, mu_k its mean and C_k its covariance: an MFA's
+C_k = W_k W_k^H + diag(psi_k), a GMM's C_k as ``GmmModel.dense_covariances``
+materializes it. The oracles:
+
+- ``crandn``: z = (a + i b) / sqrt(2) with a, b standard normal, so E|z|^2 = 1.
+- ``make_model``: weights w_k ~ U[0.5, 1.5] normalized, then per component
+  mu_k = sep * crandn(N) (zero, and not drawn, when ``zero_mean``) and
+  W_k = crandn(N, L), with psi_k = psi everywhere.
+- ``single``: the one-component MFA with w = 1, loading W, diagonal psi and
+  mean mu (zero by default).
+- ``dense_cov``: W_k W_k^H + diag(psi_k + sigma2), formed from the factors.
+- ``dense_logdens``: with S_k = C_k + sigma2 I = G_k G_k^H (lower Cholesky,
+  C_k from ``dense_covariances()``), l_bk = log w_k - N log pi - log det S_k
+  - |G_k^{-1} (y_b - mu_k)|^2. The Cholesky factorization fails loudly when
+  S_k is not positive definite.
+- ``posterior``: with m_b = max_k l_bk, the responsibilities
+  r_bk = exp(l_bk - m_b) / sum_j exp(l_bj - m_b) and the log-sum-exp
+  log(sum_j exp(l_bj - m_b)) + m_b, in the order of operations that
+  ``gaussians.responsibilities`` uses for its log-sum-exp.
+- ``dense_conditional_mean``: the exact MMSE estimate under the mixture prior
+  with noise variance sigma2, E[h | y] = sum_k r_bk h_bk, with r from
+  ``dense_logdens`` at sigma2 and the per-component LMMSE estimates
+  h_bk = mu_k + C_k S_k^{-1} (y_b - mu_k) = y_b - sigma2 S_k^{-1} (y_b - mu_k),
+  by dense solves.
+- ``em_regression``: the MFA M-step regression of x on z = [latent; 1], as
+  ``mfa._em_iteration`` solves it. S_zz + ridge, with the ridge
+  RIDGE_REL tr(S_zz) / (L + 1) on the latent block of the Hermitian part,
+  gives [W_k mu_k] = S_xz S_zz^{-1} and the residual energies
+  sum_t r |x|^2 - Re diag([W_k mu_k] S_xz^H).
+- ``kernel_responsibilities``: not dense; the responsibilities that
+  ``gaussians.mixture_chunks`` yields, which ``estimate`` weights its filters
+  with.
+"""
+
+import numpy as np
+from hypothesis import strategies as st
+
+from mfachest.baselines import GmmModel
+from mfachest.gaussians import mixture_chunks, stack_mixture
+from mfachest.mfa import PSI_MODES, RIDGE_REL, FitConfig, MfaModel, sample
+
+
+def crandn(rng, *shape):
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+
+
+def make_model(rng, k_total, dim, latent, sep=4.0, psi=0.3, zero_mean=False):
+    weights = rng.uniform(0.5, 1.5, k_total)
+    weights /= weights.sum()
+    means = np.zeros((k_total, dim), complex)
+    loadings = np.empty((k_total, dim, latent), complex)
+    for k in range(k_total):
+        if not zero_mean:
+            means[k] = sep * crandn(rng, dim)
+        loadings[k] = crandn(rng, dim, latent)
+    return MfaModel(weights, means, loadings, np.full((k_total, dim), psi))
+
+
+def single(loading, diag_term, mean=None):
+    """A one-component MFA with weight 1 and, by default, zero mean."""
+    loading = np.asarray(loading, dtype=complex)
+    mean = np.zeros(loading.shape[0], complex) if mean is None else np.asarray(mean)
+    return MfaModel(np.ones(1), mean[None], loading[None], np.asarray(diag_term, float)[None])
+
+
+def dense_cov(model, k, sigma2=0.0):
+    """C_k + sigma2 I of MFA component k, formed from its factors, (N, N)."""
+    w = model.loadings[k]
+    return w @ w.conj().T + np.diag(model.diag_terms[k] + sigma2)
+
+
+def dense_logdens(model, sigma2, y):
+    """log w_k + log N_C(y; mu_k, C_k + sigma2 I) by dense Cholesky, (B, K), for an
+    MfaModel or a GmmModel."""
+    out = np.empty((y.shape[0], model.n_components))
+    shift = sigma2 * np.eye(model.dim)
+    for k, cov in enumerate(model.dense_covariances()):
+        chol = np.linalg.cholesky(cov + shift)
+        half = np.linalg.solve(chol, (y - model.means[k]).T)
+        out[:, k] = (
+            np.log(model.weights[k])
+            - model.dim * np.log(np.pi)
+            - 2.0 * np.log(chol.diagonal().real).sum()
+            - (np.abs(half) ** 2).sum(axis=0)
+        )
+    return out
+
+
+def posterior(logdens):
+    """The responsibilities (B, K) and the per-row log-sum-exp (B,) of (B, K)
+    log-densities, shifted by the row max."""
+    shift = logdens.max(axis=1, keepdims=True)
+    scaled = np.exp(logdens - shift)
+    total = scaled.sum(axis=1)
+    return scaled / total[:, None], np.log(total) + shift[:, 0]
+
+
+def dense_conditional_mean(model, sigma2, y):
+    """The conditional mean of an MfaModel or a GmmModel at noise variance sigma2,
+    with the responsibilities and the per-component LMMSE estimates it weights:
+    (N,), (K,) and (K, N) for y (N,); (B, N), (B, K) and (K, B, N) for y (B, N)."""
+    batch = np.atleast_2d(np.asarray(y, dtype=complex))
+    resp, _ = posterior(dense_logdens(model, sigma2, batch))
+    shift = sigma2 * np.eye(model.dim)
+    parts = np.stack([
+        batch - sigma2 * np.linalg.solve(cov + shift, (batch - mean).T).T
+        for mean, cov in zip(model.means, model.dense_covariances())
+    ])
+    value = np.einsum("kbn,bk->bn", parts, resp)
+    return (value[0], resp[0], parts[:, 0]) if np.ndim(y) == 1 else (value, resp, parts)
+
+
+def em_regression(s_xz, s_zz, masses, r_abs2):
+    """The regression of x on z = [latent; 1] per component, from the weighted
+    statistics S_xz (K, N, L + 1), S_zz (K, L + 1, L + 1) (posterior covariances
+    included), the masses (K,) and the weighted energies sum_t r |x|^2 (K, N).
+
+    S_zz is made Hermitian and its latent block gets the ridge RIDGE_REL * tr/(L + 1);
+    the joint [W_k mu_k] = S_xz S_zz^{-1} (zero for a component of zero mass),
+    and the residual energies are r_abs2 - Re diag(joint S_xz^H). Returns the
+    loadings (K, N, L), the means (K, N) and the residual energies (K, N)."""
+    width = s_zz.shape[1]
+    latent = width - 1
+    s_zz = 0.5 * (s_zz + s_zz.conj().transpose(0, 2, 1))
+    trace_scale = np.maximum(np.trace(s_zz, axis1=1, axis2=2).real / width, np.finfo(float).tiny)
+    s_zz[:, :latent, :latent] += (RIDGE_REL * trace_scale)[:, None, None] * np.eye(latent)
+    empty = masses == 0.0
+    s_zz[empty] = np.eye(width)
+    joint = np.linalg.solve(s_zz, s_xz.conj().transpose(0, 2, 1)).conj().transpose(0, 2, 1)
+    joint[empty] = 0.0
+    per_entry = r_abs2 - np.einsum("knj,knj->kn", joint, s_xz.conj()).real
+    return joint[:, :, :latent], joint[:, :, latent], per_entry
+
+
+def kernel_responsibilities(model, sigma2, y):
+    """The responsibilities ``estimate`` weights its filters with: the ``resp``
+    that ``gaussians.mixture_chunks`` yields, (K,) for y (N,) and (B, K) for y (B, N)."""
+    batch = np.atleast_2d(np.asarray(y, dtype=complex))
+    chunks = mixture_chunks(stack_mixture(model, sigma2), batch)
+    resp = np.concatenate([resp for *_, resp, _ in chunks])
+    return resp[0] if np.ndim(y) == 1 else resp
+
+
+@st.composite
+def models(draw):
+    """A random MFA with K in [1, 4], N in [1, 8], L in [1, N], plus a generator."""
+    k_total = draw(st.integers(1, 4))
+    dim = draw(st.integers(1, 8))
+    latent = draw(st.integers(1, dim))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    weights = rng.uniform(0.2, 1.0, k_total)
+    weights /= weights.sum()
+    means = np.empty((k_total, dim), complex)
+    loadings = np.empty((k_total, dim, latent), complex)
+    diag_terms = np.empty((k_total, dim))
+    for k in range(k_total):
+        means[k] = rng.uniform(0.0, 3.0) * crandn(rng, dim)
+        loadings[k] = crandn(rng, dim, latent)
+        diag_terms[k] = rng.uniform(0.05, 2.0, dim)
+    return MfaModel(weights, means, loadings, diag_terms), rng
+
+
+def observations(model, rng, count=25):
+    """``count`` rows, each a random component mean plus crandn noise at one
+    random scale in [0.1, 3]."""
+    picks = rng.integers(model.n_components, size=count)
+    return model.means[picks] + rng.uniform(0.1, 3.0) * crandn(rng, count, model.dim)
+
+
+@st.composite
+def gmm_models(draw):
+    """A full, Toeplitz or circulant GmmModel with K in [1, 3] and N in [1, 8], a
+    generator, and a noise variance sigma2 in {0} or (0, 10]. Full models may hold
+    one rank-deficient covariance; sigma2 is then at least 0.01."""
+    structure = draw(st.sampled_from(["full", "circulant", "toeplitz"]))
+    k_total = draw(st.integers(1, 3))
+    dim = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    weights = rng.uniform(0.2, 1.0, k_total)
+    means = rng.uniform(0.0, 3.0) * crandn(rng, k_total, dim)
+    singular = structure == "full" and draw(st.booleans())
+    if structure == "full":
+        roots = crandn(rng, k_total, dim, dim)
+        if singular:
+            roots[0, :, draw(st.integers(0, dim - 1)):] = 0.0
+        covs = roots @ roots.conj().transpose(0, 2, 1) / dim
+        covs[int(singular):] += 0.05 * np.eye(dim)
+        model = GmmModel(structure, weights / weights.sum(), means, covs)
+    else:
+        bins = 2 * dim if structure == "toeplitz" else dim
+        spectra = rng.uniform(0.05, 2.0, (k_total, bins))
+        model = GmmModel(structure, weights / weights.sum(), means, spectra)
+    positive = st.floats(0.01 if singular else 0.0, 10.0, exclude_min=True)
+    sigma2 = draw(positive if singular else st.one_of(st.just(0.0), positive))
+    return model, rng, sigma2, singular
+
+
+@st.composite
+def em_problems(draw):
+    """Samples from a random MFA with K in [1, 4], N in [2, 6] and L in [1, N - 1],
+    T in [8K, 48], plus a fit configuration for the same K and L.
+
+    L = N is left out: the diagonal then sits at the psi floor, the latent
+    systems reach condition numbers near |W|^2 / floor, and the updates are no
+    longer exact enough for a monotone trace (a K=4, N=L=2 fit lost up to 7e-6
+    per iteration, confirmed in 40-digit arithmetic)."""
+    k_total, dim = draw(st.integers(1, 4)), draw(st.integers(2, 6))
+    latent = draw(st.integers(1, dim - 1))
+    count = draw(st.integers(8 * k_total, 48))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    true = make_model(rng, k_total, dim, latent, sep=draw(st.floats(0.0, 4.0)), psi=0.2)
+    config = FitConfig(
+        max_iter=8,
+        rel_tol=1e-12,
+        seed=draw(st.integers(0, 2**16)),
+        psi_mode=draw(st.sampled_from(PSI_MODES)),
+    )
+    return sample(true, count, rng).samples, k_total, latent, config
+
+
+def collapsing_data():
+    """120 standard complex normal rows (N=6) and 3 rows at 60x scale: a full
+    GMM fit at K=5 collapses a component onto an outlier."""
+    rng = np.random.default_rng(0)
+    return np.concatenate([crandn(rng, 120, 6), 60.0 * crandn(rng, 3, 6)])

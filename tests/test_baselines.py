@@ -28,27 +28,18 @@ from mfachest.baselines import (
 )
 from mfachest.estimator import estimate
 from mfachest.gaussians import ConditioningError
-from mfachest.mfa import FitConfig, MfaModel, _em_step, sample
+from mfachest.mfa import FitConfig, _em_step, sample
 from mfachest.scenario import ChannelDataset, ScenarioConfig, _steering_batch
-
-
-def crandn(rng, *shape):
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
-
-
-def dense_logdens(samples, mean, cov):
-    """log N_C(samples; mean, cov) by dense solve and slogdet."""
-    xc = (samples - mean).T
-    _, logdet = np.linalg.slogdet(cov)
-    quad = np.einsum("nb,nb->b", xc.conj(), np.linalg.solve(cov, xc)).real
-    return -cov.shape[0] * np.log(np.pi) - logdet - quad
-
-
-def collapsing_data():
-    """120 standard complex normal rows (N=6) and 3 rows at 60x scale: a full
-    GMM fit at K=5 collapses a component onto an outlier."""
-    rng = np.random.default_rng(0)
-    return np.concatenate([crandn(rng, 120, 6), 60.0 * crandn(rng, 3, 6)])
+from oracles import (
+    collapsing_data,
+    crandn,
+    dense_conditional_mean,
+    dense_logdens,
+    em_problems,
+    gmm_models,
+    make_model,
+    posterior,
+)
 
 
 def e_step_log_likelihood(model, samples):
@@ -56,17 +47,6 @@ def e_step_log_likelihood(model, samples):
     fit_gmm's E-step records in its trace."""
     samples = np.asarray(samples, dtype=complex)
     return _GmmFamily(model.structure, samples).e_step(samples, model)[0]
-
-
-def make_mfa(rng, k_total, dim, latent, sep=4.0, psi=0.3):
-    weights = rng.uniform(0.5, 1.5, k_total)
-    weights /= weights.sum()
-    means = np.empty((k_total, dim), complex)
-    loadings = np.empty((k_total, dim, latent), complex)
-    for k in range(k_total):
-        means[k] = sep * crandn(rng, dim)
-        loadings[k] = crandn(rng, dim, latent)
-    return MfaModel(weights, means, loadings, np.full((k_total, dim), psi))
 
 
 class TestLsEstimate:
@@ -499,16 +479,18 @@ class TestSampleValidation:
     @pytest.mark.parametrize(
         "apply, shape",
         [
-            (lambda y: estimate(make_mfa(np.random.default_rng(116), 2, 4, 1), 0.1, y), (2, 4, 4)),
+            (lambda y: estimate(
+                make_model(np.random.default_rng(116), 2, 4, 1), 0.1, y
+            ), (2, 4, 4)),
             (lambda y: gmm_estimate(
                 GmmModel("circulant", np.array([1.0]), np.zeros((1, 4)), np.ones((1, 4))), 0.1, y
             ), (2, 4, 4)),
             (lambda y: gmm_estimate(
                 GmmModel("full", [1.0], np.zeros((1, 4)), np.eye(4)[None]), 0.1, y
             ), (2, 4, 4)),
-            (lambda y: estimate(make_mfa(np.random.default_rng(116), 1, 1, 1), 0.5, y), ()),
+            (lambda y: estimate(make_model(np.random.default_rng(116), 1, 1, 1), 0.5, y), ()),
             (lambda y: gmm_estimate(
-                gmm_from_mfa(make_mfa(np.random.default_rng(116), 1, 1, 1)), 0.5, y
+                gmm_from_mfa(make_model(np.random.default_rng(116), 1, 1, 1)), 0.5, y
             ), ()),
             (ls_estimate, ()),
         ],
@@ -654,9 +636,7 @@ class TestFitGmm:
         assert np.all(fixed.weights > 1e-3)
         assert abs(fixed.weights.sum() - 1.0) < 1e-12
         # the re-seeded mean sits on the sample the start model fits worst
-        covs = start.dense_covariances()
-        dens = np.stack([dense_logdens(data, means[k], covs[k]) for k in range(3)])
-        mix = np.log(np.exp(dens - dens.max(0)).T @ weights) + dens.max(0)
+        _, mix = posterior(dense_logdens(start, 0.0, data))
         assert np.array_equal(fixed.means[2], data[np.argmin(mix)])
         # and restarts isotropic: its covariance is a positive multiple of I
         restart = fixed.dense_covariances()[2]
@@ -669,7 +649,7 @@ class TestFitGmm:
     @pytest.mark.parametrize("structure", ["full", "toeplitz", "circulant"])
     def test_converged_trace_describes_returned_model(self, structure):
         rng = np.random.default_rng(119)
-        data = sample(make_mfa(rng, 2, 5, 2, sep=3.0), 300, np.random.default_rng(120)).samples
+        data = sample(make_model(rng, 2, 5, 2, sep=3.0), 300, np.random.default_rng(120)).samples
         model, trace = fit_gmm(data, 2, structure, FitConfig(max_iter=5, rel_tol=1.0, seed=0))
         assert trace.converged and trace.loglik.shape == (2,)
         assert trace.seconds.shape == (2,) and np.all(trace.seconds > 0)
@@ -705,10 +685,7 @@ class TestFitGmm:
         with np.errstate(over="ignore"):
             quad = (np.abs(centred) ** 2 / spectra).sum(axis=2)
         logdens = np.log(model.weights) - 4 * np.log(np.pi) - np.log(spectra).sum(axis=1) - quad
-        shift = logdens.max(axis=1, keepdims=True)
-        want = np.exp(logdens - shift)
-        lse = np.log(want.sum(axis=1)) + shift[:, 0]
-        want /= want.sum(axis=1, keepdims=True)
+        want, lse = posterior(logdens)
         assert got[2, 1] == 1.0
         assert np.abs(got - want).max() <= 1e-12
         assert abs(loglik - lse.mean()) <= 1e-12 * abs(lse.mean())
@@ -716,51 +693,20 @@ class TestFitGmm:
 
     def test_full_em_monotone(self):
         rng = np.random.default_rng(106)
-        true = make_mfa(rng, 2, 5, 2, sep=3.0)
+        true = make_model(rng, 2, 5, 2, sep=3.0)
         data = sample(true, 800, np.random.default_rng(107))
         _, trace = fit_gmm(data, 2, "full", FitConfig(max_iter=30, rel_tol=1e-12, seed=1))
         diffs = np.diff(trace.loglik)
         assert np.all(diffs >= -1e-8 * np.abs(trace.loglik[:-1]))
 
-
-@st.composite
-def gmm_models(draw):
-    """A full, Toeplitz or circulant GmmModel with K in [1, 3] and N in [1, 8], a
-    generator, and a noise variance sigma2 in {0} or (0, 10]. Full models may hold
-    one rank-deficient covariance; sigma2 is then at least 0.01."""
-    structure = draw(st.sampled_from(["full", "circulant", "toeplitz"]))
-    k_total = draw(st.integers(1, 3))
-    dim = draw(st.integers(1, 8))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    weights = rng.uniform(0.2, 1.0, k_total)
-    means = rng.uniform(0.0, 3.0) * crandn(rng, k_total, dim)
-    singular = structure == "full" and draw(st.booleans())
-    if structure == "full":
-        roots = crandn(rng, k_total, dim, dim)
-        if singular:
-            roots[0, :, draw(st.integers(0, dim - 1)):] = 0.0
-        covs = roots @ roots.conj().transpose(0, 2, 1) / dim
-        covs[int(singular):] += 0.05 * np.eye(dim)
-        model = GmmModel(structure, weights / weights.sum(), means, covs)
-    else:
-        bins = 2 * dim if structure == "toeplitz" else dim
-        spectra = rng.uniform(0.05, 2.0, (k_total, bins))
-        model = GmmModel(structure, weights / weights.sum(), means, spectra)
-    positive = st.floats(0.01 if singular else 0.0, 10.0, exclude_min=True)
-    sigma2 = draw(positive if singular else st.one_of(st.just(0.0), positive))
-    return model, rng, sigma2, singular
-
-
-def dense_gmm_oracle(model, sigma2, y):
-    """Per-component log w_k + log N_C(y; mu_k, C_k + sigma2 I) (B, K) and conditional
-    means mu_k + C_k (C_k + sigma2 I)^{-1} (y - mu_k) (K, B, N), by dense solves."""
-    parts = zip(model.weights, model.means, model.dense_covariances())
-    shift = sigma2 * np.eye(model.dim)
-    logdens, estimates = [], []
-    for weight, mean, cov in parts:
-        logdens.append(np.log(weight) + dense_logdens(y, mean, cov + shift))
-        estimates.append(mean + (cov @ np.linalg.solve(cov + shift, (y - mean).T)).T)
-    return np.stack(logdens, axis=1), np.stack(estimates)
+    @given(em_problems())
+    def test_circulant_em_monotone(self, problem):
+        # The circulant M-step is an exact maximizer, the floored diagonal of the
+        # DFT-domain weighted scatter, so the trace cannot fall.
+        data, k_total, _, config = problem
+        _, trace = fit_gmm(data, k_total, "circulant", config)
+        diffs = np.diff(trace.loglik)
+        assert np.all(diffs >= -1e-8 * np.abs(trace.loglik[:-1]))
 
 
 class TestGmmEstimate:
@@ -793,7 +739,7 @@ class TestGmmEstimate:
 
     def test_full_from_mfa_matches_mfa_estimator(self):
         rng = np.random.default_rng(110)
-        mfa_model = make_mfa(rng, 3, 6, 2)
+        mfa_model = make_model(rng, 3, 6, 2)
         gmm = gmm_from_mfa(mfa_model)
         sigma2 = 0.4
         y = crandn(rng, 200, 6)
@@ -834,20 +780,15 @@ class TestGmmEstimate:
         model, rng, sigma2, singular = drawn
         y = model.means[rng.integers(model.n_components, size=20)]
         y = y + rng.uniform(0.1, 3.0) * crandn(rng, 20, model.dim)
-        logdens, estimates = dense_gmm_oracle(model, sigma2, y)
-        resp = np.exp(logdens - logdens.max(axis=1, keepdims=True))
-        resp /= resp.sum(axis=1, keepdims=True)
-        want = np.einsum("kbn,bk->bn", estimates, resp)
+        want = dense_conditional_mean(model, sigma2, y)[0]
         got = gmm_estimate(model, sigma2, y)
         assert np.abs(got - want).max() <= 1e-9 * max(1.0, np.abs(want).max())
         if singular:
             return  # the likelihood has no noise to regularize a singular C_k
 
-        logdens, _ = dense_gmm_oracle(model, 0.0, y)
-        shift = logdens.max(axis=1)
-        want_resp = np.exp(logdens - shift[:, None])
-        want_ll = float(np.mean(np.log(want_resp.sum(axis=1)) + shift))
-        want_resp /= want_resp.sum(axis=1, keepdims=True)
+        logdens = dense_logdens(model, 0.0, y)
+        want_resp, want_lse = posterior(logdens)
+        want_ll = want_lse.mean()
         loglik, _, _, resp = _GmmFamily(model.structure, y).e_step(y, model)
         assert abs(loglik - want_ll) <= 1e-9 * max(1.0, abs(want_ll))
         assert np.abs(resp - want_resp).max() <= 1e-9 * max(1.0, np.abs(logdens).max())
@@ -856,7 +797,7 @@ class TestGmmEstimate:
     def test_row_chunks_match_one_chunk(self, structure, monkeypatch):
         rng = np.random.default_rng(116)
         dim, k_total = 5, 3
-        data = sample(make_mfa(rng, k_total, dim, 2, sep=2.0), 40, rng).samples
+        data = sample(make_model(rng, k_total, dim, 2, sep=2.0), 40, rng).samples
         start, _ = fit_gmm(data, k_total, structure, FitConfig(max_iter=2, seed=0))
         y = crandn(rng, 23, dim) + data[:23]
         resp = rng.dirichlet(np.ones(k_total), size=40)
@@ -881,7 +822,7 @@ class TestGmmEstimate:
         rng = np.random.default_rng(115)
         dim = 4
         if structure == "full":
-            model = gmm_from_mfa(make_mfa(rng, 2, dim, 1))
+            model = gmm_from_mfa(make_model(rng, 2, dim, 1))
         else:
             bins = 2 * dim if structure == "toeplitz" else dim
             model = GmmModel(

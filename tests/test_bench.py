@@ -56,6 +56,16 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match=field):
             small_spec([EstimatorSpec("ls")], **{field: 0})
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("max_iter", 0, "max_iter must be >= 1"),
+        ("rel_tol", 0.0, "rel_tol must be > 0"),
+        ("rel_tol", float("nan"), "rel_tol must be > 0"),
+    ], ids=["zero-max-iter", "zero-rel-tol", "nan-rel-tol"])
+    def test_fit_settings_checked(self, field, value, message):
+        # Checked even when no estimator fits, before any data is generated.
+        with pytest.raises(ValueError, match=message):
+            small_spec([EstimatorSpec("ls")], **{field: value})
+
     def test_from_dict(self):
         spec = bench_spec_from_dict(
             {

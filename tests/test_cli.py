@@ -5,12 +5,12 @@ import struct
 import numpy as np
 import pytest
 
-from mfachest import baselines, estimator, mfa
+from mfachest import baselines, bench, estimator, mfa
 from mfachest.baselines import GmmModel, fit_gmm, gmm_estimate, load_gmm, save_gmm
 from mfachest.cli import main
 from mfachest.mfa import FitConfig, fit_em, load_model, save_model
 from mfachest.scenario import ChannelDataset, corrupt, read_dataset, write_dataset
-from test_baselines import collapsing_data
+from oracles import collapsing_data
 
 
 def write_scenario_config(tmp_path, **overrides):
@@ -314,6 +314,24 @@ class TestBenchCommands:
         captured = capsys.readouterr()
         assert "nmse" not in captured.out
         assert "eval_count" in captured.err
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("max_iter", 0, "max_iter must be >= 1"),
+        ("rel_tol", float("nan"), "rel_tol must be > 0"),
+    ], ids=["zero-max-iter", "nan-rel-tol"])
+    def test_bench_snr_bad_fit_settings_exit_2(self, tmp_path, monkeypatch, capsys, field,
+                                               value, message):
+        draws = []
+        monkeypatch.setattr(bench, "generate_channels", lambda *args: draws.append(args))
+        spec_path = self.make_spec(tmp_path, [{"kind": "ls"}])
+        spec = json.loads(spec_path.read_text())
+        spec_path.write_text(json.dumps({**spec, field: value}))
+        code = main(["bench-snr", "--spec", str(spec_path)])
+        assert code == 2
+        assert draws == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
 
     def test_bench_snr_infinite_snr(self, tmp_path, capsys):
         # Every estimator takes sigma2 = 0 (SNR +inf) and returns y exactly.

@@ -4,29 +4,16 @@ from scipy.optimize import nnls
 
 from mfachest.estimator import estimate
 from mfachest.mfa import FitConfig, MfaModel, fit_em, log_likelihood, sample
-from test_mixture_kernel import dense_logdens, kernel_responsibilities
-
-
-def crandn(rng, *shape):
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
-
-
-def make_model(rng, k_total, dim, latent, sep=4.0, psi=0.3, zero_mean=False):
-    weights = rng.uniform(0.5, 1.5, k_total)
-    weights /= weights.sum()
-    means = np.zeros((k_total, dim), complex)
-    loadings = np.empty((k_total, dim, latent), complex)
-    for k in range(k_total):
-        if not zero_mean:
-            means[k] = sep * crandn(rng, dim)
-        loadings[k] = crandn(rng, dim, latent)
-    return MfaModel(weights, means, loadings, np.full((k_total, dim), psi))
-
-
-def single(mean, loading, diag_term):
-    """A one-component model with weight 1."""
-    return MfaModel(np.ones(1), np.asarray(mean)[None], np.asarray(loading)[None],
-                    np.asarray(diag_term, float)[None])
+from oracles import (
+    crandn,
+    dense_conditional_mean,
+    dense_cov,
+    dense_logdens,
+    kernel_responsibilities,
+    make_model,
+    posterior,
+    single,
+)
 
 
 def scalar_model(weights, means, loadings, psis):
@@ -54,19 +41,6 @@ def quadrature_cme(weights, means, variances, sigma2, y, order=80):
     return numerator / denominator
 
 
-def dense_cov(model, k, sigma2=0.0):
-    """C_k + sigma2 I of component k, formed densely."""
-    w = model.loadings[k]
-    return w @ w.conj().T + np.diag(model.diag_terms[k] + sigma2)
-
-
-def dense_lmmse(model, k, sigma2, y):
-    """LMMSE estimate of component k, ``mean + C (C + sigma2 I)^{-1} (y - mean)``, by a
-    dense solve, written as y - sigma2 (C + sigma2 I)^{-1} (y - mean)."""
-    shifted = dense_cov(model, k, sigma2)
-    return y - sigma2 * np.linalg.solve(shifted, (y - model.means[k]).T).T
-
-
 class TestComponentLmmse:
     """estimate() on a one-component model is that component's LMMSE filter."""
 
@@ -86,7 +60,7 @@ class TestComponentLmmse:
         assert np.abs(out - mean).max() < 1e-6 * np.abs(mean).max()
 
     def test_scalar_half_gain(self):
-        comp = single(np.zeros(1, complex), np.zeros((1, 1), complex), np.ones(1))
+        comp = single(np.zeros((1, 1), complex), np.ones(1))
         out = estimate(comp, 1.0, np.array([2.0 + 0j]))
         assert out[0] == pytest.approx(1.0 + 0j, abs=1e-14)
 
@@ -151,7 +125,7 @@ class TestEstimate:
         model = make_model(rng, 1, 6, 2)
         y = crandn(rng, 6)
         got = estimate(model, 0.7, y)
-        ref = dense_lmmse(model, 0, 0.7, y)
+        ref = dense_conditional_mean(model, 0.7, y)[0]
         assert np.abs(got - ref).max() < 1e-12
         assert kernel_responsibilities(model, 0.7, y) == pytest.approx([1.0])
 
@@ -191,9 +165,7 @@ class TestEstimate:
         for _ in range(20):
             y = crandn(rng, 5)
             got = estimate(model, sigma2, y)
-            points = np.stack(
-                [dense_lmmse(model, k, sigma2, y) for k in range(4)]
-            )  # (K, N)
+            points = dense_conditional_mean(model, sigma2, y)[2]  # (K, N)
             # membership: nonnegative weights summing to 1 reproducing the estimate
             stacked = np.concatenate(
                 [points.real, points.imag, np.ones((4, 1))], axis=1
@@ -242,15 +214,6 @@ class TestMmseConvergence:
             assert excess_db[20_000, snr_db] < 0.01
 
 
-def dense_estimate(model, sigma2, y):
-    """Responsibility-weighted per-component LMMSE with dense solves, as an oracle."""
-    logdens = dense_logdens(model, sigma2, y)
-    resp = np.exp(logdens - logdens.max(axis=1, keepdims=True))
-    resp /= resp.sum(axis=1, keepdims=True)
-    filtered = np.stack([dense_lmmse(model, k, sigma2, y) for k in range(model.n_components)])
-    return np.einsum("kbn,bk->bn", filtered, resp), resp
-
-
 class TestFilterBank:
     """estimate() applies every component filter through the stacked factorization
     at one noise level; these pin it to dense per-component filters."""
@@ -261,7 +224,7 @@ class TestFilterBank:
         sigma2 = 0.4
         y = crandn(rng, 1000, 6)
         got = estimate(model, sigma2, y)
-        value, resp = dense_estimate(model, sigma2, y)
+        value, resp, _ = dense_conditional_mean(model, sigma2, y)
         assert np.abs(got - value).max() < 1e-12 * np.abs(value).max()
         assert np.abs(kernel_responsibilities(model, sigma2, y) - resp).max() < 1e-12
 
@@ -271,7 +234,7 @@ class TestFilterBank:
         model = make_model(rng, 3, 64, 32, sep=0.3)
         y = model.means[rng.integers(3, size=200)] + 3.0 * crandn(rng, 200, 64)
         got = estimate(model, 0.5, y)
-        value, resp = dense_estimate(model, 0.5, y)
+        value, resp, _ = dense_conditional_mean(model, 0.5, y)
         assert np.abs(got - value).max() < 1e-11 * np.abs(value).max()
         assert np.abs(kernel_responsibilities(model, 0.5, y) - resp).max() < 1e-11
 
@@ -283,16 +246,14 @@ class TestFilterBank:
         model = MfaModel(np.array([0.3, 0.7]), means, np.zeros((2, 6, 0)), diag_terms)
         y = 2.0 * crandn(rng, 50, 6)
         got = estimate(model, 0.4, y)
-        value, resp = dense_estimate(model, 0.4, y)
+        value, resp, _ = dense_conditional_mean(model, 0.4, y)
         assert np.abs(got - value).max() < 1e-12 * np.abs(value).max()
         assert np.abs(kernel_responsibilities(model, 0.4, y) - resp).max() < 1e-12
-        logdens = dense_logdens(model, 0.0, y)
-        shift = logdens.max(axis=1)
-        want = float(np.mean(np.log(np.exp(logdens - shift[:, None]).sum(axis=1)) + shift))
+        want = posterior(dense_logdens(model, 0.0, y))[1].mean()
         assert log_likelihood(model, y) == pytest.approx(want, rel=1e-12)
 
     def test_single_component_identity_cov(self):
-        comp = single(np.zeros(4, complex), np.zeros((4, 1), complex), np.ones(4))
+        comp = single(np.zeros((4, 1), complex), np.ones(4))
         y = crandn(np.random.default_rng(87), 10, 4)
         got = estimate(comp, 1.0, y)
         assert np.abs(got - 0.5 * y).max() < 1e-14
@@ -311,12 +272,12 @@ class TestFilterBank:
         rng = np.random.default_rng(84)
         model = make_model(rng, 1, 5, 2)
         mean = model.means[0]
-        gain = np.eye(5) - 0.8 * np.linalg.inv(model.dense_covariances(0.8)[0])
+        gain = np.eye(5) - 0.8 * np.linalg.inv(model.dense_covariances()[0] + 0.8 * np.eye(5))
         bias = mean - gain @ mean
         y = crandn(rng, 5)
         got = estimate(model, 0.8, y)
         assert np.abs(got - (gain @ y + bias)).max() < 1e-12
-        assert np.abs(got - dense_lmmse(model, 0, 0.8, y)).max() < 1e-12
+        assert np.abs(got - dense_conditional_mean(model, 0.8, y)[0]).max() < 1e-12
 
     def test_zero_input_zero_mean(self):
         rng = np.random.default_rng(85)

@@ -16,29 +16,13 @@ from mfachest.gaussians import (
     stack_mixture,
 )
 from mfachest.mfa import MfaModel
-from test_mixture_kernel import dense_logdens
-
-
-def crandn(rng, *shape):
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
-
-
-def single(loading, diag_term, mean=None):
-    """A one-component mixture with weight 1 and, by default, zero mean."""
-    loading = np.asarray(loading, dtype=complex)
-    mean = np.zeros(loading.shape[0], complex) if mean is None else np.asarray(mean)
-    return MfaModel(np.ones(1), mean[None], loading[None], np.asarray(diag_term, float)[None])
+from oracles import crandn, dense_cov, dense_logdens, posterior, single
 
 
 def random_cov(rng, dim, latent, psi_lo=0.3, psi_hi=2.0):
     """A random zero-mean one-component mixture."""
     loading = crandn(rng, dim, latent)
     return single(loading, rng.uniform(psi_lo, psi_hi, dim))
-
-
-def dense(comp, sigma2=0.0):
-    """The (N, N) covariance of a one-component mixture, plus sigma2 I."""
-    return comp.dense_covariances(sigma2)[0]
 
 
 def stack_inverse(comp, sigma2):
@@ -81,7 +65,7 @@ class TestWoodburyInverse:
         rng = np.random.default_rng(11)
         cov = random_cov(rng, 8, 3)
         inv = stack_inverse(cov, 0.4)
-        oracle = np.linalg.inv(dense(cov, 0.4))
+        oracle = np.linalg.inv(dense_cov(cov, 0, 0.4))
         assert np.abs(inv - oracle).max() < 1e-10
 
     def test_hermitian_and_identity_product(self):
@@ -91,7 +75,7 @@ class TestWoodburyInverse:
             sigma2 = rng.uniform(0.01, 2.0)
             inv = stack_inverse(cov, sigma2)
             assert np.abs(inv - inv.conj().T).max() <= 1e-12 * np.abs(inv).max()
-            resid = inv @ dense(cov, sigma2) - np.eye(dim)
+            resid = inv @ dense_cov(cov, 0, sigma2) - np.eye(dim)
             assert np.linalg.norm(resid, 2) < 1e-9
 
     def test_conditioning_error(self):
@@ -165,7 +149,7 @@ class TestLowrankLogdet:
         for _ in range(10):
             cov = random_cov(rng, 8, 3)
             sigma2 = rng.uniform(0.0, 1.0)
-            oracle = np.linalg.slogdet(dense(cov, sigma2))[1]
+            oracle = np.linalg.slogdet(dense_cov(cov, 0, sigma2))[1]
             assert stack_logdet(cov, sigma2) == pytest.approx(oracle, abs=1e-10)
 
 
@@ -222,7 +206,7 @@ class TestSampleComponent:
         draws = sample_component(comp, 0, np.random.default_rng(17), size=n)
         centered = draws - draws.mean(axis=0)
         emp = centered.T @ centered.conj() / n
-        target = dense(cov)
+        target = dense_cov(cov, 0)
         # entrywise standard error of a complex covariance estimate
         scale = np.sqrt(np.outer(target.diagonal().real, target.diagonal().real) / n)
         assert np.all(np.abs(emp - target) < 3.5 * scale + 1e-12)
@@ -274,13 +258,12 @@ class TestResponsibilities:
         resp, lse = responsibilities(logdens)
         assert np.abs(resp.sum(axis=1) - 1.0).max() <= 1e-12
         assert np.all(resp.max(axis=1) >= (1.0 - 1e-12) / logdens.shape[1])
-        shift = logdens.max(axis=1, keepdims=True)
-        assert np.array_equal(lse, np.log(np.exp(logdens - shift).sum(axis=1)) + shift[:, 0])
+        unfloored, want_lse = posterior(logdens)
+        assert np.array_equal(lse, want_lse)
         relative = np.exp(logdens - logdens.max(axis=1, keepdims=True))
         kept = resp > 0.0
         assert np.array_equal(kept, relative >= RESP_REL)
         assert np.all(resp[kept] >= RESP_REL / logdens.shape[1])
-        unfloored = relative / relative.sum(axis=1, keepdims=True)
         assert np.allclose(resp[kept], unfloored[kept], rtol=1e-12, atol=0.0)
 
 

@@ -20,43 +20,17 @@ from mfachest.mfa import (
     save_model,
 )
 from mfachest.scenario import ChannelDataset
-from test_mixture_kernel import kernel_responsibilities
-
-
-def crandn(rng, *shape):
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
-
-
-def make_model(rng, k_total, dim, latent, sep=6.0, psi=0.2):
-    weights = rng.uniform(0.5, 1.5, k_total)
-    weights /= weights.sum()
-    means = np.empty((k_total, dim), complex)
-    loadings = np.empty((k_total, dim, latent), complex)
-    for k in range(k_total):
-        means[k] = sep * crandn(rng, dim)
-        loadings[k] = crandn(rng, dim, latent)
-    return MfaModel(weights, means, loadings, np.full((k_total, dim), psi))
-
-
-def single(mean, loading, diag_term):
-    """A one-component model with weight 1."""
-    return MfaModel(np.ones(1), np.asarray(mean)[None], np.asarray(loading)[None],
-                    np.asarray(diag_term, float)[None])
-
-
-def dense_cov(model, k):
-    w = model.loadings[k]
-    return w @ w.conj().T + np.diag(model.diag_terms[k])
-
-
-def dense_logdens(samples, mean, cov):
-    chol = np.linalg.cholesky(cov)
-    half = np.linalg.solve(chol, (samples - mean).T)
-    return (
-        -cov.shape[0] * np.log(np.pi)
-        - 2 * np.log(chol.diagonal().real).sum()
-        - (np.abs(half) ** 2).sum(axis=0)
-    )
+from oracles import (
+    crandn,
+    dense_cov,
+    dense_logdens,
+    em_problems,
+    em_regression,
+    kernel_responsibilities,
+    make_model,
+    posterior,
+    single,
+)
 
 
 def em_update(model, data, mode="scaled-identity", seed=0):
@@ -65,32 +39,20 @@ def em_update(model, data, mode="scaled-identity", seed=0):
     return mfa._em_step(data, family, np.random.default_rng(seed), model)
 
 
-def dense_mixture_ll(model, samples):
-    dens = np.stack(
-        [
-            np.log(model.weights[k]) + dense_logdens(samples, model.means[k], dense_cov(model, k))
-            for k in range(model.n_components)
-        ],
-        axis=1,
-    )
-    shift = dens.max(axis=1, keepdims=True)
-    return float(np.mean(np.log(np.exp(dens - shift).sum(axis=1)) + shift[:, 0]))
-
-
 class TestMfaModel:
     def test_rejects_nonpositive_diag(self):
         with pytest.raises(ValueError, match="diag_term"):
-            single(np.zeros(3, complex), np.zeros((3, 1), complex), np.array([1.0, 0.0, 1.0]))
+            single(np.zeros((3, 1), complex), np.array([1.0, 0.0, 1.0]))
 
     def test_rejects_wide_loading(self):
         with pytest.raises(ValueError, match="must not exceed N"):
-            single(np.zeros(2, complex), np.zeros((2, 3), complex), np.ones(2))
+            single(np.zeros((2, 3), complex), np.ones(2))
 
     def test_rejects_nonfinite(self):
         loading = np.zeros((2, 1), complex)
         loading[0, 0] = np.nan
         with pytest.raises(ValueError, match="finite"):
-            single(np.zeros(2, complex), loading, np.ones(2))
+            single(loading, np.ones(2))
 
     @pytest.mark.parametrize(
         "field, value, message",
@@ -119,11 +81,11 @@ class TestMfaModel:
 
     def test_dense_covariances(self):
         rng = np.random.default_rng(20)
-        model = make_model(rng, 3, 5, 2)
+        model = make_model(rng, 3, 5, 2, sep=6.0, psi=0.2)
         model = MfaModel(model.weights, model.means, model.loadings, rng.uniform(0.1, 1.0, (3, 5)))
-        dense = model.dense_covariances(0.3)
+        dense = model.dense_covariances()
         for k in range(3):
-            want = dense_cov(model, k) + 0.3 * np.eye(5)
+            want = dense_cov(model, k)
             assert np.abs(dense[k] - want).max() <= 1e-14 * np.abs(want).max()
             assert np.array_equal(dense[k], dense[k].conj().T)
 
@@ -151,19 +113,19 @@ class TestFitSingleGaussian:
         vals, vecs = vals[::-1], vecs[:, ::-1]
         resid = vals[latent:].mean()
         oracle_loading = vecs[:, :latent] * np.sqrt(np.maximum(vals[:latent] - resid, 0.0))
-        oracle = single(sample_mean, oracle_loading, np.full(dim, resid))
+        oracle = single(oracle_loading, np.full(dim, resid), sample_mean)
         ll_fit = log_likelihood(model, data)
-        ll_oracle = dense_mixture_ll(oracle, data)
+        ll_oracle = posterior(dense_logdens(oracle, 0.0, data))[1].mean()
         assert abs(ll_fit - ll_oracle) < 1e-3
 
     def test_planted_mixture_likelihood(self):
         rng = np.random.default_rng(23)
-        true = make_model(rng, 3, 8, 2, sep=4.0)
+        true = make_model(rng, 3, 8, 2, sep=4.0, psi=0.2)
         train = sample(true, 50_000, np.random.default_rng(24))
         held = sample(true, 20_000, np.random.default_rng(25)).samples
         model, _ = fit_em(train, 3, 2, FitConfig(max_iter=80, rel_tol=1e-7, seed=1))
         ll_fit = log_likelihood(model, held)
-        ll_true = dense_mixture_ll(true, held)
+        ll_true = posterior(dense_logdens(true, 0.0, held))[1].mean()
         assert abs(ll_fit - ll_true) < 0.05
 
     def test_single_iteration_contract(self):
@@ -177,14 +139,16 @@ class TestFitSingleGaussian:
 
     def test_converged_trace_describes_returned_model(self):
         rng = np.random.default_rng(28)
-        data = sample(make_model(rng, 2, 5, 2), 300, np.random.default_rng(29)).samples
+        true = make_model(rng, 2, 5, 2, sep=6.0, psi=0.2)
+        data = sample(true, 300, np.random.default_rng(29)).samples
         model, trace = fit_em(data, 2, 2, FitConfig(max_iter=5, rel_tol=1.0, seed=0))
         assert trace.converged and trace.loglik.shape == (2,)
         assert log_likelihood(model, data) == pytest.approx(trace.loglik[-1], abs=1e-10)
 
     def test_trace_times_every_iteration(self):
         rng = np.random.default_rng(30)
-        data = sample(make_model(rng, 2, 5, 2), 300, np.random.default_rng(31)).samples
+        true = make_model(rng, 2, 5, 2, sep=6.0, psi=0.2)
+        data = sample(true, 300, np.random.default_rng(31)).samples
         for config in (FitConfig(max_iter=3, seed=0), FitConfig(max_iter=5, rel_tol=1.0, seed=0)):
             _, trace = fit_em(data, 2, 2, config)
             assert trace.seconds.shape == trace.loglik.shape
@@ -210,7 +174,7 @@ class TestFitSingleGaussian:
         with pytest.raises(ValueError, match="non-finite"):
             fit_em(ChannelDataset(data), 2, 1)
         with pytest.raises(ValueError, match="non-finite"):
-            log_likelihood(make_model(rng, 2, 4, 1), data)
+            log_likelihood(make_model(rng, 2, 4, 1, sep=6.0, psi=0.2), data)
 
     @pytest.mark.parametrize("tol", [0.0, -1e-6, float("nan")])
     def test_nonpositive_or_nan_tolerance_rejected(self, tol):
@@ -230,7 +194,7 @@ class TestEStep:
 
     def test_single_component_unit_responsibility(self):
         rng = np.random.default_rng(31)
-        model = make_model(rng, 1, 6, 2)
+        model = make_model(rng, 1, 6, 2, sep=6.0, psi=0.2)
         data = crandn(rng, 40, 6)
         resp = kernel_responsibilities(model, 0.0, data)
         assert np.array_equal(resp, np.ones((40, 1)))
@@ -242,17 +206,11 @@ class TestEStep:
         resp = kernel_responsibilities(model, 0.0, data)
         assert np.all(resp.diagonal() > 0.99)
         # direct density-ratio oracle agrees on the winning component
-        for t in range(3):
-            dens = [
-                np.log(model.weights[k])
-                + dense_logdens(data[t : t + 1], model.means[k], dense_cov(model, k))[0]
-                for k in range(model.n_components)
-            ]
-            assert int(np.argmax(dens)) == t
+        assert np.array_equal(dense_logdens(model, 0.0, data).argmax(axis=1), np.arange(3))
 
     def test_zero_loading_latent_posterior(self):
         dim = 5
-        comp = single(np.zeros(dim, complex), np.zeros((dim, 2), complex), np.ones(dim))
+        comp = single(np.zeros((dim, 2), complex), np.ones(dim))
         stack = stack_mixture(comp, 0.0)
         rng = np.random.default_rng(33)
         data = crandn(rng, 10, dim)
@@ -264,7 +222,7 @@ class TestEStep:
 
     def test_rows_on_simplex(self):
         rng = np.random.default_rng(34)
-        model = make_model(rng, 4, 6, 2, sep=1.0)
+        model = make_model(rng, 4, 6, 2, sep=1.0, psi=0.2)
         data = crandn(rng, 200, 6)
         resp = kernel_responsibilities(model, 0.0, data)
         assert np.all(resp >= 0)
@@ -310,7 +268,7 @@ class TestMStep:
         rng = np.random.default_rng(35)
         dim = 4
         data = crandn(rng, 100, dim) + np.array([1.0, -2.0, 0.5, 3.0])
-        comp = single(np.zeros(dim, complex), np.zeros((dim, 2), complex), np.ones(dim))
+        comp = single(np.zeros((dim, 2), complex), np.ones(dim))
         _, fitted = em_update(comp, data)
         assert np.abs(fitted.means[0] - data.mean(axis=0)).max() < 1e-10
 
@@ -327,9 +285,9 @@ class TestMStep:
 
     def test_full_em_step_never_decreases_likelihood(self):
         rng = np.random.default_rng(37)
-        model = make_model(rng, 3, 6, 2, sep=2.0)
+        model = make_model(rng, 3, 6, 2, sep=2.0, psi=0.2)
         data = sample(model, 500, np.random.default_rng(38)).samples
-        start = make_model(np.random.default_rng(39), 3, 6, 2, sep=2.0)
+        start = make_model(np.random.default_rng(39), 3, 6, 2, sep=2.0, psi=0.2)
         before = log_likelihood(start, data)
         for mode in ("scaled-identity", "shared-diagonal", "diagonal"):
             avg, fitted = em_update(start, data, mode)
@@ -341,27 +299,27 @@ class TestMStep:
 class TestLogLikelihood:
     def test_at_mean_identity(self):
         dim = 7
-        model = single(np.ones(dim, complex), np.zeros((dim, 1), complex), np.ones(dim))
+        model = single(np.zeros((dim, 1), complex), np.ones(dim), np.ones(dim, complex))
         data = np.ones((5, dim), complex)
         assert log_likelihood(model, data) == pytest.approx(-dim * np.log(np.pi), abs=1e-12)
 
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(41)
-        model = make_model(rng, 3, 6, 2, sep=2.0)
+        model = make_model(rng, 3, 6, 2, sep=2.0, psi=0.2)
         data = crandn(rng, 100, 6)
         assert log_likelihood(model, data) == pytest.approx(
-            dense_mixture_ll(model, data), abs=1e-9
+            posterior(dense_logdens(model, 0.0, data))[1].mean(), abs=1e-9
         )
 
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(40)
-        model = make_model(rng, 2, 3, 1)
+        model = make_model(rng, 2, 3, 1, sep=6.0, psi=0.2)
         with pytest.raises(ValueError, match="observation dimension 4 != model dimension 3"):
             log_likelihood(model, crandn(rng, 5, 4))
 
     def test_duplicate_component_invariance(self):
         rng = np.random.default_rng(42)
-        model = make_model(rng, 2, 5, 2)
+        model = make_model(rng, 2, 5, 2, sep=6.0, psi=0.2)
         data = crandn(rng, 50, 5)
         parts = [0, 0, 1]
         weights = model.weights[parts] / np.array([2.0, 2.0, 1.0])
@@ -376,7 +334,7 @@ class TestLogLikelihood:
 class TestSampling:
     def test_component_frequencies(self):
         rng = np.random.default_rng(43)
-        model = make_model(rng, 3, 4, 1, sep=50.0)
+        model = make_model(rng, 3, 4, 1, sep=50.0, psi=0.2)
         n = 100_000
         draws = sample(model, n, np.random.default_rng(44)).samples
         # classify by nearest mean (components are far apart)
@@ -388,14 +346,14 @@ class TestSampling:
 
     def test_seed_determinism(self):
         rng = np.random.default_rng(45)
-        model = make_model(rng, 2, 4, 2)
+        model = make_model(rng, 2, 4, 2, sep=6.0, psi=0.2)
         a = sample(model, 64, np.random.default_rng(7)).samples
         b = sample(model, 64, np.random.default_rng(7)).samples
         assert np.array_equal(a, b)
 
     def test_single_component_matches_component_sampler(self):
         rng = np.random.default_rng(46)
-        model = make_model(rng, 1, 4, 2)
+        model = make_model(rng, 1, 4, 2, sep=6.0, psi=0.2)
         draws = sample(model, 50_000, np.random.default_rng(47)).samples
         ref = sample_component(model, 0, np.random.default_rng(48), size=50_000)
         assert np.abs(draws.mean(0) - ref.mean(0)).max() < 0.05
@@ -567,29 +525,6 @@ class TestKmeansStart:
             mfa.kmeans_start(data, 0, 0)
 
 
-@st.composite
-def em_problems(draw):
-    """Samples from a random MFA with K in [1, 4], N in [2, 6] and L in [1, N - 1],
-    T in [8K, 48], plus a fit configuration for the same K and L.
-
-    L = N is left out: the diagonal then sits at the psi floor, the latent
-    systems reach condition numbers near |W|^2 / floor, and the updates are no
-    longer exact enough for a monotone trace (a K=4, N=L=2 fit lost up to 7e-6
-    per iteration, confirmed in 40-digit arithmetic)."""
-    k_total, dim = draw(st.integers(1, 4)), draw(st.integers(2, 6))
-    latent = draw(st.integers(1, dim - 1))
-    count = draw(st.integers(8 * k_total, 48))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    true = make_model(rng, k_total, dim, latent, sep=draw(st.floats(0.0, 4.0)))
-    config = FitConfig(
-        max_iter=8,
-        rel_tol=1e-12,
-        seed=draw(st.integers(0, 2**16)),
-        psi_mode=draw(st.sampled_from(mfa.PSI_MODES)),
-    )
-    return sample(true, count, rng).samples, k_total, latent, config
-
-
 class TestEmProperties:
     @given(em_problems())
     def test_monotone_trace_property(self, problem):
@@ -604,7 +539,7 @@ class TestEmProperties:
         # The k-means start under shared-diagonal gives every component the
         # residual the per-component start gives each, pooled by cluster size.
         rng = np.random.default_rng(59)
-        data = sample(make_model(rng, 3, 5, 2, sep=2.0), 60, rng).samples
+        data = sample(make_model(rng, 3, 5, 2, sep=2.0, psi=0.2), 60, rng).samples
         begin = mfa.kmeans_start(data, k_total, 60)
         start = lambda mode: mfa._em_start(
             data, k_total, mfa._MfaFamily(2, mode, data), begin.labels, begin.generator()
@@ -649,7 +584,7 @@ class TestEmProperties:
     def test_monotone_traces(self, mode):
         for seed in range(7):
             rng = np.random.default_rng(100 + seed)
-            true = make_model(rng, 2, 5, 2, sep=2.0)
+            true = make_model(rng, 2, 5, 2, sep=2.0, psi=0.2)
             data = sample(true, 400, np.random.default_rng(200 + seed))
             _, trace = fit_em(
                 data, 2, 2, FitConfig(max_iter=40, rel_tol=1e-12, seed=seed, psi_mode=mode)
@@ -675,16 +610,17 @@ class TestEmProperties:
         # Average log-density of fresh samples matches an independent
         # Monte-Carlo estimate of the negative differential entropy.
         rng = np.random.default_rng(53)
-        model = make_model(rng, 2, 8, 2, sep=3.0)
+        model = make_model(rng, 2, 8, 2, sep=3.0, psi=0.2)
         ll_a = log_likelihood(model, sample(model, 100_000, np.random.default_rng(54)))
-        ll_b = dense_mixture_ll(model, sample(model, 100_000, np.random.default_rng(55)).samples)
+        draws = sample(model, 100_000, np.random.default_rng(55)).samples
+        ll_b = posterior(dense_logdens(model, 0.0, draws))[1].mean()
         assert abs(ll_a - ll_b) < 0.05
 
     def test_reseed_collapsed(self):
         # The third start component sits far from the data with a vanishing
         # weight, so its responsibility mass collapses in the first iteration.
         rng = np.random.default_rng(56)
-        base = make_model(rng, 3, 5, 2, sep=2.0)
+        base = make_model(rng, 3, 5, 2, sep=2.0, psi=0.2)
         weights = np.array([0.5, 0.5 - 1e-12, 1e-12])
         means = base.means.copy()
         means[2] = 50.0
@@ -695,10 +631,7 @@ class TestEmProperties:
         assert np.all(fixed.weights > 1e-3)
         assert abs(fixed.weights.sum() - 1.0) < 1e-12
         # the re-seeded mean sits on the sample the start model fits worst
-        dens = np.stack(
-            [dense_logdens(data, broken.means[k], dense_cov(broken, k)) for k in range(3)]
-        )
-        mix = np.log(np.exp(dens - dens.max(0)).T @ broken.weights) + dens.max(0)
+        _, mix = posterior(dense_logdens(broken, 0.0, data))
         worst = data[np.argmin(mix)]
         assert np.abs(fixed.means[2] - worst).max() < 1e-12
         # the other components keep their (updated) places
@@ -738,13 +671,6 @@ def sparse_responsibilities(draw, count, k_total, chunk):
     return resp
 
 
-def row_log_sum_exp(logdens):
-    """log(sum(exp(logdens - shift))) + shift per row, shifted by the row max as
-    ``gaussians.responsibilities`` is, so the two are bit-equal."""
-    shift = logdens.max(axis=1, keepdims=True)
-    return np.log(np.exp(logdens - shift).sum(axis=1)) + shift[:, 0]
-
-
 def dense_em_iteration(samples, abs2, model, resp_all):
     """_em_iteration with the given weights, accumulated densely over every
     (row, component) pair with a few large products, as before the sparse
@@ -766,7 +692,7 @@ def dense_em_iteration(samples, abs2, model, resp_all):
         latent_out = np.empty((size, k_total, latent), dtype=complex)
         logdens = mixture_logdens(stack, block, abs2[start:start + size], latent_out)
         aug[:, :, :latent] = latent_out
-        resp, lse = resp_all[start:start + size], row_log_sum_exp(logdens)
+        resp, lse = resp_all[start:start + size], posterior(logdens)[1]
         ll_sum += float(lse.sum())
         if lse.min() < worst_val:
             worst_val, worst_idx = float(lse.min()), start + int(np.argmin(lse))
@@ -782,15 +708,7 @@ def dense_em_iteration(samples, abs2, model, resp_all):
     s_xz = s_xq_flat.reshape(dim, k_total, width).transpose(1, 0, 2) @ roots_h
     s_qq[:, :latent, :latent] += masses[:, None, None] * np.eye(latent)
     s_zz = roots @ s_qq @ roots_h
-    s_zz = 0.5 * (s_zz + s_zz.conj().transpose(0, 2, 1))
-    trace_scale = np.maximum(np.trace(s_zz, axis1=1, axis2=2).real / width, np.finfo(float).tiny)
-    s_zz[:, :latent, :latent] += (mfa.RIDGE_REL * trace_scale)[:, None, None] * np.eye(latent)
-    empty = masses == 0.0
-    s_zz[empty] = np.eye(width)
-    joint = np.linalg.solve(s_zz, s_xz.conj().transpose(0, 2, 1)).conj().transpose(0, 2, 1)
-    joint[empty] = 0.0
-    per_entry = r_abs2.T - np.einsum("knj,knj->kn", joint, s_xz.conj()).real
-    return ll_sum / count, worst_idx, masses, joint[:, :, :latent], joint[:, :, latent], per_entry
+    return (ll_sum / count, worst_idx, masses, *em_regression(s_xz, s_zz, masses, r_abs2.T))
 
 
 class TestSparseAccumulator:
@@ -802,7 +720,7 @@ class TestSparseAccumulator:
     def test_em_iteration_matches_dense(self, data, k_total, dim, count):
         latent = data.draw(st.integers(1, dim))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        model = make_model(rng, k_total, dim, latent, sep=2.0)
+        model = make_model(rng, k_total, dim, latent, sep=2.0, psi=0.2)
         samples = sample(model, count, rng).samples
         abs2 = np.abs(samples) ** 2
         # The smallest budget gives 64-row chunks, so the sweep spans up to three.
@@ -811,7 +729,7 @@ class TestSparseAccumulator:
 
         def injected(logdens):
             start = next(feed)
-            return resp[start:start + len(logdens)].copy(), row_log_sum_exp(logdens)
+            return resp[start:start + len(logdens)].copy(), posterior(logdens)[1]
 
         with patch.object(gaussians, "_STACK_CHUNK_BUDGET", 1), \
                 patch.object(gaussians, "responsibilities", injected):
@@ -854,7 +772,7 @@ class TestSparseAccumulator:
 class TestSerialization:
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(61)
-        model = make_model(rng, 3, 6, 2)
+        model = make_model(rng, 3, 6, 2, sep=6.0, psi=0.2)
         path = tmp_path / "model.mfa"
         save_model(model, path)
         loaded = load_model(path)
@@ -868,7 +786,7 @@ class TestSerialization:
         from mfachest._binio import FileFormatError
 
         rng = np.random.default_rng(62)
-        model = make_model(rng, 2, 4, 1)
+        model = make_model(rng, 2, 4, 1, sep=6.0, psi=0.2)
         path = tmp_path / "model.mfa"
         save_model(model, path)
         data = path.read_bytes()

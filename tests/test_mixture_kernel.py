@@ -9,71 +9,22 @@ from hypothesis import given, strategies as st
 from mfachest import gaussians
 from mfachest.baselines import gmm_estimate, gmm_from_mfa
 from mfachest.estimator import estimate
-from mfachest.gaussians import mixture_chunks, mixture_logdens, stack_mixture
-from mfachest.mfa import (
-    RIDGE_REL,
-    WEIGHT_FLOOR,
-    MfaModel,
-    _em_iteration,
-    log_likelihood,
+from mfachest.gaussians import mixture_logdens, stack_mixture
+from mfachest.mfa import WEIGHT_FLOOR, MfaModel, _em_iteration, log_likelihood
+from oracles import (
+    crandn,
+    dense_conditional_mean,
+    dense_logdens,
+    em_regression,
+    kernel_responsibilities,
+    models,
+    observations,
+    posterior,
 )
-
-
-def crandn(rng, *shape):
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
-
-
-@st.composite
-def models(draw):
-    """A random MFA with K in [1, 4], N in [1, 8], L in [1, N], plus a generator."""
-    k_total = draw(st.integers(1, 4))
-    dim = draw(st.integers(1, 8))
-    latent = draw(st.integers(1, dim))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    weights = rng.uniform(0.2, 1.0, k_total)
-    weights /= weights.sum()
-    means = np.empty((k_total, dim), complex)
-    loadings = np.empty((k_total, dim, latent), complex)
-    diag_terms = np.empty((k_total, dim))
-    for k in range(k_total):
-        means[k] = rng.uniform(0.0, 3.0) * crandn(rng, dim)
-        loadings[k] = crandn(rng, dim, latent)
-        diag_terms[k] = rng.uniform(0.05, 2.0, dim)
-    return MfaModel(weights, means, loadings, diag_terms), rng
-
 
 noise_levels = st.one_of(
     st.just(0.0), st.floats(min_value=0.0, max_value=10.0, exclude_min=True)
 )
-
-
-def observations(model, rng, count=25):
-    picks = rng.integers(model.n_components, size=count)
-    return model.means[picks] + rng.uniform(0.1, 3.0) * crandn(rng, count, model.dim)
-
-
-def kernel_responsibilities(model, sigma2, y):
-    """The responsibilities ``estimate`` weights its filters with: the ``resp``
-    that ``gaussians.mixture_chunks`` yields, (K,) for y (N,) and (B, K) for y (B, N)."""
-    batch = np.atleast_2d(np.asarray(y, dtype=complex))
-    chunks = mixture_chunks(stack_mixture(model, sigma2), batch)
-    resp = np.concatenate([resp for *_, resp, _ in chunks])
-    return resp[0] if np.ndim(y) == 1 else resp
-
-
-def dense_logdens(model, sigma2, y):
-    """log w_k + log N_C(y; mu_k, C_k + sigma2 I) by dense Cholesky, (B, K)."""
-    out = np.empty((y.shape[0], model.n_components))
-    for k, cov in enumerate(model.dense_covariances(sigma2)):
-        chol = np.linalg.cholesky(cov)
-        half = np.linalg.solve(chol, (y - model.means[k]).T)
-        out[:, k] = (
-            np.log(model.weights[k])
-            - model.dim * np.log(np.pi)
-            - 2.0 * np.log(chol.diagonal().real).sum()
-            - (np.abs(half) ** 2).sum(axis=0)
-        )
-    return out
 
 
 @given(models(), noise_levels)
@@ -85,9 +36,8 @@ def test_estimate_matches_dense_mixture_estimator(drawn, sigma2):
     want = gmm_estimate(gmm_from_mfa(model), sigma2, y)
     assert np.abs(got - want).max() <= 1e-9 * max(1.0, np.abs(want).max())
 
-    logdens = dense_logdens(model, sigma2, y)
-    resp = np.exp(logdens - logdens.max(axis=1, keepdims=True))
-    resp /= resp.sum(axis=1, keepdims=True)
+    want, resp, _ = dense_conditional_mean(model, sigma2, y)
+    assert np.abs(got - want).max() <= 1e-9 * max(1.0, np.abs(want).max())
     assert np.abs(kernel_responsibilities(model, sigma2, y) - resp).max() <= 1e-9
 
 
@@ -95,9 +45,7 @@ def test_estimate_matches_dense_mixture_estimator(drawn, sigma2):
 def test_log_likelihood_matches_dense_mixture_density(drawn):
     model, rng = drawn
     y = observations(model, rng)
-    logdens = dense_logdens(model, 0.0, y)
-    shift = logdens.max(axis=1)
-    want = float(np.mean(np.log(np.exp(logdens - shift[:, None]).sum(axis=1)) + shift))
+    want = posterior(dense_logdens(model, 0.0, y))[1].mean()
     assert abs(log_likelihood(model, y) - want) <= 1e-9 * max(1.0, abs(want))
 
 
@@ -116,44 +64,29 @@ def reference_sweep(model, samples):
 
     Latent posterior means are A_k p_k with A_k = (I + W_k^H D_k W_k)^{-1} and
     p_k = W_k^H D_k (y - mu_k); S_zz is summed per component and the posterior
-    covariance enters as masses_k A_k. Returns what ``_em_iteration`` returns,
-    then the latent means (T, K, L), the responsibilities and the weighted
-    energies sum_t r |x|^2 (N, K).
+    covariance enters as masses_k A_k; the regression is ``oracles.em_regression``.
+    Returns what ``_em_iteration`` returns, then the latent means (T, K, L), the
+    responsibilities and the weighted energies sum_t r |x|^2 (N, K).
     """
-    count, dim = samples.shape
+    count = samples.shape[0]
     k_total, latent = model.n_components, model.latent_dim
-    width = latent + 1
     logdens = dense_logdens(model, 0.0, samples)
-    aug = np.ones((count, k_total, width), dtype=np.complex128)
+    aug = np.ones((count, k_total, latent + 1), dtype=np.complex128)
     latent_covs = []
     for k in range(k_total):
         wd = model.loadings[k] / model.diag_terms[k][:, None]
         a_k = np.linalg.inv(np.eye(latent) + model.loadings[k].conj().T @ wd)
         aug[:, k, :latent] = (samples - model.means[k]) @ wd.conj() @ a_k.T
         latent_covs.append(a_k)
-    shift = logdens.max(axis=1)
-    lse = np.log(np.exp(logdens - shift[:, None]).sum(axis=1)) + shift
-    resp = np.exp(logdens - lse[:, None])
-    resp /= resp.sum(axis=1, keepdims=True)
+    resp, lse = posterior(logdens)
     weighted = aug.conj() * resp[:, :, None]
     masses = resp.sum(axis=0)
     r_abs2 = (np.abs(samples) ** 2).T @ resp
 
-    loadings, means, per_entry = [], [], []
-    for k in range(k_total):
-        s_xz = samples.T @ weighted[:, k]
-        s_zz = aug[:, k].T @ weighted[:, k]
-        s_zz[:latent, :latent] += masses[k] * latent_covs[k]
-        s_zz = 0.5 * (s_zz + s_zz.conj().T)
-        trace_scale = max(float(np.trace(s_zz).real) / width, np.finfo(float).tiny)
-        s_zz[:latent, :latent] += (RIDGE_REL * trace_scale) * np.eye(latent)
-        if masses[k] == 0.0:
-            joint = np.zeros((dim, width), dtype=np.complex128)
-        else:
-            joint = np.linalg.solve(s_zz, s_xz.conj().T).conj().T
-        loadings.append(joint[:, :latent])
-        means.append(joint[:, latent])
-        per_entry.append(r_abs2[:, k] - np.einsum("nj,nj->n", joint, s_xz.conj()).real)
+    s_xz = np.stack([samples.T @ weighted[:, k] for k in range(k_total)])
+    s_zz = np.stack([aug[:, k].T @ weighted[:, k] for k in range(k_total)])
+    s_zz[:, :latent, :latent] += masses[:, None, None] * np.stack(latent_covs)
+    loadings, means, per_entry = em_regression(s_xz, s_zz, masses, r_abs2.T)
     sweep = (float(lse.mean()), int(np.argmin(lse)), masses, loadings, means, per_entry)
     return sweep, aug[:, :, :latent], resp, r_abs2
 
@@ -184,8 +117,7 @@ def far_component_samples(model, rng, count):
 
     def peak_log_resp(offset):
         logdens = dense_logdens(moved(offset), 0.0, main)
-        shift = logdens.max(axis=1)
-        lse = np.log(np.exp(logdens - shift[:, None]).sum(axis=1)) + shift
+        lse = posterior(logdens)[1]
         return float((logdens[:, -1] - lse).max())
 
     target = np.log(1e-310)
