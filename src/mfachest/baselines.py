@@ -459,7 +459,8 @@ def _gmm_factor(model: GmmModel, sigma2: float, not_pd: str = _ESTIMATE_NOT_PD) 
     Circulant: (stack, exact). On the DFT rows a circulant component is the
     diagonal Gaussian N_C(F mu_k, diag(c_k + sigma2)), so ``stack`` is an L = 0
     ``gaussians.MixtureStack`` with d = 1 / (c_k + sigma2) and
-    d_mean = d conj(F mu_k) as columns, empty latent factors and log-constants
+    d_mean = d conj(F mu_k) as columns, the intercept-only projection (the
+    last of its N + 1 rows is 1), empty latent roots and log-constants
     log w_k - N log pi - sum log(c_k + sigma2) - sum d |F mu_k|^2. It is built
     here, not by ``stack_mixture``: a fitted spectrum may sit on the
     EIG_FLOOR_REL * tiny floor, which ``factorize`` rejects. A component with a
@@ -481,9 +482,11 @@ def _gmm_factor(model: GmmModel, sigma2: float, not_pd: str = _ESTIMATE_NOT_PD) 
         overflow = (shifted <= _UNINVERTIBLE).any(axis=1)
         d = np.divide(1.0, shifted, out=np.zeros_like(shifted), where=~overflow[:, None])
         logconst = logweights - np.log(shifted).sum(axis=1) - (d * np.abs(centres) ** 2).sum(axis=1)
+        intercept = np.zeros((model.dim + 1, model.n_components), dtype=np.complex128)
+        intercept[-1] = 1.0
         stack = MixtureStack(
-            np.ascontiguousarray(d.T), (d * centres.conj()).T, np.empty((model.dim, 0)),
-            np.empty((model.n_components, 0)), np.empty((model.n_components, 0, 0)), logconst,
+            np.ascontiguousarray(d.T), (d * centres.conj()).T, intercept,
+            np.empty((model.n_components, 0, 0)), logconst,
         )
         exact = [(k, shifted[k], centres[k]) for k in np.flatnonzero(overflow)]
         return stack, exact
@@ -509,36 +512,33 @@ def _gmm_chunks(model: GmmModel, factor: tuple, rows: np.ndarray):
     one product, z = [y 1] [L_1^{-T} ... L_K^{-T}; -mu_1 L_1^{-T} ...], through
     one reused (B, N + 1) buffer whose last column is 1; the quadratic forms are
     the sums of |z_k|^2, one real product over z's interleaved real view.
-    Circulant densities come from ``gaussians.mixture_logdens`` at L = 0, the
-    expansion |y|^2 d - 2 Re(y d conj(F mu)) + d |F mu|^2 in two (B, N) x (N, K)
-    products; a component in ``exact`` takes the exact sum of
+    Circulant densities come from ``gaussians.mixture_logdens`` at L = 0 on
+    the same [y 1] rows, the expansion |y|^2 d - 2 Re(y d conj(F mu)) + d |F mu|^2
+    in two (B, N) x (N, K) products; a component in ``exact`` takes the exact sum of
     |y - F mu_k|^2 / (c_k + sigma2) instead, which is inf (a zero density) for
     every row but those equal to its mean.
     """
     k_total, dim = model.n_components, model.dim
-    chunks = _row_chunks(rows.shape[0], k_total * dim)
-    if model.structure == "circulant":
-        stack, exact = factor
-        for part in chunks:
-            y = rows[part]
-            no_latent = np.empty((len(y), k_total, 0), dtype=np.complex128)
-            logdens = mixture_logdens(stack, y, np.abs(y) ** 2, no_latent)
-            with np.errstate(over="ignore"):
-                for k, spectrum, centre in exact:
-                    logdens[:, k] -= (np.abs(y - centre) ** 2 / spectrum).sum(axis=1)
-            yield part, y, None, *responsibilities(logdens)
-        return
-    whitener, logconst = factor
     buffer = np.ones((0, dim + 1), dtype=np.complex128)
-    for part in chunks:
+    for part in _row_chunks(rows.shape[0], k_total * dim):
         y = rows[part]
         if len(y) > len(buffer):
             buffer = np.ones((len(y), dim + 1), dtype=np.complex128)
         block = buffer[:len(y)]
         block[:, :dim] = y
-        z = (block @ whitener).reshape(len(y), k_total, dim)
-        flat = z.view(np.float64)
-        yield part, y, z, *responsibilities(logconst - np.einsum("bkl,bkl->bk", flat, flat))
+        if model.structure == "circulant":
+            stack, exact = factor
+            intercepts = np.empty((len(y), k_total, 1), dtype=np.complex128)
+            logdens = mixture_logdens(stack, block, np.abs(y) ** 2, intercepts)
+            with np.errstate(over="ignore"):
+                for k, spectrum, centre in exact:
+                    logdens[:, k] -= (np.abs(y - centre) ** 2 / spectrum).sum(axis=1)
+            yield part, y, None, *responsibilities(logdens)
+        else:
+            whitener, logconst = factor
+            z = (block @ whitener).reshape(len(y), k_total, dim)
+            flat = z.view(np.float64)
+            yield part, y, z, *responsibilities(logconst - np.einsum("bkl,bkl->bk", flat, flat))
 
 
 def fit_gmm(

@@ -23,21 +23,22 @@ def estimate(model: MfaModel, sigma2: float, y: np.ndarray) -> np.ndarray:
     With ``(C_k + sigma2 I)^{-1} = D_k - D_k W_k A_k W_k^H D_k`` the filter of
     component k is ``y - sigma2 (D_k (y - mu_k) - D_k W_k m_k)`` with the latent
     posterior mean ``m_k = A_k W_k^H D_k (y - mu_k) = R_k q_k``, so
-    ``D_k W_k m_k = (D_k W_k R_k) q_k`` and the responsibility-weighted sum over
-    k is three products with the stacked factors.
+    ``D_k W_k m_k = (D_k W_k R_k) q_k``. The kernel's latent buffer holds
+    [q_k 1] per component, so after weighting by the responsibilities one
+    product with the stacked rows [(D_k W_k R_k)^T; (D_k mu_k)^T] gives both
+    sum_k r_k (D_k W_k R_k) q_k and sum_k r_k D_k mu_k.
     """
     batch, single = _check_observation(y, model.dim)
     sigma2 = _check_sigma2(sigma2)
     stack = stack_mixture(model, sigma2)
-    k_total, latent = model.n_components, model.latent_dim
-    dwr = stack.dwr_conj.conj()  # (N, K*L) column blocks D_k W_k R_k
-    d_mu = stack.d_mean.conj()  # (N, K) columns D_k mu_k
+    # (K*(L+1), N): the conjugated projection rows, with each intercept row D_k mu_k.
+    back = stack.proj[:-1].T.conj()
+    back[model.latent_dim::model.latent_dim + 1] = stack.d_mean.T.conj()
 
     value = np.empty_like(batch)
     for start, yb, _, lat, resp, _ in mixture_chunks(stack, batch):
         lat *= resp[:, :, None]
         prec_y = (resp @ stack.d.T) * yb
-        prec_y -= resp @ d_mu.T
-        prec_y -= lat.reshape(len(yb), k_total * latent) @ dwr.T
+        prec_y -= lat.reshape(len(yb), -1) @ back
         value[start:start + len(yb)] = yb - sigma2 * prec_y
     return value[0] if single else value

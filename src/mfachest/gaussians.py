@@ -13,7 +13,10 @@ estimator all run through one chunked pass of that kernel (``mixture_chunks``)
 and keep only their own accumulations. The kernel works in whitened latent
 coordinates q_k = R_k^H W_k^H D_k (y - mu_k), with R_k R_k^H the latent
 posterior covariance, so the low-rank correction is the squared norm |q_k|^2
-and the posterior mean is R_k q_k.
+and the posterior mean is R_k q_k. One product of the rows [y 1] with the
+stacked augmented projection writes [q_k 1] for every component straight
+into the pass's latent buffer: the centring and EM's intercept column come
+out of that product, not out of a copy.
 """
 
 from __future__ import annotations
@@ -35,9 +38,11 @@ COND_LIMIT = 1e12
 _UNINVERTIBLE = 1.0 / np.finfo(float).max
 
 # Complex entries per batch row of the mixture kernel's temporaries, which are
-# (B, K*(L+1)) in the kernel and (B, N) in estimate(). At K=64, N=64, L=8 (about
-# 800 rows) it timed fastest of 2^17..2^21 for estimate() on 10k rows, with a
-# 35 MB transient peak; the peak grows with the budget.
+# (B, K*(L+1)) in the kernel and (B, N) in estimate(). Timed at K=64, N=64, L=8
+# (819 rows) on 2 cores: estimate() on 10k rows ran 96, 90, 88 and 90 ms
+# (medians) at 2^17..2^20, and an EM sweep on 20k rows 228, 184, 161 and 147 ms.
+# 2^19 keeps estimate()'s transient peak at 13 MB beside its 10 MB output (24 MB
+# at 2^20); the peak grows with the budget.
 _STACK_CHUNK_BUDGET = 1 << 19
 
 # Responsibilities below RESP_REL times their row's largest are set to exactly
@@ -173,16 +178,16 @@ class MixtureStack(NamedTuple):
     the mean of component k, and R_k = L_k^{-H} for the lower Cholesky factor
     L_k of ``I + W_k^H D_k W_k`` (so that the latent posterior covariance is
     ``A_k = R_k R_k^H``), ``d`` holds D_k as columns (N, K), ``d_mean``
-    D_k conj(mu_k) as columns (N, K), ``dwr_conj`` conj(D_k W_k R_k) as
-    column blocks (N, K*L), ``mean_proj`` the rows mu_k^T conj(D_k W_k R_k)
-    (K, L), ``latent_root`` R_k (K, L, L) and ``logconst``
+    D_k conj(mu_k) as columns (N, K), ``proj`` the augmented projection
+    (N + 1, K*(L+1)) whose column block k is ``[[conj(D_k W_k R_k), 0],
+    [-mu_k^T conj(D_k W_k R_k), 1]]``, so that ``[y 1] proj`` is [q_k 1] for
+    every k, ``latent_root`` R_k (K, L, L) and ``logconst``
     ``log w_k - N log pi - log det(C_k + sigma2 I) - mu_k^H D_k mu_k`` (K,).
     """
 
     d: np.ndarray
     d_mean: np.ndarray
-    dwr_conj: np.ndarray
-    mean_proj: np.ndarray
+    proj: np.ndarray
     latent_root: np.ndarray
     logconst: np.ndarray
 
@@ -215,7 +220,7 @@ def stack_mixture(model, sigma2: float) -> MixtureStack:
             - (d * np.abs(means) ** 2).sum(axis=1)
         )
     # Entries of D_k W_k R_k are at most sqrt(D_k) (R_k^H W_k^H D_k W_k R_k <= I),
-    # so a finite sum D_k |mu_k|^2 keeps D_k mu_k and mean_proj finite as well.
+    # so a finite sum D_k |mu_k|^2 keeps D_k mu_k and the projection finite as well.
     bad = np.flatnonzero(~np.isfinite(logconst))
     if bad.size:
         raise ConditioningError(
@@ -223,54 +228,57 @@ def stack_mixture(model, sigma2: float) -> MixtureStack:
             "diag_term + sigma2"
         )
     dwr_conj = ((loadings * d[:, :, None]) @ latent_root).conj()
-    mean_proj = (means[:, None, :] @ dwr_conj)[:, 0]
-    dwr_conj = dwr_conj.transpose(1, 0, 2).reshape(dim, k_total * latent)
+    proj = np.zeros((dim + 1, k_total, latent + 1), dtype=np.complex128)
+    proj[:dim, :, :latent] = dwr_conj.transpose(1, 0, 2)
+    proj[dim, :, :latent] = -(means[:, None, :] @ dwr_conj)[:, 0]
+    proj[dim, :, latent] = 1.0
     d = np.ascontiguousarray(d.T)
-    return MixtureStack(d, d * means.T.conj(), dwr_conj, mean_proj, latent_root, logconst)
+    return MixtureStack(d, d * means.T.conj(), proj.reshape(dim + 1, -1), latent_root, logconst)
 
 
 def mixture_logdens(
-    stack: MixtureStack, block: np.ndarray, abs2: np.ndarray, latent_out: np.ndarray
+    stack: MixtureStack, rows: np.ndarray, abs2: np.ndarray, latent_out: np.ndarray
 ) -> np.ndarray:
     """Weighted component log-densities ``log w_k + log N_C(y; mu_k, C_k + sigma2 I)``, (B, K).
 
-    ``block`` holds B observations as rows and ``abs2`` their entrywise
-    squared magnitudes. The whitened latent coordinates
-    ``q_k = R_k^H W_k^H D_k (y - mu_k)`` are written to ``latent_out[:, k]``,
-    which must have shape (B, K, L) with unit stride along L; the latent
-    posterior mean is R_k q_k.
+    ``rows`` (B, N + 1) holds B observations y as the rows [y 1] and ``abs2``
+    (B, N) their entrywise squared magnitudes. One product ``rows @ stack.proj``
+    writes [q_k 1], with the whitened latent coordinates
+    ``q_k = R_k^H W_k^H D_k (y - mu_k)``, to ``latent_out[:, k]``, which must
+    be a C-contiguous (B, K, L+1) array; the latent posterior mean is R_k q_k.
 
     Every term is a batched product with the stacked factors: the diagonal part
     of the Mahalanobis term comes from the expansion
     |y-mu|^2 = |y|^2 - 2 Re(y conj(mu)) + |mu|^2, and the low-rank correction
     p^H A_k p with p = W_k^H D_k (y - mu_k) is |q_k|^2, since A_k = R_k R_k^H.
     """
-    rows, (k_total, latent) = block.shape[0], stack.mean_proj.shape
+    latent = stack.latent_root.shape[1]
     logdens = stack.logconst - abs2 @ stack.d
-    logdens += 2.0 * (block @ stack.d_mean).real
-    proj = (block @ stack.dwr_conj).reshape(rows, k_total, latent)
-    np.subtract(proj, stack.mean_proj, out=latent_out)
-    flat = latent_out.view(np.float64)
+    logdens += 2.0 * (rows[:, :-1] @ stack.d_mean).real
+    np.matmul(rows, stack.proj, out=latent_out.reshape(len(rows), -1))
+    flat = latent_out.view(np.float64)[:, :, :2 * latent]
     logdens += np.einsum("bkl,bkl->bk", flat, flat)
     return logdens
 
 
-def mixture_chunks(stack: MixtureStack, samples: np.ndarray, width: int = 0):
+def mixture_chunks(stack: MixtureStack, samples: np.ndarray):
     """Yield ``(start, block, abs2, latent, resp, lse)`` for each chunk of
     ``stack.chunk_rows()`` rows of ``samples``: the first row index, the rows,
-    their entrywise |y|^2, the (B, K, max(width, L)) latent buffer, shared by
-    all chunks, with q_k (``mixture_logdens``) in its first L columns and 1 in
-    the others, and the ``responsibilities`` and per-row log-sum-exp."""
-    k_total, latent_dim = stack.mean_proj.shape
+    their entrywise |y|^2, the (B, K, L+1) latent buffer of ``mixture_logdens``,
+    shared by all chunks, with q_k in its first L columns and exactly 1 in the
+    last, and the ``responsibilities`` and per-row log-sum-exp. The rows [y 1]
+    the kernel multiplies live in one reused (B, N + 1) buffer."""
+    k_total, latent = stack.latent_root.shape[:2]
     chunk = stack.chunk_rows()
-    buffer = np.empty((chunk, k_total, max(width, latent_dim)), dtype=np.complex128)
-    buffer[:, :, latent_dim:] = 1.0
+    rows = np.ones((min(chunk, samples.shape[0]), samples.shape[1] + 1), dtype=np.complex128)
+    buffer = np.empty((len(rows), k_total, latent + 1), dtype=np.complex128)
     for start in range(0, samples.shape[0], chunk):
         block = samples[start:start + chunk]
+        size = len(block)
+        rows[:size, :-1] = block
         abs2 = np.abs(block) ** 2
-        latent = buffer[:len(block)]
-        resp, lse = responsibilities(mixture_logdens(stack, block, abs2, latent[:, :, :latent_dim]))
-        yield start, block, abs2, latent, resp, lse
+        logdens = mixture_logdens(stack, rows[:size], abs2, buffer[:size])
+        yield start, block, abs2, buffer[:size], *responsibilities(logdens)
 
 
 def sample_component(
@@ -303,13 +311,15 @@ def responsibilities(logdens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     One exp per entry: with the row max as shift, e = exp(logdens - shift) and
     its row sums give both the log-sum-exp and the probabilities e / sum(e).
+    e is computed in place in the one array returned; ``logdens`` is unchanged.
     Entries of e below RESP_REL (relative to the row's largest, exp(0) = 1) are
     set to exactly 0 before the division.
     """
     shift = np.max(logdens, axis=1, keepdims=True)
     # An all--inf row would propagate nan through the subtraction.
     shift = np.where(np.isfinite(shift), shift, 0.0)
-    resp = np.exp(logdens - shift)
+    resp = logdens - shift
+    np.exp(resp, out=resp)
     total = resp.sum(axis=1, keepdims=True)
     resp[resp < RESP_REL] = 0.0
     resp /= total

@@ -231,7 +231,11 @@ def _kmeans(samples: np.ndarray, k_total: int, rng: np.random.Generator) -> np.n
     always covers all samples. Squared distances use the expansion
     |x|^2 - 2 Re(x c^H) + |c|^2 with the cross term as one real product over
     the interleaved real/imaginary parts: a GEMV per centre while seeding, a
-    GEMM per Lloyd step.
+    GEMM per Lloyd step. Each Lloyd step groups the rows by label with one
+    stable sort, so every centre is the mean of its members gathered in
+    ascending order. A cluster left empty is reseeded, in order of k, at the
+    farthest sample from its centre that no earlier empty cluster took; the
+    sample leaves its cluster, whose centre keeps it when already updated.
     """
     count = samples.shape[0]
     budget = max(_KMEANS_SUBSAMPLE, 10 * k_total)
@@ -259,16 +263,22 @@ def _kmeans(samples: np.ndarray, k_total: int, rng: np.random.Generator) -> np.n
         d2 = np.minimum(d2, seed_dist(k))
 
     labels = np.zeros(n_work, dtype=np.intp)
+    dist = np.empty((n_work, k_total))
     for _ in range(_KMEANS_ITER):
-        dist = _center_dist(flat, energy, centers)
+        _center_dist(flat, energy, centers, dist)
         new_labels = dist.argmin(axis=1)
+        nearest = dist[np.arange(n_work), new_labels]
+        order = np.argsort(new_labels, kind="stable")
+        bounds = np.searchsorted(new_labels[order], np.arange(k_total + 1))
         for k in range(k_total):
-            mask = new_labels == k
-            if mask.any():
-                centers[k] = work[mask].mean(axis=0)
+            # The cluster's rows, less any that an earlier reseed took.
+            members = order[bounds[k]:bounds[k + 1]]
+            members = members[new_labels[members] == k]
+            if members.size:
+                centers[k] = work[members].mean(axis=0)
             else:
-                # Empty cluster: reseed at the sample farthest from its center.
-                far = dist[np.arange(n_work), new_labels].argmax()
+                far = nearest.argmax()
+                nearest[far] = -np.inf
                 centers[k] = work[far]
                 new_labels[far] = k
         if np.array_equal(new_labels, labels):
@@ -282,11 +292,15 @@ def _kmeans(samples: np.ndarray, k_total: int, rng: np.random.Generator) -> np.n
     return _center_dist(samples.view(np.float64), full_energy, centers).argmin(axis=1)
 
 
-def _center_dist(flat: np.ndarray, energy: np.ndarray, centers: np.ndarray) -> np.ndarray:
+def _center_dist(flat: np.ndarray, energy: np.ndarray, centers: np.ndarray, out=None) -> np.ndarray:
     """(T, K) squared distances |x|^2 - 2 Re(x c^H) + |c|^2 from rows x, given as
-    their interleaved real view ``flat`` and energies, to the complex centres."""
-    cross = flat @ centers.view(np.float64).T
-    return energy[:, None] - 2.0 * cross + (np.abs(centers) ** 2).sum(axis=1)
+    their interleaved real view ``flat`` and energies, to the complex centres,
+    computed in the one (T, K) array of the cross term: ``out`` when given."""
+    dist = np.matmul(flat, centers.view(np.float64).T, out=out)
+    dist *= 2.0
+    np.subtract(energy[:, None], dist, out=dist)
+    dist += (np.abs(centers) ** 2).sum(axis=1)
+    return dist
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +345,7 @@ def _em_iteration(
     ll_sum = 0.0
     worst_val, worst_idx = np.inf, 0
 
-    for start, block, abs2, aug, resp, lse in gaussians.mixture_chunks(stack, samples, width):
+    for start, block, abs2, aug, resp, lse in gaussians.mixture_chunks(stack, samples):
         ll_sum += float(lse.sum())
         block_min = int(np.argmin(lse))
         if lse[block_min] < worst_val:

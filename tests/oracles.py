@@ -30,6 +30,14 @@ materializes it. The oracles:
   RIDGE_REL tr(S_zz) / (L + 1) on the latent block of the Hermitian part,
   gives [W_k mu_k] = S_xz S_zz^{-1} and the residual energies
   sum_t r |x|^2 - Re diag([W_k mu_k] S_xz^H).
+- ``kmeans_reference``: k-means++ seeding, then Lloyd steps that update each
+  centre from a boolean mask of its members, one cluster after another. A
+  cluster left empty is reseeded at the farthest sample (by distance to its
+  own centre) that no earlier empty cluster of the step took, and the sample
+  moves to it. Distances are either the expansion over the interleaved real
+  view that ``mfa._kmeans`` computes, in its order of operations, or the
+  elementwise |x - c|^2 while seeding and the complex cross product in Lloyd.
+- ``with_intercept``: the rows [y 1] that ``gaussians.mixture_logdens`` takes.
 - ``kernel_responsibilities``: not dense; the responsibilities that
   ``gaussians.mixture_chunks`` yields, which ``estimate`` weights its filters
   with.
@@ -38,6 +46,7 @@ materializes it. The oracles:
 import numpy as np
 from hypothesis import strategies as st
 
+from mfachest import mfa
 from mfachest.baselines import GmmModel
 from mfachest.gaussians import mixture_chunks, stack_mixture
 from mfachest.mfa import PSI_MODES, RIDGE_REL, FitConfig, MfaModel, sample
@@ -133,6 +142,67 @@ def em_regression(s_xz, s_zz, masses, r_abs2):
     joint[empty] = 0.0
     per_entry = r_abs2 - np.einsum("knj,knj->kn", joint, s_xz.conj()).real
     return joint[:, :, :latent], joint[:, :, latent], per_entry
+
+
+def kmeans_reference(samples, k_total, rng, subsample, elementwise=False):
+    """The (T,) k-means labels of ``samples`` with ``rng`` drawn as ``mfa._kmeans``
+    draws it: Lloyd on ``max(subsample, 10 K)`` rows drawn without replacement
+    when T is larger, then a final assignment of every sample. With
+    ``elementwise`` the distances are |x - c|^2 entry by entry while seeding and
+    |x|^2 - 2 Re(x c^H) + |c|^2 with a complex cross product in Lloyd; otherwise
+    the same expansion with the cross product over the interleaved real view."""
+
+    def dist(rows, centres):
+        energy = (np.abs(rows) ** 2).sum(axis=1)
+        if elementwise:
+            cross = (rows @ centres.conj().T).real
+        else:
+            cross = np.ascontiguousarray(rows).view(np.float64) @ centres.view(np.float64).T
+        return energy[:, None] - 2.0 * cross + (np.abs(centres) ** 2).sum(axis=1)
+
+    def seed_dist(centre):
+        if elementwise:
+            return (np.abs(work - centre) ** 2).sum(axis=1)
+        return np.maximum(dist(work, centre[None])[:, 0], 0.0)
+
+    count = samples.shape[0]
+    budget = max(subsample, 10 * k_total)
+    work = samples[rng.choice(count, size=budget, replace=False)] if count > budget else samples
+    n_work = work.shape[0]
+    centers = np.empty((k_total, samples.shape[1]), dtype=np.complex128)
+    centers[0] = work[rng.integers(n_work)]
+    d2 = seed_dist(centers[0])
+    for k in range(1, k_total):
+        total = d2.sum()
+        if total <= 0:
+            centers[k] = work[rng.integers(n_work)]
+            continue
+        centers[k] = work[rng.choice(n_work, p=d2 / total)]
+        d2 = np.minimum(d2, seed_dist(centers[k]))
+
+    labels = np.zeros(n_work, dtype=np.intp)
+    for _ in range(mfa._KMEANS_ITER):
+        distances = dist(work, centers)
+        new_labels = distances.argmin(axis=1)
+        nearest = distances[np.arange(n_work), new_labels]
+        for k in range(k_total):
+            mask = new_labels == k
+            if mask.any():
+                centers[k] = work[mask].mean(axis=0)
+            else:
+                far = nearest.argmax()
+                nearest[far] = -np.inf
+                centers[k] = work[far]
+                new_labels[far] = k
+        if np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+    return labels if work is samples else dist(samples, centers).argmin(axis=1)
+
+
+def with_intercept(y):
+    """The (B, N + 1) rows [y 1] of (B, N) observations y."""
+    return np.concatenate([y, np.ones((y.shape[0], 1), dtype=np.complex128)], axis=1)
 
 
 def kernel_responsibilities(model, sigma2, y):

@@ -16,7 +16,7 @@ from mfachest.gaussians import (
     stack_mixture,
 )
 from mfachest.mfa import MfaModel
-from oracles import crandn, dense_cov, dense_logdens, posterior, single
+from oracles import crandn, dense_cov, dense_logdens, posterior, single, with_intercept
 
 
 def random_cov(rng, dim, latent, psi_lo=0.3, psi_hi=2.0):
@@ -28,7 +28,7 @@ def random_cov(rng, dim, latent, psi_lo=0.3, psi_hi=2.0):
 def stack_inverse(comp, sigma2):
     """(C + sigma2 I)^{-1} read off the stacked factors: D - (D W R)(D W R)^H."""
     stack = stack_mixture(comp, sigma2)
-    dwr = stack.dwr_conj.conj()
+    dwr = stack.proj[:-1, :-1].conj()
     return np.diag(stack.d[:, 0]) - dwr @ dwr.conj().T
 
 
@@ -41,9 +41,9 @@ def logpdf(x, mean, comp, sigma2=0.0):
     """Complex Gaussian log-density from the mixture kernel with K=1 and weight 1."""
     x = np.asarray(x, dtype=np.complex128)
     rows = np.atleast_2d(x)
-    latent = np.empty((rows.shape[0], 1, comp.latent_dim), dtype=np.complex128)
+    latent = np.empty((rows.shape[0], 1, comp.latent_dim + 1), dtype=np.complex128)
     stack = stack_mixture(replace(comp, means=mean[None]), sigma2)
-    out = mixture_logdens(stack, rows, np.abs(rows) ** 2, latent)
+    out = mixture_logdens(stack, with_intercept(rows), np.abs(rows) ** 2, latent)
     return float(out[0, 0]) if x.ndim == 1 else out[:, 0]
 
 
@@ -265,6 +265,14 @@ class TestResponsibilities:
         assert np.array_equal(kept, relative >= RESP_REL)
         assert np.all(resp[kept] >= RESP_REL / logdens.shape[1])
         assert np.allclose(resp[kept], unfloored[kept], rtol=1e-12, atol=0.0)
+
+    @given(log_densities())
+    def test_leaves_its_input_unchanged(self, logdens):
+        # The shift and the exponential run in the one array it returns.
+        before = logdens.copy()
+        resp, _ = responsibilities(logdens)
+        assert np.array_equal(logdens, before)
+        assert not np.shares_memory(resp, logdens)
 
 
 class TestComponentRows:

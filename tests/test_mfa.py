@@ -27,9 +27,11 @@ from oracles import (
     em_problems,
     em_regression,
     kernel_responsibilities,
+    kmeans_reference,
     make_model,
     posterior,
     single,
+    with_intercept,
 )
 
 
@@ -214,9 +216,10 @@ class TestEStep:
         stack = stack_mixture(comp, 0.0)
         rng = np.random.default_rng(33)
         data = crandn(rng, 10, dim)
-        latent = np.full((10, 1, 2), np.nan, dtype=complex)
-        mixture_logdens(stack, data, np.abs(data) ** 2, latent)
-        assert np.abs(latent).max() == 0.0
+        latent = np.full((10, 1, 3), np.nan, dtype=complex)
+        mixture_logdens(stack, with_intercept(data), np.abs(data) ** 2, latent)
+        assert np.abs(latent[:, :, :2]).max() == 0.0
+        assert np.all(latent[:, :, 2] == 1.0)
         root = stack.latent_root[0]
         assert np.allclose(root @ root.conj().T, np.eye(2))
 
@@ -376,52 +379,6 @@ class TestParameterCount:
             parameter_count("vae", 1, 4)
 
 
-def reference_kmeans(samples, k_total, rng, subsample):
-    """k-means++ seeding with elementwise distances |x - c|^2, then Lloyd with a
-    complex cross product: the formulas _kmeans replaces, same draw order."""
-    count = samples.shape[0]
-    budget = max(subsample, 10 * k_total)
-    if count > budget:
-        work = samples[rng.choice(count, size=budget, replace=False)]
-    else:
-        work = samples
-    n_work = work.shape[0]
-    energy = (np.abs(work) ** 2).sum(axis=1)
-    centers = np.empty((k_total, samples.shape[1]), dtype=np.complex128)
-    centers[0] = work[rng.integers(n_work)]
-    d2 = (np.abs(work - centers[0]) ** 2).sum(axis=1)
-    for k in range(1, k_total):
-        total = d2.sum()
-        if total <= 0:
-            centers[k] = work[rng.integers(n_work)]
-            continue
-        centers[k] = work[rng.choice(n_work, p=d2 / total)]
-        d2 = np.minimum(d2, (np.abs(work - centers[k]) ** 2).sum(axis=1))
-
-    labels = np.zeros(n_work, dtype=np.intp)
-    for _ in range(mfa._KMEANS_ITER):
-        cross = work @ centers.conj().T
-        dist = energy[:, None] - 2.0 * cross.real + (np.abs(centers) ** 2).sum(axis=1)
-        new_labels = dist.argmin(axis=1)
-        for k in range(k_total):
-            mask = new_labels == k
-            if mask.any():
-                centers[k] = work[mask].mean(axis=0)
-            else:
-                far = dist[np.arange(n_work), new_labels].argmax()
-                centers[k] = work[far]
-                new_labels[far] = k
-        if np.array_equal(new_labels, labels):
-            break
-        labels = new_labels
-    if work is samples:
-        return labels
-    cross = samples @ centers.conj().T
-    full_energy = (np.abs(samples) ** 2).sum(axis=1)
-    dist = full_energy[:, None] - 2.0 * cross.real + (np.abs(centers) ** 2).sum(axis=1)
-    return dist.argmin(axis=1)
-
-
 class TestKmeans:
     @given(
         st.integers(1, 8),
@@ -441,8 +398,51 @@ class TestKmeans:
             got = mfa._kmeans(data, k_total, np.random.default_rng(seed))
         finally:
             mfa._KMEANS_SUBSAMPLE = saved
-        want = reference_kmeans(data, k_total, np.random.default_rng(seed), subsample)
+        want = kmeans_reference(data, k_total, np.random.default_rng(seed), subsample, True)
         assert np.array_equal(got, want)
+
+    @given(
+        st.integers(1, 6),
+        st.integers(1, 3),
+        st.integers(1, 12),
+        st.data(),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_labels_match_mask_loop_reference(self, distinct, dim, copies, data, seed):
+        # Rows repeat a few distinct ones, so centres collide (a mean of copies
+        # may round off its row, and a later cluster then takes them) and
+        # several clusters go empty in one Lloyd step; K runs up to T, and a
+        # subsample budget below T takes the subsampled Lloyd and the final
+        # assignment.
+        rng = np.random.default_rng(seed)
+        count = distinct * copies
+        samples = crandn(rng, distinct, dim)[rng.integers(distinct, size=count)]
+        k_total = data.draw(st.integers(1, count))
+        subsample = data.draw(st.sampled_from([count, max(1, count // 2)]))
+        with patch.object(mfa, "_KMEANS_SUBSAMPLE", subsample):
+            got = mfa._kmeans(samples, k_total, np.random.default_rng(seed))
+        want = kmeans_reference(samples, k_total, np.random.default_rng(seed), subsample)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("seed, distinct, dim, copies, k_total", [
+        (0, 5, 2, 10, 15), (9, 5, 2, 11, 34), (312, 4, 2, 8, 5),
+    ])
+    def test_reseed_takes_a_sample_from_a_later_cluster(self, seed, distinct, dim, copies, k_total):
+        # Found by search: a lower cluster goes empty while a later one holds
+        # the copies, so the reseed moves a sample out of a cluster whose
+        # members are not gathered yet.
+        rng = np.random.default_rng(seed)
+        samples = crandn(rng, distinct, dim)[rng.integers(distinct, size=distinct * copies)]
+        got = mfa._kmeans(samples, k_total, np.random.default_rng(seed))
+        want = kmeans_reference(samples, k_total, np.random.default_rng(seed), mfa._KMEANS_SUBSAMPLE)
+        assert np.array_equal(got, want)
+
+    def test_empty_clusters_reseed_at_distinct_samples(self):
+        # Eight copies of one row: every centre lands on it, the first takes
+        # every sample, and each of the four empty clusters takes its own.
+        data = np.ones((8, 3), dtype=complex)
+        labels = mfa._kmeans(data, 5, np.random.default_rng(0))
+        assert np.array_equal(np.bincount(labels, minlength=5), [4, 1, 1, 1, 1])
 
 
 @st.composite
@@ -688,10 +688,8 @@ def dense_em_iteration(samples, abs2, model, resp_all):
     for start in range(0, count, chunk):
         block = samples[start:start + chunk]
         size = len(block)
-        aug = np.ones((size, k_total, width), dtype=complex)
-        latent_out = np.empty((size, k_total, latent), dtype=complex)
-        logdens = mixture_logdens(stack, block, abs2[start:start + size], latent_out)
-        aug[:, :, :latent] = latent_out
+        aug = np.empty((size, k_total, width), dtype=complex)
+        logdens = mixture_logdens(stack, with_intercept(block), abs2[start:start + size], aug)
         resp, lse = resp_all[start:start + size], posterior(logdens)[1]
         ll_sum += float(lse.sum())
         if lse.min() < worst_val:

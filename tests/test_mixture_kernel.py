@@ -20,6 +20,7 @@ from oracles import (
     models,
     observations,
     posterior,
+    with_intercept,
 )
 
 noise_levels = st.one_of(
@@ -57,6 +58,27 @@ def test_log_likelihood_is_the_em_sweep_likelihood(budget, drawn, count):
     samples = observations(model, rng, count)
     with patch.object(gaussians, "_STACK_CHUNK_BUDGET", budget):
         assert log_likelihood(model, samples) == _em_iteration(samples, model)[0]
+
+
+@pytest.mark.parametrize("budget", [gaussians._STACK_CHUNK_BUDGET, 1], ids=["default", "64-rows"])
+@given(models(), noise_levels, st.integers(1, 200))
+def test_chunks_yield_latent_coordinates_and_intercept(budget, drawn, sigma2, count):
+    # The kernel's one product writes [q_k 1] with q_k = (y - mu_k)^T conj(D_k W_k R_k),
+    # D_k = 1 / (diag_k + sigma2) and R_k = L_k^{-H}, L_k L_k^H = I + W_k^H D_k W_k.
+    model, rng = drawn
+    samples = observations(model, rng, count)
+    latent = model.latent_dim
+    want = np.empty((count, model.n_components, latent), dtype=np.complex128)
+    for k in range(model.n_components):
+        dw = model.loadings[k] / (model.diag_terms[k] + sigma2)[:, None]
+        root = np.linalg.inv(np.linalg.cholesky(np.eye(latent) + model.loadings[k].conj().T @ dw))
+        want[:, k] = (samples - model.means[k]) @ (dw @ root.conj().T).conj()
+    with patch.object(gaussians, "_STACK_CHUNK_BUDGET", budget):
+        stack = stack_mixture(model, sigma2)
+        got = np.concatenate([lat.copy() for *_, lat, _, _ in gaussians.mixture_chunks(stack, samples)])
+    assert got.shape == (count, model.n_components, latent + 1)
+    assert np.all(got[:, :, latent] == 1.0)
+    assert np.abs(got[:, :, :latent] - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
 
 
 def reference_sweep(model, samples):
@@ -176,7 +198,7 @@ def test_em_sweep_matches_per_component_reference(case):
 
     # The kernel's whitened coordinates map back to the posterior means: R_k q_k = A_k p_k.
     stack = stack_mixture(model, 0.0)
-    whitened = np.empty_like(latent_means)
-    mixture_logdens(stack, samples, np.abs(samples) ** 2, whitened)
-    mapped = np.einsum("kij,tkj->tki", stack.latent_root, whitened)
+    whitened = np.empty((len(samples), model.n_components, model.latent_dim + 1), dtype=np.complex128)
+    mixture_logdens(stack, with_intercept(samples), np.abs(samples) ** 2, whitened)
+    mapped = np.einsum("kij,tkj->tki", stack.latent_root, whitened[:, :, :-1])
     assert np.abs(mapped - latent_means).max() <= 1e-9 * max(1.0, np.abs(latent_means).max())

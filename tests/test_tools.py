@@ -1,10 +1,21 @@
 import importlib.util
+import json
 from pathlib import Path
 
-_PATH = Path(__file__).resolve().parent.parent / "tools" / "src_lines.py"
-_SPEC = importlib.util.spec_from_file_location("src_lines", _PATH)
-src_lines = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(src_lines)
+import pytest
+
+_TOOLS = Path(__file__).resolve().parent.parent / "tools"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, _TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+src_lines = _load("src_lines")
+bench_pairs = _load("bench_pairs")
 
 _SOURCE = '''"""Module docstring,
 over two lines."""
@@ -42,3 +53,71 @@ def test_main_prints_both_totals(tmp_path, capsys):
 def test_main_rejects_a_directory_without_modules(tmp_path, capsys):
     assert src_lines.main([str(tmp_path)]) == 2
     assert "no Python files" in capsys.readouterr().err
+
+
+def _result(run_s, rss, correct=True):
+    """A canned perfbench result line."""
+    return {"correct": correct, "attempted": 1, "failed": 0, "metrics": {
+        "run_s": {"value": run_s, "unit": "s"},
+        "peak_rss_mb": {"value": rss, "unit": "MB"},
+    }}
+
+
+def test_parse_result_takes_the_last_line():
+    stdout = '{"details": {"workload": "fit-k64"}}\n' + json.dumps(_result(1.5, 130.0)) + "\n\n"
+    assert bench_pairs.parse_result(stdout) == _result(1.5, 130.0)
+    with pytest.raises(ValueError, match="no result line"):
+        bench_pairs.parse_result("\n")
+
+
+def test_summarize_reports_medians_ratios_and_wins():
+    base = [_result(2.0, 100.0), _result(1.0, 100.0), _result(1.5, 100.0)]
+    new = [_result(1.0, 110.0), _result(1.5, 90.0), _result(1.2, 100.0)]
+    lines = bench_pairs.summarize(base, new, {"run_s": "lower"})
+    assert lines == [
+        "correct: base 3/3, new 3/3",
+        "run_s: base 1.5 [1.25, 1.75] new 1.2 [1.1, 1.35] ratio 0.8000 "
+        "pairs [0.500 1.500 0.800] better in 2/3",
+        "peak_rss_mb: base 100 [100, 100] new 100 [95, 105] ratio 1.0000 "
+        "pairs [1.100 0.900 1.000]",
+    ]
+
+
+def test_summarize_marks_a_gain():
+    # Better in every pair, and the medians 0.5 apart against a base spread of 0.2.
+    base = [_result(value, 100.0) for value in (1.8, 2.0, 2.2, 1.9, 2.1)]
+    new = [_result(value - 0.5, 100.0) for value in (1.8, 2.0, 2.2, 1.9, 2.1)]
+    assert bench_pairs.summarize(base, new, {"run_s": "lower"})[1].endswith("better in 5/5 gain")
+    # Better in every pair, but by less than the base runs' spread.
+    new = [_result(value - 0.1, 100.0) for value in (1.8, 2.0, 2.2, 1.9, 2.1)]
+    assert bench_pairs.summarize(base, new, {"run_s": "lower"})[1].endswith("better in 5/5")
+
+
+def test_main_alternates_the_order_of_each_pair(tmp_path, capsys):
+    base, new = tmp_path / "base", tmp_path / "new"
+    base.mkdir()
+    new.mkdir()
+    (base / "BENCHMARK.json").write_text(json.dumps(
+        {"end_to_end": [{"name": "run_s", "better": "lower"}]}))
+    calls = []
+
+    def fake_run(checkout, workload, seed, seconds):
+        calls.append((checkout.name, workload, seed, seconds))
+        return _result(1.0 if checkout == base else 0.5, 100.0)
+
+    argv = [str(base), str(new), "--workload", "fit-k64", "--pairs", "3", "--seconds", "2"]
+    assert bench_pairs.main(argv, run=fake_run) == 0
+    assert [c[0] for c in calls] == ["base", "new", "new", "base", "base", "new"]
+    assert {c[1:] for c in calls} == {("fit-k64", 7, 2.0)}
+    assert "better in 3/3" in capsys.readouterr().out
+
+
+def test_main_fails_on_an_incorrect_run(tmp_path, capsys):
+    base, new = tmp_path / "base", tmp_path / "new"
+
+    def fake_run(checkout, workload, seed, seconds):
+        return _result(1.0, 100.0, correct=checkout == base)
+
+    assert bench_pairs.main([str(base), str(new), "--workload", "w", "--pairs", "1"],
+                            run=fake_run) == 1
+    assert "new 0/1" in capsys.readouterr().out
