@@ -15,11 +15,16 @@ for the structured ones, which parameterize covariances as ``Q^H diag(c) Q``
 with a fixed DFT-based transform: the unitary N-point DFT for circulant
 covariances and the 2N-point DFT truncated to N columns for Toeplitz ones.
 Weights and means pass the checks ``mfa.MfaModel`` applies
-(``gaussians.check_mixture``). Each structure enters through one M-step, one
-restart (``_isotropic``) and one chunked pass of the density kernel shared by
-the E-step and the estimator. EM runs in ``mfa.fit_mixture``, fit_em's driver,
-with ``_GmmFamily`` supplying this math; it transforms the samples once per fit,
-and an iteration touches the data a fixed number of times, whatever K is:
+(``gaussians.check_mixture``). A circulant covariance is diagonal on the
+unitary DFT rows F y, so a circulant component is N_C(F mu_k, diag(c_k)) there:
+an L = 0 factor-analyzer component with a diagonal Psi_k = c_k. The circulant
+GMM is therefore fitted by the MFA's own EM (``mfa._MfaFamily`` at L = 0, mode
+``diagonal``) and estimated by ``estimator.estimate``'s accumulation, both on
+the DFT rows. The full and Toeplitz structures each enter through one M-step,
+one restart (``_isotropic``) and one chunked pass of the density kernel shared
+by the E-step and the estimator. EM runs in ``mfa.fit_mixture``, fit_em's
+driver, with ``_GmmFamily`` supplying this math; an iteration touches the data
+a fixed number of times, whatever K is:
 
 - ``_m_step`` updates all K components (and starts every k-means cluster) from
   moment-form sufficient statistics, weighted second moments minus the means'
@@ -31,42 +36,37 @@ and an iteration touches the data a fixed number of times, whatever K is:
   sums by lag, the projection averages each diagonal, and a DFT of the averages
   gives the minimum-norm spectrum.
 - ``_gmm_factor`` factors every C_k + sigma2 I once per call, and ``_gmm_chunks``
-  is the one chunked pass over the rows, spent in matrix products: full and
-  Toeplitz models whiten and centre a row chunk against all K components with
-  one product by the stacked inverse Cholesky factors, the negated whitened
-  means appended as one more row. A circulant component is diagonal on the DFT
-  rows, an L = 0 factor-analyzer component, so circulant densities come from
-  the MFA kernel (``gaussians.mixture_logdens``) on an L = 0 stack of the
-  spectra. Only a component whose spectrum has no finite inverse (a fit's
-  one-sample component, floored at EIG_FLOOR_REL * tiny) is evaluated by the
-  exact quadratic form instead. The pass yields each chunk's responsibilities
-  (and the whitened rows of a full or Toeplitz model); the E-step keeps the
-  responsibilities and ``gmm_estimate`` applies only its filter.
+  is the one chunked pass over the rows, spent in matrix products: it whitens
+  and centres a row chunk against all K components with one product by the
+  stacked inverse Cholesky factors, the negated whitened means appended as one
+  more row. The pass yields each chunk's whitened rows and responsibilities;
+  the E-step keeps the responsibilities and ``gmm_estimate`` applies only its
+  filter.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from typing import NamedTuple
 
 import numpy as np
 
 from ._binio import Container, FileFormatError, write_container
+from .estimator import _conditional_mean
 from .gaussians import (
     COND_LIMIT,
     LOG_PI,
     ConditioningError,
-    MixtureStack,
-    _UNINVERTIBLE,
     _check_observation,
     _check_sigma2,
     check_mixture,
     cholesky,
     component_rows,
-    mixture_logdens,
     responsibilities,
+    stack_mixture,
 )
-from .mfa import FitConfig, FitTrace, MfaModel, _as_samples, fit_mixture
+from .mfa import FitConfig, FitTrace, MfaModel, _MfaFamily, _as_samples, fit_mixture, kmeans_start
 
 GMM_MAGIC = b"GMM1"
 GMM_VERSION = 1
@@ -85,14 +85,13 @@ _FIT_NOT_PD = ("component {k}: covariance is not positive definite: EM collapsed
 
 # Complex entries of one chunk's (B, s, N) OMP basis.
 _OMP_CHUNK_BUDGET = 4_000_000
-# Complex entries of one (B, K*N) temporary of the full and Toeplitz E-step
-# (whose row count the circulant pass shares), and of the rows of a (B, N) chunk
-# the full M-step gathers per component: 2 MB, a quarter of
-# gaussians._STACK_CHUNK_BUDGET. At K=16, N=64 and 10k rows (2 cores, 2 BLAS
-# threads), 512-row chunks made the three 3-iteration fits 0.94 s against
-# 1.00 s at 128 rows, but raised the benchmark sweep's peak RSS from 117 to
-# 124 MB, so 128 rows stay: one pass then takes 93-106 ms (full), 85-112 ms
-# (Toeplitz) and 13-19 ms (circulant).
+# Complex entries of one (B, K*N) temporary of the full and Toeplitz E-step,
+# and of the rows of a (B, N) chunk the full M-step gathers per component: 2 MB,
+# a quarter of gaussians._STACK_CHUNK_BUDGET. At K=16, N=64 and 10k rows (2
+# cores, 2 BLAS threads), 512-row chunks made the three 3-iteration fits 0.94 s
+# against 1.00 s at 128 rows, but raised the benchmark sweep's peak RSS from 117
+# to 124 MB, so 128 rows stay: one pass then takes 93-106 ms (full) and
+# 85-112 ms (Toeplitz).
 _GMM_CHUNK_BUDGET = 1 << 17
 
 
@@ -367,34 +366,26 @@ def _project_toeplitz(scatter_diag: np.ndarray, floor: float | np.ndarray, dim: 
     return np.maximum(spectra, floor)
 
 
-def _kernel_rows(structure: str, rows: np.ndarray) -> np.ndarray:
-    """Observations as ``_gmm_chunks`` and ``_m_step`` take them: their unitary
-    DFT for a circulant model, the observations themselves otherwise."""
-    return np.fft.fft(rows, norm="ortho") if structure == "circulant" else rows
-
-
 def _row_chunks(count: int, width: int):
     """Row slices that keep a (B, width) temporary within _GMM_CHUNK_BUDGET entries."""
     step = max(1, _GMM_CHUNK_BUDGET // max(width, 1))
     return (slice(start, start + step) for start in range(0, count, step))
 
 
-def _m_step(
-    structure: str, samples: np.ndarray, rows: np.ndarray, resp: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Means (K, N) and parameters of every component from weights ``resp`` (T, K)
-    over ``samples`` (T, N), with ``rows = _kernel_rows(structure, samples)``.
+def _m_step(structure: str, samples: np.ndarray, resp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Means (K, N) and full or Toeplitz parameters of every component from
+    weights ``resp`` (T, K) over ``samples`` (T, N).
 
     Full: the scatter (X^T diag(r_k) conj(X)) / m_k - mu_k^T conj(mu_k), and one
     batched ``eigh`` to floor the eigenvalues. The second moments are sparse:
     per row chunk, ``gaussians.component_rows`` gathers the rows with a nonzero
     weight for each component (its cluster under one-hot k-means weights, a few
     components per row under ``responsibilities``' relative floor) for one
-    (N, n_k) x (n_k, N) product. Circulant and Toeplitz: the
-    transform-domain diagonal r_k^T |X_t|^2 / m_k - |r_k^T X_t / m_k|^2 from one
-    real product, projected onto the cone for Toeplitz. The floor is
-    EIG_FLOOR_REL times the weighted mean energy per entry of the centred rows:
-    trace / N, which is sum(diag) / N (Parseval; Q^H Q = I for Toeplitz).
+    (N, n_k) x (n_k, N) product. Toeplitz: the transform-domain diagonal
+    r_k^T |X_t|^2 / m_k - |r_k^T X_t / m_k|^2 from one real product, projected
+    onto the cone. The floor is EIG_FLOOR_REL times the weighted mean energy
+    per entry of the centred rows: trace / N, which is sum(diag) / N for
+    Toeplitz (Q^H Q = I).
     """
     k_total, dim = resp.shape[1], samples.shape[1]
     masses = resp.sum(axis=0)
@@ -410,13 +401,11 @@ def _m_step(
         stats -= means[:, :, None] * means[:, None, :].conj()
         energy = np.trace(stats, axis1=1, axis2=2).real
     else:
-        xt = rows @ toeplitz_transform(dim).T if structure == "toeplitz" else rows
+        xt = samples @ toeplitz_transform(dim).T
         stats = resp.T @ np.abs(xt) ** 2 / masses[:, None]
         stats -= np.abs(resp.T @ xt / masses[:, None]) ** 2
         energy = stats.sum(axis=1)
     floor = EIG_FLOOR_REL * np.maximum(energy / dim, np.finfo(float).tiny)[:, None]
-    if structure == "circulant":
-        return means, np.maximum(stats, floor)
     if structure == "toeplitz":
         return means, _project_toeplitz(stats, floor, dim)
     vals, vecs = np.linalg.eigh(0.5 * (stats + stats.conj().transpose(0, 2, 1)))
@@ -424,50 +413,44 @@ def _m_step(
 
 
 def _isotropic(structure: str, dim: int, scale: float) -> np.ndarray:
-    """Parameters of a restarted component: scale * I for full and circulant.
+    """Parameters of a restarted component: scale * I for full.
 
     The Toeplitz spectrum of 2 * scale on every bin is 2 * scale * I, since
     Q^H Q = I; fitted models depend on that scale, so it stays.
     """
     if structure == "full":
         return scale * np.eye(dim, dtype=np.complex128)
-    if structure == "circulant":
-        return np.full(dim, scale)
     return np.full(2 * dim, 2.0 * scale)
+
+
+class _DiagonalView(NamedTuple):
+    """A circulant model as L = 0 factor analyzers on the DFT rows, in
+    ``mfa.MfaModel``'s fields for ``gaussians.stack_mixture``: the means F mu_k,
+    empty (K, N, 0) loadings and the spectra as diagonals. ``MfaModel`` would
+    reject the zero bins that an estimate at sigma2 > 0 accepts."""
+
+    weights: np.ndarray
+    means: np.ndarray
+    loadings: np.ndarray
+    diag_terms: np.ndarray
 
 
 def _check_spectra(model: GmmModel, sigma2: float) -> None:
     """Raise ConditioningError when a circulant C_k + sigma2 I is numerically
-    singular: a bin at or below its component's largest bin / COND_LIMIT, or at
-    or below 1 / max float, whose inverse overflows (``gaussians.factorize``'s
-    bound)."""
-    if model.structure != "circulant":
-        return
+    singular: a bin at or below its component's largest bin / COND_LIMIT. A bin
+    whose inverse overflows is ``gaussians.factorize``'s to reject."""
     shifted = model.params + sigma2
-    bound = np.maximum(shifted.max(axis=1, keepdims=True) / COND_LIMIT, _UNINVERTIBLE)
-    singular = (shifted <= bound).any(axis=1)
+    singular = (shifted <= shifted.max(axis=1, keepdims=True) / COND_LIMIT).any(axis=1)
     if singular.any():
         raise ConditioningError(
             f"component {singular.argmax()}: circulant spectrum + sigma2 has a zero bin "
-            f"(at or below its largest / {COND_LIMIT:.0e} or 1 / max float); use sigma2 > 0"
+            f"(at or below its largest / {COND_LIMIT:.0e}); use sigma2 > 0"
         )
 
 
 def _gmm_factor(model: GmmModel, sigma2: float, not_pd: str = _ESTIMATE_NOT_PD) -> tuple:
-    """Factor every C_k + sigma2 I once, as ``_gmm_chunks`` takes it.
-
-    Circulant: (stack, exact). On the DFT rows a circulant component is the
-    diagonal Gaussian N_C(F mu_k, diag(c_k + sigma2)), so ``stack`` is an L = 0
-    ``gaussians.MixtureStack`` with d = 1 / (c_k + sigma2) and
-    d_mean = d conj(F mu_k) as columns, the intercept-only projection (the
-    last of its N + 1 rows is 1), empty latent roots and log-constants
-    log w_k - N log pi - sum log(c_k + sigma2) - sum d |F mu_k|^2. It is built
-    here, not by ``stack_mixture``: a fitted spectrum may sit on the
-    EIG_FLOOR_REL * tiny floor, which ``factorize`` rejects. A component with a
-    bin at or below 1 / max float, whose inverse overflows, gets zero columns
-    and no mean term, and ``exact`` lists it as (k, c_k + sigma2, F mu_k) for
-    the exact quadratic form.
-    Full and Toeplitz: (whitener, logconst). With the lower Cholesky factors
+    """Factor every full or Toeplitz C_k + sigma2 I once, as ``_gmm_chunks``
+    takes it: (whitener, logconst). With the lower Cholesky factors
     C_k + sigma2 I = L_k L_k^H, the whitener is the stacked
     [L_1^{-T} ... L_K^{-T}] (N, K N) with the negated whitened means
     -[mu_1 L_1^{-T} ... mu_K L_K^{-T}] appended as row N + 1, and the
@@ -476,20 +459,6 @@ def _gmm_factor(model: GmmModel, sigma2: float, not_pd: str = _ESTIMATE_NOT_PD) 
     factorization of component k fails.
     """
     logweights = np.log(model.weights) - model.dim * LOG_PI
-    if model.structure == "circulant":
-        shifted = model.params + sigma2
-        centres = np.fft.fft(model.means, norm="ortho")
-        overflow = (shifted <= _UNINVERTIBLE).any(axis=1)
-        d = np.divide(1.0, shifted, out=np.zeros_like(shifted), where=~overflow[:, None])
-        logconst = logweights - np.log(shifted).sum(axis=1) - (d * np.abs(centres) ** 2).sum(axis=1)
-        intercept = np.zeros((model.dim + 1, model.n_components), dtype=np.complex128)
-        intercept[-1] = 1.0
-        stack = MixtureStack(
-            np.ascontiguousarray(d.T), (d * centres.conj()).T, intercept,
-            np.empty((model.n_components, 0, 0)), logconst,
-        )
-        exact = [(k, shifted[k], centres[k]) for k in np.flatnonzero(overflow)]
-        return stack, exact
     dim = model.dim
     chol = cholesky(model.dense_covariances() + sigma2 * np.eye(dim), not_pd)
     logdets = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2).real).sum(axis=1)
@@ -500,25 +469,20 @@ def _gmm_factor(model: GmmModel, sigma2: float, not_pd: str = _ESTIMATE_NOT_PD) 
 
 
 def _gmm_chunks(model: GmmModel, factor: tuple, rows: np.ndarray):
-    """Yield ``(part, y, z, resp, lse)`` for each ``_row_chunks`` chunk of
-    ``rows = _kernel_rows(model.structure, y)``, with ``factor`` the model's
+    """Yield ``(part, y, z, resp, lse)`` for each ``_row_chunks`` chunk of the
+    observations ``rows`` of a full or Toeplitz model, with ``factor`` its
     ``_gmm_factor``: the chunk's slice and rows, the whitened centred rows z
-    (B, K, N) of a full or Toeplitz model (None for circulant), and the
-    ``responsibilities`` and per-row log-sum-exp of the weighted log-densities
-    log w_k + log N_C(y; mu_k, C_k + sigma2 I). Every (B, K N) temporary stays
-    within _GMM_CHUNK_BUDGET entries.
+    (B, K, N), and the ``responsibilities`` and per-row log-sum-exp of the
+    weighted log-densities log w_k + log N_C(y; mu_k, C_k + sigma2 I). Every
+    (B, K N) temporary stays within _GMM_CHUNK_BUDGET entries.
 
-    Full and Toeplitz whiten and centre a chunk against all K components with
-    one product, z = [y 1] [L_1^{-T} ... L_K^{-T}; -mu_1 L_1^{-T} ...], through
-    one reused (B, N + 1) buffer whose last column is 1; the quadratic forms are
-    the sums of |z_k|^2, one real product over z's interleaved real view.
-    Circulant densities come from ``gaussians.mixture_logdens`` at L = 0 on
-    the same [y 1] rows, the expansion |y|^2 d - 2 Re(y d conj(F mu)) + d |F mu|^2
-    in two (B, N) x (N, K) products; a component in ``exact`` takes the exact sum of
-    |y - F mu_k|^2 / (c_k + sigma2) instead, which is inf (a zero density) for
-    every row but those equal to its mean.
+    One product whitens and centres a chunk against all K components,
+    z = [y 1] [L_1^{-T} ... L_K^{-T}; -mu_1 L_1^{-T} ...], through one reused
+    (B, N + 1) buffer whose last column is 1; the quadratic forms are the sums
+    of |z_k|^2, one real product over z's interleaved real view.
     """
     k_total, dim = model.n_components, model.dim
+    whitener, logconst = factor
     buffer = np.ones((0, dim + 1), dtype=np.complex128)
     for part in _row_chunks(rows.shape[0], k_total * dim):
         y = rows[part]
@@ -526,19 +490,9 @@ def _gmm_chunks(model: GmmModel, factor: tuple, rows: np.ndarray):
             buffer = np.ones((len(y), dim + 1), dtype=np.complex128)
         block = buffer[:len(y)]
         block[:, :dim] = y
-        if model.structure == "circulant":
-            stack, exact = factor
-            intercepts = np.empty((len(y), k_total, 1), dtype=np.complex128)
-            logdens = mixture_logdens(stack, block, np.abs(y) ** 2, intercepts)
-            with np.errstate(over="ignore"):
-                for k, spectrum, centre in exact:
-                    logdens[:, k] -= (np.abs(y - centre) ** 2 / spectrum).sum(axis=1)
-            yield part, y, None, *responsibilities(logdens)
-        else:
-            whitener, logconst = factor
-            z = (block @ whitener).reshape(len(y), k_total, dim)
-            flat = z.view(np.float64)
-            yield part, y, z, *responsibilities(logconst - np.einsum("bkl,bkl->bk", flat, flat))
+        z = (block @ whitener).reshape(len(y), k_total, dim)
+        flat = z.view(np.float64)
+        yield part, y, z, *responsibilities(logconst - np.einsum("bkl,bkl->bk", flat, flat))
 
 
 def fit_gmm(
@@ -546,61 +500,68 @@ def fit_gmm(
 ) -> tuple[GmmModel, FitTrace]:
     """EM fit of a Gaussian mixture with the requested covariance structure.
 
-    k-means clusters start the components through ``_m_step`` with one-hot
-    weights; a cluster of fewer than two samples starts isotropic. The full and
-    circulant M-steps are exact maximizers: the floored eigenvalues of the
-    weighted scatter, and the floored diagonal of its DFT-domain form. The
-    Toeplitz M-step projects the weighted scatter onto the Toeplitz class, so
-    its likelihood trace is recorded but not guaranteed monotone. The start, the
-    loop and the collapse policy are fit_em's, in ``mfa.fit_mixture``; ``start``,
-    when given, is ``mfa.kmeans_start(dataset, n_components, config.seed)`` and
-    yields the same fit as none. When EM shrinks a component onto one sample or
-    identical ones, a full fit raises ConditioningError naming it.
+    The circulant fit is the MFA's L = 0 ``diagonal`` EM (``mfa._MfaFamily``)
+    on the unitary DFT rows F x, where component k is N_C(F mu_k, diag(c_k)).
+    Its M-step is an exact maximizer: the weighted variance of each DFT bin,
+    floored at mfa.PSI_FLOOR_REL times the data's mean energy per entry.
+    ``config.psi_mode`` is not read. The full and Toeplitz fits start the
+    k-means clusters through ``_m_step`` with one-hot weights, and a cluster
+    of fewer than two samples starts isotropic. The full M-step is an exact
+    maximizer, the floored eigenvalues of the weighted scatter. The Toeplitz
+    M-step projects the weighted scatter onto the Toeplitz class, so its
+    likelihood trace is recorded but not guaranteed monotone. The start, the
+    loop and the collapse policy are fit_em's, in ``mfa.fit_mixture``; k-means
+    runs on the samples for every structure, and ``start``, when given, is
+    ``mfa.kmeans_start(dataset, n_components, config.seed)`` and yields the
+    same fit as none. When EM shrinks a component onto one sample or identical
+    ones, a full fit raises ConditioningError naming it.
     """
     config = config or FitConfig()
     if structure not in GMM_STRUCTURES:
         raise ValueError(f"structure must be one of {GMM_STRUCTURES}")
-    return fit_mixture(dataset, n_components, config, partial(_GmmFamily, structure), start)
+    if structure != "circulant":
+        return fit_mixture(dataset, n_components, config, partial(_GmmFamily, structure), start)
+    samples = _as_samples(dataset)
+    if start is None:
+        start = kmeans_start(samples, n_components, config.seed)
+    rows, family = np.fft.fft(samples, norm="ortho"), partial(_MfaFamily, 0, "diagonal")
+    model, trace = fit_mixture(rows, n_components, config, family, start)
+    means = np.fft.ifft(model.means, norm="ortho")
+    return GmmModel("circulant", model.weights, means, model.diag_terms), trace
 
 
 class _GmmFamily:
-    """fit_gmm's math in ``mfa.fit_mixture``: params (params,). The samples are
-    transformed once per fit (``_kernel_rows``) for the start, the E-steps and
-    the M-steps."""
+    """fit_gmm's full and Toeplitz math in ``mfa.fit_mixture``: params (params,)."""
 
     def __init__(self, structure: str, samples: np.ndarray):
         self.structure = structure
         self.model = partial(GmmModel, structure)
         self.dim = samples.shape[1]
         self.scale = float(np.mean(np.abs(samples) ** 2))
-        self.rows = _kernel_rows(structure, samples)
 
     def start(self, samples: np.ndarray, labels: np.ndarray, fitted: np.ndarray):
         """The clusters in ``fitted`` through ``_m_step`` with one-hot weights."""
         means = np.empty((fitted.size, self.dim), dtype=np.complex128)
         params = np.stack([_isotropic(self.structure, self.dim, self.scale)] * fitted.size)
         onehot = (labels[:, None] == np.flatnonzero(fitted)).astype(np.float64)
-        means[fitted], params[fitted] = _m_step(self.structure, samples, self.rows, onehot)
+        means[fitted], params[fitted] = _m_step(self.structure, samples, onehot)
         return means, (params,)
 
     def restart(self, rng: np.random.Generator):
         """``_isotropic`` parameters at the data's mean energy per entry."""
         return (_isotropic(self.structure, self.dim, self.scale),)
 
-    def pool(self, params, sizes: np.ndarray):
-        return params
-
     def e_step(self, samples: np.ndarray, model: GmmModel):
         resp = np.empty((samples.shape[0], model.n_components))
         per_sample = np.empty(samples.shape[0])
         factor = _gmm_factor(model, 0.0, _FIT_NOT_PD)
-        for part, _, _, chunk_resp, lse in _gmm_chunks(model, factor, self.rows):
+        for part, _, _, chunk_resp, lse in _gmm_chunks(model, factor, samples):
             resp[part], per_sample[part] = chunk_resp, lse
         return float(per_sample.mean()), int(np.argmin(per_sample)), resp.sum(axis=0), resp
 
     def m_step(self, samples: np.ndarray, model: GmmModel, resp, live: np.ndarray):
         means, params = model.means.copy(), model.params.copy()
-        means[live], params[live] = _m_step(self.structure, samples, self.rows, resp[:, live])
+        means[live], params[live] = _m_step(self.structure, samples, resp[:, live])
         return means, (params,)
 
 
@@ -609,33 +570,30 @@ def gmm_estimate(model: GmmModel, sigma2: float, y: np.ndarray) -> np.ndarray:
 
     The filter of component k is y - sigma2 (C_k + sigma2 I)^{-1} (y - mu_k).
     Circulant: on the DFT rows that is ``estimator.estimate``'s accumulation at
-    L = 0, (resp D) y - resp (D F mu)^T with the stacked D_k = 1 / (c_k + sigma2),
-    two (B, K) x (K, N) products and one inverse DFT per chunk. Full and
-    Toeplitz: the whitened centred rows z_k (``_gmm_chunks``), weighted by the
+    L = 0 (``_DiagonalView``), then one inverse DFT. Full and Toeplitz: the
+    whitened centred rows z_k (``_gmm_chunks``), weighted by the
     responsibilities, through the stacked [conj(L_1^{-1}); ...] in one product.
     Raises ConditioningError when some C_k + sigma2 I is numerically singular:
     a circulant bin at or below its component's largest bin / COND_LIMIT or
-    1 / max float, a failed Cholesky, or an estimate that is not finite (a
-    subnormal pivot whose whitened rows overflow, say).
+    one with no finite inverse, a failed Cholesky, or an estimate that is not
+    finite (a subnormal pivot whose whitened rows overflow, say).
     """
     sigma2 = _check_sigma2(sigma2)
     batch, single = _check_observation(y, model.dim)
-    _check_spectra(model, sigma2)
-    out = np.empty_like(batch)
-    with np.errstate(all="ignore"):
-        factor = _gmm_factor(model, sigma2)
-        chunks = _gmm_chunks(model, factor, _kernel_rows(model.structure, batch))
-        if model.structure == "circulant":
-            # (K, N) rows D_k and D_k F mu_k; no component is exact past _check_spectra.
-            d, d_mean = factor[0].d.T, factor[0].d_mean.T.conj()
-            for part, rows, _, resp, _ in chunks:
-                prec = (resp @ d) * rows
-                prec -= resp @ d_mean
-                out[part] = np.fft.ifft(rows - sigma2 * prec, norm="ortho")
-        else:
+    if model.structure == "circulant":
+        _check_spectra(model, sigma2)
+        means = np.fft.fft(model.means, norm="ortho")
+        loadings = np.empty((*model.params.shape, 0), dtype=np.complex128)
+        stack = stack_mixture(_DiagonalView(model.weights, means, loadings, model.params), sigma2)
+        rows = _conditional_mean(stack, sigma2, np.fft.fft(batch, norm="ortho"))
+        out = np.fft.ifft(rows, norm="ortho")
+    else:
+        out = np.empty_like(batch)
+        with np.errstate(all="ignore"):
+            factor = _gmm_factor(model, sigma2)
             # The stacked [conj(L_1^{-1}); ...; conj(L_K^{-1})] (K N, N), once per call.
             back = factor[0][:-1].T.conj()
-            for part, rows, z, resp, _ in chunks:
+            for part, rows, z, resp, _ in _gmm_chunks(model, factor, batch):
                 out[part] = rows - sigma2 * ((z * resp[:, :, None]).reshape(len(rows), -1) @ back)
     if not np.all(np.isfinite(out)):
         raise ConditioningError("covariance + sigma2 I is numerically singular: the estimate "

@@ -5,7 +5,9 @@ by noise-aware responsibilities. Every component is factored once per call at
 the observation noise level (``gaussians.stack_mixture``), and the stacked
 low-rank kernel's pass (``gaussians.mixture_chunks``) yields both the
 responsibilities and the whitened latent coordinates the filters need, so no
-N x N matrix is formed and the per-observation cost is O(KNL).
+N x N matrix is formed and the per-observation cost is O(KNL). The circulant
+GMM's estimate (``baselines.gmm_estimate``) is the same accumulation at L = 0
+on the DFT rows, through ``_conditional_mean``.
 """
 
 from __future__ import annotations
@@ -30,10 +32,17 @@ def estimate(model: MfaModel, sigma2: float, y: np.ndarray) -> np.ndarray:
     """
     batch, single = _check_observation(y, model.dim)
     sigma2 = _check_sigma2(sigma2)
-    stack = stack_mixture(model, sigma2)
+    value = _conditional_mean(stack_mixture(model, sigma2), sigma2, batch)
+    return value[0] if single else value
+
+
+def _conditional_mean(stack, sigma2: float, batch: np.ndarray) -> np.ndarray:
+    """``estimate``'s accumulation over the (B, N) rows ``batch``, with ``stack``
+    the mixture's ``gaussians.MixtureStack`` at sigma2."""
+    latent = stack.latent_root.shape[1]
     # (K*(L+1), N): the conjugated projection rows, with each intercept row D_k mu_k.
     back = stack.proj[:-1].T.conj()
-    back[model.latent_dim::model.latent_dim + 1] = stack.d_mean.T.conj()
+    back[latent::latent + 1] = stack.d_mean.T.conj()
 
     value = np.empty_like(batch)
     for start, yb, _, lat, resp, _ in mixture_chunks(stack, batch):
@@ -41,4 +50,4 @@ def estimate(model: MfaModel, sigma2: float, y: np.ndarray) -> np.ndarray:
         prec_y = (resp @ stack.d.T) * yb
         prec_y -= lat.reshape(len(yb), -1) @ back
         value[start:start + len(yb)] = yb - sigma2 * prec_y
-    return value[0] if single else value
+    return value

@@ -10,10 +10,12 @@ one batched Cholesky and inverse of the K latent L x L systems
 (``factorize``), and ``mixture_logdens`` evaluates every component on a batch
 of rows with a few stacked matrix products. EM, the likelihood and the MMSE
 estimator all run through one chunked pass of that kernel (``mixture_chunks``)
-and keep only their own accumulations. The kernel works in whitened latent
-coordinates q_k = R_k^H W_k^H D_k (y - mu_k), with R_k R_k^H the latent
-posterior covariance, so the low-rank correction is the squared norm |q_k|^2
-and the posterior mean is R_k q_k. One product of the rows [y 1] with the
+and keep only their own accumulations. So does the circulant GMM of
+``baselines``, whose fit and estimate are the MFA's at L = 0 on the unitary
+DFT rows, where a circulant covariance is diagonal. The kernel works in
+whitened latent coordinates q_k = R_k^H W_k^H D_k (y - mu_k), with R_k R_k^H
+the latent posterior covariance, so the low-rank correction is the squared
+norm |q_k|^2 and the posterior mean is R_k q_k. One product of the rows [y 1] with the
 stacked augmented projection writes [q_k 1] for every component straight
 into the pass's latent buffer: the centring and EM's intercept column come
 out of that product, not out of a copy.
@@ -198,7 +200,9 @@ class MixtureStack(NamedTuple):
 
 
 def stack_mixture(model, sigma2: float) -> MixtureStack:
-    """Factor every component of an ``mfa.MfaModel`` at noise level sigma2.
+    """Factor every component of an ``mfa.MfaModel`` at noise level sigma2; any
+    object with its weights, means, loadings and diag_terms will do
+    (``baselines._DiagonalView``, a circulant GMM on the DFT rows).
 
     The model's stacked loadings and diagonals go through one ``factorize``
     call, a batched Cholesky and inverse of the K latent systems, so its sigma2

@@ -234,8 +234,9 @@ def _kmeans(samples: np.ndarray, k_total: int, rng: np.random.Generator) -> np.n
     GEMM per Lloyd step. Each Lloyd step groups the rows by label with one
     stable sort, so every centre is the mean of its members gathered in
     ascending order. A cluster left empty is reseeded, in order of k, at the
-    farthest sample from its centre that no earlier empty cluster took; the
-    sample leaves its cluster, whose centre keeps it when already updated.
+    farthest sample from its centre whose cluster keeps another member; the
+    sample leaves its cluster, whose centre keeps it when already updated. So
+    no cluster of the returned labels is empty unless Lloyd ran on a subsample.
     """
     count = samples.shape[0]
     budget = max(_KMEANS_SUBSAMPLE, 10 * k_total)
@@ -270,6 +271,8 @@ def _kmeans(samples: np.ndarray, k_total: int, rng: np.random.Generator) -> np.n
         nearest = dist[np.arange(n_work), new_labels]
         order = np.argsort(new_labels, kind="stable")
         bounds = np.searchsorted(new_labels[order], np.arange(k_total + 1))
+        # Cluster sizes, kept current through the reseeds.
+        sizes = np.diff(bounds)
         for k in range(k_total):
             # The cluster's rows, less any that an earlier reseed took.
             members = order[bounds[k]:bounds[k + 1]]
@@ -277,8 +280,9 @@ def _kmeans(samples: np.ndarray, k_total: int, rng: np.random.Generator) -> np.n
             if members.size:
                 centers[k] = work[members].mean(axis=0)
             else:
-                far = nearest.argmax()
-                nearest[far] = -np.inf
+                far = np.where(sizes[new_labels] > 1, nearest, -np.inf).argmax()
+                sizes[new_labels[far]] -= 1
+                sizes[k] += 1
                 centers[k] = work[far]
                 new_labels[far] = k
         if np.array_equal(new_labels, labels):
@@ -391,16 +395,22 @@ class _MfaFamily:
     model = MfaModel
 
     def __init__(self, latent: int, psi_mode: str, samples: np.ndarray):
-        if not (1 <= latent <= samples.shape[1]):
+        # L = 0 is the circulant GMM's diagonal Gaussian (baselines.fit_gmm);
+        # fit_em rejects it at its boundary.
+        if latent > samples.shape[1]:
             raise ValueError("latent dimension must satisfy 1 <= L <= N")
         self.latent, self.psi_mode, self.dim = latent, psi_mode, samples.shape[1]
         self.scale = float(np.mean(np.abs(samples) ** 2))
         self.floor = PSI_FLOOR_REL * self.scale
 
     def start(self, samples: np.ndarray, labels: np.ndarray, fitted: np.ndarray):
-        """Each cluster in ``fitted`` starts at its mean, its L principal axes
-        and the mean of its other eigenvalues (the floor when L = N); the
-        others at the diagonal max(scale, floor)."""
+        """Each cluster in ``fitted`` starts at its mean and its L principal
+        axes W_k. Its diagonal comes from the residual scatter S_k - W_k W_k^H,
+        floored: under scaled-identity the mean of the other N - L eigenvalues
+        (the floor when L = N), under diagonal the residual's diagonal (at
+        L = 0 the per-entry variance), and under shared-diagonal that diagonal
+        pooled entry by entry over all clusters by size. Clusters outside
+        ``fitted`` start at the diagonal max(scale, floor)."""
         k_total, dim, latent = fitted.size, self.dim, self.latent
         means = np.empty((k_total, dim), dtype=np.complex128)
         loadings = np.empty((k_total, dim, latent), dtype=np.complex128)
@@ -414,8 +424,13 @@ class _MfaFamily:
             vals = np.maximum(vals[::-1], 0.0)
             vecs = vecs[:, ::-1]
             loadings[k] = vecs[:, :latent] * np.sqrt(vals[:latent])
-            resid = float(vals[latent:].mean()) if latent < dim else self.floor
-            psis[k] = max(resid, self.floor)
+            if self.psi_mode == "scaled-identity":
+                resid = float(vals[latent:].mean()) if latent < dim else self.floor
+            else:
+                resid = cov.diagonal().real - (np.abs(loadings[k]) ** 2).sum(axis=1)
+            psis[k] = np.maximum(resid, self.floor)
+        if self.psi_mode == "shared-diagonal":
+            psis[:] = np.maximum(np.bincount(labels, minlength=k_total) @ psis / len(labels), self.floor)
         return means, (loadings, psis)
 
     def restart(self, rng: np.random.Generator):
@@ -426,13 +441,6 @@ class _MfaFamily:
         if self.psi_mode == "shared-diagonal":
             return (loading,)
         return loading, np.full(self.dim, max(self.scale, self.floor))
-
-    def pool(self, params, sizes: np.ndarray):
-        """Under shared-diagonal, the start's diagonals pooled by cluster size."""
-        if self.psi_mode == "shared-diagonal":
-            psis = params[1]
-            psis[:] = max(float(sizes @ psis[:, 0]) / sizes.sum(), self.floor)
-        return params
 
     def e_step(self, samples: np.ndarray, model: MfaModel):
         avg, worst, masses, loadings, means, per_entry = _em_iteration(samples, model)
@@ -461,6 +469,8 @@ def fit_em(
     rather than dropped.
     """
     config = config or FitConfig()
+    if latent_dim < 1:
+        raise ValueError("latent dimension must satisfy 1 <= L <= N")
     family = partial(_MfaFamily, latent_dim, config.psi_mode)
     return fit_mixture(dataset, n_components, config, family, start)
 
@@ -476,8 +486,7 @@ def fit_mixture(dataset, n_components: int, config: FitConfig, family, start=Non
     ``model(weights, means, *params)``; ``start(samples, labels, fitted)`` ->
     (means, params), set for the k-means clusters ``fitted``; ``restart(rng)``
     -> the leading params a restarted component resets, the others keeping
-    their values; ``pool(params, sizes)`` -> the start's params;
-    ``e_step(samples, model)`` -> (average log-likelihood, worst-fit sample,
+    their values; ``e_step(samples, model)`` -> (average log-likelihood, worst-fit sample,
     masses, stats); ``m_step(samples, model, stats, live)`` -> (means, params),
     set for the ``live`` components. ``start`` is the ``kmeans_start`` of the
     samples at (n_components, config.seed); without one, the fit makes it.
@@ -513,14 +522,13 @@ def _em_start(
 ):
     """The start of ``fit_mixture`` at weights 1/K: ``family.start`` on the
     k-means clusters ``labels`` of at least two samples, a restart at its
-    sample (a random one when empty) for each smaller cluster, then
-    ``family.pool``."""
+    sample (a random one when empty) for each smaller cluster."""
     sizes = np.bincount(labels, minlength=k_total)
     means, params = family.start(samples, labels, sizes >= 2)
     for k in np.flatnonzero(sizes < 2):
         mean = samples[labels == k][0] if sizes[k] else samples[rng.integers(len(samples))]
         _restart(family, rng, means, params, k, mean)
-    return family.model(np.full(k_total, 1.0 / k_total), means, *family.pool(params, sizes))
+    return family.model(np.full(k_total, 1.0 / k_total), means, *params)
 
 
 def _em_step(samples: np.ndarray, family, rng: np.random.Generator, model):

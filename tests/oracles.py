@@ -33,10 +33,16 @@ materializes it. The oracles:
 - ``kmeans_reference``: k-means++ seeding, then Lloyd steps that update each
   centre from a boolean mask of its members, one cluster after another. A
   cluster left empty is reseeded at the farthest sample (by distance to its
-  own centre) that no earlier empty cluster of the step took, and the sample
-  moves to it. Distances are either the expansion over the interleaved real
+  own centre) whose cluster, counted afresh, keeps another member, and the
+  sample moves to it. Distances are either the expansion over the interleaved real
   view that ``mfa._kmeans`` computes, in its order of operations, or the
   elementwise |x - c|^2 while seeding and the complex cross product in Lloyd.
+- ``start_reference``: the k-means start of a ``diagonal`` or
+  ``shared-diagonal`` MFA fit, cluster by cluster: the mean, the scatter
+  S = (1/n) sum (x - mean)^H (x - mean) in column form, its eigenpairs by a
+  dense ``eigh`` in descending order, the loading products W W^H of the L
+  leading pairs and the residual diagonal, the sum of lambda_j |u_j|^2 over the
+  other pairs. At L = 0 that is the per-entry variance of the cluster.
 - ``with_intercept``: the rows [y 1] that ``gaussians.mixture_logdens`` takes.
 - ``kernel_responsibilities``: not dense; the responsibilities that
   ``gaussians.mixture_chunks`` yields, which ``estimate`` weights its filters
@@ -190,14 +196,43 @@ def kmeans_reference(samples, k_total, rng, subsample, elementwise=False):
             if mask.any():
                 centers[k] = work[mask].mean(axis=0)
             else:
-                far = nearest.argmax()
-                nearest[far] = -np.inf
+                donors = np.flatnonzero(np.bincount(new_labels, minlength=k_total)[new_labels] > 1)
+                far = donors[np.argmax(nearest[donors])]
                 centers[k] = work[far]
                 new_labels[far] = k
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
     return labels if work is samples else dist(samples, centers).argmin(axis=1)
+
+
+def start_reference(samples, labels, k_total, latent, psi_mode):
+    """The means (K, N), loading products W_k W_k^H (K, N, N) and diagonals
+    (K, N) that the start of an MFA fit under ``psi_mode`` (``diagonal`` or
+    ``shared-diagonal``) gives the clusters of ``labels`` with at least two
+    samples; the others keep zeros and the diagonal max(scale, floor), scale
+    the mean energy per entry of the samples and floor PSI_FLOOR_REL times
+    scale. Each residual diagonal is floored; shared-diagonal then averages
+    all K diagonals weighted by cluster size, entry by entry, and floors that."""
+    scale = float(np.mean(np.abs(samples) ** 2))
+    floor = mfa.PSI_FLOOR_REL * scale
+    dim = samples.shape[1]
+    means = np.zeros((k_total, dim), complex)
+    products = np.zeros((k_total, dim, dim), complex)
+    diagonals = np.full((k_total, dim), max(scale, floor))
+    sizes = np.bincount(labels, minlength=k_total)
+    for k in np.flatnonzero(sizes >= 2):
+        cluster = samples[labels == k]
+        means[k] = cluster.mean(axis=0)
+        centred = cluster - means[k]
+        vals, vecs = np.linalg.eigh(centred.T @ centred.conj() / len(cluster))
+        vals, vecs = vals[::-1], vecs[:, ::-1]
+        lead = vecs[:, :latent] * np.sqrt(np.maximum(vals[:latent], 0.0))
+        products[k] = lead @ lead.conj().T
+        diagonals[k] = np.maximum((np.abs(vecs[:, latent:]) ** 2) @ vals[latent:], floor)
+    if psi_mode == "shared-diagonal":
+        diagonals[:] = np.maximum(sizes @ diagonals / sizes.sum(), floor)
+    return means, products, diagonals
 
 
 def with_intercept(y):

@@ -1,18 +1,18 @@
 import re
 import warnings
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from mfachest import baselines
+from mfachest import baselines, gaussians, mfa
 from mfachest.baselines import (
     EIG_FLOOR_REL,
     GMM_STRUCTURES,
     Dictionary,
     GmmModel,
     _GmmFamily,
-    _kernel_rows,
     _m_step,
     _project_toeplitz,
     build_dft_dictionary,
@@ -28,7 +28,7 @@ from mfachest.baselines import (
 )
 from mfachest.estimator import estimate
 from mfachest.gaussians import ConditioningError
-from mfachest.mfa import FitConfig, _em_step, sample
+from mfachest.mfa import PSI_FLOOR_REL, FitConfig, MfaModel, _em_step, log_likelihood, sample
 from mfachest.scenario import ChannelDataset, ScenarioConfig, _steering_batch
 from oracles import (
     collapsing_data,
@@ -37,6 +37,7 @@ from oracles import (
     dense_logdens,
     em_problems,
     gmm_models,
+    kernel_responsibilities,
     make_model,
     posterior,
 )
@@ -44,9 +45,56 @@ from oracles import (
 
 def e_step_log_likelihood(model, samples):
     """Average log-likelihood of a GmmModel over samples (T, N): the value
-    fit_gmm's E-step records in its trace."""
+    fit_gmm's E-step records in its trace, for a circulant model the L = 0
+    kernel's on the DFT rows (``circulant_view``)."""
     samples = np.asarray(samples, dtype=complex)
+    if model.structure == "circulant":
+        return log_likelihood(circulant_view(model), np.fft.fft(samples, norm="ortho"))
     return _GmmFamily(model.structure, samples).e_step(samples, model)[0]
+
+
+def circulant_family(samples):
+    """The unitary DFT rows of samples (T, N) and fit_gmm's circulant math on
+    them: L = 0 factor analyzers with per-component diagonals."""
+    rows = np.fft.fft(samples, norm="ortho")
+    return rows, mfa._MfaFamily(0, "diagonal", rows)
+
+
+def circulant_view(model):
+    """A circulant GmmModel as the L = 0 MfaModel it is on the DFT rows."""
+    k_total, dim = model.params.shape
+    means = np.fft.fft(model.means, norm="ortho")
+    return MfaModel(model.weights, means, np.zeros((k_total, dim, 0)), model.params)
+
+
+def circulant_m_step(samples, resp):
+    """fit_gmm's circulant M-step on the weights ``resp`` (T, K): the L = 0
+    diagonal update on the DFT rows, its E-step fed ``resp`` in place of the
+    responsibilities. Returns the means on the DFT rows and the spectra."""
+    rows, family = circulant_family(samples)
+    k_total, dim = resp.shape[1], samples.shape[1]
+    model = MfaModel(np.full(k_total, 1.0 / k_total), np.zeros((k_total, dim)),
+                     np.zeros((k_total, dim, 0)), np.ones((k_total, dim)))
+    offset = 0
+
+    def injected(logdens):
+        nonlocal offset
+        offset += len(logdens)
+        return resp[offset - len(logdens):offset].copy(), posterior(logdens)[1]
+
+    with patch.object(gaussians, "responsibilities", injected):
+        stats = family.e_step(rows, model)[3]
+    means, (_, spectra) = family.m_step(rows, model, stats, np.ones(k_total, dtype=bool))
+    return means, spectra
+
+
+def m_step(structure, samples, resp):
+    """fit_gmm's M-step of any structure on the weights ``resp`` (T, K): the
+    means (K, N) and the covariance parameters."""
+    if structure != "circulant":
+        return _m_step(structure, samples, resp)
+    means, spectra = circulant_m_step(samples, resp)
+    return np.fft.ifft(means, norm="ortho"), spectra
 
 
 class TestLsEstimate:
@@ -631,13 +679,23 @@ class TestFitGmm:
         else:
             bins = 2 * dim if structure == "toeplitz" else dim
             start = GmmModel(structure, weights, means, np.ones((3, bins)))
-        _, fixed = _em_step(data, _GmmFamily(structure, data), np.random.default_rng(0), start)
+        if structure == "circulant":
+            # fit_gmm's circulant EM: L = 0 factor analyzers on the DFT rows.
+            rows, family = circulant_family(data)
+            _, fixed = _em_step(rows, family, np.random.default_rng(0), circulant_view(start))
+            reseeded = fixed.means[2]
+            fixed = GmmModel(structure, fixed.weights, np.fft.ifft(fixed.means, norm="ortho"),
+                             fixed.diag_terms)
+        else:
+            rows = data
+            _, fixed = _em_step(data, _GmmFamily(structure, data), np.random.default_rng(0), start)
+            reseeded = fixed.means[2]
         assert fixed.n_components == 3
         assert np.all(fixed.weights > 1e-3)
         assert abs(fixed.weights.sum() - 1.0) < 1e-12
         # the re-seeded mean sits on the sample the start model fits worst
         _, mix = posterior(dense_logdens(start, 0.0, data))
-        assert np.array_equal(fixed.means[2], data[np.argmin(mix)])
+        assert np.array_equal(reseeded, rows[np.argmin(mix)])
         # and restarts isotropic: its covariance is a positive multiple of I
         restart = fixed.dense_covariances()[2]
         scale = restart[0, 0].real
@@ -668,28 +726,50 @@ class TestFitGmm:
         assert "sigma2" not in message
 
     def test_collapsed_circulant_component_keeps_its_sample(self):
-        # The one-hot component _m_step leaves on a collapsed fit: every bin at
-        # EIG_FLOOR_REL * tiny, whose inverse overflows, and the mean on sample 2.
+        # The one-hot component the circulant M-step leaves on a collapsed fit:
+        # every bin on the floor, PSI_FLOOR_REL times the mean energy per entry,
+        # and the mean on the DFT row of sample 2. The E-step is the L = 0 kernel's.
         rng = np.random.default_rng(117)
         samples = crandn(rng, 6, 4) + 2.0
-        rows = _kernel_rows("circulant", samples)
+        rows, family = circulant_family(samples)
         resp = np.column_stack([rng.uniform(0.2, 1.0, 6), np.eye(6)[2]])
-        means, spectra = _m_step("circulant", samples, rows, resp)
-        assert np.all(spectra[1] == EIG_FLOOR_REL * np.finfo(float).tiny)
-        model = GmmModel("circulant", np.array([0.7, 0.3]), means, spectra)
+        means, spectra = circulant_m_step(samples, resp)
+        assert np.all(spectra[1] == PSI_FLOOR_REL * np.mean(np.abs(rows) ** 2))
+        model = MfaModel(np.array([0.7, 0.3]), means, np.zeros((2, 4, 0)), spectra)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            loglik, worst, _, got = _GmmFamily("circulant", samples).e_step(samples, model)
+            loglik, worst, _, _ = family.e_step(rows, model)
+            got = kernel_responsibilities(model, 0.0, rows)
         # The division form over the (B, K, N) centred DFT rows.
-        centred = rows[:, None, :] - np.fft.fft(means, norm="ortho")
-        with np.errstate(over="ignore"):
-            quad = (np.abs(centred) ** 2 / spectra).sum(axis=2)
+        centred = rows[:, None, :] - means
+        quad = (np.abs(centred) ** 2 / spectra).sum(axis=2)
         logdens = np.log(model.weights) - 4 * np.log(np.pi) - np.log(spectra).sum(axis=1) - quad
         want, lse = posterior(logdens)
         assert got[2, 1] == 1.0
         assert np.abs(got - want).max() <= 1e-12
-        assert abs(loglik - lse.mean()) <= 1e-12 * abs(lse.mean())
+        # The kernel expands |y - mu|^2 / c, whose terms reach |y|^2 / c on the
+        # floored bins: their rounding, not the exact quadratic form's, bounds
+        # the log-likelihood (1.9e-8 against 1e-12 * |mean| = 3.2e-12 here).
+        rounding = 1e-15 * (np.abs(rows) ** 2 / spectra[1]).sum(axis=1).max() / len(rows)
+        assert abs(loglik - lse.mean()) <= 1e-12 * abs(lse.mean()) + rounding
         assert worst == np.argmin(lse)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_collapsed_circulant_fit_keeps_its_samples(self, seed):
+        # Each outlier takes a component of its own: its mean on the outlier,
+        # its weight one sample's and its spectrum on the floor, PSI_FLOOR_REL
+        # times the data's mean energy per entry. EM goes on with no warning.
+        data = collapsing_data()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model, trace = fit_gmm(data, 5, "circulant", FitConfig(max_iter=20, seed=seed))
+        floor = PSI_FLOOR_REL * np.mean(np.abs(np.fft.fft(data, norm="ortho")) ** 2)
+        collapsed = np.flatnonzero(np.all(model.params == floor, axis=1))
+        gaps = np.abs(model.means[collapsed, None] - data[None, 120:]).max(axis=2)
+        assert sorted(gaps.argmin(axis=1)) == [0, 1, 2]
+        assert np.all(gaps.min(axis=1) <= 1e-14 * np.abs(data).max())
+        assert np.abs(model.weights[collapsed] * len(data) - 1.0).max() <= 1e-12
+        assert np.all(np.isfinite(trace.loglik))
 
     def test_full_em_monotone(self):
         rng = np.random.default_rng(106)
@@ -789,30 +869,39 @@ class TestGmmEstimate:
         logdens = dense_logdens(model, 0.0, y)
         want_resp, want_lse = posterior(logdens)
         want_ll = want_lse.mean()
-        loglik, _, _, resp = _GmmFamily(model.structure, y).e_step(y, model)
+        if model.structure == "circulant":
+            rows, view = np.fft.fft(y, norm="ortho"), circulant_view(model)
+            loglik, resp = log_likelihood(view, rows), kernel_responsibilities(view, 0.0, rows)
+        else:
+            loglik, _, _, resp = _GmmFamily(model.structure, y).e_step(y, model)
         assert abs(loglik - want_ll) <= 1e-9 * max(1.0, abs(want_ll))
         assert np.abs(resp - want_resp).max() <= 1e-9 * max(1.0, np.abs(logdens).max())
 
     @pytest.mark.parametrize("structure", ["full", "toeplitz", "circulant"])
     def test_row_chunks_match_one_chunk(self, structure, monkeypatch):
+        # The circulant model runs on the MFA kernel, whose chunks hold at
+        # least 64 rows, so it takes more rows.
         rng = np.random.default_rng(116)
         dim, k_total = 5, 3
-        data = sample(make_model(rng, k_total, dim, 2, sep=2.0), 40, rng).samples
+        count, rows = (150, 83) if structure == "circulant" else (40, 23)
+        data = sample(make_model(rng, k_total, dim, 2, sep=2.0), count, rng).samples
         start, _ = fit_gmm(data, k_total, structure, FitConfig(max_iter=2, seed=0))
-        y = crandn(rng, 23, dim) + data[:23]
-        resp = rng.dirichlet(np.ones(k_total), size=40)
-        whole = (
-            gmm_estimate(start, 0.3, y),
-            e_step_log_likelihood(start, data),
-            *_m_step(structure, data, _kernel_rows(structure, data), resp),
-        )
-        # Chunks of 3 rows, so neither row count is a multiple of the chunk.
+        y = crandn(rng, rows, dim) + data[:rows]
+        resp = rng.dirichlet(np.ones(k_total), size=count)
+
+        def outputs():
+            return (
+                gmm_estimate(start, 0.3, y),
+                e_step_log_likelihood(start, data),
+                *m_step(structure, data, resp),
+            )
+
+        whole = outputs()
+        # Chunks of 3 rows (64 on the MFA kernel, its smallest), so neither row
+        # count is a multiple of the chunk.
         monkeypatch.setattr(baselines, "_GMM_CHUNK_BUDGET", 3 * k_total * dim)
-        chunked = (
-            gmm_estimate(start, 0.3, y),
-            e_step_log_likelihood(start, data),
-            *_m_step(structure, data, _kernel_rows(structure, data), resp),
-        )
+        monkeypatch.setattr(gaussians, "_STACK_CHUNK_BUDGET", 1)
+        chunked = outputs()
         for got, want in zip(chunked, whole):
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -862,8 +951,9 @@ def toeplitz_gram(dim):
 def reference_m_step(structure, samples, resp):
     """Means and parameters of each component (column of ``resp``) by the
     per-component centred formula: the weighted scatter of samples - mean with
-    floored eigenvalues (full), its floored DFT-domain diagonal (circulant) or
-    the floored min-norm lstsq projection of its diagonal onto the Toeplitz cone."""
+    floored eigenvalues (full), its DFT-domain diagonal floored at PSI_FLOOR_REL
+    times the data's mean energy per entry (circulant) or the floored min-norm
+    lstsq projection of its diagonal onto the Toeplitz cone."""
     dim = samples.shape[1]
     means, params = [], []
     for weights in resp.T:
@@ -878,7 +968,7 @@ def reference_m_step(structure, samples, resp):
             params.append((vecs * np.maximum(vals, floor)) @ vecs.conj().T)
         elif structure == "circulant":
             diag = weights @ np.abs(np.fft.fft(xc, norm="ortho")) ** 2 / mass
-            params.append(np.maximum(diag, floor))
+            params.append(np.maximum(diag, PSI_FLOOR_REL * np.mean(np.abs(samples) ** 2)))
         else:
             diag = weights @ np.abs(xc @ toeplitz_transform(dim).T) ** 2 / mass
             sol, *_ = np.linalg.lstsq(toeplitz_gram(dim), diag, rcond=None)
@@ -902,7 +992,7 @@ class TestMStep:
         hot = rng.integers(k_total)
         resp[:, hot] = 0.0
         resp[rng.integers(count), hot] = 1.0
-        means, params = _m_step(structure, samples, _kernel_rows(structure, samples), resp)
+        means, params = m_step(structure, samples, resp)
         want_means, want_params = reference_m_step(structure, samples, resp)
         scale = np.abs(samples).max()
         assert np.abs(means - want_means).max() <= 1e-9 * scale
@@ -931,19 +1021,22 @@ class TestMStep:
         spectrum[:, [1, 4]] = 0.0
         samples = np.fft.ifft(spectrum, norm="ortho")
         resp = rng.dirichlet(np.ones(2), size=40)
-        _, params = _m_step(structure, samples, _kernel_rows(structure, samples), resp)
+        _, params = m_step(structure, samples, resp)
         _, want = reference_m_step(structure, samples, resp)
         if structure == "full":
             params, want = np.linalg.eigvalsh(params), np.linalg.eigvalsh(want)
         assert np.allclose(params, want, rtol=1e-6, atol=0.0)
 
     def test_one_hot_circulant_component_sits_on_the_floor(self):
+        # The floor is PSI_FLOOR_REL times the data's mean energy per entry,
+        # and the mean is the sample's DFT row.
         rng = np.random.default_rng(117)
         samples = crandn(rng, 6, 4) + 2.0
         resp = np.column_stack([rng.uniform(0.2, 1.0, 6), np.eye(6)[2]])
-        means, spectra = _m_step("circulant", samples, _kernel_rows("circulant", samples), resp)
-        assert np.array_equal(means[1], samples[2])
-        assert np.all(spectra[1] == EIG_FLOOR_REL * np.finfo(float).tiny)
+        means, spectra = circulant_m_step(samples, resp)
+        rows = np.fft.fft(samples, norm="ortho")
+        assert np.array_equal(means[1], rows[2])
+        assert np.all(spectra[1] == PSI_FLOOR_REL * np.mean(np.abs(rows) ** 2))
         assert np.all(spectra[0] > 1e-3)
 
 

@@ -31,6 +31,7 @@ from oracles import (
     make_model,
     posterior,
     single,
+    start_reference,
     with_intercept,
 )
 
@@ -390,6 +391,9 @@ class TestKmeans:
     def test_labels_match_elementwise_reference(self, k_total, dim, extra, subsample, seed):
         # Rows are a strided view, as _as_samples may return; a subsample
         # budget below T exercises the subsampled Lloyd and final assignment.
+        # The rows are distinct: on repeated ones the exact zero distances and
+        # the expansion's rounding pick different farthest rows to reseed at,
+        # so duplicated rows are the mask-loop property's.
         count = min(k_total + extra, 200)
         data = crandn(np.random.default_rng(seed), count, 2 * dim)[:, ::2]
         saved = mfa._KMEANS_SUBSAMPLE
@@ -400,6 +404,9 @@ class TestKmeans:
             mfa._KMEANS_SUBSAMPLE = saved
         want = kmeans_reference(data, k_total, np.random.default_rng(seed), subsample, True)
         assert np.array_equal(got, want)
+        if count <= max(subsample, 10 * k_total):
+            # Lloyd ran on every row, and no reseed empties a cluster.
+            assert np.bincount(got, minlength=k_total).min() >= 1
 
     @given(
         st.integers(1, 6),
@@ -413,16 +420,20 @@ class TestKmeans:
         # may round off its row, and a later cluster then takes them) and
         # several clusters go empty in one Lloyd step; K runs up to T, and a
         # subsample budget below T takes the subsampled Lloyd and the final
-        # assignment.
+        # assignment. Up to three rows of their own join the copies.
         rng = np.random.default_rng(seed)
-        count = distinct * copies
-        samples = crandn(rng, distinct, dim)[rng.integers(distinct, size=count)]
+        count = distinct * copies + data.draw(st.integers(0, 3))
+        samples = crandn(rng, count, dim)
+        samples[: distinct * copies] = samples[rng.integers(distinct, size=distinct * copies)]
         k_total = data.draw(st.integers(1, count))
         subsample = data.draw(st.sampled_from([count, max(1, count // 2)]))
         with patch.object(mfa, "_KMEANS_SUBSAMPLE", subsample):
             got = mfa._kmeans(samples, k_total, np.random.default_rng(seed))
         want = kmeans_reference(samples, k_total, np.random.default_rng(seed), subsample)
         assert np.array_equal(got, want)
+        if count <= max(subsample, 10 * k_total):
+            # Lloyd ran on every row, and no reseed empties a cluster.
+            assert np.bincount(got, minlength=k_total).min() >= 1
 
     @pytest.mark.parametrize("seed, distinct, dim, copies, k_total", [
         (0, 5, 2, 10, 15), (9, 5, 2, 11, 34), (312, 4, 2, 8, 5),
@@ -448,13 +459,20 @@ class TestKmeans:
 @st.composite
 def start_problems(draw):
     """Standard complex normal samples with K in [1, 4], N in [2, 5], T in [K, 30]
-    and up to two rows scaled by 50, plus L in [1, N], a seed and an iteration
-    cap in [1, 3]. Most draws leave a k-means cluster of fewer than two samples,
-    whose restart draws from the generator k-means left."""
+    and up to two rows scaled by 50, some draws repeating two or three of those
+    rows throughout, plus L in [1, N], a seed and an iteration cap in [1, 3].
+    Most draws leave a k-means cluster of fewer than two samples, whose restart
+    draws from the generator k-means left. Repeated rows tie k-means distances
+    exactly, and on the DFT rows rounding breaks those ties otherwise, so a
+    circulant fit matches its shared start only with k-means on the samples."""
     k_total, dim = draw(st.integers(1, 4)), draw(st.integers(2, 5))
     count = draw(st.integers(k_total, 30))
-    data = crandn(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), count, dim)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    data = crandn(rng, count, dim)
     data[: draw(st.integers(0, min(2, count)))] *= 50.0
+    distinct = draw(st.sampled_from([0, 2, 3]))
+    if distinct:
+        data = data[rng.integers(min(distinct, count), size=count)]
     latent = draw(st.integers(1, dim))
     return data, k_total, latent, draw(st.integers(0, 2**16)), draw(st.integers(1, 3))
 
@@ -537,7 +555,8 @@ class TestEmProperties:
     @pytest.mark.parametrize("k_total", [1, 3, 6])
     def test_shared_diagonal_start_pools_cluster_residuals(self, k_total):
         # The k-means start under shared-diagonal gives every component the
-        # residual the per-component start gives each, pooled by cluster size.
+        # residual diagonal the per-component start gives each, pooled entry
+        # by entry by cluster size.
         rng = np.random.default_rng(59)
         data = sample(make_model(rng, 3, 5, 2, sep=2.0, psi=0.2), 60, rng).samples
         begin = mfa.kmeans_start(data, k_total, 60)
@@ -547,25 +566,57 @@ class TestEmProperties:
         shared, own = start("shared-diagonal"), start("diagonal")
         sizes = np.bincount(begin.labels, minlength=k_total)
         floor = mfa.PSI_FLOOR_REL * float(np.mean(np.abs(data) ** 2))
-        pooled = max(float(sizes @ own.diag_terms[:, 0]) / 60, floor)
+        pooled = np.maximum(sizes @ own.diag_terms / 60, floor)
+        assert np.ptp(pooled) > 0.0
         assert np.all(shared.diag_terms == pooled)
         assert np.array_equal(shared.loadings, own.loadings)
+
+    @given(st.data(), st.integers(1, 4), st.integers(1, 6), st.integers(0, 2**32 - 1),
+           st.sampled_from(["diagonal", "shared-diagonal"]))
+    def test_diagonal_starts_match_dense_reference(self, data, k_total, dim, seed, mode):
+        # Clusters of any size, so some start at the restart diagonal and some
+        # at the floor; L runs from 0, the circulant GMM's, to N.
+        latent = data.draw(st.integers(0, dim))
+        count = data.draw(st.integers(k_total, 40))
+        rng = np.random.default_rng(seed)
+        samples = rng.uniform(0.0, 3.0) * crandn(rng, dim) + crandn(rng, count, dim)
+        labels = rng.integers(k_total, size=count)
+        fitted = np.bincount(labels, minlength=k_total) >= 2
+        family = mfa._MfaFamily(latent, mode, samples)
+        means, (loadings, diagonals) = family.start(samples, labels, fitted)
+        want_means, want_products, want_diagonals = start_reference(
+            samples, labels, k_total, latent, mode
+        )
+        scale = np.abs(samples).max()
+        products = loadings @ loadings.conj().transpose(0, 2, 1)
+        assert np.abs(means[fitted] - want_means[fitted]).max(initial=0.0) <= 1e-12 * scale
+        assert np.abs(products[fitted] - want_products[fitted]).max(initial=0.0) <= 1e-9 * scale**2
+        assert np.abs(diagonals - want_diagonals).max() <= 1e-9 * scale**2
 
     @pytest.mark.parametrize("family", ["scaled-identity", "diagonal", *baselines.GMM_STRUCTURES])
     def test_small_cluster_start(self, family):
         # k-means leaves cluster 1 with one sample and cluster 2 empty. Both
         # restart: cluster 1 at its sample, cluster 2 at a random one, with the
-        # family's restart parameters, drawn in component order.
+        # family's restart parameters, drawn in component order. The circulant
+        # GMM fits as L = 0 factor analyzers on the DFT rows, whose restart
+        # loading is empty and draws nothing.
         data = crandn(np.random.default_rng(61), 12, 4)
         labels = np.array([0] * 10 + [1, 0])
-        if family in mfa.PSI_MODES:
+        if family == "circulant":
+            data = np.fft.fft(data, norm="ortho")
+            math = mfa._MfaFamily(0, "diagonal", data)
+        elif family in mfa.PSI_MODES:
             math = mfa._MfaFamily(2, family, data)
         else:
             math = baselines._GmmFamily(family, data)
         start = mfa._em_start(data, 3, math, labels, np.random.default_rng(62))
         scale = float(np.mean(np.abs(data) ** 2))
         draws = np.random.default_rng(62)
-        if family in mfa.PSI_MODES:
+        if family == "circulant":
+            empty_at = draws.integers(12)
+            assert start.loadings.shape == (3, 4, 0)
+            assert np.all(start.diag_terms[1:] == max(scale, mfa.PSI_FLOOR_REL * scale))
+        elif family in mfa.PSI_MODES:
             loading = lambda: 0.3 * np.sqrt(scale) * gaussians._std_cnormal(draws, (4, 2))
             single_loading = loading()
             empty_at = draws.integers(12)
@@ -751,7 +802,7 @@ class TestSparseAccumulator:
         resp = data.draw(sparse_responsibilities(count, k_total, chunk))
         resp = resp[:, resp.sum(axis=0) > 0]  # fits pass live components only
         with patch.object(baselines, "_GMM_CHUNK_BUDGET", budget):
-            means, params = baselines._m_step("full", samples, samples, resp)
+            means, params = baselines._m_step("full", samples, resp)
         masses = resp.sum(axis=0)
         want_means = resp.T @ samples / masses[:, None]
         second = (resp[:, :, None] * samples[:, None, :]).reshape(count, -1).T @ samples.conj()
