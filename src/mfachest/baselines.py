@@ -48,7 +48,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import NamedTuple
 
 import numpy as np
 
@@ -423,18 +422,6 @@ def _isotropic(structure: str, dim: int, scale: float) -> np.ndarray:
     return np.full(2 * dim, 2.0 * scale)
 
 
-class _DiagonalView(NamedTuple):
-    """A circulant model as L = 0 factor analyzers on the DFT rows, in
-    ``mfa.MfaModel``'s fields for ``gaussians.stack_mixture``: the means F mu_k,
-    empty (K, N, 0) loadings and the spectra as diagonals. ``MfaModel`` would
-    reject the zero bins that an estimate at sigma2 > 0 accepts."""
-
-    weights: np.ndarray
-    means: np.ndarray
-    loadings: np.ndarray
-    diag_terms: np.ndarray
-
-
 def _check_spectra(model: GmmModel, sigma2: float) -> None:
     """Raise ConditioningError when a circulant C_k + sigma2 I is numerically
     singular: a bin at or below its component's largest bin / COND_LIMIT. A bin
@@ -569,10 +556,11 @@ def gmm_estimate(model: GmmModel, sigma2: float, y: np.ndarray) -> np.ndarray:
     """Responsibility-weighted per-component LMMSE under the mixture model.
 
     The filter of component k is y - sigma2 (C_k + sigma2 I)^{-1} (y - mu_k).
-    Circulant: on the DFT rows that is ``estimator.estimate``'s accumulation at
-    L = 0 (``_DiagonalView``), then one inverse DFT. Full and Toeplitz: the
-    whitened centred rows z_k (``_gmm_chunks``), weighted by the
-    responsibilities, through the stacked [conj(L_1^{-1}); ...] in one product.
+    Circulant: on the DFT rows that is ``estimator.estimate``'s accumulation for
+    the L = 0 ``MfaModel`` with diagonals c_k + sigma2, then one inverse DFT.
+    Full and Toeplitz: the whitened centred rows z_k (``_gmm_chunks``), weighted
+    by the responsibilities, through the stacked [conj(L_1^{-1}); ...] in one
+    product.
     Raises ConditioningError when some C_k + sigma2 I is numerically singular:
     a circulant bin at or below its component's largest bin / COND_LIMIT or
     one with no finite inverse, a failed Cholesky, or an estimate that is not
@@ -584,8 +572,8 @@ def gmm_estimate(model: GmmModel, sigma2: float, y: np.ndarray) -> np.ndarray:
         _check_spectra(model, sigma2)
         means = np.fft.fft(model.means, norm="ortho")
         loadings = np.empty((*model.params.shape, 0), dtype=np.complex128)
-        stack = stack_mixture(_DiagonalView(model.weights, means, loadings, model.params), sigma2)
-        rows = _conditional_mean(stack, sigma2, np.fft.fft(batch, norm="ortho"))
+        view = MfaModel(model.weights, means, loadings, model.params + sigma2)
+        rows = _conditional_mean(stack_mixture(view, 0.0), sigma2, np.fft.fft(batch, norm="ortho"))
         out = np.fft.ifft(rows, norm="ortho")
     else:
         out = np.empty_like(batch)

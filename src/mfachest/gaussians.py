@@ -55,6 +55,11 @@ _STACK_CHUNK_BUDGET = 1 << 19
 # only (``component_rows``).
 RESP_REL = 1e-16
 
+# An L = 0 density whose expansion terms |y|^2 D_k + |mu_k|^2 D_k exceed its
+# quadratic form by more than this factor is recomputed in the direct form; at
+# or below it the expansion's rounding is within a few hundred ulps of the form.
+_EXPANSION_GAIN = 64.0
+
 
 class ConditioningError(ArithmeticError):
     """A covariance system is numerically singular: a low-rank component whose
@@ -183,14 +188,17 @@ class MixtureStack(NamedTuple):
     D_k conj(mu_k) as columns (N, K), ``proj`` the augmented projection
     (N + 1, K*(L+1)) whose column block k is ``[[conj(D_k W_k R_k), 0],
     [-mu_k^T conj(D_k W_k R_k), 1]]``, so that ``[y 1] proj`` is [q_k 1] for
-    every k, ``latent_root`` R_k (K, L, L) and ``logconst``
-    ``log w_k - N log pi - log det(C_k + sigma2 I) - mu_k^H D_k mu_k`` (K,).
+    every k, ``latent_root`` R_k (K, L, L), ``means`` mu_k (K, N), ``lognorm``
+    ``log w_k - N log pi - log det(C_k + sigma2 I)`` (K,) and ``logconst``
+    ``lognorm_k - mu_k^H D_k mu_k`` (K,).
     """
 
     d: np.ndarray
     d_mean: np.ndarray
     proj: np.ndarray
     latent_root: np.ndarray
+    means: np.ndarray
+    lognorm: np.ndarray
     logconst: np.ndarray
 
     def chunk_rows(self) -> int:
@@ -200,9 +208,7 @@ class MixtureStack(NamedTuple):
 
 
 def stack_mixture(model, sigma2: float) -> MixtureStack:
-    """Factor every component of an ``mfa.MfaModel`` at noise level sigma2; any
-    object with its weights, means, loadings and diag_terms will do
-    (``baselines._DiagonalView``, a circulant GMM on the DFT rows).
+    """Factor every component of an ``mfa.MfaModel`` at noise level sigma2.
 
     The model's stacked loadings and diagonals go through one ``factorize``
     call, a batched Cholesky and inverse of the K latent systems, so its sigma2
@@ -216,13 +222,9 @@ def stack_mixture(model, sigma2: float) -> MixtureStack:
     d, latent_root, logdet = factorize(loadings, model.diag_terms, sigma2)
     # math.log, not np.log: numpy's vectorized log differs from libm's in the
     # last bit for a fraction of inputs, and the weights' logs set every density.
+    lognorm = np.array([math.log(weight) for weight in model.weights]) - dim * LOG_PI - logdet
     with np.errstate(over="ignore"):
-        logconst = (
-            np.array([math.log(weight) for weight in model.weights])
-            - dim * LOG_PI
-            - logdet
-            - (d * np.abs(means) ** 2).sum(axis=1)
-        )
+        logconst = lognorm - (d * np.abs(means) ** 2).sum(axis=1)
     # Entries of D_k W_k R_k are at most sqrt(D_k) (R_k^H W_k^H D_k W_k R_k <= I),
     # so a finite sum D_k |mu_k|^2 keeps D_k mu_k and the projection finite as well.
     bad = np.flatnonzero(~np.isfinite(logconst))
@@ -237,7 +239,8 @@ def stack_mixture(model, sigma2: float) -> MixtureStack:
     proj[dim, :, :latent] = -(means[:, None, :] @ dwr_conj)[:, 0]
     proj[dim, :, latent] = 1.0
     d = np.ascontiguousarray(d.T)
-    return MixtureStack(d, d * means.T.conj(), proj.reshape(dim + 1, -1), latent_root, logconst)
+    return MixtureStack(d, d * means.T.conj(), proj.reshape(dim + 1, -1), latent_root, means,
+                        lognorm, logconst)
 
 
 def mixture_logdens(
@@ -255,13 +258,29 @@ def mixture_logdens(
     of the Mahalanobis term comes from the expansion
     |y-mu|^2 = |y|^2 - 2 Re(y conj(mu)) + |mu|^2, and the low-rank correction
     p^H A_k p with p = W_k^H D_k (y - mu_k) is |q_k|^2, since A_k = R_k R_k^H.
+
+    At L = 0 the expansion is the whole quadratic form. Where its terms exceed
+    the form by more than _EXPANSION_GAIN (a diagonal on the floor and y near
+    mu_k, say), their rounding would swamp it, so those densities are taken
+    again in the direct form sum_n D_kn |y_n - mu_kn|^2.
     """
     latent = stack.latent_root.shape[1]
-    logdens = stack.logconst - abs2 @ stack.d
+    expanded = abs2 @ stack.d
+    logdens = stack.logconst - expanded
     logdens += 2.0 * (rows[:, :-1] @ stack.d_mean).real
     np.matmul(rows, stack.proj, out=latent_out.reshape(len(rows), -1))
     flat = latent_out.view(np.float64)[:, :, :2 * latent]
     logdens += np.einsum("bkl,bkl->bk", flat, flat)
+    if not latent:
+        # terms / _EXPANSION_GAIN > quadratic form = lognorm - logdens, in place:
+        # two (B, K) temporaries here raised paper-sweep's peak RSS from 121 to
+        # 131 MB (glibc malloc, 2 cores).
+        expanded += stack.lognorm - stack.logconst
+        expanded /= _EXPANSION_GAIN
+        expanded += logdens
+        for k, idx in component_rows(expanded > stack.lognorm):
+            gap = rows[idx, :-1] - stack.means[k]
+            logdens[idx, k] = stack.lognorm[k] - (gap.real ** 2 + gap.imag ** 2) @ stack.d[:, k]
     return logdens
 
 

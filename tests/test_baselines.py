@@ -45,11 +45,11 @@ from oracles import (
 
 def e_step_log_likelihood(model, samples):
     """Average log-likelihood of a GmmModel over samples (T, N): the value
-    fit_gmm's E-step records in its trace, for a circulant model the L = 0
-    kernel's on the DFT rows (``circulant_view``)."""
+    fit_gmm's E-step records in its trace, for a circulant model the dense
+    oracle's."""
     samples = np.asarray(samples, dtype=complex)
     if model.structure == "circulant":
-        return log_likelihood(circulant_view(model), np.fft.fft(samples, norm="ortho"))
+        return posterior(dense_logdens(model, 0.0, samples))[1].mean()
     return _GmmFamily(model.structure, samples).e_step(samples, model)[0]
 
 
@@ -747,11 +747,7 @@ class TestFitGmm:
         want, lse = posterior(logdens)
         assert got[2, 1] == 1.0
         assert np.abs(got - want).max() <= 1e-12
-        # The kernel expands |y - mu|^2 / c, whose terms reach |y|^2 / c on the
-        # floored bins: their rounding, not the exact quadratic form's, bounds
-        # the log-likelihood (1.9e-8 against 1e-12 * |mean| = 3.2e-12 here).
-        rounding = 1e-15 * (np.abs(rows) ** 2 / spectra[1]).sum(axis=1).max() / len(rows)
-        assert abs(loglik - lse.mean()) <= 1e-12 * abs(lse.mean()) + rounding
+        assert abs(loglik - lse.mean()) <= 1e-12 * abs(lse.mean())
         assert worst == np.argmin(lse)
 
     @pytest.mark.parametrize("seed", range(4))
@@ -890,11 +886,11 @@ class TestGmmEstimate:
         resp = rng.dirichlet(np.ones(k_total), size=count)
 
         def outputs():
-            return (
-                gmm_estimate(start, 0.3, y),
-                e_step_log_likelihood(start, data),
-                *m_step(structure, data, resp),
-            )
+            if structure == "circulant":
+                loglik = log_likelihood(circulant_view(start), np.fft.fft(data, norm="ortho"))
+            else:
+                loglik = e_step_log_likelihood(start, data)
+            return gmm_estimate(start, 0.3, y), loglik, *m_step(structure, data, resp)
 
         whole = outputs()
         # Chunks of 3 rows (64 on the MFA kernel, its smallest), so neither row

@@ -50,6 +50,24 @@ def test_log_likelihood_matches_dense_mixture_density(drawn):
     assert abs(log_likelihood(model, y) - want) <= 1e-9 * max(1.0, abs(want))
 
 
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 8), st.floats(1e-12, 1.0))
+def test_diagonal_log_densities_match_dense_near_their_means(seed, k_total, dim, floor):
+    # At L = 0 the expansion |y|^2 D - 2 Re(y D conj(mu)) + |mu|^2 D is the whole
+    # quadratic form; on component 0's diagonal, scaled down by ``floor``, its
+    # terms exceed the form by up to 1 / floor for rows near the mean.
+    rng = np.random.default_rng(seed)
+    means = 3.0 * crandn(rng, k_total, dim) + 5.0
+    diag = rng.uniform(0.5, 2.0, (k_total, dim))
+    diag[0] *= floor
+    model = MfaModel(np.full(k_total, 1.0 / k_total), means, np.zeros((k_total, dim, 0)), diag)
+    offsets = 10.0 ** rng.uniform(-8.0, 1.0, (3 * k_total, 1)) * crandn(rng, 3 * k_total, dim)
+    y = np.tile(means, (3, 1)) + offsets * np.sqrt(np.tile(diag, (3, 1)))
+    buffer = np.empty((len(y), k_total, 1), dtype=np.complex128)
+    got = mixture_logdens(stack_mixture(model, 0.0), with_intercept(y), np.abs(y) ** 2, buffer)
+    want = dense_logdens(model, 0.0, y)
+    assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+
 @pytest.mark.parametrize("budget", [gaussians._STACK_CHUNK_BUDGET, 1], ids=["default", "64-rows"])
 @given(models(), st.integers(1, 200))
 def test_log_likelihood_is_the_em_sweep_likelihood(budget, drawn, count):
