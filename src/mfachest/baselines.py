@@ -8,6 +8,9 @@ OMP grows an orthonormal basis of each observation's support one atom per step
 (classical Gram-Schmidt, applied twice). Its stopping rule: a row stops at the
 first step where the largest residual correlation is <= 1e-12 * max(||y||, 1)
 or the orthogonalised atom has norm <= 1e-10, and its estimate stays frozen.
+The genie also stops a row early, with the same result, once the noise's
+projection onto the support shows that no deeper prefix can be closer to the
+truth (``genie_omp_batch``).
 
 A ``GmmModel`` holds its components' covariance parameters in one ``params``
 array: the covariances themselves for the full structure, and the spectra c
@@ -36,12 +39,15 @@ a fixed number of times, whatever K is:
   sums by lag, the projection averages each diagonal, and a DFT of the averages
   gives the minimum-norm spectrum.
 - ``_gmm_factor`` factors every C_k + sigma2 I once per call, and ``_gmm_chunks``
-  is the one chunked pass over the rows, spent in matrix products: it whitens
-  and centres a row chunk against all K components with one product by the
+  is the one chunked pass over the rows, spent in matrix products by the
   stacked inverse Cholesky factors, the negated whitened means appended as one
-  more row. The pass yields each chunk's whitened rows and responsibilities;
-  the E-step keeps the responsibilities and ``gmm_estimate`` applies only its
-  filter.
+  more row. A bound from the first whitened coordinates skips every component
+  whose responsibility would be exactly 0 (a partial-distance search), and one
+  product per component whitens and centres the rows that remain. The pass
+  yields each chunk's responsibilities and, for ``gmm_estimate``'s filter, its
+  whitened rows; the E-step keeps the responsibilities.
+- The Toeplitz M-step weights the transformed samples X Q^T, which
+  ``_GmmFamily`` computes once per fit.
 """
 
 from __future__ import annotations
@@ -56,6 +62,7 @@ from .estimator import _conditional_mean
 from .gaussians import (
     COND_LIMIT,
     LOG_PI,
+    RESP_REL,
     ConditioningError,
     _check_observation,
     _check_sigma2,
@@ -84,14 +91,30 @@ _FIT_NOT_PD = ("component {k}: covariance is not positive definite: EM collapsed
 
 # Complex entries of one chunk's (B, s, N) OMP basis.
 _OMP_CHUNK_BUDGET = 4_000_000
-# Complex entries of one (B, K*N) temporary of the full and Toeplitz E-step,
-# and of the rows of a (B, N) chunk the full M-step gathers per component: 2 MB,
-# a quarter of gaussians._STACK_CHUNK_BUDGET. At K=16, N=64 and 10k rows (2
-# cores, 2 BLAS threads), 512-row chunks made the three 3-iteration fits 0.94 s
-# against 1.00 s at 128 rows, but raised the benchmark sweep's peak RSS from 117
-# to 124 MB, so 128 rows stay: one pass then takes 93-106 ms (full) and
-# 85-112 ms (Toeplitz).
+# A genie-OMP row stops once ||P_s n||^2, a lower bound on the error of every
+# deeper prefix, exceeds its best error by this relative margin, far above the
+# rounding of either, so no deeper prefix that is strictly better is skipped.
+_OMP_STOP_REL = 1e-9
+# Complex entries of gmm_estimate's (B, K, N) whitened rows per chunk, and of
+# the rows of a (B, N) chunk the full M-step gathers per component: 2 MB, a
+# quarter of gaussians._STACK_CHUNK_BUDGET. Doubling it regroups the M-step's
+# sums, which moved gmm-full's nMSE by up to 4e-9 dB on the benchmark sweep.
+# The E-step's pruned pass is sized by _BOUND_BUDGET instead. At K=16, N=64
+# and 10k rows (2 cores, 2 BLAS threads), a pass took 53-75 ms (full) and
+# 79-102 ms (Toeplitz), the first pass of a fit the slowest; the dense pass
+# it replaced took 94-99 and 93-94 ms in 128-row chunks.
 _GMM_CHUNK_BUDGET = 1 << 17
+# Complex entries of the (B, K m) bound of one chunk of the E-step's pruned
+# pass: 4 MB, 2048 rows (full) or 1024 rows (Toeplitz) at K=16. Each chunk runs
+# its component loops once, so at half this budget the three passes of a fit
+# took 14 ms (full) and 20 ms (Toeplitz) longer.
+_BOUND_BUDGET = 1 << 18
+# Whitened coordinates of _gmm_chunks' bound on each log-density, and the gap
+# below a row's guessed log-density beyond which a component is skipped:
+# ln(1 / RESP_REL), where responsibilities() zeroes it, plus one nat for the
+# rounding of the bound and of the exact value.
+_BOUND_COORDS = {"full": 8, "toeplitz": 16}
+_PRUNE_NATS = float(-np.log(RESP_REL)) + 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +205,15 @@ def genie_omp_batch(
     orthogonalised against the basis, has norm <= 1e-10 (numerically dependent
     on the support). Its estimate stays frozen from then on. Observations and
     truths must be finite and of the dictionary's dimension.
+
+    Early stop: with P_s the projection onto the first s picked atoms and
+    n = y - h the noise, the prefix error is
+    ||P_s n||^2 + ||(I - P_s) h||^2 >= ||P_s n||^2, and the supports are nested,
+    so ||P_s n||^2 (the sum of |q_j^H n|^2 over the basis) bounds the error of
+    every deeper prefix from below and never falls. A row stops once it
+    exceeds the row's best error by the relative margin _OMP_STOP_REL; the
+    returned estimates are those of the full-depth run. Stopped rows leave the
+    working set once they are half of it.
     """
     if s_max < 1:
         raise ValueError("s_max must be >= 1")
@@ -204,24 +236,38 @@ def _genie_omp_chunk(
     obs: np.ndarray, atoms: np.ndarray, tru: np.ndarray, depth: int
 ) -> np.ndarray:
     batch, dim = obs.shape
-    rows = np.arange(batch)
     atoms_conj = atoms.conj()
     atom_rows = np.ascontiguousarray(atoms.T)
+    best = np.zeros_like(obs)
+    best_err = _row_norm2(tru)
+    # The working rows: ``live`` indexes them into the chunk, and every other
+    # array holds their state. ``bound`` is ||P_s n||^2 over the support so far.
+    live = np.arange(batch)
+    noise = obs - tru
     selected = np.zeros((batch, depth), dtype=np.intp)
     # Orthonormal basis of each row's support, one row of Q per step.
     basis = np.zeros((batch, depth, dim), dtype=np.complex128)
     est = np.zeros_like(obs)
     residual = obs.copy()
-    best = np.zeros_like(obs)
-    best_err = _row_norm2(tru)
     tol = 1e-12 * np.maximum(np.sqrt(_row_norm2(obs)), 1.0)
+    bound = np.zeros(batch)
     growing = np.ones(batch, dtype=bool)
     for step in range(depth):
+        # A stopped row never changes again; drop the stopped rows once they
+        # are half the working rows, so the copies stay rare.
+        if 2 * np.count_nonzero(growing) <= len(live):
+            if not growing.any():
+                break
+            keep = np.flatnonzero(growing)
+            live, obs, tru, noise, selected, basis, est, residual, tol, bound, best_err, growing = (
+                part[keep] for part in (live, obs, tru, noise, selected, basis, est, residual,
+                                        tol, bound, best_err, growing)
+            )
         corr = np.abs(residual @ atoms_conj)
         if step:
             np.put_along_axis(corr, selected[:, :step], -1.0, axis=1)
         picks = corr.argmax(axis=1)
-        growing &= corr[rows, picks] > tol
+        growing &= np.take_along_axis(corr, picks[:, None], axis=1)[:, 0] > tol
         selected[:, step] = picks
         q = atom_rows[picks]
         # Classical Gram-Schmidt against Q, repeated once for orthogonality.
@@ -233,7 +279,7 @@ def _genie_omp_chunk(
         growing &= norm > 1e-10
         if not growing.any():
             break
-        scale = np.zeros(batch)
+        scale = np.zeros(len(live))
         scale[growing] = 1.0 / norm[growing]
         q *= scale[:, None]
         basis[:, step] = q
@@ -241,8 +287,10 @@ def _genie_omp_chunk(
         np.subtract(obs, est, out=residual)
         err = _row_norm2(est - tru)
         better = err < best_err
-        best[better] = est[better]
+        best[live[better]] = est[better]
         best_err[better] = err[better]
+        bound += np.abs(np.einsum("bn,bn->b", q.conj(), noise)) ** 2
+        growing &= bound <= (1.0 + _OMP_STOP_REL) * best_err
     return best
 
 
@@ -365,15 +413,18 @@ def _project_toeplitz(scatter_diag: np.ndarray, floor: float | np.ndarray, dim: 
     return np.maximum(spectra, floor)
 
 
-def _row_chunks(count: int, width: int):
-    """Row slices that keep a (B, width) temporary within _GMM_CHUNK_BUDGET entries."""
-    step = max(1, _GMM_CHUNK_BUDGET // max(width, 1))
+def _row_chunks(count: int, width: int, budget: int):
+    """Row slices that keep a (B, width) temporary within ``budget`` entries."""
+    step = max(1, budget // max(width, 1))
     return (slice(start, start + step) for start in range(0, count, step))
 
 
-def _m_step(structure: str, samples: np.ndarray, resp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _m_step(
+    structure: str, samples: np.ndarray, resp: np.ndarray, transformed=None
+) -> tuple[np.ndarray, np.ndarray]:
     """Means (K, N) and full or Toeplitz parameters of every component from
-    weights ``resp`` (T, K) over ``samples`` (T, N).
+    weights ``resp`` (T, K) over ``samples`` (T, N). A Toeplitz step takes the
+    transformed samples X_t = samples Q^T (T, 2N) as ``transformed`` when given.
 
     Full: the scatter (X^T diag(r_k) conj(X)) / m_k - mu_k^T conj(mu_k), and one
     batched ``eigh`` to floor the eigenvalues. The second moments are sparse:
@@ -391,7 +442,7 @@ def _m_step(structure: str, samples: np.ndarray, resp: np.ndarray) -> tuple[np.n
     means = resp.T @ samples / masses[:, None]
     if structure == "full":
         stats = np.zeros((k_total, dim, dim), dtype=np.complex128)
-        for part in _row_chunks(samples.shape[0], dim):
+        for part in _row_chunks(samples.shape[0], dim, _GMM_CHUNK_BUDGET):
             x, weights = samples[part], resp[part]
             for k, rows in component_rows(weights):
                 x_k = x[rows]
@@ -400,8 +451,10 @@ def _m_step(structure: str, samples: np.ndarray, resp: np.ndarray) -> tuple[np.n
         stats -= means[:, :, None] * means[:, None, :].conj()
         energy = np.trace(stats, axis1=1, axis2=2).real
     else:
-        xt = samples @ toeplitz_transform(dim).T
-        stats = resp.T @ np.abs(xt) ** 2 / masses[:, None]
+        xt = samples @ toeplitz_transform(dim).T if transformed is None else transformed
+        power = np.abs(xt)
+        power *= power
+        stats = resp.T @ power / masses[:, None]
         stats -= np.abs(resp.T @ xt / masses[:, None]) ** 2
         energy = stats.sum(axis=1)
     floor = EIG_FLOOR_REL * np.maximum(energy / dim, np.finfo(float).tiny)[:, None]
@@ -455,31 +508,85 @@ def _gmm_factor(model: GmmModel, sigma2: float, not_pd: str = _ESTIMATE_NOT_PD) 
     return whitener, logweights - logdets
 
 
-def _gmm_chunks(model: GmmModel, factor: tuple, rows: np.ndarray):
+def _gmm_chunks(model: GmmModel, factor: tuple, rows: np.ndarray, guess=None, whitened=False):
     """Yield ``(part, y, z, resp, lse)`` for each ``_row_chunks`` chunk of the
     observations ``rows`` of a full or Toeplitz model, with ``factor`` its
-    ``_gmm_factor``: the chunk's slice and rows, the whitened centred rows z
-    (B, K, N), and the ``responsibilities`` and per-row log-sum-exp of the
-    weighted log-densities log w_k + log N_C(y; mu_k, C_k + sigma2 I). Every
-    (B, K N) temporary stays within _GMM_CHUNK_BUDGET entries.
+    ``_gmm_factor``: the chunk's slice and rows, with ``whitened`` the whitened
+    centred rows z (B, K, N), z_k = [y 1] [L_k^{-T}; -mu_k L_k^{-T}], where the
+    log-density was computed and 0 elsewhere (else None), and the
+    ``responsibilities`` and per-row log-sum-exp of the weighted log-densities
+    log w_k + log N_C(y; mu_k, C_k + sigma2 I).
 
-    One product whitens and centres a chunk against all K components,
-    z = [y 1] [L_1^{-T} ... L_K^{-T}; -mu_1 L_1^{-T} ...], through one reused
-    (B, N + 1) buffer whose last column is 1; the quadratic forms are the sums
-    of |z_k|^2, one real product over z's interleaved real view.
+    The pass is a partial-distance search (Bei & Gray, 1985). Each block
+    L_k^{-T} is upper triangular, so the first m whitened coordinates of
+    component k depend on y_1 ... y_m and the centring row alone, and their
+    |z|^2 is a lower bound on the Mahalanobis term: one (B, m) x (m, K m)
+    product bounds every log-density from above (m = _BOUND_COORDS of the
+    structure; the computed inverse's rounding-level upper entries, which the
+    bound leaves out, are what the spare nat of _PRUNE_NATS covers). Each
+    row's guess, ``guess`` (T,) when given and the bound's argmax otherwise, is
+    computed exactly, and then every component whose bound is less than
+    _PRUNE_NATS below that value. A skipped component lies more than
+    ln(1 / RESP_REL) nats below the row's largest log-density, where
+    ``responsibilities`` sets it to exactly 0; its log-density is -inf, so the
+    log-sum-exp loses only terms below RESP_REL of its largest. The guess
+    decides the work, not the result: in a fit it is the k-means label on the
+    first pass and the previous E-step's argmax after that. An exact
+    log-density is one product per component, of its gathered rows [y 1] by
+    its (N + 1, N) block of the whitener: the sums of the unpruned pass, which
+    made the one (B, N + 1) x (N + 1, K N) product, in the same order. The
+    (B, K m) bound stays within _BOUND_BUDGET entries, and with ``whitened``
+    z within _GMM_CHUNK_BUDGET.
     """
     k_total, dim = model.n_components, model.dim
     whitener, logconst = factor
+    width = min(_BOUND_COORDS[model.structure], dim)
+    heads = (np.arange(k_total)[:, None] * dim + np.arange(width)).ravel()
+    head, centre = whitener[:width, heads], whitener[-1, heads]
     buffer = np.ones((0, dim + 1), dtype=np.complex128)
-    for part in _row_chunks(rows.shape[0], k_total * dim):
+    if whitened:
+        chunks = _row_chunks(rows.shape[0], k_total * dim, _GMM_CHUNK_BUDGET)
+    else:
+        chunks = _row_chunks(rows.shape[0], k_total * width, _BOUND_BUDGET)
+    for part in chunks:
         y = rows[part]
         if len(y) > len(buffer):
             buffer = np.ones((len(y), dim + 1), dtype=np.complex128)
         block = buffer[:len(y)]
         block[:, :dim] = y
-        z = (block @ whitener).reshape(len(y), k_total, dim)
-        flat = z.view(np.float64)
-        yield part, y, z, *responsibilities(logconst - np.einsum("bkl,bkl->bk", flat, flat))
+        near = y[:, :width] @ head
+        near += centre
+        near = near.view(np.float64).reshape(len(y), k_total, -1)
+        bound = logconst - np.einsum("bkl,bkl->bk", near, near)
+        picks = bound.argmax(axis=1) if guess is None else guess[part]
+        first = picks[:, None] == np.arange(k_total)
+        logdens = np.full((len(y), k_total), -np.inf)
+        z = np.zeros((len(y), k_total, dim), dtype=np.complex128) if whitened else None
+        _exact(block, factor, first, logdens, z)
+        rest = ~first & ~(bound < logdens[first][:, None] - _PRUNE_NATS)
+        _exact(block, factor, rest, logdens, z)
+        yield part, y, z, *responsibilities(logdens)
+
+
+def _exact(block: np.ndarray, factor: tuple, pairs: np.ndarray, logdens: np.ndarray, z) -> None:
+    """Write the log-densities of the (row, component) ``pairs`` (B, K) of the
+    rows [y 1] ``block`` into ``logdens``, one product per component over its
+    gathered rows, and the whitened rows into ``z`` (B, K, N) unless it is
+    None."""
+    whitener, logconst = factor
+    dim = block.shape[1] - 1
+    # One flatnonzero per column: component_rows' one nonzero over the
+    # transpose took four times as long on these (B, K) masks.
+    for k in np.flatnonzero(pairs.any(axis=0)):
+        idx = np.flatnonzero(pairs[:, k])
+        # numpy runs a one-row product as a matrix-vector product, which rounds
+        # differently from the rows of a matrix product; pad it to two rows.
+        rows = block[idx if len(idx) > 1 else np.repeat(idx, 2)]
+        z_k = (rows @ whitener[:, k * dim:(k + 1) * dim])[:len(idx)]
+        flat = z_k.view(np.float64)
+        logdens[idx, k] = logconst[k] - np.einsum("bl,bl->b", flat, flat)
+        if z is not None:
+            z[idx, k] = z_k
 
 
 def fit_gmm(
@@ -525,13 +632,21 @@ class _GmmFamily:
         self.model = partial(GmmModel, structure)
         self.dim = samples.shape[1]
         self.scale = float(np.mean(np.abs(samples) ** 2))
+        # Each sample's guessed component for the E-step's pruned pass: its
+        # k-means label, then the last E-step's argmax.
+        self.guess = None
+        # The Toeplitz M-step's transformed samples, once per fit.
+        self.transformed = None
+        if structure == "toeplitz":
+            self.transformed = samples @ toeplitz_transform(self.dim).T
 
     def start(self, samples: np.ndarray, labels: np.ndarray, fitted: np.ndarray):
         """The clusters in ``fitted`` through ``_m_step`` with one-hot weights."""
+        self.guess = labels
         means = np.empty((fitted.size, self.dim), dtype=np.complex128)
         params = np.stack([_isotropic(self.structure, self.dim, self.scale)] * fitted.size)
         onehot = (labels[:, None] == np.flatnonzero(fitted)).astype(np.float64)
-        means[fitted], params[fitted] = _m_step(self.structure, samples, onehot)
+        means[fitted], params[fitted] = _m_step(self.structure, samples, onehot, self.transformed)
         return means, (params,)
 
     def restart(self, rng: np.random.Generator):
@@ -542,13 +657,16 @@ class _GmmFamily:
         resp = np.empty((samples.shape[0], model.n_components))
         per_sample = np.empty(samples.shape[0])
         factor = _gmm_factor(model, 0.0, _FIT_NOT_PD)
-        for part, _, _, chunk_resp, lse in _gmm_chunks(model, factor, samples):
+        for part, _, _, chunk_resp, lse in _gmm_chunks(model, factor, samples, self.guess):
             resp[part], per_sample[part] = chunk_resp, lse
+        self.guess = resp.argmax(axis=1)
         return float(per_sample.mean()), int(np.argmin(per_sample)), resp.sum(axis=0), resp
 
     def m_step(self, samples: np.ndarray, model: GmmModel, resp, live: np.ndarray):
         means, params = model.means.copy(), model.params.copy()
-        means[live], params[live] = _m_step(self.structure, samples, resp[:, live])
+        means[live], params[live] = _m_step(
+            self.structure, samples, resp[:, live], self.transformed
+        )
         return means, (params,)
 
 
@@ -581,7 +699,7 @@ def gmm_estimate(model: GmmModel, sigma2: float, y: np.ndarray) -> np.ndarray:
             factor = _gmm_factor(model, sigma2)
             # The stacked [conj(L_1^{-1}); ...; conj(L_K^{-1})] (K N, N), once per call.
             back = factor[0][:-1].T.conj()
-            for part, rows, z, resp, _ in _gmm_chunks(model, factor, batch):
+            for part, rows, z, resp, _ in _gmm_chunks(model, factor, batch, whitened=True):
                 out[part] = rows - sigma2 * ((z * resp[:, :, None]).reshape(len(rows), -1) @ back)
     if not np.all(np.isfinite(out)):
         raise ConditioningError("covariance + sigma2 I is numerically singular: the estimate "

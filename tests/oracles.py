@@ -47,6 +47,13 @@ materializes it. The oracles:
 - ``kernel_responsibilities``: not dense; the responsibilities that
   ``gaussians.mixture_chunks`` yields, which ``estimate`` weights its filters
   with.
+- ``dense_gmm_pass``: the full and Toeplitz pass without pruning, every
+  log-density from one product [y 1] W by the whole ``baselines._gmm_factor``
+  whitener W, then ``gaussians.responsibilities``; with the scale of each
+  log-density's rounding, sum_j (sum_i |x_i| |W_ij|)^2.
+- ``genie_omp_full_depth``: genie-aided OMP that runs every row to the full
+  depth, or to the stopping rule of ``genie_omp_batch``, with the same
+  classical Gram-Schmidt basis, and keeps the first prefix closest to the truth.
 """
 
 import numpy as np
@@ -54,7 +61,7 @@ from hypothesis import strategies as st
 
 from mfachest import mfa
 from mfachest.baselines import GmmModel
-from mfachest.gaussians import mixture_chunks, stack_mixture
+from mfachest.gaussians import mixture_chunks, responsibilities, stack_mixture
 from mfachest.mfa import PSI_MODES, RIDGE_REL, FitConfig, MfaModel, sample
 
 
@@ -247,6 +254,70 @@ def kernel_responsibilities(model, sigma2, y):
     chunks = mixture_chunks(stack_mixture(model, sigma2), batch)
     resp = np.concatenate([resp for *_, resp, _ in chunks])
     return resp[0] if np.ndim(y) == 1 else resp
+
+
+def dense_gmm_pass(model, factor, rows):
+    """The log-densities (B, K) of a full or Toeplitz model over rows (B, N),
+    every one computed, with ``factor`` its ``baselines._gmm_factor``, their
+    responsibilities (B, K) and per-row log-sum-exp (B,), and the scale of
+    each log-density's rounding (B, K): sum_j (sum_i |x_i| |W_ij|)^2 over
+    component k's columns j of the whitener W, with x = [y 1]. A quadratic form
+    |x W_k|^2 computed in any order differs from the exact value by at most
+    about 2 (N + 1) eps times it. Overflowing forms are -inf log-densities."""
+    whitener, logconst = factor
+    rows1 = with_intercept(rows)
+    shape = (len(rows), model.n_components, model.dim)
+    with np.errstate(over="ignore"):
+        flat = (rows1 @ whitener).reshape(shape).view(np.float64)
+        logdens = logconst - np.einsum("bkl,bkl->bk", flat, flat)
+        scale = ((np.abs(rows1) @ np.abs(whitener)).reshape(shape) ** 2).sum(axis=2)
+    return logdens, *responsibilities(logdens), scale
+
+
+def genie_omp_full_depth(obs, atoms, tru, depth):
+    """Genie-aided OMP estimates (B, N) of obs (B, N) with truths tru (B, N)
+    over the unit-norm atoms (N, M), each row run to ``depth`` steps unless the
+    stopping rule of ``genie_omp_batch`` freezes it first."""
+    batch, dim = obs.shape
+    rows = np.arange(batch)
+    atoms_conj = atoms.conj()
+    atom_rows = np.ascontiguousarray(atoms.T)
+    selected = np.zeros((batch, depth), dtype=np.intp)
+    basis = np.zeros((batch, depth, dim), dtype=np.complex128)
+    est = np.zeros_like(obs)
+    residual = obs.copy()
+    best = np.zeros_like(obs)
+    best_err = np.einsum("bn,bn->b", tru.conj(), tru).real
+    tol = 1e-12 * np.maximum(np.sqrt(np.einsum("bn,bn->b", obs.conj(), obs).real), 1.0)
+    growing = np.ones(batch, dtype=bool)
+    for step in range(depth):
+        corr = np.abs(residual @ atoms_conj)
+        if step:
+            np.put_along_axis(corr, selected[:, :step], -1.0, axis=1)
+        picks = corr.argmax(axis=1)
+        growing &= corr[rows, picks] > tol
+        selected[:, step] = picks
+        q = atom_rows[picks]
+        prev = basis[:, :step]
+        for _ in range(2):
+            coef = (prev @ q.conj()[:, :, None]).conj()
+            q -= (coef.transpose(0, 2, 1) @ prev)[:, 0]
+        norm = np.sqrt(np.einsum("bn,bn->b", q.conj(), q).real)
+        growing &= norm > 1e-10
+        if not growing.any():
+            break
+        scale = np.zeros(batch)
+        scale[growing] = 1.0 / norm[growing]
+        q *= scale[:, None]
+        basis[:, step] = q
+        est += np.einsum("bn,bn->b", q.conj(), obs)[:, None] * q
+        np.subtract(obs, est, out=residual)
+        diff = est - tru
+        err = np.einsum("bn,bn->b", diff.conj(), diff).real
+        better = err < best_err
+        best[better] = est[better]
+        best_err[better] = err[better]
+    return best
 
 
 @st.composite

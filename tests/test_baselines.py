@@ -29,13 +29,21 @@ from mfachest.baselines import (
 from mfachest.estimator import estimate
 from mfachest.gaussians import ConditioningError
 from mfachest.mfa import PSI_FLOOR_REL, FitConfig, MfaModel, _em_step, log_likelihood, sample
-from mfachest.scenario import ChannelDataset, ScenarioConfig, _steering_batch
+from mfachest.scenario import (
+    ChannelDataset,
+    ScenarioConfig,
+    _steering_batch,
+    corrupt,
+    generate_channels,
+)
 from oracles import (
     collapsing_data,
     crandn,
     dense_conditional_mean,
+    dense_gmm_pass,
     dense_logdens,
     em_problems,
+    genie_omp_full_depth,
     gmm_models,
     kernel_responsibilities,
     make_model,
@@ -406,6 +414,85 @@ class TestGenieOmp:
         single = genie_omp_batch(y[t], d, h[t], s_max)
         assert single.shape == (dim,)
         assert np.array_equal(single, genie_omp_batch(y[t : t + 1], d, h[t : t + 1], s_max)[0])
+
+    @given(data=st.data())
+    def test_early_stop_matches_full_depth(self, data):
+        # The early stop returns the full-depth run's estimates bit for bit:
+        # noise from -10 to 40 dB, noiseless rows (h = y), zero observations
+        # and zero truths, rows in the span of a few atoms, and dictionaries
+        # with duplicated atoms.
+        d = build_dft_dictionary(
+            data.draw(st.integers(1, 3), label="nv"),
+            data.draw(st.integers(1, 4), label="nh"),
+            data.draw(st.integers(1, 3), label="oversampling_v"),
+            data.draw(st.integers(1, 3), label="oversampling_h"),
+        )
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        if data.draw(st.booleans(), label="duplicate atoms"):
+            copies = rng.integers(d.n_atoms, size=rng.integers(1, d.n_atoms + 1))
+            d = Dictionary(np.concatenate([d.atoms, d.atoms[:, copies]], axis=1))
+        dim = d.dim
+        s_max = data.draw(st.integers(1, dim + 3), label="s_max")
+        kinds = data.draw(
+            st.lists(st.sampled_from(["noisy", "exact", "zero", "zero-truth", "sparse"]),
+                     min_size=1, max_size=8),
+            label="rows",
+        )
+        snr_db = data.draw(st.lists(st.floats(-10.0, 40.0), min_size=len(kinds),
+                                    max_size=len(kinds)), label="snr_db")
+        h = crandn(rng, len(kinds), dim)
+        for t, kind in enumerate(kinds):
+            if kind == "sparse":
+                count = int(rng.integers(1, min(3, dim) + 1))
+                idx = rng.choice(d.n_atoms, size=count, replace=False)
+                h[t] = d.atoms[:, idx] @ crandn(rng, count)
+        y = h + 10.0 ** (-np.array(snr_db)[:, None] / 20.0) * crandn(rng, len(kinds), dim)
+        for t, kind in enumerate(kinds):
+            if kind == "exact":
+                y[t] = h[t]
+            elif kind == "zero":
+                y[t] = 0.0
+            elif kind == "zero-truth":
+                h[t] = 0.0
+        want = genie_omp_full_depth(y, d.atoms, h, min(s_max, dim, d.n_atoms))
+        assert np.array_equal(genie_omp_batch(y, d, h, s_max), want)
+        t = data.draw(st.integers(0, len(kinds) - 1), label="single row")
+        assert np.array_equal(genie_omp_batch(y[t], d, h[t], s_max), want[t])
+
+    @pytest.mark.parametrize("snr_db", [-10.0, 0.0, 10.0, 20.0, 30.0, 40.0, None])
+    def test_early_stop_matches_full_depth_at_paper_scale(self, snr_db):
+        # The benchmark's shape: the 4x16 URA, rows that stop at every depth,
+        # and the working set shrunk several times; None is the noiseless h = y.
+        config = ScenarioConfig()
+        rng = np.random.default_rng(98)
+        h = generate_channels(config, 48, rng).samples
+        y = h if snr_db is None else corrupt(h, snr_db, rng)[0]
+        d = build_dft_dictionary(config.nv, config.nh)
+        for s_max in (64, 20):
+            want = genie_omp_full_depth(y, d.atoms, h, s_max)
+            assert np.array_equal(genie_omp_batch(y, d, h, s_max), want)
+
+    @pytest.mark.parametrize(
+        "atoms, y",
+        [
+            (np.eye(2), [1e6, 1e-7]),
+            (np.eye(2), [1e-13, 0.0]),
+            (
+                np.array([[1.0, 1.0], [1e-11, 0.0]]) / np.array([np.hypot(1.0, 1e-11), 1.0]),
+                [1.0, 1.0],
+            ),
+        ],
+        ids=["small-residual", "small-observation", "dependent-atom"],
+    )
+    def test_early_stop_keeps_frozen_rows(self, atoms, y):
+        # The stopping rule's rows of test_stopping_rule, against truths that
+        # the early stop can act on.
+        d = Dictionary(atoms.astype(complex))
+        y = np.array(y, dtype=complex)
+        truths = np.stack([y, 0.5 * y, y + np.array([1e-3, -1e-3]), np.zeros(2), [0.0, 1.0]])
+        obs = np.repeat(y[None], len(truths), axis=0)
+        want = genie_omp_full_depth(obs, d.atoms, truths.astype(complex), 2)
+        assert np.array_equal(genie_omp_batch(obs, d, truths, 2), want)
 
 
 class TestSampleLmmse:
@@ -896,6 +983,7 @@ class TestGmmEstimate:
         # Chunks of 3 rows (64 on the MFA kernel, its smallest), so neither row
         # count is a multiple of the chunk.
         monkeypatch.setattr(baselines, "_GMM_CHUNK_BUDGET", 3 * k_total * dim)
+        monkeypatch.setattr(baselines, "_BOUND_BUDGET", 3 * k_total * dim)
         monkeypatch.setattr(gaussians, "_STACK_CHUNK_BUDGET", 1)
         chunked = outputs()
         for got, want in zip(chunked, whole):
@@ -935,6 +1023,100 @@ class TestGmmEstimate:
         with pytest.raises(ConditioningError, match="component 0"):
             gmm_estimate(model, 0.0, y)
         assert np.all(np.isfinite(gmm_estimate(model, 0.1, y)))
+
+
+def dense_tolerance(want_resp, want_lse, scale):
+    """Per row, 1e-12 relative to the log-sum-exp plus 1e-13 times the rounding
+    scale of the log-densities it weights: the dense pass's own rounding, which
+    a collapsed component makes large."""
+    with np.errstate(invalid="ignore"):
+        rounding = 1e-13 * np.nansum(want_resp * scale, axis=1)
+    return 1e-12 * np.maximum(1.0, np.abs(want_lse)) + rounding
+
+
+def check_pruned_pass(model, factor, rows, guess=None):
+    """``baselines._gmm_chunks`` over rows with the guess ``guess`` against the
+    dense pass: responsibilities and log-sum-exp within ``dense_tolerance``.
+    Returns the dense log-densities."""
+    logdens, want_resp, want_lse, scale = dense_gmm_pass(model, factor, rows)
+    chunks = list(baselines._gmm_chunks(model, factor, rows, guess))
+    tol = dense_tolerance(want_resp, want_lse, scale)
+    assert np.all(np.abs(np.concatenate([c[3] for c in chunks]) - want_resp).max(axis=1) <= tol)
+    assert np.all(np.abs(np.concatenate([c[4] for c in chunks]) - want_lse) <= tol)
+    return logdens
+
+
+class TestPrunedPass:
+    @given(
+        gmm_models().filter(lambda drawn: drawn[0].structure != "circulant"),
+        st.sampled_from(["bound", "worst", "random"]),
+        st.booleans(),
+        st.integers(1, 8),
+    )
+    def test_matches_dense_pass(self, drawn, guess_kind, collapsed, width):
+        # The bound over the first ``width`` coordinates (all of them when
+        # width >= N), a guess that is the bound's argmax, each row's worst
+        # component or random, and optionally component 0 collapsed onto a row.
+        model, rng, sigma2, _ = drawn
+        rows = model.means[rng.integers(model.n_components, size=30)]
+        rows = rows + rng.uniform(0.1, 3.0) * crandn(rng, 30, model.dim)
+        if collapsed:
+            params, means = model.params.copy(), model.means.copy()
+            params[0] = 1e-9 * np.eye(model.dim) if model.structure == "full" else 1e-9
+            means[0] = rows[0]
+            model = GmmModel(model.structure, model.weights, means, params)
+        factor = baselines._gmm_factor(model, sigma2)
+        guess = {
+            "bound": None,
+            "worst": dense_gmm_pass(model, factor, rows)[0].argmin(axis=1),
+            "random": rng.integers(model.n_components, size=len(rows)),
+        }[guess_kind]
+        with patch.dict(baselines._BOUND_COORDS, {model.structure: width}):
+            check_pruned_pass(model, factor, rows, guess)
+
+    @given(em_problems(), st.sampled_from(["full", "toeplitz"]), st.integers(1, 6))
+    def test_fit_passes_match_dense_pass(self, problem, structure, width):
+        # Every E-step of a fit (the k-means labels, then the last argmax, as
+        # guesses), and the same passes with every row guessing its worst
+        # component. A fit that collapses a full component ends early.
+        samples, k_total, _, config = problem
+        family = _GmmFamily(structure, samples)
+        passes, e_step = [], family.e_step
+
+        def recorded(rows, model):
+            guess = family.guess
+            out = e_step(rows, model)
+            passes.append((model, guess, out))
+            return out
+
+        family.e_step = recorded
+        with patch.dict(baselines._BOUND_COORDS, {structure: width}):
+            try:
+                mfa.fit_mixture(samples, k_total, config, lambda _: family)
+            except ConditioningError:
+                pass
+            assert passes
+            for model, guess, (loglik, _, _, resp) in passes:
+                factor = baselines._gmm_factor(model, 0.0)
+                logdens, want_resp, want_lse, scale = dense_gmm_pass(model, factor, samples)
+                tol = dense_tolerance(want_resp, want_lse, scale)
+                assert np.all(np.abs(resp - want_resp).max(axis=1) <= tol)
+                assert abs(loglik - want_lse.mean()) <= tol.mean()
+                check_pruned_pass(model, factor, samples, logdens.argmin(axis=1))
+
+    @pytest.mark.parametrize("structure", ["full", "toeplitz"])
+    def test_prunes_at_paper_scale(self, structure):
+        # N = 64 with the structure's own bound width: most components of a
+        # row are skipped, and the result is still the dense pass's.
+        rng = np.random.default_rng(122)
+        data = generate_channels(ScenarioConfig(), 1200, rng).samples
+        model, _ = fit_gmm(data, 8, structure, FitConfig(max_iter=2, seed=0))
+        factor = baselines._gmm_factor(model, 0.0)
+        logdens = check_pruned_pass(model, factor, data)
+        check_pruned_pass(model, factor, data, logdens.argmin(axis=1))
+        chunks = baselines._gmm_chunks(model, factor, data, whitened=True)
+        computed = sum(np.any(z != 0, axis=2).sum() for _, _, z, _, _ in chunks)
+        assert computed < 0.75 * data.shape[0] * model.n_components
 
 
 def toeplitz_gram(dim):

@@ -93,6 +93,46 @@ def test_summarize_marks_a_gain():
     assert bench_pairs.summarize(base, new, {"run_s": "lower"})[1].endswith("better in 5/5")
 
 
+@pytest.mark.parametrize(
+    "better, base_value, new_value, verdict",
+    [
+        ("lower", 2.0, 2.4, "within"),  # 20 % slower against a 25 % bound
+        ("lower", 2.0, 2.6, "worse than"),
+        ("lower", 2.0, 1.0, "within"),  # better is never beyond the bound
+        ("higher", 100.0, 80.0, "within"),
+        ("higher", 100.0, 70.0, "worse than"),
+        ("lower", -14.0, -10.0, "worse than"),  # dB: the bound is relative to |base|
+        ("lower", -14.0, -13.0, "within"),
+    ],
+)
+def test_summarize_checks_the_bound(better, base_value, new_value, verdict):
+    base = [_result(base_value, 100.0)] * 3
+    new = [_result(new_value, 100.0)] * 3
+    lines = bench_pairs.summarize(base, new, {"run_s": better}, {"run_s": 0.25})
+    assert lines[1].endswith(f" {verdict} bound 0.25")
+    # A metric without a bound gets no verdict.
+    assert "bound" not in lines[2]
+
+
+def test_main_reads_the_bound_from_the_base_checkout(tmp_path, capsys):
+    base, new = tmp_path / "base", tmp_path / "new"
+    for checkout, bound in ((base, 0.1), (new, 0.5)):
+        checkout.mkdir()
+        (checkout / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+            {"name": "run_s", "better": "lower", "bound": bound},
+            {"name": "peak_rss_mb", "better": "lower"},
+        ]}))
+
+    def fake_run(checkout, workload, seed, seconds):
+        return _result(1.0 if checkout == base else 1.2, 100.0)
+
+    assert bench_pairs.main([str(base), str(new), "--workload", "w", "--pairs", "2"],
+                            run=fake_run) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[1].endswith("better in 0/2 worse than bound 0.1")
+    assert out[2].endswith("better in 0/2")
+
+
 def test_main_alternates_the_order_of_each_pair(tmp_path, capsys):
     base, new = tmp_path / "base", tmp_path / "new"
     base.mkdir()

@@ -6,8 +6,10 @@ the host's load falls on both sides alike. The last line of each run's output
 is its JSON result. For every end-to-end metric the script prints the median
 and quartiles of each side, the ratio of the medians (new / base), the ratio
 within each pair, and in how many pairs the new checkout was better, in the
-direction the base checkout's BENCHMARK.json gives. It exits with 1 when some
-run did not read ``"correct": true``.
+direction the base checkout's BENCHMARK.json gives. Where that file gives the
+metric a ``bound``, the line also says whether the new median is worse than
+the base median by more than that share of it. It exits with 1 when some run
+did not read ``"correct": true``.
 
 Usage: python3 tools/bench_pairs.py BASE NEW --workload NAME [--seed 7]
            [--pairs 5] [--seconds 20]
@@ -41,13 +43,23 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return parse_result(done.stdout)
 
 
-def directions(checkout: Path) -> dict[str, str]:
-    """Metric name -> "lower" or "higher", from the checkout's BENCHMARK.json."""
+def end_to_end(checkout: Path) -> list[dict]:
+    """The end-to-end metrics of the checkout's BENCHMARK.json (none without one)."""
     path = Path(checkout) / "BENCHMARK.json"
     if not path.exists():
-        return {}
-    spec = json.loads(path.read_text(encoding="utf-8"))
-    return {metric["name"]: metric["better"] for metric in spec.get("end_to_end", [])}
+        return []
+    return json.loads(path.read_text(encoding="utf-8")).get("end_to_end", [])
+
+
+def directions(checkout: Path) -> dict[str, str]:
+    """Metric name -> "lower" or "higher", from the checkout's BENCHMARK.json."""
+    return {metric["name"]: metric["better"] for metric in end_to_end(checkout)}
+
+
+def bounds(checkout: Path) -> dict[str, float]:
+    """Metric name -> the largest allowed relative worsening, from the
+    checkout's BENCHMARK.json, for the metrics that give one."""
+    return {metric["name"]: metric["bound"] for metric in end_to_end(checkout) if "bound" in metric}
 
 
 def quartiles(values: list[float]) -> tuple[float, float]:
@@ -58,12 +70,17 @@ def quartiles(values: list[float]) -> tuple[float, float]:
     return q1, q3
 
 
-def summarize(base: list[dict], new: list[dict], better: dict[str, str]) -> list[str]:
+def summarize(
+    base: list[dict], new: list[dict], better: dict[str, str], bound: dict[str, float] | None = None
+) -> list[str]:
     """Report lines for paired results: ``base[i]`` and ``new[i]`` form pair i.
 
     A metric with a known direction reads "gain" when the new checkout was
     better in at least nine tenths of the pairs and its median moved by more
-    than the distance between the base runs' quartiles."""
+    than the distance between the base runs' quartiles. With a ``bound`` too,
+    it reads "worse than bound B" when the new median is worse than the base
+    median by more than B times the base median's magnitude, and "within
+    bound B" otherwise."""
     lines = [f"correct: base {sum(r.get('correct') is True for r in base)}/{len(base)}, "
              f"new {sum(r.get('correct') is True for r in new)}/{len(new)}"]
     for name in base[0]["metrics"]:
@@ -80,6 +97,12 @@ def summarize(base: list[dict], new: list[dict], better: dict[str, str]) -> list
             moved = abs(statistics.median(cur) - statistics.median(old)) > hi - lo
             gain = wins >= 0.9 * len(ratios) and moved
             line += f" better in {wins}/{len(ratios)}{' gain' if gain else ''}"
+            if name in (bound or {}):
+                worsening = statistics.median(cur) - statistics.median(old)
+                if better[name] == "higher":
+                    worsening = -worsening
+                beyond = worsening > bound[name] * abs(statistics.median(old))
+                line += f" {'worse than' if beyond else 'within'} bound {bound[name]:g}"
         lines.append(line)
     return lines
 
@@ -102,7 +125,7 @@ def main(argv: list[str], run=run_once) -> int:
         for checkout in (args.base, args.new) if pair % 2 == 0 else (args.new, args.base):
             results[checkout].append(run(checkout, args.workload, args.seed, args.seconds))
     base, new = results[args.base], results[args.new]
-    print("\n".join(summarize(base, new, directions(args.base))))
+    print("\n".join(summarize(base, new, directions(args.base), bounds(args.base))))
     return 0 if all(r.get("correct") is True for r in base + new) else 1
 
 
