@@ -19,9 +19,11 @@ from ._binio import Container, FileFormatError, write_container
 DATASET_MAGIC = b"CHD1"
 DATASET_VERSION = 1
 
-# Complex entries of one block of (samples, paths, N) steering vectors (4 MB);
-# the block, not the sample count, bounds generation's transient memory.
-_GEN_CHUNK_BUDGET = 1 << 18
+# Complex entries of one chunk's vertical and horizontal phasor powers, nv + nh
+# per path and sample (1 MB); the chunk, not the sample count, bounds
+# generation's transient memory. On the 4x16 URA (2-core Xeon, 2 MB L2 per
+# core) times were flat from 2^15 to 2^18 entries.
+_GEN_CHUNK_BUDGET = 1 << 16
 
 # Annotation of a scalar dataclass field -> (accepted type, stored type, description).
 _FIELD_TYPES = {
@@ -115,19 +117,19 @@ class ChannelDataset:
         return self.samples.shape[1]
 
 
-def _steering_batch(az: np.ndarray, el: np.ndarray, config: ScenarioConfig) -> np.ndarray:
-    """Steering vectors for paired angle arrays of shape (n,), as (n, N) rows.
+def _phasor_powers(phase: np.ndarray, count: int) -> np.ndarray:
+    """Powers 0 .. count - 1 of e^{j phase}, as a (count, *phase.shape) block.
 
-    Each row is the Kronecker product of a vertical uniform-linear response
-    (phase along sin(el)) and a horizontal one (along sin(az) cos(el)), the
-    atom layout of ``baselines.build_dft_dictionary``; its entries have unit
-    modulus, and broadside (0, 0) gives all ones.
+    Power k is power k - 1 times power 1, the one complex exp, so it carries
+    about k roundings more than an exact exp(j k phase) would.
     """
-    phase_v = 2.0 * np.pi * config.spacing_v * np.sin(el)
-    phase_h = 2.0 * np.pi * config.spacing_h * np.sin(az) * np.cos(el)
-    vert = np.exp(1j * np.outer(phase_v, np.arange(config.nv)))
-    horiz = np.exp(1j * np.outer(phase_h, np.arange(config.nh)))
-    return (vert[:, :, None] * horiz[:, None, :]).reshape(az.shape[0], config.dim)
+    out = np.empty((count,) + phase.shape, dtype=np.complex128)
+    out[0] = 1.0
+    if count > 1:
+        np.exp(1j * phase, out=out[1])
+        for k in range(2, count):
+            np.multiply(out[k - 1], out[1], out=out[k])
+    return out
 
 
 def cluster_centers(config: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -144,7 +146,19 @@ def generate_channels(
     """Draw ``count`` channel samples and normalize the dataset to mean energy N.
 
     Cluster centers come from config.seed; per-sample cluster choices, Laplacian
-    angle offsets, and complex Gaussian path gains come from ``rng``.
+    angle offsets (azimuth, then elevation), and complex Gaussian path gains
+    come from ``rng``, drawn in that order before any channel is formed.
+
+    A path at azimuth az and elevation el has the steering vector
+    v (x) h on the URA: v_m = e^{j m phi_v} with phi_v = 2 pi d_v sin(el) and
+    h_n = e^{j n phi_h} with phi_h = 2 pi d_h sin(az) cos(el), entry (m, n) at
+    index m nh + n, the atom layout of ``baselines.build_dft_dictionary``.
+    With the path gains g_p folded into the vertical responses, V = [g_p v_p]
+    (P, nv) and H = [h_p] (P, nh), a sample is the (nv, nh) matrix V^T H. The
+    powers e^{j k phi} come from one complex exp per path and axis by the
+    recurrence e^{j k phi} = e^{j (k - 1) phi} e^{j phi}, so entry k carries
+    about k roundings; on the 4x16 URA the samples differ from exact exps by
+    about 2e-15 of the largest entry.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -161,14 +175,18 @@ def generate_channels(
     az = az_c[idx][:, None] + off_az
     el = el_c[idx][:, None] + off_el
 
+    nv, nh = config.nv, config.nh
     samples = np.empty((count, config.dim), dtype=np.complex128)
-    chunk = max(1, _GEN_CHUNK_BUDGET // (paths * config.dim))
+    chunk = max(1, _GEN_CHUNK_BUDGET // (paths * (nv + nh)))
     for start in range(0, count, chunk):
         stop = min(start + chunk, count)
-        block = stop - start
-        atoms = _steering_batch(az[start:stop].ravel(), el[start:stop].ravel(), config)
-        atoms = atoms.reshape(block, paths, config.dim)
-        samples[start:stop] = np.einsum("bp,bpn->bn", gains[start:stop], atoms)
+        az_b, el_b = az[start:stop], el[start:stop]
+        vert = _phasor_powers(2.0 * np.pi * config.spacing_v * np.sin(el_b), nv)
+        vert *= gains[start:stop]
+        horiz = _phasor_powers(2.0 * np.pi * config.spacing_h * np.sin(az_b) * np.cos(el_b), nh)
+        # (b, nv, P) x (b, P, nh), written into the rows' (nv, nh) views.
+        np.matmul(vert.transpose(1, 0, 2), horiz.transpose(1, 2, 0),
+                  out=samples[start:stop].reshape(stop - start, nv, nh))
 
     return normalize_dataset(ChannelDataset(samples))
 
@@ -202,9 +220,16 @@ def corrupt(
     check_snr_db(snr_db)
     h = np.asarray(h, dtype=np.complex128)
     sigma2 = float(10.0 ** (-snr_db / 10.0))
-    noise = (rng.standard_normal(h.shape) + 1j * rng.standard_normal(h.shape))
-    noise *= np.sqrt(sigma2 / 2.0)
-    return h + noise, sigma2
+    scale = np.sqrt(sigma2 / 2.0)
+    noisy = np.empty(h.shape, dtype=np.complex128)
+    draw = rng.standard_normal(h.shape)
+    draw *= scale
+    noisy.real = draw
+    rng.standard_normal(out=draw)
+    draw *= scale
+    noisy.imag = draw
+    noisy += h
+    return noisy, sigma2
 
 
 _DATASET_HEADER = [("version", "<u4"), ("dim", "<u4"), ("count", "<u8"), ("normalization", "<f8")]

@@ -54,6 +54,12 @@ materializes it. The oracles:
 - ``genie_omp_full_depth``: genie-aided OMP that runs every row to the full
   depth, or to the stopping rule of ``genie_omp_batch``, with the same
   classical Gram-Schmidt basis, and keeps the first prefix closest to the truth.
+- ``steering_batch``: URA steering vectors as explicit Kronecker products of
+  exact exps, exp(j m phi_v) for the vertical and exp(j n phi_h) for the
+  horizontal response, entry (m, n) at index m nh + n.
+- ``kronecker_channels``: ``scenario.generate_channels`` with every path's
+  atom from ``steering_batch``, all (T, P, N) atoms at once and one einsum
+  over the paths; the same draws in the same order.
 """
 
 import numpy as np
@@ -63,6 +69,7 @@ from mfachest import mfa
 from mfachest.baselines import GmmModel
 from mfachest.gaussians import mixture_chunks, responsibilities, stack_mixture
 from mfachest.mfa import PSI_MODES, RIDGE_REL, FitConfig, MfaModel, sample
+from mfachest.scenario import ChannelDataset, ScenarioConfig, cluster_centers, normalize_dataset
 
 
 def crandn(rng, *shape):
@@ -320,6 +327,41 @@ def genie_omp_full_depth(obs, atoms, tru, depth):
     return best
 
 
+def steering_batch(az, el, config):
+    """Steering vectors for paired angle arrays of shape (n,), as (n, N) rows.
+
+    Each row is the Kronecker product of a vertical uniform-linear response
+    (phase along sin(el)) and a horizontal one (along sin(az) cos(el)), the
+    atom layout of ``baselines.build_dft_dictionary``; its entries have unit
+    modulus, and broadside (0, 0) gives all ones.
+    """
+    phase_v = 2.0 * np.pi * config.spacing_v * np.sin(el)
+    phase_h = 2.0 * np.pi * config.spacing_h * np.sin(az) * np.cos(el)
+    vert = np.exp(1j * np.outer(phase_v, np.arange(config.nv)))
+    horiz = np.exp(1j * np.outer(phase_h, np.arange(config.nh)))
+    return (vert[:, :, None] * horiz[:, None, :]).reshape(az.shape[0], config.dim)
+
+
+def kronecker_channels(config, count, rng):
+    """``count`` normalized channels from the draws of ``generate_channels``,
+    each a gain-weighted sum of ``steering_batch`` atoms."""
+    az_c, el_c = cluster_centers(config)
+    spread = np.deg2rad(config.angle_spread_deg)
+    paths = config.paths_per_cluster
+
+    idx = rng.integers(0, config.num_clusters, size=count)
+    off_az = rng.laplace(0.0, spread, size=(count, paths)) if spread > 0 else np.zeros((count, paths))
+    off_el = rng.laplace(0.0, spread, size=(count, paths)) if spread > 0 else np.zeros((count, paths))
+    gains = (rng.standard_normal((count, paths)) + 1j * rng.standard_normal((count, paths)))
+    gains /= np.sqrt(2.0 * paths)
+
+    az = az_c[idx][:, None] + off_az
+    el = el_c[idx][:, None] + off_el
+
+    atoms = steering_batch(az.ravel(), el.ravel(), config).reshape(count, paths, config.dim)
+    return normalize_dataset(ChannelDataset(np.einsum("bp,bpn->bn", gains, atoms)))
+
+
 @st.composite
 def models(draw):
     """A random MFA with K in [1, 4], N in [1, 8], L in [1, N], plus a generator."""
@@ -395,6 +437,27 @@ def em_problems(draw):
         psi_mode=draw(st.sampled_from(PSI_MODES)),
     )
     return sample(true, count, rng).samples, k_total, latent, config
+
+
+@st.composite
+def scenarios(draw):
+    """A ScenarioConfig with nv, nh in 1..8 or the paper's 4x16, 1..12 paths,
+    a zero or positive angle spread and random spacings, plus a sample count
+    and a chunk budget of 1..4 samples' phasor blocks (so counts cross chunks)."""
+    nv, nh = draw(st.one_of(st.just((4, 16)), st.tuples(st.integers(1, 8), st.integers(1, 8))))
+    paths = draw(st.integers(1, 12))
+    config = ScenarioConfig(
+        nv=nv,
+        nh=nh,
+        spacing_v=draw(st.floats(0.1, 2.0)),
+        spacing_h=draw(st.floats(0.1, 2.0)),
+        num_clusters=draw(st.integers(1, 6)),
+        paths_per_cluster=paths,
+        angle_spread_deg=draw(st.one_of(st.just(0.0), st.floats(0.01, 30.0))),
+        seed=draw(st.integers(0, 2**16)),
+    )
+    budget = draw(st.integers(1, 4)) * paths * (nv + nh)
+    return config, draw(st.integers(1, 20)), budget, draw(st.integers(0, 2**32 - 1))
 
 
 def collapsing_data():

@@ -32,7 +32,6 @@ from mfachest.mfa import PSI_FLOOR_REL, FitConfig, MfaModel, _em_step, log_likel
 from mfachest.scenario import (
     ChannelDataset,
     ScenarioConfig,
-    _steering_batch,
     corrupt,
     generate_channels,
 )
@@ -48,6 +47,7 @@ from oracles import (
     kernel_responsibilities,
     make_model,
     posterior,
+    steering_batch,
 )
 
 
@@ -301,7 +301,7 @@ class TestGenieOmp:
         config = ScenarioConfig()
         el = np.arcsin(-1.0 / 8.0)
         az = np.arcsin(-3.0 / (16.0 * np.cos(el)))
-        a = _steering_batch(np.array([az]), np.array([el]), config)[0]
+        a = steering_batch(np.array([az]), np.array([el]), config)[0]
         d = build_dft_dictionary(config.nv, config.nh)
         assert np.abs(a - 8.0 * d.atoms[:, 35]).max() < 1e-12
         corr = np.sort(np.abs(d.atoms.conj().T @ a)) / 8.0

@@ -1,12 +1,15 @@
+from unittest.mock import patch
+
 import numpy as np
 import pytest
+from hypothesis import given
 
+from mfachest import scenario
 from mfachest._binio import FileFormatError
 from mfachest.mfa import FitConfig, fit_em
 from mfachest.scenario import (
     ChannelDataset,
     ScenarioConfig,
-    _steering_batch,
     corrupt,
     generate_channels,
     normalize_dataset,
@@ -14,11 +17,12 @@ from mfachest.scenario import (
     scenario_from_dict,
     write_dataset,
 )
+from oracles import kronecker_channels, scenarios, steering_batch
 
 
 def steering(azimuth, elevation, config):
     """The steering vector (N,) of one angle pair."""
-    return _steering_batch(np.array([azimuth]), np.array([elevation]), config)[0]
+    return steering_batch(np.array([azimuth]), np.array([elevation]), config)[0]
 
 
 class TestSteering:
@@ -48,7 +52,7 @@ class TestSteering:
         config = ScenarioConfig(nv=3, nh=5, spacing_v=0.7, spacing_h=0.4)
         rng = np.random.default_rng(121)
         az, el = rng.uniform(-1.2, 1.2, (2, 7))
-        got = _steering_batch(az, el, config)
+        got = steering_batch(az, el, config)
         v, h = np.divmod(np.arange(15), 5)
         phase = 0.7 * v * np.sin(el)[:, None] + 0.4 * h * (np.sin(az) * np.cos(el))[:, None]
         assert got.shape == (7, 15)
@@ -56,6 +60,22 @@ class TestSteering:
 
 
 class TestGenerate:
+    @given(scenarios())
+    def test_matches_kronecker_atoms(self, drawn):
+        # The phasor-power product against explicit Kronecker atoms of exact exps:
+        # the same draws (the generator ends in the same state) and the same
+        # channels up to the recurrence's rounding.
+        config, count, budget, seed = drawn
+        want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = kronecker_channels(config, count, want_rng)
+        with patch.object(scenario, "_GEN_CHUNK_BUDGET", budget):
+            got = generate_channels(config, count, got_rng)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        assert got.samples.shape == want.samples.shape == (count, config.dim)
+        scale = np.abs(want.samples).max()
+        assert np.abs(got.samples - want.samples).max() <= 1e-13 * scale
+        assert got.normalization == pytest.approx(want.normalization, rel=1e-12)
+
     def test_zero_spread_single_path_is_scaled_steering(self):
         config = ScenarioConfig(
             nv=2, nh=4, num_clusters=1, paths_per_cluster=1, angle_spread_deg=0.0, seed=3
@@ -160,6 +180,21 @@ class TestCorrupt:
     def test_rejects_snr_without_finite_noise_power(self, snr_db):
         with pytest.raises(ValueError):
             corrupt(np.zeros(4, complex), snr_db, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("shape", [(64,), (300, 7)])
+    @pytest.mark.parametrize("snr_db", [-10.0, 0.0, 7.3, 30.0])
+    def test_same_noise_as_complex_draw(self, shape, snr_db):
+        # The noise is (a + j b) sqrt(sigma2 / 2) with a, b the generator's next
+        # two standard normal blocks, bit for bit.
+        h = np.random.default_rng(134).standard_normal(shape) + 0.5j
+        want_rng, got_rng = np.random.default_rng(135), np.random.default_rng(135)
+        sigma2 = float(10.0 ** (-snr_db / 10.0))
+        noise = want_rng.standard_normal(shape) + 1j * want_rng.standard_normal(shape)
+        noise *= np.sqrt(sigma2 / 2.0)
+        y, got_sigma2 = corrupt(h, snr_db, got_rng)
+        assert got_sigma2 == sigma2
+        assert np.array_equal(y, h + noise)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
     def test_infinite_snr_is_noiseless(self):
         h = np.arange(4) + 1j

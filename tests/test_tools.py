@@ -161,3 +161,31 @@ def test_main_fails_on_an_incorrect_run(tmp_path, capsys):
     assert bench_pairs.main([str(base), str(new), "--workload", "w", "--pairs", "1"],
                             run=fake_run) == 1
     assert "new 0/1" in capsys.readouterr().out
+
+
+def test_main_runs_each_workload_in_its_own_block(tmp_path, capsys):
+    base, new = tmp_path / "base", tmp_path / "new"
+    base.mkdir()
+    new.mkdir()
+    (base / "BENCHMARK.json").write_text(json.dumps(
+        {"end_to_end": [{"name": "run_s", "better": "lower"}]}))
+    calls = []
+
+    def fake_run(checkout, workload, seed, seconds):
+        calls.append((checkout.name, workload))
+        # Only the second workload's new checkout reads incorrect.
+        correct = checkout == base or workload == "fit-k64"
+        return _result(1.0 if workload == "fit-k64" else 2.0, 100.0, correct=correct)
+
+    argv = [str(base), str(new), "--workload", "fit-k64", "--workload", "paper-sweep",
+            "--pairs", "2"]
+    assert bench_pairs.main(argv, run=fake_run) == 1
+    assert calls == [("base", "fit-k64"), ("new", "fit-k64"), ("new", "fit-k64"),
+                     ("base", "fit-k64"), ("base", "paper-sweep"), ("new", "paper-sweep"),
+                     ("new", "paper-sweep"), ("base", "paper-sweep")]
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "fit-k64: correct: base 2/2, new 2/2"
+    assert out[1].startswith("run_s: base 1 ")
+    assert out[3] == "paper-sweep: correct: base 2/2, new 0/2"
+    assert out[4].startswith("run_s: base 2 ")
+    assert len(out) == 6

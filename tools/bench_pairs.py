@@ -1,18 +1,20 @@
-"""Compare two checkouts on one perfbench workload in alternating pairs of runs.
+"""Compare two checkouts on perfbench workloads in alternating pairs of runs.
 
 Each pair runs ``perfbench/run.py --trace 0`` once in each checkout, and the
 order alternates from pair to pair (base first, then new first), so drift of
 the host's load falls on both sides alike. The last line of each run's output
-is its JSON result. For every end-to-end metric the script prints the median
+is its JSON result. Each ``--workload`` runs its own pairs, one workload after
+another, and prints its own block, whose first line starts with the
+workload's name. For every end-to-end metric the block gives the median
 and quartiles of each side, the ratio of the medians (new / base), the ratio
 within each pair, and in how many pairs the new checkout was better, in the
 direction the base checkout's BENCHMARK.json gives. Where that file gives the
 metric a ``bound``, the line also says whether the new median is worse than
 the base median by more than that share of it. It exits with 1 when some run
-did not read ``"correct": true``.
+of any workload did not read ``"correct": true``.
 
-Usage: python3 tools/bench_pairs.py BASE NEW --workload NAME [--seed 7]
-           [--pairs 5] [--seconds 20]
+Usage: python3 tools/bench_pairs.py BASE NEW --workload NAME [--workload NAME ...]
+           [--seed 7] [--pairs 5] [--seconds 20]
 """
 
 from __future__ import annotations
@@ -111,7 +113,8 @@ def main(argv: list[str], run=run_once) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("base", type=Path)
     parser.add_argument("new", type=Path)
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True, action="append",
+                        help="a perfbench workload; give it again for more")
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--pairs", type=int, default=5)
     parser.add_argument("--seconds", type=float, default=20.0)
@@ -120,13 +123,18 @@ def main(argv: list[str], run=run_once) -> int:
         parser.error("--pairs must be >= 1")
     if args.base.resolve() == args.new.resolve():
         parser.error("BASE and NEW must be different checkouts")
-    results = {args.base: [], args.new: []}
-    for pair in range(args.pairs):
-        for checkout in (args.base, args.new) if pair % 2 == 0 else (args.new, args.base):
-            results[checkout].append(run(checkout, args.workload, args.seed, args.seconds))
-    base, new = results[args.base], results[args.new]
-    print("\n".join(summarize(base, new, directions(args.base), bounds(args.base))))
-    return 0 if all(r.get("correct") is True for r in base + new) else 1
+    correct = True
+    for workload in args.workload:
+        results = {args.base: [], args.new: []}
+        for pair in range(args.pairs):
+            for checkout in (args.base, args.new) if pair % 2 == 0 else (args.new, args.base):
+                results[checkout].append(run(checkout, workload, args.seed, args.seconds))
+        base, new = results[args.base], results[args.new]
+        lines = summarize(base, new, directions(args.base), bounds(args.base))
+        lines[0] = f"{workload}: {lines[0]}"
+        print("\n".join(lines), flush=True)
+        correct = correct and all(r.get("correct") is True for r in base + new)
+    return 0 if correct else 1
 
 
 if __name__ == "__main__":
