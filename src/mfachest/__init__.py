@@ -26,7 +26,7 @@ from .bench import (
     run_snr_sweep,
 )
 from .estimator import estimate
-from .gaussians import ConditioningError, sample_component
+from .gaussians import ConditioningError
 from .mfa import (
     FitConfig,
     FitTrace,
@@ -35,7 +35,6 @@ from .mfa import (
     load_model,
     log_likelihood,
     parameter_count,
-    sample,
     save_model,
 )
 from .scenario import (

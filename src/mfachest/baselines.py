@@ -530,10 +530,11 @@ def _gmm_chunks(model: GmmModel, factor: tuple, rows: np.ndarray, guess=None, wh
     ln(1 / RESP_REL) nats below the row's largest log-density, where
     ``responsibilities`` sets it to exactly 0; its log-density is -inf, so the
     log-sum-exp loses only terms below RESP_REL of its largest. The guess
-    decides the work, not the result: in a fit it is the k-means label on the
-    first pass and the previous E-step's argmax after that. An exact
-    log-density is one product per component, of its gathered rows [y 1] by
-    its (N + 1, N) block of the whitener: the sums of the unpruned pass, which
+    decides the work, not the result: in a fit it is the bound's argmax on the
+    first pass, as in ``gmm_estimate``, and the previous E-step's argmax after
+    that. An exact log-density is one product per component
+    (``component_rows``), of its gathered rows [y 1] by its (N + 1, N) block
+    of the whitener: the sums of the unpruned pass, which
     made the one (B, N + 1) x (N + 1, K N) product, in the same order. The
     (B, K m) bound stays within _BOUND_BUDGET entries, and with ``whitened``
     z within _GMM_CHUNK_BUDGET.
@@ -575,10 +576,7 @@ def _exact(block: np.ndarray, factor: tuple, pairs: np.ndarray, logdens: np.ndar
     None."""
     whitener, logconst = factor
     dim = block.shape[1] - 1
-    # One flatnonzero per column: component_rows' one nonzero over the
-    # transpose took four times as long on these (B, K) masks.
-    for k in np.flatnonzero(pairs.any(axis=0)):
-        idx = np.flatnonzero(pairs[:, k])
+    for k, idx in component_rows(pairs):
         # numpy runs a one-row product as a matrix-vector product, which rounds
         # differently from the rows of a matrix product; pad it to two rows.
         rows = block[idx if len(idx) > 1 else np.repeat(idx, 2)]
@@ -625,15 +623,18 @@ def fit_gmm(
 
 
 class _GmmFamily:
-    """fit_gmm's full and Toeplitz math in ``mfa.fit_mixture``: params (params,)."""
+    """fit_gmm's full and Toeplitz math in ``mfa.fit_mixture``: params (params,).
+
+    ``guess`` holds each sample's guessed component for ``_gmm_chunks``. It is
+    None until the first E-step, whose pass takes the bound's argmax; only
+    ``e_step`` sets it, to its responsibilities' argmax.
+    """
 
     def __init__(self, structure: str, samples: np.ndarray):
         self.structure = structure
         self.model = partial(GmmModel, structure)
         self.dim = samples.shape[1]
         self.scale = float(np.mean(np.abs(samples) ** 2))
-        # Each sample's guessed component for the E-step's pruned pass: its
-        # k-means label, then the last E-step's argmax.
         self.guess = None
         # The Toeplitz M-step's transformed samples, once per fit.
         self.transformed = None
@@ -642,7 +643,6 @@ class _GmmFamily:
 
     def start(self, samples: np.ndarray, labels: np.ndarray, fitted: np.ndarray):
         """The clusters in ``fitted`` through ``_m_step`` with one-hot weights."""
-        self.guess = labels
         means = np.empty((fitted.size, self.dim), dtype=np.complex128)
         params = np.stack([_isotropic(self.structure, self.dim, self.scale)] * fitted.size)
         onehot = (labels[:, None] == np.flatnonzero(fitted)).astype(np.float64)

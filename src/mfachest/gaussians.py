@@ -60,6 +60,10 @@ RESP_REL = 1e-16
 # or below it the expansion's rounding is within a few hundred ulps of the form.
 _EXPANSION_GAIN = 64.0
 
+# The smallest shifted log-density ``responsibilities`` exponentiates: exp(-708)
+# is a normal number (about 3.3e-308), far below RESP_REL.
+_EXP_MIN = -708.0
+
 
 class ConditioningError(ArithmeticError):
     """A covariance system is numerically singular: a low-rank component whose
@@ -304,23 +308,6 @@ def mixture_chunks(stack: MixtureStack, samples: np.ndarray):
         yield start, block, abs2, buffer[:size], *responsibilities(logdens)
 
 
-def sample_component(
-    model, k: int, rng: np.random.Generator, size: int | None = None
-) -> np.ndarray:
-    """Draw ``mean + loading @ z + u`` from component k of an ``mfa.MfaModel``,
-    with z standard complex normal and u ~ N_C(0, diag).
-
-    With ``size=None`` a single (N,) vector is returned, otherwise a (size, N)
-    array. Draw order (z first, then u) is fixed, so outputs are reproducible
-    for a seeded generator.
-    """
-    n_draws = 1 if size is None else int(size)
-    z = _std_cnormal(rng, (n_draws, model.latent_dim))
-    u = _std_cnormal(rng, (n_draws, model.dim)) * np.sqrt(model.diag_terms[k])
-    out = model.means[k] + z @ model.loadings[k].T + u
-    return out[0] if size is None else out
-
-
 def _std_cnormal(rng: np.random.Generator, shape) -> np.ndarray:
     """Standard circularly-symmetric complex normal: unit variance per entry."""
     re = rng.standard_normal(shape)
@@ -336,29 +323,37 @@ def responsibilities(logdens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     its row sums give both the log-sum-exp and the probabilities e / sum(e).
     e is computed in place in the one array returned; ``logdens`` is unchanged.
     Entries of e below RESP_REL (relative to the row's largest, exp(0) = 1) are
-    set to exactly 0 before the division.
+    set to exactly 0 before the division. In a row with a finite max, shifted
+    values below _EXP_MIN are raised to it first: their e is then the normal
+    exp(_EXP_MIN), not a subnormal, 0 or exp(-inf), which numpy's exp computes
+    6 to over 100 times slower. Either way e is below RESP_REL and below the
+    rounding of the row sum, which holds exp(0) = 1, so the results are the
+    same. A row without a finite max is not clamped and keeps its NaN.
     """
     shift = np.max(logdens, axis=1, keepdims=True)
+    finite = np.isfinite(shift)
     # An all--inf row would propagate nan through the subtraction.
-    shift = np.where(np.isfinite(shift), shift, 0.0)
+    shift = np.where(finite, shift, 0.0)
     resp = logdens - shift
+    np.maximum(resp, _EXP_MIN, out=resp, where=finite)
     np.exp(resp, out=resp)
     total = resp.sum(axis=1, keepdims=True)
-    resp[resp < RESP_REL] = 0.0
+    np.copyto(resp, 0.0, where=resp < RESP_REL)
     resp /= total
     return resp, (np.log(total) + shift)[:, 0]
 
 
-def component_rows(resp: np.ndarray):
-    """Yield (k, rows) for every component k of a (B, K) responsibility chunk that
-    has nonzero weights, with ``rows`` the ascending indices of those rows.
+def component_rows(weights: np.ndarray):
+    """Yield (k, rows) for every component k of a (B, K) weight or mask chunk
+    that has nonzero entries, in ascending k, with ``rows`` the ascending indices
+    of those entries (NaN counts as nonzero).
 
-    The nonzero (row, component) pairs come out of one ``nonzero`` over the
-    transpose, sorted by component, and one ``searchsorted`` finds each
-    component's segment; EM accumulates its statistics component by component
-    over the gathered rows.
+    The nonzero flags are laid out column by column in one contiguous array;
+    one ``any`` finds the live columns, and one ``flatnonzero`` per live column
+    gathers its rows. EM accumulates its statistics component by component
+    over the gathered rows; the pruned GMM pass and ``mixture_logdens`` at
+    L = 0 compute log-densities over them.
     """
-    comps, rows = np.nonzero(resp.T)
-    bounds = np.searchsorted(comps, np.arange(resp.shape[1] + 1))
-    for k in np.flatnonzero(np.diff(bounds)):
-        yield int(k), rows[bounds[k]:bounds[k + 1]]
+    nonzero = np.ascontiguousarray((weights != 0).T)
+    for k in np.flatnonzero(nonzero.any(axis=1)):
+        yield int(k), np.flatnonzero(nonzero[k])

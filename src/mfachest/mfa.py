@@ -1,4 +1,4 @@
-"""Mixture-of-factor-analyzers model: EM fitting, likelihood, sampling, serialization.
+"""Mixture-of-factor-analyzers model: EM fitting, likelihood, serialization.
 
 Each mixture component models the data on an L-dimensional linear subspace
 (factor loading) plus a diagonal residual term, which is equivalent to a
@@ -10,7 +10,7 @@ no real-case 1/2 factors in the variance accounting.
 ``MfaModel`` holds the K components as stacked arrays (weights, means,
 loadings, diagonals). The EM state is the model itself: each iteration's
 regression solve and diagonal update run batched over K, and the likelihood,
-the estimator, sampling and the MFA1 codec read the arrays directly.
+the estimator and the MFA1 codec read the arrays directly.
 """
 
 from __future__ import annotations
@@ -268,7 +268,7 @@ def _kmeans(samples: np.ndarray, k_total: int, rng: np.random.Generator) -> np.n
     for _ in range(_KMEANS_ITER):
         _center_dist(flat, energy, centers, dist)
         new_labels = dist.argmin(axis=1)
-        nearest = dist[np.arange(n_work), new_labels]
+        nearest = None
         order = np.argsort(new_labels, kind="stable")
         bounds = np.searchsorted(new_labels[order], np.arange(k_total + 1))
         # Cluster sizes, kept current through the reseeds.
@@ -280,6 +280,10 @@ def _kmeans(samples: np.ndarray, k_total: int, rng: np.random.Generator) -> np.n
             if members.size:
                 centers[k] = work[members].mean(axis=0)
             else:
+                if nearest is None:
+                    # Each sample's distance to the centre it was assigned
+                    # before any reseed moved it.
+                    nearest = dist.min(axis=1)
                 far = np.where(sizes[new_labels] > 1, nearest, -np.inf).argmax()
                 sizes[new_labels[far]] -= 1
                 sizes[k] += 1
@@ -300,8 +304,8 @@ def _center_dist(flat: np.ndarray, energy: np.ndarray, centers: np.ndarray, out=
     """(T, K) squared distances |x|^2 - 2 Re(x c^H) + |c|^2 from rows x, given as
     their interleaved real view ``flat`` and energies, to the complex centres,
     computed in the one (T, K) array of the cross term: ``out`` when given."""
-    dist = np.matmul(flat, centers.view(np.float64).T, out=out)
-    dist *= 2.0
+    # Doubling the centres, not the (T, K) product, is exact in binary floating point.
+    dist = np.matmul(flat, 2.0 * centers.view(np.float64).T, out=out)
     np.subtract(energy[:, None], dist, out=dist)
     dist += (np.abs(centers) ** 2).sum(axis=1)
     return dist
@@ -420,10 +424,13 @@ class _MfaFamily:
             means[k] = cluster.mean(axis=0)
             centered = cluster - means[k]
             cov = centered.T @ centered.conj() / cluster.shape[0]
-            vals, vecs = np.linalg.eigh(0.5 * (cov + cov.conj().T))
-            vals = np.maximum(vals[::-1], 0.0)
-            vecs = vecs[:, ::-1]
-            loadings[k] = vecs[:, :latent] * np.sqrt(vals[:latent])
+            # At L = 0 no axis is taken, and scaled-identity reads only the
+            # eigenvalues' mean, which is the diagonal's: trace / N.
+            vals = cov.diagonal().real
+            if latent:
+                vals, vecs = np.linalg.eigh(0.5 * (cov + cov.conj().T))
+                vals = np.maximum(vals[::-1], 0.0)
+                loadings[k] = vecs[:, ::-1][:, :latent] * np.sqrt(vals[:latent])
             if self.psi_mode == "scaled-identity":
                 resid = float(vals[latent:].mean()) if latent < dim else self.floor
             else:
@@ -555,22 +562,8 @@ def _restart(family, rng: np.random.Generator, means, params, k: int, mean) -> N
 
 
 # ---------------------------------------------------------------------------
-# Sampling and parameter accounting
+# Parameter accounting
 # ---------------------------------------------------------------------------
-
-
-def sample(model: MfaModel, count: int, rng: np.random.Generator) -> ChannelDataset:
-    """Draw ``count`` samples: a categorical component pick, then the component draw."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    picks = rng.choice(model.n_components, size=count, p=model.weights)
-    out = np.empty((count, model.dim), dtype=np.complex128)
-    for k in range(model.n_components):
-        mask = picks == k
-        n_k = int(mask.sum())
-        if n_k:
-            out[mask] = gaussians.sample_component(model, k, rng, size=n_k)
-    return ChannelDataset(out)
 
 
 PARAM_KINDS = ("mfa", "gmm-full", "gmm-toep", "gmm-circ")

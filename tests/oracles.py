@@ -11,6 +11,11 @@ materializes it. The oracles:
   W_k = crandn(N, L), with psi_k = psi everywhere.
 - ``single``: the one-component MFA with w = 1, loading W, diagonal psi and
   mean mu (zero by default).
+- ``sample_component``: draws mu_k + W_k z + u from component k of an MFA,
+  z = ``crandn`` (L,) first, then u = ``crandn`` (N,) sqrt(psi_k).
+- ``sample``: a ``ChannelDataset`` of draws from an MFA: one categorical pick
+  of k per draw (``rng.choice`` with p = w), then the picks of each k, in
+  ascending k, from ``sample_component``.
 - ``dense_cov``: W_k W_k^H + diag(psi_k + sigma2), formed from the factors.
 - ``dense_logdens``: with S_k = C_k + sigma2 I = G_k G_k^H (lower Cholesky,
   C_k from ``dense_covariances()``), l_bk = log w_k - N log pi - log det S_k
@@ -20,6 +25,12 @@ materializes it. The oracles:
   r_bk = exp(l_bk - m_b) / sum_j exp(l_bj - m_b) and the log-sum-exp
   log(sum_j exp(l_bj - m_b)) + m_b, in the order of operations that
   ``gaussians.responsibilities`` uses for its log-sum-exp.
+- ``responsibilities_reference``: ``gaussians.responsibilities`` with every
+  shifted entry exponentiated as it is, subnormal, zero and exp(-inf) results
+  included, then floored at RESP_REL and divided by the row sums.
+- ``component_rows_reference``: the nonzero (row, component) pairs of a
+  (B, K) array from one ``nonzero`` over its transpose, grouped by component
+  with ``searchsorted``.
 - ``dense_conditional_mean``: the exact MMSE estimate under the mixture prior
   with noise variance sigma2, E[h | y] = sum_k r_bk h_bk, with r from
   ``dense_logdens`` at sigma2 and the per-component LMMSE estimates
@@ -67,8 +78,8 @@ from hypothesis import strategies as st
 
 from mfachest import mfa
 from mfachest.baselines import GmmModel
-from mfachest.gaussians import mixture_chunks, responsibilities, stack_mixture
-from mfachest.mfa import PSI_MODES, RIDGE_REL, FitConfig, MfaModel, sample
+from mfachest.gaussians import RESP_REL, mixture_chunks, responsibilities, stack_mixture
+from mfachest.mfa import PSI_MODES, RIDGE_REL, FitConfig, MfaModel
 from mfachest.scenario import ChannelDataset, ScenarioConfig, cluster_centers, normalize_dataset
 
 
@@ -93,6 +104,30 @@ def single(loading, diag_term, mean=None):
     loading = np.asarray(loading, dtype=complex)
     mean = np.zeros(loading.shape[0], complex) if mean is None else np.asarray(mean)
     return MfaModel(np.ones(1), mean[None], loading[None], np.asarray(diag_term, float)[None])
+
+
+def sample_component(model, k, rng, size=None):
+    """Draw mean + loading @ z + u from component k of an MfaModel, with z
+    standard complex normal and u ~ N_C(0, diag): z first, then u. With
+    ``size=None`` one (N,) vector, otherwise a (size, N) array."""
+    n_draws = 1 if size is None else int(size)
+    z = crandn(rng, n_draws, model.latent_dim)
+    u = crandn(rng, n_draws, model.dim) * np.sqrt(model.diag_terms[k])
+    out = model.means[k] + z @ model.loadings[k].T + u
+    return out[0] if size is None else out
+
+
+def sample(model, count, rng):
+    """``count`` draws from an MfaModel as a ChannelDataset: a categorical
+    component pick per draw, then each component's draws in ascending k."""
+    picks = rng.choice(model.n_components, size=count, p=model.weights)
+    out = np.empty((count, model.dim), dtype=np.complex128)
+    for k in range(model.n_components):
+        mask = picks == k
+        n_k = int(mask.sum())
+        if n_k:
+            out[mask] = sample_component(model, k, rng, size=n_k)
+    return ChannelDataset(out)
 
 
 def dense_cov(model, k, sigma2=0.0):
@@ -140,6 +175,27 @@ def dense_conditional_mean(model, sigma2, y):
     ])
     value = np.einsum("kbn,bk->bn", parts, resp)
     return (value[0], resp[0], parts[:, 0]) if np.ndim(y) == 1 else (value, resp, parts)
+
+
+def responsibilities_reference(logdens):
+    """``gaussians.responsibilities`` without its exponent clamp: every shifted
+    entry goes through exp as it is."""
+    shift = np.max(logdens, axis=1, keepdims=True)
+    shift = np.where(np.isfinite(shift), shift, 0.0)
+    resp = logdens - shift
+    np.exp(resp, out=resp)
+    total = resp.sum(axis=1, keepdims=True)
+    resp[resp < RESP_REL] = 0.0
+    resp /= total
+    return resp, (np.log(total) + shift)[:, 0]
+
+
+def component_rows_reference(weights):
+    """(k, rows) pairs as ``gaussians.component_rows`` yields them, from one
+    ``nonzero`` over the transpose and one ``searchsorted``."""
+    comps, rows = np.nonzero(weights.T)
+    bounds = np.searchsorted(comps, np.arange(weights.shape[1] + 1))
+    return [(int(k), rows[bounds[k]:bounds[k + 1]]) for k in np.flatnonzero(np.diff(bounds))]
 
 
 def em_regression(s_xz, s_zz, masses, r_abs2):

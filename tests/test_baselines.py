@@ -28,7 +28,7 @@ from mfachest.baselines import (
 )
 from mfachest.estimator import estimate
 from mfachest.gaussians import ConditioningError
-from mfachest.mfa import PSI_FLOOR_REL, FitConfig, MfaModel, _em_step, log_likelihood, sample
+from mfachest.mfa import PSI_FLOOR_REL, FitConfig, MfaModel, _em_step, log_likelihood
 from mfachest.scenario import (
     ChannelDataset,
     ScenarioConfig,
@@ -47,6 +47,7 @@ from oracles import (
     kernel_responsibilities,
     make_model,
     posterior,
+    sample,
     steering_batch,
 )
 
@@ -1076,9 +1077,10 @@ class TestPrunedPass:
 
     @given(em_problems(), st.sampled_from(["full", "toeplitz"]), st.integers(1, 6))
     def test_fit_passes_match_dense_pass(self, problem, structure, width):
-        # Every E-step of a fit (the k-means labels, then the last argmax, as
-        # guesses), and the same passes with every row guessing its worst
-        # component. A fit that collapses a full component ends early.
+        # Every E-step of a fit (no guess, so the bound's argmax, on the first
+        # pass, then the last argmax), and the same passes with every row
+        # guessing its worst component. A fit that collapses a full component
+        # ends early.
         samples, k_total, _, config = problem
         family = _GmmFamily(structure, samples)
         passes, e_step = [], family.e_step

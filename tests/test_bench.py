@@ -15,8 +15,9 @@ from mfachest.bench import (
     run_latent_sweep,
     run_snr_sweep,
 )
-from mfachest.mfa import FitConfig, MfaModel, fit_em, save_model, sample
+from mfachest.mfa import FitConfig, MfaModel, fit_em, save_model
 from mfachest.scenario import ScenarioConfig, corrupt, write_dataset
+from oracles import sample
 
 
 def small_scenario(seed=0):

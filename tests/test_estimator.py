@@ -3,7 +3,7 @@ import pytest
 from scipy.optimize import nnls
 
 from mfachest.estimator import estimate
-from mfachest.mfa import FitConfig, MfaModel, fit_em, log_likelihood, sample
+from mfachest.mfa import FitConfig, MfaModel, fit_em, log_likelihood
 from oracles import (
     crandn,
     dense_conditional_mean,
@@ -12,6 +12,7 @@ from oracles import (
     kernel_responsibilities,
     make_model,
     posterior,
+    sample,
     single,
 )
 

@@ -12,11 +12,20 @@ from mfachest.gaussians import (
     component_rows,
     mixture_logdens,
     responsibilities,
-    sample_component,
     stack_mixture,
 )
 from mfachest.mfa import MfaModel
-from oracles import crandn, dense_cov, dense_logdens, posterior, single, with_intercept
+from oracles import (
+    component_rows_reference,
+    crandn,
+    dense_cov,
+    dense_logdens,
+    posterior,
+    responsibilities_reference,
+    sample_component,
+    single,
+    with_intercept,
+)
 
 
 def random_cov(rng, dim, latent, psi_lo=0.3, psi_hi=2.0):
@@ -275,6 +284,32 @@ class TestResponsibilities:
         assert not np.shares_memory(resp, logdens)
 
 
+@st.composite
+def shifted_log_densities(draw):
+    """(B, K) log-densities up to 800 nats below a finite row max, with -inf
+    entries, and rows that are all -inf or hold a NaN."""
+    rows, cols = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    gaps = draw(arrays(np.float64, (rows, cols), elements=st.one_of(
+        st.floats(-800.0, 0.0), st.just(-np.inf))))
+    logdens = gaps + draw(st.floats(-1e4, 1e4))
+    kinds = draw(arrays(np.int8, rows, elements=st.integers(0, 3)))
+    logdens[kinds == 1] = -np.inf
+    logdens[kinds == 2, draw(st.integers(0, cols - 1))] = np.nan
+    return logdens
+
+
+class TestResponsibilitiesMatchReference:
+    @given(shifted_log_densities())
+    def test_bit_identical_to_unclamped_exp(self, logdens):
+        # The exponent clamp changes no value: not the responsibilities, not the
+        # log-sum-exp, not the NaN or overflow of a row without a finite max.
+        with np.errstate(all="ignore"):
+            resp, lse = responsibilities(logdens)
+            want_resp, want_lse = responsibilities_reference(logdens)
+        assert np.array_equal(resp, want_resp, equal_nan=True)
+        assert np.array_equal(lse, want_lse, equal_nan=True)
+
+
 class TestComponentRows:
     @given(arrays(np.float64, st.tuples(st.integers(1, 8), st.integers(1, 6)),
                   elements=st.sampled_from([0.0, 1e-300, 0.25, 1.0])))
@@ -282,3 +317,16 @@ class TestComponentRows:
         got = {k: rows.tolist() for k, rows in component_rows(resp)}
         want = {k: np.flatnonzero(resp[:, k]).tolist() for k in range(resp.shape[1])}
         assert got == {k: rows for k, rows in want.items() if rows}
+
+    @given(st.data(), st.integers(1, 40), st.integers(1, 12),
+           st.sampled_from(["bool", "float", "nan", "zero"]))
+    def test_matches_transposed_nonzero(self, data, rows, cols, kind):
+        # Bool masks and float weights, with empty columns, all-zero input,
+        # one row and NaN entries (which count as nonzero).
+        values = {"bool": [False, True], "float": [0.0, 1e-300, 0.5],
+                  "nan": [0.0, np.nan, 2.0], "zero": [0.0]}[kind]
+        weights = data.draw(arrays(np.bool_ if kind == "bool" else np.float64, (rows, cols),
+                                   elements=st.sampled_from(values)))
+        got = [(k, idx.tolist()) for k, idx in component_rows(weights)]
+        want = [(k, idx.tolist()) for k, idx in component_rows_reference(weights)]
+        assert got == want

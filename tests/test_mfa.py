@@ -1,4 +1,5 @@
 from dataclasses import replace
+from functools import partial
 from unittest.mock import patch
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, strategies as st
 from scipy.linalg import subspace_angles
 from scipy.optimize import linear_sum_assignment
 
-from mfachest.gaussians import mixture_logdens, sample_component, stack_mixture
+from mfachest.gaussians import mixture_logdens, stack_mixture
 from mfachest import baselines, gaussians, mfa
 from mfachest.mfa import (
     FitConfig,
@@ -16,7 +17,6 @@ from mfachest.mfa import (
     load_model,
     log_likelihood,
     parameter_count,
-    sample,
     save_model,
 )
 from mfachest.scenario import ChannelDataset
@@ -30,6 +30,8 @@ from oracles import (
     kmeans_reference,
     make_model,
     posterior,
+    sample,
+    sample_component,
     single,
     start_reference,
     with_intercept,
@@ -592,6 +594,36 @@ class TestEmProperties:
         assert np.abs(means[fitted] - want_means[fitted]).max(initial=0.0) <= 1e-12 * scale
         assert np.abs(products[fitted] - want_products[fitted]).max(initial=0.0) <= 1e-9 * scale**2
         assert np.abs(diagonals - want_diagonals).max() <= 1e-9 * scale**2
+
+    @given(st.integers(1, 4), st.integers(1, 6), st.integers(0, 2**32 - 1))
+    def test_scaled_identity_start_at_l0(self, k_total, dim, seed):
+        # With no axis to take, each cluster's scale is its mean per-entry
+        # variance, trace(S_k) / N, floored; no eigenvalues are read.
+        rng = np.random.default_rng(seed)
+        count = int(rng.integers(k_total, 41))
+        samples = rng.uniform(0.0, 3.0) * crandn(rng, dim) + crandn(rng, count, dim)
+        labels = rng.integers(k_total, size=count)
+        fitted = np.bincount(labels, minlength=k_total) >= 2
+        family = mfa._MfaFamily(0, "scaled-identity", samples)
+        with patch.object(np.linalg, "eigh", side_effect=AssertionError("eigh at L = 0")):
+            means, (loadings, diagonals) = family.start(samples, labels, fitted)
+        assert loadings.shape == (k_total, dim, 0)
+        for k in np.flatnonzero(fitted):
+            cluster = samples[labels == k]
+            spread = np.mean(np.abs(cluster - cluster.mean(axis=0)) ** 2)
+            want = max(spread, family.floor)
+            assert np.allclose(diagonals[k], want, rtol=1e-12, atol=0.0)
+        assert np.all(diagonals[~fitted] == max(family.scale, family.floor))
+
+    def test_scaled_identity_fits_at_l0(self):
+        # The isotropic GMM: an exact M-step, so the trace does not fall.
+        data = sample(make_model(np.random.default_rng(63), 3, 5, 2, sep=3.0), 300,
+                      np.random.default_rng(64)).samples
+        config = FitConfig(max_iter=10, rel_tol=1e-12, seed=3)
+        model, trace = mfa.fit_mixture(data, 3, config, partial(mfa._MfaFamily, 0, "scaled-identity"))
+        assert model.latent_dim == 0
+        assert np.all(model.diag_terms == model.diag_terms[:, :1])
+        assert np.all(np.diff(trace.loglik) >= -1e-8 * np.abs(trace.loglik[:-1]))
 
     @pytest.mark.parametrize("family", ["scaled-identity", "diagonal", *baselines.GMM_STRUCTURES])
     def test_small_cluster_start(self, family):

@@ -1,16 +1,36 @@
+import importlib
 import importlib.util
 import json
+import sys
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 
-_TOOLS = Path(__file__).resolve().parent.parent / "tools"
+_ROOT = Path(__file__).resolve().parent.parent
+_TOOLS = _ROOT / "tools"
+
+# Bindings that perfbench/tracer.py still names though their functions were
+# deleted or moved; the tracer records them as absent. Every other binding
+# must resolve, so a change that deletes or moves a traced function fails here.
+_DEAD_TRACER_BINDINGS = {
+    "mfachest.mfa.factorize",
+    "mfachest.estimator.factorize",
+    "mfachest.gaussians.woodbury_inverse",
+    "mfachest.estimator.woodbury_inverse",
+    "mfachest.estimator.build_filter_bank",
+    "mfachest.estimator.estimate_with_bank",
+    "mfachest.baselines.sample_lmmse_estimate",
+}
 
 
-def _load(name):
-    spec = importlib.util.spec_from_file_location(name, _TOOLS / f"{name}.py")
+def _load(name, folder=_TOOLS):
+    spec = importlib.util.spec_from_file_location(name, folder / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    # Registered while it runs, as dataclasses need; no bytecode cache is
+    # left beside the loaded file.
+    with patch.dict(sys.modules, {name: module}), patch.object(sys, "dont_write_bytecode", True):
+        spec.loader.exec_module(module)
     return module
 
 
@@ -189,3 +209,13 @@ def test_main_runs_each_workload_in_its_own_block(tmp_path, capsys):
     assert out[3] == "paper-sweep: correct: base 2/2, new 0/2"
     assert out[4].startswith("run_s: base 2 ")
     assert len(out) == 6
+
+
+def test_tracer_bindings_resolve():
+    unresolved = set()
+    for _, bindings, _, _ in _load("tracer", _ROOT / "perfbench").TARGETS:
+        for dotted in bindings:
+            module_name, attr = dotted.rsplit(".", 1)
+            if not callable(getattr(importlib.import_module(module_name), attr, None)):
+                unresolved.add(dotted)
+    assert unresolved <= _DEAD_TRACER_BINDINGS
