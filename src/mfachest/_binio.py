@@ -8,16 +8,20 @@ padding: ``(name, dtype)`` pairs for a header, e.g.
 triples for a body record, e.g.
 ``[("weight", "<f8", ()), ("mean", "<c16", (N,))]``. The header gives the
 body's layout and record count; the body's byte count is
-checked against the rest of the file before its dtype or array is built, so a
+checked against the file's size before its dtype or array is built, so a
 header that declares more records than the file holds raises FileFormatError
-instead of allocating.
+instead of allocating. The body is read straight into its structured array,
+and written from bounded chunks of records, so neither holds a second copy.
 """
 
 from __future__ import annotations
 
 import math
+import os
 
 import numpy as np
+
+from .gaussians import _STACK_CHUNK_BUDGET
 
 
 class FileFormatError(ValueError):
@@ -31,57 +35,70 @@ class FileFormatError(ValueError):
 
 
 class Container:
-    """A container file read whole: ``header`` holds its header record as a tuple
-    of Python scalars in field order, and ``body`` reads the records that follow."""
+    """A container file: ``header`` holds its header record as a tuple of Python
+    scalars in field order, and ``body`` reads the records that follow."""
 
     def __init__(self, path, magic: bytes, header: list):
-        with open(path, "rb") as fh:
-            self._data = fh.read()
+        self._path = path
         self._magic = magic
-        self.offset = 0
-        got = bytes(self._take(len(magic), "magic"))
-        if got != magic:
-            raise FileFormatError(f"bad magic {got!r}, expected {magic!r}", 0)
         self._header = np.dtype(header)
-        record = np.frombuffer(self._take(self._header.itemsize, "header"), self._header)[0]
-        self.header = record.item()
+        self.offset = 0
+        with open(path, "rb") as fh:
+            self._size = os.fstat(fh.fileno()).st_size
+            got = self._take(fh, len(magic), "magic")
+            if got != magic:
+                raise FileFormatError(f"bad magic {got!r}, expected {magic!r}", 0)
+            record = np.frombuffer(self._take(fh, self._header.itemsize, "header"), self._header)
+        self.header = record[0].item()
 
     def offset_of(self, name: str) -> int:
         """File offset of the header field ``name``."""
         return len(self._magic) + self._header.fields[name][1]
 
-    def _take(self, count: int, what: str) -> memoryview:
-        end = self.offset + count
-        if end > len(self._data):
+    def _check(self, count: int, what: str) -> None:
+        """Raise FileFormatError unless ``count`` bytes follow the offset."""
+        if self.offset + count > self._size:
             raise FileFormatError(
                 f"truncated file: need {count} bytes for {what}, "
-                f"have {len(self._data) - self.offset}",
+                f"have {self._size - self.offset}",
                 self.offset,
             )
-        chunk = memoryview(self._data)[self.offset:end]
-        self.offset = end
-        return chunk
+
+    def _take(self, fh, count: int, what: str) -> bytes:
+        self._check(count, what)
+        self.offset += count
+        return fh.read(count)
 
     def body(self, fields: list, count: int, what: str) -> np.ndarray:
         """The ``count`` records of the layout ``fields`` that end the file, as a
         structured array."""
         size = sum(np.dtype(base).itemsize * math.prod(shape) for _, base, shape in fields)
-        chunk = self._take(size * count, what)
-        if self.offset != len(self._data):
-            raise FileFormatError(
-                f"trailing data: {len(self._data) - self.offset} unexpected bytes", self.offset
-            )
-        return np.frombuffer(chunk, dtype=np.dtype(fields), count=count).copy()
+        self._check(size * count, what)
+        end = self.offset + size * count
+        if end != self._size:
+            raise FileFormatError(f"trailing data: {self._size - end} unexpected bytes", end)
+        records = np.empty(count, dtype=np.dtype(fields))
+        with open(self._path, "rb") as fh:
+            fh.seek(self.offset)
+            if fh.readinto(records.view(np.uint8)) != size * count:
+                raise FileFormatError(f"truncated file: {what} shrank while read", self.offset)
+        return records
 
 
 def write_container(path, magic: bytes, header: list, values: tuple, body: list, *columns) -> None:
     """Write ``magic``, the header record ``values`` of the layout ``header`` and
     one body record of the layout ``body`` per leading index of the columns,
-    which follow the order of the body's fields."""
-    records = np.empty(len(columns[0]), dtype=np.dtype(body))
-    for (name, _, _), column in zip(body, columns):
-        records[name] = column
+    which follow the order of the body's fields. The records go out in chunks
+    of at most ``gaussians._STACK_CHUNK_BUDGET`` complex entries' bytes."""
+    dtype = np.dtype(body)
+    count = len(columns[0])
+    step = max(1, _STACK_CHUNK_BUDGET * 16 // max(dtype.itemsize, 1))
+    records = np.empty(min(step, count), dtype=dtype)
     with open(path, "wb") as fh:
         fh.write(magic)
         fh.write(np.array(values, dtype=np.dtype(header)).tobytes())
-        records.tofile(fh)
+        for start in range(0, count, step):
+            chunk = records[:min(step, count - start)]
+            for (name, _, _), column in zip(body, columns):
+                chunk[name] = column[start:start + step]
+            chunk.tofile(fh)

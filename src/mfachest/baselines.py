@@ -46,8 +46,9 @@ a fixed number of times, whatever K is:
   product per component whitens and centres the rows that remain. The pass
   yields each chunk's responsibilities and, for ``gmm_estimate``'s filter, its
   whitened rows; the E-step keeps the responsibilities.
-- The Toeplitz M-step weights the transformed samples X Q^T, which
-  ``_GmmFamily`` computes once per fit.
+- The Toeplitz M-step weights the powers |X Q^T|^2 of the transformed
+  samples, which ``_GmmFamily`` computes once per fit, chunk by chunk, and
+  keeps in place of the complex transform.
 """
 
 from __future__ import annotations
@@ -383,7 +384,11 @@ class GmmModel:
 
 
 def gmm_from_mfa(model: MfaModel) -> GmmModel:
-    """Full-covariance mixture with C_k = loading loading^H + diag(diag_term)."""
+    """Full-covariance mixture with C_k = loading loading^H + diag(diag_term).
+
+    No estimator in the package calls it, but the benchmark does
+    (``perfbench/workloads.py``): its dense full-GMM estimate is the oracle
+    that each MFA estimate is checked against, so it stays here."""
     return GmmModel("full", model.weights, model.means, model.dense_covariances())
 
 
@@ -419,12 +424,26 @@ def _row_chunks(count: int, width: int, budget: int):
     return (slice(start, start + step) for start in range(0, count, step))
 
 
+def _toeplitz_power(samples: np.ndarray) -> np.ndarray:
+    """The (T, 2N) powers |X Q^T|^2 of the rows of ``samples`` (T, N), each
+    ``_row_chunks`` chunk transformed on its own, so the complex transform is
+    never held whole."""
+    dim = samples.shape[1]
+    q_t = toeplitz_transform(dim).T
+    power = np.empty((samples.shape[0], 2 * dim))
+    for part in _row_chunks(samples.shape[0], 2 * dim, _GMM_CHUNK_BUDGET):
+        chunk = np.abs(samples[part] @ q_t, out=power[part])
+        chunk *= chunk
+    return power
+
+
 def _m_step(
-    structure: str, samples: np.ndarray, resp: np.ndarray, transformed=None
+    structure: str, samples: np.ndarray, resp: np.ndarray, power=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Means (K, N) and full or Toeplitz parameters of every component from
-    weights ``resp`` (T, K) over ``samples`` (T, N). A Toeplitz step takes the
-    transformed samples X_t = samples Q^T (T, 2N) as ``transformed`` when given.
+    weights ``resp`` (T, K) over ``samples`` (T, N). A Toeplitz step reads the
+    powers ``_toeplitz_power(samples)`` (T, 2N) from ``power``; a full one
+    does not read it.
 
     Full: the scatter (X^T diag(r_k) conj(X)) / m_k - mu_k^T conj(mu_k), and one
     batched ``eigh`` to floor the eigenvalues. The second moments are sparse:
@@ -432,10 +451,11 @@ def _m_step(
     weight for each component (its cluster under one-hot k-means weights, a few
     components per row under ``responsibilities``' relative floor) for one
     (N, n_k) x (n_k, N) product. Toeplitz: the transform-domain diagonal
-    r_k^T |X_t|^2 / m_k - |r_k^T X_t / m_k|^2 from one real product, projected
-    onto the cone. The floor is EIG_FLOOR_REL times the weighted mean energy
-    per entry of the centred rows: trace / N, which is sum(diag) / N for
-    Toeplitz (Q^H Q = I).
+    r_k^T |X Q^T|^2 / m_k - |mu_k Q^T|^2 from one real product, projected onto
+    the cone; the mean term is the weighted means' own transform, since
+    r_k^T (X Q^T) / m_k = mu_k Q^T. The floor is EIG_FLOOR_REL times the
+    weighted mean energy per entry of the centred rows: trace / N, which is
+    sum(diag) / N for Toeplitz (Q^H Q = I).
     """
     k_total, dim = resp.shape[1], samples.shape[1]
     masses = resp.sum(axis=0)
@@ -451,11 +471,8 @@ def _m_step(
         stats -= means[:, :, None] * means[:, None, :].conj()
         energy = np.trace(stats, axis1=1, axis2=2).real
     else:
-        xt = samples @ toeplitz_transform(dim).T if transformed is None else transformed
-        power = np.abs(xt)
-        power *= power
         stats = resp.T @ power / masses[:, None]
-        stats -= np.abs(resp.T @ xt / masses[:, None]) ** 2
+        stats -= np.abs(means @ toeplitz_transform(dim).T) ** 2
         energy = stats.sum(axis=1)
     floor = EIG_FLOOR_REL * np.maximum(energy / dim, np.finfo(float).tiny)[:, None]
     if structure == "toeplitz":
@@ -636,17 +653,15 @@ class _GmmFamily:
         self.dim = samples.shape[1]
         self.scale = float(np.mean(np.abs(samples) ** 2))
         self.guess = None
-        # The Toeplitz M-step's transformed samples, once per fit.
-        self.transformed = None
-        if structure == "toeplitz":
-            self.transformed = samples @ toeplitz_transform(self.dim).T
+        # The Toeplitz M-step's powers |X Q^T|^2, once per fit.
+        self.power = _toeplitz_power(samples) if structure == "toeplitz" else None
 
     def start(self, samples: np.ndarray, labels: np.ndarray, fitted: np.ndarray):
         """The clusters in ``fitted`` through ``_m_step`` with one-hot weights."""
         means = np.empty((fitted.size, self.dim), dtype=np.complex128)
         params = np.stack([_isotropic(self.structure, self.dim, self.scale)] * fitted.size)
         onehot = (labels[:, None] == np.flatnonzero(fitted)).astype(np.float64)
-        means[fitted], params[fitted] = _m_step(self.structure, samples, onehot, self.transformed)
+        means[fitted], params[fitted] = _m_step(self.structure, samples, onehot, self.power)
         return means, (params,)
 
     def restart(self, rng: np.random.Generator):
@@ -664,9 +679,7 @@ class _GmmFamily:
 
     def m_step(self, samples: np.ndarray, model: GmmModel, resp, live: np.ndarray):
         means, params = model.means.copy(), model.params.copy()
-        means[live], params[live] = _m_step(
-            self.structure, samples, resp[:, live], self.transformed
-        )
+        means[live], params[live] = _m_step(self.structure, samples, resp[:, live], self.power)
         return means, (params,)
 
 

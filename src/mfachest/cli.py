@@ -148,7 +148,9 @@ def _cmd_estimate(args) -> int:
     rng = np.random.default_rng(args.seed)
     observations, sigma2 = scenario.corrupt(dataset.samples, args.snr_db, rng)
     estimates = bench.model_estimator(model)(sigma2, observations)
-    nmse = float(np.sum(np.abs(estimates - dataset.samples) ** 2) / dataset.samples.size)
+    # The observations are spent: their buffer takes the error.
+    error = np.subtract(estimates, dataset.samples, out=observations)
+    nmse = float(np.vdot(error, error).real / error.size)
     print(f"snr_db={args.snr_db} sigma2={sigma2:.6g} nmse={nmse:.8f}")
     if args.out:
         scenario.write_dataset(args.out, scenario.ChannelDataset(estimates, dataset.normalization))

@@ -18,7 +18,8 @@ the latent posterior covariance, so the low-rank correction is the squared
 norm |q_k|^2 and the posterior mean is R_k q_k. One product of the rows [y 1] with the
 stacked augmented projection writes [q_k 1] for every component straight
 into the pass's latent buffer: the centring and EM's intercept column come
-out of that product, not out of a copy.
+out of that product, not out of a copy. At L = 0 that buffer is the constant
+1, and the pass holds no [y 1] rows at all.
 """
 
 from __future__ import annotations
@@ -248,15 +249,18 @@ def stack_mixture(model, sigma2: float) -> MixtureStack:
 
 
 def mixture_logdens(
-    stack: MixtureStack, rows: np.ndarray, abs2: np.ndarray, latent_out: np.ndarray
+    stack: MixtureStack, block: np.ndarray, abs2: np.ndarray, latent_out: np.ndarray, rows
 ) -> np.ndarray:
     """Weighted component log-densities ``log w_k + log N_C(y; mu_k, C_k + sigma2 I)``, (B, K).
 
-    ``rows`` (B, N + 1) holds B observations y as the rows [y 1] and ``abs2``
-    (B, N) their entrywise squared magnitudes. One product ``rows @ stack.proj``
-    writes [q_k 1], with the whitened latent coordinates
-    ``q_k = R_k^H W_k^H D_k (y - mu_k)``, to ``latent_out[:, k]``, which must
-    be a C-contiguous (B, K, L+1) array; the latent posterior mean is R_k q_k.
+    ``block`` (B, N) holds B observations y and ``abs2`` (B, N) their entrywise
+    squared magnitudes. At L >= 1, ``rows`` (B, N + 1) holds them as the rows
+    [y 1], and one product ``rows @ stack.proj`` writes [q_k 1], with the
+    whitened latent coordinates ``q_k = R_k^H W_k^H D_k (y - mu_k)``, to
+    ``latent_out[:, k]``, which must be a C-contiguous (B, K, L+1) array; the
+    latent posterior mean is R_k q_k. At L = 0, [q_k 1] is the constant 1,
+    written to ``latent_out`` on every call, since ``estimate`` scales it in
+    place, and ``rows`` is not read (None will do).
 
     Every term is a batched product with the stacked factors: the diagonal part
     of the Mahalanobis term comes from the expansion
@@ -271,20 +275,22 @@ def mixture_logdens(
     latent = stack.latent_root.shape[1]
     expanded = abs2 @ stack.d
     logdens = stack.logconst - expanded
-    logdens += 2.0 * (rows[:, :-1] @ stack.d_mean).real
-    np.matmul(rows, stack.proj, out=latent_out.reshape(len(rows), -1))
-    flat = latent_out.view(np.float64)[:, :, :2 * latent]
-    logdens += np.einsum("bkl,bkl->bk", flat, flat)
-    if not latent:
-        # terms / _EXPANSION_GAIN > quadratic form = lognorm - logdens, in place:
-        # two (B, K) temporaries here raised paper-sweep's peak RSS from 121 to
-        # 131 MB (glibc malloc, 2 cores).
-        expanded += stack.lognorm - stack.logconst
-        expanded /= _EXPANSION_GAIN
-        expanded += logdens
-        for k, idx in component_rows(expanded > stack.lognorm):
-            gap = rows[idx, :-1] - stack.means[k]
-            logdens[idx, k] = stack.lognorm[k] - (gap.real ** 2 + gap.imag ** 2) @ stack.d[:, k]
+    logdens += 2.0 * (block @ stack.d_mean).real
+    if latent:
+        np.matmul(rows, stack.proj, out=latent_out.reshape(len(rows), -1))
+        flat = latent_out.view(np.float64)[:, :, :2 * latent]
+        logdens += np.einsum("bkl,bkl->bk", flat, flat)
+        return logdens
+    latent_out.fill(1.0)
+    # terms / _EXPANSION_GAIN > quadratic form = lognorm - logdens, in place:
+    # two (B, K) temporaries here raised paper-sweep's peak RSS from 121 to
+    # 131 MB (glibc malloc, 2 cores).
+    expanded += stack.lognorm - stack.logconst
+    expanded /= _EXPANSION_GAIN
+    expanded += logdens
+    for k, idx in component_rows(expanded > stack.lognorm):
+        gap = block[idx] - stack.means[k]
+        logdens[idx, k] = stack.lognorm[k] - (gap.real ** 2 + gap.imag ** 2) @ stack.d[:, k]
     return logdens
 
 
@@ -293,18 +299,24 @@ def mixture_chunks(stack: MixtureStack, samples: np.ndarray):
     ``stack.chunk_rows()`` rows of ``samples``: the first row index, the rows,
     their entrywise |y|^2, the (B, K, L+1) latent buffer of ``mixture_logdens``,
     shared by all chunks, with q_k in its first L columns and exactly 1 in the
-    last, and the ``responsibilities`` and per-row log-sum-exp. The rows [y 1]
-    the kernel multiplies live in one reused (B, N + 1) buffer."""
+    last, and the ``responsibilities`` and per-row log-sum-exp. At L >= 1 the
+    rows [y 1] the kernel multiplies live in one reused (B, N + 1) buffer; at
+    L = 0 there is no product, and no such buffer."""
     k_total, latent = stack.latent_root.shape[:2]
     chunk = stack.chunk_rows()
-    rows = np.ones((min(chunk, samples.shape[0]), samples.shape[1] + 1), dtype=np.complex128)
-    buffer = np.empty((len(rows), k_total, latent + 1), dtype=np.complex128)
+    height = min(chunk, samples.shape[0])
+    if latent:
+        rows = np.ones((height, samples.shape[1] + 1), dtype=np.complex128)
+    buffer = np.empty((height, k_total, latent + 1), dtype=np.complex128)
     for start in range(0, samples.shape[0], chunk):
         block = samples[start:start + chunk]
         size = len(block)
-        rows[:size, :-1] = block
+        aug_rows = None
+        if latent:
+            aug_rows = rows[:size]
+            aug_rows[:, :-1] = block
         abs2 = np.abs(block) ** 2
-        logdens = mixture_logdens(stack, rows[:size], abs2, buffer[:size])
+        logdens = mixture_logdens(stack, block, abs2, buffer[:size], aug_rows)
         yield start, block, abs2, buffer[:size], *responsibilities(logdens)
 
 

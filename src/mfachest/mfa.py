@@ -15,6 +15,7 @@ the estimator and the MFA1 codec read the arrays directly.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 from functools import partial
@@ -230,13 +231,15 @@ def _kmeans(samples: np.ndarray, k_total: int, rng: np.random.Generator) -> np.n
     Lloyd runs on a subsample when the dataset is large; the final assignment
     always covers all samples. Squared distances use the expansion
     |x|^2 - 2 Re(x c^H) + |c|^2 with the cross term as one real product over
-    the interleaved real/imaginary parts: a GEMV per centre while seeding, a
-    GEMM per Lloyd step. Each Lloyd step groups the rows by label with one
-    stable sort, so every centre is the mean of its members gathered in
-    ascending order. A cluster left empty is reseeded, in order of k, at the
-    farthest sample from its centre whose cluster keeps another member; the
-    sample leaves its cluster, whose centre keeps it when already updated. So
-    no cluster of the returned labels is empty unless Lloyd ran on a subsample.
+    the interleaved real/imaginary parts: a GEMV per centre while seeding, and
+    in each Lloyd step and the final assignment a GEMM per row chunk of
+    ``_nearest`` (no (T, K) distance array exists). Each Lloyd step groups the
+    rows by label with one stable sort, so every centre is the mean of its
+    members gathered in ascending order. A cluster left empty is reseeded, in
+    order of k, at the farthest sample from its centre whose cluster keeps
+    another member; the sample leaves its cluster, whose centre keeps it when
+    already updated. So no cluster of the returned labels is empty unless
+    Lloyd ran on a subsample.
     """
     count = samples.shape[0]
     budget = max(_KMEANS_SUBSAMPLE, 10 * k_total)
@@ -264,11 +267,12 @@ def _kmeans(samples: np.ndarray, k_total: int, rng: np.random.Generator) -> np.n
         d2 = np.minimum(d2, seed_dist(k))
 
     labels = np.zeros(n_work, dtype=np.intp)
-    dist = np.empty((n_work, k_total))
+    # Each sample's distance to the centre it was assigned before any reseed
+    # moved it: the reseed rule's input.
+    nearest = np.empty(n_work)
     for _ in range(_KMEANS_ITER):
-        _center_dist(flat, energy, centers, dist)
-        new_labels = dist.argmin(axis=1)
-        nearest = None
+        new_labels = np.empty(n_work, dtype=np.intp)
+        _nearest(work, energy, centers, new_labels, nearest)
         order = np.argsort(new_labels, kind="stable")
         bounds = np.searchsorted(new_labels[order], np.arange(k_total + 1))
         # Cluster sizes, kept current through the reseeds.
@@ -280,10 +284,6 @@ def _kmeans(samples: np.ndarray, k_total: int, rng: np.random.Generator) -> np.n
             if members.size:
                 centers[k] = work[members].mean(axis=0)
             else:
-                if nearest is None:
-                    # Each sample's distance to the centre it was assigned
-                    # before any reseed moved it.
-                    nearest = dist.min(axis=1)
                 far = np.where(sizes[new_labels] > 1, nearest, -np.inf).argmax()
                 sizes[new_labels[far]] -= 1
                 sizes[k] += 1
@@ -295,9 +295,33 @@ def _kmeans(samples: np.ndarray, k_total: int, rng: np.random.Generator) -> np.n
 
     if not subsampled:
         return labels
-    samples = np.ascontiguousarray(samples)
-    full_energy = (np.abs(samples) ** 2).sum(axis=1)
-    return _center_dist(samples.view(np.float64), full_energy, centers).argmin(axis=1)
+    labels = np.empty(count, dtype=np.intp)
+    _nearest(samples, None, centers, labels)
+    return labels
+
+
+def _nearest(
+    rows: np.ndarray, energy, centers: np.ndarray, labels: np.ndarray, nearest=None
+) -> None:
+    """Write each row's nearest centre to ``labels`` (T,) and, when ``nearest``
+    is given, its squared distance there, in row chunks: each chunk's
+    ``_center_dist`` holds its rows' interleaved real view and (B, K)
+    distances within ``gaussians._STACK_CHUNK_BUDGET`` entries, so no (T, K)
+    array and no product the height of ``rows`` exists. ``energy`` holds the
+    rows' |x|^2, taken per chunk when None. A chunk may hold four rows at
+    least, and the rows are split evenly, so no chunk of a split has a single
+    row, which numpy would multiply as a matrix-vector product that rounds
+    differently from the one-shot product."""
+    count, width = rows.shape[0], 2 * rows.shape[1] + centers.shape[0]
+    pieces = -(-count // max(4, gaussians._STACK_CHUNK_BUDGET // width))
+    dist = np.empty((-(-count // pieces), centers.shape[0]))
+    for start, stop in itertools.pairwise(count * i // pieces for i in range(pieces + 1)):
+        block = np.ascontiguousarray(rows[start:stop])
+        block_energy = (np.abs(block) ** 2).sum(axis=1) if energy is None else energy[start:stop]
+        part = _center_dist(block.view(np.float64), block_energy, centers, dist[:stop - start])
+        part.argmin(axis=1, out=labels[start:stop])
+        if nearest is not None:
+            nearest[start:stop] = np.take_along_axis(part, labels[start:stop, None], axis=1)[:, 0]
 
 
 def _center_dist(flat: np.ndarray, energy: np.ndarray, centers: np.ndarray, out=None) -> np.ndarray:

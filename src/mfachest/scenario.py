@@ -159,21 +159,32 @@ def generate_channels(
     recurrence e^{j k phi} = e^{j (k - 1) phi} e^{j phi}, so entry k carries
     about k roundings; on the 4x16 URA the samples differ from exact exps by
     about 2e-15 of the largest entry.
+
+    The draws are freed before the samples are scaled in place, so the
+    samples are the only (T, N) array held beside the energies' temporary.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
+    samples = _draw_channels(config, count, rng)
+    factor = _normalization(samples)
+    samples *= factor
+    return ChannelDataset(samples, normalization=factor)
+
+
+def _draw_channels(config: ScenarioConfig, count: int, rng: np.random.Generator) -> np.ndarray:
+    """The (T, N) channels of ``generate_channels`` before normalization."""
     az_c, el_c = cluster_centers(config)
     spread = np.deg2rad(config.angle_spread_deg)
     paths = config.paths_per_cluster
 
     idx = rng.integers(0, config.num_clusters, size=count)
-    off_az = rng.laplace(0.0, spread, size=(count, paths)) if spread > 0 else np.zeros((count, paths))
-    off_el = rng.laplace(0.0, spread, size=(count, paths)) if spread > 0 else np.zeros((count, paths))
+    # The offsets, then the centres added in place: the angles az and el.
+    az = rng.laplace(0.0, spread, size=(count, paths)) if spread > 0 else np.zeros((count, paths))
+    el = rng.laplace(0.0, spread, size=(count, paths)) if spread > 0 else np.zeros((count, paths))
     gains = (rng.standard_normal((count, paths)) + 1j * rng.standard_normal((count, paths)))
     gains /= np.sqrt(2.0 * paths)
-
-    az = az_c[idx][:, None] + off_az
-    el = el_c[idx][:, None] + off_el
+    az += az_c[idx][:, None]
+    el += el_c[idx][:, None]
 
     nv, nh = config.nv, config.nh
     samples = np.empty((count, config.dim), dtype=np.complex128)
@@ -187,16 +198,21 @@ def generate_channels(
         # (b, nv, P) x (b, P, nh), written into the rows' (nv, nh) views.
         np.matmul(vert.transpose(1, 0, 2), horiz.transpose(1, 2, 0),
                   out=samples[start:stop].reshape(stop - start, nv, nh))
+    return samples
 
-    return normalize_dataset(ChannelDataset(samples))
+
+def _normalization(samples: np.ndarray) -> float:
+    """The factor that brings the mean energy per entry of ``samples`` to 1."""
+    energy = float(np.mean(np.abs(samples) ** 2))
+    if energy <= 0.0:
+        raise ValueError("cannot normalize an all-zero dataset")
+    return np.sqrt(1.0 / energy)
 
 
 def normalize_dataset(dataset: ChannelDataset) -> ChannelDataset:
-    """Rescale all samples by one factor so the empirical mean of ||h||^2 equals N."""
-    energy = float(np.mean(np.abs(dataset.samples) ** 2))
-    if energy <= 0.0:
-        raise ValueError("cannot normalize an all-zero dataset")
-    factor = np.sqrt(1.0 / energy)  # target mean energy per entry is exactly 1
+    """A copy of the dataset with all samples rescaled by one factor, so the
+    empirical mean of ||h||^2 equals N."""
+    factor = _normalization(dataset.samples)
     return ChannelDataset(dataset.samples * factor, normalization=dataset.normalization * factor)
 
 

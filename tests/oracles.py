@@ -71,7 +71,12 @@ materializes it. The oracles:
 - ``kronecker_channels``: ``scenario.generate_channels`` with every path's
   atom from ``steering_batch``, all (T, P, N) atoms at once and one einsum
   over the paths; the same draws in the same order.
+
+And one measurement: ``traced_peak``, the most memory a call held at once
+beyond what was held before it, as ``tracemalloc`` counts numpy's buffers.
 """
+
+import tracemalloc
 
 import numpy as np
 from hypothesis import strategies as st
@@ -521,3 +526,16 @@ def collapsing_data():
     GMM fit at K=5 collapses a component onto an outlier."""
     rng = np.random.default_rng(0)
     return np.concatenate([crandn(rng, 120, 6), 60.0 * crandn(rng, 3, 6)])
+
+
+def traced_peak(fn, *args):
+    """``fn(*args)`` and the peak of the bytes it held at once beyond those
+    traced before the call."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()

@@ -49,6 +49,7 @@ from oracles import (
     posterior,
     sample,
     steering_batch,
+    traced_peak,
 )
 
 
@@ -101,7 +102,8 @@ def m_step(structure, samples, resp):
     """fit_gmm's M-step of any structure on the weights ``resp`` (T, K): the
     means (K, N) and the covariance parameters."""
     if structure != "circulant":
-        return _m_step(structure, samples, resp)
+        power = baselines._toeplitz_power(samples) if structure == "toeplitz" else None
+        return _m_step(structure, samples, resp, power)
     means, spectra = circulant_m_step(samples, resp)
     return np.fft.ifft(means, norm="ortho"), spectra
 
@@ -695,6 +697,18 @@ class TestGmmModel:
 
 
 class TestFitGmm:
+    def test_toeplitz_family_holds_powers_not_the_complex_transform(self):
+        # The family keeps |X Q^T|^2 (T, 2N) floats, built chunk by chunk, so it
+        # never holds the (T, 2N) complex transform, 10 MB here.
+        count, dim = 20_000, 16
+        samples = crandn(np.random.default_rng(138), count, dim)
+        family, peak = traced_peak(_GmmFamily, "toeplitz", samples)
+        assert peak < count * 2 * dim * 16
+        held = [v for v in vars(family).values() if isinstance(v, np.ndarray)]
+        assert not any(np.iscomplexobj(v) and v.shape == (count, 2 * dim) for v in held)
+        want = np.abs(samples @ toeplitz_transform(dim).T) ** 2
+        assert np.abs(family.power - want).max() <= 1e-12 * want.max()
+
     def test_full_single_component_is_sample_covariance(self):
         rng = np.random.default_rng(101)
         data = crandn(rng, 500, 5) + crandn(rng, 5)

@@ -52,7 +52,7 @@ def logpdf(x, mean, comp, sigma2=0.0):
     rows = np.atleast_2d(x)
     latent = np.empty((rows.shape[0], 1, comp.latent_dim + 1), dtype=np.complex128)
     stack = stack_mixture(replace(comp, means=mean[None]), sigma2)
-    out = mixture_logdens(stack, with_intercept(rows), np.abs(rows) ** 2, latent)
+    out = mixture_logdens(stack, rows, np.abs(rows) ** 2, latent, with_intercept(rows))
     return float(out[0, 0]) if x.ndim == 1 else out[:, 0]
 
 

@@ -34,6 +34,7 @@ from oracles import (
     sample_component,
     single,
     start_reference,
+    traced_peak,
     with_intercept,
 )
 
@@ -220,7 +221,7 @@ class TestEStep:
         rng = np.random.default_rng(33)
         data = crandn(rng, 10, dim)
         latent = np.full((10, 1, 3), np.nan, dtype=complex)
-        mixture_logdens(stack, with_intercept(data), np.abs(data) ** 2, latent)
+        mixture_logdens(stack, data, np.abs(data) ** 2, latent, with_intercept(data))
         assert np.abs(latent[:, :, :2]).max() == 0.0
         assert np.all(latent[:, :, 2] == 1.0)
         root = stack.latent_root[0]
@@ -449,6 +450,51 @@ class TestKmeans:
         got = mfa._kmeans(samples, k_total, np.random.default_rng(seed))
         want = kmeans_reference(samples, k_total, np.random.default_rng(seed), mfa._KMEANS_SUBSAMPLE)
         assert np.array_equal(got, want)
+
+    @given(
+        st.integers(1, 6),
+        st.integers(1, 3),
+        st.integers(2, 12),
+        st.integers(4, 9),
+        st.data(),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_chunked_labels_match_one_shot_reference(self, distinct, dim, copies, rows, data, seed):
+        # The distances run in chunks of a few rows, so T spans several (the
+        # subsampled Lloyd and the final assignment too). The rows repeat a few
+        # distinct ones, so clusters go empty and reseed from the per-row
+        # nearest distances gathered chunk by chunk.
+        rng = np.random.default_rng(seed)
+        count = distinct * copies + data.draw(st.integers(0, 3))
+        samples = crandn(rng, count, dim)
+        samples[: distinct * copies] = samples[rng.integers(distinct, size=distinct * copies)]
+        k_total = data.draw(st.integers(1, count))
+        subsample = data.draw(st.sampled_from([count, max(1, count // 2)]))
+        with patch.object(mfa, "_KMEANS_SUBSAMPLE", subsample), \
+                patch.object(gaussians, "_STACK_CHUNK_BUDGET", rows * (2 * dim + k_total)):
+            got = mfa._kmeans(samples, k_total, np.random.default_rng(seed))
+        want = kmeans_reference(samples, k_total, np.random.default_rng(seed), subsample)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("seed, distinct, dim, copies, k_total", [
+        (0, 5, 2, 10, 15), (9, 5, 2, 11, 34), (312, 4, 2, 8, 5),
+    ])
+    def test_chunked_reseed_matches_one_shot_reference(self, seed, distinct, dim, copies, k_total):
+        # The reseed cases above, with the distances in chunks of 4 to 5 rows.
+        rng = np.random.default_rng(seed)
+        samples = crandn(rng, distinct, dim)[rng.integers(distinct, size=distinct * copies)]
+        with patch.object(gaussians, "_STACK_CHUNK_BUDGET", 4 * (2 * dim + k_total)):
+            got = mfa._kmeans(samples, k_total, np.random.default_rng(seed))
+        want = kmeans_reference(samples, k_total, np.random.default_rng(seed), mfa._KMEANS_SUBSAMPLE)
+        assert np.array_equal(got, want)
+
+    def test_holds_no_distance_array_of_every_row(self):
+        # At K=64 a (T, K) distance array is 10 MB, twice what the rows, their
+        # energies, labels and one chunk of distances hold at once.
+        count, k_total = 20_000, 64
+        samples = crandn(np.random.default_rng(5), count, 4)
+        _, peak = traced_peak(mfa._kmeans, samples, k_total, np.random.default_rng(5))
+        assert peak < count * k_total * 8
 
     def test_empty_clusters_reseed_at_distinct_samples(self):
         # Eight copies of one row: every centre lands on it, the first takes
@@ -772,7 +818,8 @@ def dense_em_iteration(samples, abs2, model, resp_all):
         block = samples[start:start + chunk]
         size = len(block)
         aug = np.empty((size, k_total, width), dtype=complex)
-        logdens = mixture_logdens(stack, with_intercept(block), abs2[start:start + size], aug)
+        abs2_block = abs2[start:start + size]
+        logdens = mixture_logdens(stack, block, abs2_block, aug, with_intercept(block))
         resp, lse = resp_all[start:start + size], posterior(logdens)[1]
         ll_sum += float(lse.sum())
         if lse.min() < worst_val:
@@ -780,7 +827,7 @@ def dense_em_iteration(samples, abs2, model, resp_all):
         weighted = aug.conj() * resp[:, :, None]
         s_xq_flat += block.T @ weighted.reshape(size, k_total * width)
         s_qq += np.matmul(aug.transpose(1, 2, 0), weighted.transpose(1, 0, 2))
-        r_abs2 += abs2[start:start + size].T @ resp
+        r_abs2 += abs2_block.T @ resp
         masses += resp.sum(axis=0)
     roots = np.zeros((k_total, width, width), dtype=complex)
     roots[:, :latent, :latent] = stack.latent_root

@@ -63,7 +63,7 @@ def test_diagonal_log_densities_match_dense_near_their_means(seed, k_total, dim,
     offsets = 10.0 ** rng.uniform(-8.0, 1.0, (3 * k_total, 1)) * crandn(rng, 3 * k_total, dim)
     y = np.tile(means, (3, 1)) + offsets * np.sqrt(np.tile(diag, (3, 1)))
     buffer = np.empty((len(y), k_total, 1), dtype=np.complex128)
-    got = mixture_logdens(stack_mixture(model, 0.0), with_intercept(y), np.abs(y) ** 2, buffer)
+    got = mixture_logdens(stack_mixture(model, 0.0), y, np.abs(y) ** 2, buffer, with_intercept(y))
     want = dense_logdens(model, 0.0, y)
     assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
@@ -217,6 +217,6 @@ def test_em_sweep_matches_per_component_reference(case):
     # The kernel's whitened coordinates map back to the posterior means: R_k q_k = A_k p_k.
     stack = stack_mixture(model, 0.0)
     whitened = np.empty((len(samples), model.n_components, model.latent_dim + 1), dtype=np.complex128)
-    mixture_logdens(stack, with_intercept(samples), np.abs(samples) ** 2, whitened)
+    mixture_logdens(stack, samples, np.abs(samples) ** 2, whitened, with_intercept(samples))
     mapped = np.einsum("kij,tkj->tki", stack.latent_root, whitened[:, :, :-1])
     assert np.abs(mapped - latent_means).max() <= 1e-9 * max(1.0, np.abs(latent_means).max())

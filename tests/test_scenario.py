@@ -17,7 +17,7 @@ from mfachest.scenario import (
     scenario_from_dict,
     write_dataset,
 )
-from oracles import kronecker_channels, scenarios, steering_batch
+from oracles import crandn, kronecker_channels, scenarios, steering_batch, traced_peak
 
 
 def steering(azimuth, elevation, config):
@@ -75,6 +75,23 @@ class TestGenerate:
         scale = np.abs(want.samples).max()
         assert np.abs(got.samples - want.samples).max() <= 1e-13 * scale
         assert got.normalization == pytest.approx(want.normalization, rel=1e-12)
+
+    def test_scales_its_draws_as_normalize_dataset_does(self):
+        # In place, bit for bit what the copying normalize_dataset returns.
+        config = ScenarioConfig(nv=2, nh=4, num_clusters=3, seed=9)
+        raw = scenario._draw_channels(config, 300, np.random.default_rng(11))
+        want = normalize_dataset(ChannelDataset(raw))
+        got = generate_channels(config, 300, np.random.default_rng(11))
+        assert np.array_equal(got.samples, want.samples)
+        assert got.normalization == want.normalization
+
+    def test_peak_memory_is_bounded_by_its_output(self):
+        # The draws are freed before the samples are scaled in place, so the
+        # samples and the energies' (T, N) float temporary are the most held at
+        # once: 1.5 times the output on the 4x16 URA (2.5 times when the
+        # normalization copied the samples).
+        ds, peak = traced_peak(generate_channels, ScenarioConfig(), 20_000, np.random.default_rng(3))
+        assert peak <= 1.6 * ds.samples.nbytes
 
     def test_zero_spread_single_path_is_scaled_steering(self):
         config = ScenarioConfig(
@@ -215,6 +232,15 @@ class TestDatasetIo:
         loaded = read_dataset(path)
         assert np.array_equal(loaded.samples, ds.samples)
         assert loaded.normalization == ds.normalization
+
+    def test_read_holds_the_body_once(self, tmp_path):
+        # The body is read straight into the returned samples: no bytes copy.
+        ds = ChannelDataset(crandn(np.random.default_rng(137), 4000, 64))
+        path = tmp_path / "data.chd"
+        write_dataset(path, ds)
+        loaded, peak = traced_peak(read_dataset, path)
+        assert np.array_equal(loaded.samples, ds.samples)
+        assert peak <= 1.05 * ds.samples.nbytes
 
     def test_truncated_rejected(self, tmp_path):
         rng = np.random.default_rng(135)
