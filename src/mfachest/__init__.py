@@ -42,7 +42,6 @@ from .scenario import (
     ScenarioConfig,
     corrupt,
     generate_channels,
-    normalize_dataset,
     read_dataset,
     write_dataset,
 )

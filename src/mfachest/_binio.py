@@ -10,8 +10,9 @@ triples for a body record, e.g.
 body's layout and record count; the body's byte count is
 checked against the file's size before its dtype or array is built, so a
 header that declares more records than the file holds raises FileFormatError
-instead of allocating. The body is read straight into its structured array,
-and written from bounded chunks of records, so neither holds a second copy.
+instead of allocating. The body is read straight into its structured array
+through the handle the header came from, so the file is read once, with no
+second copy.
 """
 
 from __future__ import annotations
@@ -20,8 +21,6 @@ import math
 import os
 
 import numpy as np
-
-from .gaussians import _STACK_CHUNK_BUDGET
 
 
 class FileFormatError(ValueError):
@@ -35,20 +34,20 @@ class FileFormatError(ValueError):
 
 
 class Container:
-    """A container file: ``header`` holds its header record as a tuple of Python
-    scalars in field order, and ``body`` reads the records that follow."""
+    """A container file read from the open binary handle ``fh``: ``header``
+    holds its header record as a tuple of Python scalars in field order, and
+    ``body`` reads the records that follow from the same handle."""
 
-    def __init__(self, path, magic: bytes, header: list):
-        self._path = path
+    def __init__(self, fh, magic: bytes, header: list):
+        self._fh = fh
+        self._size = os.fstat(fh.fileno()).st_size
         self._magic = magic
         self._header = np.dtype(header)
         self.offset = 0
-        with open(path, "rb") as fh:
-            self._size = os.fstat(fh.fileno()).st_size
-            got = self._take(fh, len(magic), "magic")
-            if got != magic:
-                raise FileFormatError(f"bad magic {got!r}, expected {magic!r}", 0)
-            record = np.frombuffer(self._take(fh, self._header.itemsize, "header"), self._header)
+        got = self._take(len(magic), "magic")
+        if got != magic:
+            raise FileFormatError(f"bad magic {got!r}, expected {magic!r}", 0)
+        record = np.frombuffer(self._take(self._header.itemsize, "header"), self._header)
         self.header = record[0].item()
 
     def offset_of(self, name: str) -> int:
@@ -64,10 +63,10 @@ class Container:
                 self.offset,
             )
 
-    def _take(self, fh, count: int, what: str) -> bytes:
+    def _take(self, count: int, what: str) -> bytes:
         self._check(count, what)
         self.offset += count
-        return fh.read(count)
+        return self._fh.read(count)
 
     def body(self, fields: list, count: int, what: str) -> np.ndarray:
         """The ``count`` records of the layout ``fields`` that end the file, as a
@@ -78,27 +77,19 @@ class Container:
         if end != self._size:
             raise FileFormatError(f"trailing data: {self._size - end} unexpected bytes", end)
         records = np.empty(count, dtype=np.dtype(fields))
-        with open(self._path, "rb") as fh:
-            fh.seek(self.offset)
-            if fh.readinto(records.view(np.uint8)) != size * count:
-                raise FileFormatError(f"truncated file: {what} shrank while read", self.offset)
+        if self._fh.readinto(records.view(np.uint8)) != size * count:
+            raise FileFormatError(f"truncated file: {what} shrank while read", self.offset)
         return records
 
 
 def write_container(path, magic: bytes, header: list, values: tuple, body: list, *columns) -> None:
     """Write ``magic``, the header record ``values`` of the layout ``header`` and
     one body record of the layout ``body`` per leading index of the columns,
-    which follow the order of the body's fields. The records go out in chunks
-    of at most ``gaussians._STACK_CHUNK_BUDGET`` complex entries' bytes."""
-    dtype = np.dtype(body)
-    count = len(columns[0])
-    step = max(1, _STACK_CHUNK_BUDGET * 16 // max(dtype.itemsize, 1))
-    records = np.empty(min(step, count), dtype=dtype)
+    which follow the order of the body's fields."""
+    records = np.empty(len(columns[0]), dtype=np.dtype(body))
+    for (name, _, _), column in zip(body, columns):
+        records[name] = column
     with open(path, "wb") as fh:
         fh.write(magic)
         fh.write(np.array(values, dtype=np.dtype(header)).tobytes())
-        for start in range(0, count, step):
-            chunk = records[:min(step, count - start)]
-            for (name, _, _), column in zip(body, columns):
-                chunk[name] = column[start:start + step]
-            chunk.tofile(fh)
+        records.tofile(fh)

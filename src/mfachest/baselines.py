@@ -71,6 +71,7 @@ from .gaussians import (
     cholesky,
     component_rows,
     responsibilities,
+    row_chunks,
     stack_mixture,
 )
 from .mfa import FitConfig, FitTrace, MfaModel, _MfaFamily, _as_samples, fit_mixture, kmeans_start
@@ -99,14 +100,15 @@ _OMP_STOP_REL = 1e-9
 # Complex entries of gmm_estimate's (B, K, N) whitened rows per chunk, and of
 # the rows of a (B, N) chunk the full M-step gathers per component: 2 MB, a
 # quarter of gaussians._STACK_CHUNK_BUDGET. Doubling it regroups the M-step's
-# sums, which moved gmm-full's nMSE by up to 4e-9 dB on the benchmark sweep.
+# sums, which moved gmm-full's nMSE by up to 4e-9 dB on the benchmark sweep
+# (splitting 10k rows into five even chunks, not four of 2048, by 2.5e-8 dB).
 # The E-step's pruned pass is sized by _BOUND_BUDGET instead. At K=16, N=64
 # and 10k rows (2 cores, 2 BLAS threads), a pass took 53-75 ms (full) and
 # 79-102 ms (Toeplitz), the first pass of a fit the slowest; the dense pass
 # it replaced took 94-99 and 93-94 ms in 128-row chunks.
 _GMM_CHUNK_BUDGET = 1 << 17
 # Complex entries of the (B, K m) bound of one chunk of the E-step's pruned
-# pass: 4 MB, 2048 rows (full) or 1024 rows (Toeplitz) at K=16. Each chunk runs
+# pass: 4 MB, at most 2048 rows (full) or 1024 rows (Toeplitz) at K=16. Each chunk runs
 # its component loops once, so at half this budget the three passes of a fit
 # took 14 ms (full) and 20 ms (Toeplitz) longer.
 _BOUND_BUDGET = 1 << 18
@@ -418,32 +420,26 @@ def _project_toeplitz(scatter_diag: np.ndarray, floor: float | np.ndarray, dim: 
     return np.maximum(spectra, floor)
 
 
-def _row_chunks(count: int, width: int, budget: int):
-    """Row slices that keep a (B, width) temporary within ``budget`` entries."""
-    step = max(1, budget // max(width, 1))
-    return (slice(start, start + step) for start in range(0, count, step))
-
-
 def _toeplitz_power(samples: np.ndarray) -> np.ndarray:
     """The (T, 2N) powers |X Q^T|^2 of the rows of ``samples`` (T, N), each
-    ``_row_chunks`` chunk transformed on its own, so the complex transform is
+    ``row_chunks`` chunk transformed on its own, so the complex transform is
     never held whole."""
     dim = samples.shape[1]
     q_t = toeplitz_transform(dim).T
     power = np.empty((samples.shape[0], 2 * dim))
-    for part in _row_chunks(samples.shape[0], 2 * dim, _GMM_CHUNK_BUDGET):
+    for part in row_chunks(samples.shape[0], 2 * dim, _GMM_CHUNK_BUDGET):
         chunk = np.abs(samples[part] @ q_t, out=power[part])
         chunk *= chunk
     return power
 
 
 def _m_step(
-    structure: str, samples: np.ndarray, resp: np.ndarray, power=None
+    structure: str, samples: np.ndarray, resp: np.ndarray, power: np.ndarray | None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Means (K, N) and full or Toeplitz parameters of every component from
     weights ``resp`` (T, K) over ``samples`` (T, N). A Toeplitz step reads the
     powers ``_toeplitz_power(samples)`` (T, 2N) from ``power``; a full one
-    does not read it.
+    takes None there.
 
     Full: the scatter (X^T diag(r_k) conj(X)) / m_k - mu_k^T conj(mu_k), and one
     batched ``eigh`` to floor the eigenvalues. The second moments are sparse:
@@ -462,7 +458,7 @@ def _m_step(
     means = resp.T @ samples / masses[:, None]
     if structure == "full":
         stats = np.zeros((k_total, dim, dim), dtype=np.complex128)
-        for part in _row_chunks(samples.shape[0], dim, _GMM_CHUNK_BUDGET):
+        for part in row_chunks(samples.shape[0], dim, _GMM_CHUNK_BUDGET):
             x, weights = samples[part], resp[part]
             for k, rows in component_rows(weights):
                 x_k = x[rows]
@@ -526,7 +522,7 @@ def _gmm_factor(model: GmmModel, sigma2: float, not_pd: str = _ESTIMATE_NOT_PD) 
 
 
 def _gmm_chunks(model: GmmModel, factor: tuple, rows: np.ndarray, guess=None, whitened=False):
-    """Yield ``(part, y, z, resp, lse)`` for each ``_row_chunks`` chunk of the
+    """Yield ``(part, y, z, resp, lse)`` for each ``row_chunks`` chunk of the
     observations ``rows`` of a full or Toeplitz model, with ``factor`` its
     ``_gmm_factor``: the chunk's slice and rows, with ``whitened`` the whitened
     centred rows z (B, K, N), z_k = [y 1] [L_k^{-T}; -mu_k L_k^{-T}], where the
@@ -563,9 +559,9 @@ def _gmm_chunks(model: GmmModel, factor: tuple, rows: np.ndarray, guess=None, wh
     head, centre = whitener[:width, heads], whitener[-1, heads]
     buffer = np.ones((0, dim + 1), dtype=np.complex128)
     if whitened:
-        chunks = _row_chunks(rows.shape[0], k_total * dim, _GMM_CHUNK_BUDGET)
+        chunks = row_chunks(rows.shape[0], k_total * dim, _GMM_CHUNK_BUDGET)
     else:
-        chunks = _row_chunks(rows.shape[0], k_total * width, _BOUND_BUDGET)
+        chunks = row_chunks(rows.shape[0], k_total * width, _BOUND_BUDGET)
     for part in chunks:
         y = rows[part]
         if len(y) > len(buffer):
@@ -745,15 +741,17 @@ def save_gmm(model: GmmModel, path) -> None:
 
 
 def load_gmm(path) -> GmmModel:
-    reader = Container(path, GMM_MAGIC, _GMM_HEADER)
-    version, tag, dim, k_total = reader.header
-    if version != GMM_VERSION:
-        raise FileFormatError(f"unsupported model version {version}", reader.offset_of("version"))
-    if tag >= len(GMM_STRUCTURES):
-        raise FileFormatError(f"unknown structure tag {tag}", reader.offset_of("tag"))
-    structure = GMM_STRUCTURES[tag]
-    if dim == 0 or k_total == 0:
-        raise FileFormatError("model header declares an empty model", reader.offset)
-    rec = reader.body(_gmm_records(structure, dim), k_total, "components")
+    with open(path, "rb") as fh:
+        reader = Container(fh, GMM_MAGIC, _GMM_HEADER)
+        version, tag, dim, k_total = reader.header
+        if version != GMM_VERSION:
+            offset = reader.offset_of("version")
+            raise FileFormatError(f"unsupported model version {version}", offset)
+        if tag >= len(GMM_STRUCTURES):
+            raise FileFormatError(f"unknown structure tag {tag}", reader.offset_of("tag"))
+        structure = GMM_STRUCTURES[tag]
+        if dim == 0 or k_total == 0:
+            raise FileFormatError("model header declares an empty model", reader.offset)
+        rec = reader.body(_gmm_records(structure, dim), k_total, "components")
     params = rec["params"].transpose(0, 2, 1) if structure == "full" else rec["params"]
     return GmmModel(structure, rec["weight"], rec["mean"], params)

@@ -369,3 +369,13 @@ def component_rows(weights: np.ndarray):
     nonzero = np.ascontiguousarray((weights != 0).T)
     for k in np.flatnonzero(nonzero.any(axis=1)):
         yield int(k), np.flatnonzero(nonzero[k])
+
+
+def row_chunks(count: int, width: int, budget: int):
+    """Row slices that split ``count`` rows evenly into chunks whose (B, width)
+    temporaries stay within ``budget`` entries, at four rows a chunk at least.
+    The split is even, so no chunk of a split holds a single row, which numpy
+    would multiply as a matrix-vector product that rounds differently from the
+    rows of a matrix product."""
+    pieces = -(-count // max(4, budget // max(width, 1)))
+    return (slice(count * i // pieces, count * (i + 1) // pieces) for i in range(pieces))

@@ -15,7 +15,6 @@ the estimator and the MFA1 codec read the arrays directly.
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass
 from functools import partial
@@ -304,24 +303,23 @@ def _nearest(
     rows: np.ndarray, energy, centers: np.ndarray, labels: np.ndarray, nearest=None
 ) -> None:
     """Write each row's nearest centre to ``labels`` (T,) and, when ``nearest``
-    is given, its squared distance there, in row chunks: each chunk's
-    ``_center_dist`` holds its rows' interleaved real view and (B, K)
-    distances within ``gaussians._STACK_CHUNK_BUDGET`` entries, so no (T, K)
-    array and no product the height of ``rows`` exists. ``energy`` holds the
-    rows' |x|^2, taken per chunk when None. A chunk may hold four rows at
-    least, and the rows are split evenly, so no chunk of a split has a single
-    row, which numpy would multiply as a matrix-vector product that rounds
-    differently from the one-shot product."""
-    count, width = rows.shape[0], 2 * rows.shape[1] + centers.shape[0]
-    pieces = -(-count // max(4, gaussians._STACK_CHUNK_BUDGET // width))
-    dist = np.empty((-(-count // pieces), centers.shape[0]))
-    for start, stop in itertools.pairwise(count * i // pieces for i in range(pieces + 1)):
-        block = np.ascontiguousarray(rows[start:stop])
-        block_energy = (np.abs(block) ** 2).sum(axis=1) if energy is None else energy[start:stop]
-        part = _center_dist(block.view(np.float64), block_energy, centers, dist[:stop - start])
-        part.argmin(axis=1, out=labels[start:stop])
+    is given, its squared distance there, in ``gaussians.row_chunks`` chunks:
+    each chunk's ``_center_dist`` holds its rows' interleaved real view and
+    (B, K) distances within ``gaussians._STACK_CHUNK_BUDGET`` entries, so no
+    (T, K) array and no product the height of ``rows`` exists, and the labels
+    are those of the one-shot product. ``energy`` holds the rows' |x|^2, taken
+    per chunk when None."""
+    width = 2 * rows.shape[1] + centers.shape[0]
+    dist = np.empty((0, centers.shape[0]))
+    for part in gaussians.row_chunks(rows.shape[0], width, gaussians._STACK_CHUNK_BUDGET):
+        block = np.ascontiguousarray(rows[part])
+        block_energy = (np.abs(block) ** 2).sum(axis=1) if energy is None else energy[part]
+        if len(block) > len(dist):
+            dist = np.empty((len(block), centers.shape[0]))
+        dist_part = _center_dist(block.view(np.float64), block_energy, centers, dist[:len(block)])
+        dist_part.argmin(axis=1, out=labels[part])
         if nearest is not None:
-            nearest[start:stop] = np.take_along_axis(part, labels[start:stop, None], axis=1)[:, 0]
+            nearest[part] = np.take_along_axis(dist_part, labels[part, None], axis=1)[:, 0]
 
 
 def _center_dist(flat: np.ndarray, energy: np.ndarray, centers: np.ndarray, out=None) -> np.ndarray:
@@ -645,11 +643,13 @@ def save_model(model: MfaModel, path) -> None:
 
 
 def load_model(path) -> MfaModel:
-    reader = Container(path, MODEL_MAGIC, _MODEL_HEADER)
-    version, dim, latent, k_total = reader.header
-    if version != MODEL_VERSION:
-        raise FileFormatError(f"unsupported model version {version}", reader.offset_of("version"))
-    if dim == 0 or k_total == 0:
-        raise FileFormatError("model header declares an empty model", reader.offset)
-    rec = reader.body(_model_records(dim, latent), k_total, "components")
+    with open(path, "rb") as fh:
+        reader = Container(fh, MODEL_MAGIC, _MODEL_HEADER)
+        version, dim, latent, k_total = reader.header
+        if version != MODEL_VERSION:
+            offset = reader.offset_of("version")
+            raise FileFormatError(f"unsupported model version {version}", offset)
+        if dim == 0 or k_total == 0:
+            raise FileFormatError("model header declares an empty model", reader.offset)
+        rec = reader.body(_model_records(dim, latent), k_total, "components")
     return MfaModel(rec["weight"], rec["mean"], rec["loading"].transpose(0, 2, 1), rec["diag_term"])

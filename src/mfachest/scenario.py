@@ -209,13 +209,6 @@ def _normalization(samples: np.ndarray) -> float:
     return np.sqrt(1.0 / energy)
 
 
-def normalize_dataset(dataset: ChannelDataset) -> ChannelDataset:
-    """A copy of the dataset with all samples rescaled by one factor, so the
-    empirical mean of ||h||^2 equals N."""
-    factor = _normalization(dataset.samples)
-    return ChannelDataset(dataset.samples * factor, normalization=dataset.normalization * factor)
-
-
 def check_snr_db(snr_db: float) -> None:
     """Reject an SNR that is NaN or below -3000 dB, where sigma2 would overflow."""
     if not snr_db >= -3000.0:
@@ -269,13 +262,15 @@ def write_dataset(path, dataset: ChannelDataset) -> None:
 
 def read_dataset(path) -> ChannelDataset:
     """Read a CHD1 container; raises FileFormatError on any structural defect."""
-    reader = Container(path, DATASET_MAGIC, _DATASET_HEADER)
-    version, dim, count, normalization = reader.header
-    if version != DATASET_VERSION:
-        raise FileFormatError(f"unsupported dataset version {version}", reader.offset_of("version"))
-    if dim == 0 or count == 0:
-        # Reported where the counts end, just before the normalization.
-        offset = reader.offset_of("normalization")
-        raise FileFormatError("dataset header declares an empty dataset", offset)
-    rec = reader.body(_dataset_records(dim), count, "samples")
+    with open(path, "rb") as fh:
+        reader = Container(fh, DATASET_MAGIC, _DATASET_HEADER)
+        version, dim, count, normalization = reader.header
+        if version != DATASET_VERSION:
+            offset = reader.offset_of("version")
+            raise FileFormatError(f"unsupported dataset version {version}", offset)
+        if dim == 0 or count == 0:
+            # Reported where the counts end, just before the normalization.
+            offset = reader.offset_of("normalization")
+            raise FileFormatError("dataset header declares an empty dataset", offset)
+        rec = reader.body(_dataset_records(dim), count, "samples")
     return ChannelDataset(rec["sample"], normalization=normalization)

@@ -85,7 +85,15 @@ from mfachest import mfa
 from mfachest.baselines import GmmModel
 from mfachest.gaussians import RESP_REL, mixture_chunks, responsibilities, stack_mixture
 from mfachest.mfa import PSI_MODES, RIDGE_REL, FitConfig, MfaModel
-from mfachest.scenario import ChannelDataset, ScenarioConfig, cluster_centers, normalize_dataset
+from mfachest.scenario import ChannelDataset, ScenarioConfig, cluster_centers
+
+
+def normalize_dataset(dataset):
+    """A copy of the dataset with all samples rescaled by one factor, so the
+    empirical mean of ||h||^2 equals N: what ``generate_channels`` does to its
+    draws in place."""
+    factor = np.sqrt(1.0 / float(np.mean(np.abs(dataset.samples) ** 2)))
+    return ChannelDataset(dataset.samples * factor, normalization=dataset.normalization * factor)
 
 
 def crandn(rng, *shape):

@@ -995,8 +995,8 @@ class TestGmmEstimate:
             return gmm_estimate(start, 0.3, y), loglik, *m_step(structure, data, resp)
 
         whole = outputs()
-        # Chunks of 3 rows (64 on the MFA kernel, its smallest), so neither row
-        # count is a multiple of the chunk.
+        # Chunks of four rows, the smallest, or three and four for the 23 rows
+        # (64 on the MFA kernel, its smallest).
         monkeypatch.setattr(baselines, "_GMM_CHUNK_BUDGET", 3 * k_total * dim)
         monkeypatch.setattr(baselines, "_BOUND_BUDGET", 3 * k_total * dim)
         monkeypatch.setattr(gaussians, "_STACK_CHUNK_BUDGET", 1)

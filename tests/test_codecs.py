@@ -14,9 +14,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from mfachest._binio import FileFormatError
+from mfachest._binio import Container, FileFormatError
 from mfachest.baselines import GMM_STRUCTURES, GmmModel, load_gmm, save_gmm
 from mfachest.mfa import MfaModel, load_model, save_model
+from mfachest import scenario
 from mfachest.scenario import ChannelDataset, read_dataset, write_dataset
 
 def wide(rng, shape):
@@ -192,6 +193,20 @@ def test_chd1_oversized_header(tmp_path):
     path.write_bytes(b"CHD1" + struct.pack("<IIQd", 1, 2**20, 2**62, 1.0))
     with pytest.raises(FileFormatError, match="truncated"):
         read_dataset(path)
+
+
+def test_body_cut_after_the_header_was_read(tmp_path):
+    # The sizes are checked against the handle's fstat when the header is
+    # read; a file cut in place after that reads short through the same
+    # handle, which raises instead of returning uninitialized records.
+    path = tmp_path / "cut.chd"
+    # Larger than the handle's read buffer, so the cut part is not buffered.
+    write_dataset(path, ChannelDataset(np.ones((4096, 3), dtype=complex)))
+    with open(path, "rb") as fh:
+        reader = Container(fh, scenario.DATASET_MAGIC, scenario._DATASET_HEADER)
+        os.truncate(path, os.path.getsize(path) // 2)
+        with pytest.raises(FileFormatError, match="shrank while read"):
+            reader.body(scenario._dataset_records(3), 4096, "samples")
 
 
 def mfa1_header(version=1, dim=2, latent=1, k_total=1):

@@ -877,11 +877,11 @@ class TestSparseAccumulator:
     def test_full_m_step_matches_dense(self, data, k_total, dim, count, budget):
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         samples = rng.uniform(0.0, 3.0) * crandn(rng, dim) + crandn(rng, count, dim)
-        chunk = max(1, budget // dim)
+        chunk = max(4, budget // dim)  # row_chunks' step, before its even split
         resp = data.draw(sparse_responsibilities(count, k_total, chunk))
         resp = resp[:, resp.sum(axis=0) > 0]  # fits pass live components only
         with patch.object(baselines, "_GMM_CHUNK_BUDGET", budget):
-            means, params = baselines._m_step("full", samples, resp)
+            means, params = baselines._m_step("full", samples, resp, None)
         masses = resp.sum(axis=0)
         want_means = resp.T @ samples / masses[:, None]
         second = (resp[:, :, None] * samples[:, None, :]).reshape(count, -1).T @ samples.conj()

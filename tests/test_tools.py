@@ -219,35 +219,3 @@ def test_tracer_bindings_resolve():
             if not callable(getattr(importlib.import_module(module_name), attr, None)):
                 unresolved.add(dotted)
     assert unresolved <= _DEAD_TRACER_BINDINGS
-
-
-def test_main_passes_each_env_setting_to_both_sides(tmp_path, capsys):
-    base, new = tmp_path / "base", tmp_path / "new"
-    envs = []
-
-    def fake_run(checkout, workload, seed, seconds, env):
-        envs.append((checkout.name, env))
-        return _result(1.0, 100.0)
-
-    argv = [str(base), str(new), "--workload", "w", "--pairs", "2",
-            "--env", "MALLOC_MMAP_THRESHOLD_=131072", "--env", "OPENBLAS_NUM_THREADS=1=x"]
-    assert bench_pairs.main(argv, run=fake_run) == 0
-    want = {"MALLOC_MMAP_THRESHOLD_": "131072", "OPENBLAS_NUM_THREADS": "1=x"}
-    assert envs == [("base", want), ("new", want), ("new", want), ("base", want)]
-    with pytest.raises(SystemExit):
-        bench_pairs.main([str(base), str(new), "--workload", "w", "--env", "NOVALUE"],
-                         run=fake_run)
-    assert "expected NAME=VALUE" in capsys.readouterr().err
-
-
-def test_run_once_sets_the_env_on_top_of_its_own(tmp_path, monkeypatch):
-    # A fake perfbench/run.py prints what the run's environment holds.
-    (tmp_path / "perfbench").mkdir()
-    (tmp_path / "perfbench" / "run.py").write_text(
-        "import json, os\n"
-        "print(json.dumps({'probe': os.environ.get('BENCH_PAIRS_PROBE'),"
-        " 'kept': os.environ.get('BENCH_PAIRS_KEPT')}))\n")
-    monkeypatch.setenv("BENCH_PAIRS_KEPT", "yes")
-    got = bench_pairs.run_once(tmp_path, "w", 7, 1.0, {"BENCH_PAIRS_PROBE": "131072"})
-    assert got == {"probe": "131072", "kept": "yes"}
-    assert bench_pairs.run_once(tmp_path, "w", 7, 1.0) == {"probe": None, "kept": "yes"}

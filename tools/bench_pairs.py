@@ -11,24 +11,21 @@ within each pair, and in how many pairs the new checkout was better, in the
 direction the base checkout's BENCHMARK.json gives. Where that file gives the
 metric a ``bound``, the line also says whether the new median is worse than
 the base median by more than that share of it. It exits with 1 when some run
-of any workload did not read ``"correct": true``. Each ``--env NAME=VALUE``
-sets a variable in the environment of every run on both sides, e.g.
-``MALLOC_MMAP_THRESHOLD_=131072`` to read ``peak_rss_mb`` under a fixed glibc
-mmap threshold rather than its dynamic one.
+of any workload did not read ``"correct": true``. Every run inherits this
+process's environment, so a prefix such as ``MALLOC_MMAP_THRESHOLD_=131072``
+reads ``peak_rss_mb`` on both sides under a fixed glibc mmap threshold.
 
 Usage: python3 tools/bench_pairs.py BASE NEW --workload NAME [--workload NAME ...]
-           [--seed 7] [--pairs 5] [--seconds 20] [--env NAME=VALUE ...]
+           [--seed 7] [--pairs 5] [--seconds 20]
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import statistics
 import subprocess
 import sys
-from functools import partial
 from pathlib import Path
 
 
@@ -40,13 +37,11 @@ def parse_result(stdout: str) -> dict:
     return json.loads(lines[-1])
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float, env=None) -> dict:
-    """One untraced perfbench run in ``checkout``, as its parsed result line;
-    ``env`` maps the variables to set on top of this process's environment."""
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One untraced perfbench run in ``checkout``, as its parsed result line."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
-    done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True, check=False,
-                          env={**os.environ, **(env or {})})
+    done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True, check=False)
     if done.returncode != 0:
         raise RuntimeError(f"{checkout}: run.py exited with {done.returncode}\n{done.stderr}")
     return parse_result(done.stdout)
@@ -116,14 +111,6 @@ def summarize(
     return lines
 
 
-def env_setting(text: str) -> tuple[str, str]:
-    """A ``NAME=VALUE`` argument as its (name, value) pair."""
-    name, sep, value = text.partition("=")
-    if not sep or not name:
-        raise argparse.ArgumentTypeError(f"expected NAME=VALUE, got {text!r}")
-    return name, value
-
-
 def main(argv: list[str], run=run_once) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("base", type=Path)
@@ -133,15 +120,11 @@ def main(argv: list[str], run=run_once) -> int:
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--pairs", type=int, default=5)
     parser.add_argument("--seconds", type=float, default=20.0)
-    parser.add_argument("--env", type=env_setting, action="append", default=[],
-                        metavar="NAME=VALUE", help="set for every run on both sides; repeatable")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
     if args.base.resolve() == args.new.resolve():
         parser.error("BASE and NEW must be different checkouts")
-    if args.env:
-        run = partial(run, env=dict(args.env))
     correct = True
     for workload in args.workload:
         results = {args.base: [], args.new: []}
