@@ -58,6 +58,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
+from . import gaussians
 from ._binio import Container, FileFormatError, write_container
 from .estimator import _conditional_mean
 from .gaussians import (
@@ -91,27 +92,10 @@ _ESTIMATE_NOT_PD = "component {k}: covariance + sigma2 I is not positive definit
 _FIT_NOT_PD = ("component {k}: covariance is not positive definite: EM collapsed the "
                "component onto one sample or identical samples (fit fewer components)")
 
-# Complex entries of one chunk's (B, s, N) OMP basis.
-_OMP_CHUNK_BUDGET = 4_000_000
 # A genie-OMP row stops once ||P_s n||^2, a lower bound on the error of every
 # deeper prefix, exceeds its best error by this relative margin, far above the
 # rounding of either, so no deeper prefix that is strictly better is skipped.
 _OMP_STOP_REL = 1e-9
-# Complex entries of gmm_estimate's (B, K, N) whitened rows per chunk, and of
-# the rows of a (B, N) chunk the full M-step gathers per component: 2 MB, a
-# quarter of gaussians._STACK_CHUNK_BUDGET. Doubling it regroups the M-step's
-# sums, which moved gmm-full's nMSE by up to 4e-9 dB on the benchmark sweep
-# (splitting 10k rows into five even chunks, not four of 2048, by 2.5e-8 dB).
-# The E-step's pruned pass is sized by _BOUND_BUDGET instead. At K=16, N=64
-# and 10k rows (2 cores, 2 BLAS threads), a pass took 53-75 ms (full) and
-# 79-102 ms (Toeplitz), the first pass of a fit the slowest; the dense pass
-# it replaced took 94-99 and 93-94 ms in 128-row chunks.
-_GMM_CHUNK_BUDGET = 1 << 17
-# Complex entries of the (B, K m) bound of one chunk of the E-step's pruned
-# pass: 4 MB, at most 2048 rows (full) or 1024 rows (Toeplitz) at K=16. Each chunk runs
-# its component loops once, so at half this budget the three passes of a fit
-# took 14 ms (full) and 20 ms (Toeplitz) longer.
-_BOUND_BUDGET = 1 << 18
 # Whitened coordinates of _gmm_chunks' bound on each log-density, and the gap
 # below a row's guessed log-density beyond which a component is skipped:
 # ln(1 / RESP_REL), where responsibilities() zeroes it, plus one nat for the
@@ -228,10 +212,12 @@ def genie_omp_batch(
         raise ValueError("truths must have the shape of the observations")
     depth = min(s_max, dim, dictionary.n_atoms)
     out = np.zeros_like(obs)
-    chunk = max(32, _OMP_CHUNK_BUDGET // (dim * depth))
-    for start in range(0, obs.shape[0], chunk):
-        stop = min(start + chunk, obs.shape[0])
-        out[start:stop] = _genie_omp_chunk(obs[start:stop], atoms, tru[start:stop], depth)
+    # Per row: the (depth, N) basis and eight (N,) rows of state and temporaries
+    # (complex), the correlations with every atom (complex, then their
+    # magnitudes) and the support.
+    row_bytes = 16 * dim * (depth + 8) + 24 * dictionary.n_atoms + 8 * depth
+    for part in row_chunks(obs.shape[0], row_bytes):
+        out[part] = _genie_omp_chunk(obs[part], atoms, tru[part], depth)
     return out[0] if single else out
 
 
@@ -427,7 +413,8 @@ def _toeplitz_power(samples: np.ndarray) -> np.ndarray:
     dim = samples.shape[1]
     q_t = toeplitz_transform(dim).T
     power = np.empty((samples.shape[0], 2 * dim))
-    for part in row_chunks(samples.shape[0], 2 * dim, _GMM_CHUNK_BUDGET):
+    # Per row: the complex transform; the powers are written in place.
+    for part in row_chunks(samples.shape[0], 32 * dim, gaussians._FILL_BYTES):
         chunk = np.abs(samples[part] @ q_t, out=power[part])
         chunk *= chunk
     return power
@@ -458,7 +445,8 @@ def _m_step(
     means = resp.T @ samples / masses[:, None]
     if structure == "full":
         stats = np.zeros((k_total, dim, dim), dtype=np.complex128)
-        for part in row_chunks(samples.shape[0], dim, _GMM_CHUNK_BUDGET):
+        # Per row: the gathered rows, their weighted copy and their conjugate.
+        for part in row_chunks(samples.shape[0], 48 * dim):
             x, weights = samples[part], resp[part]
             for k, rows in component_rows(weights):
                 x_k = x[rows]
@@ -548,24 +536,22 @@ def _gmm_chunks(model: GmmModel, factor: tuple, rows: np.ndarray, guess=None, wh
     that. An exact log-density is one product per component
     (``component_rows``), of its gathered rows [y 1] by its (N + 1, N) block
     of the whitener: the sums of the unpruned pass, which
-    made the one (B, N + 1) x (N + 1, K N) product, in the same order. The
-    (B, K m) bound stays within _BOUND_BUDGET entries, and with ``whitened``
-    z within _GMM_CHUNK_BUDGET.
+    made the one (B, N + 1) x (N + 1, K N) product, in the same order.
     """
     k_total, dim = model.n_components, model.dim
     whitener, logconst = factor
     width = min(_BOUND_COORDS[model.structure], dim)
     heads = (np.arange(k_total)[:, None] * dim + np.arange(width)).ravel()
     head, centre = whitener[:width, heads], whitener[-1, heads]
-    buffer = np.ones((0, dim + 1), dtype=np.complex128)
-    if whitened:
-        chunks = row_chunks(rows.shape[0], k_total * dim, _GMM_CHUNK_BUDGET)
-    else:
-        chunks = row_chunks(rows.shape[0], k_total * width, _BOUND_BUDGET)
-    for part in chunks:
+    # Per row: [y 1], one component's gathered [y 1] and whitened coordinates,
+    # the bound's coordinates and with ``whitened`` z (complex); the bound, the
+    # log-densities and the responsibilities (float).
+    row_bytes = 16 * (3 * dim + 2 + k_total * (width + (dim if whitened else 0))) + 24 * k_total
+    parts = list(row_chunks(rows.shape[0], row_bytes))
+    height = max((part.stop - part.start for part in parts), default=0)
+    buffer = np.ones((height, dim + 1), dtype=np.complex128)
+    for part in parts:
         y = rows[part]
-        if len(y) > len(buffer):
-            buffer = np.ones((len(y), dim + 1), dtype=np.complex128)
         block = buffer[:len(y)]
         block[:, :dim] = y
         near = y[:, :width] @ head
@@ -590,10 +576,7 @@ def _exact(block: np.ndarray, factor: tuple, pairs: np.ndarray, logdens: np.ndar
     whitener, logconst = factor
     dim = block.shape[1] - 1
     for k, idx in component_rows(pairs):
-        # numpy runs a one-row product as a matrix-vector product, which rounds
-        # differently from the rows of a matrix product; pad it to two rows.
-        rows = block[idx if len(idx) > 1 else np.repeat(idx, 2)]
-        z_k = (rows @ whitener[:, k * dim:(k + 1) * dim])[:len(idx)]
+        z_k = block[idx] @ whitener[:, k * dim:(k + 1) * dim]
         flat = z_k.view(np.float64)
         logdens[idx, k] = logconst[k] - np.einsum("bl,bl->b", flat, flat)
         if z is not None:

@@ -40,13 +40,24 @@ COND_LIMIT = 1e12
 # (1 / max float itself rounds down, so its inverse overflows too).
 _UNINVERTIBLE = 1.0 / np.finfo(float).max
 
-# Complex entries per batch row of the mixture kernel's temporaries, which are
-# (B, K*(L+1)) in the kernel and (B, N) in estimate(). Timed at K=64, N=64, L=8
-# (819 rows) on 2 cores: estimate() on 10k rows ran 96, 90, 88 and 90 ms
-# (medians) at 2^17..2^20, and an EM sweep on 20k rows 228, 184, 161 and 147 ms.
-# 2^19 keeps estimate()'s transient peak at 13 MB beside its 10 MB output (24 MB
-# at 2^20); the peak grows with the budget.
-_STACK_CHUNK_BUDGET = 1 << 19
+# Bytes per chunk of the passes that ``row_chunks`` splits, each counting every
+# array it holds per row. _CHUNK_BYTES sizes the passes that reduce over a
+# chunk: the mixture kernel, the GMM pass, k-means, the full GMM M-step and
+# genie-OMP. Smaller chunks cost time (2 cores): at K=64, N=64, L=8 an EM sweep
+# on 20k rows took 228, 184, 161 and 147 ms with the kernel's (B, K*(L+1)) and
+# (B, N) complex temporaries at 2^17..2^20 entries, and estimate() on 10k rows
+# 96, 90, 88 and 90 ms; at half its budget the GMM bound pass made the three
+# E-steps of a K=16 fit on 10k rows 14 ms (full) and 20 ms (Toeplitz) slower.
+# Larger ones cost memory: estimate()'s transient peak was 13 MB beside its
+# 10 MB output at 2^19 entries, 24 MB at 2^20. _FILL_BYTES sizes the two passes
+# that fill an output already held whole, the generator's samples and the
+# Toeplitz powers, where chunk size bought no speed: on the 4x16 URA (2-core
+# Xeon, 2 MB L2 per core) generation times were flat from 2^15 to 2^18 complex
+# entries. At 8 MiB those passes broke two memory guards: 20k channels peaked
+# at 40.5 MB against 1.6 times their 20.5 MB, and the Toeplitz family at 10.25
+# MB against the 10.24 MB of the complex transform it must not hold.
+_CHUNK_BYTES = 8 << 20
+_FILL_BYTES = 1 << 20
 
 # Responsibilities below RESP_REL times their row's largest are set to exactly
 # 0. The largest is at least 1/K, so every kept weight is at least RESP_REL / K,
@@ -206,11 +217,6 @@ class MixtureStack(NamedTuple):
     lognorm: np.ndarray
     logconst: np.ndarray
 
-    def chunk_rows(self) -> int:
-        """Rows per batch that keep the (B, K*(L+1)) and (B, N) temporaries near a fixed budget."""
-        k_total, latent = self.latent_root.shape[:2]
-        return max(64, _STACK_CHUNK_BUDGET // (k_total * (latent + 1) + self.d.shape[0]))
-
 
 def stack_mixture(model, sigma2: float) -> MixtureStack:
     """Factor every component of an ``mfa.MfaModel`` at noise level sigma2.
@@ -295,21 +301,26 @@ def mixture_logdens(
 
 
 def mixture_chunks(stack: MixtureStack, samples: np.ndarray):
-    """Yield ``(start, block, abs2, latent, resp, lse)`` for each chunk of
-    ``stack.chunk_rows()`` rows of ``samples``: the first row index, the rows,
-    their entrywise |y|^2, the (B, K, L+1) latent buffer of ``mixture_logdens``,
-    shared by all chunks, with q_k in its first L columns and exactly 1 in the
-    last, and the ``responsibilities`` and per-row log-sum-exp. At L >= 1 the
-    rows [y 1] the kernel multiplies live in one reused (B, N + 1) buffer; at
-    L = 0 there is no product, and no such buffer."""
+    """Yield ``(start, block, abs2, latent, resp, lse)`` for each ``row_chunks``
+    chunk of ``samples``: the first row index, the rows, their entrywise |y|^2,
+    the (B, K, L+1) latent buffer of ``mixture_logdens``, shared by all chunks,
+    with q_k in its first L columns and exactly 1 in the last, and the
+    ``responsibilities`` and per-row log-sum-exp. At L >= 1 the rows [y 1] the
+    kernel multiplies live in one reused (B, N + 1) buffer; at L = 0 there is
+    no product, and no such buffer."""
     k_total, latent = stack.latent_root.shape[:2]
-    chunk = stack.chunk_rows()
-    height = min(chunk, samples.shape[0])
+    count, dim = samples.shape
+    # Per row: the latent buffer and the rows [y 1] (complex); |y|^2, the
+    # log-densities and the responsibilities (float).
+    row_bytes = (16 * (k_total * (latent + 1) + (dim + 1 if latent else 0))
+                 + 8 * (dim + 2 * k_total))
+    parts = list(row_chunks(count, row_bytes))
+    height = max((part.stop - part.start for part in parts), default=0)
     if latent:
-        rows = np.ones((height, samples.shape[1] + 1), dtype=np.complex128)
+        rows = np.ones((height, dim + 1), dtype=np.complex128)
     buffer = np.empty((height, k_total, latent + 1), dtype=np.complex128)
-    for start in range(0, samples.shape[0], chunk):
-        block = samples[start:start + chunk]
+    for part in parts:
+        block = samples[part]
         size = len(block)
         aug_rows = None
         if latent:
@@ -317,7 +328,7 @@ def mixture_chunks(stack: MixtureStack, samples: np.ndarray):
             aug_rows[:, :-1] = block
         abs2 = np.abs(block) ** 2
         logdens = mixture_logdens(stack, block, abs2, buffer[:size], aug_rows)
-        yield start, block, abs2, buffer[:size], *responsibilities(logdens)
+        yield part.start, block, abs2, buffer[:size], *responsibilities(logdens)
 
 
 def _std_cnormal(rng: np.random.Generator, shape) -> np.ndarray:
@@ -371,11 +382,15 @@ def component_rows(weights: np.ndarray):
         yield int(k), np.flatnonzero(nonzero[k])
 
 
-def row_chunks(count: int, width: int, budget: int):
-    """Row slices that split ``count`` rows evenly into chunks whose (B, width)
-    temporaries stay within ``budget`` entries, at four rows a chunk at least.
-    The split is even, so no chunk of a split holds a single row, which numpy
-    would multiply as a matrix-vector product that rounds differently from the
-    rows of a matrix product."""
-    pieces = -(-count // max(4, budget // max(width, 1)))
+def row_chunks(count: int, row_bytes: int, budget: int | None = None):
+    """Row slices that split ``count`` rows evenly into chunks of at most
+    ``budget`` bytes at ``row_bytes`` a row, at four rows a chunk at least (all
+    ``count`` rows when fewer). The budget is _CHUNK_BYTES when None, read at
+    call time; a pass that fills an output already held whole passes
+    _FILL_BYTES. A budget of fewer than eight rows gives chunks of four to
+    seven rows. So no chunk holds a single row, which numpy would multiply as a
+    matrix-vector product that rounds differently from the rows of a matrix
+    product."""
+    budget = _CHUNK_BYTES if budget is None else budget
+    pieces = min(-(-count // max(budget // max(row_bytes, 1), 1)), max(count // 4, 1))
     return (slice(count * i // pieces, count * (i + 1) // pieces) for i in range(pieces))

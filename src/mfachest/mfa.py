@@ -303,19 +303,18 @@ def _nearest(
     rows: np.ndarray, energy, centers: np.ndarray, labels: np.ndarray, nearest=None
 ) -> None:
     """Write each row's nearest centre to ``labels`` (T,) and, when ``nearest``
-    is given, its squared distance there, in ``gaussians.row_chunks`` chunks:
-    each chunk's ``_center_dist`` holds its rows' interleaved real view and
-    (B, K) distances within ``gaussians._STACK_CHUNK_BUDGET`` entries, so no
-    (T, K) array and no product the height of ``rows`` exists, and the labels
-    are those of the one-shot product. ``energy`` holds the rows' |x|^2, taken
-    per chunk when None."""
-    width = 2 * rows.shape[1] + centers.shape[0]
-    dist = np.empty((0, centers.shape[0]))
-    for part in gaussians.row_chunks(rows.shape[0], width, gaussians._STACK_CHUNK_BUDGET):
+    is given, its squared distance there, in ``gaussians.row_chunks`` chunks,
+    so no (T, K) array and no product the height of ``rows`` exists, and the
+    labels are those of the one-shot product. ``energy`` holds the rows' |x|^2,
+    taken per chunk when None."""
+    # Per row: the rows' contiguous copy and the copy BLAS packs of it, their
+    # |x|^2 and energy, and the distances.
+    row_bytes = 40 * rows.shape[1] + 8 * (1 + centers.shape[0])
+    parts = list(gaussians.row_chunks(rows.shape[0], row_bytes))
+    dist = np.empty((max(part.stop - part.start for part in parts), centers.shape[0]))
+    for part in parts:
         block = np.ascontiguousarray(rows[part])
         block_energy = (np.abs(block) ** 2).sum(axis=1) if energy is None else energy[part]
-        if len(block) > len(dist):
-            dist = np.empty((len(block), centers.shape[0]))
         dist_part = _center_dist(block.view(np.float64), block_energy, centers, dist[:len(block)])
         dist_part.argmin(axis=1, out=labels[part])
         if nearest is not None:

@@ -14,16 +14,11 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from . import gaussians
 from ._binio import Container, FileFormatError, write_container
 
 DATASET_MAGIC = b"CHD1"
 DATASET_VERSION = 1
-
-# Complex entries of one chunk's vertical and horizontal phasor powers, nv + nh
-# per path and sample (1 MB); the chunk, not the sample count, bounds
-# generation's transient memory. On the 4x16 URA (2-core Xeon, 2 MB L2 per
-# core) times were flat from 2^15 to 2^18 entries.
-_GEN_CHUNK_BUDGET = 1 << 16
 
 # Annotation of a scalar dataclass field -> (accepted type, stored type, description).
 _FIELD_TYPES = {
@@ -188,16 +183,17 @@ def _draw_channels(config: ScenarioConfig, count: int, rng: np.random.Generator)
 
     nv, nh = config.nv, config.nh
     samples = np.empty((count, config.dim), dtype=np.complex128)
-    chunk = max(1, _GEN_CHUNK_BUDGET // (paths * (nv + nh)))
-    for start in range(0, count, chunk):
-        stop = min(start + chunk, count)
-        az_b, el_b = az[start:stop], el[start:stop]
+    # Per sample: the phasor powers and the complex phase (complex), and three
+    # float temporaries of the angles, per path; the samples are written in place.
+    row_bytes = paths * (16 * (nv + nh + 1) + 24)
+    for part in gaussians.row_chunks(count, row_bytes, gaussians._FILL_BYTES):
+        az_b, el_b = az[part], el[part]
         vert = _phasor_powers(2.0 * np.pi * config.spacing_v * np.sin(el_b), nv)
-        vert *= gains[start:stop]
+        vert *= gains[part]
         horiz = _phasor_powers(2.0 * np.pi * config.spacing_h * np.sin(az_b) * np.cos(el_b), nh)
         # (b, nv, P) x (b, P, nh), written into the rows' (nv, nh) views.
         np.matmul(vert.transpose(1, 0, 2), horiz.transpose(1, 2, 0),
-                  out=samples[start:stop].reshape(stop - start, nv, nh))
+                  out=samples[part].reshape(len(az_b), nv, nh))
     return samples
 
 

@@ -512,7 +512,8 @@ def em_problems(draw):
 def scenarios(draw):
     """A ScenarioConfig with nv, nh in 1..8 or the paper's 4x16, 1..12 paths,
     a zero or positive angle spread and random spacings, plus a sample count
-    and a chunk budget of 1..4 samples' phasor blocks (so counts cross chunks)."""
+    and a chunk budget in bytes of 1..8 samples' phasor blocks (so counts cross
+    chunks of four rows and more)."""
     nv, nh = draw(st.one_of(st.just((4, 16)), st.tuples(st.integers(1, 8), st.integers(1, 8))))
     paths = draw(st.integers(1, 12))
     config = ScenarioConfig(
@@ -525,7 +526,7 @@ def scenarios(draw):
         angle_spread_deg=draw(st.one_of(st.just(0.0), st.floats(0.01, 30.0))),
         seed=draw(st.integers(0, 2**16)),
     )
-    budget = draw(st.integers(1, 4)) * paths * (nv + nh)
+    budget = draw(st.integers(1, 8)) * 16 * paths * (nv + nh)
     return config, draw(st.integers(1, 20)), budget, draw(st.integers(0, 2**32 - 1))
 
 

@@ -475,6 +475,19 @@ class TestGenieOmp:
             want = genie_omp_full_depth(y, d.atoms, h, s_max)
             assert np.array_equal(genie_omp_batch(y, d, h, s_max), want)
 
+    @pytest.mark.parametrize("snr_db", [0.0, 20.0, None])
+    def test_row_chunks_match_one_chunk(self, snr_db, monkeypatch):
+        # A one-byte budget splits the rows into chunks of four to seven, each
+        # its own pursuit; the estimates are the one chunk's bit for bit.
+        config = ScenarioConfig()
+        rng = np.random.default_rng(97)
+        h = generate_channels(config, 30, rng).samples
+        y = h if snr_db is None else corrupt(h, snr_db, rng)[0]
+        d = build_dft_dictionary(config.nv, config.nh)
+        whole = genie_omp_batch(y, d, h, 64)
+        monkeypatch.setattr(gaussians, "_CHUNK_BYTES", 1)
+        assert np.array_equal(genie_omp_batch(y, d, h, 64), whole)
+
     @pytest.mark.parametrize(
         "atoms, y",
         [
@@ -977,11 +990,9 @@ class TestGmmEstimate:
 
     @pytest.mark.parametrize("structure", ["full", "toeplitz", "circulant"])
     def test_row_chunks_match_one_chunk(self, structure, monkeypatch):
-        # The circulant model runs on the MFA kernel, whose chunks hold at
-        # least 64 rows, so it takes more rows.
         rng = np.random.default_rng(116)
         dim, k_total = 5, 3
-        count, rows = (150, 83) if structure == "circulant" else (40, 23)
+        count, rows = 40, 23
         data = sample(make_model(rng, k_total, dim, 2, sep=2.0), count, rng).samples
         start, _ = fit_gmm(data, k_total, structure, FitConfig(max_iter=2, seed=0))
         y = crandn(rng, rows, dim) + data[:rows]
@@ -995,11 +1006,10 @@ class TestGmmEstimate:
             return gmm_estimate(start, 0.3, y), loglik, *m_step(structure, data, resp)
 
         whole = outputs()
-        # Chunks of four rows, the smallest, or three and four for the 23 rows
-        # (64 on the MFA kernel, its smallest).
-        monkeypatch.setattr(baselines, "_GMM_CHUNK_BUDGET", 3 * k_total * dim)
-        monkeypatch.setattr(baselines, "_BOUND_BUDGET", 3 * k_total * dim)
-        monkeypatch.setattr(gaussians, "_STACK_CHUNK_BUDGET", 1)
+        # Chunks of four rows, the smallest, or four and five for the 23 rows,
+        # on the MFA kernel too, and in the Toeplitz powers.
+        monkeypatch.setattr(gaussians, "_CHUNK_BYTES", 1)
+        monkeypatch.setattr(gaussians, "_FILL_BYTES", 1)
         chunked = outputs()
         for got, want in zip(chunked, whole):
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()

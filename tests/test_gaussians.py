@@ -12,6 +12,7 @@ from mfachest.gaussians import (
     component_rows,
     mixture_logdens,
     responsibilities,
+    row_chunks,
     stack_mixture,
 )
 from mfachest.mfa import MfaModel
@@ -330,3 +331,19 @@ class TestComponentRows:
         got = [(k, idx.tolist()) for k, idx in component_rows(weights)]
         want = [(k, idx.tolist()) for k, idx in component_rows_reference(weights)]
         assert got == want
+
+
+class TestRowChunks:
+    @given(st.integers(0, 1000), st.integers(1, 1 << 12), st.integers(1, 1 << 16))
+    def test_even_split_within_budget(self, count, row_bytes, budget):
+        # In order and tiling 0..count, sizes within one of each other, four rows
+        # a chunk at least (all of them when fewer), and within the budget when
+        # it holds eight rows or more; a smaller budget gives four to seven rows.
+        parts = list(row_chunks(count, row_bytes, budget))
+        bounds = [0, *(part.stop for part in parts)]
+        assert [part.start for part in parts] == bounds[:-1] and bounds[-1] == count
+        sizes = [part.stop - part.start for part in parts]
+        if sizes:
+            assert max(sizes) - min(sizes) <= 1
+            assert min(sizes) >= min(4, count)
+            assert max(sizes) <= max(7, budget // row_bytes)

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from scipy.linalg import subspace_angles
 from scipy.optimize import linear_sum_assignment
 
-from mfachest.gaussians import mixture_logdens, stack_mixture
+from mfachest.gaussians import mixture_logdens, row_chunks, stack_mixture
 from mfachest import baselines, gaussians, mfa
 from mfachest.mfa import (
     FitConfig,
@@ -471,7 +471,7 @@ class TestKmeans:
         k_total = data.draw(st.integers(1, count))
         subsample = data.draw(st.sampled_from([count, max(1, count // 2)]))
         with patch.object(mfa, "_KMEANS_SUBSAMPLE", subsample), \
-                patch.object(gaussians, "_STACK_CHUNK_BUDGET", rows * (2 * dim + k_total)):
+                patch.object(gaussians, "_CHUNK_BYTES", rows * (40 * dim + 8 * (1 + k_total))):
             got = mfa._kmeans(samples, k_total, np.random.default_rng(seed))
         want = kmeans_reference(samples, k_total, np.random.default_rng(seed), subsample)
         assert np.array_equal(got, want)
@@ -483,7 +483,7 @@ class TestKmeans:
         # The reseed cases above, with the distances in chunks of 4 to 5 rows.
         rng = np.random.default_rng(seed)
         samples = crandn(rng, distinct, dim)[rng.integers(distinct, size=distinct * copies)]
-        with patch.object(gaussians, "_STACK_CHUNK_BUDGET", 4 * (2 * dim + k_total)):
+        with patch.object(gaussians, "_CHUNK_BYTES", 1):
             got = mfa._kmeans(samples, k_total, np.random.default_rng(seed))
         want = kmeans_reference(samples, k_total, np.random.default_rng(seed), mfa._KMEANS_SUBSAMPLE)
         assert np.array_equal(got, want)
@@ -780,10 +780,10 @@ class TestEmProperties:
 
 
 @st.composite
-def sparse_responsibilities(draw, count, k_total, chunk):
+def sparse_responsibilities(draw, count, k_total, parts):
     """(count, K) weights as the EM accumulations see them: exact zeros
     throughout, rows normalized or exactly one-hot, one component with no rows
-    in a chunk of ``chunk`` rows and one component with a single row."""
+    in one of the row slices ``parts`` and one component with a single row."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):
         resp = np.eye(k_total)[rng.integers(k_total, size=count)]
@@ -792,18 +792,17 @@ def sparse_responsibilities(draw, count, k_total, chunk):
         resp = rng.uniform(1e-3, 1.0, (count, k_total)) * kept
         totals = resp.sum(axis=1, keepdims=True)
         np.divide(resp, totals, out=resp, where=totals > 0)
-    start = chunk * draw(st.integers(0, (count - 1) // chunk))
-    resp[start:start + chunk, draw(st.integers(0, k_total - 1))] = 0.0
+    resp[draw(st.sampled_from(parts)), draw(st.integers(0, k_total - 1))] = 0.0
     single = draw(st.integers(0, k_total - 1))
     resp[:, single] = 0.0
     resp[draw(st.integers(0, count - 1)), single] = draw(st.sampled_from([1.0, 0.3, 1e-3]))
     return resp
 
 
-def dense_em_iteration(samples, abs2, model, resp_all):
+def dense_em_iteration(samples, abs2, model, resp_all, parts):
     """_em_iteration with the given weights, accumulated densely over every
     (row, component) pair with a few large products, as before the sparse
-    accumulator."""
+    accumulator, in the row slices ``parts``."""
     count, dim = samples.shape
     k_total, latent = model.n_components, model.latent_dim
     width = latent + 1
@@ -813,17 +812,15 @@ def dense_em_iteration(samples, abs2, model, resp_all):
     r_abs2 = np.zeros((dim, k_total))
     masses = np.zeros(k_total)
     ll_sum, worst_val, worst_idx = 0.0, np.inf, 0
-    chunk = stack.chunk_rows()
-    for start in range(0, count, chunk):
-        block = samples[start:start + chunk]
+    for part in parts:
+        block, abs2_block = samples[part], abs2[part]
         size = len(block)
         aug = np.empty((size, k_total, width), dtype=complex)
-        abs2_block = abs2[start:start + size]
         logdens = mixture_logdens(stack, block, abs2_block, aug, with_intercept(block))
-        resp, lse = resp_all[start:start + size], posterior(logdens)[1]
+        resp, lse = resp_all[part], posterior(logdens)[1]
         ll_sum += float(lse.sum())
         if lse.min() < worst_val:
-            worst_val, worst_idx = float(lse.min()), start + int(np.argmin(lse))
+            worst_val, worst_idx = float(lse.min()), part.start + int(np.argmin(lse))
         weighted = aug.conj() * resp[:, :, None]
         s_xq_flat += block.T @ weighted.reshape(size, k_total * width)
         s_qq += np.matmul(aug.transpose(1, 2, 0), weighted.transpose(1, 0, 2))
@@ -851,18 +848,19 @@ class TestSparseAccumulator:
         model = make_model(rng, k_total, dim, latent, sep=2.0, psi=0.2)
         samples = sample(model, count, rng).samples
         abs2 = np.abs(samples) ** 2
-        # The smallest budget gives 64-row chunks, so the sweep spans up to three.
-        resp = data.draw(sparse_responsibilities(count, k_total, 64))
-        feed = iter(range(0, count, 64))
+        # A one-byte budget gives chunks of four to seven rows, up to 37 of them.
+        parts = list(row_chunks(count, 1, 1))
+        resp = data.draw(sparse_responsibilities(count, k_total, parts))
+        feed = (part.start for part in parts)
 
         def injected(logdens):
             start = next(feed)
             return resp[start:start + len(logdens)].copy(), posterior(logdens)[1]
 
-        with patch.object(gaussians, "_STACK_CHUNK_BUDGET", 1), \
+        with patch.object(gaussians, "_CHUNK_BYTES", 1), \
                 patch.object(gaussians, "responsibilities", injected):
             got = mfa._em_iteration(samples, model)
-            want = dense_em_iteration(samples, abs2, model, resp)
+            want = dense_em_iteration(samples, abs2, model, resp, parts)
         assert got[:2] == want[:2]
         # Each statistic relative to its own scale: the masses, the data for
         # the regression (a single-row loading is rounding noise) and the
@@ -873,14 +871,15 @@ class TestSparseAccumulator:
             assert np.abs(a - b).max() <= 1e-12 * max(scale, 1e-300)
 
     @given(st.data(), st.integers(1, 4), st.integers(1, 6), st.integers(1, 150),
-           st.sampled_from([1, 97, 1 << 17]))
+           st.sampled_from([1, 97 * 48, 1 << 23]))
     def test_full_m_step_matches_dense(self, data, k_total, dim, count, budget):
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         samples = rng.uniform(0.0, 3.0) * crandn(rng, dim) + crandn(rng, count, dim)
-        chunk = max(4, budget // dim)  # row_chunks' step, before its even split
-        resp = data.draw(sparse_responsibilities(count, k_total, chunk))
+        # The M-step's chunks: 48 bytes per entry of a row.
+        parts = list(row_chunks(count, 48 * dim, budget))
+        resp = data.draw(sparse_responsibilities(count, k_total, parts))
         resp = resp[:, resp.sum(axis=0) > 0]  # fits pass live components only
-        with patch.object(baselines, "_GMM_CHUNK_BUDGET", budget):
+        with patch.object(gaussians, "_CHUNK_BYTES", budget):
             means, params = baselines._m_step("full", samples, resp, None)
         masses = resp.sum(axis=0)
         want_means = resp.T @ samples / masses[:, None]

@@ -68,17 +68,17 @@ def test_diagonal_log_densities_match_dense_near_their_means(seed, k_total, dim,
     assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
 
-@pytest.mark.parametrize("budget", [gaussians._STACK_CHUNK_BUDGET, 1], ids=["default", "64-rows"])
+@pytest.mark.parametrize("budget", [gaussians._CHUNK_BYTES, 1], ids=["default", "4-rows"])
 @given(models(), st.integers(1, 200))
 def test_log_likelihood_is_the_em_sweep_likelihood(budget, drawn, count):
     # Both sum the chunks' log-sum-exp of one pass (gaussians.mixture_chunks).
     model, rng = drawn
     samples = observations(model, rng, count)
-    with patch.object(gaussians, "_STACK_CHUNK_BUDGET", budget):
+    with patch.object(gaussians, "_CHUNK_BYTES", budget):
         assert log_likelihood(model, samples) == _em_iteration(samples, model)[0]
 
 
-@pytest.mark.parametrize("budget", [gaussians._STACK_CHUNK_BUDGET, 1], ids=["default", "64-rows"])
+@pytest.mark.parametrize("budget", [gaussians._CHUNK_BYTES, 1], ids=["default", "4-rows"])
 @given(models(), noise_levels, st.integers(1, 200))
 def test_chunks_yield_latent_coordinates_and_intercept(budget, drawn, sigma2, count):
     # The kernel's one product writes [q_k 1] with q_k = (y - mu_k)^T conj(D_k W_k R_k),
@@ -91,7 +91,7 @@ def test_chunks_yield_latent_coordinates_and_intercept(budget, drawn, sigma2, co
         dw = model.loadings[k] / (model.diag_terms[k] + sigma2)[:, None]
         root = np.linalg.inv(np.linalg.cholesky(np.eye(latent) + model.loadings[k].conj().T @ dw))
         want[:, k] = (samples - model.means[k]) @ (dw @ root.conj().T).conj()
-    with patch.object(gaussians, "_STACK_CHUNK_BUDGET", budget):
+    with patch.object(gaussians, "_CHUNK_BYTES", budget):
         stack = stack_mixture(model, sigma2)
         got = np.concatenate([lat.copy() for *_, lat, _, _ in gaussians.mixture_chunks(stack, samples)])
     assert got.shape == (count, model.n_components, latent + 1)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 
-from mfachest import scenario
+from mfachest import gaussians, scenario
 from mfachest._binio import FileFormatError
 from mfachest.mfa import FitConfig, fit_em
 from mfachest.scenario import (
@@ -74,7 +74,7 @@ class TestGenerate:
         config, count, budget, seed = drawn
         want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         want = kronecker_channels(config, count, want_rng)
-        with patch.object(scenario, "_GEN_CHUNK_BUDGET", budget):
+        with patch.object(gaussians, "_FILL_BYTES", budget):
             got = generate_channels(config, count, got_rng)
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
         assert got.samples.shape == want.samples.shape == (count, config.dim)

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 import json
@@ -219,3 +220,16 @@ def test_tracer_bindings_resolve():
             if not callable(getattr(importlib.import_module(module_name), attr, None)):
                 unresolved.add(dotted)
     assert unresolved <= _DEAD_TRACER_BINDINGS
+
+
+def test_chunk_budgets_are_the_two_of_gaussians():
+    # Every chunked pass sizes its chunks with gaussians.row_chunks under one of
+    # two byte budgets; a module-level budget of its own fails here.
+    budgets = set()
+    for path in sorted((_ROOT / "src" / "mfachest").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            for target in getattr(node, "targets", [getattr(node, "target", None)]):
+                name = getattr(target, "id", "")
+                if name.endswith(("_BUDGET", "_BYTES")):
+                    budgets.add(f"{path.stem}.{name}")
+    assert budgets == {"gaussians._CHUNK_BYTES", "gaussians._FILL_BYTES"}
