@@ -98,10 +98,9 @@ _FIT_NOT_PD = ("component {k}: covariance is not positive definite: EM collapsed
 _OMP_STOP_REL = 1e-9
 # Whitened coordinates of _gmm_chunks' bound on each log-density, and the gap
 # below a row's guessed log-density beyond which a component is skipped:
-# ln(1 / RESP_REL), where responsibilities() zeroes it, plus one nat for the
-# rounding of the bound and of the exact value.
+# ln(1 / RESP_REL), where responsibilities() zeroes it.
 _BOUND_COORDS = {"full": 8, "toeplitz": 16}
-_PRUNE_NATS = float(-np.log(RESP_REL)) + 1.0
+_PRUNE_NATS = float(-np.log(RESP_REL))
 
 
 # ---------------------------------------------------------------------------
@@ -493,8 +492,9 @@ def _gmm_factor(model: GmmModel, sigma2: float, not_pd: str = _ESTIMATE_NOT_PD) 
     """Factor every full or Toeplitz C_k + sigma2 I once, as ``_gmm_chunks``
     takes it: (whitener, logconst). With the lower Cholesky factors
     C_k + sigma2 I = L_k L_k^H, the whitener is the stacked
-    [L_1^{-T} ... L_K^{-T}] (N, K N) with the negated whitened means
-    -[mu_1 L_1^{-T} ... mu_K L_K^{-T}] appended as row N + 1, and the
+    [L_1^{-T} ... L_K^{-T}] (N, K N), each block exactly upper triangular (the
+    LU inverse's rounding-level upper entries cut), with the negated whitened
+    means -[mu_1 L_1^{-T} ... mu_K L_K^{-T}] appended as row N + 1, and the
     log-constants are log w_k - N log pi - log det(C_k + sigma2 I). Raises
     ConditioningError with ``not_pd.format(k=k)`` when the Cholesky
     factorization of component k fails.
@@ -503,7 +503,7 @@ def _gmm_factor(model: GmmModel, sigma2: float, not_pd: str = _ESTIMATE_NOT_PD) 
     dim = model.dim
     chol = cholesky(model.dense_covariances() + sigma2 * np.eye(dim), not_pd)
     logdets = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2).real).sum(axis=1)
-    inverse = np.linalg.inv(chol)
+    inverse = np.tril(np.linalg.inv(chol))
     centres = (inverse @ model.means[:, :, None]).reshape(1, -1)
     whitener = np.concatenate([inverse.transpose(2, 0, 1).reshape(dim, -1), -centres])
     return whitener, logweights - logdets
@@ -523,12 +523,10 @@ def _gmm_chunks(model: GmmModel, factor: tuple, rows: np.ndarray, guess=None, wh
     component k depend on y_1 ... y_m and the centring row alone, and their
     |z|^2 is a lower bound on the Mahalanobis term: one (B, m) x (m, K m)
     product bounds every log-density from above (m = _BOUND_COORDS of the
-    structure; the computed inverse's rounding-level upper entries, which the
-    bound leaves out, are what the spare nat of _PRUNE_NATS covers). Each
-    row's guess, ``guess`` (T,) when given and the bound's argmax otherwise, is
-    computed exactly, and then every component whose bound is less than
-    _PRUNE_NATS below that value. A skipped component lies more than
-    ln(1 / RESP_REL) nats below the row's largest log-density, where
+    structure). Each row's guess, ``guess`` (T,) when given and the bound's
+    argmax otherwise, is computed exactly, and then every component whose
+    bound is less than _PRUNE_NATS below that value. A skipped component lies
+    more than ln(1 / RESP_REL) nats below the row's largest log-density, where
     ``responsibilities`` sets it to exactly 0; its log-density is -inf, so the
     log-sum-exp loses only terms below RESP_REL of its largest. The guess
     decides the work, not the result: in a fit it is the bound's argmax on the

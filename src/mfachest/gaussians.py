@@ -24,7 +24,6 @@ out of that product, not out of a copy. At L = 0 that buffer is the constant
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 import numpy as np
@@ -231,9 +230,7 @@ def stack_mixture(model, sigma2: float) -> MixtureStack:
     means, loadings = model.means, model.loadings
     k_total, dim, latent = loadings.shape
     d, latent_root, logdet = factorize(loadings, model.diag_terms, sigma2)
-    # math.log, not np.log: numpy's vectorized log differs from libm's in the
-    # last bit for a fraction of inputs, and the weights' logs set every density.
-    lognorm = np.array([math.log(weight) for weight in model.weights]) - dim * LOG_PI - logdet
+    lognorm = np.log(model.weights) - dim * LOG_PI - logdet
     with np.errstate(over="ignore"):
         logconst = lognorm - (d * np.abs(means) ** 2).sum(axis=1)
     # Entries of D_k W_k R_k are at most sqrt(D_k) (R_k^H W_k^H D_k W_k R_k <= I),

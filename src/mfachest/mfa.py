@@ -39,7 +39,6 @@ PSI_FLOOR_REL = 1e-8
 RIDGE_REL = 1e-10
 
 _KMEANS_ITER = 20
-_KMEANS_SUBSAMPLE = 20_000
 
 
 @dataclass(frozen=True)
@@ -227,51 +226,43 @@ def kmeans_start(dataset, n_components: int, seed: int) -> KmeansStart:
 def _kmeans(samples: np.ndarray, k_total: int, rng: np.random.Generator) -> np.ndarray:
     """k-means++ seeding plus Lloyd iterations on complex vectors; returns labels.
 
-    Lloyd runs on a subsample when the dataset is large; the final assignment
-    always covers all samples. Squared distances use the expansion
-    |x|^2 - 2 Re(x c^H) + |c|^2 with the cross term as one real product over
-    the interleaved real/imaginary parts: a GEMV per centre while seeding, and
-    in each Lloyd step and the final assignment a GEMM per row chunk of
-    ``_nearest`` (no (T, K) distance array exists). Each Lloyd step groups the
-    rows by label with one stable sort, so every centre is the mean of its
-    members gathered in ascending order. A cluster left empty is reseeded, in
-    order of k, at the farthest sample from its centre whose cluster keeps
-    another member; the sample leaves its cluster, whose centre keeps it when
-    already updated. So no cluster of the returned labels is empty unless
-    Lloyd ran on a subsample.
+    Squared distances use the expansion |x|^2 - 2 Re(x c^H) + |c|^2 with the
+    cross term as one real product over the interleaved real/imaginary parts:
+    a GEMV per centre while seeding, and in each Lloyd step a GEMM per row
+    chunk of ``_nearest`` (no (T, K) distance array exists). Each Lloyd step
+    groups the rows by label with one stable sort, so every centre is the mean
+    of its members gathered in ascending order. A cluster left empty is
+    reseeded, in order of k, at the farthest sample from its centre whose
+    cluster keeps another member; the sample leaves its cluster, whose centre
+    keeps it when already updated. So with T >= K no cluster of the returned
+    labels is empty.
     """
+    samples = np.ascontiguousarray(samples)
     count = samples.shape[0]
-    budget = max(_KMEANS_SUBSAMPLE, 10 * k_total)
-    subsampled = count > budget
-    if subsampled:
-        work = samples[rng.choice(count, size=budget, replace=False)]
-    else:
-        work = np.ascontiguousarray(samples)
-    n_work = work.shape[0]
-    energy = (np.abs(work) ** 2).sum(axis=1)
-    flat = work.view(np.float64)
+    energy = (np.abs(samples) ** 2).sum(axis=1)
+    flat = samples.view(np.float64)
 
     def seed_dist(k: int) -> np.ndarray:
         return np.maximum(_center_dist(flat, energy, centers[k:k + 1])[:, 0], 0.0)
 
     centers = np.empty((k_total, samples.shape[1]), dtype=np.complex128)
-    centers[0] = work[rng.integers(n_work)]
+    centers[0] = samples[rng.integers(count)]
     d2 = seed_dist(0)
     for k in range(1, k_total):
         total = d2.sum()
         if total <= 0:
-            centers[k] = work[rng.integers(n_work)]
+            centers[k] = samples[rng.integers(count)]
             continue
-        centers[k] = work[rng.choice(n_work, p=d2 / total)]
+        centers[k] = samples[rng.choice(count, p=d2 / total)]
         d2 = np.minimum(d2, seed_dist(k))
 
-    labels = np.zeros(n_work, dtype=np.intp)
+    labels = np.zeros(count, dtype=np.intp)
     # Each sample's distance to the centre it was assigned before any reseed
     # moved it: the reseed rule's input.
-    nearest = np.empty(n_work)
+    nearest = np.empty(count)
     for _ in range(_KMEANS_ITER):
-        new_labels = np.empty(n_work, dtype=np.intp)
-        _nearest(work, energy, centers, new_labels, nearest)
+        new_labels = np.empty(count, dtype=np.intp)
+        _nearest(samples, energy, centers, new_labels, nearest)
         order = np.argsort(new_labels, kind="stable")
         bounds = np.searchsorted(new_labels[order], np.arange(k_total + 1))
         # Cluster sizes, kept current through the reseeds.
@@ -281,44 +272,38 @@ def _kmeans(samples: np.ndarray, k_total: int, rng: np.random.Generator) -> np.n
             members = order[bounds[k]:bounds[k + 1]]
             members = members[new_labels[members] == k]
             if members.size:
-                centers[k] = work[members].mean(axis=0)
+                centers[k] = samples[members].mean(axis=0)
             else:
                 far = np.where(sizes[new_labels] > 1, nearest, -np.inf).argmax()
                 sizes[new_labels[far]] -= 1
                 sizes[k] += 1
-                centers[k] = work[far]
+                centers[k] = samples[far]
                 new_labels[far] = k
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
-
-    if not subsampled:
-        return labels
-    labels = np.empty(count, dtype=np.intp)
-    _nearest(samples, None, centers, labels)
     return labels
 
 
 def _nearest(
-    rows: np.ndarray, energy, centers: np.ndarray, labels: np.ndarray, nearest=None
+    rows: np.ndarray, energy: np.ndarray, centers: np.ndarray, labels: np.ndarray,
+    nearest: np.ndarray,
 ) -> None:
-    """Write each row's nearest centre to ``labels`` (T,) and, when ``nearest``
-    is given, its squared distance there, in ``gaussians.row_chunks`` chunks,
-    so no (T, K) array and no product the height of ``rows`` exists, and the
-    labels are those of the one-shot product. ``energy`` holds the rows' |x|^2,
-    taken per chunk when None."""
+    """Write each row's nearest centre to ``labels`` (T,) and its squared
+    distance there to ``nearest`` (T,), given the rows' |x|^2 ``energy``, in
+    ``gaussians.row_chunks`` chunks, so no (T, K) array and no product the
+    height of ``rows`` exists, and the labels are those of the one-shot
+    product."""
     # Per row: the rows' contiguous copy and the copy BLAS packs of it, their
-    # |x|^2 and energy, and the distances.
-    row_bytes = 40 * rows.shape[1] + 8 * (1 + centers.shape[0])
+    # energy, and the distances.
+    row_bytes = 32 * rows.shape[1] + 8 * (1 + centers.shape[0])
     parts = list(gaussians.row_chunks(rows.shape[0], row_bytes))
     dist = np.empty((max(part.stop - part.start for part in parts), centers.shape[0]))
     for part in parts:
         block = np.ascontiguousarray(rows[part])
-        block_energy = (np.abs(block) ** 2).sum(axis=1) if energy is None else energy[part]
-        dist_part = _center_dist(block.view(np.float64), block_energy, centers, dist[:len(block)])
+        dist_part = _center_dist(block.view(np.float64), energy[part], centers, dist[:len(block)])
         dist_part.argmin(axis=1, out=labels[part])
-        if nearest is not None:
-            nearest[part] = np.take_along_axis(dist_part, labels[part, None], axis=1)[:, 0]
+        nearest[part] = np.take_along_axis(dist_part, labels[part, None], axis=1)[:, 0]
 
 
 def _center_dist(flat: np.ndarray, energy: np.ndarray, centers: np.ndarray, out=None) -> np.ndarray:
@@ -550,12 +535,11 @@ def _em_start(
 ):
     """The start of ``fit_mixture`` at weights 1/K: ``family.start`` on the
     k-means clusters ``labels`` of at least two samples, a restart at its
-    sample (a random one when empty) for each smaller cluster."""
+    sample for each cluster of one."""
     sizes = np.bincount(labels, minlength=k_total)
     means, params = family.start(samples, labels, sizes >= 2)
     for k in np.flatnonzero(sizes < 2):
-        mean = samples[labels == k][0] if sizes[k] else samples[rng.integers(len(samples))]
-        _restart(family, rng, means, params, k, mean)
+        _restart(family, rng, means, params, k, samples[labels == k][0])
     return family.model(np.full(k_total, 1.0 / k_total), means, *params)
 
 
@@ -593,18 +577,19 @@ PARAM_KINDS = ("mfa", "gmm-full", "gmm-toep", "gmm-circ")
 def parameter_count(kind: str, n_components: int, dim: int, latent_dim: int = 0) -> int:
     """Stored-parameter count of each model family.
 
-    mfa: K(LN + N + 2); gmm-full: K(N^2/2 + 2N + 1) with N^2/2 rounded up for
-    odd N; gmm-toep: K(5N + 1); gmm-circ: K(2N + 1). The mfa count assumes a
-    per-component scaled-identity diagonal (one scale plus one weight per
-    component); counts treat a complex entry and a real scalar alike.
+    mfa: K(LN + N + 2) for 1 <= L <= N; gmm-full: K(N^2/2 + 2N + 1) with
+    N^2/2 rounded up for odd N; gmm-toep: K(5N + 1); gmm-circ: K(2N + 1). The
+    mfa count assumes a per-component scaled-identity diagonal (one scale plus
+    one weight per component); counts treat a complex entry and a real scalar
+    alike.
     """
     if kind not in PARAM_KINDS:
         raise ValueError(f"kind must be one of {PARAM_KINDS}")
     if n_components < 1 or dim < 1:
         raise ValueError("n_components and dim must be positive")
     if kind == "mfa":
-        if latent_dim < 1:
-            raise ValueError("mfa parameter count needs latent_dim >= 1")
+        if not 1 <= latent_dim <= dim:
+            raise ValueError("latent dimension must satisfy 1 <= L <= N")
         return n_components * (latent_dim * dim + dim + 2)
     if kind == "gmm-full":
         return n_components * (-(-dim * dim // 2) + 2 * dim + 1)

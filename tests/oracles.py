@@ -233,13 +233,12 @@ def em_regression(s_xz, s_zz, masses, r_abs2):
     return joint[:, :, :latent], joint[:, :, latent], per_entry
 
 
-def kmeans_reference(samples, k_total, rng, subsample, elementwise=False):
+def kmeans_reference(samples, k_total, rng, elementwise=False):
     """The (T,) k-means labels of ``samples`` with ``rng`` drawn as ``mfa._kmeans``
-    draws it: Lloyd on ``max(subsample, 10 K)`` rows drawn without replacement
-    when T is larger, then a final assignment of every sample. With
-    ``elementwise`` the distances are |x - c|^2 entry by entry while seeding and
-    |x|^2 - 2 Re(x c^H) + |c|^2 with a complex cross product in Lloyd; otherwise
-    the same expansion with the cross product over the interleaved real view."""
+    draws it, Lloyd running on every sample. With ``elementwise`` the distances
+    are |x - c|^2 entry by entry while seeding and |x|^2 - 2 Re(x c^H) + |c|^2
+    with a complex cross product in Lloyd; otherwise the same expansion with
+    the cross product over the interleaved real view."""
 
     def dist(rows, centres):
         energy = (np.abs(rows) ** 2).sum(axis=1)
@@ -251,42 +250,39 @@ def kmeans_reference(samples, k_total, rng, subsample, elementwise=False):
 
     def seed_dist(centre):
         if elementwise:
-            return (np.abs(work - centre) ** 2).sum(axis=1)
-        return np.maximum(dist(work, centre[None])[:, 0], 0.0)
+            return (np.abs(samples - centre) ** 2).sum(axis=1)
+        return np.maximum(dist(samples, centre[None])[:, 0], 0.0)
 
     count = samples.shape[0]
-    budget = max(subsample, 10 * k_total)
-    work = samples[rng.choice(count, size=budget, replace=False)] if count > budget else samples
-    n_work = work.shape[0]
     centers = np.empty((k_total, samples.shape[1]), dtype=np.complex128)
-    centers[0] = work[rng.integers(n_work)]
+    centers[0] = samples[rng.integers(count)]
     d2 = seed_dist(centers[0])
     for k in range(1, k_total):
         total = d2.sum()
         if total <= 0:
-            centers[k] = work[rng.integers(n_work)]
+            centers[k] = samples[rng.integers(count)]
             continue
-        centers[k] = work[rng.choice(n_work, p=d2 / total)]
+        centers[k] = samples[rng.choice(count, p=d2 / total)]
         d2 = np.minimum(d2, seed_dist(centers[k]))
 
-    labels = np.zeros(n_work, dtype=np.intp)
+    labels = np.zeros(count, dtype=np.intp)
     for _ in range(mfa._KMEANS_ITER):
-        distances = dist(work, centers)
+        distances = dist(samples, centers)
         new_labels = distances.argmin(axis=1)
-        nearest = distances[np.arange(n_work), new_labels]
+        nearest = distances[np.arange(count), new_labels]
         for k in range(k_total):
             mask = new_labels == k
             if mask.any():
-                centers[k] = work[mask].mean(axis=0)
+                centers[k] = samples[mask].mean(axis=0)
             else:
                 donors = np.flatnonzero(np.bincount(new_labels, minlength=k_total)[new_labels] > 1)
                 far = donors[np.argmax(nearest[donors])]
-                centers[k] = work[far]
+                centers[k] = samples[far]
                 new_labels[far] = k
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
-    return labels if work is samples else dist(samples, centers).argmin(axis=1)
+    return labels
 
 
 def start_reference(samples, labels, k_total, latent, psi_mode):

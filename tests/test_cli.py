@@ -31,6 +31,13 @@ class TestParamCount:
         code = main(["param-count", "--kind", "mfa", "--k", "64", "--n", "64"])
         assert code == 2  # mfa kind requires --l >= 1
 
+    def test_latent_above_dim_exit_code(self, capsys):
+        code = main(["param-count", "--kind", "mfa", "--k", "1", "--n", "4", "--l", "9"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "1 <= L <= N" in captured.err
+
 
 class TestUsageErrors:
     def test_unknown_flag(self, capsys):

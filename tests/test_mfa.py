@@ -382,34 +382,32 @@ class TestParameterCount:
         with pytest.raises(ValueError):
             parameter_count("vae", 1, 4)
 
+    @pytest.mark.parametrize("latent", [0, 5])
+    def test_mfa_latent_outside_one_to_n(self, latent):
+        # The count of a model MfaModel rejects is no count.
+        with pytest.raises(ValueError, match=r"1 <= L <= N"):
+            parameter_count("mfa", 1, 4, latent)
+
 
 class TestKmeans:
     @given(
         st.integers(1, 8),
         st.integers(1, 8),
         st.integers(0, 200),
-        st.integers(1, 400),
         st.integers(0, 2**32 - 1),
     )
-    def test_labels_match_elementwise_reference(self, k_total, dim, extra, subsample, seed):
-        # Rows are a strided view, as _as_samples may return; a subsample
-        # budget below T exercises the subsampled Lloyd and final assignment.
-        # The rows are distinct: on repeated ones the exact zero distances and
-        # the expansion's rounding pick different farthest rows to reseed at,
-        # so duplicated rows are the mask-loop property's.
+    def test_labels_match_elementwise_reference(self, k_total, dim, extra, seed):
+        # Rows are a strided view, as _as_samples may return. The rows are
+        # distinct: on repeated ones the exact zero distances and the
+        # expansion's rounding pick different farthest rows to reseed at, so
+        # duplicated rows are the mask-loop property's.
         count = min(k_total + extra, 200)
         data = crandn(np.random.default_rng(seed), count, 2 * dim)[:, ::2]
-        saved = mfa._KMEANS_SUBSAMPLE
-        mfa._KMEANS_SUBSAMPLE = subsample
-        try:
-            got = mfa._kmeans(data, k_total, np.random.default_rng(seed))
-        finally:
-            mfa._KMEANS_SUBSAMPLE = saved
-        want = kmeans_reference(data, k_total, np.random.default_rng(seed), subsample, True)
+        got = mfa._kmeans(data, k_total, np.random.default_rng(seed))
+        want = kmeans_reference(data, k_total, np.random.default_rng(seed), True)
         assert np.array_equal(got, want)
-        if count <= max(subsample, 10 * k_total):
-            # Lloyd ran on every row, and no reseed empties a cluster.
-            assert np.bincount(got, minlength=k_total).min() >= 1
+        # No reseed empties a cluster.
+        assert np.bincount(got, minlength=k_total).min() >= 1
 
     @given(
         st.integers(1, 6),
@@ -421,22 +419,18 @@ class TestKmeans:
     def test_labels_match_mask_loop_reference(self, distinct, dim, copies, data, seed):
         # Rows repeat a few distinct ones, so centres collide (a mean of copies
         # may round off its row, and a later cluster then takes them) and
-        # several clusters go empty in one Lloyd step; K runs up to T, and a
-        # subsample budget below T takes the subsampled Lloyd and the final
-        # assignment. Up to three rows of their own join the copies.
+        # several clusters go empty in one Lloyd step; K runs up to T. Up to
+        # three rows of their own join the copies.
         rng = np.random.default_rng(seed)
         count = distinct * copies + data.draw(st.integers(0, 3))
         samples = crandn(rng, count, dim)
         samples[: distinct * copies] = samples[rng.integers(distinct, size=distinct * copies)]
         k_total = data.draw(st.integers(1, count))
-        subsample = data.draw(st.sampled_from([count, max(1, count // 2)]))
-        with patch.object(mfa, "_KMEANS_SUBSAMPLE", subsample):
-            got = mfa._kmeans(samples, k_total, np.random.default_rng(seed))
-        want = kmeans_reference(samples, k_total, np.random.default_rng(seed), subsample)
+        got = mfa._kmeans(samples, k_total, np.random.default_rng(seed))
+        want = kmeans_reference(samples, k_total, np.random.default_rng(seed))
         assert np.array_equal(got, want)
-        if count <= max(subsample, 10 * k_total):
-            # Lloyd ran on every row, and no reseed empties a cluster.
-            assert np.bincount(got, minlength=k_total).min() >= 1
+        # No reseed empties a cluster.
+        assert np.bincount(got, minlength=k_total).min() >= 1
 
     @pytest.mark.parametrize("seed, distinct, dim, copies, k_total", [
         (0, 5, 2, 10, 15), (9, 5, 2, 11, 34), (312, 4, 2, 8, 5),
@@ -448,7 +442,7 @@ class TestKmeans:
         rng = np.random.default_rng(seed)
         samples = crandn(rng, distinct, dim)[rng.integers(distinct, size=distinct * copies)]
         got = mfa._kmeans(samples, k_total, np.random.default_rng(seed))
-        want = kmeans_reference(samples, k_total, np.random.default_rng(seed), mfa._KMEANS_SUBSAMPLE)
+        want = kmeans_reference(samples, k_total, np.random.default_rng(seed))
         assert np.array_equal(got, want)
 
     @given(
@@ -460,20 +454,17 @@ class TestKmeans:
         st.integers(0, 2**32 - 1),
     )
     def test_chunked_labels_match_one_shot_reference(self, distinct, dim, copies, rows, data, seed):
-        # The distances run in chunks of a few rows, so T spans several (the
-        # subsampled Lloyd and the final assignment too). The rows repeat a few
-        # distinct ones, so clusters go empty and reseed from the per-row
-        # nearest distances gathered chunk by chunk.
+        # The distances run in chunks of a few rows, so T spans several. The
+        # rows repeat a few distinct ones, so clusters go empty and reseed from
+        # the per-row nearest distances gathered chunk by chunk.
         rng = np.random.default_rng(seed)
         count = distinct * copies + data.draw(st.integers(0, 3))
         samples = crandn(rng, count, dim)
         samples[: distinct * copies] = samples[rng.integers(distinct, size=distinct * copies)]
         k_total = data.draw(st.integers(1, count))
-        subsample = data.draw(st.sampled_from([count, max(1, count // 2)]))
-        with patch.object(mfa, "_KMEANS_SUBSAMPLE", subsample), \
-                patch.object(gaussians, "_CHUNK_BYTES", rows * (40 * dim + 8 * (1 + k_total))):
+        with patch.object(gaussians, "_CHUNK_BYTES", rows * (32 * dim + 8 * (1 + k_total))):
             got = mfa._kmeans(samples, k_total, np.random.default_rng(seed))
-        want = kmeans_reference(samples, k_total, np.random.default_rng(seed), subsample)
+        want = kmeans_reference(samples, k_total, np.random.default_rng(seed))
         assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("seed, distinct, dim, copies, k_total", [
@@ -485,7 +476,7 @@ class TestKmeans:
         samples = crandn(rng, distinct, dim)[rng.integers(distinct, size=distinct * copies)]
         with patch.object(gaussians, "_CHUNK_BYTES", 1):
             got = mfa._kmeans(samples, k_total, np.random.default_rng(seed))
-        want = kmeans_reference(samples, k_total, np.random.default_rng(seed), mfa._KMEANS_SUBSAMPLE)
+        want = kmeans_reference(samples, k_total, np.random.default_rng(seed))
         assert np.array_equal(got, want)
 
     def test_holds_no_distance_array_of_every_row(self):
@@ -673,13 +664,12 @@ class TestEmProperties:
 
     @pytest.mark.parametrize("family", ["scaled-identity", "diagonal", *baselines.GMM_STRUCTURES])
     def test_small_cluster_start(self, family):
-        # k-means leaves cluster 1 with one sample and cluster 2 empty. Both
-        # restart: cluster 1 at its sample, cluster 2 at a random one, with the
-        # family's restart parameters, drawn in component order. The circulant
-        # GMM fits as L = 0 factor analyzers on the DFT rows, whose restart
-        # loading is empty and draws nothing.
+        # k-means leaves clusters 1 and 2 with one sample each. Both restart at
+        # their sample, with the family's restart parameters, drawn in
+        # component order. The circulant GMM fits as L = 0 factor analyzers on
+        # the DFT rows, whose restart loading is empty and draws nothing.
         data = crandn(np.random.default_rng(61), 12, 4)
-        labels = np.array([0] * 10 + [1, 0])
+        labels = np.array([0] * 10 + [1, 2])
         if family == "circulant":
             data = np.fft.fft(data, norm="ortho")
             math = mfa._MfaFamily(0, "diagonal", data)
@@ -691,22 +681,17 @@ class TestEmProperties:
         scale = float(np.mean(np.abs(data) ** 2))
         draws = np.random.default_rng(62)
         if family == "circulant":
-            empty_at = draws.integers(12)
             assert start.loadings.shape == (3, 4, 0)
             assert np.all(start.diag_terms[1:] == max(scale, mfa.PSI_FLOOR_REL * scale))
         elif family in mfa.PSI_MODES:
             loading = lambda: 0.3 * np.sqrt(scale) * gaussians._std_cnormal(draws, (4, 2))
-            single_loading = loading()
-            empty_at = draws.integers(12)
-            assert np.array_equal(start.loadings[1], single_loading)
+            assert np.array_equal(start.loadings[1], loading())
             assert np.array_equal(start.loadings[2], loading())
             assert np.all(start.diag_terms[1:] == max(scale, mfa.PSI_FLOOR_REL * scale))
         else:
-            empty_at = draws.integers(12)
             restart = baselines._isotropic(family, 4, scale)
             assert np.array_equal(start.params[1:], np.stack([restart, restart]))
-        assert np.array_equal(start.means[1], data[10])
-        assert np.array_equal(start.means[2], data[empty_at])
+        assert np.array_equal(start.means[1:], data[10:])
         assert np.array_equal(start.weights, np.full(3, 1.0 / 3.0))
 
     @pytest.mark.parametrize("mode", ["scaled-identity", "shared-diagonal", "diagonal"])

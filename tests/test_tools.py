@@ -173,6 +173,25 @@ def test_main_alternates_the_order_of_each_pair(tmp_path, capsys):
     assert "better in 3/3" in capsys.readouterr().out
 
 
+def test_main_runs_ten_pairs_by_default(tmp_path, capsys):
+    # Ten pairs is the fewest that the claim rule (better in nine tenths) accepts.
+    base, new = tmp_path / "base", tmp_path / "new"
+    base.mkdir()
+    new.mkdir()
+    (base / "BENCHMARK.json").write_text(json.dumps(
+        {"end_to_end": [{"name": "run_s", "better": "lower"}]}))
+    calls = []
+
+    def fake_run(checkout, workload, seed, seconds):
+        calls.append(workload)
+        return _result(1.0, 100.0)
+
+    argv = [str(base), str(new), "--workload", "fit-k64", "--workload", "paper-sweep"]
+    assert bench_pairs.main(argv, run=fake_run) == 0
+    assert calls == ["fit-k64"] * 20 + ["paper-sweep"] * 20
+    assert "better in 0/10" in capsys.readouterr().out
+
+
 def test_main_fails_on_an_incorrect_run(tmp_path, capsys):
     base, new = tmp_path / "base", tmp_path / "new"
 

@@ -16,7 +16,7 @@ process's environment, so a prefix such as ``MALLOC_MMAP_THRESHOLD_=131072``
 reads ``peak_rss_mb`` on both sides under a fixed glibc mmap threshold.
 
 Usage: python3 tools/bench_pairs.py BASE NEW --workload NAME [--workload NAME ...]
-           [--seed 7] [--pairs 5] [--seconds 20]
+           [--seed 7] [--pairs 10] [--seconds 20]
 """
 
 from __future__ import annotations
@@ -118,7 +118,7 @@ def main(argv: list[str], run=run_once) -> int:
     parser.add_argument("--workload", required=True, action="append",
                         help="a perfbench workload; give it again for more")
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--pairs", type=int, default=5)
+    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=20.0)
     args = parser.parse_args(argv)
     if args.pairs < 1:
