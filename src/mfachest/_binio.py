@@ -12,7 +12,8 @@ checked against the file's size before its dtype or array is built, so a
 header that declares more records than the file holds raises FileFormatError
 instead of allocating. The body is read straight into its structured array
 through the handle the header came from, so the file is read once, with no
-second copy.
+second copy. It is written from its columns in chunks of records, through one
+reused chunk, so no second copy of the columns is built either.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ import math
 import os
 
 import numpy as np
+
+from . import gaussians
 
 
 class FileFormatError(ValueError):
@@ -85,11 +88,26 @@ class Container:
 def write_container(path, magic: bytes, header: list, values: tuple, body: list, *columns) -> None:
     """Write ``magic``, the header record ``values`` of the layout ``header`` and
     one body record of the layout ``body`` per leading index of the columns,
-    which follow the order of the body's fields."""
-    records = np.empty(len(columns[0]), dtype=np.dtype(body))
-    for (name, _, _), column in zip(body, columns):
-        records[name] = column
+    which follow the order of the body's fields. The records go out in
+    ``gaussians.row_chunks`` chunks at _FILL_BYTES through one reused buffer.
+    Raises ValueError naming the field, before the file is opened, unless there
+    is one column per field and each has the first column's length and its
+    field's shape after it."""
+    if len(columns) != len(body):
+        raise ValueError(f"{len(columns)} columns for {len(body)} fields")
+    count = len(columns[0])
+    for (name, _, shape), column in zip(body, columns):
+        want = (count, *shape)
+        if np.shape(column) != want:
+            raise ValueError(f"column {name!r} has shape {np.shape(column)}, expected {want}")
+    dtype = np.dtype(body)
+    parts = list(gaussians.row_chunks(count, dtype.itemsize, gaussians._FILL_BYTES))
+    records = np.empty(max((part.stop - part.start for part in parts), default=0), dtype)
     with open(path, "wb") as fh:
         fh.write(magic)
         fh.write(np.array(values, dtype=np.dtype(header)).tobytes())
-        records.tofile(fh)
+        for part in parts:
+            chunk = records[:part.stop - part.start]
+            for (name, _, _), column in zip(body, columns):
+                chunk[name] = column[part]
+            fh.write(chunk.view(np.uint8))

@@ -382,11 +382,18 @@ def gmm_from_mfa(model: MfaModel) -> GmmModel:
 def fit_sample_lmmse(dataset) -> GmmModel:
     """The sample-covariance LMMSE prior: one zero-mean full component with the
     Hermitian part of C = (1/T) X^T conj(X). Under it ``gmm_estimate`` returns
-    C (C + sigma2 I)^{-1} y."""
+    C (C + sigma2 I)^{-1} y. X^T conj(X) is summed over ``row_chunks`` chunks,
+    so only a chunk of conj(X) is ever held."""
     samples = _as_samples(dataset)
-    cov = samples.T @ samples.conj() / samples.shape[0]
+    count, dim = samples.shape
+    cov = np.zeros((dim, dim), dtype=np.complex128)
+    # Per row: the conjugate of the chunk's rows.
+    for part in row_chunks(count, 16 * dim):
+        block = samples[part]
+        cov += block.T @ block.conj()
+    cov /= count
     cov = 0.5 * (cov + cov.conj().T)
-    return GmmModel("full", [1.0], np.zeros((1, samples.shape[1])), cov[None])
+    return GmmModel("full", [1.0], np.zeros((1, dim)), cov[None])
 
 
 def _project_toeplitz(scatter_diag: np.ndarray, floor: float | np.ndarray, dim: int) -> np.ndarray:

@@ -41,20 +41,22 @@ _UNINVERTIBLE = 1.0 / np.finfo(float).max
 
 # Bytes per chunk of the passes that ``row_chunks`` splits, each counting every
 # array it holds per row. _CHUNK_BYTES sizes the passes that reduce over a
-# chunk: the mixture kernel, the GMM pass, k-means, the full GMM M-step and
-# genie-OMP. Smaller chunks cost time (2 cores): at K=64, N=64, L=8 an EM sweep
-# on 20k rows took 228, 184, 161 and 147 ms with the kernel's (B, K*(L+1)) and
-# (B, N) complex temporaries at 2^17..2^20 entries, and estimate() on 10k rows
-# 96, 90, 88 and 90 ms; at half its budget the GMM bound pass made the three
-# E-steps of a K=16 fit on 10k rows 14 ms (full) and 20 ms (Toeplitz) slower.
-# Larger ones cost memory: estimate()'s transient peak was 13 MB beside its
-# 10 MB output at 2^19 entries, 24 MB at 2^20. _FILL_BYTES sizes the two passes
-# that fill an output already held whole, the generator's samples and the
-# Toeplitz powers, where chunk size bought no speed: on the 4x16 URA (2-core
-# Xeon, 2 MB L2 per core) generation times were flat from 2^15 to 2^18 complex
-# entries. At 8 MiB those passes broke two memory guards: 20k channels peaked
-# at 40.5 MB against 1.6 times their 20.5 MB, and the Toeplitz family at 10.25
-# MB against the 10.24 MB of the complex transform it must not hold.
+# chunk: the mixture kernel, the GMM pass, k-means, the full GMM M-step, the
+# sample covariance and genie-OMP. Smaller chunks cost time (2 cores): at K=64,
+# N=64, L=8 an EM sweep on 20k rows took 228, 184, 161 and 147 ms with the
+# kernel's (B, K*(L+1)) and (B, N) complex temporaries at 2^17..2^20 entries,
+# and estimate() on 10k rows 96, 90, 88 and 90 ms; at half its budget the GMM
+# bound pass made the three E-steps of a K=16 fit on 10k rows 14 ms (full) and
+# 20 ms (Toeplitz) slower. Larger ones cost memory: estimate()'s transient peak
+# was 13 MB beside its 10 MB output at 2^19 entries, 24 MB at 2^20. _FILL_BYTES
+# sizes the passes that fill an output or copy an input already held whole:
+# the generator's samples, the Toeplitz powers, the |x|^2 row sums
+# (``row_energy``) and the body records of ``_binio.write_container``. There
+# chunk size bought no speed: on the 4x16 URA (2-core Xeon, 2 MB L2 per core)
+# generation times were flat from 2^15 to 2^18 complex entries. At 8 MiB those
+# passes broke two memory guards: 20k channels peaked at 40.5 MB against 1.6
+# times their 20.5 MB, and the Toeplitz family at 10.25 MB against the 10.24 MB
+# of the complex transform it must not hold.
 _CHUNK_BYTES = 8 << 20
 _FILL_BYTES = 1 << 20
 
@@ -383,11 +385,27 @@ def row_chunks(count: int, row_bytes: int, budget: int | None = None):
     """Row slices that split ``count`` rows evenly into chunks of at most
     ``budget`` bytes at ``row_bytes`` a row, at four rows a chunk at least (all
     ``count`` rows when fewer). The budget is _CHUNK_BYTES when None, read at
-    call time; a pass that fills an output already held whole passes
-    _FILL_BYTES. A budget of fewer than eight rows gives chunks of four to
-    seven rows. So no chunk holds a single row, which numpy would multiply as a
-    matrix-vector product that rounds differently from the rows of a matrix
-    product."""
+    call time; a pass that fills an output or copies an input already held
+    whole passes _FILL_BYTES. A budget of fewer than eight rows gives chunks of
+    four to seven rows. So no chunk holds a single row, which numpy would
+    multiply as a matrix-vector product that rounds differently from the rows
+    of a matrix product."""
     budget = _CHUNK_BYTES if budget is None else budget
     pieces = min(-(-count // max(budget // max(row_bytes, 1), 1)), max(count // 4, 1))
     return (slice(count * i // pieces, count * (i + 1) // pieces) for i in range(pieces))
+
+
+def row_energy(samples: np.ndarray) -> np.ndarray:
+    """The (T,) row sums of |x|^2 of ``samples`` (T, N), each summed exactly as
+    ``(np.abs(samples) ** 2).sum(axis=1)`` sums it, one ``row_chunks`` chunk
+    at a time at _FILL_BYTES through one reused (B, N) buffer, so no (T, N)
+    float is held."""
+    count, dim = samples.shape
+    energy = np.empty(count)
+    parts = list(row_chunks(count, 8 * dim, _FILL_BYTES))
+    buffer = np.empty((max((part.stop - part.start for part in parts), default=0), dim))
+    for part in parts:
+        abs2 = np.abs(samples[part], out=buffer[:part.stop - part.start])
+        np.square(abs2, out=abs2)
+        abs2.sum(axis=1, out=energy[part])
+    return energy

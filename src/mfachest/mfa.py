@@ -235,11 +235,12 @@ def _kmeans(samples: np.ndarray, k_total: int, rng: np.random.Generator) -> np.n
     reseeded, in order of k, at the farthest sample from its centre whose
     cluster keeps another member; the sample leaves its cluster, whose centre
     keeps it when already updated. So with T >= K no cluster of the returned
-    labels is empty.
+    labels is empty. The rows' |x|^2 come from ``gaussians.row_energy``, so
+    the samples are the only (T, N) array held.
     """
     samples = np.ascontiguousarray(samples)
     count = samples.shape[0]
-    energy = (np.abs(samples) ** 2).sum(axis=1)
+    energy = gaussians.row_energy(samples)
     flat = samples.view(np.float64)
 
     def seed_dist(k: int) -> np.ndarray:

@@ -155,8 +155,9 @@ def generate_channels(
     about k roundings; on the 4x16 URA the samples differ from exact exps by
     about 2e-15 of the largest entry.
 
-    The draws are freed before the samples are scaled in place, so the
-    samples are the only (T, N) array held beside the energies' temporary.
+    The draws are freed before the samples are scaled in place, and the
+    energies are summed by row chunks, so the samples are the only (T, N)
+    array held.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -199,7 +200,7 @@ def _draw_channels(config: ScenarioConfig, count: int, rng: np.random.Generator)
 
 def _normalization(samples: np.ndarray) -> float:
     """The factor that brings the mean energy per entry of ``samples`` to 1."""
-    energy = float(np.mean(np.abs(samples) ** 2))
+    energy = float(gaussians.row_energy(samples).sum()) / samples.size
     if energy <= 0.0:
         raise ValueError("cannot normalize an all-zero dataset")
     return np.sqrt(1.0 / energy)

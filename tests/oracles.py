@@ -71,6 +71,8 @@ materializes it. The oracles:
 - ``kronecker_channels``: ``scenario.generate_channels`` with every path's
   atom from ``steering_batch``, all (T, P, N) atoms at once and one einsum
   over the paths; the same draws in the same order.
+- ``write_container_whole``: ``_binio.write_container`` with the whole body
+  built as one structured array of every record and written in one call.
 
 And one measurement: ``traced_peak``, the most memory a call held at once
 beyond what was held before it, as ``tracemalloc`` counts numpy's buffers.
@@ -425,6 +427,18 @@ def kronecker_channels(config, count, rng):
 
     atoms = steering_batch(az.ravel(), el.ravel(), config).reshape(count, paths, config.dim)
     return normalize_dataset(ChannelDataset(np.einsum("bp,bpn->bn", gains, atoms)))
+
+
+def write_container_whole(path, magic, header, values, body, *columns):
+    """The container of ``_binio.write_container``, its body one structured
+    array of every record, written at once."""
+    records = np.empty(len(columns[0]), dtype=np.dtype(body))
+    for (name, _, _), column in zip(body, columns):
+        records[name] = column
+    with open(path, "wb") as fh:
+        fh.write(magic)
+        fh.write(np.array(values, dtype=np.dtype(header)).tobytes())
+        records.tofile(fh)
 
 
 @st.composite

@@ -512,6 +512,21 @@ class TestGenieOmp:
 
 
 class TestSampleLmmse:
+    def test_chunked_scatter_matches_one_product(self, monkeypatch):
+        # Four-row chunks move the covariance by rounding only.
+        samples = crandn(np.random.default_rng(97), 50, 6)
+        want = samples.T @ samples.conj() / 50
+        want = 0.5 * (want + want.conj().T)
+        monkeypatch.setattr(gaussians, "_CHUNK_BYTES", 1)
+        got = fit_sample_lmmse(ChannelDataset(samples)).params[0]
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    def test_holds_no_conjugate_of_every_row(self):
+        # Before chunking, conj(X) was a second copy of the 20.5 MB samples.
+        dataset = ChannelDataset(crandn(np.random.default_rng(96), 20_000, 64))
+        _, peak = traced_peak(fit_sample_lmmse, dataset)
+        assert peak <= gaussians._CHUNK_BYTES + (256 << 10)
+
     def test_rank_one_closed_form(self):
         e1 = np.zeros(4, complex)
         e1[0] = 1.0

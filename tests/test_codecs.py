@@ -9,15 +9,17 @@ were defined by.
 import os
 import struct
 import tempfile
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from mfachest._binio import Container, FileFormatError
+from oracles import traced_peak, write_container_whole
+from mfachest._binio import Container, FileFormatError, write_container
 from mfachest.baselines import GMM_STRUCTURES, GmmModel, load_gmm, save_gmm
 from mfachest.mfa import MfaModel, load_model, save_model
-from mfachest import scenario
+from mfachest import baselines, gaussians, mfa, scenario
 from mfachest.scenario import ChannelDataset, read_dataset, write_dataset
 
 def wide(rng, shape):
@@ -38,8 +40,8 @@ seeds = st.integers(0, 2**32 - 1)
 
 
 @st.composite
-def mfa_models(draw):
-    k_total, dim = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+def mfa_models(draw, max_components=3):
+    k_total, dim = draw(st.integers(1, max_components)), draw(st.integers(1, 3))
     latent = draw(st.integers(0, dim))
     rng = np.random.default_rng(draw(seeds))
     return MfaModel(
@@ -51,9 +53,9 @@ def mfa_models(draw):
 
 
 @st.composite
-def gmm_models(draw):
+def gmm_models(draw, max_components=3):
     structure = draw(st.sampled_from(GMM_STRUCTURES))
-    k_total, dim = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    k_total, dim = draw(st.integers(1, max_components)), draw(st.integers(1, 3))
     rng = np.random.default_rng(draw(seeds))
     weights, means = weight_vector(rng, k_total), wide_complex(rng, (k_total, dim))
     if structure == "full":
@@ -66,8 +68,8 @@ def gmm_models(draw):
 
 
 @st.composite
-def datasets(draw):
-    count, dim = draw(st.integers(1, 6)), draw(st.integers(1, 3))
+def datasets(draw, max_count=6):
+    count, dim = draw(st.integers(1, max_count)), draw(st.integers(1, 3))
     rng = np.random.default_rng(draw(seeds))
     return ChannelDataset(wide_complex(rng, (count, dim)), normalization=float(wide(rng, ())))
 
@@ -162,6 +164,65 @@ def test_chd1_round_trip(dataset):
     loaded = load_bytes(read_dataset, data)
     assert loaded.samples.tobytes() == dataset.samples.tobytes()
     assert struct.pack("<d", loaded.normalization) == struct.pack("<d", dataset.normalization)
+
+
+def save_dataset(dataset, path):
+    write_dataset(path, dataset)
+
+
+# (module whose write_container the writer calls, writer, strategy of what it
+# writes); counts up to 40 cross the chunk boundaries of a few-record budget.
+CONTAINER_WRITERS = [
+    pytest.param(scenario, save_dataset, datasets(max_count=40), id="chd1"),
+    pytest.param(mfa, save_model, mfa_models(max_components=40), id="mfa1"),
+    pytest.param(baselines, save_gmm, gmm_models(max_components=40), id="gmm1"),
+]
+
+
+@pytest.mark.parametrize("module, save, objects", CONTAINER_WRITERS)
+def test_chunked_write_matches_one_structured_write(module, save, objects):
+    # A budget of 1 to 2000 bytes splits the body into chunks of four records
+    # or more, up to all of them.
+    @given(objects, st.integers(1, 2000))
+    def check(obj, budget):
+        with patch.object(module, "write_container", write_container_whole):
+            want = written(save, obj)
+        with patch.object(gaussians, "_FILL_BYTES", budget):
+            assert written(save, obj) == want
+
+    check()
+
+
+def test_write_holds_one_chunk_of_records(tmp_path):
+    # A structured copy of the whole body would be 20.5 MB for 20k channels
+    # at N = 64.
+    dataset = ChannelDataset(np.ones((20_000, 64), dtype=complex))
+    _, peak = traced_peak(write_dataset, tmp_path / "data.chd", dataset)
+    assert peak <= gaussians._FILL_BYTES + (64 << 10)
+
+
+_BODY = [("weight", "<f8", ()), ("mean", "<c16", (2,))]
+
+
+@pytest.mark.parametrize("columns, field", [
+    pytest.param((np.ones(3), np.ones((4, 2), dtype=complex)), "mean", id="longer"),
+    pytest.param((np.ones(3), np.ones((2, 2), dtype=complex)), "mean", id="shorter"),
+    pytest.param((np.ones(3), np.ones((1, 2), dtype=complex)), "mean", id="length-1"),
+    pytest.param((np.ones(3), np.ones((3, 3), dtype=complex)), "mean", id="wrong-shape"),
+    pytest.param((np.ones((3, 1)), np.ones((3, 2), dtype=complex)), "weight", id="scalar-field"),
+])
+def test_write_rejects_a_mismatched_column_before_opening(tmp_path, columns, field):
+    path = tmp_path / "file"
+    with pytest.raises(ValueError, match=f"column '{field}'"):
+        write_container(path, b"TEST", [("count", "<u4")], (3,), _BODY, *columns)
+    assert not path.exists()
+
+
+def test_write_rejects_a_missing_column(tmp_path):
+    path = tmp_path / "file"
+    with pytest.raises(ValueError, match="1 columns for 2 fields"):
+        write_container(path, b"TEST", [("count", "<u4")], (3,), _BODY, np.ones(3))
+    assert not path.exists()
 
 
 # Headers that declare far more components than the file holds: the record

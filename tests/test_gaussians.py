@@ -1,10 +1,12 @@
 from dataclasses import replace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from mfachest import gaussians
 from mfachest.gaussians import (
     LOG_PI,
     RESP_REL,
@@ -13,6 +15,7 @@ from mfachest.gaussians import (
     mixture_logdens,
     responsibilities,
     row_chunks,
+    row_energy,
     stack_mixture,
 )
 from mfachest.mfa import MfaModel
@@ -25,6 +28,7 @@ from oracles import (
     responsibilities_reference,
     sample_component,
     single,
+    traced_peak,
     with_intercept,
 )
 
@@ -347,3 +351,20 @@ class TestRowChunks:
             assert max(sizes) - min(sizes) <= 1
             assert min(sizes) >= min(4, count)
             assert max(sizes) <= max(7, budget // row_bytes)
+
+
+class TestRowEnergy:
+    @given(st.integers(1, 40), st.integers(1, 6), st.integers(1, 2000), st.integers(0, 2**32 - 1))
+    def test_chunks_sum_each_row_as_one_pass_does(self, count, dim, budget, seed):
+        # Entries over 40 binary orders of magnitude, so a changed order of
+        # operations would show in the last bits.
+        rng = np.random.default_rng(seed)
+        samples = crandn(rng, count, dim) * 2.0 ** rng.integers(-20, 20, (count, dim))
+        with patch.object(gaussians, "_FILL_BYTES", budget):
+            got = row_energy(samples)
+        assert np.array_equal(got, (np.abs(samples) ** 2).sum(axis=1))
+
+    def test_holds_one_chunk_of_squares(self):
+        samples = crandn(np.random.default_rng(1), 20_000, 64)
+        _, peak = traced_peak(row_energy, samples)
+        assert peak <= gaussians._FILL_BYTES + 20_000 * 8 + (64 << 10)

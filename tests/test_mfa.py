@@ -487,6 +487,15 @@ class TestKmeans:
         _, peak = traced_peak(mfa._kmeans, samples, k_total, np.random.default_rng(5))
         assert peak < count * k_total * 8
 
+    def test_holds_no_float_of_every_row(self):
+        # At fit-k64's shape the rows' |x|^2, summed whole, was a (T, N) float
+        # of 10.24 MB. By row chunks, the most held at once is 6.2 MB, set by
+        # the first Lloyd step's gather of its largest cluster (5.1 MB).
+        count, dim, k_total = 20_000, 64, 64
+        samples = crandn(np.random.default_rng(6), count, dim)
+        _, peak = traced_peak(mfa._kmeans, samples, k_total, np.random.default_rng(6))
+        assert peak < count * dim * 8
+
     def test_empty_clusters_reseed_at_distinct_samples(self):
         # Eight copies of one row: every centre lands on it, the first takes
         # every sample, and each of the four empty clusters takes its own.

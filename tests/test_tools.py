@@ -76,9 +76,9 @@ def test_main_rejects_a_directory_without_modules(tmp_path, capsys):
     assert "no Python files" in capsys.readouterr().err
 
 
-def _result(run_s, rss, correct=True):
+def _result(run_s, rss, correct=True, attempted=1, failed=0):
     """A canned perfbench result line."""
-    return {"correct": correct, "attempted": 1, "failed": 0, "metrics": {
+    return {"correct": correct, "attempted": attempted, "failed": failed, "metrics": {
         "run_s": {"value": run_s, "unit": "s"},
         "peak_rss_mb": {"value": rss, "unit": "MB"},
     }}
@@ -96,7 +96,7 @@ def test_summarize_reports_medians_ratios_and_wins():
     new = [_result(1.0, 110.0), _result(1.5, 90.0), _result(1.2, 100.0)]
     lines = bench_pairs.summarize(base, new, {"run_s": "lower"})
     assert lines == [
-        "correct: base 3/3, new 3/3",
+        "correct: base 3/3, new 3/3; failed: base 0/3, new 0/3",
         "run_s: base 1.5 [1.25, 1.75] new 1.2 [1.1, 1.35] ratio 0.8000 "
         "pairs [0.500 1.500 0.800] better in 2/3",
         "peak_rss_mb: base 100 [100, 100] new 100 [95, 105] ratio 1.0000 "
@@ -203,6 +203,22 @@ def test_main_fails_on_an_incorrect_run(tmp_path, capsys):
     assert "new 0/1" in capsys.readouterr().out
 
 
+def test_main_reports_failed_operations_per_side(tmp_path, capsys):
+    base, new = tmp_path / "base", tmp_path / "new"
+
+    def fake_run(checkout, workload, seed, seconds):
+        # The new checkout fails one of five operations in its second run only.
+        failed = int(checkout == new and len(runs[checkout]) == 1)
+        runs[checkout].append(failed)
+        return _result(1.0, 100.0, correct=not failed, attempted=5, failed=failed)
+
+    runs = {base: [], new: []}
+    assert bench_pairs.main([str(base), str(new), "--workload", "w", "--pairs", "3"],
+                            run=fake_run) == 1
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "w: correct: base 3/3, new 2/3; failed: base 0/15, new 1/15")
+
+
 def test_main_runs_each_workload_in_its_own_block(tmp_path, capsys):
     base, new = tmp_path / "base", tmp_path / "new"
     base.mkdir()
@@ -224,9 +240,9 @@ def test_main_runs_each_workload_in_its_own_block(tmp_path, capsys):
                      ("base", "fit-k64"), ("base", "paper-sweep"), ("new", "paper-sweep"),
                      ("new", "paper-sweep"), ("base", "paper-sweep")]
     out = capsys.readouterr().out.splitlines()
-    assert out[0] == "fit-k64: correct: base 2/2, new 2/2"
+    assert out[0] == "fit-k64: correct: base 2/2, new 2/2; failed: base 0/2, new 0/2"
     assert out[1].startswith("run_s: base 1 ")
-    assert out[3] == "paper-sweep: correct: base 2/2, new 0/2"
+    assert out[3] == "paper-sweep: correct: base 2/2, new 0/2; failed: base 0/2, new 0/2"
     assert out[4].startswith("run_s: base 2 ")
     assert len(out) == 6
 

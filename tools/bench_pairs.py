@@ -5,7 +5,8 @@ order alternates from pair to pair (base first, then new first), so drift of
 the host's load falls on both sides alike. The last line of each run's output
 is its JSON result. Each ``--workload`` runs its own pairs, one workload after
 another, and prints its own block, whose first line starts with the
-workload's name. For every end-to-end metric the block gives the median
+workload's name and gives each side's correct runs and failed of attempted
+operations. For every end-to-end metric the block gives the median
 and quartiles of each side, the ratio of the medians (new / base), the ratio
 within each pair, and in how many pairs the new checkout was better, in the
 direction the base checkout's BENCHMARK.json gives. Where that file gives the
@@ -74,11 +75,18 @@ def quartiles(values: list[float]) -> tuple[float, float]:
     return q1, q3
 
 
+def _failed(results: list[dict]) -> str:
+    """Failed of attempted operations, summed over the runs' result lines."""
+    return f"{sum(r['failed'] for r in results)}/{sum(r['attempted'] for r in results)}"
+
+
 def summarize(
     base: list[dict], new: list[dict], better: dict[str, str], bound: dict[str, float] | None = None
 ) -> list[str]:
     """Report lines for paired results: ``base[i]`` and ``new[i]`` form pair i.
 
+    The first line counts each side's correct runs and its failed of attempted
+    operations, summed over its runs' ``failed`` and ``attempted`` fields.
     A metric with a known direction reads "gain" when the new checkout was
     better in at least nine tenths of the pairs and its median moved by more
     than the distance between the base runs' quartiles. With a ``bound`` too,
@@ -86,7 +94,8 @@ def summarize(
     median by more than B times the base median's magnitude, and "within
     bound B" otherwise."""
     lines = [f"correct: base {sum(r.get('correct') is True for r in base)}/{len(base)}, "
-             f"new {sum(r.get('correct') is True for r in new)}/{len(new)}"]
+             f"new {sum(r.get('correct') is True for r in new)}/{len(new)}; "
+             f"failed: base {_failed(base)}, new {_failed(new)}"]
     for name in base[0]["metrics"]:
         old = [r["metrics"][name]["value"] for r in base]
         cur = [r["metrics"][name]["value"] for r in new]
