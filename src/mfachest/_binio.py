@@ -39,9 +39,14 @@ class FileFormatError(ValueError):
 class Container:
     """A container file read from the open binary handle ``fh``: ``header``
     holds its header record as a tuple of Python scalars in field order, and
-    ``body`` reads the records that follow from the same handle."""
+    ``body`` reads the records that follow from the same handle.
 
-    def __init__(self, fh, magic: bytes, header: list):
+    Every header has ``version``, ``dim`` and ``count`` fields. The constructor
+    raises FileFormatError, naming the file's ``kind`` ("dataset", "model"),
+    on a bad magic, a version other than ``version`` (at the version field) and
+    a zero ``dim`` or ``count`` (where the count field ends)."""
+
+    def __init__(self, fh, magic: bytes, header: list, version: int, kind: str):
         self._fh = fh
         self._size = os.fstat(fh.fileno()).st_size
         self._magic = magic
@@ -52,6 +57,12 @@ class Container:
             raise FileFormatError(f"bad magic {got!r}, expected {magic!r}", 0)
         record = np.frombuffer(self._take(self._header.itemsize, "header"), self._header)
         self.header = record[0].item()
+        if record["version"][0] != version:
+            raise FileFormatError(f"unsupported {kind} version {record['version'][0]}",
+                                  self.offset_of("version"))
+        if record["dim"][0] == 0 or record["count"][0] == 0:
+            raise FileFormatError(f"{kind} header declares an empty {kind}",
+                                  self.offset_of("count") + self._header["count"].itemsize)
 
     def offset_of(self, name: str) -> int:
         """File offset of the header field ``name``."""

@@ -730,16 +730,11 @@ def save_gmm(model: GmmModel, path) -> None:
 
 def load_gmm(path) -> GmmModel:
     with open(path, "rb") as fh:
-        reader = Container(fh, GMM_MAGIC, _GMM_HEADER)
-        version, tag, dim, k_total = reader.header
-        if version != GMM_VERSION:
-            offset = reader.offset_of("version")
-            raise FileFormatError(f"unsupported model version {version}", offset)
+        reader = Container(fh, GMM_MAGIC, _GMM_HEADER, GMM_VERSION, "model")
+        _, tag, dim, k_total = reader.header
         if tag >= len(GMM_STRUCTURES):
             raise FileFormatError(f"unknown structure tag {tag}", reader.offset_of("tag"))
         structure = GMM_STRUCTURES[tag]
-        if dim == 0 or k_total == 0:
-            raise FileFormatError("model header declares an empty model", reader.offset)
         rec = reader.body(_gmm_records(structure, dim), k_total, "components")
     params = rec["params"].transpose(0, 2, 1) if structure == "full" else rec["params"]
     return GmmModel(structure, rec["weight"], rec["mean"], params)

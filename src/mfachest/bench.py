@@ -230,6 +230,8 @@ def _sweep(spec: BenchSpec, shapes, snr_indices) -> list[ReportRow]:
     Every (K, L) and genie-omp geometry is checked before the first fit, and
     k-means runs once per K, at the first fit that needs it."""
     train, eval_ds = _load_data(spec)
+    if eval_ds.dim != train.dim:
+        raise ValueError(f"eval dimension {eval_ds.dim} != train dimension {train.dim}")
     jobs = [
         (entry, entry.k if k is None else k, entry.l if l is None else l)
         for entry in spec.estimators

@@ -18,8 +18,8 @@ the latent posterior covariance, so the low-rank correction is the squared
 norm |q_k|^2 and the posterior mean is R_k q_k. One product of the rows [y 1] with the
 stacked augmented projection writes [q_k 1] for every component straight
 into the pass's latent buffer: the centring and EM's intercept column come
-out of that product, not out of a copy. At L = 0 that buffer is the constant
-1, and the pass holds no [y 1] rows at all.
+out of that product, not out of a copy. At L = 0 the product writes only
+that intercept, and the pass is the same one.
 """
 
 from __future__ import annotations
@@ -68,9 +68,10 @@ _FILL_BYTES = 1 << 20
 # only (``component_rows``).
 RESP_REL = 1e-16
 
-# An L = 0 density whose expansion terms |y|^2 D_k + |mu_k|^2 D_k exceed its
-# quadratic form by more than this factor is recomputed in the direct form; at
-# or below it the expansion's rounding is within a few hundred ulps of the form.
+# A density whose expansion terms |y|^2 D_k + |mu_k|^2 D_k exceed its diagonal
+# quadratic form by more than this factor is recomputed from y - mu_k; at or
+# below it the expansion's rounding is within a few hundred ulps of the form.
+# q_k's rounding scales with the same terms, and |q_k|^2 is at most the form.
 _EXPANSION_GAIN = 64.0
 
 # The smallest shifted log-density ``responsibilities`` exponentiates: exp(-708)
@@ -207,7 +208,8 @@ class MixtureStack(NamedTuple):
     [-mu_k^T conj(D_k W_k R_k), 1]]``, so that ``[y 1] proj`` is [q_k 1] for
     every k, ``latent_root`` R_k (K, L, L), ``means`` mu_k (K, N), ``lognorm``
     ``log w_k - N log pi - log det(C_k + sigma2 I)`` (K,) and ``logconst``
-    ``lognorm_k - mu_k^H D_k mu_k`` (K,).
+    ``lognorm_k - mu_k^H D_k mu_k`` (K,). ``means`` and ``lognorm`` serve the
+    direct form of ``mixture_logdens``, at every L.
     """
 
     d: np.ndarray
@@ -254,48 +256,47 @@ def stack_mixture(model, sigma2: float) -> MixtureStack:
 
 
 def mixture_logdens(
-    stack: MixtureStack, block: np.ndarray, abs2: np.ndarray, latent_out: np.ndarray, rows
+    stack: MixtureStack, block: np.ndarray, abs2: np.ndarray, latent_out: np.ndarray,
+    rows: np.ndarray,
 ) -> np.ndarray:
     """Weighted component log-densities ``log w_k + log N_C(y; mu_k, C_k + sigma2 I)``, (B, K).
 
-    ``block`` (B, N) holds B observations y and ``abs2`` (B, N) their entrywise
-    squared magnitudes. At L >= 1, ``rows`` (B, N + 1) holds them as the rows
-    [y 1], and one product ``rows @ stack.proj`` writes [q_k 1], with the
-    whitened latent coordinates ``q_k = R_k^H W_k^H D_k (y - mu_k)``, to
-    ``latent_out[:, k]``, which must be a C-contiguous (B, K, L+1) array; the
-    latent posterior mean is R_k q_k. At L = 0, [q_k 1] is the constant 1,
-    written to ``latent_out`` on every call, since ``estimate`` scales it in
-    place, and ``rows`` is not read (None will do).
+    ``block`` (B, N) holds B observations y, ``abs2`` (B, N) their entrywise
+    squared magnitudes and ``rows`` (B, N + 1) the rows [y 1]. One product
+    ``rows @ stack.proj`` writes [q_k 1], with the whitened latent coordinates
+    ``q_k = R_k^H W_k^H D_k (y - mu_k)``, to ``latent_out[:, k]``, which must
+    be a C-contiguous (B, K, L+1) array; the latent posterior mean is R_k q_k.
+    At L = 0 the product writes exactly the intercept 1.
 
     Every term is a batched product with the stacked factors: the diagonal part
     of the Mahalanobis term comes from the expansion
     |y-mu|^2 = |y|^2 - 2 Re(y conj(mu)) + |mu|^2, and the low-rank correction
     p^H A_k p with p = W_k^H D_k (y - mu_k) is |q_k|^2, since A_k = R_k R_k^H.
-
-    At L = 0 the expansion is the whole quadratic form. Where its terms exceed
-    the form by more than _EXPANSION_GAIN (a diagonal on the floor and y near
-    mu_k, say), their rounding would swamp it, so those densities are taken
-    again in the direct form sum_n D_kn |y_n - mu_kn|^2.
+    Where the expansion's terms exceed the diagonal form by more than
+    _EXPANSION_GAIN (a diagonal on the floor and y near mu_k, say), their
+    rounding would swamp it, and the rounding of q_k, whose product is not
+    centred either, would swamp |q_k|^2, which is at most that form. Both are
+    then taken again from y - mu_k: the form as sum_n D_kn |y_n - mu_kn|^2 and
+    q_k as (y - mu_k)^T conj(D_k W_k R_k).
     """
     latent = stack.latent_root.shape[1]
+    np.matmul(rows, stack.proj, out=latent_out.reshape(len(rows), -1))
     expanded = abs2 @ stack.d
     logdens = stack.logconst - expanded
     logdens += 2.0 * (block @ stack.d_mean).real
-    if latent:
-        np.matmul(rows, stack.proj, out=latent_out.reshape(len(rows), -1))
-        flat = latent_out.view(np.float64)[:, :, :2 * latent]
-        logdens += np.einsum("bkl,bkl->bk", flat, flat)
-        return logdens
-    latent_out.fill(1.0)
-    # terms / _EXPANSION_GAIN > quadratic form = lognorm - logdens, in place:
+    # terms / _EXPANSION_GAIN > diagonal form = lognorm - logdens, in place:
     # two (B, K) temporaries here raised paper-sweep's peak RSS from 121 to
     # 131 MB (glibc malloc, 2 cores).
     expanded += stack.lognorm - stack.logconst
     expanded /= _EXPANSION_GAIN
     expanded += logdens
+    centred = stack.proj[:-1].reshape(len(stack.d), -1, latent + 1)[:, :, :latent]
     for k, idx in component_rows(expanded > stack.lognorm):
         gap = block[idx] - stack.means[k]
         logdens[idx, k] = stack.lognorm[k] - (gap.real ** 2 + gap.imag ** 2) @ stack.d[:, k]
+        latent_out[idx, k, :latent] = gap @ centred[:, k]
+    flat = latent_out.view(np.float64)[:, :, :2 * latent]
+    logdens += np.einsum("bkl,bkl->bk", flat, flat)
     return logdens
 
 
@@ -304,29 +305,23 @@ def mixture_chunks(stack: MixtureStack, samples: np.ndarray):
     chunk of ``samples``: the first row index, the rows, their entrywise |y|^2,
     the (B, K, L+1) latent buffer of ``mixture_logdens``, shared by all chunks,
     with q_k in its first L columns and exactly 1 in the last, and the
-    ``responsibilities`` and per-row log-sum-exp. At L >= 1 the rows [y 1] the
-    kernel multiplies live in one reused (B, N + 1) buffer; at L = 0 there is
-    no product, and no such buffer."""
+    ``responsibilities`` and per-row log-sum-exp. The rows [y 1] the kernel
+    multiplies live in one reused (B, N + 1) buffer."""
     k_total, latent = stack.latent_root.shape[:2]
     count, dim = samples.shape
     # Per row: the latent buffer and the rows [y 1] (complex); |y|^2, the
     # log-densities and the responsibilities (float).
-    row_bytes = (16 * (k_total * (latent + 1) + (dim + 1 if latent else 0))
-                 + 8 * (dim + 2 * k_total))
+    row_bytes = 16 * (k_total * (latent + 1) + dim + 1) + 8 * (dim + 2 * k_total)
     parts = list(row_chunks(count, row_bytes))
     height = max((part.stop - part.start for part in parts), default=0)
-    if latent:
-        rows = np.ones((height, dim + 1), dtype=np.complex128)
+    rows = np.ones((height, dim + 1), dtype=np.complex128)
     buffer = np.empty((height, k_total, latent + 1), dtype=np.complex128)
     for part in parts:
         block = samples[part]
         size = len(block)
-        aug_rows = None
-        if latent:
-            aug_rows = rows[:size]
-            aug_rows[:, :-1] = block
+        rows[:size, :-1] = block
         abs2 = np.abs(block) ** 2
-        logdens = mixture_logdens(stack, block, abs2, buffer[:size], aug_rows)
+        logdens = mixture_logdens(stack, block, abs2, buffer[:size], rows[:size])
         yield part.start, block, abs2, buffer[:size], *responsibilities(logdens)
 
 
@@ -373,8 +368,8 @@ def component_rows(weights: np.ndarray):
     The nonzero flags are laid out column by column in one contiguous array;
     one ``any`` finds the live columns, and one ``flatnonzero`` per live column
     gathers its rows. EM accumulates its statistics component by component
-    over the gathered rows; the pruned GMM pass and ``mixture_logdens`` at
-    L = 0 compute log-densities over them.
+    over the gathered rows; the pruned GMM pass and ``mixture_logdens``'s
+    direct form compute log-densities over them.
     """
     nonzero = np.ascontiguousarray((weights != 0).T)
     for k in np.flatnonzero(nonzero.any(axis=1)):

@@ -22,8 +22,8 @@ from functools import partial
 import numpy as np
 
 from . import gaussians
-from ._binio import Container, FileFormatError, write_container
-from .scenario import ChannelDataset
+from ._binio import Container, write_container
+from .scenario import ChannelDataset, _check_field_types
 
 MODEL_MAGIC = b"MFA1"
 MODEL_VERSION = 1
@@ -104,6 +104,7 @@ class FitConfig:
     psi_mode: str = "scaled-identity"
 
     def __post_init__(self):
+        _check_field_types(self)
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         if not self.rel_tol > 0:  # also rejects NaN
@@ -629,12 +630,7 @@ def save_model(model: MfaModel, path) -> None:
 
 def load_model(path) -> MfaModel:
     with open(path, "rb") as fh:
-        reader = Container(fh, MODEL_MAGIC, _MODEL_HEADER)
-        version, dim, latent, k_total = reader.header
-        if version != MODEL_VERSION:
-            offset = reader.offset_of("version")
-            raise FileFormatError(f"unsupported model version {version}", offset)
-        if dim == 0 or k_total == 0:
-            raise FileFormatError("model header declares an empty model", reader.offset)
+        reader = Container(fh, MODEL_MAGIC, _MODEL_HEADER, MODEL_VERSION, "model")
+        _, dim, latent, k_total = reader.header
         rec = reader.body(_model_records(dim, latent), k_total, "components")
     return MfaModel(rec["weight"], rec["mean"], rec["loading"].transpose(0, 2, 1), rec["diag_term"])

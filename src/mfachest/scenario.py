@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import gaussians
-from ._binio import Container, FileFormatError, write_container
+from ._binio import Container, write_container
 
 DATASET_MAGIC = b"CHD1"
 DATASET_VERSION = 1
@@ -260,14 +260,7 @@ def write_dataset(path, dataset: ChannelDataset) -> None:
 def read_dataset(path) -> ChannelDataset:
     """Read a CHD1 container; raises FileFormatError on any structural defect."""
     with open(path, "rb") as fh:
-        reader = Container(fh, DATASET_MAGIC, _DATASET_HEADER)
-        version, dim, count, normalization = reader.header
-        if version != DATASET_VERSION:
-            offset = reader.offset_of("version")
-            raise FileFormatError(f"unsupported dataset version {version}", offset)
-        if dim == 0 or count == 0:
-            # Reported where the counts end, just before the normalization.
-            offset = reader.offset_of("normalization")
-            raise FileFormatError("dataset header declares an empty dataset", offset)
+        reader = Container(fh, DATASET_MAGIC, _DATASET_HEADER, DATASET_VERSION, "dataset")
+        _, dim, count, normalization = reader.header
         rec = reader.body(_dataset_records(dim), count, "samples")
     return ChannelDataset(rec["sample"], normalization=normalization)

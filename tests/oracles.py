@@ -21,6 +21,13 @@ materializes it. The oracles:
   C_k from ``dense_covariances()``), l_bk = log w_k - N log pi - log det S_k
   - |G_k^{-1} (y_b - mu_k)|^2. The Cholesky factorization fails loudly when
   S_k is not positive definite.
+- ``woodbury_logdens``: the same log-densities of an MfaModel through the
+  Woodbury identity, centred first: with g = y_b - mu_k and D_k = 1 / (psi_k +
+  sigma2), the diagonal form sum_n D_kn |g_n|^2 minus |G_k^{-1} p|^2 for
+  p = W_k^H D_k g and G_k G_k^H = I + W_k^H D_k W_k (lower Cholesky), and
+  log det S_k = log det G_k G_k^H - sum_n log D_kn; and that low-rank
+  correction |G_k^{-1} p|^2 itself, 0 at L = 0. Unlike ``dense_logdens`` it
+  never forms S_k, whose Cholesky factor loses digits when psi_k is tiny.
 - ``posterior``: with m_b = max_k l_bk, the responsibilities
   r_bk = exp(l_bk - m_b) / sum_j exp(l_bj - m_b) and the log-sum-exp
   log(sum_j exp(l_bj - m_b)) + m_b, in the order of operations that
@@ -166,6 +173,29 @@ def dense_logdens(model, sigma2, y):
             - (np.abs(half) ** 2).sum(axis=0)
         )
     return out
+
+
+def woodbury_logdens(model, sigma2, y):
+    """log w_k + log N_C(y; mu_k, C_k + sigma2 I) of an MfaModel by the centred
+    Woodbury form, and its low-rank correction, each (B, K)."""
+    out = np.empty((y.shape[0], model.n_components))
+    correction = np.empty_like(out)
+    for k in range(model.n_components):
+        d = 1.0 / (model.diag_terms[k] + sigma2)
+        w = model.loadings[k]
+        gap = y - model.means[k]
+        scaled = gap * d
+        chol = np.linalg.cholesky(np.eye(model.latent_dim) + w.conj().T @ (w * d[:, None]))
+        correction[:, k] = (np.abs(np.linalg.solve(chol, w.conj().T @ scaled.T)) ** 2).sum(axis=0)
+        out[:, k] = (
+            np.log(model.weights[k])
+            - model.dim * np.log(np.pi)
+            + np.log(d).sum()
+            - 2.0 * np.log(chol.diagonal().real).sum()
+            - (scaled.real * gap.real + scaled.imag * gap.imag).sum(axis=1)
+            + correction[:, k]
+        )
+    return out, correction
 
 
 def posterior(logdens):

@@ -442,6 +442,24 @@ class TestBenchCommands:
         spec_path.write_text(json.dumps(spec))
         assert main(["bench-snr", "--spec", str(spec_path)]) == 0
 
+    def test_bench_mismatched_datasets_exit_2_before_fitting(self, tmp_path, monkeypatch, capsys):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit_em ran")
+
+        monkeypatch.setattr(mfa, "fit_em", no_fit)
+        rng = np.random.default_rng(14)
+        write_dataset(tmp_path / "train.chd", ChannelDataset(rng.standard_normal((20, 8)) + 0j))
+        write_dataset(tmp_path / "eval.chd", ChannelDataset(rng.standard_normal((10, 4)) + 0j))
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({
+            "estimators": [{"kind": "mfa", "k": 2, "l": 1}], "snr_grid_db": [10.0],
+            "train_path": str(tmp_path / "train.chd"), "eval_path": str(tmp_path / "eval.chd"),
+        }))
+        assert main(["bench-snr", "--spec", str(spec_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "eval dimension 4 != train dimension 8" in captured.err
+
     def test_bench_nonfinite_eval_set_exit_2(self, tmp_path, capsys):
         # LS and genie-OMP take the estimators' observation contract, so a NaN
         # channel in the eval set fails instead of reporting nmse = nan.

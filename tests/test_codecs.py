@@ -264,7 +264,8 @@ def test_body_cut_after_the_header_was_read(tmp_path):
     # Larger than the handle's read buffer, so the cut part is not buffered.
     write_dataset(path, ChannelDataset(np.ones((4096, 3), dtype=complex)))
     with open(path, "rb") as fh:
-        reader = Container(fh, scenario.DATASET_MAGIC, scenario._DATASET_HEADER)
+        reader = Container(fh, scenario.DATASET_MAGIC, scenario._DATASET_HEADER,
+                           scenario.DATASET_VERSION, "dataset")
         os.truncate(path, os.path.getsize(path) // 2)
         with pytest.raises(FileFormatError, match="shrank while read"):
             reader.body(scenario._dataset_records(3), 4096, "samples")

@@ -187,6 +187,14 @@ class TestFitSingleGaussian:
         with pytest.raises(ValueError, match="rel_tol"):
             FitConfig(rel_tol=tol)
 
+    @pytest.mark.parametrize("field, value", [("max_iter", 2.5), ("seed", 1.5), ("max_iter", True)])
+    def test_non_integer_count_or_seed_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            FitConfig(**{field: value})
+
+    def test_integer_tolerance_is_stored_as_a_float(self):
+        assert type(FitConfig(rel_tol=1).rel_tol) is float
+
     def test_bad_latent_dim_rejected(self):
         rng = np.random.default_rng(28)
         data = crandn(rng, 10, 4)

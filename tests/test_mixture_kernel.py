@@ -21,6 +21,7 @@ from oracles import (
     observations,
     posterior,
     with_intercept,
+    woodbury_logdens,
 )
 
 noise_levels = st.one_of(
@@ -50,21 +51,53 @@ def test_log_likelihood_matches_dense_mixture_density(drawn):
     assert abs(log_likelihood(model, y) - want) <= 1e-9 * max(1.0, abs(want))
 
 
-@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 8), st.floats(1e-12, 1.0))
-def test_diagonal_log_densities_match_dense_near_their_means(seed, k_total, dim, floor):
-    # At L = 0 the expansion |y|^2 D - 2 Re(y D conj(mu)) + |mu|^2 D is the whole
-    # quadratic form; on component 0's diagonal, scaled down by ``floor``, its
-    # terms exceed the form by up to 1 / floor for rows near the mean.
+def floor_model(seed, k_total, dim, latent, floor):
+    """A model whose component 0 has its diagonal scaled down by ``floor``, with
+    the rows near each mean at up to 10 of its diagonal's standard deviations."""
     rng = np.random.default_rng(seed)
     means = 3.0 * crandn(rng, k_total, dim) + 5.0
     diag = rng.uniform(0.5, 2.0, (k_total, dim))
     diag[0] *= floor
-    model = MfaModel(np.full(k_total, 1.0 / k_total), means, np.zeros((k_total, dim, 0)), diag)
+    loadings = crandn(rng, k_total, dim, latent)
+    model = MfaModel(np.full(k_total, 1.0 / k_total), means, loadings, diag)
     offsets = 10.0 ** rng.uniform(-8.0, 1.0, (3 * k_total, 1)) * crandn(rng, 3 * k_total, dim)
-    y = np.tile(means, (3, 1)) + offsets * np.sqrt(np.tile(diag, (3, 1)))
-    buffer = np.empty((len(y), k_total, 1), dtype=np.complex128)
-    got = mixture_logdens(stack_mixture(model, 0.0), y, np.abs(y) ** 2, buffer, with_intercept(y))
-    want = dense_logdens(model, 0.0, y)
+    return model, np.tile(means, (3, 1)) + offsets * np.sqrt(np.tile(diag, (3, 1)))
+
+
+def kernel_logdens(model, y):
+    buffer = np.empty((len(y), model.n_components, model.latent_dim + 1), dtype=np.complex128)
+    return mixture_logdens(stack_mixture(model, 0.0), y, np.abs(y) ** 2, buffer, with_intercept(y))
+
+
+floor_models = st.tuples(
+    st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 8), st.floats(1e-12, 1.0)
+)
+
+
+@given(floor_models, st.data())
+def test_diagonal_log_densities_match_dense_near_their_means(drawn, data):
+    # The expansion |y|^2 D - 2 Re(y D conj(mu)) + |mu|^2 D of the diagonal form;
+    # on component 0's diagonal, scaled down by ``floor``, its terms exceed the
+    # form by up to 1 / floor for rows near the mean. At L >= 1 the dense
+    # Cholesky of W W^H + diag is itself off by about 1e-8 there, so the
+    # reference is the centred Woodbury form; its low-rank correction cancels
+    # most of the diagonal form, so each is rounded at the correction's scale.
+    seed, k_total, dim, floor = drawn
+    latent = data.draw(st.integers(0, dim), label="latent")
+    model, y = floor_model(seed, k_total, dim, latent, floor)
+    want, correction = woodbury_logdens(model, 0.0, y)
+    got = kernel_logdens(model, y)
+    assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want) + correction))
+
+
+@given(floor_models, st.data())
+def test_log_density_at_a_component_mean_is_its_normalizer(drawn, data):
+    # At y = mu_k the quadratic form and q_k vanish, whatever the diagonal's scale.
+    seed, k_total, dim, floor = drawn
+    latent = data.draw(st.integers(0, dim), label="latent")
+    model, _ = floor_model(seed, k_total, dim, latent, floor)
+    got = np.diagonal(kernel_logdens(model, model.means))
+    want = stack_mixture(model, 0.0).lognorm
     assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
 

@@ -28,9 +28,11 @@ _DEAD_TRACER_BINDINGS = {
 def _load(name, folder=_TOOLS):
     spec = importlib.util.spec_from_file_location(name, folder / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
-    # Registered while it runs, as dataclasses need; no bytecode cache is
-    # left beside the loaded file.
-    with patch.dict(sys.modules, {name: module}), patch.object(sys, "dont_write_bytecode", True):
+    # Registered while it runs, as dataclasses need, with its folder first on
+    # the path, as when it runs as a script; no bytecode cache is left beside
+    # the loaded file or the siblings it imports.
+    with patch.dict(sys.modules, {name: module}), patch.object(sys, "dont_write_bytecode", True), \
+            patch.object(sys, "path", [str(folder), *sys.path]):
         spec.loader.exec_module(module)
     return module
 
@@ -245,6 +247,39 @@ def test_main_runs_each_workload_in_its_own_block(tmp_path, capsys):
     assert out[3] == "paper-sweep: correct: base 2/2, new 0/2; failed: base 0/2, new 0/2"
     assert out[4].startswith("run_s: base 2 ")
     assert len(out) == 6
+
+
+def test_main_prints_each_checkouts_source_lines(tmp_path, capsys):
+    base, new = tmp_path / "base", tmp_path / "new"
+    (base / "src" / "mfachest").mkdir(parents=True)
+    (base / "src" / "mfachest" / "a.py").write_text(_SOURCE)
+    (new / "src" / "mfachest" / "sub").mkdir(parents=True)
+    (new / "src" / "mfachest" / "sub" / "b.py").write_text("x = 1\n\n")
+
+    def fake_run(checkout, workload, seed, seconds):
+        return _result(1.0, 100.0)
+
+    assert bench_pairs.main([str(base), str(new), "--workload", "w", "--pairs", "1"],
+                            run=fake_run) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == f"src/mfachest lines (all / code): base {len(_SOURCE.splitlines())} / 7, new 2 / 1"
+    assert out[1].startswith("w: correct: base 1/1")
+
+
+def test_main_prints_no_count_for_a_checkout_without_the_package(tmp_path, capsys):
+    base, new = tmp_path / "base", tmp_path / "new"
+    (new / "src" / "mfachest").mkdir(parents=True)
+    (new / "src" / "mfachest" / "b.py").write_text("x = 1\n\n")
+    base.mkdir()
+
+    def fake_run(checkout, workload, seed, seconds):
+        return _result(1.0, 100.0)
+
+    assert bench_pairs.main([str(base), str(new), "--workload", "w", "--pairs", "1"],
+                            run=fake_run) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "src/mfachest lines (all / code): new 2 / 1"
+    # Neither checkout has the package: no line.
+    assert bench_pairs.source_lines(base, tmp_path / "missing") is None
 
 
 def test_tracer_bindings_resolve():

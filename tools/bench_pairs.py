@@ -3,7 +3,10 @@
 Each pair runs ``perfbench/run.py --trace 0`` once in each checkout, and the
 order alternates from pair to pair (base first, then new first), so drift of
 the host's load falls on both sides alike. The last line of each run's output
-is its JSON result. Each ``--workload`` runs its own pairs, one workload after
+is its JSON result. The first line printed gives each checkout's
+``src/mfachest`` size, all lines / code lines as ``tools/src_lines.py``
+counts them; a checkout without that package gets no count, and when neither
+has one the line is left out. Each ``--workload`` runs its own pairs, one workload after
 another, and prints its own block, whose first line starts with the
 workload's name and gives each side's correct runs and failed of attempted
 operations. For every end-to-end metric the block gives the median
@@ -29,6 +32,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import src_lines
+
 
 def parse_result(stdout: str) -> dict:
     """The JSON result of a run: the last non-empty line of its output."""
@@ -46,6 +51,15 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     if done.returncode != 0:
         raise RuntimeError(f"{checkout}: run.py exited with {done.returncode}\n{done.stderr}")
     return parse_result(done.stdout)
+
+
+def source_lines(base: Path, new: Path) -> str | None:
+    """The line giving each checkout's ``src/mfachest`` size, all / code lines,
+    for the checkouts that have that package; None when neither has."""
+    sizes = [(side, src_lines.package(Path(checkout) / "src" / "mfachest"))
+             for side, checkout in (("base", base), ("new", new))]
+    counted = [f"{side} {lines[0]} / {lines[1]}" for side, lines in sizes if lines]
+    return f"src/mfachest lines (all / code): {', '.join(counted)}" if counted else None
 
 
 def end_to_end(checkout: Path) -> list[dict]:
@@ -134,6 +148,9 @@ def main(argv: list[str], run=run_once) -> int:
         parser.error("--pairs must be >= 1")
     if args.base.resolve() == args.new.resolve():
         parser.error("BASE and NEW must be different checkouts")
+    sizes = source_lines(args.base, args.new)
+    if sizes:
+        print(sizes, flush=True)
     correct = True
     for workload in args.workload:
         results = {args.base: [], args.new: []}

@@ -42,14 +42,22 @@ def count(source: str) -> tuple[int, int]:
     return len(source.splitlines()), len(code - docstring_lines(ast.parse(source)))
 
 
+def package(root: Path) -> tuple[int, int] | None:
+    """(all lines, code lines) summed over the modules under ``root``; None
+    when it holds none."""
+    totals = [count(path.read_text(encoding="utf-8")) for path in sorted(Path(root).rglob("*.py"))]
+    if not totals:
+        return None
+    return sum(t[0] for t in totals), sum(t[1] for t in totals)
+
+
 def main(argv: list[str]) -> int:
     root = Path(argv[0]) if argv else Path(__file__).resolve().parent.parent / "src" / "mfachest"
-    files = sorted(root.rglob("*.py"))
-    if not files:
+    lines = package(root)
+    if lines is None:
         print(f"no Python files under {root}", file=sys.stderr)
         return 2
-    totals = [count(path.read_text(encoding="utf-8")) for path in files]
-    print(sum(t[0] for t in totals), sum(t[1] for t in totals))
+    print(*lines)
     return 0
 
 
