@@ -1,4 +1,10 @@
-"""Mixture-of-factor-analyzers channel modeling and MMSE channel estimation."""
+"""Mixture-of-factor-analyzers channel modeling and MMSE channel estimation.
+
+The package logs to ``logging.getLogger("mfachest")``, which holds a
+NullHandler and so stays silent until the application configures logging.
+"""
+
+import logging
 
 from ._binio import FileFormatError
 from .baselines import (
@@ -45,5 +51,7 @@ from .scenario import (
     read_dataset,
     write_dataset,
 )
+
+logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 __version__ = "0.1.0"

@@ -60,7 +60,7 @@ import numpy as np
 
 from . import gaussians
 from ._binio import Container, FileFormatError, write_container
-from .estimator import _conditional_mean
+from .estimator import _conditional_mean, _output, _result
 from .gaussians import (
     COND_LIMIT,
     LOG_PI,
@@ -667,41 +667,49 @@ class _GmmFamily:
         return means, (params,)
 
 
-def gmm_estimate(model: GmmModel, sigma2: float, y: np.ndarray) -> np.ndarray:
+def gmm_estimate(model: GmmModel, sigma2: float, y: np.ndarray, out=None) -> np.ndarray:
     """Responsibility-weighted per-component LMMSE under the mixture model.
 
     The filter of component k is y - sigma2 (C_k + sigma2 I)^{-1} (y - mu_k).
     Circulant: on the DFT rows that is ``estimator.estimate``'s accumulation for
-    the L = 0 ``MfaModel`` with diagonals c_k + sigma2, then one inverse DFT.
-    Full and Toeplitz: the whitened centred rows z_k (``_gmm_chunks``), weighted
-    by the responsibilities, through the stacked [conj(L_1^{-1}); ...] in one
-    product.
+    the L = 0 ``MfaModel`` with diagonals c_k + sigma2, then one inverse DFT;
+    the DFT, the accumulation and the inverse DFT all run in the one output
+    array. Full and Toeplitz: the whitened centred rows z_k (``_gmm_chunks``),
+    weighted by the responsibilities, through the stacked
+    [conj(L_1^{-1}); ...] in one product.
+    The estimates go into ``out`` when given, as in ``estimator.estimate``: a
+    writeable C-ordered complex128 array of y's shape that is y itself or
+    shares no memory with it, else ValueError; ``out`` is returned.
     Raises ConditioningError when some C_k + sigma2 I is numerically singular:
     a circulant bin at or below its component's largest bin / COND_LIMIT or
     one with no finite inverse, a failed Cholesky, or an estimate that is not
-    finite (a subnormal pivot whose whitened rows overflow, say).
+    finite (a subnormal pivot whose whitened rows overflow, say). The last is
+    found after the pass, so ``out`` then holds partial values.
     """
     sigma2 = _check_sigma2(sigma2)
     batch, single = _check_observation(y, model.dim)
+    value = _output(out, y, batch)
     if model.structure == "circulant":
         _check_spectra(model, sigma2)
         means = np.fft.fft(model.means, norm="ortho")
         loadings = np.empty((*model.params.shape, 0), dtype=np.complex128)
         view = MfaModel(model.weights, means, loadings, model.params + sigma2)
-        rows = _conditional_mean(stack_mixture(view, 0.0), sigma2, np.fft.fft(batch, norm="ortho"))
-        out = np.fft.ifft(rows, norm="ortho")
+        np.fft.fft(batch, norm="ortho", out=value)
+        _conditional_mean(stack_mixture(view, 0.0), sigma2, value, value)
+        np.fft.ifft(value, norm="ortho", out=value)
     else:
-        out = np.empty_like(batch)
         with np.errstate(all="ignore"):
             factor = _gmm_factor(model, sigma2)
             # The stacked [conj(L_1^{-1}); ...; conj(L_K^{-1})] (K N, N), once per call.
             back = factor[0][:-1].T.conj()
             for part, rows, z, resp, _ in _gmm_chunks(model, factor, batch, whitened=True):
-                out[part] = rows - sigma2 * ((z * resp[:, :, None]).reshape(len(rows), -1) @ back)
-    if not np.all(np.isfinite(out)):
+                shift = (z * resp[:, :, None]).reshape(len(rows), -1) @ back
+                shift *= sigma2
+                np.subtract(rows, shift, out=value[part])
+    if not np.all(np.isfinite(value)):
         raise ConditioningError("covariance + sigma2 I is numerically singular: the estimate "
                                 "is not finite (use a larger sigma2)")
-    return out[0] if single else out
+    return _result(out, value, single)
 
 
 # ---------------------------------------------------------------------------

@@ -146,11 +146,14 @@ class ReportRow:
 
 
 def model_estimator(model):
-    """``estimate(sigma2, y)`` of a fitted or loaded MFA or GMM: the MMSE
-    channel estimates of the observations y at noise variance sigma2."""
+    """``estimate(sigma2, y, out=None)`` of a fitted or loaded MFA or GMM: the
+    MMSE channel estimates of the observations y at noise variance sigma2,
+    written into ``out`` when given under ``estimator.estimate``'s contract
+    (y itself, or a buffer sharing no memory with y; partial values on an
+    error) and into a fresh array otherwise."""
     if isinstance(model, mfa.MfaModel):
-        return lambda sigma2, y: est_mod.estimate(model, sigma2, y)
-    return lambda sigma2, y: baselines.gmm_estimate(model, sigma2, y)
+        return lambda sigma2, y, out=None: est_mod.estimate(model, sigma2, y, out=out)
+    return lambda sigma2, y, out=None: baselines.gmm_estimate(model, sigma2, y, out=out)
 
 
 def _fit_entry(

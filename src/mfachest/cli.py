@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 import numpy as np
@@ -20,7 +21,18 @@ class _UsageError(Exception):
     pass
 
 
+# Every negative float literal: argparse's own pattern knows only -5 and -.5,
+# so it would take -1e1 or -inf for an option.
+_NEGATIVE_NUMBER = re.compile(
+    r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf|infinity|nan)$", re.IGNORECASE
+)
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
     def error(self, message):
         raise _UsageError(message)
 
@@ -147,9 +159,10 @@ def _cmd_estimate(args) -> int:
     dataset = scenario.read_dataset(args.data)
     rng = np.random.default_rng(args.seed)
     observations, sigma2 = scenario.corrupt(dataset.samples, args.snr_db, rng)
-    estimates = bench.model_estimator(model)(sigma2, observations)
-    # The observations are spent: their buffer takes the error.
-    error = np.subtract(estimates, dataset.samples, out=observations)
+    # Two (T, N) buffers: the observations' takes the estimates in place, and
+    # the truths', spent once the estimates exist, takes the error.
+    estimates = bench.model_estimator(model)(sigma2, observations, out=observations)
+    error = np.subtract(estimates, dataset.samples, out=dataset.samples)
     nmse = float(np.vdot(error, error).real / error.size)
     print(f"snr_db={args.snr_db} sigma2={sigma2:.6g} nmse={nmse:.8f}")
     if args.out:

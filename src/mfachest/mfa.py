@@ -15,6 +15,7 @@ the estimator and the MFA1 codec read the arrays directly.
 
 from __future__ import annotations
 
+import logging
 import time
 from dataclasses import dataclass
 from functools import partial
@@ -29,6 +30,9 @@ MODEL_MAGIC = b"MFA1"
 MODEL_VERSION = 1
 
 PSI_MODES = ("scaled-identity", "shared-diagonal", "diagonal")
+
+# A child of the package logger, which is silent until the caller configures it.
+_LOG = logging.getLogger(__name__)
 
 # Mixture weights below this floor count as collapsed components.
 WEIGHT_FLOOR = 1e-8
@@ -505,7 +509,9 @@ def fit_mixture(dataset, n_components: int, config: FitConfig, family, start=Non
     masses, stats); ``m_step(samples, model, stats, live)`` -> (means, params),
     set for the ``live`` components. ``start`` is the ``kmeans_start`` of the
     samples at (n_components, config.seed); without one, the fit makes it.
-    Returns the model and its ``FitTrace``.
+    Returns the model and its ``FitTrace``. Each EM iteration logs one DEBUG
+    record: the iteration (from 1), the incoming model's average
+    log-likelihood, the seconds it took and the components it reseeded.
     """
     samples = _as_samples(dataset)
     family = family(samples)
@@ -521,11 +527,13 @@ def fit_mixture(dataset, n_components: int, config: FitConfig, family, start=Non
     rng = start.generator()
     model = _em_start(samples, n_components, family, start.labels, rng)
     trace, seconds, prev = [], [], None
-    for _ in range(config.max_iter):
+    for iteration in range(1, config.max_iter + 1):
         tick = time.perf_counter()
-        avg, updated = _em_step(samples, family, rng, model)
+        avg, updated, reseeded = _em_step(samples, family, rng, model)
         seconds.append(time.perf_counter() - tick)
         trace.append(avg)
+        _LOG.debug("EM iteration %d: average log-likelihood %.9g, %.4f s, reseeded %s",
+                   iteration, avg, seconds[-1], reseeded)
         if prev is not None and abs(avg - prev) <= config.rel_tol * max(abs(prev), 1e-12):
             return model, FitTrace(trace, seconds, converged=True)
         prev, model = avg, updated
@@ -546,19 +554,21 @@ def _em_start(
 
 
 def _em_step(samples: np.ndarray, family, rng: np.random.Generator, model):
-    """One EM iteration: the incoming model's average log-likelihood and the
-    updated model. A component with less than ``WEIGHT_FLOOR`` of the mass has
-    collapsed and restarts at the worst-fit sample, at weight 1/K before
-    renormalization; ``family.m_step`` updates the others. Weights are floored."""
+    """One EM iteration: the incoming model's average log-likelihood, the
+    updated model and the list of components it reseeded. A component with
+    less than ``WEIGHT_FLOOR`` of the mass has collapsed and restarts at the
+    worst-fit sample, at weight 1/K before renormalization; ``family.m_step``
+    updates the others. Weights are floored."""
     avg, worst, masses, stats = family.e_step(samples, model)
     weights = masses / samples.shape[0]
     collapsed = weights < WEIGHT_FLOOR
     weights[collapsed] = 1.0 / weights.size
     weights = np.maximum(weights, WEIGHT_FLOOR)
     means, params = family.m_step(samples, model, stats, ~collapsed)
-    for k in np.flatnonzero(collapsed):
+    reseeded = np.flatnonzero(collapsed).tolist()
+    for k in reseeded:
         _restart(family, rng, means, params, k, samples[worst])
-    return avg, family.model(weights / weights.sum(), means, *params)
+    return avg, family.model(weights / weights.sum(), means, *params), reseeded
 
 
 def _restart(family, rng: np.random.Generator, means, params, k: int, mean) -> None:

@@ -81,8 +81,10 @@ materializes it. The oracles:
 - ``write_container_whole``: ``_binio.write_container`` with the whole body
   built as one structured array of every record and written in one call.
 
-And one measurement: ``traced_peak``, the most memory a call held at once
-beyond what was held before it, as ``tracemalloc`` counts numpy's buffers.
+And two checks: ``out_contract``, which runs an estimator through every
+``out`` it takes and asserts they agree, and ``traced_peak``, the most memory
+a call held at once beyond what was held before it, as ``tracemalloc`` counts
+numpy's buffers.
 """
 
 import tracemalloc
@@ -575,6 +577,30 @@ def collapsing_data():
     GMM fit at K=5 collapses a component onto an outlier."""
     rng = np.random.default_rng(0)
     return np.concatenate([crandn(rng, 120, 6), 60.0 * crandn(rng, 3, 6)])
+
+
+def out_contract(apply, y):
+    """The estimates ``apply(y, out)`` of the (B, N) observations y with ``out``
+    None. Asserts, for y and for its first row alone, that a read-only y is
+    accepted and a writeable one left as it was when ``out`` is None, that a
+    separate buffer and y itself are each returned as ``out``, and that all
+    three results are ``np.array_equal``."""
+    for rows in (y, y[0]):
+        frozen = np.array(rows, dtype=np.complex128)
+        frozen.flags.writeable = False
+        fresh = apply(frozen, None)
+        kept = frozen.copy()
+        apply(kept, None)
+        assert np.array_equal(kept, rows)
+        separate = np.empty_like(frozen)
+        assert apply(frozen, separate) is separate
+        inplace = frozen.copy()
+        assert apply(inplace, inplace) is inplace
+        assert fresh.shape == frozen.shape
+        assert np.array_equal(separate, fresh) and np.array_equal(inplace, fresh)
+        if rows is y:
+            batch = fresh
+    return batch
 
 
 def traced_peak(fn, *args):

@@ -1,5 +1,6 @@
 import re
 import warnings
+from functools import partial
 from unittest.mock import patch
 
 import numpy as np
@@ -46,6 +47,7 @@ from oracles import (
     gmm_models,
     kernel_responsibilities,
     make_model,
+    out_contract,
     posterior,
     sample,
     steering_batch,
@@ -671,6 +673,42 @@ class TestSampleValidation:
         with pytest.raises(ValueError, match=rf"must be \(N,\) or \(B, N\), got shape {got}"):
             apply(y)
 
+    @pytest.mark.parametrize("kind", ["mfa", *GMM_STRUCTURES])
+    @pytest.mark.parametrize(
+        "bad", ["shape", "vector-shape", "dtype", "strided", "read-only", "overlap"]
+    )
+    def test_rejects_bad_out(self, kind, bad):
+        rng = np.random.default_rng(121)
+        dim = 4
+        model = make_model(rng, 2, dim, 1)
+        if kind == "mfa":
+            apply = partial(estimate, model, 0.3)
+        else:
+            if kind == "full":
+                gmm = gmm_from_mfa(model)
+            else:
+                bins = 2 * dim if kind == "toeplitz" else dim
+                gmm = GmmModel(kind, model.weights, model.means, rng.uniform(0.5, 2.0, (2, bins)))
+            apply = partial(gmm_estimate, gmm, 0.3)
+        buffer = crandn(rng, 6, dim)
+        y, out = buffer[:5], np.empty((5, dim), dtype=np.complex128)
+        if bad == "shape":
+            out = np.empty((5, dim + 1), dtype=np.complex128)
+        elif bad == "vector-shape":
+            out = np.empty(dim, dtype=np.complex128)
+        elif bad == "dtype":
+            out = out.astype(np.complex64)
+        elif bad == "strided":
+            out = np.empty((5, 2 * dim), dtype=np.complex128)[:, ::2]
+        elif bad == "read-only":
+            out.flags.writeable = False
+        else:
+            out = buffer[1:]
+        kept = buffer.copy()
+        with pytest.raises(ValueError, match="out"):
+            apply(y, out=out)
+        assert np.array_equal(buffer, kept)
+
 
 _STRUCTURED = ("toeplitz", "circulant")
 # (case, structures, field, index, value, message): one entry of a valid model set to value.
@@ -812,14 +850,17 @@ class TestFitGmm:
         if structure == "circulant":
             # fit_gmm's circulant EM: L = 0 factor analyzers on the DFT rows.
             rows, family = circulant_family(data)
-            _, fixed = _em_step(rows, family, np.random.default_rng(0), circulant_view(start))
+            _, fixed, restarted = _em_step(rows, family, np.random.default_rng(0),
+                                           circulant_view(start))
             reseeded = fixed.means[2]
             fixed = GmmModel(structure, fixed.weights, np.fft.ifft(fixed.means, norm="ortho"),
                              fixed.diag_terms)
         else:
             rows = data
-            _, fixed = _em_step(data, _GmmFamily(structure, data), np.random.default_rng(0), start)
+            _, fixed, restarted = _em_step(data, _GmmFamily(structure, data),
+                                           np.random.default_rng(0), start)
             reseeded = fixed.means[2]
+        assert restarted == [2]
         assert fixed.n_components == 3
         assert np.all(fixed.weights > 1e-3)
         assert abs(fixed.weights.sum() - 1.0) < 1e-12
@@ -987,7 +1028,7 @@ class TestGmmEstimate:
         y = model.means[rng.integers(model.n_components, size=20)]
         y = y + rng.uniform(0.1, 3.0) * crandn(rng, 20, model.dim)
         want = dense_conditional_mean(model, sigma2, y)[0]
-        got = gmm_estimate(model, sigma2, y)
+        got = out_contract(lambda rows, out: gmm_estimate(model, sigma2, rows, out=out), y)
         assert np.abs(got - want).max() <= 1e-9 * max(1.0, np.abs(want).max())
         if singular:
             return  # the likelihood has no noise to regularize a singular C_k
@@ -1018,7 +1059,8 @@ class TestGmmEstimate:
                 loglik = log_likelihood(circulant_view(start), np.fft.fft(data, norm="ortho"))
             else:
                 loglik = e_step_log_likelihood(start, data)
-            return gmm_estimate(start, 0.3, y), loglik, *m_step(structure, data, resp)
+            estimates = out_contract(lambda rows, out: gmm_estimate(start, 0.3, rows, out=out), y)
+            return estimates, loglik, *m_step(structure, data, resp)
 
         whole = outputs()
         # Chunks of four rows, the smallest, or four and five for the 23 rows,

@@ -10,7 +10,7 @@ from mfachest.baselines import GmmModel, fit_gmm, gmm_estimate, load_gmm, save_g
 from mfachest.cli import main
 from mfachest.mfa import FitConfig, fit_em, load_model, save_model
 from mfachest.scenario import ChannelDataset, corrupt, read_dataset, write_dataset
-from oracles import collapsing_data
+from oracles import collapsing_data, crandn, make_model, traced_peak
 
 
 def write_scenario_config(tmp_path, **overrides):
@@ -137,6 +137,23 @@ class TestPipeline:
         assert captured.out == ""
         assert field in captured.err
         assert not data_path.exists()
+
+    @pytest.mark.parametrize("snr", ["-1e1", "-inf"])
+    def test_negative_snr_in_exponent_form_is_a_value(self, tmp_path, capsys, snr):
+        # argparse alone reads only -5 and -.5 as numbers, and -1e1 as an option.
+        data = np.random.default_rng(15).standard_normal((40, 4)) + 0j
+        data_path, model_path = tmp_path / "data.chd", tmp_path / "model.mfa"
+        write_dataset(data_path, ChannelDataset(data))
+        save_model(fit_em(ChannelDataset(data), 2, 1, FitConfig(max_iter=2))[0], model_path)
+        code = main(["estimate", "--model", str(model_path), "--data", str(data_path),
+                     "--snr-db", snr])
+        captured = capsys.readouterr()
+        if snr == "-1e1":
+            assert code == 0
+            assert captured.out.startswith("snr_db=-10.0 sigma2=10 ")
+        else:
+            assert code == 2
+            assert "snr_db must be >= -3000 dB" in captured.err
 
     def test_singular_circulant_model_at_infinite_snr(self, tmp_path, capsys):
         model_path = tmp_path / "singular.gmm"
@@ -589,6 +606,32 @@ class TestBenchCommands:
         spec_path = self.make_spec(tmp_path, [])
         code = main(["bench-latent", "--spec", str(spec_path), "--l-grid", "1,x"])
         assert code == 1
+
+
+class TestEstimateMemory:
+    """``estimate`` holds two (T, N) arrays, the truths and the observations:
+    the estimates go into the observations' buffer, the error into the truths'."""
+
+    @pytest.mark.parametrize("kind", ["mfa", *baselines.GMM_STRUCTURES])
+    def test_peak_below_three_arrays(self, tmp_path, capsys, kind):
+        count, dim = 20_000, 64
+        rng = np.random.default_rng(16)
+        data_path, model_path = tmp_path / "data.chd", tmp_path / "model"
+        write_dataset(data_path, ChannelDataset(crandn(rng, count, dim)))
+        model = make_model(rng, 4, dim, 2, sep=1.0, psi=0.5)
+        if kind == "mfa":
+            save_model(model, model_path)
+        elif kind == "full":
+            save_gmm(baselines.gmm_from_mfa(model), model_path)
+        else:
+            bins = 2 * dim if kind == "toeplitz" else dim
+            spectra = rng.uniform(0.5, 2.0, (4, bins))
+            save_gmm(GmmModel(kind, model.weights, model.means, spectra), model_path)
+        argv = ["estimate", "--model", str(model_path), "--data", str(data_path), "--snr-db", "10"]
+        code, peak = traced_peak(main, argv)
+        assert code == 0
+        assert "nmse=" in capsys.readouterr().out
+        assert peak < 3 * count * dim * 16
 
 
 class TestTracedLayers:

@@ -1,3 +1,4 @@
+import logging
 from dataclasses import replace
 from functools import partial
 from unittest.mock import patch
@@ -40,9 +41,11 @@ from oracles import (
 
 
 def em_update(model, data, mode="scaled-identity", seed=0):
-    """One iteration of fit_em's loop from the given model."""
+    """One iteration of fit_em's loop from the given model: the incoming
+    model's average log-likelihood and the updated model."""
     family = mfa._MfaFamily(model.latent_dim, mode, data)
-    return mfa._em_step(data, family, np.random.default_rng(seed), model)
+    avg, updated, _ = mfa._em_step(data, family, np.random.default_rng(seed), model)
+    return avg, updated
 
 
 class TestMfaModel:
@@ -779,6 +782,29 @@ class TestEmProperties:
         assert fixed.weights[1] == pytest.approx(1.0 / 3.0)
         assert np.all(fixed.diag_terms == fixed.diag_terms[0])
         assert np.ptp(fixed.diag_terms[0]) > 0.01
+
+    def test_logs_one_debug_record_per_iteration(self, caplog):
+        # Component 2 starts far from the data, so the first E-step gives it no
+        # mass and it is reseeded; the trace is what the records report.
+        class FarStart(mfa._MfaFamily):
+            def start(self, samples, labels, fitted):
+                means, params = super().start(samples, labels, fitted)
+                means[2] = 1e3
+                return means, params
+
+        data = crandn(np.random.default_rng(65), 200, 4)
+        config = FitConfig(max_iter=3, rel_tol=1e-12, seed=2)
+        with caplog.at_level(logging.DEBUG, logger="mfachest"):
+            _, trace = mfa.fit_mixture(data, 3, config, partial(FarStart, 1, "scaled-identity"))
+        records = [r for r in caplog.records if r.name == "mfachest.mfa"]
+        assert [r.levelno for r in records] == [logging.DEBUG] * 3
+        assert [r.args[0] for r in records] == [1, 2, 3]
+        assert [r.args[1] for r in records] == list(trace.loglik)
+        assert [r.args[2] for r in records] == list(trace.seconds)
+        assert records[0].args[3] == [2]
+        assert "reseeded [2]" in records[0].getMessage()
+        # Silent unless the application configures logging.
+        assert any(isinstance(h, logging.NullHandler) for h in logging.getLogger("mfachest").handlers)
 
 
 @st.composite

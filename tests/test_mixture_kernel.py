@@ -19,6 +19,7 @@ from oracles import (
     kernel_responsibilities,
     models,
     observations,
+    out_contract,
     posterior,
     with_intercept,
     woodbury_logdens,
@@ -33,9 +34,14 @@ noise_levels = st.one_of(
 def test_estimate_matches_dense_mixture_estimator(drawn, sigma2):
     model, rng = drawn
     y = observations(model, rng)
-    got = estimate(model, sigma2, y)
+    got = out_contract(lambda rows, out: estimate(model, sigma2, rows, out=out), y)
+    dense = gmm_from_mfa(model)
+    want = out_contract(lambda rows, out: gmm_estimate(dense, sigma2, rows, out=out), y)
+    with patch.object(gaussians, "_CHUNK_BYTES", 1):
+        # In place across chunks of four rows.
+        out_contract(lambda rows, out: estimate(model, sigma2, rows, out=out), y)
+        out_contract(lambda rows, out: gmm_estimate(dense, sigma2, rows, out=out), y)
 
-    want = gmm_estimate(gmm_from_mfa(model), sigma2, y)
     assert np.abs(got - want).max() <= 1e-9 * max(1.0, np.abs(want).max())
 
     want, resp, _ = dense_conditional_mean(model, sigma2, y)
